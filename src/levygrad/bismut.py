@@ -43,10 +43,10 @@ from .streams import substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
+    checked_jump_intensity,
     dropped_mass_rate,
     first_passage,
     stable_median_s1,
-    tail_mass,
 )
 
 __all__ = [
@@ -313,7 +313,7 @@ def _gradient_batch_worker(
                 x, v, field, jb, dW_s, t, substeps_per_unit
             )
             I1, I2, I3 = engine.weight_terms(field, jb, dW_s, aux_s, X_pre, Jv_pre, d_beta, d_beta)
-            fv = np.asarray(f(Xf), dtype=float)
+            fv = engine.evaluate_observable(f, Xf, bi)
             return fv, I1, I2, I3, sup_g
 
         fv, I1, I2, I3, sup_g = one_pass(dW, aux)
@@ -324,20 +324,45 @@ def _gradient_batch_worker(
             t2 = 0.5 * (t2 + fv2 * K2 / safe)
             t3 = 0.5 * (t3 + fv2 * K3 / safe)
             sup_g = np.maximum(sup_g, sup_g2)
-        y = t1 - t2 + t3
         return {
-            "y": y,
+            "samples": _term_samples(t1, t2, t3, sup_g),
             "reject": reject,
-            "t1": t1,
-            "t2": t2,
-            "t3": t3,
-            "sup_g": sup_g,
-            "jumps": int(jb.total),
-            "capped": int(np.isfinite(cap).sum()),
+            "counters": {"jumps": int(jb.total), "capped": int(np.isfinite(cap).sum())},
             "rows": (start, fv, I1, I2, I3, normalizer, reject),
         }
 
     return worker
+
+
+def _term_samples(t1, t2, t3, sup_g) -> dict:
+    """Per-path sample columns of a weighted estimator: y = f * weight and its parts."""
+    return {"y": t1 - t2 + t3, "t1": t1, "t2": t2, "t3": t3, "sup_g": sup_g}
+
+
+def _term_diagnostics(run: engine.BatchRun) -> dict:
+    c = run.columns
+    return {
+        "term_I1_mean": c["t1"].mean,
+        "term_I2_mean": c["t2"].mean,
+        "term_I3_mean": c["t3"].mean,
+        "sup_grad_sq_mean": c["sup_g"].mean,
+    }
+
+
+def _with_sample_rows(result: EstimatorResult, run: engine.BatchRun, limit: int):
+    """Attach the first `limit` accepted per-path rows, in the CSV column order."""
+    if not limit:
+        return result
+    rows: list[tuple] = []
+    for start, fv, I1, I2, I3, norm, reject in (part["rows"] for part in run.parts):
+        i = np.flatnonzero(~reject)[: limit - len(rows)]
+        weight = (I1[i] - I2[i] + I3[i]) / norm[i]
+        rows.extend(zip(
+            (start + i).tolist(), fv[i].tolist(), weight.tolist(),
+            I1[i].tolist(), I2[i].tolist(), I3[i].tolist(), norm[i].tolist(),
+        ))
+    object.__setattr__(result, "_sample_rows", rows)
+    return result
 
 
 def estimate_gradient(
@@ -372,15 +397,7 @@ def estimate_gradient(
         raise ValueError("gradient estimation samples an alpha_stable clock")
     if t <= 0:
         raise ValueError("t must be positive")
-    if eps_cut <= 0:
-        raise ValueError("eps_cut must be positive")
-    lam = t * tail_mass(spec.alpha, eps_cut)
-    if lam > 1e7:
-        raise ValueError(
-            f"eps_cut={eps_cut:g} implies {lam:.3g} expected jumps per path; raise the cutoff"
-        )
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    checked_jump_intensity(spec.alpha, eps_cut, t)
     d = field.dimension
     x = _check_vector("x", x, d)
     v = _check_vector("v", v, d)
@@ -394,66 +411,20 @@ def estimate_gradient(
     worker = _gradient_batch_worker(
         x, v, f, field, spec.alpha, t, R_val, eps_cut, seed, substeps_per_unit, antithetic
     )
-    parts = engine.map_batches(n_paths, workers, worker)
-
-    stats = engine.RunningStats()
-    jumps = 0
-    capped = 0
-    rows: list[tuple] = []
-    for part in parts:
-        stats.update(
-            part["y"],
-            part["reject"],
-            t1=part["t1"],
-            t2=part["t2"],
-            t3=part["t3"],
-            sup_g=part["sup_g"],
-        )
-        jumps += part["jumps"]
-        capped += part["capped"]
-        if collect_samples and len(rows) < collect_samples:
-            start, fv, I1, I2, I3, norm, reject = part["rows"]
-            for i in np.nonzero(~reject)[0]:
-                if len(rows) >= collect_samples:
-                    break
-                rows.append(
-                    (
-                        start + int(i),
-                        float(fv[i]),
-                        float((I1[i] - I2[i] + I3[i]) / norm[i]),
-                        float(I1[i]),
-                        float(I2[i]),
-                        float(I3[i]),
-                        float(norm[i]),
-                    )
-                )
-    mean, se, n_used, n_rejected, extras = stats.finalize()
-    frac = n_rejected / n_paths
+    run = engine.run_batches(n_paths, workers, worker)
+    frac = run.n_rejected / n_paths
     diagnostics = {
         "rejection_fraction": frac,
         "flagged_invalid": 1.0 if frac > REJECTION_FLAG_THRESHOLD else 0.0,
-        "mean_jump_count": jumps / n_paths,
+        "mean_jump_count": run.counters["jumps"] / n_paths,
         "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps_cut) * t,
-        "cap_fraction": capped / n_paths,
-        "term_I1_mean": extras.get("t1", math.nan),
-        "term_I2_mean": extras.get("t2", math.nan),
-        "term_I3_mean": extras.get("t3", math.nan),
-        "sup_grad_sq_mean": extras.get("sup_g", math.nan),
-        "max_abs_sample": stats.max_abs,
+        "cap_fraction": run.counters["capped"] / n_paths,
+        **_term_diagnostics(run),
         "level_R": R_val,
     }
     if antithetic:
         diagnostics["antithetic"] = 1.0
-    result = EstimatorResult(
-        mean=mean,
-        std_error=se,
-        n_samples=n_paths,
-        n_rejected=n_rejected,
-        diagnostics=diagnostics,
-    )
-    if collect_samples:
-        object.__setattr__(result, "_sample_rows", rows)
-    return result
+    return _with_sample_rows(run.result(diagnostics), run, collect_samples)
 
 
 def estimate_gradient_fixed_clock(
@@ -480,8 +451,6 @@ def estimate_gradient_fixed_clock(
         raise ValueError("t must lie in (0, horizon]")
     if path.compensation_drift != 0.0:
         raise ValueError("the fixed clock must be pure-jump")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
     d = field.dimension
     x = _check_vector("x", x, d)
     v = _check_vector("v", v, d)
@@ -495,10 +464,6 @@ def estimate_gradient_fixed_clock(
     ell_pre = np.concatenate(([0.0], ell_post[:-1])) if m else np.empty(0)
     d_beta_1, d_lambda_1 = _interval_data(resolved, ell_pre, ell_post, path.sizes[:m])
 
-    stats = engine.RunningStats()
-    jumps_per_path = m
-    rows: list[tuple] = []
-
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, t, count)
         dW, aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
@@ -508,45 +473,19 @@ def estimate_gradient_fixed_clock(
         d_beta = np.tile(d_beta_1, count)
         d_lambda = np.tile(d_lambda_1, count)
         I1, I2, I3 = engine.weight_terms(field, jb, dW, aux, X_pre, Jv_pre, d_beta, d_lambda)
-        fv = np.asarray(f(Xf), dtype=float)
+        fv = engine.evaluate_observable(f, Xf, bi)
         t1, t2, t3 = fv * I1 / normalizer, fv * I2 / normalizer, fv * I3 / normalizer
         return {
-            "y": t1 - t2 + t3,
-            "t1": t1,
-            "t2": t2,
-            "t3": t3,
-            "sup_g": sup_g,
-            "rows": (start, fv, I1, I2, I3),
+            "samples": _term_samples(t1, t2, t3, sup_g),
+            "rows": (start, fv, I1, I2, I3, np.full(count, normalizer), np.zeros(count, bool)),
         }
 
-    parts = engine.map_batches(n_paths, workers, worker)
-    for part in parts:
-        stats.update(part["y"], None, t1=part["t1"], t2=part["t2"], t3=part["t3"], sup_g=part["sup_g"])
-        if collect_samples and len(rows) < collect_samples:
-            start, fv, I1, I2, I3 = part["rows"]
-            for i in range(fv.size):
-                if len(rows) >= collect_samples:
-                    break
-                w = (I1[i] - I2[i] + I3[i]) / normalizer
-                rows.append(
-                    (start + i, float(fv[i]), float(w), float(I1[i]),
-                     float(I2[i]), float(I3[i]), normalizer)
-                )
-    mean, se, n_used, n_rejected, extras = stats.finalize()
+    run = engine.run_batches(n_paths, workers, worker)
     diagnostics = {
         "rejection_fraction": 0.0,
         "flagged_invalid": 0.0,
-        "mean_jump_count": float(jumps_per_path),
+        "mean_jump_count": float(m),
         "normalizer": normalizer,
-        "term_I1_mean": extras.get("t1", math.nan),
-        "term_I2_mean": extras.get("t2", math.nan),
-        "term_I3_mean": extras.get("t3", math.nan),
-        "sup_grad_sq_mean": extras.get("sup_g", math.nan),
-        "max_abs_sample": stats.max_abs,
+        **_term_diagnostics(run),
     }
-    result = EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_paths, n_rejected=0, diagnostics=diagnostics
-    )
-    if collect_samples:
-        object.__setattr__(result, "_sample_rows", rows)
-    return result
+    return _with_sample_rows(run.result(diagnostics), run, collect_samples)

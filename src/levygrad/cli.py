@@ -25,14 +25,14 @@ import numpy as np
 from . import engine
 from .bismut import ClockSpec, estimate_gradient, estimate_gradient_fixed_clock
 from .coefficients import CoefficientField, catalog
-from .results import ComparisonReport, EstimatorResult, compare
+from .results import ComparisonReport, compare
 from .streams import substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
+    checked_jump_intensity,
     dropped_mass_rate,
     inverse_moment,
-    tail_mass,
 )
 from .validate import (
     burkholder_isometry_check,
@@ -51,8 +51,6 @@ EXIT_STAT_FAIL = 2
 
 CSV_ROW_CAP = 10**6
 CSV_COLUMNS = ("sample_index", "f_value", "weight", "I1", "I2", "I3", "normalizer")
-# Guard against configs whose cutoff implies an intractable jump intensity.
-MAX_JUMPS_PER_PATH = 1e7
 
 _COMMON_OPTIONAL = ("output",)
 
@@ -137,16 +135,6 @@ def _stable_spec(cfg: dict) -> BernsteinSpec:
     return BernsteinSpec.alpha_stable(float(cfg["alpha"]))
 
 
-def _guard_intensity(alpha: float, eps_cut: float, t: float) -> float:
-    lam = t * tail_mass(alpha, eps_cut)
-    if lam > MAX_JUMPS_PER_PATH:
-        raise ConfigError(
-            f"eps_cut={eps_cut:g} implies {lam:.3g} expected jumps per path; "
-            f"raise the cutoff (limit {MAX_JUMPS_PER_PATH:g})"
-        )
-    return lam
-
-
 def _from_report(rep: ComparisonReport, name: str) -> dict:
     return {
         "name": name,
@@ -183,39 +171,31 @@ def _cmd_sample_subordinator(cfg: dict):
     seed = int(cfg["seed"])
     if t <= 0 or eps <= 0 or n < 2:
         raise ConfigError("need t > 0, eps_cut > 0, n_paths >= 2")
-    lam = _guard_intensity(spec.alpha, eps, t)
+    lam = checked_jump_intensity(spec.alpha, eps, t)
 
     def worker(bi: int, start: int, count: int):
         jb = engine.sample_jump_batch(
             spec.alpha, t, eps, count, substream(seed, engine.PURPOSE_JUMPS, bi)
         )
         _, _, ell_T = engine.path_cumulatives(jb)
-        return jb.counts.astype(float), ell_T
+        counts = jb.counts.astype(float)
+        return {"samples": {"count": counts, "empty": (counts == 0).astype(float)}, "ell_T": ell_T}
 
-    count_stats = engine.RunningStats()
-    empty_stats = engine.RunningStats()
-    terminals = []
-    for counts, ell_T in engine.map_batches(n, 1, worker):
-        count_stats.update(counts)
-        empty_stats.update((counts == 0).astype(float))
-        terminals.append(ell_T)
-    c_mean, c_se, _, _, _ = count_stats.finalize()
-    e_mean, e_se, _, _, _ = empty_stats.finalize()
-    terminals = np.concatenate(terminals)
+    run = engine.run_batches(n, 1, worker)
+    counts = run.result(column="count")
+    empty = run.result(column="empty")
+    terminals = np.concatenate([part["ell_T"] for part in run.parts])
 
     checks = [
+        _from_report(compare(counts, lam), "mean jump count matches intensity"),
         _from_report(
-            compare(EstimatorResult(c_mean, c_se, n), lam), "mean jump count matches intensity"
-        ),
-        _from_report(
-            compare(EstimatorResult(e_mean, e_se, n), math.exp(-lam)),
-            "empty-path fraction matches Poisson mass",
+            compare(empty, math.exp(-lam)), "empty-path fraction matches Poisson mass"
         ),
     ]
     results = {
-        "mean_jump_count": c_mean,
+        "mean_jump_count": counts.mean,
         "expected_jump_count": lam,
-        "empty_fraction": e_mean,
+        "empty_fraction": empty.mean,
         "expected_empty_fraction": math.exp(-lam),
         "median_terminal_value": float(np.median(terminals)),
     }
@@ -235,18 +215,15 @@ def _cmd_simulate(cfg: dict):
     field = _field_from(cfg["field"])
     spec = _stable_spec(cfg)
     f = _observable_from(cfg["f"])
-    eps = float(cfg["eps_cut"])
-    t = float(cfg["t"])
-    _guard_intensity(spec.alpha, eps, t)
     result = estimate_pt(
         cfg["x"],
         f,
         field,
         spec,
-        t,
+        float(cfg["t"]),
         int(cfg["n_paths"]),
         int(cfg["seed"]),
-        eps_cut=eps,
+        eps_cut=float(cfg["eps_cut"]),
         substeps_per_unit=int(cfg.get("substeps_per_unit", 100)),
         workers=int(cfg.get("workers", 1)),
     )
@@ -288,10 +265,7 @@ def _cmd_gradient(cfg: dict):
     field = _field_from(cfg["field"])
     spec = _stable_spec(cfg)
     f = _observable_from(cfg["f"])
-    eps = float(cfg["eps_cut"])
-    t = float(cfg["t"])
     n = int(cfg["n_paths"])
-    _guard_intensity(spec.alpha, eps, t)
     emit = bool(cfg.get("emit_samples", False))
     result = estimate_gradient(
         cfg["x"],
@@ -299,10 +273,10 @@ def _cmd_gradient(cfg: dict):
         f,
         field,
         spec,
-        t,
+        float(cfg["t"]),
         cfg.get("R", "auto"),
         n,
-        eps,
+        float(cfg["eps_cut"]),
         int(cfg["seed"]),
         substeps_per_unit=int(cfg.get("substeps_per_unit", 100)),
         workers=int(cfg.get("workers", 1)),

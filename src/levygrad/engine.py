@@ -7,6 +7,12 @@ worker count and any path can be regenerated by replaying its batch. The
 batch size is a fixed constant: changing it changes which stream a path
 draws from, hence the sampled numbers.
 
+Every estimator runs through run_batches: its per-batch worker returns named
+per-path sample columns (plus an optional rejection mask and integer
+counters), and run_batches merges them into means, standard errors and
+counts. That one skeleton also checks the path count, and
+evaluate_observable checks what a user's f returns.
+
 Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 (times, sizes) sorted by (path, time), with counts per path and prefix
 offsets. Round r of the flow loop advances every path that still has an
@@ -24,6 +30,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .flow import BlowUpError
+from .results import EstimatorResult
 from .subordinator import JumpPath, _pareto_sizes, tail_mass
 
 __all__ = [
@@ -40,6 +47,10 @@ __all__ = [
     "weight_terms",
     "map_batches",
     "RunningStats",
+    "ColumnStats",
+    "BatchRun",
+    "run_batches",
+    "evaluate_observable",
 ]
 
 BATCH_SIZE = 1 << 15
@@ -327,15 +338,10 @@ def map_batches(n_total: int, workers: int, worker_fn):
     Results are returned as a list ordered by batch index regardless of
     completion order, so downstream reduction is deterministic.
     """
-    if n_total < 0:
-        raise ValueError("n_total must be nonnegative")
-    n_batches = max(1, math.ceil(n_total / BATCH_SIZE))
-    spans = []
-    for bi in range(n_batches):
-        start = bi * BATCH_SIZE
-        count = min(BATCH_SIZE, n_total - start)
-        if count > 0 or n_total == 0:
-            spans.append((bi, start, max(count, 0)))
+    spans = [
+        (bi, start, min(BATCH_SIZE, n_total - start))
+        for bi, start in enumerate(range(0, n_total, BATCH_SIZE))
+    ]
     if workers <= 1:
         return [worker_fn(bi, start, count) for bi, start, count in spans]
     with ThreadPoolExecutor(max_workers=int(workers)) as pool:
@@ -344,45 +350,111 @@ def map_batches(n_total: int, workers: int, worker_fn):
 
 
 class RunningStats:
-    """Streaming mean/SE over accepted samples, merged in batch order.
+    """Streaming mean/SE and max absolute value of one sample column.
 
-    Also accumulates labeled extra sums over accepted samples (divided by the
-    accepted count at finalization) and tracks the max absolute sample.
+    Per-batch float sums are merged in batch order.
     """
 
     def __init__(self) -> None:
         self.count = 0
-        self.rejected = 0
         self.total = 0.0
         self.total_sq = 0.0
-        self.extra_sums: dict[str, float] = {}
         self.max_abs = 0.0
 
-    def update(self, values: np.ndarray, reject_mask: np.ndarray | None = None, **extras):
-        if reject_mask is None:
-            accepted = values
-            self.rejected += 0
-        else:
-            accepted = values[~reject_mask]
-            self.rejected += int(reject_mask.sum())
-        self.count += int(accepted.size)
-        self.total += float(accepted.sum())
-        self.total_sq += float(np.square(accepted).sum())
-        if accepted.size:
-            self.max_abs = max(self.max_abs, float(np.max(np.abs(accepted))))
-        for key, arr in extras.items():
-            vals = arr if reject_mask is None else arr[~reject_mask]
-            self.extra_sums[key] = self.extra_sums.get(key, 0.0) + float(np.sum(vals))
+    def update(self, values: np.ndarray) -> None:
+        self.count += int(values.size)
+        self.total += float(values.sum())
+        self.total_sq += float(np.square(values).sum())
+        if values.size:
+            self.max_abs = max(self.max_abs, float(np.max(np.abs(values))))
 
     def finalize(self):
-        """Return (mean, std_error, n_used, n_rejected, extra_means)."""
+        """Return (mean, std_error); NaN for both when no sample was seen."""
         if self.count == 0:
-            return math.nan, math.nan, 0, self.rejected, {}
+            return math.nan, math.nan
         mean = self.total / self.count
         if self.count > 1:
             var = max(self.total_sq - self.count * mean * mean, 0.0) / (self.count - 1)
         else:
             var = 0.0
-        se = math.sqrt(var / self.count)
-        extras = {k: s / self.count for k, s in self.extra_sums.items()}
-        return mean, se, self.count, self.rejected, extras
+        return mean, math.sqrt(var / self.count)
+
+
+@dataclass(frozen=True)
+class ColumnStats:
+    """Mean, standard error and max |sample| of one column over accepted paths."""
+
+    mean: float
+    std_error: float
+    max_abs: float
+
+
+@dataclass(frozen=True, eq=False)
+class BatchRun:
+    """Merged outcome of run_batches; parts are the worker outputs in batch order."""
+
+    n_samples: int
+    n_rejected: int
+    columns: dict  # column key -> ColumnStats
+    counters: dict[str, int]
+    parts: list
+
+    def result(self, diagnostics: dict | None = None, column="y") -> EstimatorResult:
+        """EstimatorResult of one column, with its max |sample| among the diagnostics."""
+        stats = self.columns[column]
+        return EstimatorResult(
+            mean=stats.mean,
+            std_error=stats.std_error,
+            n_samples=self.n_samples,
+            n_rejected=self.n_rejected,
+            diagnostics={**(diagnostics or {}), "max_abs_sample": stats.max_abs},
+        )
+
+
+def run_batches(n_total: int, workers: int, worker_fn) -> BatchRun:
+    """Run worker_fn over fixed-size batches and merge its samples in batch order.
+
+    worker_fn(batch_index, start, count) returns a dict with
+      "samples": {column key: (count,) float array}, one value per path;
+      "reject" (optional): (count,) bool mask of paths left out of every column;
+      "counters" (optional): {name: int}, summed over batches;
+    plus any keys of its own, handed back untouched in BatchRun.parts.
+    """
+    if n_total < 1:
+        raise ValueError("n_paths must be at least 1")
+    parts = map_batches(n_total, workers, worker_fn)
+    stats: dict = {}
+    counters: dict[str, int] = {}
+    n_rejected = 0
+    for part in parts:
+        reject = part.get("reject")
+        if reject is not None:
+            n_rejected += int(reject.sum())
+            keep = ~reject
+        for name, values in part["samples"].items():
+            column = stats.setdefault(name, RunningStats())
+            column.update(values if reject is None else values[keep])
+        for name, value in part.get("counters", {}).items():
+            counters[name] = counters.get(name, 0) + value
+    columns = {
+        name: ColumnStats(*column.finalize(), column.max_abs) for name, column in stats.items()
+    }
+    return BatchRun(n_total, n_rejected, columns, counters, parts)
+
+
+def evaluate_observable(f, X: np.ndarray, batch_index: int) -> np.ndarray:
+    """f(X) as a float array, checked to hold one finite value per path."""
+    fv = np.asarray(f(X), dtype=float)
+    n = X.shape[0]
+    if fv.shape != (n,):
+        raise ValueError(
+            f"observable returned shape {fv.shape} on batch {batch_index}; "
+            f"it must return a finite float array of shape ({n},)"
+        )
+    bad = np.flatnonzero(~np.isfinite(fv))
+    if bad.size:
+        raise ValueError(
+            f"observable returned {bad.size} non-finite values on batch {batch_index} "
+            f"(first at path {bad[0]} of the batch)"
+        )
+    return fv

@@ -28,6 +28,7 @@ __all__ = [
     "FirstPassage",
     "QuadratureDivergenceError",
     "tail_mass",
+    "checked_jump_intensity",
     "dropped_mass_rate",
     "sample_jump_path",
     "sample_terminal_values",
@@ -187,6 +188,20 @@ def tail_mass(alpha: float, eps: float) -> float:
         raise ValueError("eps must be positive")
     rho = alpha / 2.0
     return eps ** (-rho) / math.gamma(1.0 - rho)
+
+
+MAX_JUMPS_PER_PATH = 1e7
+
+
+def checked_jump_intensity(alpha: float, eps_cut: float, t: float) -> float:
+    """Expected jumps per path, t * tail_mass; refuses more than MAX_JUMPS_PER_PATH."""
+    lam = t * tail_mass(alpha, eps_cut)
+    if lam > MAX_JUMPS_PER_PATH:
+        raise ValueError(
+            f"eps_cut={eps_cut:g} implies {lam:.3g} expected jumps per path; "
+            f"raise the cutoff (limit {MAX_JUMPS_PER_PATH:g})"
+        )
+    return lam
 
 
 def dropped_mass_rate(alpha: float, eps: float) -> float:

@@ -23,9 +23,9 @@ from .streams import substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
+    checked_jump_intensity,
     default_eps_cut,
     dropped_mass_rate,
-    tail_mass,
     truncate_jumps,
 )
 
@@ -79,13 +79,7 @@ def _prep(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps_cut):
     if x.shape != (field.dimension,):
         raise ValueError(f"x must be a vector of length {field.dimension}")
     eps = default_eps_cut(spec, t) if eps_cut is None else float(eps_cut)
-    if eps <= 0:
-        raise ValueError("eps_cut must be positive")
-    lam = t * tail_mass(spec.alpha, eps)
-    if lam > 1e7:
-        raise ValueError(
-            f"eps_cut={eps:g} implies {lam:.3g} expected jumps per path; raise the cutoff"
-        )
+    checked_jump_intensity(spec.alpha, eps, t)
     return x, eps
 
 
@@ -116,26 +110,17 @@ def estimate_pt(
         )
         dW, _aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
         X, _, _, _, _ = engine.flow_batch(x, None, field, jb, dW, t, substeps_per_unit)
-        return np.asarray(f(X), dtype=float), int(jb.total)
+        return {
+            "samples": {"y": engine.evaluate_observable(f, X, bi)},
+            "counters": {"jumps": int(jb.total)},
+        }
 
-    parts = engine.map_batches(n_paths, workers, worker)
-    stats = engine.RunningStats()
-    jumps = 0
-    for vals, nj in parts:
-        stats.update(vals)
-        jumps += nj
-    mean, se, n_used, _, _ = stats.finalize()
-    return EstimatorResult(
-        mean=mean,
-        std_error=se,
-        n_samples=n_paths,
-        diagnostics={
-            "mean_jump_count": jumps / n_paths,
-            "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps) * t,
-            "eps_cut": eps,
-            "max_abs_sample": stats.max_abs,
-        },
-    )
+    run = engine.run_batches(n_paths, workers, worker)
+    return run.result({
+        "mean_jump_count": run.counters["jumps"] / n_paths,
+        "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps) * t,
+        "eps_cut": eps,
+    })
 
 
 def estimate_pt_power(
@@ -224,21 +209,12 @@ def fd_gradient(
         dW, _aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
         Xp, _, _, _, _ = engine.flow_batch(xp, None, field, jb, dW, t, substeps_per_unit)
         Xm, _, _, _, _ = engine.flow_batch(xm, None, field, jb, dW, t, substeps_per_unit)
-        fp = np.asarray(f(Xp), dtype=float)
-        fm = np.asarray(f(Xm), dtype=float)
-        return (fp - fm) / (2.0 * h_val)
+        fp = engine.evaluate_observable(f, Xp, bi)
+        fm = engine.evaluate_observable(f, Xm, bi)
+        return {"samples": {"y": (fp - fm) / (2.0 * h_val)}}
 
-    parts = engine.map_batches(n_paths, workers, worker)
-    stats = engine.RunningStats()
-    for vals in parts:
-        stats.update(vals)
-    mean, se, _, _, _ = stats.finalize()
-    return EstimatorResult(
-        mean=mean,
-        std_error=se,
-        n_samples=n_paths,
-        diagnostics={"h": h_val, "eps_cut": eps, "max_abs_sample": stats.max_abs},
-    )
+    run = engine.run_batches(n_paths, workers, worker)
+    return run.result({"h": h_val, "eps_cut": eps})
 
 
 def check_gradient_bound(
@@ -365,15 +341,10 @@ def counterexample_moments(
         jb = engine.fixed_jump_batch(path, 1.0, count)
         dW, _aux = engine.sample_mark_batch(jb, 1, substream(seed, engine.PURPOSE_MARKS, bi))
         X, _, _, _, _ = engine.flow_batch(x0, None, field, jb, dW, 1.0, 100)
-        return np.einsum("ni,ni->n", X, X)
+        return {"samples": {"y": np.einsum("ni,ni->n", X, X)}}
 
-    stats = engine.RunningStats()
-    for vals in engine.map_batches(n_paths, workers, jump_worker):
-        stats.update(vals)
-    mean, se, _, _, _ = stats.finalize()
-    jump_moment = EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_paths,
-        diagnostics={"clock_mass_at_1": 1.0, "max_abs_sample": stats.max_abs},
+    jump_moment = engine.run_batches(n_paths, workers, jump_worker).result(
+        {"clock_mass_at_1": 1.0}
     )
 
     # Mollified route: deterministic increments of the absolutely continuous
@@ -389,21 +360,13 @@ def counterexample_moments(
         for k in range(n_steps):
             z = rng.standard_normal(count)
             X = X + np.sqrt(1.0 + X * X) * (sqrt_dl[k] * z)
-        return X * X
+        return {"samples": {"y": X * X}}
 
-    stats = engine.RunningStats()
-    for vals in engine.map_batches(n_paths, workers, mollified_worker):
-        stats.update(vals)
-    mean, se, _, _, _ = stats.finalize()
-    mollified_moment = EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_paths,
-        diagnostics={
-            "clock_mass_at_1": 1.0 + eps_mollify,
-            "grid_steps": float(n_steps),
-            "eps_mollify": eps_mollify,
-            "max_abs_sample": stats.max_abs,
-        },
-    )
+    mollified_moment = engine.run_batches(n_paths, workers, mollified_worker).result({
+        "clock_mass_at_1": 1.0 + eps_mollify,
+        "grid_steps": float(n_steps),
+        "eps_mollify": eps_mollify,
+    })
     return {"jump_moment": jump_moment, "mollified_moment": mollified_moment}
 
 
@@ -449,18 +412,12 @@ def burkholder_isometry_check(
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, path.horizon, count)
         dW, aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
-        if k == 0:
-            return np.zeros(count)
         u = (dW @ xi).reshape(count, k)
         w = (aux @ xi).reshape(count, k)
         M = u @ r + w @ c
-        return M * M
+        return {"samples": {"y": M * M}}
 
-    stats = engine.RunningStats()
-    for vals in engine.map_batches(n_paths, workers, worker):
-        stats.update(vals)
-    mean, se, _, _, _ = stats.finalize()
-    empirical = EstimatorResult(mean=mean, std_error=se, n_samples=n_paths)
+    empirical = engine.run_batches(n_paths, workers, worker).result()
     return compare(empirical, target, label="second-moment isometry")
 
 
@@ -529,33 +486,21 @@ def truncation_convergence_check(
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, path.horizon, count)
         dW, aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
-        if k == 0:
-            return [np.zeros(count)] * n_eps
         u = (dW @ xi).reshape(count, k)
         w = (aux @ xi).reshape(count, k)
-        out = []
-        for j in range(n_eps):
-            D = u @ coeff_r[j] + w @ coeff_c[j]
-            out.append(D * D)
-        return out
+        gaps = (u @ coeff_r[j] + w @ coeff_c[j] for j in range(n_eps))
+        return {"samples": {j: D * D for j, D in enumerate(gaps)}}
 
-    stats_list = [engine.RunningStats() for _ in range(n_eps)]
-    for part in engine.map_batches(n_paths, workers, worker):
-        for st, vals in zip(stats_list, part):
-            st.update(vals)
+    run = engine.run_batches(n_paths, workers, worker)
     entries = []
     for j, eps in enumerate(eps_list):
-        mean, se, _, _, _ = stats_list[j].finalize()
-        rep = compare(
-            EstimatorResult(mean=mean, std_error=se, n_samples=n_paths),
-            exact[j],
-            label=f"truncation gap at eps={eps:g}",
-        )
+        gap = run.result(column=j)
+        rep = compare(gap, exact[j], label=f"truncation gap at eps={eps:g}")
         entries.append(
             {
                 "eps": eps,
-                "empirical": mean,
-                "std_error": se,
+                "empirical": gap.mean,
+                "std_error": gap.std_error,
                 "exact": exact[j],
                 "z_score": rep.z_score,
                 "passed": rep.passed,
