@@ -23,21 +23,10 @@ from .subordinator import (
     default_eps_cut,
     stable_median_s1,
 )
-from .coefficients import CoefficientField, directional_sigma_derivative, catalog
-from .flow import (
-    FlowState,
-    PathRealization,
-    BlowUpError,
-    sample_increments,
-    evolve_drift,
-    apply_jump,
-    simulate_flow,
-)
+from .coefficients import CoefficientField, catalog
+from .engine import BlowUpError
 from .bismut import (
     ClockSpec,
-    BismutWeight,
-    RejectedPathError,
-    accumulate_weight,
     estimate_gradient,
     estimate_gradient_fixed_clock,
     default_level_R,
@@ -72,19 +61,9 @@ __all__ = [
     "default_eps_cut",
     "stable_median_s1",
     "CoefficientField",
-    "directional_sigma_derivative",
     "catalog",
-    "FlowState",
-    "PathRealization",
     "BlowUpError",
-    "sample_increments",
-    "evolve_drift",
-    "apply_jump",
-    "simulate_flow",
     "ClockSpec",
-    "BismutWeight",
-    "RejectedPathError",
-    "accumulate_weight",
     "estimate_gradient",
     "estimate_gradient_fixed_clock",
     "default_level_R",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .coefficients import CoefficientField, directional_sigma_derivative
+from .coefficients import CoefficientField
 from .results import EstimatorResult
 from .streams import substream
 from .subordinator import (
@@ -51,9 +51,6 @@ from .subordinator import (
 
 __all__ = [
     "ClockSpec",
-    "BismutWeight",
-    "RejectedPathError",
-    "accumulate_weight",
     "estimate_gradient",
     "estimate_gradient_fixed_clock",
     "default_level_R",
@@ -61,10 +58,6 @@ __all__ = [
 ]
 
 REJECTION_FLAG_THRESHOLD = 1e-3
-
-
-class RejectedPathError(RuntimeError):
-    """The clock reparameterization vanished at t; the path carries no weight."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,25 +161,6 @@ class ResolvedClock:
         return self.cumlam[j] + self.slopes[j] ** 2 * (u - self.ku[j])
 
 
-@dataclass(frozen=True)
-class BismutWeight:
-    """The three weight terms of one path and their normalizer beta(ell_t)."""
-
-    I1: float
-    I2: float
-    I3: float
-    normalizer: float
-
-    def __post_init__(self) -> None:
-        if not self.normalizer > 0:
-            raise ValueError("normalizer must be positive (rejected paths never get here)")
-
-    @property
-    def weight(self) -> float:
-        # trace term negative: divergence correction of the integration by parts
-        return (self.I1 - self.I2 + self.I3) / self.normalizer
-
-
 def _interval_data(resolved: ResolvedClock, ell_pre, ell_post, sizes):
     """(d_beta, d_lambda) over clock intervals, with exact 0/1 handling for caps.
 
@@ -201,56 +175,6 @@ def _interval_data(resolved: ResolvedClock, ell_pre, ell_post, sizes):
     d_beta = resolved.beta(ell_post) - resolved.beta(ell_pre)
     d_lambda = resolved.lambda_beta(ell_post) - resolved.lambda_beta(ell_pre)
     return np.maximum(d_beta, 0.0), np.maximum(d_lambda, 0.0)
-
-
-def accumulate_weight(
-    snapshots,
-    field: CoefficientField,
-    realization,
-    clock: ClockSpec,
-    t: float,
-) -> BismutWeight:
-    """Three-term weight along one simulated path (reference, one path at a time).
-
-    snapshots must come from simulate_flow(x0, v, field, realization, t) in
-    directional mode: [pre_1, post_1, ..., pre_m, post_m, final]. Raises
-    RejectedPathError when beta(ell_t) is not positive.
-    """
-    path = realization.path
-    m = int(np.searchsorted(path.times, t, side="right"))
-    if len(snapshots) != 2 * m + 1:
-        raise ValueError("snapshots do not match the jumps with time <= t")
-    if any(s.mode != "directional" for s in snapshots):
-        raise ValueError("weights need directional-mode snapshots")
-    resolved = clock.resolve(path)
-    ell_post = np.cumsum(path.sizes[:m])
-    ell_t = float(ell_post[-1]) if m else 0.0
-    normalizer = float(resolved.beta(ell_t))
-    if normalizer <= 0:
-        raise RejectedPathError("beta(ell_t) <= 0")
-    if m == 0:
-        return BismutWeight(0.0, 0.0, 0.0, normalizer)
-
-    ell_pre = np.concatenate(([0.0], ell_post[:-1]))
-    d_ell = path.sizes[:m]
-    d_beta, d_lambda = _interval_data(resolved, ell_pre, ell_post, d_ell)
-    ratio = d_beta / d_ell
-    cvar = np.maximum(d_lambda - d_beta * ratio, 0.0)
-    dW = realization.increments[:m]
-    dWb = ratio[:, None] * dW + np.sqrt(cvar)[:, None] * realization.aux_normals[:m]
-
-    I1 = I2 = I3 = 0.0
-    for i in range(m):
-        s_i = float(path.times[i])
-        pre = snapshots[2 * i]
-        s_inv = np.asarray(field.sigma_inv(s_i, pre.X), dtype=float)
-        I1 += float(s_inv @ pre.J @ dWb[i])
-        if not field.sigma_is_constant:
-            dir_s = directional_sigma_derivative(field, pre.J, s_i, pre.X)
-            A = s_inv @ dir_s
-            I2 += float(np.trace(A)) * float(d_beta[i])
-            I3 += float((A @ dWb[i]) @ dW[i])
-    return BismutWeight(I1, I2, I3, normalizer)
 
 
 def default_level_R(spec: BernsteinSpec, t: float) -> float:
@@ -275,6 +199,16 @@ def _check_vector(name: str, value, d: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _weighted_pass(dW, aux, x, v, f, field, jb, t, substeps_per_unit, d_beta, d_lambda, bi):
+    """Flow, weight terms and observable of one batch under the marks (dW, aux).
+
+    Returns (f(X_t), I1, I2, I3, sup |grad_v X|^2), one value per path.
+    """
+    Xf, _Jvf, X_pre, Jv_pre, sup_g = engine.flow_batch(x, v, field, jb, dW, t, substeps_per_unit)
+    I1, I2, I3 = engine.weight_terms(field, jb, dW, aux, X_pre, Jv_pre, d_beta, d_lambda)
+    return engine.evaluate_observable(f, Xf, bi), I1, I2, I3, sup_g
 
 
 def _gradient_batch_worker(
@@ -307,19 +241,11 @@ def _gradient_batch_worker(
         reject = normalizer <= 0.0
 
         safe = np.where(reject, 1.0, normalizer)
-
-        def one_pass(dW_s, aux_s):
-            Xf, Jvf, X_pre, Jv_pre, sup_g = engine.flow_batch(
-                x, v, field, jb, dW_s, t, substeps_per_unit
-            )
-            I1, I2, I3 = engine.weight_terms(field, jb, dW_s, aux_s, X_pre, Jv_pre, d_beta, d_beta)
-            fv = engine.evaluate_observable(f, Xf, bi)
-            return fv, I1, I2, I3, sup_g
-
-        fv, I1, I2, I3, sup_g = one_pass(dW, aux)
+        args = (x, v, f, field, jb, t, substeps_per_unit, d_beta, d_beta, bi)
+        fv, I1, I2, I3, sup_g = _weighted_pass(dW, aux, *args)
         t1, t2, t3 = fv * I1 / safe, fv * I2 / safe, fv * I3 / safe
         if antithetic:
-            fv2, K1, K2, K3, sup_g2 = one_pass(-dW, -aux)
+            fv2, K1, K2, K3, sup_g2 = _weighted_pass(-dW, -aux, *args)
             t1 = 0.5 * (t1 + fv2 * K1 / safe)
             t2 = 0.5 * (t2 + fv2 * K2 / safe)
             t3 = 0.5 * (t3 + fv2 * K3 / safe)
@@ -467,13 +393,10 @@ def estimate_gradient_fixed_clock(
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, t, count)
         dW, aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
-        Xf, Jvf, X_pre, Jv_pre, sup_g = engine.flow_batch(
-            x, v, field, jb, dW, t, substeps_per_unit
+        fv, I1, I2, I3, sup_g = _weighted_pass(
+            dW, aux, x, v, f, field, jb, t, substeps_per_unit,
+            np.tile(d_beta_1, count), np.tile(d_lambda_1, count), bi,
         )
-        d_beta = np.tile(d_beta_1, count)
-        d_lambda = np.tile(d_lambda_1, count)
-        I1, I2, I3 = engine.weight_terms(field, jb, dW, aux, X_pre, Jv_pre, d_beta, d_lambda)
-        fv = engine.evaluate_observable(f, Xf, bi)
         t1, t2, t3 = fv * I1 / normalizer, fv * I2 / normalizer, fv * I3 / normalizer
         return {
             "samples": _term_samples(t1, t2, t3, sup_g),

@@ -5,21 +5,18 @@ exact inverse sigma^{-1}. All evaluators are pure and broadcast over leading
 batch axes: x may be shaped (d,) or (n, d), with t a scalar or an array
 broadcastable against the batch shape. Analytic derivatives and inverses are
 required; finite differences appear only in self-checks, never in the
-estimator hot path.
-
-growth_m and growth_c record the inverse-diffusion growth envelope
-|sigma^{-1}(t, x)| <= growth_c(t) * (1 + |x|**growth_m), which downstream
-bound checks report against sampled operator norms.
+estimator hot path. The batched engine (levygrad.engine) is the only
+consumer: it evaluates every coefficient on whole batches of paths at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["CoefficientField", "directional_sigma_derivative", "catalog", "CATALOG_NAMES"]
+__all__ = ["CoefficientField", "catalog", "CATALOG_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -30,8 +27,6 @@ class CoefficientField:
     sigma: Callable  # (t, x) -> (..., d, d)
     grad_sigma: Callable  # (t, x) -> (..., d, d, d), entry (i, j, k) = d sigma_ij / d x_k
     sigma_inv: Callable
-    growth_m: float = 0.0
-    growth_c: Callable[[float], float] = lambda t: 1.0
     name: str = ""
     # Exactness hints for the vectorized engine. drift_is_zero means b == 0
     # identically (the between-jump ODE step is skipped, which equals running
@@ -43,20 +38,6 @@ class CoefficientField:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if self.growth_m < 0:
-            raise ValueError("growth_m must be nonnegative")
-
-
-def directional_sigma_derivative(field: CoefficientField, u, t, x):
-    """Matrix with entries sum_k u_k * d sigma_ij / d x_k at (t, x); linear in u.
-
-    Broadcasts over leading axes of u and x.
-    """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("direction u must be finite")
-    gs = np.asarray(field.grad_sigma(t, x), dtype=float)
-    return np.einsum("...ijk,...k->...ij", gs, u)
 
 
 def _eye_like(x: np.ndarray, d: int) -> np.ndarray:
@@ -90,8 +71,6 @@ def _additive_identity(d: int) -> CoefficientField:
         sigma=sigma,
         grad_sigma=grad_sigma,
         sigma_inv=sigma,
-        growth_m=0.0,
-        growth_c=lambda t: 1.0,
         name="additive_identity",
         drift_is_zero=True,
         sigma_is_constant=True,
@@ -121,8 +100,6 @@ def _ou_additive(d: int) -> CoefficientField:
         sigma=sigma,
         grad_sigma=grad_sigma,
         sigma_inv=sigma,
-        growth_m=0.0,
-        growth_c=lambda t: 1.0,
         name="ou_additive",
         sigma_is_constant=True,
     )
@@ -158,8 +135,6 @@ def _pythagoras_1d() -> CoefficientField:
         sigma=sigma,
         grad_sigma=grad_sigma,
         sigma_inv=sigma_inv,
-        growth_m=0.0,  # |sigma^{-1}| <= 1 everywhere
-        growth_c=lambda t: 1.0,
         name="pythagoras_1d",
         drift_is_zero=True,
     )
@@ -170,7 +145,7 @@ _KAPPA = 0.25
 
 def _bounded_multiplicative(d: int) -> CoefficientField:
     # sigma(x) = (1 + kappa*tanh(x_1)) * I, b(x) = -x. The scalar factor lies in
-    # [1 - kappa, 1 + kappa], so |sigma^{-1}| <= 1/(1 - kappa) with growth_m = 0.
+    # [1 - kappa, 1 + kappa], so |sigma^{-1}| <= 1/(1 - kappa).
     def scalar(x):
         return 1.0 + _KAPPA * np.tanh(x[..., 0])
 
@@ -207,8 +182,6 @@ def _bounded_multiplicative(d: int) -> CoefficientField:
         sigma=sigma,
         grad_sigma=grad_sigma,
         sigma_inv=sigma_inv,
-        growth_m=0.0,
-        growth_c=lambda t: 1.0 / (1.0 - _KAPPA),
         name="bounded_multiplicative",
     )
 

@@ -17,7 +17,11 @@ Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 (times, sizes) sorted by (path, time), with counts per path and prefix
 offsets. Round r of the flow loop advances every path that still has an
 r-th jump; between jumps each active path integrates its drift ODE with
-per-path RK4 substeps.
+per-path RK4 substeps. A non-finite state or directional derivative raises
+BlowUpError rather than reaching the mean.
+
+This is the only flow and weight implementation in the package. The test
+suite checks it against a one-path-at-a-time reference (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientField
-from .flow import BlowUpError
 from .results import EstimatorResult
 from .subordinator import JumpPath, _pareto_sizes, tail_mass
 
 __all__ = [
+    "BlowUpError",
     "BATCH_SIZE",
     "PURPOSE_JUMPS",
     "PURPOSE_MARKS",
@@ -44,6 +48,7 @@ __all__ = [
     "flow_batch",
     "path_cumulatives",
     "first_passage_levels",
+    "conditional_mark_law",
     "weight_terms",
     "map_batches",
     "RunningStats",
@@ -59,6 +64,14 @@ BATCH_SIZE = 1 << 15
 PURPOSE_JUMPS = 1
 PURPOSE_MARKS = 2
 PURPOSE_MOLLIFIED = 3
+
+
+class BlowUpError(RuntimeError):
+    """The flow integration produced a non-finite state or derivative."""
+
+    def __init__(self, s: float):
+        super().__init__(f"non-finite state at s = {s}")
+        self.s = float(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +189,14 @@ def _rk4_segment(
         k2x, k2j = rhs(s + 0.5 * h[rows], x + 0.5 * hh * k1x, None if j is None else j + 0.5 * hh * k1j)
         k3x, k3j = rhs(s + 0.5 * h[rows], x + 0.5 * hh * k2x, None if j is None else j + 0.5 * hh * k2j)
         k4x, k4j = rhs(s + h[rows], x + hh * k3x, None if j is None else j + hh * k3j)
-        X[rows] = x + (hh / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        x = x + (hh / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        X[rows] = x
+        finite = np.all(np.isfinite(x))
         if Jv is not None:
-            Jv[rows] = j + (hh / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-        if not np.all(np.isfinite(X[rows])):
+            j = j + (hh / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
+            Jv[rows] = j
+            finite = finite and np.all(np.isfinite(j))
+        if not finite:
             raise BlowUpError(float(np.max(s + h[rows])))
     return X, Jv
 
@@ -233,7 +250,7 @@ def flow_batch(
             sup_g[sel] = np.maximum(sup_g[sel], np.einsum("mi,mi->m", j_new, j_new))
         X[sel] = x_new
         prev_t[sel] = s_jump
-        if not np.all(np.isfinite(x_new)):
+        if not (np.all(np.isfinite(x_new)) and (j is None or np.all(np.isfinite(j_new)))):
             raise BlowUpError(float(np.max(s_jump)))
     if not field.drift_is_zero:
         X, Jv = _rk4_segment(field, X, Jv, prev_t, np.full(n, float(t)), substeps_per_unit)
@@ -284,6 +301,18 @@ def first_passage_levels(batch: JumpBatch, ell_post: np.ndarray, R: float) -> np
     return cap
 
 
+def conditional_mark_law(d_ell: np.ndarray, d_beta: np.ndarray, d_lambda: np.ndarray):
+    """Per-jump (r, c) with dW_beta = r dW + c Z, Z ~ N(0, I) independent of dW.
+
+    r = d_beta / d_ell and c = sqrt(d_lambda - d_beta^2 / d_ell), clamped at 0,
+    realize the joint per-coordinate covariance [[d_ell, d_beta],
+    [d_beta, d_lambda]] of a jump's mark dW and its beta-weighted mark. For
+    0/1-slope clocks r is exactly 1 or 0 and c vanishes identically.
+    """
+    ratio = d_beta / d_ell
+    return ratio, np.sqrt(np.maximum(d_lambda - d_beta * ratio, 0.0))
+
+
 def weight_terms(
     field: CoefficientField,
     batch: JumpBatch,
@@ -297,24 +326,16 @@ def weight_terms(
     """Per-path weight terms (I1, I2, I3) from per-jump clock increments.
 
     The beta-weighted mark over a jump's clock interval is reconstructed from
-    the stored mark and the auxiliary normal through the conditional law
-
-        dW_beta = (d_beta / d_ell) dW + sqrt(d_lambda - d_beta^2 / d_ell) Z,
-
-    which realizes the joint per-coordinate covariance
-    [[d_ell, d_beta], [d_beta, d_lambda]]. For 0/1-slope clocks the ratio is
-    exactly 1 or 0 and the conditional part vanishes identically.
+    the stored mark and the auxiliary normal through conditional_mark_law.
     """
     n = batch.n
     if batch.total == 0:
         zero = np.zeros(n)
         return zero, zero.copy(), zero.copy()
-    d_ell = batch.sizes
-    ratio = d_beta / d_ell
-    cvar = np.maximum(d_lambda - d_beta * ratio, 0.0)
+    ratio, c = conditional_mark_law(batch.sizes, d_beta, d_lambda)
     dWb = ratio[:, None] * dW
-    if np.any(cvar > 0.0):
-        dWb = dWb + np.sqrt(cvar)[:, None] * aux
+    if np.any(c > 0.0):
+        dWb = dWb + c[:, None] * aux
     pid = batch.path_id
     s_inv = np.asarray(field.sigma_inv(batch.times, X_pre), dtype=float)
     u = np.einsum("mij,mj->mi", s_inv, Jv_pre)

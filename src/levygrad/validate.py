@@ -377,9 +377,7 @@ def _mark_coefficients(resolved, sizes: np.ndarray):
     post = np.cumsum(sizes)
     pre = np.concatenate(([0.0], post[:-1]))
     d_beta, d_lambda = _interval_data(resolved, pre, post, sizes)
-    r = d_beta / sizes
-    c = np.sqrt(np.maximum(d_lambda - d_beta * r, 0.0))
-    return r, c
+    return engine.conditional_mark_law(sizes, d_beta, d_lambda)
 
 
 def burkholder_isometry_check(

@@ -1,11 +1,15 @@
-"""One path of the state and its derivative flow along a given jump clock.
+"""Per-path reference for the batched engine: one path's flow and weight.
+
+This is the test oracle that engine.flow_batch and engine.weight_terms are
+checked against. It walks one path at a time in plain Python, so every float
+operation is visible, and it keeps its own copy of the conditional mark law.
 
 Between jumps the clock is flat, so the state follows the deterministic ODE
-dX/ds = b(s, X) and the derivative flow follows dJ/ds = grad_b(s, X) J; both
-are integrated with classical fourth-order Runge-Kutta. At a clock jump of
-size delta the driving noise moves by a Gaussian increment dW ~ N(0, delta I)
-and the state updates discretely, with every coefficient evaluated at the
-left limit (the pre-jump state):
+dX/ds = b(s, X) and the directional derivative Jv = grad_v X follows
+dJv/ds = grad_b(s, X) Jv; both are integrated with classical fourth-order
+Runge-Kutta. At a clock jump of size delta the driving noise moves by a
+Gaussian increment dW ~ N(0, delta I) and the state updates discretely, with
+every coefficient evaluated at the left limit (the pre-jump state):
 
     X <- X- + sigma(s, X-) dW
     Jv <- Jv- + (grad_{Jv-} sigma)(s, X-) dW
@@ -21,63 +25,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientField, directional_sigma_derivative
-from .subordinator import JumpPath
-
-__all__ = [
-    "FlowState",
-    "PathRealization",
-    "BlowUpError",
-    "sample_increments",
-    "evolve_drift",
-    "apply_jump",
-    "simulate_flow",
-]
+from levygrad import BlowUpError, ClockSpec, CoefficientField, JumpPath
+from levygrad.bismut import _interval_data
 
 
-class BlowUpError(RuntimeError):
-    """The ODE integration produced a non-finite state."""
+class RejectedPathError(RuntimeError):
+    """The clock reparameterization vanished at t; the path carries no weight."""
 
-    def __init__(self, s: float):
-        super().__init__(f"non-finite state at s = {s}")
-        self.s = float(s)
+
+def directional_sigma_derivative(field: CoefficientField, u, t, x):
+    """Matrix with entries sum_k u_k * d sigma_ij / d x_k at (t, x); linear in u.
+
+    Broadcasts over leading axes of u and x.
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("direction u must be finite")
+    gs = np.asarray(field.grad_sigma(t, x), dtype=float)
+    return np.einsum("...ijk,...k->...ij", gs, u)
 
 
 @dataclass(frozen=True, eq=False)
 class FlowState:
-    """(time, X, derivative flow) at one instant along a path.
-
-    mode "directional" carries Jv = grad_v X (a d-vector for one fixed initial
-    direction v); mode "full" carries the complete Jacobian J = grad X (d x d).
-    """
+    """(time, X, Jv) at one instant along a path; Jv = grad_v X for one fixed v."""
 
     s: float
     X: np.ndarray
     J: np.ndarray
-    mode: str = "directional"
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=float)
         J = np.asarray(self.J, dtype=float)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "J", J)
-        d = X.shape[0]
-        if self.mode == "directional":
-            if J.shape != (d,):
-                raise ValueError("directional mode needs J of shape (d,)")
-        elif self.mode == "full":
-            if J.shape != (d, d):
-                raise ValueError("full mode needs J of shape (d, d)")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if J.shape != (X.shape[0],):
+            raise ValueError("J must be a vector of the state dimension")
 
     @classmethod
-    def initial(cls, x0, v=None) -> "FlowState":
-        """State at s = 0: X = x0 with Jv = v, or J = identity when v is None."""
-        x0 = np.asarray(x0, dtype=float)
-        if v is None:
-            return cls(0.0, x0, np.eye(x0.shape[0]), "full")
-        return cls(0.0, x0, np.asarray(v, dtype=float), "directional")
+    def initial(cls, x0, v) -> "FlowState":
+        """State at s = 0: X = x0 with Jv = v."""
+        return cls(0.0, x0, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +119,11 @@ def evolve_drift(
     s1: float,
     substeps: int,
 ) -> FlowState:
-    """Integrate dX = b dt and dJ = grad_b J dt from s0 to s1 with RK4."""
+    """Integrate dX = b dt and dJv = grad_b Jv dt from s0 to s1 with RK4."""
     if s1 < s0:
         raise ValueError("s1 must not precede s0")
     if s1 == s0:
-        return FlowState(s1, state.X, state.J, state.mode)
+        return FlowState(s1, state.X, state.J)
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
     h = (s1 - s0) / substeps
@@ -159,7 +146,7 @@ def evolve_drift(
         J = J + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(J))):
             raise BlowUpError(s + h)
-    return FlowState(float(s1), X, J, state.mode)
+    return FlowState(float(s1), X, J)
 
 
 def apply_jump(state: FlowState, field: CoefficientField, s: float, dW) -> FlowState:
@@ -170,15 +157,9 @@ def apply_jump(state: FlowState, field: CoefficientField, s: float, dW) -> FlowS
         raise ValueError("dW must have the state dimension")
     S = np.asarray(field.sigma(s, X_pre), dtype=float)
     X_new = X_pre + S @ dW
-    if state.mode == "directional":
-        D = directional_sigma_derivative(field, state.J, s, X_pre)
-        J_new = state.J + D @ dW
-    else:
-        gs = np.asarray(field.grad_sigma(s, X_pre), dtype=float)
-        # column c of J is an initial direction; update each column in place
-        D_cols = np.einsum("ijk,kc->ijc", gs, state.J)
-        J_new = state.J + np.einsum("ijc,j->ic", D_cols, dW)
-    return FlowState(float(s), X_new, J_new, state.mode)
+    D = directional_sigma_derivative(field, state.J, s, X_pre)
+    J_new = state.J + D @ dW
+    return FlowState(float(s), X_new, J_new)
 
 
 def _substeps_for(gap: float, substeps_per_unit: int) -> int:
@@ -193,12 +174,11 @@ def simulate_flow(
     t: float,
     substeps_per_unit: int = 100,
 ) -> list[FlowState]:
-    """Evolve (X, grad X) through every jump with time <= t, then up to t.
+    """Evolve (X, grad_v X) through every jump with time <= t, then up to t.
 
     Returns snapshots [pre_1, post_1, ..., pre_m, post_m, final]: the pre- and
     post-jump states at each of the m jumps with time <= t, then the state at
-    time t. Pass v = None to carry the full Jacobian instead of one direction.
-    Intermediate ODE states are not stored.
+    time t. Intermediate ODE states are not stored.
     """
     path = realization.path
     if t > path.horizon:
@@ -216,7 +196,7 @@ def simulate_flow(
         if gap > 0:
             state = evolve_drift(state, field, s_cur, s_i, _substeps_for(gap, substeps_per_unit))
         else:
-            state = FlowState(s_i, state.X, state.J, state.mode)
+            state = FlowState(s_i, state.X, state.J)
         snapshots.append(state)  # pre-jump
         state = apply_jump(state, field, s_i, realization.increments[i])
         snapshots.append(state)  # post-jump
@@ -225,6 +205,73 @@ def simulate_flow(
     if gap > 0:
         state = evolve_drift(state, field, s_cur, t, _substeps_for(gap, substeps_per_unit))
     else:
-        state = FlowState(float(t), state.X, state.J, state.mode)
+        state = FlowState(float(t), state.X, state.J)
     snapshots.append(state)
     return snapshots
+
+
+@dataclass(frozen=True)
+class BismutWeight:
+    """The three weight terms of one path and their normalizer beta(ell_t)."""
+
+    I1: float
+    I2: float
+    I3: float
+    normalizer: float
+
+    def __post_init__(self) -> None:
+        if not self.normalizer > 0:
+            raise ValueError("normalizer must be positive (rejected paths never get here)")
+
+    @property
+    def weight(self) -> float:
+        # trace term negative: divergence correction of the integration by parts
+        return (self.I1 - self.I2 + self.I3) / self.normalizer
+
+
+def accumulate_weight(
+    snapshots,
+    field: CoefficientField,
+    realization: PathRealization,
+    clock: ClockSpec,
+    t: float,
+) -> BismutWeight:
+    """Three-term weight along one simulated path.
+
+    snapshots must come from simulate_flow(x0, v, field, realization, t):
+    [pre_1, post_1, ..., pre_m, post_m, final]. Raises RejectedPathError when
+    beta(ell_t) is not positive.
+    """
+    path = realization.path
+    m = int(np.searchsorted(path.times, t, side="right"))
+    if len(snapshots) != 2 * m + 1:
+        raise ValueError("snapshots do not match the jumps with time <= t")
+    resolved = clock.resolve(path)
+    ell_post = np.cumsum(path.sizes[:m])
+    ell_t = float(ell_post[-1]) if m else 0.0
+    normalizer = float(resolved.beta(ell_t))
+    if normalizer <= 0:
+        raise RejectedPathError("beta(ell_t) <= 0")
+    if m == 0:
+        return BismutWeight(0.0, 0.0, 0.0, normalizer)
+
+    ell_pre = np.concatenate(([0.0], ell_post[:-1]))
+    d_ell = path.sizes[:m]
+    d_beta, d_lambda = _interval_data(resolved, ell_pre, ell_post, d_ell)
+    ratio = d_beta / d_ell
+    cvar = np.maximum(d_lambda - d_beta * ratio, 0.0)
+    dW = realization.increments[:m]
+    dWb = ratio[:, None] * dW + np.sqrt(cvar)[:, None] * realization.aux_normals[:m]
+
+    I1 = I2 = I3 = 0.0
+    for i in range(m):
+        s_i = float(path.times[i])
+        pre = snapshots[2 * i]
+        s_inv = np.asarray(field.sigma_inv(s_i, pre.X), dtype=float)
+        I1 += float(s_inv @ pre.J @ dWb[i])
+        if not field.sigma_is_constant:
+            dir_s = directional_sigma_derivative(field, pre.J, s_i, pre.X)
+            A = s_inv @ dir_s
+            I2 += float(np.trace(A)) * float(d_beta[i])
+            I3 += float((A @ dWb[i]) @ dW[i])
+    return BismutWeight(I1, I2, I3, normalizer)

@@ -18,7 +18,7 @@ import oracles
 from levygrad.bismut import ClockSpec, estimate_gradient
 from levygrad.cli import EXIT_PASS, main as cli_main
 from levygrad.coefficients import catalog
-from levygrad.flow import FlowState, evolve_drift
+from levygrad.engine import fixed_jump_batch, flow_batch
 from levygrad.streams import substream
 from levygrad.subordinator import (
     BernsteinSpec,
@@ -295,11 +295,12 @@ def test_criterion_8_exact_identities(capsys, tmp_path):
     linear = abs(g12 - (g1 + 2.0 * g2)) <= 1e-10
 
     # RK4 on the linear-drift field reproduces e^{-1} to 1e-8 over one unit
-    st = evolve_drift(
-        FlowState.initial(np.array([1.0]), np.array([1.0])),
-        catalog("ou_additive", 1), 0.0, 1.0, 100,
+    no_jumps = fixed_jump_batch(JumpPath(1.0, np.array([]), np.array([])), 1.0, 1)
+    X1, Jv1, _, _, _ = flow_batch(
+        np.array([1.0]), np.array([1.0]), catalog("ou_additive", 1),
+        no_jumps, np.empty((0, 1)), 1.0, 100,
     )
-    rk4 = abs(st.X[0] - math.exp(-1.0)) <= 1e-8 and abs(st.J[0] - math.exp(-1.0)) <= 1e-8
+    rk4 = abs(X1[0, 0] - math.exp(-1.0)) <= 1e-8 and abs(Jv1[0, 0] - math.exp(-1.0)) <= 1e-8
 
     # worker count must not change a single bit of the result
     r1 = estimate_gradient(x, v, f, field, spec, 0.5, "auto", 70_000, 3e-3, 803,

@@ -8,21 +8,23 @@ import pytest
 import oracles
 from levygrad import (
     BernsteinSpec,
-    BismutWeight,
     ClockSpec,
     JumpPath,
-    PathRealization,
-    RejectedPathError,
-    accumulate_weight,
     catalog,
     default_eps_cut,
     default_level_R,
     dropped_mass_rate,
     estimate_gradient,
     estimate_gradient_fixed_clock,
-    simulate_flow,
     stable_median_s1,
     substream,
+)
+from reference import (
+    BismutWeight,
+    PathRealization,
+    RejectedPathError,
+    accumulate_weight,
+    simulate_flow,
 )
 
 

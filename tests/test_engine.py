@@ -9,12 +9,9 @@ from levygrad import (
     BernsteinSpec,
     ClockSpec,
     JumpPath,
-    PathRealization,
-    accumulate_weight,
     catalog,
     estimate_gradient,
     first_passage,
-    simulate_flow,
     substream,
 )
 from levygrad import engine
@@ -30,6 +27,7 @@ from levygrad.engine import (
     sample_mark_batch,
     weight_terms,
 )
+from reference import PathRealization, accumulate_weight, simulate_flow
 
 
 def _sample_setup(n=40, alpha=1.5, t=1.0, eps=0.05, d=2, seed=101):

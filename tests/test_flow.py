@@ -1,4 +1,7 @@
-"""Single-path flow: RK4 accuracy, jump updates, left limits, mark law."""
+"""Per-path reference flow: RK4 accuracy, jump updates, left limits, mark law.
+
+Also the batched engine's blow-up guard, which the reference shares.
+"""
 
 import math
 
@@ -7,17 +10,24 @@ import pytest
 
 import oracles
 from levygrad import (
+    BernsteinSpec,
     BlowUpError,
     CoefficientField,
-    FlowState,
     JumpPath,
-    PathRealization,
     catalog,
-    sample_increments,
-    simulate_flow,
+    estimate_gradient,
+    estimate_pt,
+    make_observable,
     substream,
 )
-from levygrad.flow import apply_jump, evolve_drift
+from reference import (
+    FlowState,
+    PathRealization,
+    apply_jump,
+    evolve_drift,
+    sample_increments,
+    simulate_flow,
+)
 
 
 def _empty_realization(d, horizon=1.0):
@@ -99,20 +109,6 @@ def test_jump_at_evaluation_time_is_included():
     assert out_before[0].X[0] == 0.0
 
 
-def test_full_jacobian_consistent_with_directional():
-    F = catalog("bounded_multiplicative", 2)
-    path = JumpPath(horizon=1.0, times=np.array([0.3, 0.8]), sizes=np.array([0.6, 0.2]))
-    rng = substream(31, 9)
-    real = sample_increments(path, 2, rng)
-    x0 = np.array([0.4, -0.2])
-    v = np.array([0.3, -0.7])
-    full = simulate_flow(x0, None, F, real, 1.0)[-1]
-    direc = simulate_flow(x0, v, F, real, 1.0)[-1]
-    assert full.mode == "full" and direc.mode == "directional"
-    assert np.abs(full.J @ v - direc.J).max() <= 1e-12
-    assert np.abs(full.X - direc.X).max() == 0.0
-
-
 def test_mark_law_moments_and_reproducibility():
     path = JumpPath(horizon=1.0, times=np.array([0.2, 0.5, 0.9]),
                     sizes=np.array([4.0, 1.0, 0.25]))
@@ -171,6 +167,43 @@ def test_explosive_drift_raises_blow_up():
         simulate_flow(np.array([3.0]), np.array([1.0]), F, _empty_realization(1), 1.0)
 
 
+def _fast_oscillating_drift_field():
+    # b = sin(5000 x) stays bounded while grad_b = 5000 cos(5000 x) drives the
+    # directional derivative past the float range: Jv overflows, X never does.
+    base = catalog("additive_identity", 1)
+
+    def b(t, x):
+        return np.sin(5000.0 * np.asarray(x, dtype=float))
+
+    def grad_b(t, x):
+        return (5000.0 * np.cos(5000.0 * np.asarray(x, dtype=float)))[..., None]
+
+    return CoefficientField(
+        dimension=1, b=b, grad_b=grad_b, sigma=base.sigma,
+        grad_sigma=base.grad_sigma, sigma_inv=base.sigma_inv,
+        sigma_is_constant=True, name="fast_oscillating",
+    )
+
+
+def _blow_up_through_estimate_pt():
+    estimate_pt(np.array([3.0]), make_observable("tanh1"), _cubic_field(),
+                BernsteinSpec.alpha_stable(1.5), 1.0, 200, 5, eps_cut=3e-2)
+
+
+def _blow_up_through_estimate_gradient():
+    estimate_gradient(np.array([0.3]), np.array([1.0]), make_observable("tanh1"),
+                      _fast_oscillating_drift_field(), BernsteinSpec.alpha_stable(1.5),
+                      1.0, "auto", 200, 3e-2, 5)
+
+
+@pytest.mark.parametrize("run", [_blow_up_through_estimate_pt, _blow_up_through_estimate_gradient],
+                         ids=["state_overflow", "jacobian_overflow"])
+def test_batched_estimators_raise_blow_up(run):
+    # A non-finite X or Jv must stop the run, never turn the mean into NaN.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
+        run()
+
+
 def test_evolve_drift_validation():
     F = catalog("additive_identity", 1)
     st = FlowState.initial(np.zeros(1), np.ones(1))
@@ -190,4 +223,4 @@ def test_simulate_flow_validation():
             np.zeros((2, 1)), np.zeros((2, 1)),
         )
     with pytest.raises(ValueError):
-        FlowState(0.0, np.zeros(2), np.zeros((2, 2)), "directional")
+        FlowState(0.0, np.zeros(2), np.zeros((2, 2)))
