@@ -13,7 +13,6 @@ from .subordinator import (
     JumpPath,
     FirstPassage,
     QuadratureDivergenceError,
-    sample_jump_path,
     sample_terminal_values,
     truncate_jumps,
     first_passage,
@@ -24,7 +23,7 @@ from .subordinator import (
     stable_median_s1,
 )
 from .coefficients import CoefficientField, catalog
-from .engine import BlowUpError
+from .engine import BlowUpError, sample_jump_path
 from .bismut import (
     ClockSpec,
     estimate_gradient,

@@ -375,8 +375,6 @@ def estimate_gradient_fixed_clock(
     """
     if t <= 0 or t > path.horizon:
         raise ValueError("t must lie in (0, horizon]")
-    if path.compensation_drift != 0.0:
-        raise ValueError("the fixed clock must be pure-jump")
     d = field.dimension
     x = _check_vector("x", x, d)
     v = _check_vector("v", v, d)

@@ -34,7 +34,8 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .results import EstimatorResult
-from .subordinator import JumpPath, _pareto_sizes, tail_mass
+from .subordinator import BernsteinSpec, JumpPath, _pareto_sizes, _require_stable, tail_mass
+from .subordinator import checked_jump_intensity
 
 __all__ = [
     "BlowUpError",
@@ -43,6 +44,7 @@ __all__ = [
     "PURPOSE_MARKS",
     "JumpBatch",
     "sample_jump_batch",
+    "sample_jump_path",
     "fixed_jump_batch",
     "sample_mark_batch",
     "flow_batch",
@@ -102,10 +104,14 @@ class JumpBatch:
 def sample_jump_batch(
     alpha: float, horizon: float, eps_cut: float, n: int, rng: np.random.Generator
 ) -> JumpBatch:
-    """Batch analogue of sample_jump_path: same marginal law per path.
+    """Sample the jumps of size >= eps_cut of n stable subordinator paths on (0, horizon].
 
-    Draw order is fixed: Poisson counts, then all times, then all sizes.
-    Float-identical jump times within one path are merged (sizes added).
+    Per path, the jump count is Poisson(horizon * tail_mass), the times are
+    uniform on (0, horizon] and the sizes are Pareto with tail index alpha/2
+    at scale eps_cut, each size drawn alongside its time before the times
+    are sorted. Draw order is fixed: Poisson counts, then all times, then
+    all sizes. Float-identical jump times within one path are merged (sizes
+    added).
     """
     if eps_cut <= 0:
         raise ValueError("eps_cut must be positive")
@@ -132,10 +138,21 @@ def sample_jump_batch(
     return JumpBatch(n, float(horizon), counts, offsets, times, sizes)
 
 
+def sample_jump_path(
+    spec: BernsteinSpec, horizon: float, eps_cut: float, rng: np.random.Generator
+) -> JumpPath:
+    """One stable subordinator path: the single path of sample_jump_batch(n = 1)."""
+    alpha = _require_stable(spec)
+    if eps_cut <= 0:
+        raise ValueError("eps_cut must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    checked_jump_intensity(alpha, eps_cut, horizon)
+    return sample_jump_batch(alpha, horizon, eps_cut, 1, rng).extract_path(0)
+
+
 def fixed_jump_batch(path: JumpPath, t: float, n: int) -> JumpBatch:
     """Tile one deterministic jump path (jumps with time <= t) across n paths."""
-    if path.compensation_drift != 0.0:
-        raise ValueError("fixed-clock batches need a pure-jump path")
     keep = path.times <= t
     k = int(keep.sum())
     counts = np.full(n, k, dtype=np.int64)
@@ -217,6 +234,8 @@ def flow_batch(
     order. Jv outputs are None when v is None (plain trajectory run). The
     running sup of |grad_v X|^2 is recorded at jump and terminal times.
     """
+    if substeps_per_unit < 1:
+        raise ValueError(f"substeps_per_unit must be at least 1, got {substeps_per_unit!r}")
     n, d = batch.n, x0.shape[0]
     X = np.tile(x0, (n, 1))
     Jv = None if v is None else np.tile(np.asarray(v, dtype=float), (n, 1))

@@ -7,10 +7,11 @@ The stable family B(u) = u**(alpha/2) is the main case. Its jump measure is
     nu(dx) = c * x**(-1 - alpha/2) dx,   c = (alpha/2) / Gamma(1 - alpha/2),
 
 so the jumps of size >= eps form a marked Poisson process with finite
-intensity and Pareto-distributed marks, which we sample exactly. Paths are
-stored as finite jump lists; the mass of the discarded small jumps is known
-in closed form and is reported (optionally added back as a deterministic
-drift, for plain clock statistics only).
+intensity and Pareto-distributed marks; engine.sample_jump_batch samples
+them exactly and states the law. Paths are stored as finite pure-jump
+lists; the mass of the discarded small jumps is known in closed form and is
+reported (sample_terminal_values can add it back as a deterministic drift,
+for plain clock statistics only).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "tail_mass",
     "checked_jump_intensity",
     "dropped_mass_rate",
-    "sample_jump_path",
     "sample_terminal_values",
     "truncate_jumps",
     "first_passage",
@@ -111,27 +111,26 @@ class BernsteinSpec:
 class JumpPath:
     """One finite-jump clock realization on [0, horizon].
 
-    value(t) = compensation_drift * t + sum of sizes with time <= t is
-    nondecreasing and cadlag with value(0) = 0. compensation_drift must be
-    zero whenever the path feeds derivative weights; a positive drift is
-    only meaningful for plain clock statistics (it stands in for the mean
-    of the discarded small jumps).
+    value(t) = sum of sizes with time <= t is nondecreasing and cadlag with
+    value(0) = 0. The horizon, times and sizes must be finite.
+    engine.sample_jump_path draws one from the stable law.
     """
 
     horizon: float
     times: np.ndarray
     sizes: np.ndarray
-    compensation_drift: float = 0.0
 
     def __post_init__(self) -> None:
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
         s = np.atleast_1d(np.asarray(self.sizes, dtype=float))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "sizes", s)
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError("horizon must be finite and nonnegative")
         if t.shape != s.shape or t.ndim != 1:
             raise ValueError("times and sizes must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(s))):
+            raise ValueError("jump times and sizes must be finite")
         if t.size:
             if np.any(np.diff(t) <= 0):
                 raise ValueError("jump times must be strictly increasing")
@@ -139,8 +138,6 @@ class JumpPath:
                 raise ValueError("jump times must lie in (0, horizon]")
             if np.any(s <= 0):
                 raise ValueError("jump sizes must be positive")
-        if self.compensation_drift < 0:
-            raise ValueError("compensation_drift must be nonnegative")
         t.setflags(write=False)
         s.setflags(write=False)
 
@@ -153,17 +150,13 @@ class JumpPath:
 
     def value(self, t):
         """Clock value at time t (cadlag: jumps at exactly t are included)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right")
-        cum = np.concatenate(([0.0], self.cumulative_sizes()))
-        return self.compensation_drift * t + cum[idx]
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
+        return np.concatenate(([0.0], self.cumulative_sizes()))[idx]
 
     def value_before(self, t):
         """Left limit of the clock at time t."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="left")
-        cum = np.concatenate(([0.0], self.cumulative_sizes()))
-        return self.compensation_drift * t + cum[idx]
+        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="left")
+        return np.concatenate(([0.0], self.cumulative_sizes()))[idx]
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,7 @@ class FirstPassage:
     tau: float
     value_before: float
     value_at: float
-    jump_index: int  # index of the crossing jump; -1 for a continuous (drift) crossing
+    jump_index: int  # index of the crossing jump
 
 
 def _require_stable(spec: BernsteinSpec) -> float:
@@ -223,47 +216,6 @@ def _pareto_sizes(alpha: float, eps_cut: float, unit_uniforms: np.ndarray) -> np
     return eps_cut * unit_uniforms ** (-2.0 / alpha)
 
 
-def sample_jump_path(
-    spec: BernsteinSpec,
-    horizon: float,
-    eps_cut: float,
-    rng: np.random.Generator,
-    *,
-    compensate_small_jumps: bool = False,
-) -> JumpPath:
-    """Sample the jumps of size >= eps_cut of a stable subordinator on (0, horizon].
-
-    Jump count is Poisson(horizon * tail_mass), times are uniform on
-    (0, horizon], sizes are Pareto with tail index alpha/2 at scale eps_cut.
-    compensation_drift is zero unless compensate_small_jumps is set, in which
-    case it equals dropped_mass_rate (plain clock statistics only; never use a
-    compensated path for derivative weights).
-    """
-    alpha = _require_stable(spec)
-    if eps_cut <= 0:
-        raise ValueError("eps_cut must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    drift = dropped_mass_rate(alpha, eps_cut) if compensate_small_jumps else 0.0
-    if horizon == 0:
-        return JumpPath(0.0, np.empty(0), np.empty(0), drift)
-    k = int(rng.poisson(horizon * tail_mass(alpha, eps_cut)))
-    # horizon - U[0, horizon) lands in (0, horizon]; 1 - U[0, 1) lands in (0, 1].
-    times = np.sort(horizon - rng.uniform(0.0, horizon, size=k))
-    sizes = _pareto_sizes(alpha, eps_cut, 1.0 - rng.uniform(size=k))
-    times, sizes = _merge_tied_times(times, sizes)
-    return JumpPath(float(horizon), times, sizes, drift)
-
-
-def _merge_tied_times(times: np.ndarray, sizes: np.ndarray):
-    """Collapse float-identical jump times by adding their sizes."""
-    if times.size > 1 and np.any(np.diff(times) == 0.0):
-        uniq, inv = np.unique(times, return_inverse=True)
-        merged = np.bincount(inv, weights=sizes, minlength=uniq.size)
-        return uniq, merged
-    return times, sizes
-
-
 def sample_terminal_values(
     spec: BernsteinSpec,
     horizon: float,
@@ -275,12 +227,14 @@ def sample_terminal_values(
 ) -> np.ndarray:
     """Vectorized S_horizon draws for n independent paths (values only).
 
-    Distributionally identical to summing the jumps of sample_jump_path; jump
-    times are irrelevant for the terminal value and are not drawn.
+    Distributionally identical to summing the jumps of each path of
+    engine.sample_jump_batch; jump times are irrelevant for the terminal
+    value and are not drawn.
     """
     alpha = _require_stable(spec)
     if eps_cut <= 0:
         raise ValueError("eps_cut must be positive")
+    checked_jump_intensity(alpha, eps_cut, horizon)
     counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n)
     total = int(counts.sum())
     sizes = _pareto_sizes(alpha, eps_cut, 1.0 - rng.uniform(size=total))
@@ -295,47 +249,24 @@ def truncate_jumps(path: JumpPath, eps: float) -> JumpPath:
     """Keep exactly the jumps of size >= eps; times are preserved."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if path.compensation_drift != 0.0:
-        raise ValueError("truncation is defined for pure-jump paths (drift 0)")
     keep = path.sizes >= eps
-    return JumpPath(path.horizon, path.times[keep], path.sizes[keep], 0.0)
+    return JumpPath(path.horizon, path.times[keep], path.sizes[keep])
 
 
 def first_passage(path: JumpPath, R: float) -> FirstPassage | None:
     """First time value(t) >= R, or None if the level is not reached by horizon.
 
-    When the crossing happens by a jump, value_before < R <= value_at strictly;
-    a continuous crossing (possible only with compensation_drift > 0) has
-    value_before = value_at = R.
+    The clock moves only by jumps, so the crossing jump has
+    value_before < R <= value_at.
     """
     if R <= 0:
         raise ValueError("the passage level R must be positive")
-    k = path.jump_count
-    drift = path.compensation_drift
     cum = path.cumulative_sizes()
-    pre = cum - path.sizes  # left limits of the jump part
-    if drift > 0:
-        # Walk segments and jumps in time order; the value is increasing, so
-        # the first event that reaches R decides the crossing type.
-        post_vals = drift * path.times + cum
-        pre_vals = drift * path.times + pre
-        seg_base = np.concatenate(([0.0], cum))  # jump mass carried into segment i
-        end_val = drift * path.horizon + (cum[-1] if k else 0.0)
-        seg_end = np.append(pre_vals, end_val)  # left limit at each segment's end
-        for i in range(k + 1):
-            if seg_end[i] >= R:  # continuous crossing inside segment i
-                tau = (R - seg_base[i]) / drift
-                return FirstPassage(float(tau), R, R, -1)
-            if i < k and post_vals[i] >= R:
-                return FirstPassage(
-                    float(path.times[i]), float(pre_vals[i]), float(post_vals[i]), i
-                )
-        return None
     idx = np.nonzero(cum >= R)[0]
     if idx.size == 0:
         return None
     j = int(idx[0])
-    return FirstPassage(float(path.times[j]), float(pre[j]), float(cum[j]), j)
+    return FirstPassage(float(path.times[j]), float(cum[j] - path.sizes[j]), float(cum[j]), j)
 
 
 def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:

@@ -398,8 +398,6 @@ def burkholder_isometry_check(
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or not np.all(np.isfinite(xi)):
         raise ValueError("xi must be a finite vector")
-    if path.compensation_drift != 0.0:
-        raise ValueError("the isometry check needs a pure-jump path")
     d = xi.size
     resolved = clock.resolve(path)
     ell_T = float(np.sum(path.sizes))
@@ -445,8 +443,6 @@ def truncation_convergence_check(
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or not np.all(np.isfinite(xi)):
         raise ValueError("xi must be a finite vector")
-    if path.compensation_drift != 0.0:
-        raise ValueError("the truncation check needs a pure-jump path")
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise ValueError("eps_list must contain positive cutoffs")

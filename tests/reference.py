@@ -95,14 +95,12 @@ class PathRealization:
 
 
 def sample_increments(path: JumpPath, d: int, rng: np.random.Generator) -> PathRealization:
-    """Draw the Gaussian marks of a pure-jump path: one N(0, size * I_d) per jump.
+    """Draw the Gaussian marks of a jump path: one N(0, size * I_d) per jump.
 
     Draw order is fixed (one block of standard normals for the increments,
     then one block for the auxiliary coordinates), so a given stream always
     reproduces the same realization bit for bit.
     """
-    if path.compensation_drift != 0.0:
-        raise ValueError("Gaussian marks are defined for pure-jump paths (drift 0)")
     if d < 1:
         raise ValueError("dimension must be at least 1")
     k = path.jump_count

@@ -278,15 +278,26 @@ def test_incomplete_bound_grid_exits_2(tmp_path):
 # exit code 1: usage and config errors
 
 
+# Python's json reads a bare NaN, so the path itself must refuse it.
+NAN_SIZE_LEMMA_CONFIG = """{
+  "path": {"horizon": 1.0, "times": [0.2, 0.5, 0.8], "sizes": [1.3, NaN, 0.4]},
+  "clock": {"kind": "cap_at_first_passage", "R": 2.0},
+  "xi": [1.0, -0.5], "eps_list": [1.0, 0.5], "n_paths": 300, "seed": 23
+}"""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         [],
         ["no-such-command", "x.json"],
         ["gradient"],
+        ["lemma-tests", "nan_size.json"],
     ],
 )
-def test_usage_errors_exit_1(argv, capsys):
+def test_usage_errors_exit_1(argv, capsys, tmp_path, monkeypatch):
+    (tmp_path / "nan_size.json").write_text(NAN_SIZE_LEMMA_CONFIG)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err != ""
 

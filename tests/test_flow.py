@@ -132,13 +132,6 @@ def test_mark_law_moments_and_reproducibility():
     assert np.array_equal(a.aux_normals, b.aux_normals)
 
 
-def test_marks_require_pure_jump_path():
-    path = JumpPath(horizon=1.0, times=np.array([0.5]), sizes=np.array([1.0]),
-                    compensation_drift=0.01)
-    with pytest.raises(ValueError):
-        sample_increments(path, 1, substream(1, 1))
-
-
 def _cubic_field():
     def b(t, x):
         with np.errstate(over="ignore"):

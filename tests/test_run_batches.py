@@ -97,6 +97,30 @@ def test_nonpositive_path_count_is_rejected(name, n_paths):
         ESTIMATORS[name](n_paths)
 
 
+# Every public estimator that takes substeps_per_unit, for any value of it.
+SUBSTEPPED = {
+    "estimate_gradient": lambda s: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", 8, 0.05, 1, substeps_per_unit=s),
+    "estimate_gradient_fixed_clock": lambda s: estimate_gradient_fixed_clock(
+        X1, V1, TANH, F1, PATH, CAP, 1.0, 8, 2, substeps_per_unit=s),
+    "estimate_pt": lambda s: estimate_pt(
+        X1, TANH, F1, SPEC, 1.0, 8, 3, eps_cut=0.05, substeps_per_unit=s),
+    "estimate_pt_power": lambda s: estimate_pt_power(
+        X1, TANH, F1, SPEC, 1.0, 2.0, 8, 4, eps_cut=0.05, substeps_per_unit=s),
+    "fd_gradient": lambda s: fd_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, 1e-3, 8, 5, eps_cut=0.05, substeps_per_unit=s),
+    "check_gradient_bound": lambda s: check_gradient_bound(
+        F1, SPEC, TANH, X1, 2.0, [0.5, 1.0], 8, 6, eps_cut_at_1=0.05, substeps_per_unit=s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTEPPED))
+@pytest.mark.parametrize("substeps", [0, -5])
+def test_substeps_below_one_are_rejected(name, substeps):
+    with pytest.raises(ValueError, match="substeps_per_unit"):
+        SUBSTEPPED[name](substeps)
+
+
 # The four estimators that evaluate a user observable, for any observable f.
 OBSERVED = {
     "estimate_gradient": lambda f: estimate_gradient(X1, V1, f, F1, SPEC, 1.0, "auto", 8, 0.05, 1),

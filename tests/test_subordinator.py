@@ -22,6 +22,8 @@ from levygrad import (
     tail_mass,
     truncate_jumps,
 )
+from levygrad import subordinator
+from levygrad.engine import sample_jump_batch
 
 ALPHAS = (0.8, 1.0, 1.5, 1.9)
 EPSES = (1e-4, 3e-3, 0.1, 1.0)
@@ -63,6 +65,29 @@ def test_jump_times_sorted_sizes_above_cutoff():
         assert np.all(np.diff(p.times) > 0)
         assert np.all(p.sizes >= 1e-2)
         assert np.all(p.times > 0) and np.all(p.times <= 2.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, 0.3, 2.0])
+def test_jump_path_is_the_one_path_batch_draw(horizon):
+    spec = BernsteinSpec.alpha_stable(1.5)
+    for seed in range(17):
+        path = sample_jump_path(spec, horizon, 3e-2, substream(seed, 1))
+        ref = sample_jump_batch(1.5, horizon, 3e-2, 1, substream(seed, 1)).extract_path(0)
+        assert path.horizon == ref.horizon == horizon
+        assert np.array_equal(path.times, ref.times)
+        assert np.array_equal(path.sizes, ref.sizes)
+
+
+def test_clock_samplers_refuse_excess_jump_intensity(monkeypatch):
+    # tail_mass(1.5, 1e-2) is about 8.7 jumps per unit time
+    monkeypatch.setattr(subordinator, "MAX_JUMPS_PER_PATH", 5.0)
+    spec = BernsteinSpec.alpha_stable(1.5)
+    with pytest.raises(ValueError, match="expected jumps per path"):
+        sample_jump_path(spec, 1.0, 1e-2, substream(1, 1))
+    with pytest.raises(ValueError, match="expected jumps per path"):
+        sample_terminal_values(spec, 1.0, 1e-2, 4, substream(1, 2))
+    assert sample_jump_path(spec, 0.5, 1e-2, substream(1, 1)).horizon == 0.5
+    assert sample_terminal_values(spec, 0.5, 1e-2, 4, substream(1, 2)).shape == (4,)
 
 
 def test_terminal_laplace_transform_matches_stable_law():
@@ -128,6 +153,22 @@ def test_path_value_left_limits():
     assert p.value_before(0.3) == 0.0
     assert p.value_before(0.7) == 2.0
     assert p.value(1.0) == 7.0
+
+
+@pytest.mark.parametrize(
+    "horizon,times,sizes",
+    [
+        (1.0, [0.2, math.nan, 0.5], [1.0, 1.0, 1.0]),
+        (1.0, [0.5], [math.nan]),
+        (1.0, [0.5], [math.inf]),
+        (math.nan, [0.5], [1.0]),
+        (math.inf, [0.5], [1.0]),
+    ],
+    ids=["nan_time", "nan_size", "inf_size", "nan_horizon", "inf_horizon"],
+)
+def test_path_refuses_non_finite_data(horizon, times, sizes):
+    with pytest.raises(ValueError, match="finite"):
+        JumpPath(horizon, np.asarray(times), np.asarray(sizes))
 
 
 def test_first_passage_hand_path():
