@@ -183,7 +183,7 @@ def default_level_R(spec: BernsteinSpec, t: float) -> float:
     Deterministic clocks get R = rate * t exactly. Custom specs have no
     generic scale; the caller must supply R explicitly.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if spec.kind == "drift_only":
         return spec.rate * t
@@ -230,22 +230,23 @@ def _gradient_batch_worker(
         jb = engine.sample_jump_batch(
             alpha, t, eps_cut, count, substream(seed, engine.PURPOSE_JUMPS, bi)
         )
-        dW, aux = engine.sample_mark_batch(jb, x.size, substream(seed, engine.PURPOSE_MARKS, bi))
+        dW = engine.sample_mark_batch(jb, x.size, substream(seed, engine.PURPOSE_MARKS, bi))
         ell_pre, ell_post, ell_T = engine.path_cumulatives(jb)
         cap = engine.first_passage_levels(jb, ell_post, R)
         cap_rep = np.repeat(cap, jb.counts)
         # the cap is itself a post value, so intervals never straddle it and
-        # covered increments equal the jump sizes exactly
+        # covered increments equal the jump sizes exactly; d_lambda = d_beta
+        # makes the conditional mark part vanish, so no auxiliary normals
         d_beta = np.where(ell_post <= cap_rep, jb.sizes, 0.0)
         normalizer = np.minimum(ell_T, cap)
         reject = normalizer <= 0.0
 
         safe = np.where(reject, 1.0, normalizer)
         args = (x, v, f, field, jb, t, substeps_per_unit, d_beta, d_beta, bi)
-        fv, I1, I2, I3, sup_g = _weighted_pass(dW, aux, *args)
+        fv, I1, I2, I3, sup_g = _weighted_pass(dW, None, *args)
         t1, t2, t3 = fv * I1 / safe, fv * I2 / safe, fv * I3 / safe
         if antithetic:
-            fv2, K1, K2, K3, sup_g2 = _weighted_pass(-dW, -aux, *args)
+            fv2, K1, K2, K3, sup_g2 = _weighted_pass(-dW, None, *args)
             t1 = 0.5 * (t1 + fv2 * K1 / safe)
             t2 = 0.5 * (t2 + fv2 * K2 / safe)
             t3 = 0.5 * (t3 + fv2 * K3 / safe)
@@ -321,7 +322,7 @@ def estimate_gradient(
     """
     if spec.kind != "alpha_stable":
         raise ValueError("gradient estimation samples an alpha_stable clock")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     checked_jump_intensity(spec.alpha, eps_cut, t)
     d = field.dimension
@@ -373,7 +374,7 @@ def estimate_gradient_fixed_clock(
     Only the Gaussian marks are resampled. Requires beta(ell_t) > 0, which for
     a deterministic clock is a precondition, not a rejection event.
     """
-    if t <= 0 or t > path.horizon:
+    if not 0 < t <= path.horizon:
         raise ValueError("t must lie in (0, horizon]")
     d = field.dimension
     x = _check_vector("x", x, d)
@@ -390,7 +391,9 @@ def estimate_gradient_fixed_clock(
 
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, t, count)
-        dW, aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
+        rng = substream(seed, engine.PURPOSE_MARKS, bi)
+        dW = engine.sample_mark_batch(jb, d, rng)
+        aux = rng.standard_normal((jb.total, d))
         fv, I1, I2, I3, sup_g = _weighted_pass(
             dW, aux, x, v, f, field, jb, t, substeps_per_unit,
             np.tile(d_beta_1, count), np.tile(d_lambda_1, count), bi,

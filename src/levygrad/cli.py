@@ -169,7 +169,7 @@ def _cmd_sample_subordinator(cfg: dict):
     t = float(cfg["t"])
     n = int(cfg["n_paths"])
     seed = int(cfg["seed"])
-    if t <= 0 or eps <= 0 or n < 2:
+    if not (t > 0 and eps > 0) or n < 2:
         raise ConfigError("need t > 0, eps_cut > 0, n_paths >= 2")
     lam = checked_jump_intensity(spec.alpha, eps, t)
 

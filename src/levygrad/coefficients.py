@@ -3,7 +3,11 @@
 A CoefficientField bundles b, sigma, their spatial derivatives, and the
 exact inverse sigma^{-1}. All evaluators are pure and broadcast over leading
 batch axes: x may be shaped (d,) or (n, d), with t a scalar or an array
-broadcastable against the batch shape. Analytic derivatives and inverses are
+broadcastable against the batch shape. The optional jvp_b(t, x, u) returns
+the Jacobian-vector product grad_b(t, x) @ u row by row, shaped like u; the
+engine's drift ODE for the directional derivative calls it instead of
+forming the (n, d, d) grad_b and contracting it, and falls back to grad_b
+when a field leaves it None. Analytic derivatives and inverses are
 required; finite differences appear only in self-checks, never in the
 estimator hot path. The batched engine (levygrad.engine) is the only
 consumer: it evaluates every coefficient on whole batches of paths at once.
@@ -34,6 +38,7 @@ class CoefficientField:
     # identically (trace and jump-measure weight terms vanish exactly).
     drift_is_zero: bool = False
     sigma_is_constant: bool = False
+    jvp_b: Callable | None = None  # (t, x, u) -> (..., d), equal to grad_b(t, x) @ u
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -47,6 +52,15 @@ def _eye_like(x: np.ndarray, d: int) -> np.ndarray:
 
 def _zeros_rank3(x: np.ndarray, d: int) -> np.ndarray:
     return np.zeros(x.shape[:-1] + (d, d, d))
+
+
+def _zero_jvp(t, x, u):
+    return np.zeros_like(np.asarray(u, dtype=float))
+
+
+def _minus_jvp(t, x, u):
+    # grad_b = -I for b = -x
+    return -np.asarray(u, dtype=float)
 
 
 def _additive_identity(d: int) -> CoefficientField:
@@ -74,6 +88,7 @@ def _additive_identity(d: int) -> CoefficientField:
         name="additive_identity",
         drift_is_zero=True,
         sigma_is_constant=True,
+        jvp_b=_zero_jvp,
     )
 
 
@@ -102,6 +117,7 @@ def _ou_additive(d: int) -> CoefficientField:
         sigma_inv=sigma,
         name="ou_additive",
         sigma_is_constant=True,
+        jvp_b=_minus_jvp,
     )
 
 
@@ -137,6 +153,7 @@ def _pythagoras_1d() -> CoefficientField:
         sigma_inv=sigma_inv,
         name="pythagoras_1d",
         drift_is_zero=True,
+        jvp_b=_zero_jvp,
     )
 
 
@@ -183,6 +200,7 @@ def _bounded_multiplicative(d: int) -> CoefficientField:
         grad_sigma=grad_sigma,
         sigma_inv=sigma_inv,
         name="bounded_multiplicative",
+        jvp_b=_minus_jvp,
     )
 
 

@@ -15,10 +15,13 @@ evaluate_observable checks what a user's f returns.
 
 Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 (times, sizes) sorted by (path, time), with counts per path and prefix
-offsets. Round r of the flow loop advances every path that still has an
-r-th jump; between jumps each active path integrates its drift ODE with
-per-path RK4 substeps. A non-finite state or directional derivative raises
-BlowUpError rather than reaching the mean.
+offsets. The flow is an event loop: each pass gives every unfinished path
+its own next event, one RK4 substep of its drift ODE or one jump. The
+substep runs on full-width arrays while most paths are stepping and on the
+gathered stepping rows otherwise; either way each path sees the same float
+operations. For drift-free fields every pass is one jump round. A
+non-finite state or directional derivative raises BlowUpError, naming the
+path, rather than reaching the mean.
 
 This is the only flow and weight implementation in the package. The test
 suite checks it against a one-path-at-a-time reference (tests/reference.py).
@@ -69,11 +72,24 @@ PURPOSE_MOLLIFIED = 3
 
 
 class BlowUpError(RuntimeError):
-    """The flow integration produced a non-finite state or derivative."""
+    """The flow integration produced a non-finite state or derivative.
 
-    def __init__(self, s: float):
-        super().__init__(f"non-finite state at s = {s}")
+    s is the time at which the first non-finite path went non-finite and path
+    its index within the batch; map_batches fills in batch. Re-drawing that
+    batch and calling extract_path(path) replays the path.
+    """
+
+    def __init__(self, s: float, path: int | None = None, batch: int | None = None):
+        super().__init__(s, path, batch)
         self.s = float(s)
+        self.path = path
+        self.batch = batch
+
+    def __str__(self) -> str:
+        where = "" if self.path is None else f" on path {self.path}"
+        if self.batch is not None:
+            where += f" of batch {self.batch}"
+        return f"non-finite state at s = {self.s}{where}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +129,28 @@ def sample_jump_batch(
     all sizes. Float-identical jump times within one path are merged (sizes
     added).
     """
-    if eps_cut <= 0:
+    if not eps_cut > 0:
         raise ValueError("eps_cut must be positive")
     counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n).astype(np.int64)
     total = int(counts.sum())
     raw_times = horizon - rng.uniform(0.0, horizon, size=total)
     sizes = _pareto_sizes(alpha, eps_cut, 1.0 - rng.uniform(size=total))
     path_id = np.repeat(np.arange(n), counts)
-    order = np.lexsort((raw_times, path_id))
-    times = raw_times[order]
-    sizes = sizes[order]
-    path_id = path_id[order]
+    times = raw_times
     if total > 1:
+        # Sort each path's times as one row of a +inf-padded (n, kmax) array.
+        # The stable sort keeps draw order among equal times, as a stable
+        # sort by (path, time) would.
+        base = np.repeat(np.cumsum(counts) - counts, counts)
+        col = np.arange(total) - base
+        padded = np.full((n, int(counts.max())), np.inf)
+        padded[path_id, col] = raw_times
+        rank = np.argsort(padded, axis=1, kind="stable")
+        del padded
+        order = rank[path_id, col] + base
+        del rank, base, col
+        times = raw_times[order]
+        sizes = sizes[order]
         tie = (path_id[1:] == path_id[:-1]) & (times[1:] == times[:-1])
         if np.any(tie):
             keep = np.concatenate(([True], ~tie))
@@ -143,9 +169,7 @@ def sample_jump_path(
 ) -> JumpPath:
     """One stable subordinator path: the single path of sample_jump_batch(n = 1)."""
     alpha = _require_stable(spec)
-    if eps_cut <= 0:
-        raise ValueError("eps_cut must be positive")
-    if horizon < 0:
+    if not horizon >= 0:
         raise ValueError("horizon must be nonnegative")
     checked_jump_intensity(alpha, eps_cut, horizon)
     return sample_jump_batch(alpha, horizon, eps_cut, 1, rng).extract_path(0)
@@ -162,60 +186,101 @@ def fixed_jump_batch(path: JumpPath, t: float, n: int) -> JumpBatch:
     return JumpBatch(n, float(t), counts, offsets, times, sizes)
 
 
-def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator):
-    """Gaussian jump marks dW ~ N(0, size * I_d) and auxiliary unit normals."""
+def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian jump marks dW ~ N(0, size * I_d), one row per jump in flat batch order.
+
+    Callers whose clock has a conditional mark part (conditional_mark_law
+    with c > 0) draw their auxiliary unit normals from the same generator
+    right after, as rng.standard_normal((batch.total, d)).
+    """
     z = rng.standard_normal((batch.total, d))
-    aux = rng.standard_normal((batch.total, d))
-    dW = z * np.sqrt(batch.sizes)[:, None]
-    return dW, aux
+    return z * np.sqrt(batch.sizes)[:, None]
 
 
-def _rk4_segment(
-    field: CoefficientField,
-    X: np.ndarray,
-    Jv: np.ndarray | None,
-    s0: np.ndarray,
-    s1: np.ndarray,
-    substeps_per_unit: int,
-):
-    """Advance each row of X (and Jv) from s0[row] to s1[row] under the drift ODE."""
-    gaps = s1 - s0
+# An RK4 pass steps every row of the batch at once (rows that are not
+# stepping get h = 0 and keep their state) while at least this share of the
+# rows is stepping; thinner passes gather the stepping rows instead.
+FULL_WIDTH_SHARE = 0.5
+
+
+def _drift_rhs(field: CoefficientField, s, x, j):
+    """(b(s, x), grad_b(s, x) j) row by row; the second part is None when j is."""
+    dX = np.asarray(field.b(s, x), dtype=float)
+    if j is None:
+        return dX, None
+    if field.jvp_b is not None:
+        return dX, np.asarray(field.jvp_b(s, x, j), dtype=float)
+    G = np.asarray(field.grad_b(s, x), dtype=float)
+    return dX, np.einsum("mij,mj->mi", G, j)
+
+
+def _rk4_step(field: CoefficientField, s, h, x, j):
+    """One RK4 step of size h[row] from time s[row] for each row of x (and j)."""
+    hh = h[:, None]
+    k1x, k1j = _drift_rhs(field, s, x, j)
+    k2x, k2j = _drift_rhs(field, s + 0.5 * h, x + 0.5 * hh * k1x, None if j is None else j + 0.5 * hh * k1j)
+    k3x, k3j = _drift_rhs(field, s + 0.5 * h, x + 0.5 * hh * k2x, None if j is None else j + 0.5 * hh * k2j)
+    k4x, k4j = _drift_rhs(field, s + h, x + hh * k3x, None if j is None else j + hh * k3j)
+    x = x + (hh / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    if j is not None:
+        j = j + (hh / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
+    return x, j
+
+
+def _segment_steps(gaps: np.ndarray, substeps_per_unit: int):
+    """Per-row RK4 (steps, h) over a gap: ceil(gap * substeps_per_unit) steps, at least
+    one, of size gap / steps; no steps where the gap is not positive."""
     act = gaps > 0
-    if not np.any(act):
-        return X, Jv
     steps = np.zeros(gaps.shape, dtype=np.int64)
     steps[act] = np.ceil(gaps[act] * substeps_per_unit).astype(np.int64)
     np.maximum(steps, act.astype(np.int64), out=steps)
     h = np.where(steps > 0, gaps / np.maximum(steps, 1), 0.0)
+    return steps, h
 
-    def rhs(s, x, j):
-        dX = np.asarray(field.b(s, x), dtype=float)
-        if j is None:
-            return dX, None
-        G = np.asarray(field.grad_b(s, x), dtype=float)
-        return dX, np.einsum("mij,mj->mi", G, j)
 
-    kmax = int(steps.max())
-    for k in range(kmax):
-        rows = np.nonzero(steps > k)[0]
-        hh = h[rows][:, None]
-        s = s0[rows] + k * h[rows]
-        x = X[rows]
-        j = None if Jv is None else Jv[rows]
-        k1x, k1j = rhs(s, x, j)
-        k2x, k2j = rhs(s + 0.5 * h[rows], x + 0.5 * hh * k1x, None if j is None else j + 0.5 * hh * k1j)
-        k3x, k3j = rhs(s + 0.5 * h[rows], x + 0.5 * hh * k2x, None if j is None else j + 0.5 * hh * k2j)
-        k4x, k4j = rhs(s + h[rows], x + hh * k3x, None if j is None else j + hh * k3j)
-        x = x + (hh / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        X[rows] = x
-        finite = np.all(np.isfinite(x))
+def _segment_ends(times: np.ndarray, nxt: np.ndarray, stop: np.ndarray, t: float) -> np.ndarray:
+    """Time of each path's next jump (flat index nxt, before its stop), or t after its last."""
+    ends = np.full(nxt.size, float(t))
+    pending = nxt < stop
+    ends[pending] = times[nxt[pending]]
+    return ends
+
+
+def _first_non_finite(*arrays):
+    """Index of the first row that is not finite in one of the (m, d) arrays, else None."""
+    arrays = [a for a in arrays if a is not None]
+    if all(np.isfinite(a).all() for a in arrays):
+        return None
+    bad = np.zeros(arrays[0].shape[0], dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a).all(axis=1)
+    return int(np.flatnonzero(bad)[0])
+
+
+def _rk4_pass(field, X, Jv, s0, k, h, stepping, n_stepping):
+    """Advance every stepping row by its next RK4 substep, in place."""
+    if n_stepping >= FULL_WIDTH_SHARE * X.shape[0]:
+        s = s0 + k * h
+        hs = np.where(stepping, h, 0.0)
+        x, j = _rk4_step(field, s, hs, X, Jv)
+        col = stepping[:, None]
+        np.copyto(X, x, where=col)
         if Jv is not None:
-            j = j + (hh / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-            Jv[rows] = j
-            finite = finite and np.all(np.isfinite(j))
-        if not finite:
-            raise BlowUpError(float(np.max(s + h[rows])))
-    return X, Jv
+            np.copyto(Jv, j, where=col)
+        bad = _first_non_finite(X, Jv)
+        if bad is not None:
+            raise BlowUpError(s[bad] + h[bad], path=bad)
+        return
+    rows = np.flatnonzero(stepping)
+    hr = h[rows]
+    s = s0[rows] + k[rows] * hr
+    x, j = _rk4_step(field, s, hr, X[rows], None if Jv is None else Jv[rows])
+    X[rows] = x
+    if Jv is not None:
+        Jv[rows] = j
+    bad = _first_non_finite(x, j)
+    if bad is not None:
+        raise BlowUpError(s[bad] + hr[bad], path=int(rows[bad]))
 
 
 def flow_batch(
@@ -233,31 +298,55 @@ def flow_batch(
     where the pre arrays hold the left-limit state at each jump, in flat batch
     order. Jv outputs are None when v is None (plain trajectory run). The
     running sup of |grad_v X|^2 is recorded at jump and terminal times.
+
+    Each pass of the event loop gives every unfinished path its next event:
+    one RK4 substep of the segment up to its next jump (or up to t), then,
+    for paths at the end of their segment, the jump itself. A segment of gap
+    g takes max(ceil(g * substeps_per_unit), 1) substeps of size g / steps.
     """
     if substeps_per_unit < 1:
         raise ValueError(f"substeps_per_unit must be at least 1, got {substeps_per_unit!r}")
     n, d = batch.n, x0.shape[0]
-    X = np.tile(x0, (n, 1))
-    Jv = None if v is None else np.tile(np.asarray(v, dtype=float), (n, 1))
+    # Column-major state: the RK4 arithmetic then runs along the path axis
+    # instead of over d-element rows.
+    X = np.asfortranarray(np.tile(x0, (n, 1)))
+    Jv = None if v is None else np.asfortranarray(np.tile(np.asarray(v, dtype=float), (n, 1)))
     X_pre = np.empty((batch.total, d))
     Jv_pre = np.empty((batch.total, d)) if Jv is not None else None
     sup_g = np.einsum("mi,mi->m", Jv, Jv) if Jv is not None else np.zeros(n)
-    prev_t = np.zeros(n)
-    kmax = int(batch.counts.max()) if n else 0
-    for r in range(kmax):
-        sel = np.nonzero(batch.counts > r)[0]
-        flat = batch.offsets[sel] + r
+    drift = not field.drift_is_zero
+    nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
+    stop = batch.offsets[1:]
+    if drift:
+        s0 = np.zeros(n)  # start of each path's current segment
+        k = np.zeros(n, dtype=np.int64)  # substeps taken in it
+        steps, h = _segment_steps(_segment_ends(batch.times, nxt, stop, t), substeps_per_unit)
+    while True:
+        n_stepping = 0
+        ready = nxt < stop
+        if drift:
+            stepping = k < steps
+            n_stepping = int(np.count_nonzero(stepping))
+            if n_stepping:
+                _rk4_pass(field, X, Jv, s0, k, h, stepping, n_stepping)
+                k += stepping
+            ready &= k == steps
+        sel = np.flatnonzero(ready)
+        if sel.size == 0:
+            if n_stepping:
+                continue
+            break
+        flat = nxt[sel]
         s_jump = batch.times[flat]
         x = X[sel]
         j = None if Jv is None else Jv[sel]
-        if not field.drift_is_zero:
-            x, j = _rk4_segment(field, x, j, prev_t[sel], s_jump, substeps_per_unit)
         X_pre[flat] = x
         if Jv_pre is not None:
             Jv_pre[flat] = j
         Sg = np.asarray(field.sigma(s_jump, x), dtype=float)
         dw = dW[flat]
         x_new = x + np.einsum("mij,mj->mi", Sg, dw)
+        j_new = None
         if j is not None:
             if field.sigma_is_constant:
                 j_new = j
@@ -268,14 +357,20 @@ def flow_batch(
             Jv[sel] = j_new
             sup_g[sel] = np.maximum(sup_g[sel], np.einsum("mi,mi->m", j_new, j_new))
         X[sel] = x_new
-        prev_t[sel] = s_jump
-        if not (np.all(np.isfinite(x_new)) and (j is None or np.all(np.isfinite(j_new)))):
-            raise BlowUpError(float(np.max(s_jump)))
-    if not field.drift_is_zero:
-        X, Jv = _rk4_segment(field, X, Jv, prev_t, np.full(n, float(t)), substeps_per_unit)
+        bad = _first_non_finite(x_new, j_new)
+        if bad is not None:
+            raise BlowUpError(s_jump[bad], path=int(sel[bad]))
+        nxt[sel] = flat + 1
+        if drift:
+            s0[sel] = s_jump
+            k[sel] = 0
+            steps[sel], h[sel] = _segment_steps(
+                _segment_ends(batch.times, flat + 1, stop[sel], t) - s_jump, substeps_per_unit
+            )
     if Jv is not None:
+        Jv = np.ascontiguousarray(Jv)
         sup_g = np.maximum(sup_g, np.einsum("mi,mi->m", Jv, Jv))
-    return X, Jv, X_pre, Jv_pre, sup_g
+    return np.ascontiguousarray(X), Jv, X_pre, Jv_pre, sup_g
 
 
 def path_cumulatives(batch: JumpBatch):
@@ -336,7 +431,7 @@ def weight_terms(
     field: CoefficientField,
     batch: JumpBatch,
     dW: np.ndarray,
-    aux: np.ndarray,
+    aux: np.ndarray | None,
     X_pre: np.ndarray,
     Jv_pre: np.ndarray,
     d_beta: np.ndarray,
@@ -346,6 +441,8 @@ def weight_terms(
 
     The beta-weighted mark over a jump's clock interval is reconstructed from
     the stored mark and the auxiliary normal through conditional_mark_law.
+    aux may be None when the clock has no conditional part (c = 0 on every
+    jump, as under the cap clock).
     """
     n = batch.n
     if batch.total == 0:
@@ -354,6 +451,8 @@ def weight_terms(
     ratio, c = conditional_mark_law(batch.sizes, d_beta, d_lambda)
     dWb = ratio[:, None] * dW
     if np.any(c > 0.0):
+        if aux is None:
+            raise ValueError("this clock has a conditional mark part; pass the auxiliary normals")
         dWb = dWb + c[:, None] * aux
     pid = batch.path_id
     s_inv = np.asarray(field.sigma_inv(batch.times, X_pre), dtype=float)
@@ -376,16 +475,25 @@ def map_batches(n_total: int, workers: int, worker_fn):
     """Run worker_fn(batch_index, start, count) over fixed-size batches.
 
     Results are returned as a list ordered by batch index regardless of
-    completion order, so downstream reduction is deterministic.
+    completion order, so downstream reduction is deterministic. A
+    BlowUpError leaves with the index of the batch that raised it.
     """
     spans = [
         (bi, start, min(BATCH_SIZE, n_total - start))
         for bi, start in enumerate(range(0, n_total, BATCH_SIZE))
     ]
+
+    def run(bi, start, count):
+        try:
+            return worker_fn(bi, start, count)
+        except BlowUpError as exc:
+            exc.batch = bi
+            raise
+
     if workers <= 1:
-        return [worker_fn(bi, start, count) for bi, start, count in spans]
+        return [run(bi, start, count) for bi, start, count in spans]
     with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        futures = [pool.submit(worker_fn, bi, start, count) for bi, start, count in spans]
+        futures = [pool.submit(run, bi, start, count) for bi, start, count in spans]
         return [f.result() for f in futures]
 
 

@@ -177,7 +177,7 @@ def _require_stable(spec: BernsteinSpec) -> float:
 
 def tail_mass(alpha: float, eps: float) -> float:
     """nu([eps, inf)) = eps**(-alpha/2) / Gamma(1 - alpha/2)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     rho = alpha / 2.0
     return eps ** (-rho) / math.gamma(1.0 - rho)
@@ -188,6 +188,8 @@ MAX_JUMPS_PER_PATH = 1e7
 
 def checked_jump_intensity(alpha: float, eps_cut: float, t: float) -> float:
     """Expected jumps per path, t * tail_mass; refuses more than MAX_JUMPS_PER_PATH."""
+    if not eps_cut > 0:
+        raise ValueError("eps_cut must be positive")
     lam = t * tail_mass(alpha, eps_cut)
     if lam > MAX_JUMPS_PER_PATH:
         raise ValueError(
@@ -204,7 +206,7 @@ def dropped_mass_rate(alpha: float, eps: float) -> float:
     c = rho / Gamma(1-rho), rho = alpha/2, which evaluates to
     rho * eps**(1-rho) / ((1-rho) * Gamma(1-rho)).
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     rho = alpha / 2.0
     return rho * eps ** (1.0 - rho) / ((1.0 - rho) * math.gamma(1.0 - rho))
@@ -232,8 +234,6 @@ def sample_terminal_values(
     value and are not drawn.
     """
     alpha = _require_stable(spec)
-    if eps_cut <= 0:
-        raise ValueError("eps_cut must be positive")
     checked_jump_intensity(alpha, eps_cut, horizon)
     counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n)
     total = int(counts.sum())
@@ -278,7 +278,7 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
     scanned for decay before integrating (a bounded B makes the integral
     diverge and raises QuadratureDivergenceError).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -357,7 +357,7 @@ def default_eps_cut(spec: BernsteinSpec, t: float, fraction: float = 0.1) -> flo
     before launching large ones (the CLI does).
     """
     alpha = _require_stable(spec)
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     rho = alpha / 2.0
     scale = stable_median_s1(spec) * t ** (2.0 / alpha)

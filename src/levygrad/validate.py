@@ -73,7 +73,7 @@ def make_observable(name: str, a=None):
 def _prep(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps_cut):
     if spec.kind != "alpha_stable":
         raise ValueError("semigroup estimation samples an alpha_stable clock")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
     if x.shape != (field.dimension,):
@@ -108,7 +108,7 @@ def estimate_pt(
         jb = engine.sample_jump_batch(
             spec.alpha, t, eps, count, substream(seed, engine.PURPOSE_JUMPS, bi)
         )
-        dW, _aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
+        dW = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
         X, _, _, _, _ = engine.flow_batch(x, None, field, jb, dW, t, substeps_per_unit)
         return {
             "samples": {"y": engine.evaluate_observable(f, X, bi)},
@@ -196,7 +196,7 @@ def fd_gradient(
     if v.shape != x.shape:
         raise ValueError("v must match the dimension of x")
     h_val = 1e-3 * (1.0 + float(np.linalg.norm(x))) if h is None else float(h)
-    if h_val <= 0:
+    if not h_val > 0:
         raise ValueError("h must be positive")
     d = field.dimension
     xp = x + h_val * v
@@ -206,7 +206,7 @@ def fd_gradient(
         jb = engine.sample_jump_batch(
             spec.alpha, t, eps, count, substream(seed, engine.PURPOSE_JUMPS, bi)
         )
-        dW, _aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
+        dW = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
         Xp, _, _, _, _ = engine.flow_batch(xp, None, field, jb, dW, t, substeps_per_unit)
         Xm, _, _, _, _ = engine.flow_batch(xm, None, field, jb, dW, t, substeps_per_unit)
         fp = engine.evaluate_observable(f, Xp, bi)
@@ -339,7 +339,7 @@ def counterexample_moments(
 
     def jump_worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, 1.0, count)
-        dW, _aux = engine.sample_mark_batch(jb, 1, substream(seed, engine.PURPOSE_MARKS, bi))
+        dW = engine.sample_mark_batch(jb, 1, substream(seed, engine.PURPOSE_MARKS, bi))
         X, _, _, _, _ = engine.flow_batch(x0, None, field, jb, dW, 1.0, 100)
         return {"samples": {"y": np.einsum("ni,ni->n", X, X)}}
 
@@ -407,7 +407,9 @@ def burkholder_isometry_check(
 
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, path.horizon, count)
-        dW, aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
+        rng = substream(seed, engine.PURPOSE_MARKS, bi)
+        dW = engine.sample_mark_batch(jb, d, rng)
+        aux = rng.standard_normal((jb.total, d))
         u = (dW @ xi).reshape(count, k)
         w = (aux @ xi).reshape(count, k)
         M = u @ r + w @ c
@@ -479,7 +481,9 @@ def truncation_convergence_check(
 
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, path.horizon, count)
-        dW, aux = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
+        rng = substream(seed, engine.PURPOSE_MARKS, bi)
+        dW = engine.sample_mark_batch(jb, d, rng)
+        aux = rng.standard_normal((jb.total, d))
         u = (dW @ xi).reshape(count, k)
         w = (aux @ xi).reshape(count, k)
         gaps = (u @ coeff_r[j] + w @ coeff_c[j] for j in range(n_eps))

@@ -32,7 +32,9 @@ from reference import PathRealization, accumulate_weight, simulate_flow
 
 def _sample_setup(n=40, alpha=1.5, t=1.0, eps=0.05, d=2, seed=101):
     jb = sample_jump_batch(alpha, t, eps, n, substream(seed, engine.PURPOSE_JUMPS, 0))
-    dW, aux = sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, 0))
+    rng = substream(seed, engine.PURPOSE_MARKS, 0)
+    dW = sample_mark_batch(jb, d, rng)
+    aux = rng.standard_normal((jb.total, d))
     return jb, dW, aux
 
 
@@ -166,7 +168,7 @@ def test_mark_batch_law_and_reproducibility():
     assert abs(aux.var() - 1.0) <= 3.0 * math.sqrt(2.0 / n)
     assert abs(np.mean(z * aux)) <= 3.0 / math.sqrt(n)
 
-    dW2, aux2 = sample_mark_batch(jb, 2, substream(21, engine.PURPOSE_MARKS, 0))
+    _, dW2, aux2 = _sample_setup(n=4000, eps=0.05, seed=21, d=2)
     assert np.array_equal(dW, dW2) and np.array_equal(aux, aux2)
 
 

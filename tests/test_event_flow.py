@@ -1,0 +1,217 @@
+"""The event-driven flow loop, the jvp_b drift term and the sort-free jump sampler.
+
+The hex pins and row digests below were recorded from the round-by-round
+flow loop (one jump round at a time, RK4 on gathered rows, the Jacobian term
+as an einsum over grad_b) with the lexsort jump sampler. The engine promises
+the same float operations per path, so every pinned estimate and every
+per-path sample must still match bit for bit.
+"""
+
+import dataclasses
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from levygrad import (
+    BernsteinSpec,
+    ClockSpec,
+    JumpPath,
+    catalog,
+    estimate_gradient,
+    estimate_gradient_fixed_clock,
+    estimate_pt,
+    fd_gradient,
+    make_observable,
+    substream,
+)
+from levygrad import engine
+from levygrad.coefficients import CATALOG_NAMES
+from levygrad.engine import JumpBatch, flow_batch, sample_jump_batch
+from reference import FlowState, apply_jump, evolve_drift
+
+SPEC = BernsteinSpec.alpha_stable(1.5)
+BM = catalog("bounded_multiplicative", 2)
+TANH = make_observable("tanh1")
+X0, V0 = np.array([0.3, 0.0]), np.array([1.0, 0.5])
+N = 4096
+PATH = JumpPath(1.0, np.array([0.1, 0.35, 0.6, 0.9]), np.array([0.4, 0.8, 0.3, 0.5]))
+# beta has kinks inside the clock intervals of PATH, so the conditional mark
+# part is nonzero and the fixed-clock estimator reads its auxiliary normals
+PIECEWISE = ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]])
+
+RUNS = {
+    # the three benchmark configurations at their default seeds
+    "quickstart": lambda field=BM, **kw: estimate_gradient(
+        X0, V0, TANH, field, SPEC, 0.5, "auto", N, 3e-3, 318, **kw),
+    "sign_fine_cut": lambda **kw: estimate_gradient(
+        np.zeros(1), np.ones(1), make_observable("sign"), catalog("additive_identity", 1),
+        SPEC, 1.0, "auto", N, 2e-4, 303, **kw),
+    "fd_crn": lambda field=BM: fd_gradient(
+        X0, V0, TANH, field, SPEC, 0.5, 5e-3, N, 319, eps_cut=3e-3, workers=2),
+    "fixed_clock_piecewise": lambda field=BM, **kw: estimate_gradient_fixed_clock(
+        X0, V0, TANH, field, PATH, PIECEWISE, 0.95, N, 16, **kw),
+    "estimate_pt": lambda field=BM: estimate_pt(X0, TANH, field, SPEC, 0.5, N, 13, eps_cut=3e-3),
+    "antithetic": lambda field=BM, **kw: estimate_gradient(
+        X0, V0, TANH, field, SPEC, 0.5, "auto", N, 3e-3, 7, antithetic=True, **kw),
+}
+
+PINS = {
+    "quickstart": ("0x1.e6c7af17faba7p-2", "0x1.95e5e194f7abcp-7"),
+    "sign_fine_cut": ("0x1.cac5c5d712316p-1", "0x1.b3eb94ed94e11p-7"),
+    "fd_crn": ("0x1.e31cf45545569p-2", "0x1.4009df9b958aep-9"),
+    "fixed_clock_piecewise": ("0x1.ced05ee9c5b6fp-3", "0x1.020be5369b97fp-7"),
+    "estimate_pt": ("0x1.2acd635b1a629p-3", "0x1.bc278f5a01a56p-8"),
+    "antithetic": ("0x1.f230ddad9b184p-2", "0x1.72f0c96f102d8p-7"),
+}
+
+
+# SHA-256 (first 32 hex digits) of every per-path sample row (index, f, weight,
+# I1, I2, I3, normalizer) as float64 bytes. A mean absorbs last-bit changes
+# of single paths; these digests do not.
+ROW_DIGESTS = {
+    "quickstart": "873d2f62b66cc80ff0a48b2a5c05e03d",
+    "sign_fine_cut": "fbee23cdb74c1f67cb468b9e0277c6f2",
+    "fixed_clock_piecewise": "cd6a06c8b6f6a67ef74a26578b117e1a",
+    "antithetic": "bf3f1309979a7182d0db024e2471bee3",
+}
+
+
+def _bits(result):
+    return result.mean.hex(), result.std_error.hex()
+
+
+def _row_digest(result):
+    rows = np.array(result._sample_rows, dtype=float)
+    assert rows.shape == (N, 7)
+    return hashlib.sha256(rows.tobytes()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_estimates_match_pinned_bits(name):
+    assert _bits(RUNS[name]()) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
+def test_per_path_samples_match_pinned_digest(name):
+    assert _row_digest(RUNS[name](collect_samples=N)) == ROW_DIGESTS[name]
+
+
+def test_piecewise_pin_reads_the_conditional_mark_part():
+    resolved = PIECEWISE.resolve(PATH)
+    post = np.cumsum(PATH.sizes)
+    pre = np.concatenate(([0.0], post[:-1]))
+    d_beta = resolved.beta(post) - resolved.beta(pre)
+    d_lambda = resolved.lambda_beta(post) - resolved.lambda_beta(pre)
+    _, c = engine.conditional_mark_law(PATH.sizes, d_beta, d_lambda)
+    assert np.any(c > 0.0)
+
+
+@pytest.mark.parametrize("name", ["quickstart", "fixed_clock_piecewise", "antithetic"])
+def test_field_without_jvp_gives_the_same_bits(name):
+    # the grad_b einsum fallback and the direct product are the same floats
+    assert BM.jvp_b is not None
+    result = RUNS[name](dataclasses.replace(BM, jvp_b=None), collect_samples=N)
+    assert _bits(result) == PINS[name]
+    assert _row_digest(result) == ROW_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name, d", [(name, d) for name in CATALOG_NAMES for d in (1, 3) if name != "pythagoras_1d" or d == 1]
+)
+def test_catalog_jvp_equals_grad_b_product(name, d):
+    field = catalog(name, d)
+    assert field.jvp_b is not None
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((64, d))
+    u = rng.standard_normal((64, d))
+    t = rng.uniform(size=64)
+    expected = np.einsum("mij,mj->mi", field.grad_b(t, x), u)
+    got = field.jvp_b(t, x, u)
+    assert got.shape == u.shape
+    assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# edge cases of the event loop, against the one-path reference steps
+
+
+def _reference_path(field, x0, v, times, dW, t, spu):
+    """Pre-jump states, final state and sup |Jv|^2 of one path via tests/reference.py."""
+    state = FlowState.initial(x0, v)
+    pre = []
+    sup = float(v @ v)
+    for s, w in zip(times, dW):
+        if s > state.s:
+            state = evolve_drift(state, field, state.s, s, max(1, math.ceil((s - state.s) * spu)))
+        pre.append(state)
+        state = apply_jump(state, field, s, w)
+        sup = max(sup, float(state.J @ state.J))
+    if t > state.s:
+        state = evolve_drift(state, field, state.s, t, max(1, math.ceil((t - state.s) * spu)))
+    return pre, state, max(sup, float(state.J @ state.J))
+
+
+@pytest.mark.parametrize("name", ["bounded_multiplicative", "additive_identity"])
+def test_event_loop_edge_paths(name):
+    # path 0: no jumps; path 1: two jumps tied in time; path 2: a jump tied
+    # with path 1's; path 3: a jump exactly at t; path 4: many short gaps
+    field = catalog(name, 2)
+    t, spu = 0.8, 50
+    times = [[], [0.3, 0.3], [0.3], [0.8], list(np.linspace(0.01, 0.79, 17))]
+    counts = np.array([len(p) for p in times])
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    flat_times = np.concatenate([np.asarray(p, dtype=float) for p in times])
+    sizes = np.full(flat_times.size, 0.2)
+    batch = JumpBatch(len(times), t, counts, offsets, flat_times, sizes)
+    dW = np.random.default_rng(3).standard_normal((batch.total, 2)) * 0.5
+    X, Jv, X_pre, Jv_pre, sup_g = flow_batch(X0, V0, field, batch, dW, t, spu)
+    for i, path_times in enumerate(times):
+        lo, hi = offsets[i], offsets[i + 1]
+        pre, final, sup = _reference_path(field, X0, V0, path_times, dW[lo:hi], t, spu)
+        np.testing.assert_allclose(X[i], final.X, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(Jv[i], final.J, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(sup_g[i], sup, rtol=1e-13)
+        for m, state in enumerate(pre):
+            np.testing.assert_allclose(X_pre[lo + m], state.X, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(Jv_pre[lo + m], state.J, rtol=1e-13, atol=1e-15)
+    # a jump at t leaves no drift after it: the final state is the post-jump state
+    post = X_pre[offsets[3]] + field.sigma(t, X_pre[offsets[3]]) @ dW[offsets[3]]
+    assert np.array_equal(X[3], post)
+
+
+def test_event_loop_without_jumps_is_pure_drift():
+    batch = JumpBatch(3, 1.0, np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64),
+                      np.empty(0), np.empty(0))
+    X, Jv, X_pre, Jv_pre, _ = flow_batch(X0, V0, BM, batch, np.empty((0, 2)), 1.0, 100)
+    assert X_pre.shape == (0, 2) and Jv_pre.shape == (0, 2)
+    _, final, _ = _reference_path(BM, X0, V0, [], [], 1.0, 100)
+    assert np.array_equal(X, np.tile(X[0], (3, 1)))
+    np.testing.assert_allclose(X[0], final.X, rtol=1e-14)
+    np.testing.assert_allclose(Jv[0], final.J, rtol=1e-14)
+
+
+def test_full_width_and_gathered_passes_agree_bitwise(monkeypatch):
+    jb = sample_jump_batch(1.5, 0.5, 3e-3, 500, substream(2, engine.PURPOSE_JUMPS, 0))
+    dW = engine.sample_mark_batch(jb, 2, substream(2, engine.PURPOSE_MARKS, 0))
+    outs = []
+    for share in (0.0, 2.0):  # every pass full width; every pass on gathered rows
+        monkeypatch.setattr(engine, "FULL_WIDTH_SHARE", share)
+        outs.append(flow_batch(X0, V0, BM, jb, dW, 0.5, 100))
+    for a, b in zip(*outs):
+        assert np.array_equal(a, b)
+
+
+def test_jump_sampler_order_is_the_stable_path_time_sort():
+    # re-draw the raw arrays from the same stream and sort them by (path, time)
+    alpha, horizon, eps, n = 1.5, 0.7, 2e-2, 300
+    jb = sample_jump_batch(alpha, horizon, eps, n, substream(9, engine.PURPOSE_JUMPS, 0))
+    rng = substream(9, engine.PURPOSE_JUMPS, 0)
+    counts = rng.poisson(horizon * engine.tail_mass(alpha, eps), size=n)
+    raw = horizon - rng.uniform(0.0, horizon, size=counts.sum())
+    sizes = eps * (1.0 - rng.uniform(size=counts.sum())) ** (-2.0 / alpha)
+    order = np.lexsort((raw, np.repeat(np.arange(n), counts)))
+    assert np.array_equal(jb.counts, counts)
+    assert np.array_equal(jb.times, raw[order])
+    assert np.array_equal(jb.sizes, sizes[order])

@@ -20,6 +20,7 @@ from levygrad import (
     make_observable,
     substream,
 )
+from levygrad import engine
 from reference import (
     FlowState,
     PathRealization,
@@ -178,23 +179,58 @@ def _fast_oscillating_drift_field():
     )
 
 
+# Both runs draw batch 0 of seed 5: t = 1, eps_cut = 3e-2, 200 paths.
+BLOW_UP_SEED, BLOW_UP_EPS = 5, 3e-2
+
+
 def _blow_up_through_estimate_pt():
     estimate_pt(np.array([3.0]), make_observable("tanh1"), _cubic_field(),
-                BernsteinSpec.alpha_stable(1.5), 1.0, 200, 5, eps_cut=3e-2)
+                BernsteinSpec.alpha_stable(1.5), 1.0, 200, BLOW_UP_SEED, eps_cut=BLOW_UP_EPS)
 
 
 def _blow_up_through_estimate_gradient():
     estimate_gradient(np.array([0.3]), np.array([1.0]), make_observable("tanh1"),
                       _fast_oscillating_drift_field(), BernsteinSpec.alpha_stable(1.5),
-                      1.0, "auto", 200, 3e-2, 5)
+                      1.0, "auto", 200, BLOW_UP_EPS, BLOW_UP_SEED)
 
 
-@pytest.mark.parametrize("run", [_blow_up_through_estimate_pt, _blow_up_through_estimate_gradient],
-                         ids=["state_overflow", "jacobian_overflow"])
-def test_batched_estimators_raise_blow_up(run):
-    # A non-finite X or Jv must stop the run, never turn the mean into NaN.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
+@pytest.mark.parametrize(
+    "run, field, x0",
+    [(_blow_up_through_estimate_pt, _cubic_field, 3.0),
+     (_blow_up_through_estimate_gradient, _fast_oscillating_drift_field, 0.3)],
+    ids=["state_overflow", "jacobian_overflow"],
+)
+def test_batched_estimators_raise_blow_up(run, field, x0):
+    # A non-finite X or Jv must stop the run, never turn the mean into NaN,
+    # and the error must name a path that blows up again when replayed.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
         run()
+    err = info.value
+    assert err.batch == 0 and 0 <= err.path < 200
+    assert f"on path {err.path} of batch 0" in str(err)
+    jb = engine.sample_jump_batch(
+        1.5, 1.0, BLOW_UP_EPS, 200, substream(BLOW_UP_SEED, engine.PURPOSE_JUMPS, err.batch)
+    )
+    dW = engine.sample_mark_batch(
+        jb, 1, substream(BLOW_UP_SEED, engine.PURPOSE_MARKS, err.batch)
+    )
+    lo, hi = jb.offsets[err.path], jb.offsets[err.path + 1]
+    replay = PathRealization(jb.extract_path(err.path), dW[lo:hi], np.zeros((hi - lo, 1)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as ref:
+        simulate_flow(np.array([x0]), np.ones(1), field(), replay, 1.0)
+    assert ref.value.s == err.s
+
+
+def test_map_batches_names_the_batch_of_a_blow_up():
+    def worker(bi, start, count):
+        if bi == 1:
+            raise BlowUpError(0.25, path=7)
+        return bi
+
+    for workers in (1, 2):
+        with pytest.raises(BlowUpError, match="on path 7 of batch 1") as info:
+            engine.map_batches(2 * engine.BATCH_SIZE, workers, worker)
+        assert (info.value.s, info.value.path, info.value.batch) == (0.25, 7, 1)
 
 
 def test_evolve_drift_validation():

@@ -13,15 +13,22 @@ from levygrad import (
     catalog,
     check_gradient_bound,
     counterexample_moments,
+    default_eps_cut,
+    default_level_R,
+    dropped_mass_rate,
     estimate_gradient,
     estimate_gradient_fixed_clock,
     estimate_pt,
     estimate_pt_power,
     fd_gradient,
+    inverse_moment,
     make_observable,
+    sample_jump_path,
+    sample_terminal_values,
+    tail_mass,
     truncation_convergence_check,
 )
-from levygrad.engine import BATCH_SIZE, run_batches
+from levygrad.engine import BATCH_SIZE, run_batches, sample_jump_batch
 
 SPEC = BernsteinSpec.alpha_stable(1.5)
 F1 = catalog("additive_identity", 1)
@@ -119,6 +126,48 @@ SUBSTEPPED = {
 def test_substeps_below_one_are_rejected(name, substeps):
     with pytest.raises(ValueError, match="substeps_per_unit"):
         SUBSTEPPED[name](substeps)
+
+
+NAN = float("nan")
+
+# A positivity check written as `x <= 0` lets NaN through; each of these
+# must stop at its own argument check.
+NAN_ARGUMENTS = {
+    "fd_gradient h": (lambda: fd_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, NAN, 8, 5, eps_cut=0.05), "h must be positive"),
+    "fd_gradient t": (lambda: fd_gradient(
+        X1, V1, TANH, F1, SPEC, NAN, 1e-3, 8, 5, eps_cut=0.05), "t must be positive"),
+    "estimate_gradient t": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, NAN, "auto", 8, 0.05, 1), "t must be positive"),
+    "estimate_gradient eps_cut": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", 8, NAN, 1), "eps_cut must be positive"),
+    "estimate_gradient_fixed_clock t": (lambda: estimate_gradient_fixed_clock(
+        X1, V1, TANH, F1, PATH, CAP, NAN, 8, 2), r"t must lie in \(0, horizon\]"),
+    "estimate_pt t": (lambda: estimate_pt(
+        X1, TANH, F1, SPEC, NAN, 8, 3, eps_cut=0.05), "t must be positive"),
+    "estimate_pt eps_cut": (lambda: estimate_pt(
+        X1, TANH, F1, SPEC, 1.0, 8, 3, eps_cut=NAN), "eps_cut must be positive"),
+    "sample_jump_batch eps_cut": (lambda: sample_jump_batch(
+        1.5, 1.0, NAN, 8, np.random.default_rng(0)), "eps_cut must be positive"),
+    "sample_jump_path eps_cut": (lambda: sample_jump_path(
+        SPEC, 1.0, NAN, np.random.default_rng(0)), "eps_cut must be positive"),
+    "sample_jump_path horizon": (lambda: sample_jump_path(
+        SPEC, NAN, 0.05, np.random.default_rng(0)), "horizon must be nonnegative"),
+    "sample_terminal_values eps_cut": (lambda: sample_terminal_values(
+        SPEC, 1.0, NAN, 8, np.random.default_rng(0)), "eps_cut must be positive"),
+    "default_level_R t": (lambda: default_level_R(SPEC, NAN), "t must be positive"),
+    "default_eps_cut t": (lambda: default_eps_cut(SPEC, NAN), "t must be positive"),
+    "inverse_moment t": (lambda: inverse_moment(SPEC, NAN, 1.0), "t must be positive"),
+    "tail_mass eps": (lambda: tail_mass(1.5, NAN), "eps must be positive"),
+    "dropped_mass_rate eps": (lambda: dropped_mass_rate(1.5, NAN), "eps must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_ARGUMENTS))
+def test_nan_fails_the_positivity_checks(case):
+    run, message = NAN_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run()
 
 
 # The four estimators that evaluate a user observable, for any observable f.
