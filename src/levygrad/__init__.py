@@ -11,11 +11,9 @@ truncation identities) used to validate it.
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
-    FirstPassage,
     QuadratureDivergenceError,
     sample_terminal_values,
     truncate_jumps,
-    first_passage,
     inverse_moment,
     tail_mass,
     dropped_mass_rate,
@@ -23,7 +21,7 @@ from .subordinator import (
     stable_median_s1,
 )
 from .coefficients import CoefficientField, catalog
-from .engine import BlowUpError, sample_jump_path
+from .engine import BlowUpError, FirstPassage, first_passage, sample_jump_path
 from .bismut import (
     ClockSpec,
     estimate_gradient,

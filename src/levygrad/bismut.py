@@ -27,12 +27,18 @@ first passage over R) yields an unbiased estimator of grad_v P_t f with
 normalizer S_{t ^ tau}; since the cap sits exactly on a jump boundary, no
 jump interval ever straddles it, and jumps after the passage contribute
 nothing to any term.
+
+ClockSpec.increments is the one place beta meets a clock path: it turns a
+batch of paths into each jump's (d_beta, d_lambda) and each path's
+normalizer, for the cap clock and for deterministic piecewise-linear
+clocks alike. Both estimators here and the isometry and truncation checks
+in validate read beta only through it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +51,6 @@ from .subordinator import (
     JumpPath,
     checked_jump_intensity,
     dropped_mass_rate,
-    first_passage,
     stable_median_s1,
 )
 
@@ -60,14 +65,27 @@ __all__ = [
 REJECTION_FLAG_THRESHOLD = 1e-3
 
 
+class ClockIncrements(NamedTuple):
+    """ClockSpec.increments of one batch."""
+
+    d_beta: np.ndarray  # (M,) beta(ell_post) - beta(ell_pre) per jump
+    d_lambda: np.ndarray  # (M,) the same for lambda; d_beta itself under the cap clock
+    normalizer: np.ndarray  # (n,) beta(ell_t) per path
+    cap: np.ndarray  # (n,) clock value at the first passage over R; inf if none
+
+
 @dataclass(frozen=True, eq=False)
 class ClockSpec:
-    """Reparameterization beta of the clock-value axis.
+    """Reparameterization beta of the clock-value axis, with lambda(u) = int_0^u beta'^2.
 
     kind "cap_at_first_passage" realizes beta(u) = u ^ ell_tau for the given
-    level R > 0, resolved per path. kind "piecewise_linear" is a deterministic
-    nondecreasing piecewise-linear function given by (u, beta) knots starting
-    at (0, 0); beyond the last knot the final segment's slope continues.
+    level R > 0, where ell_tau is each path's clock value at its first
+    passage over R. kind "piecewise_linear" is a deterministic nondecreasing
+    piecewise-linear function given by (u, beta) knots starting at (0, 0);
+    beyond the last knot the final segment's slope continues.
+
+    increments(batch) is the one place either kind is evaluated on clock
+    paths; every estimator and identity check reads beta through it.
     """
 
     kind: str
@@ -92,6 +110,12 @@ class ClockSpec:
                 raise ValueError("knots must be finite")
             k.setflags(write=False)
             object.__setattr__(self, "knots", k)
+            # slopes[j] applies from knot j on (the last one past the last
+            # knot) and cumlam[j] = lambda at knot j
+            seg = np.diff(k[:, 1]) / np.diff(k[:, 0])
+            cumlam = np.concatenate(([0.0], np.cumsum(seg**2 * np.diff(k[:, 0]))))
+            object.__setattr__(self, "_slopes", np.append(seg, seg[-1]))
+            object.__setattr__(self, "_cumlam", cumlam)
         else:
             raise ValueError(f"unknown clock kind {self.kind!r}")
 
@@ -103,78 +127,41 @@ class ClockSpec:
     def piecewise_linear(cls, knots) -> "ClockSpec":
         return cls(kind="piecewise_linear", knots=np.asarray(knots, dtype=float))
 
-    def resolve(self, path: JumpPath) -> "ResolvedClock":
-        """Bind the clock to one path (evaluates the first passage for cap kind)."""
-        if self.kind == "piecewise_linear":
-            return ResolvedClock.from_knots(self.knots)
-        fp = first_passage(path, self.R)
-        cap = math.inf if fp is None else fp.value_at
-        return ResolvedClock.cap(cap)
+    def _curves(self, u, cap):
+        """(beta(u), lambda(u)) at clock values u of a path whose cap is cap."""
+        if self.kind == "cap_at_first_passage":
+            capped = np.minimum(u, cap)
+            return capped, capped
+        ku = self.knots[:, 0]
+        j = np.clip(np.searchsorted(ku, u, side="right") - 1, 0, ku.size - 1)
+        du = u - ku[j]
+        return self.knots[j, 1] + self._slopes[j] * du, self._cumlam[j] + self._slopes[j] ** 2 * du
 
+    def increments(self, batch: engine.JumpBatch) -> ClockIncrements:
+        """Each jump's (d_beta, d_lambda) and each path's normalizer beta(ell_t).
 
-@dataclass(frozen=True, eq=False)
-class ResolvedClock:
-    """Piecewise-linear beta on the clock-value axis, with its lambda integral.
-
-    slopes[j] applies on [ku[j], ku[j+1]) and slopes[-1] beyond the last knot;
-    cumlam[j] = lambda(ku[j]) with lambda(u) the integral of the squared slope.
-    """
-
-    ku: np.ndarray
-    kb: np.ndarray
-    slopes: np.ndarray
-    cumlam: np.ndarray
-    cap_level: float = math.inf  # finite only for resolved cap clocks
-
-    @classmethod
-    def from_knots(cls, knots: np.ndarray) -> "ResolvedClock":
-        ku = knots[:, 0].copy()
-        kb = knots[:, 1].copy()
-        seg = np.diff(kb) / np.diff(ku)
-        slopes = np.append(seg, seg[-1])
-        cumlam = np.concatenate(([0.0], np.cumsum(seg**2 * np.diff(ku))))
-        return cls(ku, kb, slopes, cumlam)
-
-    @classmethod
-    def cap(cls, cap_level: float) -> "ResolvedClock":
-        if math.isinf(cap_level):
-            return cls(np.array([0.0]), np.array([0.0]), np.array([1.0]), np.array([0.0]), math.inf)
-        return cls(
-            np.array([0.0, cap_level]),
-            np.array([0.0, cap_level]),
-            np.array([1.0, 0.0]),
-            np.array([0.0, cap_level]),
-            float(cap_level),
-        )
-
-    def _segment(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.ku, u, side="right") - 1, 0, self.ku.size - 1)
-
-    def beta(self, u):
-        u = np.asarray(u, dtype=float)
-        j = self._segment(u)
-        return self.kb[j] + self.slopes[j] * (u - self.ku[j])
-
-    def lambda_beta(self, u):
-        u = np.asarray(u, dtype=float)
-        j = self._segment(u)
-        return self.cumlam[j] + self.slopes[j] ** 2 * (u - self.ku[j])
-
-
-def _interval_data(resolved: ResolvedClock, ell_pre, ell_post, sizes):
-    """(d_beta, d_lambda) over clock intervals, with exact 0/1 handling for caps.
-
-    A cap sits on a jump's post value, so every interval is either fully
-    covered or fully beyond it; taking the increment as the jump size itself
-    (rather than a difference of cumulatives) keeps d_beta == d_ell exact,
-    which in turn keeps the conditional mark variance identically zero.
-    """
-    if math.isfinite(resolved.cap_level) or resolved.ku.size == 1:
-        d_beta = np.where(ell_post <= resolved.cap_level, sizes, 0.0)
-        return d_beta, d_beta.copy()
-    d_beta = resolved.beta(ell_post) - resolved.beta(ell_pre)
-    d_lambda = resolved.lambda_beta(ell_post) - resolved.lambda_beta(ell_pre)
-    return np.maximum(d_beta, 0.0), np.maximum(d_lambda, 0.0)
+        The increments are taken over the jump's clock interval
+        (ell_pre, ell_post]; ell_t is the path's clock value at the batch
+        horizon.
+        """
+        ell_pre, ell_post, ell_T = engine.path_cumulatives(batch)
+        cap = np.full(batch.n, np.inf)
+        if self.kind == "cap_at_first_passage":
+            crossing = engine.first_passage_levels(batch, ell_post, self.R)
+            hit = crossing >= 0
+            cap[hit] = ell_post[crossing[hit]]
+            # The cap is itself a post value, so no interval straddles it.
+            # Taking a covered jump's size itself keeps d_beta == d_ell exact,
+            # and d_lambda = d_beta (the same array) tells weight_terms that
+            # the conditional mark part vanishes.
+            d_beta = np.where(ell_post <= np.repeat(cap, batch.counts), batch.sizes, 0.0)
+            d_lambda = d_beta
+        else:
+            beta_pre, lam_pre = self._curves(ell_pre, cap)
+            beta_post, lam_post = self._curves(ell_post, cap)
+            d_beta = np.maximum(beta_post - beta_pre, 0.0)
+            d_lambda = np.maximum(lam_post - lam_pre, 0.0)
+        return ClockIncrements(d_beta, d_lambda, self._curves(ell_T, cap)[0], cap)
 
 
 def default_level_R(spec: BernsteinSpec, t: float) -> float:
@@ -218,7 +205,7 @@ def _gradient_batch_worker(
     field,
     alpha,
     t,
-    R,
+    clock,
     eps_cut,
     seed,
     substeps_per_unit,
@@ -231,18 +218,12 @@ def _gradient_batch_worker(
             alpha, t, eps_cut, count, substream(seed, engine.PURPOSE_JUMPS, bi)
         )
         dW = engine.sample_mark_batch(jb, x.size, substream(seed, engine.PURPOSE_MARKS, bi))
-        ell_pre, ell_post, ell_T = engine.path_cumulatives(jb)
-        cap = engine.first_passage_levels(jb, ell_post, R)
-        cap_rep = np.repeat(cap, jb.counts)
-        # the cap is itself a post value, so intervals never straddle it and
-        # covered increments equal the jump sizes exactly; d_lambda = d_beta
-        # makes the conditional mark part vanish, so no auxiliary normals
-        d_beta = np.where(ell_post <= cap_rep, jb.sizes, 0.0)
-        normalizer = np.minimum(ell_T, cap)
+        d_beta, d_lambda, normalizer, cap = clock.increments(jb)
         reject = normalizer <= 0.0
 
         safe = np.where(reject, 1.0, normalizer)
-        args = (x, v, f, field, jb, t, substeps_per_unit, d_beta, d_beta, bi)
+        # the cap clock has no conditional mark part, so no auxiliary normals
+        args = (x, v, f, field, jb, t, substeps_per_unit, d_beta, d_lambda, bi)
         fv, I1, I2, I3, sup_g = _weighted_pass(dW, None, *args)
         t1, t2, t3 = fv * I1 / safe, fv * I2 / safe, fv * I3 / safe
         if antithetic:
@@ -329,14 +310,11 @@ def estimate_gradient(
     x = _check_vector("x", x, d)
     v = _check_vector("v", v, d)
     if R is None or (isinstance(R, str) and R == "auto"):
-        R_val = default_level_R(spec, t)
-    else:
-        R_val = float(R)
-    if R_val <= 0:
-        raise ValueError("R must be positive")
+        R = default_level_R(spec, t)
+    clock = ClockSpec.cap_at_first_passage(R)
 
     worker = _gradient_batch_worker(
-        x, v, f, field, spec.alpha, t, R_val, eps_cut, seed, substeps_per_unit, antithetic
+        x, v, f, field, spec.alpha, t, clock, eps_cut, seed, substeps_per_unit, antithetic
     )
     run = engine.run_batches(n_paths, workers, worker)
     frac = run.n_rejected / n_paths
@@ -347,7 +325,7 @@ def estimate_gradient(
         "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps_cut) * t,
         "cap_fraction": run.counters["capped"] / n_paths,
         **_term_diagnostics(run),
-        "level_R": R_val,
+        "level_R": clock.R,
     }
     if antithetic:
         diagnostics["antithetic"] = 1.0
@@ -379,15 +357,11 @@ def estimate_gradient_fixed_clock(
     d = field.dimension
     x = _check_vector("x", x, d)
     v = _check_vector("v", v, d)
-    resolved = clock.resolve(path)
-    m = int(np.searchsorted(path.times, t, side="right"))
-    ell_post = np.cumsum(path.sizes[:m])
-    ell_t = float(ell_post[-1]) if m else 0.0
-    normalizer = float(resolved.beta(ell_t))
+    one_path = engine.fixed_jump_batch(path, t, 1)
+    d_beta_1, d_lambda_1, normalizer, _ = clock.increments(one_path)
+    normalizer = float(normalizer[0])
     if normalizer <= 0:
         raise ValueError("beta(ell_t) must be positive for the fixed-clock estimator")
-    ell_pre = np.concatenate(([0.0], ell_post[:-1])) if m else np.empty(0)
-    d_beta_1, d_lambda_1 = _interval_data(resolved, ell_pre, ell_post, path.sizes[:m])
 
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, t, count)
@@ -408,7 +382,7 @@ def estimate_gradient_fixed_clock(
     diagnostics = {
         "rejection_fraction": 0.0,
         "flagged_invalid": 0.0,
-        "mean_jump_count": float(m),
+        "mean_jump_count": float(one_path.total),
         "normalizer": normalizer,
         **_term_diagnostics(run),
     }

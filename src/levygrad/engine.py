@@ -23,6 +23,12 @@ operations. For drift-free fields every pass is one jump round. A
 non-finite state or directional derivative raises BlowUpError, naming the
 path, rather than reaching the mean.
 
+Clock values come from path_cumulatives (each jump's clock interval) and
+first_passage_levels (each path's crossing jump over a level, as a flat
+index), which bismut.ClockSpec.increments turns into clock increments. The
+one-path functions sample_jump_path and first_passage are views of these
+batch functions on a single path.
+
 This is the only flow and weight implementation in the package. The test
 suite checks it against a one-path-at-a-time reference (tests/reference.py).
 """
@@ -48,6 +54,8 @@ __all__ = [
     "JumpBatch",
     "sample_jump_batch",
     "sample_jump_path",
+    "FirstPassage",
+    "first_passage",
     "fixed_jump_batch",
     "sample_mark_batch",
     "flow_batch",
@@ -173,6 +181,31 @@ def sample_jump_path(
         raise ValueError("horizon must be nonnegative")
     checked_jump_intensity(alpha, eps_cut, horizon)
     return sample_jump_batch(alpha, horizon, eps_cut, 1, rng).extract_path(0)
+
+
+@dataclass(frozen=True)
+class FirstPassage:
+    """First time the clock reaches a level R, with surrounding values."""
+
+    tau: float
+    value_before: float
+    value_at: float
+    jump_index: int  # index of the crossing jump
+
+
+def first_passage(path: JumpPath, R: float) -> FirstPassage | None:
+    """First time value(t) >= R, or None if the level is not reached by horizon.
+
+    The one-path view of first_passage_levels. The clock moves only by
+    jumps, so the crossing jump has value_before < R <= value_at.
+    """
+    batch = fixed_jump_batch(path, path.horizon, 1)
+    _, ell_post, _ = path_cumulatives(batch)
+    j = int(first_passage_levels(batch, ell_post, R)[0])
+    if j < 0:
+        return None
+    at = ell_post[j]
+    return FirstPassage(float(path.times[j]), float(at - path.sizes[j]), float(at), j)
 
 
 def fixed_jump_batch(path: JumpPath, t: float, n: int) -> JumpBatch:
@@ -397,22 +430,16 @@ def path_cumulatives(batch: JumpBatch):
 
 
 def first_passage_levels(batch: JumpBatch, ell_post: np.ndarray, R: float) -> np.ndarray:
-    """Per-path clock value at first passage over R (inf when not reached)."""
-    if R <= 0:
+    """Flat index of each path's first jump with ell_post >= R, -1 when R is not reached."""
+    if not R > 0:
         raise ValueError("the passage level R must be positive")
     M = batch.total
-    cap = np.full(batch.n, np.inf)
-    if M == 0:
-        return cap
-    pos = np.arange(M) - np.repeat(batch.offsets[:-1], batch.counts)
-    cand = np.where(ell_post >= R, pos, M + 1)
-    # sentinel keeps every reduceat index in bounds without truncating a segment
-    cand_ext = np.append(cand, M + 1)
-    first = np.minimum.reduceat(cand_ext, batch.offsets[:-1])
-    nonempty = batch.counts > 0
-    hit = nonempty & (first < batch.counts)
-    cap[hit] = ell_post[batch.offsets[:-1][hit] + first[hit]]
-    return cap
+    # M is past every path's last jump; min-reducing the candidates over each
+    # path's slice leaves an index inside the slice only if the path crosses
+    # (an empty path's slice reads its successor's first candidate, never its own)
+    cand = np.append(np.where(ell_post >= R, np.arange(M), M), M)
+    first = np.minimum.reduceat(cand, batch.offsets[:-1])
+    return np.where(first < batch.offsets[1:], first, -1)
 
 
 def conditional_mark_law(d_ell: np.ndarray, d_beta: np.ndarray, d_lambda: np.ndarray):
@@ -442,18 +469,25 @@ def weight_terms(
     The beta-weighted mark over a jump's clock interval is reconstructed from
     the stored mark and the auxiliary normal through conditional_mark_law.
     aux may be None when the clock has no conditional part (c = 0 on every
-    jump, as under the cap clock).
+    jump). A 0/1 clock, whose d_beta is each jump's size or 0, passes the
+    same array as d_beta and d_lambda (ClockSpec.increments does so for the
+    cap clock): r is then exactly 1 or 0 and c is 0, so the law is skipped.
     """
     n = batch.n
     if batch.total == 0:
         zero = np.zeros(n)
         return zero, zero.copy(), zero.copy()
-    ratio, c = conditional_mark_law(batch.sizes, d_beta, d_lambda)
-    dWb = ratio[:, None] * dW
-    if np.any(c > 0.0):
-        if aux is None:
-            raise ValueError("this clock has a conditional mark part; pass the auxiliary normals")
-        dWb = dWb + c[:, None] * aux
+    if d_lambda is d_beta:
+        dWb = (d_beta > 0.0)[:, None] * dW
+    else:
+        ratio, c = conditional_mark_law(batch.sizes, d_beta, d_lambda)
+        dWb = ratio[:, None] * dW
+        if np.any(c > 0.0):
+            if aux is None:
+                raise ValueError(
+                    "this clock has a conditional mark part; pass the auxiliary normals"
+                )
+            dWb = dWb + c[:, None] * aux
     pid = batch.path_id
     s_inv = np.asarray(field.sigma_inv(batch.times, X_pre), dtype=float)
     u = np.einsum("mij,mj->mi", s_inv, Jv_pre)

@@ -26,14 +26,12 @@ from scipy.integrate import quad
 __all__ = [
     "BernsteinSpec",
     "JumpPath",
-    "FirstPassage",
     "QuadratureDivergenceError",
     "tail_mass",
     "checked_jump_intensity",
     "dropped_mass_rate",
     "sample_terminal_values",
     "truncate_jumps",
-    "first_passage",
     "inverse_moment",
     "stable_median_s1",
     "default_eps_cut",
@@ -159,16 +157,6 @@ class JumpPath:
         return np.concatenate(([0.0], self.cumulative_sizes()))[idx]
 
 
-@dataclass(frozen=True)
-class FirstPassage:
-    """First time the clock reaches a level R, with surrounding values."""
-
-    tau: float
-    value_before: float
-    value_at: float
-    jump_index: int  # index of the crossing jump
-
-
 def _require_stable(spec: BernsteinSpec) -> float:
     if spec.kind != "alpha_stable":
         raise ValueError("this operation requires an alpha_stable Bernstein spec")
@@ -247,26 +235,10 @@ def sample_terminal_values(
 
 def truncate_jumps(path: JumpPath, eps: float) -> JumpPath:
     """Keep exactly the jumps of size >= eps; times are preserved."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     keep = path.sizes >= eps
     return JumpPath(path.horizon, path.times[keep], path.sizes[keep])
-
-
-def first_passage(path: JumpPath, R: float) -> FirstPassage | None:
-    """First time value(t) >= R, or None if the level is not reached by horizon.
-
-    The clock moves only by jumps, so the crossing jump has
-    value_before < R <= value_at.
-    """
-    if R <= 0:
-        raise ValueError("the passage level R must be positive")
-    cum = path.cumulative_sizes()
-    idx = np.nonzero(cum >= R)[0]
-    if idx.size == 0:
-        return None
-    j = int(idx[0])
-    return FirstPassage(float(path.times[j]), float(cum[j] - path.sizes[j]), float(cum[j]), j)
 
 
 def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
@@ -280,7 +252,7 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
 
     def log_upper_integrand(y: float) -> float:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import engine
-from .bismut import ClockSpec, _interval_data, estimate_gradient
+from .bismut import ClockSpec, estimate_gradient
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, EstimatorResult, compare
 from .streams import substream
@@ -142,7 +142,7 @@ def estimate_pt_power(
     The standard error is mapped through the root by the delta method. On
     fixed samples the result is nondecreasing in p (power-mean inequality).
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive")
     raw = estimate_pt(
         x,
@@ -247,9 +247,9 @@ def check_gradient_bound(
     if spec.kind != "alpha_stable":
         raise ValueError("the bound check needs an alpha_stable clock")
     t_grid = [float(t) for t in t_grid]
-    if not t_grid or any(t <= 0 or t > 1 for t in t_grid):
+    if not t_grid or any(not 0 < t <= 1 for t in t_grid):
         raise ValueError("t_grid must be a nonempty subset of (0, 1]")
-    if p <= 1:
+    if not p > 1:
         raise ValueError("p must exceed 1")
     if v is None:
         v = np.zeros(field.dimension)
@@ -370,16 +370,6 @@ def counterexample_moments(
     return {"jump_moment": jump_moment, "mollified_moment": mollified_moment}
 
 
-def _mark_coefficients(resolved, sizes: np.ndarray):
-    """Per-jump (r, c) with mark-sum contribution r*dW + c*aux per coordinate."""
-    if sizes.size == 0:
-        return np.empty(0), np.empty(0)
-    post = np.cumsum(sizes)
-    pre = np.concatenate(([0.0], post[:-1]))
-    d_beta, d_lambda = _interval_data(resolved, pre, post, sizes)
-    return engine.conditional_mark_law(sizes, d_beta, d_lambda)
-
-
 def burkholder_isometry_check(
     xi,
     path: JumpPath,
@@ -399,11 +389,12 @@ def burkholder_isometry_check(
     if xi.ndim != 1 or not np.all(np.isfinite(xi)):
         raise ValueError("xi must be a finite vector")
     d = xi.size
-    resolved = clock.resolve(path)
+    jumps = engine.fixed_jump_batch(path, path.horizon, 1)
+    d_beta, d_lambda, _, cap = clock.increments(jumps)
+    r, c = engine.conditional_mark_law(jumps.sizes, d_beta, d_lambda)
     ell_T = float(np.sum(path.sizes))
-    target = float(xi @ xi) * float(resolved.lambda_beta(ell_T))
+    target = float(xi @ xi) * float(clock._curves(ell_T, cap[0])[1])
     k = path.times.size
-    r, c = _mark_coefficients(resolved, path.sizes)
 
     def worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, path.horizon, count)
@@ -446,31 +437,31 @@ def truncation_convergence_check(
     if xi.ndim != 1 or not np.all(np.isfinite(xi)):
         raise ValueError("xi must be a finite vector")
     eps_list = [float(e) for e in eps_list]
-    if not eps_list or any(e <= 0 for e in eps_list):
+    if not eps_list or any(not e > 0 for e in eps_list):
         raise ValueError("eps_list must contain positive cutoffs")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     d = xi.size
     k = path.times.size
     xi_sq = float(xi @ xi)
-    resolved = clock.resolve(path)
-    r_full, c_full = _mark_coefficients(resolved, path.sizes)
+    laws = []
+    for p in [path] + [truncate_jumps(path, eps) for eps in eps_list]:
+        jumps = engine.fixed_jump_batch(p, p.horizon, 1)
+        d_beta, d_lambda, _, _ = clock.increments(jumps)
+        laws.append(engine.conditional_mark_law(jumps.sizes, d_beta, d_lambda))
+    (r_full, c_full), *truncated = laws
 
     # Per eps: coefficient gaps on every jump of the full path (zero for the
     # coefficients of dropped jumps in the truncated sum), plus the exact gap.
     coeff_r = []
     coeff_c = []
     exact = []
-    for eps in eps_list:
-        trunc = truncate_jumps(path, eps)
-        res_t = clock.resolve(trunc)
+    for eps, (r_kept, c_kept) in zip(eps_list, truncated):
         kept = path.sizes >= eps
         r_t = np.zeros(k)
         c_t = np.zeros(k)
-        if trunc.times.size:
-            r_kept, c_kept = _mark_coefficients(res_t, trunc.sizes)
-            r_t[kept] = r_kept
-            c_t[kept] = c_kept
+        r_t[kept] = r_kept
+        c_t[kept] = c_kept
         dr = r_full - r_t
         dc = c_full - c_t
         coeff_r.append(dr)

@@ -16,6 +16,10 @@ every coefficient evaluated at the left limit (the pre-jump state):
 
 Jumps at times exactly equal to the evaluation time t are included (cadlag
 convention).
+
+The clock reparameterization beta is evaluated here too, jump by jump and
+independently of ClockSpec.increments: the cap clock by its 0/1 rule, a
+piecewise-linear beta by integrating its slopes over each clock interval.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from levygrad import BlowUpError, ClockSpec, CoefficientField, JumpPath
-from levygrad.bismut import _interval_data
 
 
 class RejectedPathError(RuntimeError):
@@ -208,6 +211,43 @@ def simulate_flow(
     return snapshots
 
 
+def clock_increments(clock: ClockSpec, sizes: np.ndarray):
+    """One path's per-jump (d_beta, d_lambda) and its normalizer beta(ell_t).
+
+    sizes are the path's jumps up to t, in time order. Jump i covers the
+    clock interval (pre, post] with post = sizes[0] + ... + sizes[i].
+    """
+    d_beta, d_lambda = np.zeros(sizes.size), np.zeros(sizes.size)
+    post = 0.0
+    if clock.kind == "cap_at_first_passage":
+        # beta(u) = u ^ ell_tau: a jump up to and including the first passage
+        # over R is covered whole, every later one not at all
+        for i, size in enumerate(sizes):
+            if post < clock.R:
+                d_beta[i] = d_lambda[i] = size
+            post += size
+        return d_beta, d_lambda, float(sum(d_beta))
+    ku, kb = clock.knots[:, 0], clock.knots[:, 1]
+    slopes = [(kb[j + 1] - kb[j]) / (ku[j + 1] - ku[j]) for j in range(ku.size - 1)]
+    starts = list(ku)
+    ends = list(ku[1:]) + [math.inf]  # the last slope continues past the last knot
+    slopes.append(slopes[-1])
+
+    def covered(lo, hi):
+        # the integrals of beta' and beta'^2 over (lo, hi]
+        b = lam = 0.0
+        for a, z, slope in zip(starts, ends, slopes):
+            width = max(min(hi, z) - max(lo, a), 0.0)
+            b += slope * width
+            lam += slope * slope * width
+        return b, lam
+
+    for i, size in enumerate(sizes):
+        d_beta[i], d_lambda[i] = covered(post, post + size)
+        post += size
+    return d_beta, d_lambda, covered(0.0, post)[0]
+
+
 @dataclass(frozen=True)
 class BismutWeight:
     """The three weight terms of one path and their normalizer beta(ell_t)."""
@@ -244,18 +284,13 @@ def accumulate_weight(
     m = int(np.searchsorted(path.times, t, side="right"))
     if len(snapshots) != 2 * m + 1:
         raise ValueError("snapshots do not match the jumps with time <= t")
-    resolved = clock.resolve(path)
-    ell_post = np.cumsum(path.sizes[:m])
-    ell_t = float(ell_post[-1]) if m else 0.0
-    normalizer = float(resolved.beta(ell_t))
+    d_ell = path.sizes[:m]
+    d_beta, d_lambda, normalizer = clock_increments(clock, d_ell)
     if normalizer <= 0:
         raise RejectedPathError("beta(ell_t) <= 0")
     if m == 0:
         return BismutWeight(0.0, 0.0, 0.0, normalizer)
 
-    ell_pre = np.concatenate(([0.0], ell_post[:-1]))
-    d_ell = path.sizes[:m]
-    d_beta, d_lambda = _interval_data(resolved, ell_pre, ell_post, d_ell)
     ratio = d_beta / d_ell
     cvar = np.maximum(d_lambda - d_beta * ratio, 0.0)
     dW = realization.increments[:m]

@@ -16,14 +16,17 @@ from levygrad import (
     dropped_mass_rate,
     estimate_gradient,
     estimate_gradient_fixed_clock,
+    first_passage,
     stable_median_s1,
     substream,
 )
+from levygrad.engine import fixed_jump_batch, sample_jump_batch
 from reference import (
     BismutWeight,
     PathRealization,
     RejectedPathError,
     accumulate_weight,
+    clock_increments,
     simulate_flow,
 )
 
@@ -256,16 +259,58 @@ def test_default_level_r_rules():
         default_level_R(BernsteinSpec.custom(lambda u: u / (1.0 + u)), 1.0)
 
 
+def _one_jump_curves(clock, u):
+    # one jump of size u covers the clock interval (0, u], so its increments
+    # are beta(u) and lambda(u), and beta(u) is also the path's normalizer
+    path = JumpPath(1.0, np.array([0.5]), np.array([u]))
+    d_beta, d_lambda, normalizer, _ = clock.increments(fixed_jump_batch(path, 1.0, 1))
+    assert d_beta[0] == normalizer[0]
+    return normalizer[0], d_lambda[0]
+
+
 def test_piecewise_clock_hand_values():
     clock = ClockSpec.piecewise_linear([[0.0, 0.0], [1.0, 0.5], [2.0, 0.5]])
-    resolved = clock.resolve(JumpPath(1.0, np.array([]), np.array([])))
-    assert resolved.beta(0.5) == pytest.approx(0.25)
-    assert resolved.beta(1.0) == pytest.approx(0.5)
-    assert resolved.beta(1.7) == pytest.approx(0.5)
-    assert resolved.lambda_beta(0.5) == pytest.approx(0.125)  # slope^2 * u
-    assert resolved.lambda_beta(1.5) == pytest.approx(0.25)
+    beta = lambda u: _one_jump_curves(clock, u)[0]
+    lambda_beta = lambda u: _one_jump_curves(clock, u)[1]
+    assert beta(0.5) == pytest.approx(0.25)
+    assert beta(1.0) == pytest.approx(0.5)
+    assert beta(1.7) == pytest.approx(0.5)
+    assert lambda_beta(0.5) == pytest.approx(0.125)  # slope^2 * u
+    assert lambda_beta(1.5) == pytest.approx(0.25)
     # beyond the last knot the final slope extends
-    assert resolved.beta(3.0) == pytest.approx(0.5)
+    assert beta(3.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("clock", [
+    ClockSpec.cap_at_first_passage(1.3),
+    ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]]),
+], ids=["cap", "piecewise"])
+def test_clock_increments_match_one_path_reference(clock):
+    jb = sample_jump_batch(1.5, 1.0, 0.05, 300, substream(17, 1, 0))
+    d_beta, d_lambda, normalizer, cap = clock.increments(jb)
+    assert (d_lambda is d_beta) == (clock.kind == "cap_at_first_passage")
+    # the batch's cumulatives subtract each path's start from one running sum
+    # over the whole batch, so they carry roundoff on the scale of its total
+    tol = 1e-14 * jb.sizes.sum()
+    kinds = set()
+    for i in range(jb.n):
+        lo, hi = jb.offsets[i], jb.offsets[i + 1]
+        ref_beta, ref_lambda, ref_norm = clock_increments(clock, jb.sizes[lo:hi])
+        assert normalizer[i] == pytest.approx(ref_norm, rel=1e-12, abs=tol)
+        if clock.kind == "cap_at_first_passage":
+            # the 0/1 rule: each jump counts whole or not at all
+            assert np.array_equal(d_beta[lo:hi], ref_beta)
+            fp = first_passage(jb.extract_path(i), clock.R)
+            assert cap[i] == (np.inf if fp is None else pytest.approx(fp.value_at, abs=tol))
+            kinds.add((fp is None, bool(np.all(d_beta[lo:hi] > 0))))
+        else:
+            np.testing.assert_allclose(d_beta[lo:hi], ref_beta, rtol=1e-12, atol=4 * tol)
+            np.testing.assert_allclose(d_lambda[lo:hi], ref_lambda, rtol=1e-12, atol=4 * tol)
+            assert np.all(np.isinf(cap))
+    if clock.kind == "cap_at_first_passage":
+        # uncapped paths, paths capped before their last jump, and paths
+        # capped at it all occur
+        assert kinds == {(True, True), (False, False), (False, True)}
 
 
 def test_clock_validation():

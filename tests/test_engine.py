@@ -46,14 +46,11 @@ def test_batched_flow_and_weights_match_single_path_reference():
     x0 = np.array([0.4, -0.2])
     v = np.array([1.0, 0.5])
     jb, dW, aux = _sample_setup()
-    ell_pre, ell_post, ell_T = path_cumulatives(jb)
-    cap = first_passage_levels(jb, ell_post, R)
-    cap_rep = np.repeat(cap, jb.counts)
-    d_beta = np.where(ell_post <= cap_rep, jb.sizes, 0.0)
-    X, Jv, X_pre, Jv_pre, _sup = flow_batch(x0, v, field, jb, dW, t, 100)
-    I1, I2, I3 = weight_terms(field, jb, dW, aux, X_pre, Jv_pre, d_beta, d_beta)
-
     clock = ClockSpec.cap_at_first_passage(R)
+    d_beta, d_lambda, normalizer, _ = clock.increments(jb)
+    X, Jv, X_pre, Jv_pre, _sup = flow_batch(x0, v, field, jb, dW, t, 100)
+    I1, I2, I3 = weight_terms(field, jb, dW, aux, X_pre, Jv_pre, d_beta, d_lambda)
+
     worst = 0.0
     for i in range(jb.n):
         lo, hi = jb.offsets[i], jb.offsets[i + 1]
@@ -69,7 +66,7 @@ def test_batched_flow_and_weights_match_single_path_reference():
             worst = max(worst, abs(got - ref) / scale)
         worst = max(worst, np.abs(X[i] - snaps[-1].X).max())
         worst = max(worst, np.abs(Jv[i] - snaps[-1].J).max())
-        assert min(ell_T[i], cap[i]) == pytest.approx(w.normalizer, rel=1e-13)
+        assert normalizer[i] == pytest.approx(w.normalizer, rel=1e-13)
     assert worst <= 1e-11
 
 
@@ -93,15 +90,19 @@ def test_first_passage_levels_agrees_with_single_path():
     jb, _, _ = _sample_setup(n=200, eps=0.2, seed=55)
     _, ell_post, _ = path_cumulatives(jb)
     for R in (0.3, 0.9, 2.5):
-        cap = first_passage_levels(jb, ell_post, R)
+        crossing = first_passage_levels(jb, ell_post, R)
         for i in range(jb.n):
-            fp = first_passage(jb.extract_path(i), R)
+            path = jb.extract_path(i)
+            fp = first_passage(path, R)
+            hits = np.flatnonzero(np.cumsum(path.sizes) >= R)  # an independent scan
             if fp is None:
-                assert cap[i] == np.inf
+                assert crossing[i] == -1 and hits.size == 0
             else:
+                assert crossing[i] == jb.offsets[i] + fp.jump_index
+                assert fp.jump_index == hits[0] and fp.tau == path.times[hits[0]]
                 # the tiled cumulative and a fresh per-path cumsum may differ
                 # by roundoff, so compare values rather than bits
-                assert cap[i] == pytest.approx(fp.value_at, rel=1e-12)
+                assert ell_post[crossing[i]] == pytest.approx(fp.value_at, rel=1e-12)
 
 
 def test_first_passage_levels_crossing_at_final_jump_before_empty_paths():
@@ -114,9 +115,9 @@ def test_first_passage_levels_crossing_at_final_jump_before_empty_paths():
         times=np.array([0.2, 0.8]), sizes=np.array([0.4, 0.7]),
     )
     _, ell_post, _ = path_cumulatives(jb)
-    cap = first_passage_levels(jb, ell_post, 1.0)
-    assert cap[0] == pytest.approx(1.1)
-    assert cap[1] == np.inf and cap[2] == np.inf
+    crossing = first_passage_levels(jb, ell_post, 1.0)
+    assert crossing.tolist() == [1, -1, -1]
+    assert ell_post[crossing[0]] == pytest.approx(1.1)
 
 
 def test_path_cumulatives_tile_exactly():

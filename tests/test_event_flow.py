@@ -99,11 +99,7 @@ def test_per_path_samples_match_pinned_digest(name):
 
 
 def test_piecewise_pin_reads_the_conditional_mark_part():
-    resolved = PIECEWISE.resolve(PATH)
-    post = np.cumsum(PATH.sizes)
-    pre = np.concatenate(([0.0], post[:-1]))
-    d_beta = resolved.beta(post) - resolved.beta(pre)
-    d_lambda = resolved.lambda_beta(post) - resolved.lambda_beta(pre)
+    d_beta, d_lambda, _, _ = PIECEWISE.increments(engine.fixed_jump_batch(PATH, PATH.horizon, 1))
     _, c = engine.conditional_mark_law(PATH.sizes, d_beta, d_lambda)
     assert np.any(c > 0.0)
 

@@ -21,14 +21,23 @@ from levygrad import (
     estimate_pt,
     estimate_pt_power,
     fd_gradient,
+    first_passage,
     inverse_moment,
     make_observable,
     sample_jump_path,
     sample_terminal_values,
     tail_mass,
+    truncate_jumps,
     truncation_convergence_check,
 )
-from levygrad.engine import BATCH_SIZE, run_batches, sample_jump_batch
+from levygrad.engine import (
+    BATCH_SIZE,
+    first_passage_levels,
+    fixed_jump_batch,
+    path_cumulatives,
+    run_batches,
+    sample_jump_batch,
+)
 
 SPEC = BernsteinSpec.alpha_stable(1.5)
 F1 = catalog("additive_identity", 1)
@@ -129,6 +138,7 @@ def test_substeps_below_one_are_rejected(name, substeps):
 
 
 NAN = float("nan")
+TILED = fixed_jump_batch(PATH, 1.0, 2)
 
 # A positivity check written as `x <= 0` lets NaN through; each of these
 # must stop at its own argument check.
@@ -160,6 +170,22 @@ NAN_ARGUMENTS = {
     "inverse_moment t": (lambda: inverse_moment(SPEC, NAN, 1.0), "t must be positive"),
     "tail_mass eps": (lambda: tail_mass(1.5, NAN), "eps must be positive"),
     "dropped_mass_rate eps": (lambda: dropped_mass_rate(1.5, NAN), "eps must be positive"),
+    "estimate_gradient R": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, NAN, 8, 0.05, 1), "cap_at_first_passage needs a level R > 0"),
+    "first_passage_levels R": (lambda: first_passage_levels(
+        TILED, path_cumulatives(TILED)[1], NAN), "the passage level R must be positive"),
+    "first_passage R": (lambda: first_passage(PATH, NAN), "the passage level R must be positive"),
+    "truncate_jumps eps": (lambda: truncate_jumps(PATH, NAN), "eps must be nonnegative"),
+    "truncation_convergence_check eps_list": (lambda: truncation_convergence_check(
+        PATH, CAP, [1.0], [NAN], 8, 16), "eps_list must contain positive cutoffs"),
+    "inverse_moment gamma": (lambda: inverse_moment(SPEC, 1.0, NAN), "gamma must be positive"),
+    "estimate_pt_power p": (lambda: estimate_pt_power(
+        X1, TANH, F1, SPEC, 1.0, NAN, 8, 3, eps_cut=0.05), "p must be positive"),
+    "check_gradient_bound p": (lambda: check_gradient_bound(
+        F1, SPEC, TANH, X1, NAN, [0.5, 1.0], 8, 3, eps_cut_at_1=0.05), "p must exceed 1"),
+    "check_gradient_bound t_grid": (lambda: check_gradient_bound(
+        F1, SPEC, TANH, X1, 2.0, [NAN, 1.0], 8, 3, eps_cut_at_1=0.05),
+        r"t_grid must be a nonempty subset of \(0, 1\]"),
 }
 
 
