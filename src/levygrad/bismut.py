@@ -50,6 +50,7 @@ from .subordinator import (
     BernsteinSpec,
     JumpPath,
     checked_jump_intensity,
+    default_eps_cut,
     dropped_mass_rate,
     stable_median_s1,
 )
@@ -179,13 +180,30 @@ def default_level_R(spec: BernsteinSpec, t: float) -> float:
     raise ValueError("no default level for custom Bernstein specs; pass R explicitly")
 
 
-def _check_vector(name: str, value, d: int) -> np.ndarray:
+def checked_vector(name: str, value, d: int) -> np.ndarray:
+    """value as a float vector of length d, refused unless every entry is finite."""
     arr = np.asarray(value, dtype=float)
     if arr.shape != (d,):
         raise ValueError(f"{name} must be a vector of length {d}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def checked_start(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps_cut):
+    """Opening checks of the estimators that sample the stable clock.
+
+    Returns x as a finite float vector of the field's dimension and the jump
+    cutoff (default_eps_cut(spec, t) when eps_cut is None), after refusing a
+    non-stable spec, a t that is not positive and an intractable cutoff.
+    """
+    if spec.kind != "alpha_stable":
+        raise ValueError("the estimators sample an alpha_stable clock")
+    if not t > 0:
+        raise ValueError("t must be positive")
+    eps = default_eps_cut(spec, t) if eps_cut is None else float(eps_cut)
+    checked_jump_intensity(spec.alpha, eps, t)
+    return checked_vector("x", x, field.dimension), eps
 
 
 def _weighted_pass(dW, aux, x, v, f, field, jb, t, substeps_per_unit, d_beta, d_lambda, bi):
@@ -301,14 +319,8 @@ def estimate_gradient(
     exceeds 1e-3. With antithetic=True each sample is the average over a
     Gaussian sign flip, and n_samples counts pairs.
     """
-    if spec.kind != "alpha_stable":
-        raise ValueError("gradient estimation samples an alpha_stable clock")
-    if not t > 0:
-        raise ValueError("t must be positive")
-    checked_jump_intensity(spec.alpha, eps_cut, t)
-    d = field.dimension
-    x = _check_vector("x", x, d)
-    v = _check_vector("v", v, d)
+    x, eps_cut = checked_start(x, field, spec, t, eps_cut)
+    v = checked_vector("v", v, field.dimension)
     if R is None or (isinstance(R, str) and R == "auto"):
         R = default_level_R(spec, t)
     clock = ClockSpec.cap_at_first_passage(R)
@@ -355,8 +367,8 @@ def estimate_gradient_fixed_clock(
     if not 0 < t <= path.horizon:
         raise ValueError("t must lie in (0, horizon]")
     d = field.dimension
-    x = _check_vector("x", x, d)
-    v = _check_vector("v", v, d)
+    x = checked_vector("x", x, d)
+    v = checked_vector("v", v, d)
     one_path = engine.fixed_jump_batch(path, t, 1)
     d_beta_1, d_lambda_1, normalizer, _ = clock.increments(one_path)
     normalizer = float(normalizer[0])

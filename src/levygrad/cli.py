@@ -7,6 +7,12 @@ with the package, plus an optional per-sample CSV. Exit codes: 0 when every
 check passes, 2 when any statistical check fails or an estimator is flagged
 invalid, 1 on usage or runtime errors. Reports are byte-identical across
 reruns of the same config apart from the timestamp field.
+
+Config keys are library keyword arguments: one table (_KEYS) names each
+key's parameter and parser, for the top level and the nested field, f,
+clock and path objects alike. Unknown keys are refused at every level, and
+an optional key that is absent is not passed, so the library's default
+applies. The value checks are the library's own.
 """
 
 from __future__ import annotations
@@ -52,110 +58,106 @@ EXIT_STAT_FAIL = 2
 CSV_ROW_CAP = 10**6
 CSV_COLUMNS = ("sample_index", "f_value", "weight", "I1", "I2", "I3", "normalizer")
 
-_COMMON_OPTIONAL = ("output",)
-
 
 class ConfigError(ValueError):
     """Bad config content: unknown keys, missing keys, invalid names."""
 
 
-def _check_keys(cfg: dict, required: tuple, optional: tuple) -> None:
-    unknown = sorted(set(cfg) - set(required) - set(optional) - set(_COMMON_OPTIONAL))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    missing = sorted(set(required) - set(cfg))
-    if missing:
-        raise ConfigError(f"missing config keys: {missing}")
-
-
 def _field_from(value) -> CoefficientField:
     if isinstance(value, str):
         return catalog(value)
-    if isinstance(value, dict):
-        extra = sorted(set(value) - {"name", "dimension"})
-        if extra:
-            raise ConfigError(f"unknown field keys: {extra}")
-        if "name" not in value:
-            raise ConfigError("field object needs a 'name'")
-        return catalog(value["name"], int(value.get("dimension", 1)))
-    raise ConfigError("field must be a catalog name or {name, dimension}")
+    return catalog(**_args(value, ("name",), ("dimension",), "field"))
 
 
 def _observable_from(value):
     if isinstance(value, str):
         return make_observable(value)
-    if isinstance(value, dict):
-        extra = sorted(set(value) - {"name", "a"})
-        if extra:
-            raise ConfigError(f"unknown f keys: {extra}")
-        if "name" not in value:
-            raise ConfigError("f object needs a 'name'")
-        return make_observable(value["name"], value.get("a"))
-    raise ConfigError("f must be an observable name or {name, a}")
+    return make_observable(**_args(value, ("name",), ("a",), "f"))
+
+
+# the one parameter each clock kind takes, named as in its ClockSpec constructor
+_CLOCK_PARAMS = {"cap_at_first_passage": "R", "piecewise_linear": "knots"}
 
 
 def _clock_from(value) -> ClockSpec:
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError("clock must be an object with a 'kind'")
-    kind = value["kind"]
-    if kind == "cap_at_first_passage":
-        extra = sorted(set(value) - {"kind", "R"})
-        if extra:
-            raise ConfigError(f"unknown clock keys: {extra}")
-        if "R" not in value:
-            raise ConfigError("cap_at_first_passage clock needs 'R'")
-        return ClockSpec.cap_at_first_passage(float(value["R"]))
-    if kind == "piecewise_linear":
-        extra = sorted(set(value) - {"kind", "knots"})
-        if extra:
-            raise ConfigError(f"unknown clock keys: {extra}")
-        if "knots" not in value:
-            raise ConfigError("piecewise_linear clock needs 'knots'")
-        return ClockSpec.piecewise_linear(value["knots"])
-    raise ConfigError(f"unknown clock kind {kind!r}")
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if kind not in _CLOCK_PARAMS:
+        raise ConfigError(f"clock must be an object with a 'kind' in {sorted(_CLOCK_PARAMS)}")
+    param = _CLOCK_PARAMS[kind]
+    return getattr(ClockSpec, kind)(_args(value, ("kind", param), (), "clock")[param])
 
 
 def _path_from(value) -> JumpPath:
-    if not isinstance(value, dict):
-        raise ConfigError("path must be an object {horizon, times, sizes}")
-    extra = sorted(set(value) - {"horizon", "times", "sizes"})
-    if extra:
-        raise ConfigError(f"unknown path keys: {extra}")
-    for key in ("horizon", "times", "sizes"):
-        if key not in value:
-            raise ConfigError(f"path needs '{key}'")
-    return JumpPath(
-        float(value["horizon"]),
-        np.asarray(value["times"], dtype=float),
-        np.asarray(value["sizes"], dtype=float),
-    )
+    return JumpPath(**_args(value, ("horizon", "times", "sizes"), (), "path"))
 
 
-def _stable_spec(cfg: dict) -> BernsteinSpec:
-    return BernsteinSpec.alpha_stable(float(cfg["alpha"]))
+def _same(value):
+    return value
 
 
-def _from_report(rep: ComparisonReport, name: str) -> dict:
+# config key -> (library parameter name, parser), for the top-level config and
+# its nested field/f/clock/path objects alike. Arrays and "auto" levels pass
+# as read: the library converts and checks them.
+_KEYS = {
+    "alpha": ("spec", BernsteinSpec.alpha_stable),
+    "field": ("field", _field_from),
+    "f": ("f", _observable_from),
+    "path": ("path", _path_from),
+    "clock": ("clock", _clock_from),
+    "gammas": ("gammas", lambda gs: [float(g) for g in gs]),
+    "antithetic": ("antithetic", bool),
+    **{
+        key: (key, int) for key in ("n_paths", "seed", "workers", "substeps_per_unit", "dimension")
+    },
+    **{
+        key: (key, float)
+        for key in ("t", "p", "eps_cut", "eps_mollify", "grid_step", "slope_tolerance", "horizon")
+    },
+    **{
+        key: (key, _same)
+        for key in ("x", "v", "xi", "t_grid", "R", "eps_cut_at_1", "eps_list", "name", "a",
+                    "kind", "knots", "times", "sizes")
+    },
+}
+
+# keys the report code reads itself; they are checked but not passed on
+_TARGET = ("target_value", "tolerance_abs")
+_SAMPLES = ("emit_samples", "samples_path")
+
+
+def _args(cfg, required: tuple, optional: tuple = (), what: str = "config") -> dict:
+    """Check cfg's keys and parse them into the library's keyword arguments.
+
+    An optional key that is absent is left out, so the library's own default
+    applies.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = sorted(set(cfg) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    missing = sorted(set(required) - set(cfg))
+    if missing:
+        raise ConfigError(f"missing {what} keys: {missing}")
     return {
-        "name": name,
-        "passed": rep.passed,
-        "z_score": rep.z_score,
-        "lhs_mean": rep.lhs_mean,
-        "rhs_mean": rep.rhs_mean,
-        "combined_se": rep.combined_se,
-        "threshold_se": rep.threshold_se,
-        "tolerance_abs": rep.tolerance_abs,
+        _KEYS[key][0]: _KEYS[key][1](cfg[key])
+        for key in (*required, *optional)
+        if key in cfg and key in _KEYS
     }
 
 
-def _target_check(result, cfg: dict, checks: list) -> None:
-    if "target_value" in cfg:
-        rep = compare(
-            result,
-            float(cfg["target_value"]),
-            tolerance_abs=float(cfg.get("tolerance_abs", 0.0)),
-        )
-        checks.append(_from_report(rep, "agrees with target_value"))
+def _from_report(rep: ComparisonReport, name: str) -> dict:
+    fields = rep.to_dict()
+    del fields["label"]
+    return {"name": name, **fields}
+
+
+def _target_checks(result, cfg: dict) -> list:
+    if "target_value" not in cfg:
+        return []
+    tolerance = {"tolerance_abs": float(cfg["tolerance_abs"])} if "tolerance_abs" in cfg else {}
+    rep = compare(result, float(cfg["target_value"]), **tolerance)
+    return [_from_report(rep, "agrees with target_value")]
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +165,10 @@ def _target_check(result, cfg: dict, checks: list) -> None:
 
 
 def _cmd_sample_subordinator(cfg: dict):
-    _check_keys(cfg, ("alpha", "eps_cut", "t", "n_paths", "seed"), ())
-    spec = _stable_spec(cfg)
-    eps = float(cfg["eps_cut"])
-    t = float(cfg["t"])
-    n = int(cfg["n_paths"])
-    seed = int(cfg["seed"])
-    if not (t > 0 and eps > 0) or n < 2:
-        raise ConfigError("need t > 0, eps_cut > 0, n_paths >= 2")
+    kw = _args(cfg, ("alpha", "eps_cut", "t", "n_paths", "seed"))
+    spec, eps, t, n, seed = (kw[k] for k in ("spec", "eps_cut", "t", "n_paths", "seed"))
+    if n < 2:
+        raise ConfigError("n_paths must be at least 2")
     lam = checked_jump_intensity(spec.alpha, eps, t)
 
     def worker(bi: int, start: int, count: int):
@@ -207,32 +205,17 @@ def _cmd_sample_subordinator(cfg: dict):
 
 
 def _cmd_simulate(cfg: dict):
-    _check_keys(
+    kw = _args(
         cfg,
         ("field", "alpha", "eps_cut", "x", "f", "t", "n_paths", "seed"),
-        ("substeps_per_unit", "workers", "target_value", "tolerance_abs"),
+        ("substeps_per_unit", "workers", *_TARGET),
     )
-    field = _field_from(cfg["field"])
-    spec = _stable_spec(cfg)
-    f = _observable_from(cfg["f"])
-    result = estimate_pt(
-        cfg["x"],
-        f,
-        field,
-        spec,
-        float(cfg["t"]),
-        int(cfg["n_paths"]),
-        int(cfg["seed"]),
-        eps_cut=float(cfg["eps_cut"]),
-        substeps_per_unit=int(cfg.get("substeps_per_unit", 100)),
-        workers=int(cfg.get("workers", 1)),
-    )
-    checks: list = []
-    _target_check(result, cfg, checks)
+    result = estimate_pt(**kw)
+    checks = _target_checks(result, cfg)
     return {"estimate": result.to_dict()}, checks, dict(result.diagnostics), None
 
 
-def _gradient_common(cfg: dict, result):
+def _gradient_report(cfg: dict, result):
     checks = [
         {
             "name": "estimator valid",
@@ -240,113 +223,43 @@ def _gradient_common(cfg: dict, result):
             "rejection_fraction": result.diagnostics.get("rejection_fraction", 0.0),
         }
     ]
-    _target_check(result, cfg, checks)
+    checks += _target_checks(result, cfg)
     diagnostics = dict(result.diagnostics)
     diagnostics["n_rejected"] = float(result.n_rejected)
-    rows = getattr(result, "_sample_rows", None) if cfg.get("emit_samples", False) else None
+    rows = getattr(result, "_sample_rows", None)
     return {"estimate": result.to_dict()}, checks, diagnostics, rows
 
 
 def _cmd_gradient(cfg: dict):
-    _check_keys(
+    kw = _args(
         cfg,
         ("field", "alpha", "eps_cut", "x", "v", "f", "t", "n_paths", "seed"),
-        (
-            "R",
-            "substeps_per_unit",
-            "workers",
-            "antithetic",
-            "emit_samples",
-            "samples_path",
-            "target_value",
-            "tolerance_abs",
-        ),
+        ("R", "substeps_per_unit", "workers", "antithetic", *_SAMPLES, *_TARGET),
     )
-    field = _field_from(cfg["field"])
-    spec = _stable_spec(cfg)
-    f = _observable_from(cfg["f"])
-    n = int(cfg["n_paths"])
-    emit = bool(cfg.get("emit_samples", False))
-    result = estimate_gradient(
-        cfg["x"],
-        cfg["v"],
-        f,
-        field,
-        spec,
-        float(cfg["t"]),
-        cfg.get("R", "auto"),
-        n,
-        float(cfg["eps_cut"]),
-        int(cfg["seed"]),
-        substeps_per_unit=int(cfg.get("substeps_per_unit", 100)),
-        workers=int(cfg.get("workers", 1)),
-        antithetic=bool(cfg.get("antithetic", False)),
-        collect_samples=min(n, CSV_ROW_CAP) if emit else 0,
-    )
-    return _gradient_common(cfg, result)
+    # R is a required parameter of estimate_gradient; "auto" is its documented default level
+    rows = CSV_ROW_CAP if cfg.get("emit_samples", False) else 0
+    result = estimate_gradient(**{"R": "auto", **kw}, collect_samples=rows)
+    return _gradient_report(cfg, result)
 
 
 def _cmd_gradient_fixed_clock(cfg: dict):
-    _check_keys(
+    kw = _args(
         cfg,
         ("field", "x", "v", "f", "path", "clock", "t", "n_paths", "seed"),
-        (
-            "substeps_per_unit",
-            "workers",
-            "emit_samples",
-            "samples_path",
-            "target_value",
-            "tolerance_abs",
-        ),
+        ("substeps_per_unit", "workers", *_SAMPLES, *_TARGET),
     )
-    field = _field_from(cfg["field"])
-    f = _observable_from(cfg["f"])
-    path = _path_from(cfg["path"])
-    clock = _clock_from(cfg["clock"])
-    n = int(cfg["n_paths"])
-    emit = bool(cfg.get("emit_samples", False))
-    result = estimate_gradient_fixed_clock(
-        cfg["x"],
-        cfg["v"],
-        f,
-        field,
-        path,
-        clock,
-        float(cfg["t"]),
-        n,
-        int(cfg["seed"]),
-        substeps_per_unit=int(cfg.get("substeps_per_unit", 100)),
-        workers=int(cfg.get("workers", 1)),
-        collect_samples=min(n, CSV_ROW_CAP) if emit else 0,
-    )
-    return _gradient_common(cfg, result)
+    rows = CSV_ROW_CAP if cfg.get("emit_samples", False) else 0
+    result = estimate_gradient_fixed_clock(**kw, collect_samples=rows)
+    return _gradient_report(cfg, result)
 
 
 def _cmd_validate_bound(cfg: dict):
-    _check_keys(
+    kw = _args(
         cfg,
         ("field", "alpha", "f", "x", "p", "t_grid", "n_paths", "seed"),
         ("v", "eps_cut_at_1", "R", "slope_tolerance", "substeps_per_unit", "workers"),
     )
-    field = _field_from(cfg["field"])
-    spec = _stable_spec(cfg)
-    f = _observable_from(cfg["f"])
-    report = check_gradient_bound(
-        field,
-        spec,
-        f,
-        cfg["x"],
-        float(cfg["p"]),
-        cfg["t_grid"],
-        int(cfg["n_paths"]),
-        int(cfg["seed"]),
-        v=cfg.get("v"),
-        eps_cut_at_1=cfg.get("eps_cut_at_1"),
-        R=cfg.get("R", "auto"),
-        slope_tolerance=float(cfg.get("slope_tolerance", 0.15)),
-        substeps_per_unit=int(cfg.get("substeps_per_unit", 100)),
-        workers=int(cfg.get("workers", 1)),
-    )
+    report = check_gradient_bound(**kw)
     checks = [
         {"name": "grid complete", "passed": not report["incomplete"]},
         {
@@ -362,18 +275,8 @@ def _cmd_validate_bound(cfg: dict):
 
 
 def _cmd_counterexample(cfg: dict):
-    _check_keys(
-        cfg,
-        ("eps_mollify", "n_paths", "grid_step", "seed"),
-        ("workers",),
-    )
-    out = counterexample_moments(
-        float(cfg["eps_mollify"]),
-        int(cfg["n_paths"]),
-        float(cfg["grid_step"]),
-        int(cfg["seed"]),
-        workers=int(cfg.get("workers", 1)),
-    )
+    kw = _args(cfg, ("eps_mollify", "n_paths", "grid_step", "seed"), ("workers",))
+    out = counterexample_moments(**kw)
     jump = out["jump_moment"]
     moll = out["mollified_moment"]
     e_minus_1 = math.e - 1.0
@@ -396,21 +299,19 @@ def _cmd_counterexample(cfg: dict):
     results = {
         "jump_moment": jump.to_dict(),
         "mollified_moment": moll.to_dict(),
-        "mollified_target": math.exp(1.0 + float(cfg["eps_mollify"])) - 1.0,
+        "mollified_target": math.exp(1.0 + kw["eps_mollify"]) - 1.0,
     }
     return results, checks, {"e_minus_1": e_minus_1}, None
 
 
 def _cmd_moments(cfg: dict):
-    _check_keys(cfg, ("alpha", "t", "gammas"), ())
-    spec = _stable_spec(cfg)
-    t = float(cfg["t"])
-    gammas = [float(g) for g in cfg["gammas"]]
-    if not gammas or any(g <= 0 for g in gammas):
-        raise ConfigError("gammas must be positive")
+    kw = _args(cfg, ("alpha", "t", "gammas"))
+    spec, t = kw["spec"], kw["t"]
+    if not kw["gammas"]:
+        raise ConfigError("gammas must be a nonempty list")
     values = {}
     checks = []
-    for g in gammas:
+    for g in kw["gammas"]:
         val = inverse_moment(spec, t, g)
         ref = inverse_moment(spec, 1.0, g) * t ** (-2.0 * g / spec.alpha)
         rel = abs(val - ref) / ref
@@ -426,20 +327,10 @@ def _cmd_moments(cfg: dict):
 
 
 def _cmd_lemma_tests(cfg: dict):
-    _check_keys(
-        cfg,
-        ("path", "clock", "xi", "eps_list", "n_paths", "seed"),
-        ("workers",),
-    )
-    path = _path_from(cfg["path"])
-    clock = _clock_from(cfg["clock"])
-    n = int(cfg["n_paths"])
-    seed = int(cfg["seed"])
-    workers = int(cfg.get("workers", 1))
-    iso = burkholder_isometry_check(cfg["xi"], path, clock, n, seed, workers=workers)
-    entries = truncation_convergence_check(
-        path, clock, cfg["xi"], cfg["eps_list"], n, seed, workers=workers
-    )
+    kw = _args(cfg, ("path", "clock", "xi", "eps_list", "n_paths", "seed"), ("workers",))
+    eps_list = kw.pop("eps_list")
+    iso = burkholder_isometry_check(**kw)
+    entries = truncation_convergence_check(eps_list=eps_list, **kw)
     checks = [_from_report(iso, "second-moment isometry")]
     for e in entries:
         checks.append(
@@ -462,7 +353,7 @@ def _cmd_lemma_tests(cfg: dict):
         "isometry": iso.to_dict(),
         "truncation": entries,
     }
-    return results, checks, {"path_jumps": int(path.times.size)}, None
+    return results, checks, {"path_jumps": int(kw["path"].times.size)}, None
 
 
 _HANDLERS = {
@@ -518,8 +409,7 @@ def _write_samples(path: str, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows[:CSV_ROW_CAP]:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def run(command: str, config_path: str) -> int:
@@ -546,7 +436,9 @@ def run(command: str, config_path: str) -> int:
     try:
         if cfg.get("emit_samples", False) and "samples_path" not in cfg:
             raise ConfigError("emit_samples requires samples_path")
-        results, checks, diagnostics, rows = _HANDLERS[command](cfg)
+        # "output" is read here; the handlers check and parse every other key
+        handler_cfg = {k: v for k, v in cfg.items() if k != "output"}
+        results, checks, diagnostics, rows = _HANDLERS[command](handler_cfg)
     except (ConfigError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -139,6 +139,8 @@ def sample_jump_batch(
     """
     if not eps_cut > 0:
         raise ValueError("eps_cut must be positive")
+    if not horizon >= 0:
+        raise ValueError("horizon must be nonnegative")
     counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n).astype(np.int64)
     total = int(counts.sum())
     raw_times = horizon - rng.uniform(0.0, horizon, size=total)
@@ -177,8 +179,6 @@ def sample_jump_path(
 ) -> JumpPath:
     """One stable subordinator path: the single path of sample_jump_batch(n = 1)."""
     alpha = _require_stable(spec)
-    if not horizon >= 0:
-        raise ValueError("horizon must be nonnegative")
     checked_jump_intensity(alpha, eps_cut, horizon)
     return sample_jump_batch(alpha, horizon, eps_cut, 1, rng).extract_path(0)
 
@@ -200,12 +200,11 @@ def first_passage(path: JumpPath, R: float) -> FirstPassage | None:
     jumps, so the crossing jump has value_before < R <= value_at.
     """
     batch = fixed_jump_batch(path, path.horizon, 1)
-    _, ell_post, _ = path_cumulatives(batch)
+    ell_pre, ell_post, _ = path_cumulatives(batch)
     j = int(first_passage_levels(batch, ell_post, R)[0])
     if j < 0:
         return None
-    at = ell_post[j]
-    return FirstPassage(float(path.times[j]), float(at - path.sizes[j]), float(at), j)
+    return FirstPassage(float(path.times[j]), float(ell_pre[j]), float(ell_post[j]), j)
 
 
 def fixed_jump_batch(path: JumpPath, t: float, n: int) -> JumpBatch:
@@ -418,11 +417,8 @@ def path_cumulatives(batch: JumpBatch):
     start = pad[batch.offsets[:-1]]
     ell_post = cs - np.repeat(start, batch.counts)
     ell_pre = np.empty_like(ell_post)
-    if batch.total:
-        ell_pre[batch.offsets[:-1][batch.counts > 0]] = 0.0
-        interior = np.ones(batch.total, dtype=bool)
-        interior[batch.offsets[:-1][batch.counts > 0]] = False
-        ell_pre[interior] = ell_post[np.nonzero(interior)[0] - 1]
+    ell_pre[1:] = ell_post[:-1]
+    ell_pre[batch.offsets[:-1][batch.counts > 0]] = 0.0
     ell_T = np.zeros(batch.n)
     nonempty = batch.counts > 0
     ell_T[nonempty] = ell_post[batch.offsets[1:][nonempty] - 1]
@@ -604,6 +600,8 @@ def run_batches(n_total: int, workers: int, worker_fn) -> BatchRun:
     """
     if n_total < 1:
         raise ValueError("n_paths must be at least 1")
+    if not workers >= 1:
+        raise ValueError("workers must be at least 1")
     parts = map_batches(n_total, workers, worker_fn)
     stats: dict = {}
     counters: dict[str, int] = {}

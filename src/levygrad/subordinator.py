@@ -313,20 +313,20 @@ def stable_median_s1(spec: BernsteinSpec) -> float:
     return _median_cache[key]
 
 
-def default_eps_cut(spec: BernsteinSpec, t: float, fraction: float = 0.1) -> float:
-    """Cutoff for which the mean dropped clock mass is a fraction of scale.
+def default_eps_cut(spec: BernsteinSpec, t: float) -> float:
+    """Cutoff for which the mean dropped clock mass is 10% of the clock scale.
 
     The retained clock mass has no finite mean for the stable subordinator, so
     the comparison scale is the median of S_t, i.e. median(S_1) * t**(2/alpha).
-    Solves dropped_mass_rate(eps) * t = fraction * scale for eps; the result
+    Solves dropped_mass_rate(eps) * t = 0.1 * scale for eps; the result
     scales exactly as t**(2/alpha), keeping the per-path jump count and the
     relative truncation error t-independent.
 
-    The cutoff shrinks as fraction**(1/(1-alpha/2)), so small fractions get
-    expensive fast and can be intractable for alpha near 2. The default
-    favors tractability over bias; pass eps_cut explicitly for precision
-    runs, and check the implied jump intensity t * tail_mass(alpha, eps)
-    before launching large ones (the CLI does).
+    The 10% favors tractability over bias: the cutoff shrinks as the dropped
+    share to the power 1/(1-alpha/2), so smaller shares get expensive fast
+    and can be intractable for alpha near 2. Pass eps_cut explicitly for
+    precision runs, and check the implied jump intensity
+    t * tail_mass(alpha, eps) before launching large ones (the CLI does).
     """
     alpha = _require_stable(spec)
     if not t > 0:
@@ -335,4 +335,4 @@ def default_eps_cut(spec: BernsteinSpec, t: float, fraction: float = 0.1) -> flo
     scale = stable_median_s1(spec) * t ** (2.0 / alpha)
     # dropped rate = rho * eps**(1-rho) / ((1-rho) Gamma(1-rho))
     coef = rho / ((1.0 - rho) * math.gamma(1.0 - rho))
-    return (fraction * scale / (t * coef)) ** (1.0 / (1.0 - rho))
+    return (0.1 * scale / (t * coef)) ** (1.0 / (1.0 - rho))

@@ -16,14 +16,13 @@ import math
 import numpy as np
 
 from . import engine
-from .bismut import ClockSpec, estimate_gradient
+from .bismut import ClockSpec, checked_start, checked_vector, estimate_gradient
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, EstimatorResult, compare
 from .streams import substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
-    checked_jump_intensity,
     default_eps_cut,
     dropped_mass_rate,
     truncate_jumps,
@@ -70,19 +69,6 @@ def make_observable(name: str, a=None):
     raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLE_NAMES}")
 
 
-def _prep(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps_cut):
-    if spec.kind != "alpha_stable":
-        raise ValueError("semigroup estimation samples an alpha_stable clock")
-    if not t > 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field.dimension,):
-        raise ValueError(f"x must be a vector of length {field.dimension}")
-    eps = default_eps_cut(spec, t) if eps_cut is None else float(eps_cut)
-    checked_jump_intensity(spec.alpha, eps, t)
-    return x, eps
-
-
 def estimate_pt(
     x,
     f,
@@ -101,7 +87,7 @@ def estimate_pt(
     Uses the same jump and mark streams as the gradient estimator at the same
     seed, so the two runs share paths (common random numbers).
     """
-    x, eps = _prep(x, field, spec, t, eps_cut)
+    x, eps = checked_start(x, field, spec, t, eps_cut)
     d = field.dimension
 
     def worker(bi: int, start: int, count: int):
@@ -191,10 +177,8 @@ def fd_gradient(
     discontinuous f (the difference is a rare-event indicator at scale h);
     use the weighted estimator there. h defaults to 1e-3 * (1 + |x|).
     """
-    x, eps = _prep(x, field, spec, t, eps_cut)
-    v = np.asarray(v, dtype=float)
-    if v.shape != x.shape:
-        raise ValueError("v must match the dimension of x")
+    x, eps = checked_start(x, field, spec, t, eps_cut)
+    v = checked_vector("v", v, field.dimension)
     h_val = 1e-3 * (1.0 + float(np.linalg.norm(x))) if h is None else float(h)
     if not h_val > 0:
         raise ValueError("h must be positive")
@@ -327,8 +311,8 @@ def counterexample_moments(
     """
     if not 0.0 < eps_mollify < 0.5:
         raise ValueError("eps_mollify must lie in (0, 0.5)")
-    if grid_step > 1e-3:
-        raise ValueError("grid_step must be at most 1e-3")
+    if not 0 < grid_step <= 1e-3:
+        raise ValueError("grid_step must lie in (0, 1e-3]")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     field = catalog("pythagoras_1d")

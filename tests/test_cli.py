@@ -6,6 +6,7 @@ back and re-validated against the packaged schema from the test side.
 """
 
 import csv
+import hashlib
 import json
 
 import jsonschema
@@ -172,6 +173,107 @@ def test_lemma_tests_report(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# pinned reports: one small config per subcommand, plus the antithetic, CSV,
+# piecewise-clock and two-worker variants. Each entry holds the SHA-256 of the
+# stdout report with its timestamp line dropped and, where a CSV is written,
+# the SHA-256 of that file.
+
+
+def pin_config(**changes):
+    """gradient_config at 300 paths with keys changed; a None value drops the key."""
+    cfg = dict(gradient_config(n_paths=300, seed=5), **changes)
+    return {k: v for k, v in cfg.items() if v is not None}
+
+
+LEMMA_PATH = {"horizon": 1.0, "times": [0.2, 0.5, 0.8], "sizes": [1.3, 0.9, 0.4]}
+PIECEWISE_CLOCK = {"kind": "piecewise_linear", "knots": [[0, 0], [0.5, 0.2], [1, 1.1], [3, 1.5]]}
+PINNED = {
+    "sample-subordinator": (
+        "sample-subordinator",
+        {"alpha": 1.0, "eps_cut": 1e-2, "t": 1.0, "n_paths": 400, "seed": 7},
+        "72eaf227f83c787fea742fea7e188fc02167f489c37b1c98bcee648abdc4c796",
+        None,
+    ),
+    "simulate": (
+        "simulate",
+        pin_config(v=None, target_value=0.3, tolerance_abs=0.5),
+        "3c350b32c35f19533f88fdbdcfc4f85ecea72bb3e8422194a2595e6c7bb124fb",
+        None,
+    ),
+    # more paths than one batch holds, so the second worker gets a batch
+    "simulate 2 workers": (
+        "simulate",
+        pin_config(field="pythagoras_1d", x=[0.2], v=None, eps_cut=0.05, t=1.0, n_paths=33000,
+                   workers=2, substeps_per_unit=20),
+        "047722f0bbd13f9df6ce57daa9b495f5cacea3ba8b1ac459bde13ef8c5d9c4a0",
+        None,
+    ),
+    "gradient": (
+        "gradient",
+        pin_config(),
+        "fd7d56d346adae1196e37980129636af56ab7e1bcca6e6af24625431f878c179",
+        None,
+    ),
+    "gradient antithetic R csv": (
+        "gradient",
+        pin_config(antithetic=True, R=0.8, emit_samples=True, samples_path="samples.csv"),
+        "f0631c92122408960ad10c238a776d83666ffb3266c6edab2160377e6447d4c9",
+        "b57a38abbc87ec5150a6ab9393b477cdf128580015635a0668c72b4367b45434",
+    ),
+    "gradient-fixed-clock piecewise csv": (
+        "gradient-fixed-clock",
+        pin_config(alpha=None, eps_cut=None, path=LEMMA_PATH, clock=PIECEWISE_CLOCK, t=0.95,
+                   emit_samples=True, samples_path="samples.csv"),
+        "80a8d38fccfac43bd19de4dd7f8fa770671d47f8c560c34dd745f0da7f039c30",
+        "4266d61f28b9b23a0b62a5ca1746f1e8a11a4d6086c42729d6b15a5b39b3703c",
+    ),
+    "validate-bound": (
+        "validate-bound",
+        {"field": "pythagoras_1d", "alpha": 1.5, "f": "tanh1", "x": [0.2], "p": 2.0,
+         "t_grid": [0.25, 1.0], "n_paths": 300, "seed": 5, "v": [1.0], "R": "auto",
+         "slope_tolerance": 0.5},
+        "4c7fe1517f131a946a515879e0bcaed793753185cf37855dd7c1f826f892ed93",
+        None,
+    ),
+    "counterexample 2 workers": (
+        "counterexample",
+        {"eps_mollify": 0.1, "n_paths": 33000, "grid_step": 1e-3, "seed": 19, "workers": 2},
+        "3a334773b1f39ef5ace3275da144da7b554bd7ddf4bc92b8d050e96d94e8bc5b",
+        None,
+    ),
+    "moments": (
+        "moments",
+        {"alpha": 1.5, "t": 2.0, "gammas": [0.5, 1.0, 2.5]},
+        "9011b09d7746a32887c376b164c7f44f9ff1ae737e92b427e3bb02ae0dcca30c",
+        None,
+    ),
+    "lemma-tests": (
+        "lemma-tests",
+        {"path": LEMMA_PATH, "clock": {"kind": "cap_at_first_passage", "R": 2.0},
+         "xi": [1.0, -0.5], "eps_list": [1.0, 0.5, 0.1], "n_paths": 300, "seed": 23},
+        "5204508960ea06aed25c87453d7ae19275fdca2c3fcd7c772991d5412290b1a2",
+        None,
+    ),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_report_matches_pin(case, tmp_path, monkeypatch, capsys):
+    command, cfg, report_pin, csv_pin = PINNED[case]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_PASS
+    out = capsys.readouterr().out
+    body = "".join(ln for ln in out.splitlines(True) if '"timestamp"' not in ln)
+    assert sha256(body) == report_pin
+    if csv_pin is not None:
+        assert sha256((tmp_path / "samples.csv").read_text()) == csv_pin
+
+
+# ---------------------------------------------------------------------------
 # report plumbing
 
 
@@ -334,6 +436,33 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     cfg = dict(gradient_config(), n_path=100)  # typo'd key
     assert main(["gradient", write_config(tmp_path, cfg)]) == EXIT_ERROR
     assert "n_path" in capsys.readouterr().err
+
+
+LEMMA_CONFIG = PINNED["lemma-tests"][1]
+NESTED_KEY_ERRORS = {
+    "field unknown key": (
+        "gradient", pin_config(field={"name": "bounded_multiplicative", "dimension": 2, "dim": 3}),
+        "dim",
+    ),
+    "f unknown key": (
+        "gradient", pin_config(f={"name": "linear", "a": [1, 0], "coef": 1}), "coef",
+    ),
+    "clock unknown key": (
+        "lemma-tests",
+        dict(LEMMA_CONFIG, clock={"kind": "cap_at_first_passage", "R": 2.0, "level": 3}),
+        "level",
+    ),
+    "path missing sizes": (
+        "lemma-tests", dict(LEMMA_CONFIG, path={"horizon": 1.0, "times": [0.5]}), "sizes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_KEY_ERRORS))
+def test_nested_key_errors_exit_1(case, tmp_path, capsys):
+    command, cfg, key = NESTED_KEY_ERRORS[case]
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_ERROR
+    assert key in capsys.readouterr().err
 
 
 def test_emit_samples_requires_samples_path(tmp_path, capsys):

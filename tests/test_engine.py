@@ -105,6 +105,23 @@ def test_first_passage_levels_agrees_with_single_path():
                 assert ell_post[crossing[i]] == pytest.approx(fp.value_at, rel=1e-12)
 
 
+def test_first_passage_value_before_is_the_left_limit_bit_for_bit():
+    # value_before reads the previous cumulative, the float JumpPath.value_before
+    # reads too; value_at - size differs from it by roundoff
+    jb, _, _ = _sample_setup(n=300, eps=0.01, seed=61)
+    after_first_jump = 0
+    for R in (0.5, 2.0, 5.0):
+        for i in range(jb.n):
+            path = jb.extract_path(i)
+            fp = first_passage(path, R)
+            if fp is None:
+                continue
+            after_first_jump += fp.jump_index > 0
+            assert fp.value_before == path.value_before(fp.tau)
+            assert fp.value_before < R <= fp.value_at
+    assert after_first_jump > 100
+
+
 def test_first_passage_levels_crossing_at_final_jump_before_empty_paths():
     # The last nonempty path crosses only at its very last jump, and empty
     # paths trail it; the reduction must still see that crossing.

@@ -141,7 +141,8 @@ NAN = float("nan")
 TILED = fixed_jump_batch(PATH, 1.0, 2)
 
 # A positivity check written as `x <= 0` lets NaN through; each of these
-# must stop at its own argument check.
+# must stop at its own argument check. The zero and negative entries hold
+# the same checks at the other end of their range.
 NAN_ARGUMENTS = {
     "fd_gradient h": (lambda: fd_gradient(
         X1, V1, TANH, F1, SPEC, 1.0, NAN, 8, 5, eps_cut=0.05), "h must be positive"),
@@ -155,6 +156,22 @@ NAN_ARGUMENTS = {
         X1, V1, TANH, F1, PATH, CAP, NAN, 8, 2), r"t must lie in \(0, horizon\]"),
     "estimate_pt t": (lambda: estimate_pt(
         X1, TANH, F1, SPEC, NAN, 8, 3, eps_cut=0.05), "t must be positive"),
+    "estimate_pt x": (lambda: estimate_pt(
+        np.array([NAN]), TANH, F1, SPEC, 1.0, 8, 3, eps_cut=0.05), "x must be finite"),
+    "fd_gradient x": (lambda: fd_gradient(
+        np.array([NAN]), V1, TANH, F1, SPEC, 1.0, 1e-3, 8, 5, eps_cut=0.05), "x must be finite"),
+    "fd_gradient v": (lambda: fd_gradient(
+        X1, np.array([NAN]), TANH, F1, SPEC, 1.0, 1e-3, 8, 5, eps_cut=0.05), "v must be finite"),
+    "counterexample_moments grid_step": (lambda: counterexample_moments(
+        0.1, 8, NAN, 7), r"grid_step must lie in \(0, 1e-3\]"),
+    "counterexample_moments grid_step 0": (lambda: counterexample_moments(
+        0.1, 8, 0.0, 7), r"grid_step must lie in \(0, 1e-3\]"),
+    "counterexample_moments grid_step negative": (lambda: counterexample_moments(
+        0.1, 8, -1e-4, 7), r"grid_step must lie in \(0, 1e-3\]"),
+    "run_batches workers 0": (lambda: run_batches(
+        8, 0, lambda bi, start, count: {"samples": {}}), "workers must be at least 1"),
+    "estimate_pt workers -3": (lambda: estimate_pt(
+        X1, TANH, F1, SPEC, 1.0, 8, 3, eps_cut=0.05, workers=-3), "workers must be at least 1"),
     "estimate_pt eps_cut": (lambda: estimate_pt(
         X1, TANH, F1, SPEC, 1.0, 8, 3, eps_cut=NAN), "eps_cut must be positive"),
     "sample_jump_batch eps_cut": (lambda: sample_jump_batch(

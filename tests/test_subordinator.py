@@ -246,14 +246,6 @@ def test_default_eps_cut_scales_self_similarly():
         )
 
 
-def test_default_eps_cut_monotone_in_fraction():
-    spec = BernsteinSpec.alpha_stable(1.5)
-    a = default_eps_cut(spec, 1.0, fraction=0.05)
-    b = default_eps_cut(spec, 1.0, fraction=0.1)
-    c = default_eps_cut(spec, 1.0, fraction=0.2)
-    assert a < b < c
-
-
 def test_substream_reproducible_and_keyed():
     a = substream(123, 1, 0).standard_normal(5)
     b = substream(123, 1, 0).standard_normal(5)
