@@ -45,7 +45,7 @@ import numpy as np
 from . import engine
 from .coefficients import CoefficientField
 from .results import EstimatorResult
-from .streams import substream
+from .streams import checked_integer, substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
@@ -206,63 +206,44 @@ def checked_start(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps
     return checked_vector("x", x, field.dimension), eps
 
 
-def _weighted_pass(dW, aux, x, v, f, field, jb, t, substeps_per_unit, d_beta, d_lambda, bi):
-    """Flow, weight terms and observable of one batch under the marks (dW, aux).
+def _weighted_worker(x, v, f, field, t, substeps_per_unit, antithetic, collect_samples, draw):
+    """The per-batch worker of both weighted estimators.
 
-    Returns (f(X_t), I1, I2, I3, sup |grad_v X|^2), one value per path.
+    draw(bi, count) returns one batch's (jumps, marks, aux, ClockIncrements,
+    counters); the worker flows the batch, forms the weight terms and splits
+    f(X_t) * weight into its three parts. Paths with a normalizer that is not
+    positive are rejected. With antithetic each sample is the average over a
+    sign flip of every Gaussian. Batches keep their per-path rows for
+    _with_sample_rows only when collect_samples, checked here before any
+    batch runs, asks for rows.
     """
-    Xf, _Jvf, X_pre, Jv_pre, sup_g = engine.flow_batch(x, v, field, jb, dW, t, substeps_per_unit)
-    I1, I2, I3 = engine.weight_terms(field, jb, dW, aux, X_pre, Jv_pre, d_beta, d_lambda)
-    return engine.evaluate_observable(f, Xf, bi), I1, I2, I3, sup_g
-
-
-def _gradient_batch_worker(
-    x,
-    v,
-    f,
-    field,
-    alpha,
-    t,
-    clock,
-    eps_cut,
-    seed,
-    substeps_per_unit,
-    antithetic,
-):
-    """Build the per-batch closure shared by estimate_gradient."""
+    keep_rows = checked_integer("collect_samples", collect_samples, minimum=0) > 0
 
     def worker(bi: int, start: int, count: int):
-        jb = engine.sample_jump_batch(
-            alpha, t, eps_cut, count, substream(seed, engine.PURPOSE_JUMPS, bi)
-        )
-        dW = engine.sample_mark_batch(jb, x.size, substream(seed, engine.PURPOSE_MARKS, bi))
-        d_beta, d_lambda, normalizer, cap = clock.increments(jb)
-        reject = normalizer <= 0.0
+        jb, dW, aux, clock, counters = draw(bi, count)
+        reject = clock.normalizer <= 0.0
+        safe = np.where(reject, 1.0, clock.normalizer)
 
-        safe = np.where(reject, 1.0, normalizer)
-        # the cap clock has no conditional mark part, so no auxiliary normals
-        args = (x, v, f, field, jb, t, substeps_per_unit, d_beta, d_lambda, bi)
-        fv, I1, I2, I3, sup_g = _weighted_pass(dW, None, *args)
-        t1, t2, t3 = fv * I1 / safe, fv * I2 / safe, fv * I3 / safe
+        def weighted_pass(dW, aux):
+            X, _, X_pre, Jv_pre, sup_g = engine.flow_batch(x, v, field, jb, dW, t, substeps_per_unit)
+            I = engine.weight_terms(field, jb, dW, aux, X_pre, Jv_pre, clock.d_beta, clock.d_lambda)
+            return engine.evaluate_observable(f, X, bi), *I, sup_g
+
+        fv, I1, I2, I3, sup_g = weighted_pass(dW, aux)
+        terms = [fv * I / safe for I in (I1, I2, I3)]
         if antithetic:
-            fv2, K1, K2, K3, sup_g2 = _weighted_pass(-dW, None, *args)
-            t1 = 0.5 * (t1 + fv2 * K1 / safe)
-            t2 = 0.5 * (t2 + fv2 * K2 / safe)
-            t3 = 0.5 * (t3 + fv2 * K3 / safe)
+            fv2, *K, sup_g2 = weighted_pass(-dW, None if aux is None else -aux)
+            terms = [0.5 * (a + fv2 * k / safe) for a, k in zip(terms, K)]
             sup_g = np.maximum(sup_g, sup_g2)
+        t1, t2, t3 = terms
         return {
-            "samples": _term_samples(t1, t2, t3, sup_g),
+            "samples": {"y": t1 - t2 + t3, "t1": t1, "t2": t2, "t3": t3, "sup_g": sup_g},
             "reject": reject,
-            "counters": {"jumps": int(jb.total), "capped": int(np.isfinite(cap).sum())},
-            "rows": (start, fv, I1, I2, I3, normalizer, reject),
+            "counters": counters,
+            "rows": (start, fv, I1, I2, I3, clock.normalizer, reject) if keep_rows else None,
         }
 
     return worker
-
-
-def _term_samples(t1, t2, t3, sup_g) -> dict:
-    """Per-path sample columns of a weighted estimator: y = f * weight and its parts."""
-    return {"y": t1 - t2 + t3, "t1": t1, "t2": t2, "t3": t3, "sup_g": sup_g}
 
 
 def _term_diagnostics(run: engine.BatchRun) -> dict:
@@ -325,8 +306,18 @@ def estimate_gradient(
         R = default_level_R(spec, t)
     clock = ClockSpec.cap_at_first_passage(R)
 
-    worker = _gradient_batch_worker(
-        x, v, f, field, spec.alpha, t, clock, eps_cut, seed, substeps_per_unit, antithetic
+    def draw(bi: int, count: int):
+        jb = engine.sample_jump_batch(
+            spec.alpha, t, eps_cut, count, substream(seed, engine.PURPOSE_JUMPS, bi)
+        )
+        dW = engine.sample_mark_batch(jb, x.size, substream(seed, engine.PURPOSE_MARKS, bi))
+        increments = clock.increments(jb)
+        counters = {"jumps": int(jb.total), "capped": int(np.isfinite(increments.cap).sum())}
+        # the cap clock has no conditional mark part, so no auxiliary normals
+        return jb, dW, None, increments, counters
+
+    worker = _weighted_worker(
+        x, v, f, field, t, substeps_per_unit, antithetic, collect_samples, draw
     )
     run = engine.run_batches(n_paths, workers, worker)
     frac = run.n_rejected / n_paths
@@ -370,26 +361,19 @@ def estimate_gradient_fixed_clock(
     x = checked_vector("x", x, d)
     v = checked_vector("v", v, d)
     one_path = engine.fixed_jump_batch(path, t, 1)
-    d_beta_1, d_lambda_1, normalizer, _ = clock.increments(one_path)
-    normalizer = float(normalizer[0])
+    increments = clock.increments(one_path)
+    normalizer = float(increments.normalizer[0])
     if normalizer <= 0:
         raise ValueError("beta(ell_t) must be positive for the fixed-clock estimator")
 
-    def worker(bi: int, start: int, count: int):
+    def draw(bi: int, count: int):
         jb = engine.fixed_jump_batch(path, t, count)
         rng = substream(seed, engine.PURPOSE_MARKS, bi)
         dW = engine.sample_mark_batch(jb, d, rng)
         aux = rng.standard_normal((jb.total, d))
-        fv, I1, I2, I3, sup_g = _weighted_pass(
-            dW, aux, x, v, f, field, jb, t, substeps_per_unit,
-            np.tile(d_beta_1, count), np.tile(d_lambda_1, count), bi,
-        )
-        t1, t2, t3 = fv * I1 / normalizer, fv * I2 / normalizer, fv * I3 / normalizer
-        return {
-            "samples": _term_samples(t1, t2, t3, sup_g),
-            "rows": (start, fv, I1, I2, I3, np.full(count, normalizer), np.zeros(count, bool)),
-        }
+        return jb, dW, aux, ClockIncrements._make(np.tile(a, count) for a in increments), {}
 
+    worker = _weighted_worker(x, v, f, field, t, substeps_per_unit, False, collect_samples, draw)
     run = engine.run_batches(n_paths, workers, worker)
     diagnostics = {
         "rejection_fraction": 0.0,

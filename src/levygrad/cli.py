@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from importlib import resources
 
 import jsonschema
@@ -32,7 +33,7 @@ from . import engine
 from .bismut import ClockSpec, estimate_gradient, estimate_gradient_fixed_clock
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, compare
-from .streams import substream
+from .streams import checked_integer, substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
@@ -107,7 +108,8 @@ _KEYS = {
     "gammas": ("gammas", lambda gs: [float(g) for g in gs]),
     "antithetic": ("antithetic", bool),
     **{
-        key: (key, int) for key in ("n_paths", "seed", "workers", "substeps_per_unit", "dimension")
+        key: (key, partial(checked_integer, key))
+        for key in ("n_paths", "seed", "workers", "substeps_per_unit", "dimension")
     },
     **{
         key: (key, float)
@@ -436,6 +438,10 @@ def run(command: str, config_path: str) -> int:
     try:
         if cfg.get("emit_samples", False) and "samples_path" not in cfg:
             raise ConfigError("emit_samples requires samples_path")
+        for key in ("output", "samples_path"):
+            # open() takes an int as a file descriptor and writes there
+            if key in cfg and not isinstance(cfg[key], str):
+                raise ConfigError(f"{key} must be a file path string")
         # "output" is read here; the handlers check and parse every other key
         handler_cfg = {k: v for k, v in cfg.items() if k != "output"}
         results, checks, diagnostics, rows = _HANDLERS[command](handler_cfg)

@@ -45,182 +45,92 @@ class CoefficientField:
             raise ValueError("dimension must be at least 1")
 
 
-def _eye_like(x: np.ndarray, d: int) -> np.ndarray:
-    out = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d))
-    return np.ascontiguousarray(out)
+def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> CoefficientField:
+    """The catalog's one family: b = -x or 0, sigma = s(x_1) * I with ds = s'.
 
+    s = None gives sigma = I. The engine's hints follow from the two choices.
+    """
 
-def _zeros_rank3(x: np.ndarray, d: int) -> np.ndarray:
-    return np.zeros(x.shape[:-1] + (d, d, d))
+    def tiled(m, x):
+        return np.ascontiguousarray(np.broadcast_to(m, x.shape[:-1] + m.shape))
 
-
-def _zero_jvp(t, x, u):
-    return np.zeros_like(np.asarray(u, dtype=float))
-
-
-def _minus_jvp(t, x, u):
-    # grad_b = -I for b = -x
-    return -np.asarray(u, dtype=float)
-
-
-def _additive_identity(d: int) -> CoefficientField:
     def b(t, x):
         x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
+        return -x if linear_drift else np.zeros_like(x)
+
+    def jvp_b(t, x, u):
+        u = np.asarray(u, dtype=float)
+        return -u if linear_drift else np.zeros_like(u)
 
     def grad_b(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (d, d))
+        return tiled(-np.eye(d) if linear_drift else np.zeros((d, d)), np.asarray(x, dtype=float))
 
-    def sigma(t, x):
-        return _eye_like(np.asarray(x, dtype=float), d)
+    if s is None:
 
-    def grad_sigma(t, x):
-        return _zeros_rank3(np.asarray(x, dtype=float), d)
+        def sigma(t, x):
+            return tiled(np.eye(d), np.asarray(x, dtype=float))
 
-    return CoefficientField(
-        dimension=d,
-        b=b,
-        grad_b=grad_b,
-        sigma=sigma,
-        grad_sigma=grad_sigma,
-        sigma_inv=sigma,
-        name="additive_identity",
-        drift_is_zero=True,
-        sigma_is_constant=True,
-        jvp_b=_zero_jvp,
-    )
+        def grad_sigma(t, x):
+            return tiled(np.zeros((d, d, d)), np.asarray(x, dtype=float))
 
+        sigma_inv = sigma
+    else:
 
-def _ou_additive(d: int) -> CoefficientField:
-    def b(t, x):
-        x = np.asarray(x, dtype=float)
-        return -x
+        def sigma(t, x):
+            x = np.asarray(x, dtype=float)
+            return s(x[..., 0])[..., None, None] * np.eye(d)
 
-    def grad_b(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(-np.eye(d), x.shape[:-1] + (d, d))
-        return np.ascontiguousarray(out)
+        def grad_sigma(t, x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape[:-1] + (d, d, d))
+            out[..., :, :, 0] = ds(x[..., 0])[..., None, None] * np.eye(d)
+            return out
 
-    def sigma(t, x):
-        return _eye_like(np.asarray(x, dtype=float), d)
-
-    def grad_sigma(t, x):
-        return _zeros_rank3(np.asarray(x, dtype=float), d)
+        def sigma_inv(t, x):
+            x = np.asarray(x, dtype=float)
+            return (1.0 / s(x[..., 0]))[..., None, None] * np.eye(d)
 
     return CoefficientField(
-        dimension=d,
-        b=b,
-        grad_b=grad_b,
-        sigma=sigma,
-        grad_sigma=grad_sigma,
-        sigma_inv=sigma,
-        name="ou_additive",
-        sigma_is_constant=True,
-        jvp_b=_minus_jvp,
-    )
-
-
-def _pythagoras_1d() -> CoefficientField:
-    # d = 1, b = 0, sigma(x) = sqrt(1 + x^2); sigma'(x) = x / sqrt(1 + x^2).
-    def b(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
-
-    def grad_b(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (1, 1))
-
-    def sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.sqrt(1.0 + x[..., 0] ** 2)[..., None, None]
-
-    def grad_sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        root = np.sqrt(1.0 + x[..., 0] ** 2)
-        return (x[..., 0] / root)[..., None, None, None]
-
-    def sigma_inv(t, x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 / np.sqrt(1.0 + x[..., 0] ** 2))[..., None, None]
-
-    return CoefficientField(
-        dimension=1,
-        b=b,
-        grad_b=grad_b,
-        sigma=sigma,
-        grad_sigma=grad_sigma,
-        sigma_inv=sigma_inv,
-        name="pythagoras_1d",
-        drift_is_zero=True,
-        jvp_b=_zero_jvp,
+        d, b, grad_b, sigma, grad_sigma, sigma_inv, name,
+        drift_is_zero=not linear_drift, sigma_is_constant=s is None, jvp_b=jvp_b,
     )
 
 
 _KAPPA = 0.25
 
 
-def _bounded_multiplicative(d: int) -> CoefficientField:
-    # sigma(x) = (1 + kappa*tanh(x_1)) * I, b(x) = -x. The scalar factor lies in
-    # [1 - kappa, 1 + kappa], so |sigma^{-1}| <= 1/(1 - kappa).
-    def scalar(x):
-        return 1.0 + _KAPPA * np.tanh(x[..., 0])
-
-    def b(t, x):
-        x = np.asarray(x, dtype=float)
-        return -x
-
-    def grad_b(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(-np.eye(d), x.shape[:-1] + (d, d))
-        return np.ascontiguousarray(out)
-
-    def sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        return scalar(x)[..., None, None] * np.eye(d)
-
-    def grad_sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        # sech^2 written to stay finite for huge |x_1| (cosh overflows there)
-        e = np.exp(-2.0 * np.abs(x[..., 0]))
-        ds = _KAPPA * 4.0 * e / (1.0 + e) ** 2
-        out = np.zeros(x.shape[:-1] + (d, d, d))
-        out[..., :, :, 0] = ds[..., None, None] * np.eye(d)
-        return out
-
-    def sigma_inv(t, x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 / scalar(x))[..., None, None] * np.eye(d)
-
-    return CoefficientField(
-        dimension=d,
-        b=b,
-        grad_b=grad_b,
-        sigma=sigma,
-        grad_sigma=grad_sigma,
-        sigma_inv=sigma_inv,
-        name="bounded_multiplicative",
-        jvp_b=_minus_jvp,
-    )
+def _bounded(x1):
+    # in [1 - kappa, 1 + kappa], so |sigma^{-1}| <= 1/(1 - kappa)
+    return 1.0 + _KAPPA * np.tanh(x1)
 
 
-CATALOG_NAMES = ("additive_identity", "ou_additive", "pythagoras_1d", "bounded_multiplicative")
+def _bounded_slope(x1):
+    # kappa sech^2, written to stay finite for huge |x_1| (cosh overflows there)
+    e = np.exp(-2.0 * np.abs(x1))
+    return _KAPPA * 4.0 * e / (1.0 + e) ** 2
+
+
+# name -> (linear drift b = -x, s, s') of the family built by _isotropic
+_CATALOG = {
+    "additive_identity": (False, None, None),
+    "ou_additive": (True, None, None),
+    "pythagoras_1d": (False, lambda x1: np.sqrt(1.0 + x1**2), lambda x1: x1 / np.sqrt(1.0 + x1**2)),
+    "bounded_multiplicative": (True, _bounded, _bounded_slope),
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name: str, dimension: int = 1) -> CoefficientField:
     """Return a built-in coefficient field by name.
 
-    All built-ins are autonomous (the t argument is accepted and ignored).
-    pythagoras_1d exists only in dimension 1.
+    Every built-in is b = -x or 0 with sigma = s(x_1) * I: additive_identity
+    (0, I), ou_additive (-x, I), pythagoras_1d (0, sqrt(1 + x^2)) and
+    bounded_multiplicative (-x, (1 + tanh(x_1) / 4) I). All are autonomous
+    (the t argument is accepted and ignored). pythagoras_1d exists only in
+    dimension 1.
     """
-    if name == "additive_identity":
-        return _additive_identity(dimension)
-    if name == "ou_additive":
-        return _ou_additive(dimension)
-    if name == "pythagoras_1d":
-        if dimension != 1:
-            raise ValueError("pythagoras_1d is one-dimensional")
-        return _pythagoras_1d()
-    if name == "bounded_multiplicative":
-        return _bounded_multiplicative(dimension)
-    raise ValueError(f"unknown coefficient field {name!r}; choose from {CATALOG_NAMES}")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown coefficient field {name!r}; choose from {CATALOG_NAMES}")
+    if name == "pythagoras_1d" and dimension != 1:
+        raise ValueError("pythagoras_1d is one-dimensional")
+    return _isotropic(name, dimension, *_CATALOG[name])

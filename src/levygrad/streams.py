@@ -14,14 +14,31 @@ import numpy as np
 __all__ = ["substream"]
 
 
+def checked_integer(name: str, value, minimum: int | None = None) -> int:
+    """value as an int, refused by name if it is a bool, not integral or below minimum.
+
+    int() alone would silently turn 1.9 into 1.
+    """
+    try:
+        integral = not isinstance(value, (bool, np.bool_)) and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and int(value) < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Return the counter-based (Philox) stream identified by ``(seed, *key)``.
 
     Distinct keys give statistically independent streams; identical keys
-    give bit-identical streams.
+    give bit-identical streams. The seed must be a nonnegative integer.
     """
+    seed = checked_integer("seed", seed, minimum=0)
     for k in key:
         if int(k) < 0:
             raise ValueError("stream key labels must be nonnegative integers")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))

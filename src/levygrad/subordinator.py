@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "BernsteinSpec",
@@ -254,6 +253,9 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
         raise ValueError("t must be positive")
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    # imported at its only use: at module level, scipy.integrate took most of
+    # the time of `import levygrad`
+    from scipy.integrate import quad
 
     def log_upper_integrand(y: float) -> float:
         if y > 709.0:  # exp(y) exceeds the float range; the integrand is 0 there

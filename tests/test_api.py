@@ -1,6 +1,10 @@
 """The public namespace: every exported name resolves, and only the batched engine ships."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +27,13 @@ def test_per_path_reference_is_not_exported():
         assert not hasattr(levygrad, name), name
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("levygrad.flow")
+
+
+def test_import_leaves_scipy_out():
+    # scipy.integrate takes most of a cold import; only inverse_moment needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, levygrad; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -471,6 +471,43 @@ def test_emit_samples_requires_samples_path(tmp_path, capsys):
     assert "samples_path" in capsys.readouterr().err
 
 
+# open() takes an int as a file descriptor: the report or the CSV would go
+# into whatever that descriptor is. Both are refused before anything runs.
+PATH_TYPE_ERRORS = {
+    "output int": ("moments", {"alpha": 1.5, "t": 1.0, "gammas": [0.5], "output": 4093}),
+    "output list": ("moments", {"alpha": 1.5, "t": 1.0, "gammas": [0.5], "output": ["r.json"]}),
+    "samples_path int": ("gradient", pin_config(emit_samples=True, samples_path=4094)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_TYPE_ERRORS))
+def test_non_string_paths_exit_1(case, tmp_path, capsys):
+    command, cfg = PATH_TYPE_ERRORS[case]
+    key = case.split()[0]
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"{key} must be a file path string" in captured.err
+    assert captured.out == ""
+
+
+# int() would run 400.9 paths as 400 while the report echoes 400.9
+INTEGER_KEY_ERRORS = {
+    "n_paths": ("sample-subordinator", dict(PINNED["sample-subordinator"][1], n_paths=400.9)),
+    "seed": ("sample-subordinator", dict(PINNED["sample-subordinator"][1], seed=7.8)),
+    "workers": ("simulate", pin_config(v=None, workers=True)),
+    "substeps_per_unit": ("gradient", pin_config(substeps_per_unit=50.5)),
+    "dimension": ("gradient", pin_config(field={"name": "bounded_multiplicative",
+                                                "dimension": 2.5})),
+}
+
+
+@pytest.mark.parametrize("key", sorted(INTEGER_KEY_ERRORS))
+def test_non_integer_counts_exit_1(key, tmp_path, capsys):
+    command, cfg = INTEGER_KEY_ERRORS[key]
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_ERROR
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
 def test_unknown_field_name_exits_1(tmp_path, capsys):
     cfg = dict(gradient_config(), field="no_such_field")
     assert main(["gradient", write_config(tmp_path, cfg)]) == EXIT_ERROR

@@ -1,5 +1,6 @@
 """Coefficient catalog: analytic derivatives, inverses, inverse-diffusion bounds."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -145,3 +146,81 @@ def test_field_validation():
             grad_sigma=lambda t, x: x,
             sigma_inv=lambda t, x: x,
         )
+
+
+# Bit pins of every catalog evaluator: SHA-256 of each output's shape and
+# bytes at one fixed batch. The first column reaches x_1 = +-40, where a
+# sech^2 written through cosh would overflow.
+PIN_DIMS = {"additive_identity": 3, "ou_additive": 2, "pythagoras_1d": 1,
+            "bounded_multiplicative": 3}
+EVALUATORS = ("b", "grad_b", "jvp_b", "sigma", "grad_sigma", "sigma_inv")
+
+
+def _pin_outputs(name):
+    d = PIN_DIMS[name]
+    first = np.array([-40.0, -1.3, -0.0, 0.0, 0.7, 2.1, 40.0])
+    x = np.column_stack([first, *(np.linspace(-2.0, 2.5, first.size) * k for k in range(1, d))])
+    u = np.cos(np.arange(x.size, dtype=float)).reshape(x.shape)
+    F = catalog(name, d)
+    outputs = {c: getattr(F, c)(0.25, x) for c in EVALUATORS if c != "jvp_b"}
+    outputs["jvp_b"] = F.jvp_b(0.25, x, u)
+    return outputs
+
+
+def _digest(a):
+    a = np.asarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+EVALUATOR_PINS = {
+    "additive_identity": {
+        "b": "c42317bf91bb03fc3611c537a81075233ff7973738673a4fbbf227df3d938d17",
+        "grad_b": "3f959c3dc548ed83b8c2ebbf75dd4902978fbf8791ab299ccad719357864a64c",
+        "jvp_b": "c42317bf91bb03fc3611c537a81075233ff7973738673a4fbbf227df3d938d17",
+        "sigma": "5c664bb5fa840a9f1472fd351b6f023062b5fd06d15d4f1ad256d86dcb54f47e",
+        "grad_sigma": "85aba72aef8fdcf1f123ea5f458d852f87c75bfc1571cc9cccb3511bc5c524dc",
+        "sigma_inv": "5c664bb5fa840a9f1472fd351b6f023062b5fd06d15d4f1ad256d86dcb54f47e",
+    },
+    "bounded_multiplicative": {
+        "b": "439090b33474b2586f737af5c475e1f92dd1845fd20fc83552e38b5967bf81fe",
+        "grad_b": "8aabe72d4dd14efac5031ad81297147b7a0b3be0d5cb3500092fd240fe3170f0",
+        "jvp_b": "56b9308bb8773097479973147d1afe14f0f67f84759aa4c06f5516cf2706953c",
+        "sigma": "3954aeaf3ca79c67b144b9492e1c70ef961479db2eab6c35124bcb833a637af3",
+        "grad_sigma": "40b91f70ba77b8ff468f8ba35e9e62f9a7b5c38af7c3d0badfbfb3d9db54ddff",
+        "sigma_inv": "c4cbf2ac3c803390d951581b0ead43ca92a93d7b6832eceda68eb7f85ae8163a",
+    },
+    "ou_additive": {
+        "b": "ab8b2e0743d21db6ecbabd09b4743ee0e8de775c01a5c0a274065394f55c0d8b",
+        "grad_b": "f20f36f39c63821a059276aad4813366a40ae4fe2099ed2b5f52bf9e08121ee8",
+        "jvp_b": "df36814c02bf3bfb76ac43fa27423d11214a550dab1ca88c36e3427b08dba703",
+        "sigma": "36972d498edfa03fdb83623999b265e08179131cd8d216f88a2257f6499e3e6d",
+        "grad_sigma": "a3818c1cd8192f637fe5ff40f73ef9f493e58a0f5a9cbfded9d2caac5851c406",
+        "sigma_inv": "36972d498edfa03fdb83623999b265e08179131cd8d216f88a2257f6499e3e6d",
+    },
+    "pythagoras_1d": {
+        "b": "c8db61d66be2b15116a9164421367d41a4f92ae42aacea13cb79bea13bf378e0",
+        "grad_b": "636a02d5aff14f51d9784fe06c18d6bdb8237b5e10f49c417854d7980cbab40d",
+        "jvp_b": "c8db61d66be2b15116a9164421367d41a4f92ae42aacea13cb79bea13bf378e0",
+        "sigma": "945d6b9d3ebec4a7ce4d8ecf508ae0ad03bf74c5ccf414728d9e2033cf17ccd7",
+        "grad_sigma": "c0dbb21c5891792b8e690427d0f6e2f23742d99a91ca37dd41fc9b256fa6e75b",
+        "sigma_inv": "810ec6c25a4b1d2952963ee5f0476b4d4b6cc76be194c34a15efd48396e13b48",
+    },
+}
+
+
+# (drift_is_zero, sigma_is_constant): the engine skips work on these hints
+HINTS = {
+    "additive_identity": (True, True),
+    "ou_additive": (False, True),
+    "pythagoras_1d": (True, False),
+    "bounded_multiplicative": (False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_DIMS))
+def test_catalog_evaluators_match_pin(name):
+    assert {c: _digest(a) for c, a in _pin_outputs(name).items()} == EVALUATOR_PINS[name]
+    F = catalog(name, PIN_DIMS[name])
+    assert (F.drift_is_zero, F.sigma_is_constant) == HINTS[name]

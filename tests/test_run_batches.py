@@ -213,6 +213,38 @@ def test_nan_fails_the_positivity_checks(case):
         run()
 
 
+# Integer arguments: int() would truncate 1.9 to 1 and run as seed 1, and a
+# negative limit would slice rows from the end.
+INTEGER_ARGUMENTS = {
+    "estimate_gradient seed 1.9": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", 8, 0.05, 1.9), "seed must be an integer"),
+    "estimate_gradient seed -1": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", 8, 0.05, -1), "seed must be at least 0"),
+    "estimate_gradient_fixed_clock seed True": (lambda: estimate_gradient_fixed_clock(
+        X1, V1, TANH, F1, PATH, CAP, 1.0, 8, True), "seed must be an integer"),
+    "fd_gradient seed -1": (lambda: fd_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, 1e-3, 8, -1, eps_cut=0.05), "seed must be at least 0"),
+    "estimate_pt seed 3.5": (lambda: estimate_pt(
+        X1, TANH, F1, SPEC, 1.0, 8, 3.5, eps_cut=0.05), "seed must be an integer"),
+    "estimate_gradient collect_samples -3": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", 1000, 0.05, 1, collect_samples=-3),
+        "collect_samples must be at least 0"),
+    "estimate_gradient collect_samples 2.5": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", 8, 0.05, 1, collect_samples=2.5),
+        "collect_samples must be an integer"),
+    "estimate_gradient_fixed_clock collect_samples -1": (lambda: estimate_gradient_fixed_clock(
+        X1, V1, TANH, F1, PATH, CAP, 1.0, 8, 2, collect_samples=-1),
+        "collect_samples must be at least 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_are_checked(case):
+    run, message = INTEGER_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run()
+
+
 # The four estimators that evaluate a user observable, for any observable f.
 OBSERVED = {
     "estimate_gradient": lambda f: estimate_gradient(X1, V1, f, F1, SPEC, 1.0, "auto", 8, 0.05, 1),
