@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from functools import partial
@@ -407,6 +408,18 @@ def report_schema() -> dict:
     return _schema_cache
 
 
+def _check_writable(key: str, path) -> None:
+    """Refuse, before the run, a report or CSV path that open() cannot create."""
+    # open() takes an int as a file descriptor and writes there
+    if not isinstance(path, str):
+        raise ConfigError(f"{key} must be a file path string")
+    if path == "" or os.path.isdir(path):
+        raise ConfigError(f"{key} must name a file, got {path!r}")
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{key} {path!r} is in a directory that does not exist")
+
+
 def _write_samples(path: str, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -439,9 +452,8 @@ def run(command: str, config_path: str) -> int:
         if cfg.get("emit_samples", False) and "samples_path" not in cfg:
             raise ConfigError("emit_samples requires samples_path")
         for key in ("output", "samples_path"):
-            # open() takes an int as a file descriptor and writes there
-            if key in cfg and not isinstance(cfg[key], str):
-                raise ConfigError(f"{key} must be a file path string")
+            if key in cfg:
+                _check_writable(key, cfg[key])
         # "output" is read here; the handlers check and parse every other key
         handler_cfg = {k: v for k, v in cfg.items() if k != "output"}
         results, checks, diagnostics, rows = _HANDLERS[command](handler_cfg)
@@ -469,12 +481,22 @@ def run(command: str, config_path: str) -> int:
 
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if "output" in cfg:
-        with open(cfg["output"], "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["output"], "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # the run is done: keep its report rather than lose it
+            print(f"error: cannot write the report ({exc}); it follows on stdout", file=sys.stderr)
+            sys.stdout.write(text)
+            return EXIT_ERROR
     else:
         sys.stdout.write(text)
     if rows is not None:
-        _write_samples(cfg["samples_path"], rows)
+        try:
+            _write_samples(cfg["samples_path"], rows)
+        except OSError as exc:
+            print(f"error: cannot write the samples: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
     failed = [c["name"] for c in checks if not c["passed"]]
     n_ok = len(checks) - len(failed)

@@ -15,13 +15,19 @@ evaluate_observable checks what a user's f returns.
 
 Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 (times, sizes) sorted by (path, time), with counts per path and prefix
-offsets. The flow is an event loop: each pass gives every unfinished path
-its own next event, one RK4 substep of its drift ODE or one jump. The
-substep runs on full-width arrays while most paths are stepping and on the
-gathered stepping rows otherwise; either way each path sees the same float
-operations. For drift-free fields every pass is one jump round. A
-non-finite state or directional derivative raises BlowUpError, naming the
-path, rather than reaching the mean.
+offsets. The sampler sorts each path's times with the default (non-stable)
+sort and falls back to the stable one for a block of paths holding an
+exact tie, so the order is always that of the stable sort.
+
+The flow has two routes. In general it is an event loop: each pass gives
+every unfinished path its own next event, one RK4 substep of its drift ODE
+or one jump. The substep runs on full-width arrays while most paths are
+stepping and on the gathered stepping rows otherwise; either way each path
+sees the same float operations. For b == 0 with constant sigma the state
+is x0 plus a running sum of the jump increments, taken in closed form as a
+cumulative sum with the loop's float operations, and J v stays v. On both
+routes a non-finite state or directional derivative raises BlowUpError,
+naming the path, rather than reaching the mean.
 
 Clock values come from path_cumulatives (each jump's clock interval) and
 first_passage_levels (each path's crossing jump over a level, as a flat
@@ -43,6 +49,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .results import EstimatorResult
+from .streams import checked_integer
 from .subordinator import BernsteinSpec, JumpPath, _pareto_sizes, _require_stable, tail_mass
 from .subordinator import checked_jump_intensity
 
@@ -72,6 +79,10 @@ __all__ = [
 ]
 
 BATCH_SIZE = 1 << 15
+
+# The jump sampler's sort and the drift-free flow work through a batch this
+# many paths at a time, which bounds their scratch arrays for any batch size.
+ROW_BLOCK = 4096
 
 # Stream purposes (second label of a substream key).
 PURPOSE_JUMPS = 1
@@ -125,6 +136,35 @@ class JumpBatch:
         return JumpPath(self.horizon, self.times[lo:hi], self.sizes[lo:hi])
 
 
+def _sort_rows(times, sizes, counts, offsets) -> bool:
+    """Sort each path's slice of the flat times in place, sizes alongside.
+
+    Works ROW_BLOCK paths at a time and returns whether any path holds
+    float-identical times. Rows are sorted with the default (non-stable)
+    sort; a block with an exact tie is sorted again with the stable one,
+    which keeps draw order among equal times as a stable sort by (path,
+    time) would. Without a tie the order of a row is unique, so both sorts
+    give the same result.
+    """
+    tied = False
+    for r0 in range(0, counts.size, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, counts.size)
+        lo, hi = offsets[r0], offsets[r1]
+        c = counts[r0:r1]
+        # each path's times as one row of a +inf-padded block, filled row-major
+        real = np.arange(c.max()) < c[:, None]
+        padded = np.full(real.shape, np.inf)
+        padded[real] = times[lo:hi]
+        rank = np.argsort(padded, axis=1)
+        ranked = np.take_along_axis(padded, rank, axis=1)
+        if np.any((ranked[:, 1:] == ranked[:, :-1]) & real[:, 1:]):
+            rank = np.argsort(padded, axis=1, kind="stable")
+            tied = True
+        times[lo:hi] = ranked[real]
+        sizes[lo:hi] = sizes[rank[real] + np.repeat(offsets[r0:r1], c)]
+    return tied
+
+
 def sample_jump_batch(
     alpha: float, horizon: float, eps_cut: float, n: int, rng: np.random.Generator
 ) -> JumpBatch:
@@ -143,34 +183,22 @@ def sample_jump_batch(
         raise ValueError("horizon must be nonnegative")
     counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n).astype(np.int64)
     total = int(counts.sum())
-    raw_times = horizon - rng.uniform(0.0, horizon, size=total)
+    times = horizon - rng.uniform(0.0, horizon, size=total)
     sizes = _pareto_sizes(alpha, eps_cut, 1.0 - rng.uniform(size=total))
-    path_id = np.repeat(np.arange(n), counts)
-    times = raw_times
-    if total > 1:
-        # Sort each path's times as one row of a +inf-padded (n, kmax) array.
-        # The stable sort keeps draw order among equal times, as a stable
-        # sort by (path, time) would.
-        base = np.repeat(np.cumsum(counts) - counts, counts)
-        col = np.arange(total) - base
-        padded = np.full((n, int(counts.max())), np.inf)
-        padded[path_id, col] = raw_times
-        rank = np.argsort(padded, axis=1, kind="stable")
-        del padded
-        order = rank[path_id, col] + base
-        del rank, base, col
-        times = raw_times[order]
-        sizes = sizes[order]
-        tie = (path_id[1:] == path_id[:-1]) & (times[1:] == times[:-1])
-        if np.any(tie):
-            keep = np.concatenate(([True], ~tie))
-            group = np.cumsum(keep) - 1
-            merged_sizes = np.bincount(group, weights=sizes)
-            times = times[keep]
-            path_id = path_id[keep]
-            sizes = merged_sizes
-            counts = np.bincount(path_id, minlength=n).astype(np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)))
+    if total > 1 and _sort_rows(times, sizes, counts, offsets):
+        # merge float-identical times within a path; a path's first jump
+        # never merges into the previous path's last
+        tie = times[1:] == times[:-1]
+        starts = offsets[1:-1]
+        tie[starts[(starts > 0) & (starts < total)] - 1] = False
+        keep = np.concatenate(([True], ~tie))
+        group = np.cumsum(keep) - 1
+        sizes = np.bincount(group, weights=sizes)
+        times = times[keep]
+        path_id = np.repeat(np.arange(n), counts)[keep]
+        counts = np.bincount(path_id, minlength=n).astype(np.int64)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
     return JumpBatch(n, float(horizon), counts, offsets, times, sizes)
 
 
@@ -226,7 +254,8 @@ def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator) -> np.
     right after, as rng.standard_normal((batch.total, d)).
     """
     z = rng.standard_normal((batch.total, d))
-    return z * np.sqrt(batch.sizes)[:, None]
+    z *= np.sqrt(batch.sizes)[:, None]
+    return z
 
 
 # An RK4 pass steps every row of the batch at once (rows that are not
@@ -315,6 +344,58 @@ def _rk4_pass(field, X, Jv, s0, k, h, stepping, n_stepping):
         raise BlowUpError(s[bad] + hr[bad], path=int(rows[bad]))
 
 
+def _drift_free_flow(x0, v, field, batch, dW):
+    """flow_batch for b == 0 and constant sigma, where each state is x0 plus a running sum.
+
+    The increments are the event loop's products sigma(s, .) dW. Per block
+    of ROW_BLOCK paths, a cumulative sum along each row of a zero-padded
+    (rows, kmax + 1, d) array whose column 0 is x0 adds them in jump order,
+    as the loop's jump rounds do, so column c holds the state after a
+    path's c-th jump. J v stays v.
+    """
+    n, d = batch.n, x0.shape[0]
+    X = np.empty((n, d))
+    X_pre = None if v is None else np.empty((batch.total, d))
+    v_finite = v is None or bool(np.isfinite(v).all())
+    first_bad = None  # (jump round, path) of the loop's BlowUpError
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        lo, hi = batch.offsets[r0], batch.offsets[r1]
+        c = batch.counts[r0:r1]
+        real = np.arange(c.max()) < c[:, None]
+        states = np.zeros((r1 - r0, real.shape[1] + 1, d))
+        states[:, 0] = x0
+        if hi > lo:
+            # sigma does not depend on the state, so x0 stands in for it
+            Sg = field.sigma(batch.times[lo:hi], np.broadcast_to(x0, (hi - lo, d)))
+            states[:, 1:][real] = np.einsum("mij,mj->mi", np.asarray(Sg, dtype=float), dW[lo:hi])
+        np.cumsum(states, axis=1, out=states)
+        X[r0:r1] = states[np.arange(r1 - r0), c]
+        if X_pre is not None:
+            X_pre[lo:hi] = states[:, :-1][real]
+        after = states[:, 1:]
+        if not (v_finite and np.isfinite(after).all()):
+            # the loop stops at its earliest jump round with a non-finite
+            # state (a non-finite v is one from round 0), at its lowest path
+            bad = real if not v_finite else real & ~np.isfinite(after).all(axis=2)
+            if bad.any():
+                col = int(np.flatnonzero(bad.any(axis=0))[0])
+                if first_bad is None or col < first_bad[0]:
+                    first_bad = col, r0 + int(np.flatnonzero(bad[:, col])[0])
+    if first_bad is not None:
+        col, path = first_bad
+        raise BlowUpError(batch.times[batch.offsets[path] + col], path=path)
+    if v is None:
+        return X, None, None, None, np.zeros(n)
+    v = np.asarray(v, dtype=float)
+    Jv = np.tile(v, (n, 1))
+    # the loop's running sup starts from its column-major Jv and ends with the
+    # row-major one; einsum may sum the two layouts in different orders
+    Jv_f = np.asfortranarray(Jv)
+    sup_g = np.maximum(np.einsum("mi,mi->m", Jv_f, Jv_f), np.einsum("mi,mi->m", Jv, Jv))
+    return X, Jv, X_pre, np.tile(v, (batch.total, 1)), sup_g
+
+
 def flow_batch(
     x0: np.ndarray,
     v: np.ndarray | None,
@@ -328,22 +409,26 @@ def flow_batch(
 
     Returns (X_final (n,d), Jv_final, X_pre (M,d), Jv_pre, sup_grad_sq (n,)),
     where the pre arrays hold the left-limit state at each jump, in flat batch
-    order. Jv outputs are None when v is None (plain trajectory run). The
-    running sup of |grad_v X|^2 is recorded at jump and terminal times.
+    order. X_pre, Jv_pre and Jv_final are None when v is None (plain
+    trajectory run: only X_final is read). The running sup of |grad_v X|^2 is
+    recorded at jump and terminal times.
 
     Each pass of the event loop gives every unfinished path its next event:
     one RK4 substep of the segment up to its next jump (or up to t), then,
     for paths at the end of their segment, the jump itself. A segment of gap
     g takes max(ceil(g * substeps_per_unit), 1) substeps of size g / steps.
+    A field with b == 0 and constant sigma takes the closed form instead
+    (_drift_free_flow), with the loop's float operations.
     """
-    if substeps_per_unit < 1:
-        raise ValueError(f"substeps_per_unit must be at least 1, got {substeps_per_unit!r}")
+    substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
+    if field.drift_is_zero and field.sigma_is_constant:
+        return _drift_free_flow(x0, v, field, batch, dW)
     n, d = batch.n, x0.shape[0]
     # Column-major state: the RK4 arithmetic then runs along the path axis
     # instead of over d-element rows.
     X = np.asfortranarray(np.tile(x0, (n, 1)))
     Jv = None if v is None else np.asfortranarray(np.tile(np.asarray(v, dtype=float), (n, 1)))
-    X_pre = np.empty((batch.total, d))
+    X_pre = np.empty((batch.total, d)) if Jv is not None else None
     Jv_pre = np.empty((batch.total, d)) if Jv is not None else None
     sup_g = np.einsum("mi,mi->m", Jv, Jv) if Jv is not None else np.zeros(n)
     drift = not field.drift_is_zero
@@ -372,8 +457,8 @@ def flow_batch(
         s_jump = batch.times[flat]
         x = X[sel]
         j = None if Jv is None else Jv[sel]
-        X_pre[flat] = x
         if Jv_pre is not None:
+            X_pre[flat] = x
             Jv_pre[flat] = j
         Sg = np.asarray(field.sigma(s_jump, x), dtype=float)
         dw = dW[flat]
@@ -600,8 +685,7 @@ def run_batches(n_total: int, workers: int, worker_fn) -> BatchRun:
     """
     if n_total < 1:
         raise ValueError("n_paths must be at least 1")
-    if not workers >= 1:
-        raise ValueError("workers must be at least 1")
+    workers = checked_integer("workers", workers, minimum=1)
     parts = map_batches(n_total, workers, worker_fn)
     stats: dict = {}
     counters: dict[str, int] = {}

@@ -12,6 +12,7 @@ import json
 import jsonschema
 import pytest
 
+from levygrad import cli
 from levygrad.cli import EXIT_ERROR, EXIT_PASS, EXIT_STAT_FAIL, main, report_schema
 
 
@@ -488,6 +489,45 @@ def test_non_string_paths_exit_1(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"{key} must be a file path string" in captured.err
     assert captured.out == ""
+
+
+# A report path that open() cannot create is refused before the run, not
+# after it with a traceback that loses the computed report.
+UNWRITABLE_OUTPUTS = {
+    "missing directory": lambda tmp_path: str(tmp_path / "no_such_dir" / "r.json"),
+    "empty": lambda tmp_path: "",
+    "a directory": str,
+}
+MOMENTS_CONFIG = {"alpha": 1.5, "t": 1.0, "gammas": [0.5]}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_1_before_the_run(case, tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "moments", ran.append)
+    cfg = dict(MOMENTS_CONFIG, output=UNWRITABLE_OUTPUTS[case](tmp_path))
+    assert main(["moments", write_config(tmp_path, cfg)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert not ran
+    assert "output" in captured.err and captured.out == ""
+
+
+def test_failed_report_write_exits_1_and_keeps_the_report(tmp_path, capsys, monkeypatch):
+    # the output directory exists when the run starts and is gone when it ends
+    folder = tmp_path / "out"
+    folder.mkdir()
+    handler = cli._HANDLERS["moments"]
+
+    def run_then_remove(cfg):
+        folder.rmdir()
+        return handler(cfg)
+
+    monkeypatch.setitem(cli._HANDLERS, "moments", run_then_remove)
+    cfg = dict(MOMENTS_CONFIG, output=str(folder / "r.json"))
+    assert main(["moments", write_config(tmp_path, cfg)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "cannot write the report" in captured.err
+    assert json.loads(captured.out)["command"] == "moments"
 
 
 # int() would run 400.9 paths as 400 while the report echoes 400.9

@@ -1,0 +1,260 @@
+"""The blocked jump sort and the closed-form drift-free flow, bit for bit.
+
+sample_jump_batch sorts each path's times with the default (non-stable)
+sort, ROW_BLOCK paths at a time, and sorts a block again with the stable
+sort when it holds an exact tie. flow_batch takes a closed form when b == 0
+and sigma is constant. Both promise the floats of the routes they replace:
+a stable sort by (path, time) with tied times merged, and the event loop.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from levygrad import BlowUpError, CoefficientField, catalog, substream
+from levygrad import engine
+from levygrad.engine import ROW_BLOCK, JumpBatch, flow_batch, sample_jump_batch
+
+
+class FixedDraws:
+    """A generator stand-in that hands the sampler fixed draws, in its draw order:
+    the Poisson counts, then the time uniforms, then the size uniforms."""
+
+    def __init__(self, counts, time_draws, size_draws):
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.uniforms = [np.asarray(time_draws, dtype=float), np.asarray(size_draws, dtype=float)]
+
+    def poisson(self, lam, size):
+        assert size == self.counts.size
+        return self.counts.copy()
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        u = self.uniforms.pop(0)
+        assert u.size == size
+        return low + (high - low) * u
+
+
+def _reference_batch(counts, time_draws, size_draws, horizon, alpha, eps):
+    """The stable (path, time) lexsort with float-identical times merged per path."""
+    n = len(counts)
+    raw = horizon - horizon * np.asarray(time_draws, dtype=float)
+    sizes = eps * (1.0 - np.asarray(size_draws, dtype=float)) ** (-2.0 / alpha)
+    path_id = np.repeat(np.arange(n), counts)
+    order = np.lexsort((raw, path_id))
+    times, sizes, path_id = raw[order], sizes[order], path_id[order]
+    tie = (path_id[1:] == path_id[:-1]) & (times[1:] == times[:-1])
+    if np.any(tie):
+        keep = np.concatenate(([True], ~tie))
+        sizes = np.bincount(np.cumsum(keep) - 1, weights=sizes)
+        times, path_id = times[keep], path_id[keep]
+    counts = np.bincount(path_id, minlength=n).astype(np.int64)
+    return counts, times, sizes
+
+
+def _assert_sampler_matches_reference(counts, time_draws, size_draws, horizon=1.0):
+    alpha, eps = 1.5, 0.01
+    draws = FixedDraws(counts, time_draws, size_draws)
+    jb = sample_jump_batch(alpha, horizon, eps, len(counts), draws)
+    ref_counts, ref_times, ref_sizes = _reference_batch(
+        counts, time_draws, size_draws, horizon, alpha, eps)
+    assert np.array_equal(jb.counts, ref_counts)
+    assert np.array_equal(jb.offsets, np.concatenate(([0], np.cumsum(ref_counts))))
+    assert np.array_equal(jb.times, ref_times)
+    assert np.array_equal(jb.sizes, ref_sizes)
+    return jb
+
+
+def test_sampler_ties_within_and_across_paths():
+    # path 0 empty; path 1: a 2-way and a 3-way tie; path 2 empty; path 3
+    # starts with path 1's last time and ends with path 4's only time, which
+    # path 4 draws twice: only the tie within path 4 merges; path 5 empty
+    draws = [
+        [],
+        [0.5, 0.25, 0.5, 0.75, 0.25, 0.1, 0.25],
+        [],
+        [0.05, 0.1],
+        [0.05, 0.05],
+        [],
+    ]
+    counts = [len(p) for p in draws]
+    time_draws = np.concatenate([np.asarray(p, dtype=float) for p in draws])
+    size_draws = np.linspace(0.05, 0.9, time_draws.size)
+    jb = _assert_sampler_matches_reference(counts, time_draws, size_draws)
+    assert list(jb.counts) == [0, 4, 0, 2, 1, 0]
+    assert list(jb.times) == [1 - 0.75, 1 - 0.5, 1 - 0.25, 1 - 0.1, 1 - 0.1, 1 - 0.05, 1 - 0.05]
+    # a merged size is the sum in draw order of the tied jumps' sizes
+    raw_sizes = 0.01 * (1.0 - size_draws) ** (-2.0 / 1.5)
+    assert jb.sizes[1] == raw_sizes[0] + raw_sizes[2]
+    assert jb.sizes[2] == raw_sizes[1] + raw_sizes[4] + raw_sizes[6]
+    assert jb.sizes[4] == raw_sizes[8]
+    assert jb.sizes[6] == raw_sizes[9] + raw_sizes[10]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+@pytest.mark.parametrize("draws", ["continuous", "grid", "tie_in_last_block"])
+def test_sampler_block_boundaries(n, draws):
+    rng = np.random.default_rng(n)
+    counts = rng.poisson(6.0, size=n)
+    counts[rng.uniform(size=n) < 0.1] = 0
+    if draws == "tie_in_last_block":
+        counts[-1] = max(counts[-1], 2)
+    total = int(counts.sum())
+    if draws == "grid":
+        # 1/64 steps: nearly every block holds exact ties
+        time_draws = rng.integers(0, 64, size=total) / 64.0
+    else:
+        time_draws = rng.uniform(size=total)
+    if draws == "tie_in_last_block":
+        # one tie, in the last path: every other block keeps its non-stable sort
+        time_draws[-1] = time_draws[-2]
+    _assert_sampler_matches_reference(counts, time_draws, rng.uniform(size=total))
+
+
+@pytest.mark.parametrize("n", [1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+def test_sampler_stream_matches_the_stable_sort(n):
+    # re-draw the raw arrays from the same stream and sort them by (path, time)
+    alpha, horizon, eps = 1.5, 0.6, 2e-2
+    jb = sample_jump_batch(alpha, horizon, eps, n, substream(21, engine.PURPOSE_JUMPS, 0))
+    rng = substream(21, engine.PURPOSE_JUMPS, 0)
+    counts = rng.poisson(horizon * engine.tail_mass(alpha, eps), size=n)
+    raw = horizon - rng.uniform(0.0, horizon, size=counts.sum())
+    sizes = eps * (1.0 - rng.uniform(size=counts.sum())) ** (-2.0 / alpha)
+    order = np.lexsort((raw, np.repeat(np.arange(n), counts)))
+    assert np.array_equal(jb.counts, counts)
+    assert np.array_equal(jb.times, raw[order])
+    assert np.array_equal(jb.sizes, sizes[order])
+
+
+# ---------------------------------------------------------------------------
+# the closed-form flow against the event loop
+
+
+def _time_dependent_sigma_field(d):
+    """b == 0 and a non-diagonal sigma that depends on t only."""
+    base = np.eye(d) + 0.3 * np.triu(np.ones((d, d)), 1)
+
+    def sigma(t, x):
+        t = np.asarray(t, dtype=float)
+        return (1.0 + t)[..., None, None] * base
+
+    zero = catalog("additive_identity", d)
+    return CoefficientField(
+        dimension=d, b=zero.b, grad_b=zero.grad_b, sigma=sigma, grad_sigma=zero.grad_sigma,
+        sigma_inv=zero.sigma_inv, drift_is_zero=True, sigma_is_constant=True,
+        jvp_b=zero.jvp_b, name="time_dependent_sigma",
+    )
+
+
+def _edge_batch(n_extra):
+    """Empty paths and one-jump paths ahead of n_extra sampled paths."""
+    handmade = [[], [0.4], [], [0.2, 0.2], [0.7]]
+    sampled = sample_jump_batch(1.5, 1.0, 5e-3, n_extra, substream(8, engine.PURPOSE_JUMPS, 0))
+    counts = np.concatenate(([len(p) for p in handmade], sampled.counts)).astype(np.int64)
+    times = np.concatenate([np.asarray(p, dtype=float) for p in handmade] + [sampled.times])
+    sizes = np.concatenate((np.full(4, 0.3), sampled.sizes))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return JumpBatch(counts.size, 1.0, counts, offsets, times, sizes)
+
+
+def _both_routes(field, x0, v, batch, dW):
+    closed = flow_batch(x0, v, field, batch, dW, 1.0, 50)
+    loop = flow_batch(x0, v, dataclasses.replace(field, drift_is_zero=False), batch, dW, 1.0, 50)
+    return closed, loop
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("field_name", ["additive_identity", "time_dependent_sigma"])
+@pytest.mark.parametrize("with_v", [True, False])
+@pytest.mark.parametrize("n_extra", [0, 300, ROW_BLOCK + 2])
+def test_closed_form_flow_equals_the_event_loop(d, field_name, with_v, n_extra):
+    # the event loop runs RK4 on b = 0, which adds exact zeros
+    if field_name == "additive_identity":
+        field = catalog(field_name, d)
+    else:
+        field = _time_dependent_sigma_field(d)
+    batch = _edge_batch(n_extra)
+    dW = engine.sample_mark_batch(batch, d, substream(8, engine.PURPOSE_MARKS, 0))
+    rng = np.random.default_rng(d)
+    x0 = rng.standard_normal(d)
+    x0[0] = -0.0  # an empty path must keep its signed zero
+    v = rng.standard_normal(d) if with_v else None
+    closed, loop = _both_routes(field, x0, v, batch, dW)
+    assert closed[0].shape == (batch.n, d)
+    for got, want in zip(closed, loop):
+        if want is None:
+            assert got is None
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert np.signbit(closed[0][0, 0])
+    if not with_v:
+        assert closed[2] is None and loop[2] is None
+
+
+def test_closed_form_sup_takes_the_loop_maximum_in_high_dimension():
+    # at d = 9 einsum sums |v|^2 over the loop's column-major and row-major
+    # J v in different orders; the loop's running sup keeps the larger
+    d = 9
+    v = np.random.default_rng(1).standard_normal(d)
+    rows = np.tile(v, (5, 1))
+    cols = np.asfortranarray(rows)
+    assert np.einsum("mi,mi->m", rows, rows)[0] != np.einsum("mi,mi->m", cols, cols)[0]
+    batch = _edge_batch(50)
+    dW = engine.sample_mark_batch(batch, d, substream(8, engine.PURPOSE_MARKS, 0))
+    closed, loop = _both_routes(catalog("additive_identity", d), np.zeros(d), v, batch, dW)
+    for got, want in zip(closed, loop):
+        assert np.array_equal(got, want)
+
+
+def _blow_up(field, x0, v, batch, dW):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        flow_batch(x0, v, field, batch, dW, 1.0, 50)
+    return info.value.s, info.value.path
+
+
+@pytest.mark.parametrize("with_v", [True, False])
+def test_blow_up_names_the_same_time_and_path(with_v):
+    # path 0 overflows at its 3rd jump, paths 2 and 3 at their 2nd, path 4
+    # never: the loop stops in round 1, at its lowest path (2). Path
+    # ROW_BLOCK + 1 sits in the second block and overflows in round 1 too.
+    huge = 1e308
+    plan = {0: [0.0, 0.0, huge], 1: [0.0], 2: [0.0, huge, 0.0], 3: [1.0, huge], 4: [0.0, 0.0],
+            ROW_BLOCK + 1: [0.0, huge]}
+    n = ROW_BLOCK + 3
+    counts = np.zeros(n, dtype=np.int64)
+    for i, marks in plan.items():
+        counts[i] = len(marks)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    times = np.concatenate([np.linspace(0.1, 0.9, c) for c in counts])
+    batch = JumpBatch(n, 1.0, counts, offsets, times, np.full(times.size, 0.1))
+    dW = np.zeros((times.size, 2))
+    for i, marks in plan.items():
+        dW[offsets[i]:offsets[i + 1], 1] = marks
+    field = catalog("additive_identity", 2)
+    loop_field = dataclasses.replace(field, drift_is_zero=False)
+    x0 = np.array([0.0, 1.7e308])
+    v = np.array([1.0, 0.0]) if with_v else None
+    closed = _blow_up(field, x0, v, batch, dW)
+    assert closed == _blow_up(loop_field, x0, v, batch, dW)
+    assert closed == (times[offsets[2] + 1], 2)
+
+
+def test_blow_up_parity_on_a_sampled_batch():
+    # near the float range every path's walk may overflow, in any round
+    batch = sample_jump_batch(1.5, 1.0, 1e-2, 500, substream(3, engine.PURPOSE_JUMPS, 0))
+    with np.errstate(over="ignore"):
+        dW = 3e306 * engine.sample_mark_batch(batch, 1, substream(3, engine.PURPOSE_MARKS, 0))
+    field = catalog("additive_identity", 1)
+    loop_field = dataclasses.replace(field, drift_is_zero=False)
+    x0, v = np.array([1.7e308]), np.ones(1)
+    assert _blow_up(field, x0, v, batch, dW) == _blow_up(loop_field, x0, v, batch, dW)
+
+
+def test_non_finite_v_stops_at_the_first_jump_round():
+    # as the drift-free loop's first jump round did: path 0 has no jump. (The
+    # loop with drift stops earlier, in its first RK4 substep of J v.)
+    batch = _edge_batch(20)
+    dW = engine.sample_mark_batch(batch, 1, substream(8, engine.PURPOSE_MARKS, 0))
+    field = catalog("additive_identity", 1)
+    assert _blow_up(field, np.zeros(1), np.array([np.nan]), batch, dW) == (0.4, 1)

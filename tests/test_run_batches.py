@@ -235,6 +235,25 @@ INTEGER_ARGUMENTS = {
     "estimate_gradient_fixed_clock collect_samples -1": (lambda: estimate_gradient_fixed_clock(
         X1, V1, TANH, F1, PATH, CAP, 1.0, 8, 2, collect_samples=-1),
         "collect_samples must be at least 0"),
+    # ceil(gap * 50.5) steps would run with other bits than 50; F1 has no
+    # drift, so these also reach the closed-form flow, which takes no steps
+    "estimate_gradient substeps_per_unit 50.5": (lambda: estimate_gradient(
+        X1, V1, TANH, catalog("bounded_multiplicative", 1), SPEC, 1.0, "auto", 8, 0.05, 1,
+        substeps_per_unit=50.5), "substeps_per_unit must be an integer"),
+    "estimate_gradient drift-free substeps_per_unit 50.5": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", 8, 0.05, 1, substeps_per_unit=50.5),
+        "substeps_per_unit must be an integer"),
+    "estimate_pt drift-free substeps_per_unit 0": (lambda: estimate_pt(
+        X1, TANH, F1, SPEC, 1.0, 8, 3, eps_cut=0.05, substeps_per_unit=0),
+        "substeps_per_unit must be at least 1"),
+    "fd_gradient drift-free substeps_per_unit -5": (lambda: fd_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, 1e-3, 8, 5, eps_cut=0.05, substeps_per_unit=-5),
+        "substeps_per_unit must be at least 1"),
+    # ThreadPoolExecutor(int(1.7)) would run on one thread
+    "run_batches workers 1.7": (lambda: run_batches(
+        8, 1.7, lambda bi, start, count: {"samples": {}}), "workers must be an integer"),
+    "estimate_pt workers 1.7": (lambda: estimate_pt(
+        X1, TANH, F1, SPEC, 1.0, 8, 3, eps_cut=0.05, workers=1.7), "workers must be an integer"),
 }
 
 
