@@ -11,7 +11,6 @@ truncation identities) used to validate it.
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
-    QuadratureDivergenceError,
     sample_terminal_values,
     truncate_jumps,
     inverse_moment,
@@ -47,7 +46,6 @@ __all__ = [
     "BernsteinSpec",
     "JumpPath",
     "FirstPassage",
-    "QuadratureDivergenceError",
     "sample_jump_path",
     "sample_terminal_values",
     "truncate_jumps",

@@ -166,18 +166,15 @@ class ClockSpec:
 
 
 def default_level_R(spec: BernsteinSpec, t: float) -> float:
-    """Passage level with P(tau < t) about one half: median(S_1) * t**(2/alpha).
+    """Passage level with P(tau < t) about one half: the median of S_t.
 
-    Deterministic clocks get R = rate * t exactly. Custom specs have no
-    generic scale; the caller must supply R explicitly.
+    That is median(S_1) * t**(2/alpha), with the median from the
+    deterministic quadrature of stable_median_s1, so R = "auto" depends on
+    alpha and t alone.
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    if spec.kind == "drift_only":
-        return spec.rate * t
-    if spec.kind == "alpha_stable":
-        return stable_median_s1(spec) * t ** (2.0 / spec.alpha)
-    raise ValueError("no default level for custom Bernstein specs; pass R explicitly")
+    return stable_median_s1(spec) * t ** (2.0 / spec.alpha)
 
 
 def checked_vector(name: str, value, d: int) -> np.ndarray:
@@ -195,10 +192,8 @@ def checked_start(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps
 
     Returns x as a finite float vector of the field's dimension and the jump
     cutoff (default_eps_cut(spec, t) when eps_cut is None), after refusing a
-    non-stable spec, a t that is not positive and an intractable cutoff.
+    t that is not positive and an intractable cutoff.
     """
-    if spec.kind != "alpha_stable":
-        raise ValueError("the estimators sample an alpha_stable clock")
     if not t > 0:
         raise ValueError("t must be positive")
     eps = default_eps_cut(spec, t) if eps_cut is None else float(eps_cut)

@@ -50,7 +50,7 @@ import numpy as np
 from .coefficients import CoefficientField
 from .results import EstimatorResult
 from .streams import checked_integer
-from .subordinator import BernsteinSpec, JumpPath, _pareto_sizes, _require_stable, tail_mass
+from .subordinator import BernsteinSpec, JumpPath, _pareto_sizes, tail_mass
 from .subordinator import checked_jump_intensity
 
 __all__ = [
@@ -206,9 +206,8 @@ def sample_jump_path(
     spec: BernsteinSpec, horizon: float, eps_cut: float, rng: np.random.Generator
 ) -> JumpPath:
     """One stable subordinator path: the single path of sample_jump_batch(n = 1)."""
-    alpha = _require_stable(spec)
-    checked_jump_intensity(alpha, eps_cut, horizon)
-    return sample_jump_batch(alpha, horizon, eps_cut, 1, rng).extract_path(0)
+    checked_jump_intensity(spec.alpha, eps_cut, horizon)
+    return sample_jump_batch(spec.alpha, horizon, eps_cut, 1, rng).extract_path(0)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 
 def jump_density_constant(alpha: float) -> float:
@@ -44,6 +44,65 @@ def inverse_moment_closed_form(alpha: float, t: float, gamma: float) -> float:
     """E S_t^{-gamma} for the alpha-stable clock, via the gamma-function identity."""
     g = special.gamma
     return 2.0 * g(2.0 * gamma / alpha) / (alpha * g(gamma)) * t ** (-2.0 * gamma / alpha)
+
+
+def inverse_moment_quadrature(alpha: float, t: float, gamma: float) -> float:
+    """E S_t^{-gamma} = Gamma(gamma)^{-1} integral_0^inf u^{gamma-1} exp(-t u^{alpha/2}) du.
+
+    Adaptive quadrature split at u = 1. On (0, 1] the substitution
+    u = w^{1/gamma} removes the endpoint singularity exactly; on (1, inf)
+    the substitution u = exp(y) gives the integrand exp(gamma y - t e^{rho y}).
+    """
+    rho = alpha / 2.0
+
+    def low(w: float) -> float:
+        return math.exp(-t * w ** (rho / gamma)) / gamma
+
+    def high(y: float) -> float:
+        lg = gamma * y - t * math.exp(rho * y) if rho * y < 700.0 else -math.inf
+        return math.exp(lg) if lg > -745.0 else 0.0
+
+    i_low, err_low = integrate.quad(low, 0.0, 1.0, epsabs=1e-300, epsrel=1e-11, limit=300)
+    i_high, err_high = integrate.quad(high, 0.0, np.inf, epsabs=1e-300, epsrel=1e-11, limit=300)
+    total = (i_low + i_high) / special.gamma(gamma)
+    assert (err_low + err_high) / special.gamma(gamma) <= 1e-8 * total
+    return total
+
+
+def stable_cdf(x: float, alpha: float) -> float:
+    """P(S_1 <= x) from scipy's stable law.
+
+    S_1, with E exp(-u S_1) = exp(-u^{alpha/2}), is the totally skewed stable
+    law of index rho = alpha/2 and scale cos(pi rho / 2)^{1/rho} in the S1
+    parameterization (scipy's default).
+    """
+    rho = alpha / 2.0
+    scale = math.cos(math.pi * rho / 2.0) ** (1.0 / rho)
+    return float(stats.levy_stable.cdf(x, rho, 1.0, scale=scale))
+
+
+def stable_cdf_kanter_quadrature(x: float, alpha: float) -> float:
+    """P(S_1 <= x) by adaptive quadrature of Kanter's integral in log space.
+
+    (1/pi) integral_0^pi exp(-x^{-rho/(1-rho)} A(theta)) dtheta with
+    A(theta) = sin(rho theta)^{rho/(1-rho)} sin((1-rho) theta) / sin(theta)^{1/(1-rho)}.
+    For alpha near 2 scipy's stable cdf returns nan (scipy 1.17: at
+    alpha/2 = 0.995 its integrand overflows); this route does not.
+    """
+    rho = alpha / 2.0
+    log_c = -rho / (1.0 - rho) * math.log(x)
+
+    def integrand(theta: float) -> float:
+        z = (log_c + rho / (1.0 - rho) * math.log(math.sin(rho * theta))
+             + math.log(math.sin((1.0 - rho) * theta)) - math.log(math.sin(theta)) / (1.0 - rho))
+        return math.exp(-math.exp(z)) if z < 700.0 else 0.0
+
+    # breakpoints towards pi, where A(theta) blows up
+    points = [math.pi - math.pi * 2.0 ** -k for k in range(1, 30)]
+    val, err = integrate.quad(integrand, 0.0, math.pi, points=points,
+                              epsabs=1e-13, epsrel=1e-13, limit=500)
+    assert err < 1e-11
+    return val / math.pi
 
 
 def truncated_laplace_exponent(u: float, alpha: float, eps: float) -> float:

@@ -212,7 +212,7 @@ PINNED = {
     "gradient": (
         "gradient",
         pin_config(),
-        "fd7d56d346adae1196e37980129636af56ab7e1bcca6e6af24625431f878c179",
+        "89de99ba6b921cb5077ff271a5bcb2f4cb4fd7b15d3308654c2168fa7ea03c00",
         None,
     ),
     "gradient antithetic R csv": (
@@ -233,7 +233,7 @@ PINNED = {
         {"field": "pythagoras_1d", "alpha": 1.5, "f": "tanh1", "x": [0.2], "p": 2.0,
          "t_grid": [0.25, 1.0], "n_paths": 300, "seed": 5, "v": [1.0], "R": "auto",
          "slope_tolerance": 0.5},
-        "4c7fe1517f131a946a515879e0bcaed793753185cf37855dd7c1f826f892ed93",
+        "fce5e8398813589208bfb07b917dc57030984f72bbc9ecdcfb038835ad1690d6",
         None,
     ),
     "counterexample 2 workers": (
@@ -245,7 +245,7 @@ PINNED = {
     "moments": (
         "moments",
         {"alpha": 1.5, "t": 2.0, "gammas": [0.5, 1.0, 2.5]},
-        "9011b09d7746a32887c376b164c7f44f9ff1ae737e92b427e3bb02ae0dcca30c",
+        "c03f4ae69753d00c554c917d04186a87d244523c35faa21fe13213c9e4f2fc27",
         None,
     ),
     "lemma-tests": (

@@ -1,16 +1,17 @@
 """Jump sampling, truncation, first passage, and inverse moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 import oracles
 from levygrad import (
     BernsteinSpec,
     JumpPath,
-    QuadratureDivergenceError,
     default_eps_cut,
     dropped_mass_rate,
     first_passage,
@@ -219,12 +220,34 @@ def test_inverse_moment_monte_carlo_cross_check():
     assert abs(samples.mean() - 2.0 / math.sqrt(math.pi)) <= 3.0 * se
 
 
-def test_inverse_moment_diverges_for_bounded_exponent():
-    # A bounded Bernstein function has P(S_t = small) too heavy for negative
-    # moments; the quadrature must refuse rather than return a number.
-    spec = BernsteinSpec.custom(lambda u: u / (1.0 + u))
-    with pytest.raises(QuadratureDivergenceError):
-        inverse_moment(spec, 1.0, 0.5)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0])
+def test_inverse_moment_matches_quadrature(alpha, gamma):
+    got = inverse_moment(BernsteinSpec.alpha_stable(alpha), 1.0, gamma)
+    assert got == pytest.approx(oracles.inverse_moment_quadrature(alpha, 1.0, gamma), rel=1e-9)
+
+
+def test_stable_median_closed_form_at_alpha_1():
+    # S_1 is Levy's law at alpha = 1: P(S_1 <= x) = erfc(1 / (2 sqrt(x)))
+    median = stable_median_s1(BernsteinSpec.alpha_stable(1.0))
+    assert median == pytest.approx(1.0 / (4.0 * special.erfcinv(0.5) ** 2), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 1.2, 1.5, 1.9, 1.99])
+def test_stable_median_solves_the_cdf(alpha):
+    median = stable_median_s1(BernsteinSpec.alpha_stable(alpha))
+    assert abs(oracles.stable_cdf_kanter_quadrature(median, alpha) - 0.5) <= 1e-9
+    if alpha != 1.99:  # scipy's stable cdf is nan there
+        assert abs(oracles.stable_cdf(median, alpha) - 0.5) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.99])
+def test_stable_median_raises_no_warning_at_extreme_alpha(alpha):
+    # the uncached function, so the rule runs here whatever ran before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        median = stable_median_s1.__wrapped__(BernsteinSpec.alpha_stable(alpha))
+    assert math.isfinite(median) and median > 0
 
 
 def test_stable_median_reproducible_and_plausible():
@@ -259,5 +282,3 @@ def test_spec_validation():
         BernsteinSpec.alpha_stable(2.0)
     with pytest.raises(ValueError):
         BernsteinSpec.alpha_stable(0.0)
-    with pytest.raises(ValueError):
-        BernsteinSpec.drift_only(-1.0)

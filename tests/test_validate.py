@@ -321,6 +321,4 @@ def test_estimate_pt_validation():
     with pytest.raises(ValueError):
         estimate_pt(np.zeros(2), f, F, SPEC15, 1.0, 100, seed=0)
     with pytest.raises(ValueError):
-        estimate_pt(np.zeros(1), f, F, BernsteinSpec.drift_only(1.0), 1.0, 100, seed=0)
-    with pytest.raises(ValueError):
         estimate_pt(np.zeros(1), f, F, SPEC15, 1.0, 100, seed=0, eps_cut=1e-11)
