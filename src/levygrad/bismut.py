@@ -33,6 +33,8 @@ batch of paths into each jump's (d_beta, d_lambda) and each path's
 normalizer, for the cap clock and for deterministic piecewise-linear
 clocks alike. Both estimators here and the isometry and truncation checks
 in validate read beta only through it.
+The estimators' batch worker forms dW^beta once per batch; engine.flow_batch
+sums I1, I2 and I3 at each jump's left limit as it applies the jump.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ class ClockSpec:
             cap[hit] = ell_post[crossing[hit]]
             # The cap is itself a post value, so no interval straddles it.
             # Taking a covered jump's size itself keeps d_beta == d_ell exact,
-            # and d_lambda = d_beta (the same array) tells weight_terms that
+            # and d_lambda = d_beta (the same array) tells _beta_marks that
             # the conditional mark part vanishes.
             d_beta = np.where(ell_post <= np.repeat(cap, batch.counts), batch.sizes, 0.0)
             d_lambda = d_beta
@@ -201,16 +203,49 @@ def checked_start(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps
     return checked_vector("x", x, field.dimension), eps
 
 
+def stable_batch(spec: BernsteinSpec, t: float, eps_cut: float, d: int, seed: int, bi: int, count):
+    """Batch bi's stable clock jumps on (0, t] and marks; runs at one seed share them."""
+    jumps = substream(seed, engine.PURPOSE_JUMPS, bi)
+    jb = engine.sample_jump_batch(spec.alpha, t, eps_cut, count, jumps)
+    return jb, engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
+
+
+def fixed_batch(path: JumpPath, t: float, d: int, seed: int, bi: int, count):
+    """Batch bi of one fixed jump path (jumps up to t): jumps, marks and auxiliary normals.
+
+    The auxiliary normals, the Z of conditional_mark_law, come from the marks'
+    stream right after the marks.
+    """
+    jb = engine.fixed_jump_batch(path, t, count)
+    rng = substream(seed, engine.PURPOSE_MARKS, bi)
+    return jb, engine.sample_mark_batch(jb, d, rng), rng.standard_normal((jb.total, d))
+
+
+def _beta_marks(sizes, clock: ClockIncrements, dW, aux):
+    """Each jump's mark dW^beta = r dW + c aux by conditional_mark_law.
+
+    Under the cap clock d_lambda is d_beta: r is exactly 1 or 0, c is 0 and
+    aux may be None.
+    """
+    if clock.d_lambda is clock.d_beta:
+        return (clock.d_beta > 0.0)[:, None] * dW
+    ratio, c = engine.conditional_mark_law(sizes, clock.d_beta, clock.d_lambda)
+    dWb = ratio[:, None] * dW
+    if np.any(c > 0.0):
+        dWb = dWb + c[:, None] * aux
+    return dWb
+
+
 def _weighted_worker(x, v, f, field, t, substeps_per_unit, antithetic, collect_samples, draw):
     """The per-batch worker of both weighted estimators.
 
     draw(bi, count) returns one batch's (jumps, marks, aux, ClockIncrements,
-    counters); the worker flows the batch, forms the weight terms and splits
-    f(X_t) * weight into its three parts. Paths with a normalizer that is not
-    positive are rejected. With antithetic each sample is the average over a
-    sign flip of every Gaussian. Batches keep their per-path rows for
-    _with_sample_rows only when collect_samples, checked here before any
-    batch runs, asks for rows.
+    counters); the worker flows the batch, which sums the weight terms, and
+    splits f(X_t) * weight into its three parts. Paths with a normalizer that
+    is not positive are rejected. With antithetic each sample is the average
+    over a sign flip of every Gaussian, which negates both marks. Batches
+    keep their per-path rows for _with_sample_rows only when collect_samples,
+    checked here before any batch runs, asks for rows.
     """
     keep_rows = checked_integer("collect_samples", collect_samples, minimum=0) > 0
 
@@ -218,16 +253,17 @@ def _weighted_worker(x, v, f, field, t, substeps_per_unit, antithetic, collect_s
         jb, dW, aux, clock, counters = draw(bi, count)
         reject = clock.normalizer <= 0.0
         safe = np.where(reject, 1.0, clock.normalizer)
+        dWb = _beta_marks(jb.sizes, clock, dW, aux)
 
-        def weighted_pass(dW, aux):
-            X, _, X_pre, Jv_pre, sup_g = engine.flow_batch(x, v, field, jb, dW, t, substeps_per_unit)
-            I = engine.weight_terms(field, jb, dW, aux, X_pre, Jv_pre, clock.d_beta, clock.d_lambda)
+        def weighted_pass(dW, dWb):
+            X, _, *I, sup_g = engine.flow_batch(
+                x, v, field, jb, dW, t, substeps_per_unit, dWb, clock.d_beta)
             return engine.evaluate_observable(f, X, bi), *I, sup_g
 
-        fv, I1, I2, I3, sup_g = weighted_pass(dW, aux)
+        fv, I1, I2, I3, sup_g = weighted_pass(dW, dWb)
         terms = [fv * I / safe for I in (I1, I2, I3)]
         if antithetic:
-            fv2, *K, sup_g2 = weighted_pass(-dW, None if aux is None else -aux)
+            fv2, *K, sup_g2 = weighted_pass(-dW, -dWb)
             terms = [0.5 * (a + fv2 * k / safe) for a, k in zip(terms, K)]
             sup_g = np.maximum(sup_g, sup_g2)
         t1, t2, t3 = terms
@@ -302,10 +338,7 @@ def estimate_gradient(
     clock = ClockSpec.cap_at_first_passage(R)
 
     def draw(bi: int, count: int):
-        jb = engine.sample_jump_batch(
-            spec.alpha, t, eps_cut, count, substream(seed, engine.PURPOSE_JUMPS, bi)
-        )
-        dW = engine.sample_mark_batch(jb, x.size, substream(seed, engine.PURPOSE_MARKS, bi))
+        jb, dW = stable_batch(spec, t, eps_cut, x.size, seed, bi, count)
         increments = clock.increments(jb)
         counters = {"jumps": int(jb.total), "capped": int(np.isfinite(increments.cap).sum())}
         # the cap clock has no conditional mark part, so no auxiliary normals
@@ -362,10 +395,7 @@ def estimate_gradient_fixed_clock(
         raise ValueError("beta(ell_t) must be positive for the fixed-clock estimator")
 
     def draw(bi: int, count: int):
-        jb = engine.fixed_jump_batch(path, t, count)
-        rng = substream(seed, engine.PURPOSE_MARKS, bi)
-        dW = engine.sample_mark_batch(jb, d, rng)
-        aux = rng.standard_normal((jb.total, d))
+        jb, dW, aux = fixed_batch(path, t, d, seed, bi, count)
         return jb, dW, aux, ClockIncrements._make(np.tile(a, count) for a in increments), {}
 
     worker = _weighted_worker(x, v, f, field, t, substeps_per_unit, False, collect_samples, draw)

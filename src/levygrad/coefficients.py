@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .streams import checked_integer
+
 __all__ = ["CoefficientField", "catalog", "CATALOG_NAMES"]
 
 
@@ -41,8 +43,7 @@ class CoefficientField:
     jvp_b: Callable | None = None  # (t, x, u) -> (..., d), equal to grad_b(t, x) @ u
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "dimension", checked_integer("dimension", self.dimension, minimum=1))
 
 
 def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> CoefficientField:
@@ -131,6 +132,7 @@ def catalog(name: str, dimension: int = 1) -> CoefficientField:
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown coefficient field {name!r}; choose from {CATALOG_NAMES}")
+    dimension = checked_integer("dimension", dimension, minimum=1)
     if name == "pythagoras_1d" and dimension != 1:
         raise ValueError("pythagoras_1d is one-dimensional")
     return _isotropic(name, dimension, *_CATALOG[name])

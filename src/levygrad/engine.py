@@ -29,6 +29,11 @@ cumulative sum with the loop's float operations, and J v stays v. On both
 routes a non-finite state or directional derivative raises BlowUpError,
 naming the path, rather than reaching the mean.
 
+The flow also sums the weight, in the same sweep: weight_terms forms a
+jump's terms from the left limit and sigma's directional derivative that
+the jump update holds, and each path adds them up in jump order, so no left
+limit is stored.
+
 Clock values come from path_cumulatives (each jump's clock interval) and
 first_passage_levels (each path's crossing jump over a level, as a flat
 index), which bismut.ClockSpec.increments turns into clock increments. The
@@ -125,10 +130,6 @@ class JumpBatch:
     @property
     def total(self) -> int:
         return int(self.offsets[-1])
-
-    @property
-    def path_id(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), self.counts)
 
     def extract_path(self, i: int) -> JumpPath:
         """Materialize path i of the batch as a JumpPath."""
@@ -246,12 +247,7 @@ def fixed_jump_batch(path: JumpPath, t: float, n: int) -> JumpBatch:
 
 
 def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian jump marks dW ~ N(0, size * I_d), one row per jump in flat batch order.
-
-    Callers whose clock has a conditional mark part (conditional_mark_law
-    with c > 0) draw their auxiliary unit normals from the same generator
-    right after, as rng.standard_normal((batch.total, d)).
-    """
+    """Gaussian jump marks dW ~ N(0, size * I_d), one row per jump in flat batch order."""
     z = rng.standard_normal((batch.total, d))
     z *= np.sqrt(batch.sizes)[:, None]
     return z
@@ -343,18 +339,19 @@ def _rk4_pass(field, X, Jv, s0, k, h, stepping, n_stepping):
         raise BlowUpError(s[bad] + hr[bad], path=int(rows[bad]))
 
 
-def _drift_free_flow(x0, v, field, batch, dW):
+def _drift_free_flow(x0, v, field, batch, dW, dWb):
     """flow_batch for b == 0 and constant sigma, where each state is x0 plus a running sum.
 
     The increments are the event loop's products sigma(s, .) dW. Per block
     of ROW_BLOCK paths, a cumulative sum along each row of a zero-padded
     (rows, kmax + 1, d) array whose column 0 is x0 adds them in jump order,
     as the loop's jump rounds do, so column c holds the state after a
-    path's c-th jump. J v stays v.
+    path's c-th jump. J v stays v, so only I1 is nonzero, and it needs no
+    left limit.
     """
     n, d = batch.n, x0.shape[0]
     X = np.empty((n, d))
-    X_pre = None if v is None else np.empty((batch.total, d))
+    v, I1 = (None, None) if v is None else (np.asarray(v, dtype=float), np.zeros(n))
     v_finite = v is None or bool(np.isfinite(v).all())
     first_bad = None  # (jump round, path) of the loop's BlowUpError
     for r0 in range(0, n, ROW_BLOCK):
@@ -364,14 +361,13 @@ def _drift_free_flow(x0, v, field, batch, dW):
         real = np.arange(c.max()) < c[:, None]
         states = np.zeros((r1 - r0, real.shape[1] + 1, d))
         states[:, 0] = x0
+        # sigma does not depend on the state, so x0 stands in for it
+        x = np.broadcast_to(x0, (hi - lo, d))
         if hi > lo:
-            # sigma does not depend on the state, so x0 stands in for it
-            Sg = field.sigma(batch.times[lo:hi], np.broadcast_to(x0, (hi - lo, d)))
+            Sg = field.sigma(batch.times[lo:hi], x)
             states[:, 1:][real] = np.einsum("mij,mj->mi", np.asarray(Sg, dtype=float), dW[lo:hi])
         np.cumsum(states, axis=1, out=states)
         X[r0:r1] = states[np.arange(r1 - r0), c]
-        if X_pre is not None:
-            X_pre[lo:hi] = states[:, :-1][real]
         after = states[:, 1:]
         if not (v_finite and np.isfinite(after).all()):
             # the loop stops at its earliest jump round with a non-finite
@@ -381,18 +377,21 @@ def _drift_free_flow(x0, v, field, batch, dW):
                 col = int(np.flatnonzero(bad.any(axis=0))[0])
                 if first_bad is None or col < first_bad[0]:
                     first_bad = col, r0 + int(np.flatnonzero(bad[:, col])[0])
+        if first_bad is None and v is not None:
+            j = np.tile(v, (hi - lo, 1))
+            c1 = weight_terms(field, batch.times[lo:hi], x, j, None, None, dWb[lo:hi], None)[0]
+            I1[r0:r1] = np.bincount(np.repeat(np.arange(r1 - r0), c), weights=c1, minlength=r1 - r0)
     if first_bad is not None:
         col, path = first_bad
         raise BlowUpError(batch.times[batch.offsets[path] + col], path=path)
     if v is None:
-        return X, None, None, None, np.zeros(n)
-    v = np.asarray(v, dtype=float)
+        return X, None, None, None, None, np.zeros(n)
     Jv = np.tile(v, (n, 1))
     # the loop's running sup starts from its column-major Jv and ends with the
     # row-major one; einsum may sum the two layouts in different orders
     Jv_f = np.asfortranarray(Jv)
     sup_g = np.maximum(np.einsum("mi,mi->m", Jv_f, Jv_f), np.einsum("mi,mi->m", Jv, Jv))
-    return X, Jv, X_pre, np.tile(v, (batch.total, 1)), sup_g
+    return X, Jv, I1, np.zeros(n), np.zeros(n), sup_g
 
 
 def flow_batch(
@@ -403,14 +402,17 @@ def flow_batch(
     dW: np.ndarray,
     t: float,
     substeps_per_unit: int,
+    dWb: np.ndarray | None = None,
+    d_beta: np.ndarray | None = None,
 ):
-    """Evolve every path of the batch to time t through its jumps.
+    """Evolve every path of the batch to time t through its jumps, summing its weight.
 
-    Returns (X_final (n,d), Jv_final, X_pre (M,d), Jv_pre, sup_grad_sq (n,)),
-    where the pre arrays hold the left-limit state at each jump, in flat batch
-    order. X_pre, Jv_pre and Jv_final are None when v is None (plain
-    trajectory run: only X_final is read). The running sup of |grad_v X|^2 is
-    recorded at jump and terminal times.
+    Returns (X_final (n,d), Jv_final, I1, I2, I3, sup_grad_sq (n,)). The
+    weight inputs come exactly with v: each jump's beta-weighted mark dWb
+    (M,d) and clock increment d_beta (M,), in flat batch order. I1, I2 and
+    I3 sum weight_terms over each path's jumps in jump order; they and
+    Jv_final are None when v is None (a plain trajectory run). The running
+    sup of |grad_v X|^2 is recorded at jump and terminal times.
 
     Each pass of the event loop gives every unfinished path its next event:
     one RK4 substep of the segment up to its next jump (or up to t), then,
@@ -420,15 +422,16 @@ def flow_batch(
     (_drift_free_flow), with the loop's float operations.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
+    if (dWb is None, d_beta is None) != (v is None, v is None):
+        raise ValueError("pass the weight inputs dWb and d_beta exactly when v is given")
     if field.drift_is_zero and field.sigma_is_constant:
-        return _drift_free_flow(x0, v, field, batch, dW)
-    n, d = batch.n, x0.shape[0]
+        return _drift_free_flow(x0, v, field, batch, dW, dWb)
+    n = batch.n
     # Column-major state: the RK4 arithmetic then runs along the path axis
     # instead of over d-element rows.
     X = np.asfortranarray(np.tile(x0, (n, 1)))
     Jv = None if v is None else np.asfortranarray(np.tile(np.asarray(v, dtype=float), (n, 1)))
-    X_pre = np.empty((batch.total, d)) if Jv is not None else None
-    Jv_pre = np.empty((batch.total, d)) if Jv is not None else None
+    I1, I2, I3 = (None, None, None) if Jv is None else (np.zeros(n), np.zeros(n), np.zeros(n))
     sup_g = np.einsum("mi,mi->m", Jv, Jv) if Jv is not None else np.zeros(n)
     drift = not field.drift_is_zero
     nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
@@ -456,13 +459,10 @@ def flow_batch(
         s_jump = batch.times[flat]
         x = X[sel]
         j = None if Jv is None else Jv[sel]
-        if Jv_pre is not None:
-            X_pre[flat] = x
-            Jv_pre[flat] = j
         Sg = np.asarray(field.sigma(s_jump, x), dtype=float)
         dw = dW[flat]
         x_new = x + np.einsum("mij,mj->mi", Sg, dw)
-        j_new = None
+        j_new = dir_s = None
         if j is not None:
             if field.sigma_is_constant:
                 j_new = j
@@ -476,6 +476,12 @@ def flow_batch(
         bad = _first_non_finite(x_new, j_new)
         if bad is not None:
             raise BlowUpError(s_jump[bad], path=int(sel[bad]))
+        if j is not None:
+            c1, c2, c3 = weight_terms(field, s_jump, x, j, dir_s, dw, dWb[flat], d_beta[flat])
+            I1[sel] += c1
+            if dir_s is not None:
+                I2[sel] += c2
+                I3[sel] += c3
         nxt[sel] = flat + 1
         if drift:
             s0[sel] = s_jump
@@ -486,7 +492,7 @@ def flow_batch(
     if Jv is not None:
         Jv = np.ascontiguousarray(Jv)
         sup_g = np.maximum(sup_g, np.einsum("mi,mi->m", Jv, Jv))
-    return np.ascontiguousarray(X), Jv, X_pre, Jv_pre, sup_g
+    return np.ascontiguousarray(X), Jv, I1, I2, I3, sup_g
 
 
 def path_cumulatives(batch: JumpBatch):
@@ -534,55 +540,23 @@ def conditional_mark_law(d_ell: np.ndarray, d_beta: np.ndarray, d_lambda: np.nda
     return ratio, np.sqrt(np.maximum(d_lambda - d_beta * ratio, 0.0))
 
 
-def weight_terms(
-    field: CoefficientField,
-    batch: JumpBatch,
-    dW: np.ndarray,
-    aux: np.ndarray | None,
-    X_pre: np.ndarray,
-    Jv_pre: np.ndarray,
-    d_beta: np.ndarray,
-    d_lambda: np.ndarray,
-):
-    """Per-path weight terms (I1, I2, I3) from per-jump clock increments.
+def weight_terms(field: CoefficientField, s, x, j, dir_s, dw, dwb, d_beta):
+    """Each jump's weight terms (c1, c2, c3) at its left limit, one row per jump.
 
-    The beta-weighted mark over a jump's clock interval is reconstructed from
-    the stored mark and the auxiliary normal through conditional_mark_law.
-    aux may be None when the clock has no conditional part (c = 0 on every
-    jump). A 0/1 clock, whose d_beta is each jump's size or 0, passes the
-    same array as d_beta and d_lambda (ClockSpec.increments does so for the
-    cap clock): r is then exactly 1 or 0 and c is 0, so the law is skipped.
+    x and j are the left limits X_{s-} and grad_v X_{s-}, dir_s the matrix
+    grad_j sigma(s, x) of the jump update (None for a constant sigma, whose
+    c2 and c3 are then None), dw and dwb the mark and beta-weighted mark and
+    d_beta the clock increment. With A = sigma^{-1}(s, x) dir_s,
+    c1 = <sigma^{-1} j, dwb>, c2 = Tr(A) d_beta and c3 = <A dwb, dw>.
     """
-    n = batch.n
-    if batch.total == 0:
-        zero = np.zeros(n)
-        return zero, zero.copy(), zero.copy()
-    if d_lambda is d_beta:
-        dWb = (d_beta > 0.0)[:, None] * dW
-    else:
-        ratio, c = conditional_mark_law(batch.sizes, d_beta, d_lambda)
-        dWb = ratio[:, None] * dW
-        if np.any(c > 0.0):
-            if aux is None:
-                raise ValueError(
-                    "this clock has a conditional mark part; pass the auxiliary normals"
-                )
-            dWb = dWb + c[:, None] * aux
-    pid = batch.path_id
-    s_inv = np.asarray(field.sigma_inv(batch.times, X_pre), dtype=float)
-    u = np.einsum("mij,mj->mi", s_inv, Jv_pre)
-    c1 = np.einsum("mi,mi->m", u, dWb)
-    I1 = np.bincount(pid, weights=c1, minlength=n)
-    if field.sigma_is_constant:
-        return I1, np.zeros(n), np.zeros(n)
-    gs = np.asarray(field.grad_sigma(batch.times, X_pre), dtype=float)
-    dir_s = np.einsum("mijk,mk->mij", gs, Jv_pre)
+    s_inv = np.asarray(field.sigma_inv(s, x), dtype=float)
+    c1 = np.einsum("mi,mi->m", np.einsum("mij,mj->mi", s_inv, j), dwb)
+    if dir_s is None:
+        return c1, None, None
     A = np.einsum("mij,mjk->mik", s_inv, dir_s)
     c2 = np.einsum("mii->m", A) * d_beta
-    c3 = np.einsum("mi,mi->m", np.einsum("mik,mk->mi", A, dWb), dW)
-    I2 = np.bincount(pid, weights=c2, minlength=n)
-    I3 = np.bincount(pid, weights=c3, minlength=n)
-    return I1, I2, I3
+    c3 = np.einsum("mi,mi->m", np.einsum("mik,mk->mi", A, dwb), dw)
+    return c1, c2, c3
 
 
 def map_batches(n_total: int, workers: int, worker_fn):
@@ -682,8 +656,7 @@ def run_batches(n_total: int, workers: int, worker_fn) -> BatchRun:
       "counters" (optional): {name: int}, summed over batches;
     plus any keys of its own, handed back untouched in BatchRun.parts.
     """
-    if n_total < 1:
-        raise ValueError("n_paths must be at least 1")
+    n_total = checked_integer("n_paths", n_total, minimum=1)
     workers = checked_integer("workers", workers, minimum=1)
     parts = map_batches(n_total, workers, worker_fn)
     stats: dict = {}

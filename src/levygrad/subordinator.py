@@ -246,7 +246,10 @@ def stable_median_s1(spec: BernsteinSpec) -> float:
             lo = mid
         else:
             hi = mid
-    return math.exp(-mid * (1.0 - rho) / rho)
+    log_median = -mid * (1.0 - rho) / rho
+    if log_median > np.log(np.finfo(float).max):
+        raise ValueError(f"the median of S_1 exceeds the float range at alpha = {spec.alpha}")
+    return math.exp(log_median)
 
 
 def default_eps_cut(spec: BernsteinSpec, t: float) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import engine
 from .bismut import ClockSpec, checked_start, checked_vector, estimate_gradient
+from .bismut import fixed_batch, stable_batch
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, EstimatorResult, compare
 from .streams import substream
@@ -88,14 +89,10 @@ def estimate_pt(
     seed, so the two runs share paths (common random numbers).
     """
     x, eps = checked_start(x, field, spec, t, eps_cut)
-    d = field.dimension
 
     def worker(bi: int, start: int, count: int):
-        jb = engine.sample_jump_batch(
-            spec.alpha, t, eps, count, substream(seed, engine.PURPOSE_JUMPS, bi)
-        )
-        dW = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
-        X, _, _, _, _ = engine.flow_batch(x, None, field, jb, dW, t, substeps_per_unit)
+        jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
+        X = engine.flow_batch(x, None, field, jb, dW, t, substeps_per_unit)[0]
         return {
             "samples": {"y": engine.evaluate_observable(f, X, bi)},
             "counters": {"jumps": int(jb.total)},
@@ -182,17 +179,13 @@ def fd_gradient(
     h_val = 1e-3 * (1.0 + float(np.linalg.norm(x))) if h is None else float(h)
     if not h_val > 0:
         raise ValueError("h must be positive")
-    d = field.dimension
     xp = x + h_val * v
     xm = x - h_val * v
 
     def worker(bi: int, start: int, count: int):
-        jb = engine.sample_jump_batch(
-            spec.alpha, t, eps, count, substream(seed, engine.PURPOSE_JUMPS, bi)
-        )
-        dW = engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
-        Xp, _, _, _, _ = engine.flow_batch(xp, None, field, jb, dW, t, substeps_per_unit)
-        Xm, _, _, _, _ = engine.flow_batch(xm, None, field, jb, dW, t, substeps_per_unit)
+        jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
+        Xp = engine.flow_batch(xp, None, field, jb, dW, t, substeps_per_unit)[0]
+        Xm = engine.flow_batch(xm, None, field, jb, dW, t, substeps_per_unit)[0]
         fp = engine.evaluate_observable(f, Xp, bi)
         fm = engine.evaluate_observable(f, Xm, bi)
         return {"samples": {"y": (fp - fm) / (2.0 * h_val)}}
@@ -322,7 +315,7 @@ def counterexample_moments(
     def jump_worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, 1.0, count)
         dW = engine.sample_mark_batch(jb, 1, substream(seed, engine.PURPOSE_MARKS, bi))
-        X, _, _, _, _ = engine.flow_batch(x0, None, field, jb, dW, 1.0, 100)
+        X = engine.flow_batch(x0, None, field, jb, dW, 1.0, 100)[0]
         return {"samples": {"y": np.einsum("ni,ni->n", X, X)}}
 
     jump_moment = engine.run_batches(n_paths, workers, jump_worker).result(
@@ -379,10 +372,7 @@ def burkholder_isometry_check(
     k = path.times.size
 
     def worker(bi: int, start: int, count: int):
-        jb = engine.fixed_jump_batch(path, path.horizon, count)
-        rng = substream(seed, engine.PURPOSE_MARKS, bi)
-        dW = engine.sample_mark_batch(jb, d, rng)
-        aux = rng.standard_normal((jb.total, d))
+        _, dW, aux = fixed_batch(path, path.horizon, d, seed, bi, count)
         u = (dW @ xi).reshape(count, k)
         w = (aux @ xi).reshape(count, k)
         M = u @ r + w @ c
@@ -453,10 +443,7 @@ def truncation_convergence_check(
     n_eps = len(eps_list)
 
     def worker(bi: int, start: int, count: int):
-        jb = engine.fixed_jump_batch(path, path.horizon, count)
-        rng = substream(seed, engine.PURPOSE_MARKS, bi)
-        dW = engine.sample_mark_batch(jb, d, rng)
-        aux = rng.standard_normal((jb.total, d))
+        _, dW, aux = fixed_batch(path, path.horizon, d, seed, bi, count)
         u = (dW @ xi).reshape(count, k)
         w = (aux @ xi).reshape(count, k)
         gaps = (u @ coeff_r[j] + w @ coeff_c[j] for j in range(n_eps))

@@ -1,8 +1,11 @@
 """Per-path reference for the batched engine: one path's flow and weight.
 
-This is the test oracle that engine.flow_batch and engine.weight_terms are
-checked against. It walks one path at a time in plain Python, so every float
-operation is visible, and it keeps its own copy of the conditional mark law.
+This is the test oracle that engine.flow_batch, which sums the weight terms
+as it applies each jump, is checked against. It walks one path at a time in
+plain Python, so every float operation is visible: simulate_flow stores every
+pre- and post-jump state, and accumulate_weight sums the weight over the
+stored pre-jump states afterwards, with its own copy of the conditional mark
+law.
 
 Between jumps the clock is flat, so the state follows the deterministic ODE
 dX/ds = b(s, X) and the directional derivative Jv = grad_v X follows

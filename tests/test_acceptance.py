@@ -296,9 +296,9 @@ def test_criterion_8_exact_identities(capsys, tmp_path):
 
     # RK4 on the linear-drift field reproduces e^{-1} to 1e-8 over one unit
     no_jumps = fixed_jump_batch(JumpPath(1.0, np.array([]), np.array([])), 1.0, 1)
-    X1, Jv1, _, _, _ = flow_batch(
+    X1, Jv1, *_ = flow_batch(
         np.array([1.0]), np.array([1.0]), catalog("ou_additive", 1),
-        no_jumps, np.empty((0, 1)), 1.0, 100,
+        no_jumps, np.empty((0, 1)), 1.0, 100, np.empty((0, 1)), np.empty(0),
     )
     rk4 = abs(X1[0, 0] - math.exp(-1.0)) <= 1e-8 and abs(Jv1[0, 0] - math.exp(-1.0)) <= 1e-8
 

@@ -1,5 +1,6 @@
 """Coefficient catalog: analytic derivatives, inverses, inverse-diffusion bounds."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -146,6 +147,22 @@ def test_field_validation():
             grad_sigma=lambda t, x: x,
             sigma_inv=lambda t, x: x,
         )
+
+
+@pytest.mark.parametrize("dimension", [2.5, True, "2", None])
+def test_dimension_must_be_an_integer(dimension):
+    # a field of dimension 2.5 would build and fail only at its first evaluation
+    with pytest.raises(ValueError, match="^dimension must be an integer"):
+        catalog("ou_additive", dimension)
+    with pytest.raises(ValueError, match="^dimension must be an integer"):
+        dataclasses.replace(catalog("ou_additive", 2), dimension=dimension)
+
+
+def test_integral_dimension_is_stored_as_int():
+    field = catalog("bounded_multiplicative", np.int64(2))
+    assert type(field.dimension) is int and field.dimension == 2
+    assert type(dataclasses.replace(field, dimension=2.0).dimension) is int
+    assert catalog("ou_additive", 2.0).sigma(0.0, np.zeros((3, 2))).shape == (3, 2, 2)
 
 
 # Bit pins of every catalog evaluator: SHA-256 of each output's shape and

@@ -27,6 +27,7 @@ from levygrad.engine import (
     sample_mark_batch,
     weight_terms,
 )
+from levygrad.bismut import _beta_marks
 from reference import PathRealization, accumulate_weight, simulate_flow
 
 
@@ -47,9 +48,10 @@ def test_batched_flow_and_weights_match_single_path_reference():
     v = np.array([1.0, 0.5])
     jb, dW, aux = _sample_setup()
     clock = ClockSpec.cap_at_first_passage(R)
-    d_beta, d_lambda, normalizer, _ = clock.increments(jb)
-    X, Jv, X_pre, Jv_pre, _sup = flow_batch(x0, v, field, jb, dW, t, 100)
-    I1, I2, I3 = weight_terms(field, jb, dW, aux, X_pre, Jv_pre, d_beta, d_lambda)
+    increments = clock.increments(jb)
+    normalizer = increments.normalizer
+    dWb = _beta_marks(jb.sizes, increments, dW, aux)
+    X, Jv, I1, I2, I3, _sup = flow_batch(x0, v, field, jb, dW, t, 100, dWb, increments.d_beta)
 
     worst = 0.0
     for i in range(jb.n):
@@ -193,14 +195,23 @@ def test_mark_batch_law_and_reproducibility():
 def test_weight_terms_vanish_exactly_for_constant_sigma():
     field = catalog("ou_additive", 2)
     jb, dW, aux = _sample_setup()
-    _, ell_post, _ = path_cumulatives(jb)
-    X, Jv, X_pre, Jv_pre, _ = flow_batch(
-        np.zeros(2), np.ones(2), field, jb, dW, 1.0, 50
-    )
-    I1, I2, I3 = weight_terms(field, jb, dW, aux, X_pre, Jv_pre, jb.sizes, jb.sizes)
+    _, _, I1, I2, I3, _ = flow_batch(np.zeros(2), np.ones(2), field, jb, dW, 1.0, 50, aux, jb.sizes)
     assert np.all(I2 == 0.0)
     assert np.all(I3 == 0.0)
     assert np.any(I1 != 0.0)
+    # without a dir_s there are no trace and jump-measure terms to form
+    x, j = np.zeros((jb.total, 2)), np.ones((jb.total, 2))
+    c1, c2, c3 = weight_terms(field, jb.times, x, j, None, dW, aux, jb.sizes)
+    assert c2 is None and c3 is None and c1.shape == (jb.total,)
+
+
+def test_weight_inputs_travel_with_v():
+    jb, dW, aux = _sample_setup(n=5)
+    field = catalog("bounded_multiplicative", 2)
+    x0, v = np.zeros(2), np.ones(2)
+    for args in ((v, None, jb.sizes), (v, aux, None), (None, aux, jb.sizes), (None, None, jb.sizes)):
+        with pytest.raises(ValueError, match="exactly when v is given"):
+            flow_batch(x0, args[0], field, jb, dW, 1.0, 50, *args[1:])
 
 
 def test_map_batches_spans_and_order():

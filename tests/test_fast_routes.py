@@ -157,9 +157,19 @@ def _edge_batch(n_extra):
     return JumpBatch(counts.size, 1.0, counts, offsets, times, sizes)
 
 
+def _weight_inputs(v, batch, dW):
+    """(dWb, d_beta) for a run with direction v, an empty tuple without one."""
+    if v is None:
+        return ()
+    return 0.5 * dW[:, ::-1] + 0.25, batch.sizes
+
+
 def _both_routes(field, x0, v, batch, dW):
-    closed = flow_batch(x0, v, field, batch, dW, 1.0, 50)
-    loop = flow_batch(x0, v, dataclasses.replace(field, drift_is_zero=False), batch, dW, 1.0, 50)
+    weight = _weight_inputs(v, batch, dW)
+    closed = flow_batch(x0, v, field, batch, dW, 1.0, 50, *weight)
+    loop = flow_batch(
+        x0, v, dataclasses.replace(field, drift_is_zero=False), batch, dW, 1.0, 50, *weight
+    )
     return closed, loop
 
 
@@ -190,6 +200,8 @@ def test_closed_form_flow_equals_the_event_loop(d, field_name, with_v, n_extra):
     assert np.signbit(closed[0][0, 0])
     if not with_v:
         assert closed[2] is None and loop[2] is None
+    else:
+        assert np.any(closed[2] != 0.0)
 
 
 def test_closed_form_sup_takes_the_loop_maximum_in_high_dimension():
@@ -209,7 +221,7 @@ def test_closed_form_sup_takes_the_loop_maximum_in_high_dimension():
 
 def _blow_up(field, x0, v, batch, dW):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
-        flow_batch(x0, v, field, batch, dW, 1.0, 50)
+        flow_batch(x0, v, field, batch, dW, 1.0, 50, *_weight_inputs(v, batch, dW))
     return info.value.s, info.value.path
 
 

@@ -249,6 +249,15 @@ INTEGER_ARGUMENTS = {
     "fd_gradient drift-free substeps_per_unit -5": (lambda: fd_gradient(
         X1, V1, TANH, F1, SPEC, 1.0, 1e-3, 8, 5, eps_cut=0.05, substeps_per_unit=-5),
         "substeps_per_unit must be at least 1"),
+    # range() would raise a bare TypeError, and True would run one path
+    "estimate_gradient n_paths 100.5": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", 100.5, 0.05, 1), "n_paths must be an integer"),
+    "estimate_gradient n_paths True": (lambda: estimate_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, "auto", True, 0.05, 1), "n_paths must be an integer"),
+    "estimate_pt n_paths 50.5": (lambda: estimate_pt(
+        X1, TANH, F1, SPEC, 1.0, 50.5, 3, eps_cut=0.05), "n_paths must be an integer"),
+    "estimate_pt n_paths 0": (lambda: estimate_pt(
+        X1, TANH, F1, SPEC, 1.0, 0, 3, eps_cut=0.05), "n_paths must be at least 1"),
     # ThreadPoolExecutor(int(1.7)) would run on one thread
     "run_batches workers 1.7": (lambda: run_batches(
         8, 1.7, lambda bi, start, count: {"samples": {}}), "workers must be an integer"),

@@ -13,6 +13,7 @@ from levygrad import (
     BernsteinSpec,
     JumpPath,
     default_eps_cut,
+    default_level_R,
     dropped_mass_rate,
     first_passage,
     inverse_moment,
@@ -248,6 +249,16 @@ def test_stable_median_raises_no_warning_at_extreme_alpha(alpha):
         warnings.simplefilter("error")
         median = stable_median_s1.__wrapped__(BernsteinSpec.alpha_stable(alpha))
     assert math.isfinite(median) and median > 0
+
+
+def test_stable_median_beyond_the_float_range_names_alpha():
+    # the median of S_1 is 8.4e158 at alpha = 0.002 and overflows below
+    spec = BernsteinSpec.alpha_stable(0.001)
+    for fn in (stable_median_s1, lambda s: default_level_R(s, 1.0),
+               lambda s: default_eps_cut(s, 1.0)):
+        with pytest.raises(ValueError, match="float range at alpha = 0.001"):
+            fn(spec)
+    assert math.isfinite(stable_median_s1(BernsteinSpec.alpha_stable(0.002)))
 
 
 def test_stable_median_reproducible_and_plausible():
