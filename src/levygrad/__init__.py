@@ -20,7 +20,7 @@ from .subordinator import (
     stable_median_s1,
 )
 from .coefficients import CoefficientField, catalog
-from .engine import BlowUpError, FirstPassage, first_passage, sample_jump_path
+from .engine import BlowUpError, sample_jump_path
 from .bismut import (
     ClockSpec,
     estimate_gradient,
@@ -45,11 +45,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BernsteinSpec",
     "JumpPath",
-    "FirstPassage",
     "sample_jump_path",
     "sample_terminal_values",
     "truncate_jumps",
-    "first_passage",
     "inverse_moment",
     "tail_mass",
     "dropped_mass_rate",

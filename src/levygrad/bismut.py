@@ -236,7 +236,7 @@ def _beta_marks(sizes, clock: ClockIncrements, dW, aux):
     return dWb
 
 
-def _weighted_worker(x, v, f, field, t, substeps_per_unit, antithetic, collect_samples, draw):
+def _weighted_worker(x, v, f, field, substeps_per_unit, antithetic, collect_samples, draw):
     """The per-batch worker of both weighted estimators.
 
     draw(bi, count) returns one batch's (jumps, marks, aux, ClockIncrements,
@@ -257,7 +257,7 @@ def _weighted_worker(x, v, f, field, t, substeps_per_unit, antithetic, collect_s
 
         def weighted_pass(dW, dWb):
             X, _, *I, sup_g = engine.flow_batch(
-                x, v, field, jb, dW, t, substeps_per_unit, dWb, clock.d_beta)
+                x, v, field, jb, dW, substeps_per_unit, dWb, clock.d_beta)
             return engine.evaluate_observable(f, X, bi), *I, sup_g
 
         fv, I1, I2, I3, sup_g = weighted_pass(dW, dWb)
@@ -344,9 +344,7 @@ def estimate_gradient(
         # the cap clock has no conditional mark part, so no auxiliary normals
         return jb, dW, None, increments, counters
 
-    worker = _weighted_worker(
-        x, v, f, field, t, substeps_per_unit, antithetic, collect_samples, draw
-    )
+    worker = _weighted_worker(x, v, f, field, substeps_per_unit, antithetic, collect_samples, draw)
     run = engine.run_batches(n_paths, workers, worker)
     frac = run.n_rejected / n_paths
     diagnostics = {
@@ -398,7 +396,7 @@ def estimate_gradient_fixed_clock(
         jb, dW, aux = fixed_batch(path, t, d, seed, bi, count)
         return jb, dW, aux, ClockIncrements._make(np.tile(a, count) for a in increments), {}
 
-    worker = _weighted_worker(x, v, f, field, t, substeps_per_unit, False, collect_samples, draw)
+    worker = _weighted_worker(x, v, f, field, substeps_per_unit, False, collect_samples, draw)
     run = engine.run_batches(n_paths, workers, worker)
     diagnostics = {
         "rejection_fraction": 0.0,

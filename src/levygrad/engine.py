@@ -9,9 +9,11 @@ draws from, hence the sampled numbers.
 
 Every estimator runs through run_batches: its per-batch worker returns named
 per-path sample columns (plus an optional rejection mask and integer
-counters), and run_batches merges them into means, standard errors and
-counts. That one skeleton also checks the path count, and
-evaluate_observable checks what a user's f returns.
+counters), and run_batches reduces each batch's columns as the worker hands
+them back, then merges the reductions in batch order into means, standard
+errors and counts, so a run holds one batch's samples at a time. That one
+skeleton also checks the path count, and evaluate_observable checks what a
+user's f returns.
 
 Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 (times, sizes) sorted by (path, time), with counts per path and prefix
@@ -34,11 +36,12 @@ jump's terms from the left limit and sigma's directional derivative that
 the jump update holds, and each path adds them up in jump order, so no left
 limit is stored.
 
-Clock values come from path_cumulatives (each jump's clock interval) and
+Clock values come only from path_cumulatives (each jump's clock interval
+and each path's terminal value) and first passages only from
 first_passage_levels (each path's crossing jump over a level, as a flat
-index), which bismut.ClockSpec.increments turns into clock increments. The
-one-path functions sample_jump_path and first_passage are views of these
-batch functions on a single path.
+index); bismut.ClockSpec.increments turns them into clock increments. A
+single path is a batch of one (fixed_jump_batch), and sample_jump_path is
+the one-path view of sample_jump_batch.
 
 This is the only flow and weight implementation in the package. The test
 suite checks it against a one-path-at-a-time reference (tests/reference.py).
@@ -66,8 +69,6 @@ __all__ = [
     "JumpBatch",
     "sample_jump_batch",
     "sample_jump_path",
-    "FirstPassage",
-    "first_passage",
     "fixed_jump_batch",
     "sample_mark_batch",
     "flow_batch",
@@ -209,30 +210,6 @@ def sample_jump_path(
     """One stable subordinator path: the single path of sample_jump_batch(n = 1)."""
     checked_jump_intensity(spec.alpha, eps_cut, horizon)
     return sample_jump_batch(spec.alpha, horizon, eps_cut, 1, rng).extract_path(0)
-
-
-@dataclass(frozen=True)
-class FirstPassage:
-    """First time the clock reaches a level R, with surrounding values."""
-
-    tau: float
-    value_before: float
-    value_at: float
-    jump_index: int  # index of the crossing jump
-
-
-def first_passage(path: JumpPath, R: float) -> FirstPassage | None:
-    """First time value(t) >= R, or None if the level is not reached by horizon.
-
-    The one-path view of first_passage_levels. The clock moves only by
-    jumps, so the crossing jump has value_before < R <= value_at.
-    """
-    batch = fixed_jump_batch(path, path.horizon, 1)
-    ell_pre, ell_post, _ = path_cumulatives(batch)
-    j = int(first_passage_levels(batch, ell_post, R)[0])
-    if j < 0:
-        return None
-    return FirstPassage(float(path.times[j]), float(ell_pre[j]), float(ell_post[j]), j)
 
 
 def fixed_jump_batch(path: JumpPath, t: float, n: int) -> JumpBatch:
@@ -400,19 +377,19 @@ def flow_batch(
     field: CoefficientField,
     batch: JumpBatch,
     dW: np.ndarray,
-    t: float,
     substeps_per_unit: int,
     dWb: np.ndarray | None = None,
     d_beta: np.ndarray | None = None,
 ):
-    """Evolve every path of the batch to time t through its jumps, summing its weight.
+    """Evolve every path of the batch to its horizon t through its jumps, summing its weight.
 
     Returns (X_final (n,d), Jv_final, I1, I2, I3, sup_grad_sq (n,)). The
     weight inputs come exactly with v: each jump's beta-weighted mark dWb
     (M,d) and clock increment d_beta (M,), in flat batch order. I1, I2 and
     I3 sum weight_terms over each path's jumps in jump order; they and
     Jv_final are None when v is None (a plain trajectory run). The running
-    sup of |grad_v X|^2 is recorded at jump and terminal times.
+    sup of |grad_v X|^2 is recorded at jump and terminal times. t is
+    batch.horizon, the end of the interval the batch's jumps were drawn on.
 
     Each pass of the event loop gives every unfinished path its next event:
     one RK4 substep of the segment up to its next jump (or up to t), then,
@@ -426,7 +403,7 @@ def flow_batch(
         raise ValueError("pass the weight inputs dWb and d_beta exactly when v is given")
     if field.drift_is_zero and field.sigma_is_constant:
         return _drift_free_flow(x0, v, field, batch, dW, dWb)
-    n = batch.n
+    n, t = batch.n, batch.horizon
     # Column-major state: the RK4 arithmetic then runs along the path axis
     # instead of over d-element rows.
     X = np.asfortranarray(np.tile(x0, (n, 1)))
@@ -627,7 +604,7 @@ class ColumnStats:
 
 @dataclass(frozen=True, eq=False)
 class BatchRun:
-    """Merged outcome of run_batches; parts are the worker outputs in batch order."""
+    """Merged outcome of run_batches; parts are the workers' own keys in batch order."""
 
     n_samples: int
     n_rejected: int
@@ -654,24 +631,38 @@ def run_batches(n_total: int, workers: int, worker_fn) -> BatchRun:
       "samples": {column key: (count,) float array}, one value per path;
       "reject" (optional): (count,) bool mask of paths left out of every column;
       "counters" (optional): {name: int}, summed over batches;
-    plus any keys of its own, handed back untouched in BatchRun.parts.
+    plus any keys of its own, handed back in BatchRun.parts. Each batch's
+    columns are reduced to a RunningStats as soon as its worker returns, so
+    a run holds one batch's samples at a time; summing the reductions in
+    batch order gives the floats of one RunningStats fed every batch.
     """
     n_total = checked_integer("n_paths", n_total, minimum=1)
     workers = checked_integer("workers", workers, minimum=1)
-    parts = map_batches(n_total, workers, worker_fn)
+
+    def reduced(bi: int, start: int, count: int):
+        part = worker_fn(bi, start, count)
+        reject = part.pop("reject", None)
+        stats = {}
+        for name, values in part.pop("samples").items():
+            stats[name] = column = RunningStats()
+            column.update(values if reject is None else values[~reject])
+        return stats, 0 if reject is None else int(reject.sum()), part
+
     stats: dict = {}
     counters: dict[str, int] = {}
     n_rejected = 0
-    for part in parts:
-        reject = part.get("reject")
-        if reject is not None:
-            n_rejected += int(reject.sum())
-            keep = ~reject
-        for name, values in part["samples"].items():
+    parts = []
+    for batch_stats, rejected, part in map_batches(n_total, workers, reduced):
+        n_rejected += rejected
+        for name, batch_column in batch_stats.items():
             column = stats.setdefault(name, RunningStats())
-            column.update(values if reject is None else values[keep])
-        for name, value in part.get("counters", {}).items():
+            column.count += batch_column.count
+            column.total += batch_column.total
+            column.total_sq += batch_column.total_sq
+            column.max_abs = max(column.max_abs, batch_column.max_abs)
+        for name, value in part.pop("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
+        parts.append(part)
     columns = {
         name: ColumnStats(*column.finalize(), column.max_abs) for name, column in stats.items()
     }

@@ -60,11 +60,10 @@ class BernsteinSpec:
 
 @dataclass(frozen=True, eq=False)
 class JumpPath:
-    """One finite-jump clock realization on [0, horizon].
+    """One finite-jump clock realization on [0, horizon]: finite jump times and sizes.
 
-    value(t) = sum of sizes with time <= t is nondecreasing and cadlag with
-    value(0) = 0. The horizon, times and sizes must be finite.
-    engine.sample_jump_path draws one from the stable law.
+    engine.sample_jump_path draws one from the stable law; the engine's batch
+    functions read its clock values on engine.fixed_jump_batch(path, horizon, 1).
     """
 
     horizon: float
@@ -91,23 +90,6 @@ class JumpPath:
                 raise ValueError("jump sizes must be positive")
         t.setflags(write=False)
         s.setflags(write=False)
-
-    @property
-    def jump_count(self) -> int:
-        return int(self.times.size)
-
-    def cumulative_sizes(self) -> np.ndarray:
-        return np.cumsum(self.sizes)
-
-    def value(self, t):
-        """Clock value at time t (cadlag: jumps at exactly t are included)."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
-        return np.concatenate(([0.0], self.cumulative_sizes()))[idx]
-
-    def value_before(self, t):
-        """Left limit of the clock at time t."""
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="left")
-        return np.concatenate(([0.0], self.cumulative_sizes()))[idx]
 
 
 def tail_mass(alpha: float, eps: float) -> float:
@@ -192,14 +174,28 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
     """E S_t**(-gamma) = Gamma(1 + gamma/rho) / Gamma(1 + gamma) * t**(-gamma/rho).
 
     rho = alpha/2. This is the closed form of
-    Gamma(gamma)**-1 * integral_0^inf u**(gamma-1) exp(-t u**rho) du.
+    Gamma(gamma)**-1 * integral_0^inf u**(gamma-1) exp(-t u**rho) du. Where a
+    factor overflows (Gamma(1 + gamma/rho) does past gamma/rho of about 170)
+    it is evaluated with lgamma; a value beyond the float range raises
+    ValueError.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    rho = spec.alpha / 2.0
-    return math.gamma(1.0 + gamma / rho) / math.gamma(1.0 + gamma) * t ** (-gamma / rho)
+    q = gamma / (spec.alpha / 2.0)
+    try:
+        value = math.gamma(1.0 + q) / math.gamma(1.0 + gamma) * t ** (-q)
+    except OverflowError:
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    # a factor or the product left the float range: the same form in logs
+    log_value = math.lgamma(1.0 + q) - math.lgamma(1.0 + gamma) - q * math.log(t)
+    if log_value > np.log(np.finfo(float).max):
+        raise ValueError(f"E S_t**(-gamma) exceeds the float range at alpha = {spec.alpha}, "
+                         f"gamma = {gamma}, t = {t}")
+    return math.exp(log_value)
 
 
 def _kanter_rule() -> tuple[np.ndarray, np.ndarray]:

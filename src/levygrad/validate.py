@@ -92,7 +92,7 @@ def estimate_pt(
 
     def worker(bi: int, start: int, count: int):
         jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
-        X = engine.flow_batch(x, None, field, jb, dW, t, substeps_per_unit)[0]
+        X = engine.flow_batch(x, None, field, jb, dW, substeps_per_unit)[0]
         return {
             "samples": {"y": engine.evaluate_observable(f, X, bi)},
             "counters": {"jumps": int(jb.total)},
@@ -184,8 +184,8 @@ def fd_gradient(
 
     def worker(bi: int, start: int, count: int):
         jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
-        Xp = engine.flow_batch(xp, None, field, jb, dW, t, substeps_per_unit)[0]
-        Xm = engine.flow_batch(xm, None, field, jb, dW, t, substeps_per_unit)[0]
+        Xp = engine.flow_batch(xp, None, field, jb, dW, substeps_per_unit)[0]
+        Xm = engine.flow_batch(xm, None, field, jb, dW, substeps_per_unit)[0]
         fp = engine.evaluate_observable(f, Xp, bi)
         fm = engine.evaluate_observable(f, Xm, bi)
         return {"samples": {"y": (fp - fm) / (2.0 * h_val)}}
@@ -315,7 +315,7 @@ def counterexample_moments(
     def jump_worker(bi: int, start: int, count: int):
         jb = engine.fixed_jump_batch(path, 1.0, count)
         dW = engine.sample_mark_batch(jb, 1, substream(seed, engine.PURPOSE_MARKS, bi))
-        X = engine.flow_batch(x0, None, field, jb, dW, 1.0, 100)[0]
+        X = engine.flow_batch(x0, None, field, jb, dW, 100)[0]
         return {"samples": {"y": np.einsum("ni,ni->n", X, X)}}
 
     jump_moment = engine.run_batches(n_paths, workers, jump_worker).result(
@@ -367,7 +367,7 @@ def burkholder_isometry_check(
     jumps = engine.fixed_jump_batch(path, path.horizon, 1)
     d_beta, d_lambda, _, cap = clock.increments(jumps)
     r, c = engine.conditional_mark_law(jumps.sizes, d_beta, d_lambda)
-    ell_T = float(np.sum(path.sizes))
+    ell_T = float(engine.path_cumulatives(jumps)[2][0])
     target = float(xi @ xi) * float(clock._curves(ell_T, cap[0])[1])
     k = path.times.size
 

@@ -93,7 +93,7 @@ class PathRealization:
         aux = np.asarray(self.aux_normals, dtype=float)
         object.__setattr__(self, "increments", inc)
         object.__setattr__(self, "aux_normals", aux)
-        k = self.path.jump_count
+        k = self.path.times.size
         if inc.ndim != 2 or inc.shape[0] != k:
             raise ValueError("increments must have one row per jump")
         if aux.shape != inc.shape:
@@ -109,7 +109,7 @@ def sample_increments(path: JumpPath, d: int, rng: np.random.Generator) -> PathR
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    k = path.jump_count
+    k = path.times.size
     z = rng.standard_normal((k, d))
     aux = rng.standard_normal((k, d))
     increments = z * np.sqrt(path.sizes)[:, None]
@@ -192,7 +192,7 @@ def simulate_flow(
     state = FlowState.initial(x0, v)
     snapshots: list[FlowState] = []
     s_cur = 0.0
-    for i in range(path.jump_count):
+    for i in range(path.times.size):
         s_i = float(path.times[i])
         if s_i > t:
             break

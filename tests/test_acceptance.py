@@ -298,7 +298,7 @@ def test_criterion_8_exact_identities(capsys, tmp_path):
     no_jumps = fixed_jump_batch(JumpPath(1.0, np.array([]), np.array([])), 1.0, 1)
     X1, Jv1, *_ = flow_batch(
         np.array([1.0]), np.array([1.0]), catalog("ou_additive", 1),
-        no_jumps, np.empty((0, 1)), 1.0, 100, np.empty((0, 1)), np.empty(0),
+        no_jumps, np.empty((0, 1)), 100, np.empty((0, 1)), np.empty(0),
     )
     rk4 = abs(X1[0, 0] - math.exp(-1.0)) <= 1e-8 and abs(Jv1[0, 0] - math.exp(-1.0)) <= 1e-8
 

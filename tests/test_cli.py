@@ -156,6 +156,14 @@ def test_moments_report(tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_moments_beyond_the_float_range_exits_1(tmp_path, capsys):
+    # E S_1**(-1) at alpha = 0.01 is about exp(863)
+    cfg = {"alpha": 0.01, "t": 1.0, "gammas": [0.5, 1.0]}
+    assert main(["moments", write_config(tmp_path, cfg)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "alpha = 0.01" in err and "Traceback" not in err
+
+
 def test_lemma_tests_report(tmp_path):
     cfg = {
         "path": {"horizon": 1.0, "times": [0.2, 0.5, 0.8], "sizes": [1.3, 0.9, 0.4]},

@@ -11,7 +11,6 @@ from levygrad import (
     JumpPath,
     catalog,
     estimate_gradient,
-    first_passage,
     substream,
 )
 from levygrad import engine
@@ -51,7 +50,7 @@ def test_batched_flow_and_weights_match_single_path_reference():
     increments = clock.increments(jb)
     normalizer = increments.normalizer
     dWb = _beta_marks(jb.sizes, increments, dW, aux)
-    X, Jv, I1, I2, I3, _sup = flow_batch(x0, v, field, jb, dW, t, 100, dWb, increments.d_beta)
+    X, Jv, I1, I2, I3, _sup = flow_batch(x0, v, field, jb, dW, 100, dWb, increments.d_beta)
 
     worst = 0.0
     for i in range(jb.n):
@@ -88,40 +87,60 @@ def test_results_do_not_depend_on_worker_count():
     assert r1.diagnostics == r4.diagnostics
 
 
+def _per_path_crossings(batch, R):
+    """Oracle: flat index of each path's first k with cumsum(sizes)[k] >= R, or -1."""
+    out = []
+    for i in range(batch.n):
+        lo, hi = batch.offsets[i], batch.offsets[i + 1]
+        hits = np.flatnonzero(np.cumsum(batch.sizes[lo:hi]) >= R)
+        out.append(lo + hits[0] if hits.size else -1)
+    return out
+
+
+def _hand_batch(sizes_per_path):
+    counts = np.array([len(p) for p in sizes_per_path], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    times = np.concatenate([np.linspace(0.1, 0.9, c) for c in counts])
+    sizes = np.concatenate([np.asarray(p, dtype=float) for p in sizes_per_path])
+    return JumpBatch(counts.size, 1.0, counts, offsets, times, sizes)
+
+
+# sampled paths (eps 0.2 leaves many empty ones), dyadic sizes whose sums hit
+# each level exactly, and a last path crossing at its last jump before empty ones
+ORACLE_BATCHES = {
+    "sampled": lambda: _sample_setup(n=200, eps=0.2, seed=55)[0],
+    "exact_levels": lambda: _hand_batch(
+        [[0.5, 0.5], [], [0.25, 0.25, 1.0], [1.0], [0.125], [1.5, 0.5]]),
+    "final_jump_before_empty": lambda: _hand_batch([[0.25], [0.375, 0.75], [], []]),
+}
+
+
 def test_first_passage_levels_agrees_with_single_path():
-    jb, _, _ = _sample_setup(n=200, eps=0.2, seed=55)
-    _, ell_post, _ = path_cumulatives(jb)
-    for R in (0.3, 0.9, 2.5):
-        crossing = first_passage_levels(jb, ell_post, R)
-        for i in range(jb.n):
-            path = jb.extract_path(i)
-            fp = first_passage(path, R)
-            hits = np.flatnonzero(np.cumsum(path.sizes) >= R)  # an independent scan
-            if fp is None:
-                assert crossing[i] == -1 and hits.size == 0
-            else:
-                assert crossing[i] == jb.offsets[i] + fp.jump_index
-                assert fp.jump_index == hits[0] and fp.tau == path.times[hits[0]]
-                # the tiled cumulative and a fresh per-path cumsum may differ
-                # by roundoff, so compare values rather than bits
-                assert ell_post[crossing[i]] == pytest.approx(fp.value_at, rel=1e-12)
+    for name, make in ORACLE_BATCHES.items():
+        jb = make()
+        assert np.any(jb.counts == 0), name
+        _, ell_post, _ = path_cumulatives(jb)
+        crossed = 0
+        for R in (0.3, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 2.5):
+            crossing = first_passage_levels(jb, ell_post, R)
+            assert crossing.tolist() == _per_path_crossings(jb, R), (name, R)
+            crossed += np.count_nonzero(crossing >= 0)
+        assert crossed, name
 
 
-def test_first_passage_value_before_is_the_left_limit_bit_for_bit():
-    # value_before reads the previous cumulative, the float JumpPath.value_before
-    # reads too; value_at - size differs from it by roundoff
-    jb, _, _ = _sample_setup(n=300, eps=0.01, seed=61)
-    after_first_jump = 0
-    for R in (0.5, 2.0, 5.0):
+def test_path_cumulatives_agree_with_per_path_sums():
+    for name, make in ORACLE_BATCHES.items():
+        jb = make()
+        ell_pre, ell_post, ell_T = path_cumulatives(jb)
+        # the batch subtracts each path's start from one running sum over the
+        # batch, so it may differ from a fresh per-path cumsum by roundoff
+        tol = 1e-14 * jb.sizes.sum()
         for i in range(jb.n):
-            path = jb.extract_path(i)
-            fp = first_passage(path, R)
-            if fp is None:
-                continue
-            after_first_jump += fp.jump_index > 0
-            assert fp.value_before == path.value_before(fp.tau)
-            assert fp.value_before < R <= fp.value_at
-    assert after_first_jump > 100
+            lo, hi = jb.offsets[i], jb.offsets[i + 1]
+            cum = np.cumsum(jb.sizes[lo:hi])
+            np.testing.assert_allclose(ell_post[lo:hi], cum, rtol=1e-12, atol=tol)
+            np.testing.assert_allclose(ell_pre[lo:hi], np.append(0.0, cum)[:-1], rtol=1e-12, atol=tol)
+            assert ell_T[i] == pytest.approx(cum[-1] if hi > lo else 0.0, rel=1e-12, abs=tol)
 
 
 def test_first_passage_levels_crossing_at_final_jump_before_empty_paths():
@@ -160,8 +179,8 @@ def test_extract_path_roundtrip():
     for i in range(jb.n):
         p = jb.extract_path(i)
         assert p.horizon == jb.horizon
-        assert p.jump_count == jb.counts[i]
-        total += p.jump_count
+        assert p.times.size == jb.counts[i]
+        total += p.times.size
         lo, hi = jb.offsets[i], jb.offsets[i + 1]
         assert np.array_equal(p.times, jb.times[lo:hi])
         assert np.array_equal(p.sizes, jb.sizes[lo:hi])
@@ -195,7 +214,7 @@ def test_mark_batch_law_and_reproducibility():
 def test_weight_terms_vanish_exactly_for_constant_sigma():
     field = catalog("ou_additive", 2)
     jb, dW, aux = _sample_setup()
-    _, _, I1, I2, I3, _ = flow_batch(np.zeros(2), np.ones(2), field, jb, dW, 1.0, 50, aux, jb.sizes)
+    _, _, I1, I2, I3, _ = flow_batch(np.zeros(2), np.ones(2), field, jb, dW, 50, aux, jb.sizes)
     assert np.all(I2 == 0.0)
     assert np.all(I3 == 0.0)
     assert np.any(I1 != 0.0)
@@ -211,7 +230,7 @@ def test_weight_inputs_travel_with_v():
     x0, v = np.zeros(2), np.ones(2)
     for args in ((v, None, jb.sizes), (v, aux, None), (None, aux, jb.sizes), (None, None, jb.sizes)):
         with pytest.raises(ValueError, match="exactly when v is given"):
-            flow_batch(x0, args[0], field, jb, dW, 1.0, 50, *args[1:])
+            flow_batch(x0, args[0], field, jb, dW, 50, *args[1:])
 
 
 def test_map_batches_spans_and_order():

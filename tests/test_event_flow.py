@@ -209,7 +209,7 @@ def test_event_loop_edge_paths(name):
     batch = JumpBatch(len(times), t, counts, offsets, flat_times, sizes)
     for clock, rtol in EDGE_CLOCKS:
         dW, aux, dWb, d_beta = _weight_inputs(batch, clock, 2, 3)
-        X, Jv, I1, I2, I3, sup_g = flow_batch(X0, V0, field, batch, dW, t, spu, dWb, d_beta)
+        X, Jv, I1, I2, I3, sup_g = flow_batch(X0, V0, field, batch, dW, spu, dWb, d_beta)
         assert I1[0] == I2[0] == I3[0] == 0.0
         for i, path_times in enumerate(times):
             lo, hi = offsets[i], offsets[i + 1]
@@ -222,7 +222,7 @@ def test_event_loop_edge_paths(name):
             # JumpPath refuses the tied times a batch may hold, so the reference
             # weight reads the path's arrays through a plain namespace; it reads
             # only the pre-jump snapshots [pre_1, _, pre_2, _, ..., final]
-            path = SimpleNamespace(times=flat_times[lo:hi], sizes=sizes[lo:hi], jump_count=hi - lo)
+            path = SimpleNamespace(times=flat_times[lo:hi], sizes=sizes[lo:hi])
             real = PathRealization(path, dW[lo:hi], aux[lo:hi])
             snaps = [state for p in pre for state in (p, p)] + [final]
             ref = accumulate_weight(snaps, field, real, clock, t)
@@ -237,7 +237,7 @@ def test_event_loop_without_jumps_is_pure_drift():
     batch = JumpBatch(3, 1.0, np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64),
                       np.empty(0), np.empty(0))
     X, Jv, I1, I2, I3, _ = flow_batch(
-        X0, V0, BM, batch, np.empty((0, 2)), 1.0, 100, np.empty((0, 2)), np.empty(0))
+        X0, V0, BM, batch, np.empty((0, 2)), 100, np.empty((0, 2)), np.empty(0))
     for I in (I1, I2, I3):
         assert np.array_equal(I, np.zeros(3)) and not np.signbit(I).any()
     _, final, _ = _reference_path(BM, X0, V0, [], [], 1.0, 100)
@@ -252,7 +252,7 @@ def test_full_width_and_gathered_passes_agree_bitwise(monkeypatch):
     outs = []
     for share in (0.0, 2.0):  # every pass full width; every pass on gathered rows
         monkeypatch.setattr(engine, "FULL_WIDTH_SHARE", share)
-        outs.append(flow_batch(X0, V0, BM, jb, dW, 0.5, 100, -dW, jb.sizes))
+        outs.append(flow_batch(X0, V0, BM, jb, dW, 100, -dW, jb.sizes))
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
 

@@ -166,9 +166,9 @@ def _weight_inputs(v, batch, dW):
 
 def _both_routes(field, x0, v, batch, dW):
     weight = _weight_inputs(v, batch, dW)
-    closed = flow_batch(x0, v, field, batch, dW, 1.0, 50, *weight)
+    closed = flow_batch(x0, v, field, batch, dW, 50, *weight)
     loop = flow_batch(
-        x0, v, dataclasses.replace(field, drift_is_zero=False), batch, dW, 1.0, 50, *weight
+        x0, v, dataclasses.replace(field, drift_is_zero=False), batch, dW, 50, *weight
     )
     return closed, loop
 
@@ -221,7 +221,7 @@ def test_closed_form_sup_takes_the_loop_maximum_in_high_dimension():
 
 def _blow_up(field, x0, v, batch, dW):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
-        flow_batch(x0, v, field, batch, dW, 1.0, 50, *_weight_inputs(v, batch, dW))
+        flow_batch(x0, v, field, batch, dW, 50, *_weight_inputs(v, batch, dW))
     return info.value.s, info.value.path
 
 

@@ -1,6 +1,7 @@
 """The batch-run skeleton shared by every estimator: counts, checks, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from levygrad import (
     estimate_pt,
     estimate_pt_power,
     fd_gradient,
-    first_passage,
     inverse_moment,
     make_observable,
     sample_jump_path,
@@ -85,6 +85,24 @@ def test_run_batches_all_rejected_gives_nan():
     assert run.n_rejected == 5
     assert math.isnan(run.columns["y"].mean) and math.isnan(run.columns["y"].std_error)
     assert run.columns["y"].max_abs == 0.0
+
+
+def test_run_batches_keeps_one_batch_of_samples_at_a_time():
+    # 64 batches of one float column would hold 16 MB if every column were kept
+    n_batches = 64
+
+    def worker(bi, start, count):
+        return {"samples": {"y": np.full(count, float(bi))}}
+
+    tracemalloc.start()
+    try:
+        run = run_batches(n_batches * BATCH_SIZE, 1, worker)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.columns["y"].mean == (n_batches - 1) / 2
+    assert run.columns["y"].max_abs == n_batches - 1
+    assert peak < 8 * BATCH_SIZE * 8  # eight batches' columns, 2 MB
 
 
 # Every public estimator with the path count as its only free argument.
@@ -191,7 +209,6 @@ NAN_ARGUMENTS = {
         X1, V1, TANH, F1, SPEC, 1.0, NAN, 8, 0.05, 1), "cap_at_first_passage needs a level R > 0"),
     "first_passage_levels R": (lambda: first_passage_levels(
         TILED, path_cumulatives(TILED)[1], NAN), "the passage level R must be positive"),
-    "first_passage R": (lambda: first_passage(PATH, NAN), "the passage level R must be positive"),
     "truncate_jumps eps": (lambda: truncate_jumps(PATH, NAN), "eps must be nonnegative"),
     "truncation_convergence_check eps_list": (lambda: truncation_convergence_check(
         PATH, CAP, [1.0], [NAN], 8, 16), "eps_list must contain positive cutoffs"),

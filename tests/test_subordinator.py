@@ -1,4 +1,4 @@
-"""Jump sampling, truncation, first passage, and inverse moments."""
+"""Jump sampling, truncation, one-path clock values, and inverse moments."""
 
 import math
 import warnings
@@ -15,7 +15,6 @@ from levygrad import (
     default_eps_cut,
     default_level_R,
     dropped_mass_rate,
-    first_passage,
     inverse_moment,
     sample_jump_path,
     sample_terminal_values,
@@ -25,7 +24,12 @@ from levygrad import (
     truncate_jumps,
 )
 from levygrad import subordinator
-from levygrad.engine import sample_jump_batch
+from levygrad.engine import (
+    first_passage_levels,
+    fixed_jump_batch,
+    path_cumulatives,
+    sample_jump_batch,
+)
 
 ALPHAS = (0.8, 1.0, 1.5, 1.9)
 EPSES = (1e-4, 3e-3, 0.1, 1.0)
@@ -51,7 +55,7 @@ def test_jump_counts_are_poisson_with_tail_mass_rate():
     spec = BernsteinSpec.alpha_stable(1.5)
     lam = tail_mass(1.5, 3e-3) * 1.0
     rng = substream(42, 0)
-    counts = [sample_jump_path(spec, 1.0, 3e-3, rng).jump_count for _ in range(2000)]
+    counts = [sample_jump_path(spec, 1.0, 3e-3, rng).times.size for _ in range(2000)]
     counts = np.asarray(counts, dtype=float)
     se = math.sqrt(lam / counts.size)
     assert abs(counts.mean() - lam) <= 3.0 * se
@@ -138,7 +142,7 @@ def test_truncation_keeps_exactly_large_jumps(path, eps):
     # Idempotent, and the terminal value never grows.
     again = truncate_jumps(out, eps)
     assert np.array_equal(again.sizes, out.sizes)
-    assert out.value(1.0) <= path.value(1.0)
+    assert _terminal_value(out) <= _terminal_value(path)
 
 
 @given(jump_paths())
@@ -148,13 +152,20 @@ def test_truncation_at_zero_is_identity(path):
     assert np.array_equal(out.sizes, path.sizes)
 
 
+def _terminal_value(path):
+    """The clock at the horizon, from the batch cumulatives of a one-path batch."""
+    return path_cumulatives(fixed_jump_batch(path, path.horizon, 1))[2][0]
+
+
 def test_path_value_left_limits():
+    # each jump's clock interval (left limit, value) on a one-path batch
     p = JumpPath(horizon=1.0, times=np.array([0.3, 0.7]), sizes=np.array([2.0, 5.0]))
-    assert p.value(0.2) == 0.0
-    assert p.value(0.3) == 2.0
-    assert p.value_before(0.3) == 0.0
-    assert p.value_before(0.7) == 2.0
-    assert p.value(1.0) == 7.0
+    ell_pre, ell_post, ell_T = path_cumulatives(fixed_jump_batch(p, 1.0, 1))
+    assert ell_pre.tolist() == [0.0, 2.0]
+    assert ell_post.tolist() == [2.0, 7.0]
+    assert ell_T.tolist() == [7.0]
+    # cut before the first jump, the clock is still 0
+    assert path_cumulatives(fixed_jump_batch(p, 0.2, 1))[2].tolist() == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -173,25 +184,24 @@ def test_path_refuses_non_finite_data(horizon, times, sizes):
         JumpPath(horizon, np.asarray(times), np.asarray(sizes))
 
 
+def _crossing(path, R):
+    """The crossing jump's index on a one-path batch (-1 if R is not reached) and its interval."""
+    jb = fixed_jump_batch(path, path.horizon, 1)
+    ell_pre, ell_post, _ = path_cumulatives(jb)
+    j = int(first_passage_levels(jb, ell_post, R)[0])
+    return (j, None) if j < 0 else (j, (ell_pre[j], ell_post[j]))
+
+
 def test_first_passage_hand_path():
     p = JumpPath(horizon=1.0, times=np.array([0.3, 0.7]), sizes=np.array([2.0, 5.0]))
-    fp = first_passage(p, 1.0)
-    assert fp is not None
-    assert fp.tau == 0.3
-    assert fp.jump_index == 0
-    assert fp.value_before == 0.0
-    assert fp.value_at == 2.0
-
-    fp2 = first_passage(p, 3.0)
-    assert fp2.tau == 0.7 and fp2.value_at == 7.0 and fp2.value_before == 2.0
-
-    assert first_passage(p, 8.0) is None
+    assert _crossing(p, 1.0) == (0, (0.0, 2.0))
+    assert _crossing(p, 3.0) == (1, (2.0, 7.0))
+    assert _crossing(p, 8.0) == (-1, None)
 
 
 def test_first_passage_at_exact_level():
     p = JumpPath(horizon=1.0, times=np.array([0.5]), sizes=np.array([1.0]))
-    fp = first_passage(p, 1.0)
-    assert fp is not None and fp.tau == 0.5 and fp.value_at == 1.0
+    assert _crossing(p, 1.0) == (0, (0.0, 1.0))
 
 
 @pytest.mark.parametrize("alpha,gamma", [(1.0, 0.5), (1.5, 0.5), (1.0, 1.0), (1.2, 0.7)])
@@ -226,6 +236,19 @@ def test_inverse_moment_monte_carlo_cross_check():
 def test_inverse_moment_matches_quadrature(alpha, gamma):
     got = inverse_moment(BernsteinSpec.alpha_stable(alpha), 1.0, gamma)
     assert got == pytest.approx(oracles.inverse_moment_quadrature(alpha, 1.0, gamma), rel=1e-9)
+
+
+def test_inverse_moment_past_the_gamma_overflow():
+    # Gamma(1 + gamma/rho) = Gamma(201) overflows, but E S_t**(-gamma) is about 3e-58
+    spec = BernsteinSpec.alpha_stable(0.3)
+    got = inverse_moment(spec, 100.0, 30.0)
+    assert got == pytest.approx(oracles.inverse_moment_quadrature(0.3, 100.0, 30.0), rel=1e-9)
+
+
+def test_inverse_moment_beyond_the_float_range_names_its_arguments():
+    # the log of E S_1**(-1) is about 863 at alpha = 0.01
+    with pytest.raises(ValueError, match="alpha = 0.01, gamma = 1.0, t = 1.0"):
+        inverse_moment(BernsteinSpec.alpha_stable(0.01), 1.0, 1.0)
 
 
 def test_stable_median_closed_form_at_alpha_1():

@@ -229,7 +229,7 @@ def test_isometry_identity_clock():
     xi = np.array([0.8, -0.5])
     rep = burkholder_isometry_check(xi, path, ClockSpec.cap_at_first_passage(100.0),
                                     40_000, seed=13)
-    target = float(xi @ xi) * path.value(1.0)
+    target = float(xi @ xi) * float(np.cumsum(path.sizes)[-1])
     assert rep.rhs_mean == pytest.approx(target, rel=1e-12)
     assert rep.passed
 
