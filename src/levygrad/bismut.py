@@ -28,13 +28,14 @@ normalizer S_{t ^ tau}; since the cap sits exactly on a jump boundary, no
 jump interval ever straddles it, and jumps after the passage contribute
 nothing to any term.
 
-ClockSpec.increments is the one place beta meets a clock path: it turns a
-batch of paths into each jump's (d_beta, d_lambda) and each path's
-normalizer, for the cap clock and for deterministic piecewise-linear
-clocks alike. Both estimators here and the isometry and truncation checks
-in validate read beta only through it.
-The estimators' batch worker forms dW^beta once per batch; engine.flow_batch
-sums I1, I2 and I3 at each jump's left limit as it applies the jump.
+ClockSpec is the one place beta meets a clock path, for the cap clock and
+for deterministic piecewise-linear clocks alike: increments gives each
+jump's (d_beta, d_lambda) and each path's normalizer, mark_law each jump's
+(r, c) with dW^beta = r dW + c Z (Z an independent normal), and beta_marks
+forms dW^beta. Both estimators here and the isometry and truncation checks
+in validate read beta only through it. Each estimator forms dW^beta once
+per batch; engine.flow_batch sums I1, I2 and I3 at each jump's left limit
+as it applies the jump.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .subordinator import (
     JumpPath,
     checked_jump_intensity,
     default_eps_cut,
+    default_level_R,
     dropped_mass_rate,
-    stable_median_s1,
 )
 
 __all__ = [
@@ -87,8 +88,8 @@ class ClockSpec:
     piecewise-linear function given by (u, beta) knots starting at (0, 0);
     beyond the last knot the final segment's slope continues.
 
-    increments(batch) is the one place either kind is evaluated on clock
-    paths; every estimator and identity check reads beta through it.
+    increments(batch) evaluates either kind on clock paths, and mark_law and
+    beta_marks carry a jump's mark over to beta; nothing else reads beta.
     """
 
     kind: str
@@ -130,7 +131,7 @@ class ClockSpec:
     def piecewise_linear(cls, knots) -> "ClockSpec":
         return cls(kind="piecewise_linear", knots=np.asarray(knots, dtype=float))
 
-    def _curves(self, u, cap):
+    def curves(self, u, cap):
         """(beta(u), lambda(u)) at clock values u of a path whose cap is cap."""
         if self.kind == "cap_at_first_passage":
             capped = np.minimum(u, cap)
@@ -154,36 +155,50 @@ class ClockSpec:
             hit = crossing >= 0
             cap[hit] = ell_post[crossing[hit]]
             # The cap is itself a post value, so no interval straddles it.
-            # Taking a covered jump's size itself keeps d_beta == d_ell exact,
-            # and d_lambda = d_beta (the same array) tells _beta_marks that
-            # the conditional mark part vanishes.
+            # Taking a covered jump's size itself keeps d_beta == d_ell exact;
+            # a slope of 0 or 1 makes d_lambda = d_beta.
             d_beta = np.where(ell_post <= np.repeat(cap, batch.counts), batch.sizes, 0.0)
             d_lambda = d_beta
         else:
-            beta_pre, lam_pre = self._curves(ell_pre, cap)
-            beta_post, lam_post = self._curves(ell_post, cap)
+            beta_pre, lam_pre = self.curves(ell_pre, cap)
+            beta_post, lam_post = self.curves(ell_post, cap)
             d_beta = np.maximum(beta_post - beta_pre, 0.0)
             d_lambda = np.maximum(lam_post - lam_pre, 0.0)
-        return ClockIncrements(d_beta, d_lambda, self._curves(ell_T, cap)[0], cap)
+        return ClockIncrements(d_beta, d_lambda, self.curves(ell_T, cap)[0], cap)
+
+    def mark_law(self, sizes, increments: ClockIncrements):
+        """Per-jump (r, c) with dW_beta = r dW + c Z, Z ~ N(0, I) independent of dW.
+
+        With d_ell the jump sizes, r = d_beta / d_ell and
+        c = sqrt(d_lambda - d_beta^2 / d_ell), clamped at 0, realize the joint
+        per-coordinate covariance [[d_ell, d_beta], [d_beta, d_lambda]] of a
+        jump's mark dW and its beta-weighted mark. For 0/1-slope clocks r is
+        exactly 1 or 0 and c vanishes identically.
+        """
+        ratio = increments.d_beta / sizes
+        return ratio, np.sqrt(np.maximum(increments.d_lambda - increments.d_beta * ratio, 0.0))
+
+    def beta_marks(self, sizes, increments: ClockIncrements, dW, aux):
+        """Each jump's mark dW^beta = r dW + c aux by mark_law.
+
+        Under the cap clock mark_law gives r exactly 1 or 0 and c = 0, so
+        keeping or zeroing each mark gives the same bits at a quarter of the
+        cost; aux is then never read and may be None.
+        """
+        if self.kind == "cap_at_first_passage":
+            return (increments.d_beta > 0.0)[:, None] * dW
+        ratio, c = self.mark_law(sizes, increments)
+        dWb = ratio[:, None] * dW
+        if np.any(c > 0.0):
+            dWb = dWb + c[:, None] * aux
+        return dWb
 
 
-def default_level_R(spec: BernsteinSpec, t: float) -> float:
-    """Passage level with P(tau < t) about one half: the median of S_t.
-
-    That is median(S_1) * t**(2/alpha), with the median from the
-    deterministic quadrature of stable_median_s1, so R = "auto" depends on
-    alpha and t alone.
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    return stable_median_s1(spec) * t ** (2.0 / spec.alpha)
-
-
-def checked_vector(name: str, value, d: int) -> np.ndarray:
-    """value as a float vector of length d, refused unless every entry is finite."""
+def checked_vector(name: str, value, d: int | None = None) -> np.ndarray:
+    """value as a float vector (of length d when given), refused unless every entry is finite."""
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (d,):
-        raise ValueError(f"{name} must be a vector of length {d}")
+    if arr.ndim != 1 or d is not None and arr.size != d:
+        raise ValueError(f"{name} must be a vector" + ("" if d is None else f" of length {d}"))
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
@@ -213,7 +228,7 @@ def stable_batch(spec: BernsteinSpec, t: float, eps_cut: float, d: int, seed: in
 def fixed_batch(path: JumpPath, t: float, d: int, seed: int, bi: int, count):
     """Batch bi of one fixed jump path (jumps up to t): jumps, marks and auxiliary normals.
 
-    The auxiliary normals, the Z of conditional_mark_law, come from the marks'
+    The auxiliary normals, the Z of ClockSpec.mark_law, come from the marks'
     stream right after the marks.
     """
     jb = engine.fixed_jump_batch(path, t, count)
@@ -221,39 +236,23 @@ def fixed_batch(path: JumpPath, t: float, d: int, seed: int, bi: int, count):
     return jb, engine.sample_mark_batch(jb, d, rng), rng.standard_normal((jb.total, d))
 
 
-def _beta_marks(sizes, clock: ClockIncrements, dW, aux):
-    """Each jump's mark dW^beta = r dW + c aux by conditional_mark_law.
-
-    Under the cap clock d_lambda is d_beta: r is exactly 1 or 0, c is 0 and
-    aux may be None.
-    """
-    if clock.d_lambda is clock.d_beta:
-        return (clock.d_beta > 0.0)[:, None] * dW
-    ratio, c = engine.conditional_mark_law(sizes, clock.d_beta, clock.d_lambda)
-    dWb = ratio[:, None] * dW
-    if np.any(c > 0.0):
-        dWb = dWb + c[:, None] * aux
-    return dWb
-
-
 def _weighted_worker(x, v, f, field, substeps_per_unit, antithetic, collect_samples, draw):
     """The per-batch worker of both weighted estimators.
 
-    draw(bi, count) returns one batch's (jumps, marks, aux, ClockIncrements,
-    counters); the worker flows the batch, which sums the weight terms, and
-    splits f(X_t) * weight into its three parts. Paths with a normalizer that
-    is not positive are rejected. With antithetic each sample is the average
-    over a sign flip of every Gaussian, which negates both marks. Batches
-    keep their per-path rows for _with_sample_rows only when collect_samples,
-    checked here before any batch runs, asks for rows.
+    draw(bi, count) returns one batch's (jumps, marks, beta-weighted marks,
+    ClockIncrements, counters); the worker flows the batch, which sums the
+    weight terms, and splits f(X_t) * weight into its three parts. Paths with
+    a normalizer that is not positive are rejected. With antithetic each
+    sample is the average over a sign flip of every Gaussian, which negates
+    both marks. Batches keep their per-path rows for _with_sample_rows only
+    when collect_samples, checked here before any batch runs, asks for rows.
     """
     keep_rows = checked_integer("collect_samples", collect_samples, minimum=0) > 0
 
     def worker(bi: int, start: int, count: int):
-        jb, dW, aux, clock, counters = draw(bi, count)
+        jb, dW, dWb, clock, counters = draw(bi, count)
         reject = clock.normalizer <= 0.0
         safe = np.where(reject, 1.0, clock.normalizer)
-        dWb = _beta_marks(jb.sizes, clock, dW, aux)
 
         def weighted_pass(dW, dWb):
             X, _, *I, sup_g = engine.flow_batch(
@@ -341,8 +340,7 @@ def estimate_gradient(
         jb, dW = stable_batch(spec, t, eps_cut, x.size, seed, bi, count)
         increments = clock.increments(jb)
         counters = {"jumps": int(jb.total), "capped": int(np.isfinite(increments.cap).sum())}
-        # the cap clock has no conditional mark part, so no auxiliary normals
-        return jb, dW, None, increments, counters
+        return jb, dW, clock.beta_marks(jb.sizes, increments, dW, None), increments, counters
 
     worker = _weighted_worker(x, v, f, field, substeps_per_unit, antithetic, collect_samples, draw)
     run = engine.run_batches(n_paths, workers, worker)
@@ -394,7 +392,8 @@ def estimate_gradient_fixed_clock(
 
     def draw(bi: int, count: int):
         jb, dW, aux = fixed_batch(path, t, d, seed, bi, count)
-        return jb, dW, aux, ClockIncrements._make(np.tile(a, count) for a in increments), {}
+        tiled = ClockIncrements._make(np.tile(a, count) for a in increments)
+        return jb, dW, clock.beta_marks(jb.sizes, tiled, dW, aux), tiled, {}
 
     worker = _weighted_worker(x, v, f, field, substeps_per_unit, False, collect_samples, draw)
     run = engine.run_batches(n_paths, workers, worker)

@@ -39,9 +39,10 @@ limit is stored.
 Clock values come only from path_cumulatives (each jump's clock interval
 and each path's terminal value) and first passages only from
 first_passage_levels (each path's crossing jump over a level, as a flat
-index); bismut.ClockSpec.increments turns them into clock increments. A
-single path is a batch of one (fixed_jump_batch), and sample_jump_path is
-the one-path view of sample_jump_batch.
+index); bismut.ClockSpec turns them into clock increments and forms the
+beta-weighted marks the flow takes as given. A single path is a batch of
+one (fixed_jump_batch), and sample_jump_path is the one-path view of
+sample_jump_batch.
 
 This is the only flow and weight implementation in the package. The test
 suite checks it against a one-path-at-a-time reference (tests/reference.py).
@@ -74,7 +75,6 @@ __all__ = [
     "flow_batch",
     "path_cumulatives",
     "first_passage_levels",
-    "conditional_mark_law",
     "weight_terms",
     "map_batches",
     "RunningStats",
@@ -503,18 +503,6 @@ def first_passage_levels(batch: JumpBatch, ell_post: np.ndarray, R: float) -> np
     cand = np.append(np.where(ell_post >= R, np.arange(M), M), M)
     first = np.minimum.reduceat(cand, batch.offsets[:-1])
     return np.where(first < batch.offsets[1:], first, -1)
-
-
-def conditional_mark_law(d_ell: np.ndarray, d_beta: np.ndarray, d_lambda: np.ndarray):
-    """Per-jump (r, c) with dW_beta = r dW + c Z, Z ~ N(0, I) independent of dW.
-
-    r = d_beta / d_ell and c = sqrt(d_lambda - d_beta^2 / d_ell), clamped at 0,
-    realize the joint per-coordinate covariance [[d_ell, d_beta],
-    [d_beta, d_lambda]] of a jump's mark dW and its beta-weighted mark. For
-    0/1-slope clocks r is exactly 1 or 0 and c vanishes identically.
-    """
-    ratio = d_beta / d_ell
-    return ratio, np.sqrt(np.maximum(d_lambda - d_beta * ratio, 0.0))
 
 
 def weight_terms(field: CoefficientField, s, x, j, dir_s, dw, dwb, d_beta):

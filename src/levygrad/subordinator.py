@@ -35,6 +35,7 @@ __all__ = [
     "truncate_jumps",
     "inverse_moment",
     "stable_median_s1",
+    "default_level_R",
     "default_eps_cut",
 ]
 
@@ -191,11 +192,17 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
     if 0.0 < value < math.inf:
         return value
     # a factor or the product left the float range: the same form in logs
-    log_value = math.lgamma(1.0 + q) - math.lgamma(1.0 + gamma) - q * math.log(t)
+    log_value = _log_inverse_moment(spec, t, gamma)
     if log_value > np.log(np.finfo(float).max):
         raise ValueError(f"E S_t**(-gamma) exceeds the float range at alpha = {spec.alpha}, "
                          f"gamma = {gamma}, t = {t}")
     return math.exp(log_value)
+
+
+def _log_inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
+    """log E S_t**(-gamma) in closed form, for t and gamma already checked positive."""
+    q = gamma / (spec.alpha / 2.0)
+    return math.lgamma(1.0 + q) - math.lgamma(1.0 + gamma) - q * math.log(t)
 
 
 def _kanter_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -248,11 +255,23 @@ def stable_median_s1(spec: BernsteinSpec) -> float:
     return math.exp(log_median)
 
 
+def default_level_R(spec: BernsteinSpec, t: float) -> float:
+    """Passage level with P(tau < t) about one half: the median of S_t.
+
+    That is median(S_1) * t**(2/alpha), with the median from the
+    deterministic quadrature of stable_median_s1, so R = "auto" depends on
+    alpha and t alone.
+    """
+    if not t > 0:
+        raise ValueError("t must be positive")
+    return stable_median_s1(spec) * t ** (2.0 / spec.alpha)
+
+
 def default_eps_cut(spec: BernsteinSpec, t: float) -> float:
     """Cutoff for which the mean dropped clock mass is 10% of the clock scale.
 
     The retained clock mass has no finite mean for the stable subordinator, so
-    the comparison scale is the median of S_t, i.e. median(S_1) * t**(2/alpha).
+    the comparison scale is the median of S_t, default_level_R(spec, t).
     Solves dropped_mass_rate(eps) * t = 0.1 * scale for eps; the result
     scales exactly as t**(2/alpha), keeping the per-path jump count and the
     relative truncation error t-independent.
@@ -263,10 +282,7 @@ def default_eps_cut(spec: BernsteinSpec, t: float) -> float:
     precision runs, and check the implied jump intensity
     t * tail_mass(alpha, eps) before launching large ones (the CLI does).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
     rho = spec.alpha / 2.0
-    scale = stable_median_s1(spec) * t ** (2.0 / spec.alpha)
-    # dropped rate = rho * eps**(1-rho) / ((1-rho) Gamma(1-rho))
-    coef = rho / ((1.0 - rho) * math.gamma(1.0 - rho))
-    return (0.1 * scale / (t * coef)) ** (1.0 / (1.0 - rho))
+    # the dropped rate is coef * eps**(1-rho)
+    coef = dropped_mass_rate(spec.alpha, 1.0)
+    return (0.1 * default_level_R(spec, t) / (t * coef)) ** (1.0 / (1.0 - rho))

@@ -55,9 +55,7 @@ def make_observable(name: str, a=None):
     if name == "linear":
         if a is None:
             raise ValueError("linear observable needs a coefficient vector a")
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 1 or not np.all(np.isfinite(a)):
-            raise ValueError("a must be a finite vector")
+        a = checked_vector("a", a)
         return lambda X: np.asarray(X, dtype=float) @ a
     if name == "sign":
         return lambda X: np.sign(np.asarray(X, dtype=float)[..., 0])
@@ -345,6 +343,23 @@ def counterexample_moments(
     return {"jump_moment": jump_moment, "mollified_moment": mollified_moment}
 
 
+def _mark_sum_squares(path: JumpPath, xi: np.ndarray, laws, n_paths: int, seed: int, workers):
+    """Run whose column j holds (sum_k <xi, r_k dW_k + c_k Z_k>)^2 for the j-th (r, c) of laws.
+
+    The sum runs over the jumps of path; every law reads the same draws of fixed_batch.
+    """
+    d, k = xi.size, path.times.size
+
+    def worker(bi: int, start: int, count: int):
+        _, dW, aux = fixed_batch(path, path.horizon, d, seed, bi, count)
+        u = (dW @ xi).reshape(count, k)
+        w = (aux @ xi).reshape(count, k)
+        sums = (u @ r + w @ c for r, c in laws)
+        return {"samples": {j: M * M for j, M in enumerate(sums)}}
+
+    return engine.run_batches(n_paths, workers, worker)
+
+
 def burkholder_isometry_check(
     xi,
     path: JumpPath,
@@ -360,25 +375,13 @@ def burkholder_isometry_check(
     Gaussian sum is an exact isometry, so the empirical mean must sit within
     3 SE of the closed form for any clock and any jump path.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1 or not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be a finite vector")
-    d = xi.size
+    xi = checked_vector("xi", xi)
     jumps = engine.fixed_jump_batch(path, path.horizon, 1)
-    d_beta, d_lambda, _, cap = clock.increments(jumps)
-    r, c = engine.conditional_mark_law(jumps.sizes, d_beta, d_lambda)
+    increments = clock.increments(jumps)
     ell_T = float(engine.path_cumulatives(jumps)[2][0])
-    target = float(xi @ xi) * float(clock._curves(ell_T, cap[0])[1])
-    k = path.times.size
-
-    def worker(bi: int, start: int, count: int):
-        _, dW, aux = fixed_batch(path, path.horizon, d, seed, bi, count)
-        u = (dW @ xi).reshape(count, k)
-        w = (aux @ xi).reshape(count, k)
-        M = u @ r + w @ c
-        return {"samples": {"y": M * M}}
-
-    empirical = engine.run_batches(n_paths, workers, worker).result()
+    target = float(xi @ xi) * float(clock.curves(ell_T, increments.cap[0])[1])
+    law = clock.mark_law(jumps.sizes, increments)
+    empirical = _mark_sum_squares(path, xi, [law], n_paths, seed, workers).result(column=0)
     return compare(empirical, target, label="second-moment isometry")
 
 
@@ -405,51 +408,33 @@ def truncation_convergence_check(
     and a 3 SE verdict. The exact gap vanishes once eps drops below the
     smallest jump.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1 or not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be a finite vector")
+    xi = checked_vector("xi", xi)
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(not e > 0 for e in eps_list):
         raise ValueError("eps_list must contain positive cutoffs")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    d = xi.size
     k = path.times.size
     xi_sq = float(xi @ xi)
     laws = []
     for p in [path] + [truncate_jumps(path, eps) for eps in eps_list]:
         jumps = engine.fixed_jump_batch(p, p.horizon, 1)
-        d_beta, d_lambda, _, _ = clock.increments(jumps)
-        laws.append(engine.conditional_mark_law(jumps.sizes, d_beta, d_lambda))
+        laws.append(clock.mark_law(jumps.sizes, clock.increments(jumps)))
     (r_full, c_full), *truncated = laws
 
     # Per eps: coefficient gaps on every jump of the full path (zero for the
     # coefficients of dropped jumps in the truncated sum), plus the exact gap.
-    coeff_r = []
-    coeff_c = []
+    gaps = []
     exact = []
     for eps, (r_kept, c_kept) in zip(eps_list, truncated):
         kept = path.sizes >= eps
-        r_t = np.zeros(k)
-        c_t = np.zeros(k)
-        r_t[kept] = r_kept
-        c_t[kept] = c_kept
-        dr = r_full - r_t
-        dc = c_full - c_t
-        coeff_r.append(dr)
-        coeff_c.append(dc)
+        r_t, c_t = np.zeros(k), np.zeros(k)
+        r_t[kept], c_t[kept] = r_kept, c_kept
+        dr, dc = r_full - r_t, c_full - c_t
+        gaps.append((dr, dc))
         exact.append(xi_sq * float(np.sum(dr * dr * path.sizes) + np.sum(dc * dc)))
 
-    n_eps = len(eps_list)
-
-    def worker(bi: int, start: int, count: int):
-        _, dW, aux = fixed_batch(path, path.horizon, d, seed, bi, count)
-        u = (dW @ xi).reshape(count, k)
-        w = (aux @ xi).reshape(count, k)
-        gaps = (u @ coeff_r[j] + w @ coeff_c[j] for j in range(n_eps))
-        return {"samples": {j: D * D for j, D in enumerate(gaps)}}
-
-    run = engine.run_batches(n_paths, workers, worker)
+    run = _mark_sum_squares(path, xi, gaps, n_paths, seed, workers)
     entries = []
     for j, eps in enumerate(eps_list):
         gap = run.result(column=j)

@@ -283,7 +283,17 @@ def test_piecewise_clock_hand_values():
 def test_clock_increments_match_one_path_reference(clock):
     jb = sample_jump_batch(1.5, 1.0, 0.05, 300, substream(17, 1, 0))
     d_beta, d_lambda, normalizer, cap = clock.increments(jb)
-    assert (d_lambda is d_beta) == (clock.kind == "cap_at_first_passage")
+    if clock.kind == "cap_at_first_passage":
+        # a slope of 0 or 1: the mark is kept or zeroed, with no conditional part
+        assert np.array_equal(d_lambda, d_beta)
+        increments = clock.increments(jb)
+        ratio, c = clock.mark_law(jb.sizes, increments)
+        assert np.all((ratio == 0.0) | (ratio == 1.0)) and np.all(c == 0.0)
+        # so keeping or zeroing each mark is the general law r dW + c Z, bit for bit
+        dW = np.random.default_rng(3).standard_normal((jb.total, 2))
+        marks = clock.beta_marks(jb.sizes, increments, dW, None)
+        assert np.array_equal(marks, ratio[:, None] * dW)
+        assert np.array_equal(np.signbit(marks), np.signbit(ratio[:, None] * dW))
     # the batch's cumulatives subtract each path's start from one running sum
     # over the whole batch, so they carry roundoff on the scale of its total
     tol = 1e-14 * jb.sizes.sum()

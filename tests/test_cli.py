@@ -156,6 +156,15 @@ def test_moments_report(tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_moments_past_the_float_range_only_at_t_1_pass(tmp_path):
+    # E S_1**(-30) at alpha = 0.3 is about exp(789), E S_100**(-30) is 2.97e-58
+    cfg = {"alpha": 0.3, "t": 100.0, "gammas": [30.0]}
+    code, report = run_to_file(tmp_path, "moments", cfg)
+    assert code == EXIT_PASS
+    assert report["results"]["inverse_moments"]["30"] == pytest.approx(2.9732e-58, rel=1e-4)
+    assert all(c["passed"] for c in report["checks"])
+
+
 def test_moments_beyond_the_float_range_exits_1(tmp_path, capsys):
     # E S_1**(-1) at alpha = 0.01 is about exp(863)
     cfg = {"alpha": 0.01, "t": 1.0, "gammas": [0.5, 1.0]}

@@ -26,7 +26,6 @@ from levygrad.engine import (
     sample_mark_batch,
     weight_terms,
 )
-from levygrad.bismut import _beta_marks
 from reference import PathRealization, accumulate_weight, simulate_flow
 
 
@@ -49,7 +48,7 @@ def test_batched_flow_and_weights_match_single_path_reference():
     clock = ClockSpec.cap_at_first_passage(R)
     increments = clock.increments(jb)
     normalizer = increments.normalizer
-    dWb = _beta_marks(jb.sizes, increments, dW, aux)
+    dWb = clock.beta_marks(jb.sizes, increments, dW, aux)
     X, Jv, I1, I2, I3, _sup = flow_batch(x0, v, field, jb, dW, 100, dWb, increments.d_beta)
 
     worst = 0.0

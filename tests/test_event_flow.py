@@ -35,7 +35,6 @@ from levygrad import (
 from levygrad import engine
 from levygrad.coefficients import CATALOG_NAMES
 from levygrad.engine import JumpBatch, flow_batch, sample_jump_batch
-from levygrad.bismut import _beta_marks
 from reference import FlowState, PathRealization, accumulate_weight, apply_jump, evolve_drift
 
 SPEC = BernsteinSpec.alpha_stable(1.5)
@@ -62,6 +61,9 @@ RUNS = {
         X0, V0, TANH, field, SPEC, 0.5, 5e-3, N, 319, eps_cut=3e-3, workers=2),
     "fixed_clock_piecewise": lambda field=BM, **kw: estimate_gradient_fixed_clock(
         X0, V0, TANH, field, PATH, PIECEWISE, 0.95, N, 16, **kw),
+    # the cap clock on one fixed path: its marks are kept or zeroed, never mixed
+    "fixed_clock_cap": lambda field=BM, **kw: estimate_gradient_fixed_clock(
+        X0, V0, TANH, field, PATH, ClockSpec.cap_at_first_passage(1.3), 0.95, N, 16, **kw),
     "estimate_pt": lambda field=BM: estimate_pt(X0, TANH, field, SPEC, 0.5, N, 13, eps_cut=3e-3),
     "antithetic": lambda field=BM, **kw: estimate_gradient(
         X0, V0, TANH, field, SPEC, 0.5, "auto", N, 3e-3, 7, antithetic=True, **kw),
@@ -82,6 +84,7 @@ PINS = {
     "sign_fine_cut": ("0x1.ca7c4d2bea30ap-1", "0x1.b4b748dabf141p-7"),
     "fd_crn": ("0x1.e31cf45545569p-2", "0x1.4009df9b958aep-9"),
     "fixed_clock_piecewise": ("0x1.ced05ee9c5b6fp-3", "0x1.020be5369b97fp-7"),
+    "fixed_clock_cap": ("0x1.c573a2f38eeecp-3", "0x1.a5b676fc3da56p-8"),
     "estimate_pt": ("0x1.2acd635b1a629p-3", "0x1.bc278f5a01a56p-8"),
     "antithetic": ("0x1.f24a063ce23ecp-2", "0x1.7345008e2cd23p-7"),
     "quickstart_d3": ("0x1.e21c18cb42a4ep-2", "0x1.9f53f7a3cf3ffp-7"),
@@ -98,6 +101,7 @@ ROW_DIGESTS = {
     "quickstart": "362e17ced116407d300cd85d192a6a7e",
     "sign_fine_cut": "1181381b7932ceb1f2d9de0207a728f2",
     "fixed_clock_piecewise": "cd6a06c8b6f6a67ef74a26578b117e1a",
+    "fixed_clock_cap": "59753dff04fae029e63c89383d266063",
     "antithetic": "3a08a91c654d9cf52782aefa9a23061d",
     "quickstart_d3": "0a6a427e294d97c4bb0ec45ce9e156df",
     "quickstart_d4": "de6f08dfea5c9aef28dbe210362489ee",
@@ -127,8 +131,8 @@ def test_per_path_samples_match_pinned_digest(name):
 
 
 def test_piecewise_pin_reads_the_conditional_mark_part():
-    d_beta, d_lambda, _, _ = PIECEWISE.increments(engine.fixed_jump_batch(PATH, PATH.horizon, 1))
-    _, c = engine.conditional_mark_law(PATH.sizes, d_beta, d_lambda)
+    increments = PIECEWISE.increments(engine.fixed_jump_batch(PATH, PATH.horizon, 1))
+    _, c = PIECEWISE.mark_law(PATH.sizes, increments)
     assert np.any(c > 0.0)
 
 
@@ -183,7 +187,7 @@ def _weight_inputs(batch, clock, d, seed):
     dW = rng.standard_normal((batch.total, d)) * 0.5
     aux = rng.standard_normal((batch.total, d))
     increments = clock.increments(batch)
-    return dW, aux, _beta_marks(batch.sizes, increments, dW, aux), increments.d_beta
+    return dW, aux, clock.beta_marks(batch.sizes, increments, dW, aux), increments.d_beta
 
 
 # On a jump whose clock interval lies inside one piece of beta, the conditional

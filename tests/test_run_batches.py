@@ -174,6 +174,11 @@ NAN_ARGUMENTS = {
         X1, V1, TANH, F1, PATH, CAP, NAN, 8, 2), r"t must lie in \(0, horizon\]"),
     "estimate_pt t": (lambda: estimate_pt(
         X1, TANH, F1, SPEC, NAN, 8, 3, eps_cut=0.05), "t must be positive"),
+    "burkholder_isometry_check xi": (lambda: burkholder_isometry_check(
+        [1.0, NAN], PATH, CAP, 8, 8), "xi must be finite"),
+    "truncation_convergence_check xi": (lambda: truncation_convergence_check(
+        PATH, CAP, [NAN, 2.0], [0.5, 0.1], 8, 9), "xi must be finite"),
+    "make_observable a": (lambda: make_observable("linear", [NAN]), "a must be finite"),
     "estimate_pt x": (lambda: estimate_pt(
         np.array([NAN]), TANH, F1, SPEC, 1.0, 8, 3, eps_cut=0.05), "x must be finite"),
     "fd_gradient x": (lambda: fd_gradient(
@@ -228,6 +233,22 @@ def test_nan_fails_the_positivity_checks(case):
     run, message = NAN_ARGUMENTS[case]
     with pytest.raises(ValueError, match=f"^{message}"):
         run()
+
+
+# A vector argument with an extra axis would broadcast into the wrong shape.
+MATRIX_ARGUMENTS = {
+    "burkholder_isometry_check xi": lambda: burkholder_isometry_check(
+        [[1.0, 2.0]], PATH, CAP, 8, 8),
+    "truncation_convergence_check xi": lambda: truncation_convergence_check(
+        PATH, CAP, [[1.0], [2.0]], [0.5, 0.1], 8, 9),
+    "make_observable a": lambda: make_observable("linear", [[1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_ARGUMENTS))
+def test_matrix_in_place_of_a_vector_is_refused(case):
+    with pytest.raises(ValueError, match=f"^{case.split()[-1]} must be a vector$"):
+        MATRIX_ARGUMENTS[case]()
 
 
 # Integer arguments: int() would truncate 1.9 to 1 and run as seed 1, and a
