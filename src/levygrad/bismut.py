@@ -181,15 +181,19 @@ class ClockSpec:
     def beta_marks(self, sizes, increments: ClockIncrements, dW, aux):
         """Each jump's mark dW^beta = r dW + c aux by mark_law.
 
-        Under the cap clock mark_law gives r exactly 1 or 0 and c = 0, so
-        keeping or zeroing each mark gives the same bits at a quarter of the
-        cost; aux is then never read and may be None.
+        aux holds the auxiliary normals, shaped like dW, or is the generator
+        that draws them, which is then read only when some c > 0. Under the
+        cap clock mark_law gives r exactly 1 or 0 and c = 0, so keeping or
+        zeroing each mark gives the same bits at a quarter of the cost; aux is
+        then never read and may be None.
         """
         if self.kind == "cap_at_first_passage":
             return (increments.d_beta > 0.0)[:, None] * dW
         ratio, c = self.mark_law(sizes, increments)
         dWb = ratio[:, None] * dW
         if np.any(c > 0.0):
+            if isinstance(aux, np.random.Generator):
+                aux = aux.standard_normal(dW.shape)
             dWb = dWb + c[:, None] * aux
         return dWb
 
@@ -226,14 +230,15 @@ def stable_batch(spec: BernsteinSpec, t: float, eps_cut: float, d: int, seed: in
 
 
 def fixed_batch(path: JumpPath, t: float, d: int, seed: int, bi: int, count):
-    """Batch bi of one fixed jump path (jumps up to t): jumps, marks and auxiliary normals.
+    """Batch bi of one fixed jump path (jumps up to t): jumps, marks and the marks' stream.
 
     The auxiliary normals, the Z of ClockSpec.mark_law, come from the marks'
-    stream right after the marks.
+    stream right after the marks, as rng.standard_normal(marks.shape), drawn
+    only by a reader that needs them.
     """
     jb = engine.fixed_jump_batch(path, t, count)
     rng = substream(seed, engine.PURPOSE_MARKS, bi)
-    return jb, engine.sample_mark_batch(jb, d, rng), rng.standard_normal((jb.total, d))
+    return jb, engine.sample_mark_batch(jb, d, rng), rng
 
 
 def _weighted_worker(x, v, f, field, substeps_per_unit, antithetic, collect_samples, draw):
@@ -391,9 +396,9 @@ def estimate_gradient_fixed_clock(
         raise ValueError("beta(ell_t) must be positive for the fixed-clock estimator")
 
     def draw(bi: int, count: int):
-        jb, dW, aux = fixed_batch(path, t, d, seed, bi, count)
+        jb, dW, rng = fixed_batch(path, t, d, seed, bi, count)
         tiled = ClockIncrements._make(np.tile(a, count) for a in increments)
-        return jb, dW, clock.beta_marks(jb.sizes, tiled, dW, aux), tiled, {}
+        return jb, dW, clock.beta_marks(jb.sizes, tiled, dW, rng), tiled, {}
 
     worker = _weighted_worker(x, v, f, field, substeps_per_unit, False, collect_samples, draw)
     run = engine.run_batches(n_paths, workers, worker)

@@ -316,11 +316,14 @@ def _cmd_moments(cfg: dict):
     values = {}
     checks = []
     for g in kw["gammas"]:
-        val = inverse_moment(spec, t, g)
+        val = inverse_moment(spec, t, g)  # refused outside the normal float range
         q = 2.0 * g / spec.alpha
         try:
             ref = inverse_moment(spec, 1.0, g) * t ** -q
-        except ValueError:  # E S_1**(-g) alone leaves the float range
+        except (ValueError, OverflowError):
+            ref = math.inf
+        if not sys.float_info.min <= ref < math.inf:
+            # E S_1**(-g) or t**(-q) alone leaves the normal float range
             ref = math.exp(_log_inverse_moment(spec, 1.0, g) - q * math.log(t))
         rel = abs(val - ref) / ref
         values[f"{g:g}"] = val

@@ -7,7 +7,12 @@ broadcastable against the batch shape. The optional jvp_b(t, x, u) returns
 the Jacobian-vector product grad_b(t, x) @ u row by row, shaped like u; the
 engine's drift ODE for the directional derivative calls it instead of
 forming the (n, d, d) grad_b and contracting it, and falls back to grad_b
-when a field leaves it None. Analytic derivatives and inverses are
+when a field leaves it None. The optional dsigma(t, x, u) does the same for
+sigma: it returns sum_k grad_sigma(t, x)[..., k] u_k row by row, shaped
+(..., d, d), and each jump of the flow calls it instead of forming the
+(n, d, d, d) grad_sigma and contracting it. The engine refuses a jvp_b or
+dsigma result of another shape. The catalog supplies both hooks, equal bit
+for bit to the contractions they replace. Analytic derivatives and inverses are
 required; finite differences appear only in self-checks, never in the
 estimator hot path. The batched engine (levygrad.engine) is the only
 consumer: it evaluates every coefficient on whole batches of paths at once.
@@ -41,6 +46,7 @@ class CoefficientField:
     drift_is_zero: bool = False
     sigma_is_constant: bool = False
     jvp_b: Callable | None = None  # (t, x, u) -> (..., d), equal to grad_b(t, x) @ u
+    dsigma: Callable | None = None  # (t, x, u) -> (..., d, d), sum_k grad_sigma(t, x)[..., k] u_k
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimension", checked_integer("dimension", self.dimension, minimum=1))
@@ -74,6 +80,9 @@ def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> Coeffi
         def grad_sigma(t, x):
             return tiled(np.zeros((d, d, d)), np.asarray(x, dtype=float))
 
+        def dsigma(t, x, u):
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(u)) + (d,))
+
         sigma_inv = sigma
     else:
 
@@ -87,6 +96,16 @@ def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> Coeffi
             out[..., :, :, 0] = ds(x[..., 0])[..., None, None] * np.eye(d)
             return out
 
+        def dsigma(t, x, u):
+            # s'(x_1) u_1 on the diagonal and +0.0 off it: the contraction of
+            # grad_sigma with u sums these products with exact zeros, and
+            # + 0.0 turns a -0.0 into the +0.0 such a sum gives
+            x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+            diag = ds(x[..., 0]) * u[..., 0] + 0.0
+            out = np.zeros(diag.shape + (d, d))
+            out[..., range(d), range(d)] = diag[..., None]
+            return out
+
         def sigma_inv(t, x):
             x = np.asarray(x, dtype=float)
             return (1.0 / s(x[..., 0]))[..., None, None] * np.eye(d)
@@ -94,6 +113,7 @@ def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> Coeffi
     return CoefficientField(
         d, b, grad_b, sigma, grad_sigma, sigma_inv, name,
         drift_is_zero=not linear_drift, sigma_is_constant=s is None, jvp_b=jvp_b,
+        dsigma=dsigma,
     )
 
 

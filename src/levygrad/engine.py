@@ -34,7 +34,10 @@ naming the path, rather than reaching the mean.
 The flow also sums the weight, in the same sweep: weight_terms forms a
 jump's terms from the left limit and sigma's directional derivative that
 the jump update holds, and each path adds them up in jump order, so no left
-limit is stored.
+limit is stored. The field's optional hooks give the two directional
+derivatives, jvp_b in the drift ODE and dsigma in the jump update, without
+forming grad_b or grad_sigma; a field without them gets the einsum of the
+full derivative, and a hook's result of the wrong shape is refused.
 
 Clock values come only from path_cumulatives (each jump's clock interval
 and each path's terminal value) and first passages only from
@@ -236,28 +239,67 @@ def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator) -> np.
 FULL_WIDTH_SHARE = 0.5
 
 
+def _hook_result(name: str, value, shape: tuple) -> np.ndarray:
+    """A field hook's result as a float array, refused unless it has the given shape."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} returned shape {arr.shape}; it must return shape {shape}")
+    return arr
+
+
 def _drift_rhs(field: CoefficientField, s, x, j):
     """(b(s, x), grad_b(s, x) j) row by row; the second part is None when j is."""
     dX = np.asarray(field.b(s, x), dtype=float)
     if j is None:
         return dX, None
     if field.jvp_b is not None:
-        return dX, np.asarray(field.jvp_b(s, x, j), dtype=float)
+        return dX, _hook_result("jvp_b", field.jvp_b(s, x, j), j.shape)
     G = np.asarray(field.grad_b(s, x), dtype=float)
     return dX, np.einsum("mij,mj->mi", G, j)
 
 
+def _dsigma(field: CoefficientField, s, x, u):
+    """sigma's directional derivative sum_k d_k sigma(s, x) u_k row by row, shaped (m, d, d)."""
+    if field.dsigma is not None:
+        return _hook_result("dsigma", field.dsigma(s, x, u), u.shape + u.shape[-1:])
+    return np.einsum("mijk,mk->mij", np.asarray(field.grad_sigma(s, x), dtype=float), u)
+
+
+def _stage(y, c, k):
+    """y + c * k for an RK4 stage, built in one fresh array (k is never written)."""
+    out = c * k
+    out += y
+    return out
+
+
 def _rk4_step(field: CoefficientField, s, h, x, j):
-    """One RK4 step of size h[row] from time s[row] for each row of x (and j)."""
+    """One RK4 step of size h[row] from time s[row] for each row of x (and j).
+
+    Each stage argument and the final combination is built in place in a
+    fresh array, with the float operations of x + 0.5 h k1, ...,
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4) in the same order; IEEE + and * commute,
+    so swapping the operands of one operation keeps every bit.
+    """
     hh = h[:, None]
+    half, sixth = 0.5 * hh, hh / 6.0
+    s_mid = s + 0.5 * h
     k1x, k1j = _drift_rhs(field, s, x, j)
-    k2x, k2j = _drift_rhs(field, s + 0.5 * h, x + 0.5 * hh * k1x, None if j is None else j + 0.5 * hh * k1j)
-    k3x, k3j = _drift_rhs(field, s + 0.5 * h, x + 0.5 * hh * k2x, None if j is None else j + 0.5 * hh * k2j)
-    k4x, k4j = _drift_rhs(field, s + h, x + hh * k3x, None if j is None else j + hh * k3j)
-    x = x + (hh / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    if j is not None:
-        j = j + (hh / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-    return x, j
+    k2x, k2j = _drift_rhs(field, s_mid, _stage(x, half, k1x), None if j is None else _stage(j, half, k1j))
+    k3x, k3j = _drift_rhs(field, s_mid, _stage(x, half, k2x), None if j is None else _stage(j, half, k2j))
+    k4x, k4j = _drift_rhs(field, s + h, _stage(x, hh, k3x), None if j is None else _stage(j, hh, k3j))
+
+    def combined(y, k1, k2, k3, k4):
+        # shaped like y from the start, so a b that returns one row for all
+        # (a constant drift) still broadcasts as the expression does
+        acc = np.multiply(k2, 2.0, out=np.empty_like(y))
+        acc += k1
+        acc += 2.0 * k3
+        acc += k4
+        acc *= sixth
+        acc += y
+        return acc
+
+    return combined(x, k1x, k2x, k3x, k4x), None if j is None else combined(j, k1j, k2j, k3j, k4j)
 
 
 def _segment_steps(gaps: np.ndarray, substeps_per_unit: int):
@@ -444,8 +486,7 @@ def flow_batch(
             if field.sigma_is_constant:
                 j_new = j
             else:
-                gs = np.asarray(field.grad_sigma(s_jump, x), dtype=float)
-                dir_s = np.einsum("mijk,mk->mij", gs, j)
+                dir_s = _dsigma(field, s_jump, x, j)
                 j_new = j + np.einsum("mij,mj->mi", dir_s, dw)
             Jv[sel] = j_new
             sup_g[sel] = np.maximum(sup_g[sel], np.einsum("mi,mi->m", j_new, j_new))
@@ -511,14 +552,14 @@ def weight_terms(field: CoefficientField, s, x, j, dir_s, dw, dwb, d_beta):
     x and j are the left limits X_{s-} and grad_v X_{s-}, dir_s the matrix
     grad_j sigma(s, x) of the jump update (None for a constant sigma, whose
     c2 and c3 are then None), dw and dwb the mark and beta-weighted mark and
-    d_beta the clock increment. With A = sigma^{-1}(s, x) dir_s,
-    c1 = <sigma^{-1} j, dwb>, c2 = Tr(A) d_beta and c3 = <A dwb, dw>.
+    d_beta the clock increment. With A = sigma^{-1}(s, x) dir_s (a batched
+    np.matmul), c1 = <sigma^{-1} j, dwb>, c2 = Tr(A) d_beta and c3 = <A dwb, dw>.
     """
     s_inv = np.asarray(field.sigma_inv(s, x), dtype=float)
     c1 = np.einsum("mi,mi->m", np.einsum("mij,mj->mi", s_inv, j), dwb)
     if dir_s is None:
         return c1, None, None
-    A = np.einsum("mij,mjk->mik", s_inv, dir_s)
+    A = np.matmul(s_inv, dir_s)
     c2 = np.einsum("mii->m", A) * d_beta
     c3 = np.einsum("mi,mi->m", np.einsum("mik,mk->mi", A, dwb), dw)
     return c1, c2, c3

@@ -177,8 +177,8 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
     rho = alpha/2. This is the closed form of
     Gamma(gamma)**-1 * integral_0^inf u**(gamma-1) exp(-t u**rho) du. Where a
     factor overflows (Gamma(1 + gamma/rho) does past gamma/rho of about 170)
-    it is evaluated with lgamma; a value beyond the float range raises
-    ValueError.
+    it is evaluated with lgamma; a value beyond the float range, or below
+    its smallest normal float, raises ValueError.
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -189,13 +189,15 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
         value = math.gamma(1.0 + q) / math.gamma(1.0 + gamma) * t ** (-q)
     except OverflowError:
         value = math.inf
-    if 0.0 < value < math.inf:
+    if np.finfo(float).tiny <= value < math.inf:
         return value
-    # a factor or the product left the float range: the same form in logs
+    # a factor or the product left the normal float range: the same form in logs
     log_value = _log_inverse_moment(spec, t, gamma)
+    where = f"at alpha = {spec.alpha}, gamma = {gamma}, t = {t}"
     if log_value > np.log(np.finfo(float).max):
-        raise ValueError(f"E S_t**(-gamma) exceeds the float range at alpha = {spec.alpha}, "
-                         f"gamma = {gamma}, t = {t}")
+        raise ValueError(f"E S_t**(-gamma) exceeds the float range {where}")
+    if log_value < np.log(np.finfo(float).tiny):
+        raise ValueError(f"E S_t**(-gamma) underflows the float range {where}")
     return math.exp(log_value)
 
 

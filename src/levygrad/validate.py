@@ -351,9 +351,9 @@ def _mark_sum_squares(path: JumpPath, xi: np.ndarray, laws, n_paths: int, seed: 
     d, k = xi.size, path.times.size
 
     def worker(bi: int, start: int, count: int):
-        _, dW, aux = fixed_batch(path, path.horizon, d, seed, bi, count)
+        _, dW, rng = fixed_batch(path, path.horizon, d, seed, bi, count)
         u = (dW @ xi).reshape(count, k)
-        w = (aux @ xi).reshape(count, k)
+        w = (rng.standard_normal(dW.shape) @ xi).reshape(count, k)
         sums = (u @ r + w @ c for r, c in laws)
         return {"samples": {j: M * M for j, M in enumerate(sums)}}
 

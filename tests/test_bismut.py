@@ -320,6 +320,24 @@ def test_clock_increments_match_one_path_reference(clock):
         assert kinds == {(True, True), (False, False), (False, True)}
 
 
+@pytest.mark.parametrize("clock, reads", [
+    (ClockSpec.cap_at_first_passage(1.3), False),
+    (ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]]), True),
+], ids=["cap", "piecewise"])
+def test_beta_marks_draw_the_auxiliary_normals_only_when_read(clock, reads):
+    path = JumpPath(1.0, np.array([0.1, 0.35, 0.6, 0.9]), np.array([0.4, 0.8, 0.3, 0.5]))
+    jb = fixed_jump_batch(path, 0.95, 50)
+    increments = clock.increments(jb)
+    dW = np.random.default_rng(3).standard_normal((jb.total, 2))
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    marks = clock.beta_marks(jb.sizes, increments, dW, rng)
+    assert (rng.bit_generator.state != before) == reads
+    # a generator stands for the normals it draws next
+    aux = np.random.default_rng(4).standard_normal(dW.shape)
+    assert marks.tobytes() == clock.beta_marks(jb.sizes, increments, dW, aux).tobytes()
+
+
 def test_clock_validation():
     with pytest.raises(ValueError):
         ClockSpec.cap_at_first_passage(0.0)

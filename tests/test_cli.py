@@ -165,6 +165,24 @@ def test_moments_past_the_float_range_only_at_t_1_pass(tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_moments_with_t_power_below_the_float_range_pass(tmp_path):
+    # t**(-100) underflows to 0.0 at t = 1e4, E S_t**(-50) is 3.07e-307
+    cfg = {"alpha": 1.0, "t": 1e4, "gammas": [50.0]}
+    code, report = run_to_file(tmp_path, "moments", cfg)
+    assert code == EXIT_PASS
+    assert report["results"]["inverse_moments"]["50"] == pytest.approx(3.0685e-307, rel=1e-4)
+    assert all(c["passed"] for c in report["checks"])
+
+
+def test_moments_below_the_float_range_exits_1(tmp_path, capsys):
+    # log E S_t**(-300) is about -8600 at alpha = 1.5, t = 1e10
+    cfg = {"alpha": 1.5, "t": 1e10, "gammas": [300.0]}
+    assert main(["moments", write_config(tmp_path, cfg)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "underflows" in err and "alpha = 1.5" in err and "t = 10000000000.0" in err
+    assert "Traceback" not in err
+
+
 def test_moments_beyond_the_float_range_exits_1(tmp_path, capsys):
     # E S_1**(-1) at alpha = 0.01 is about exp(863)
     cfg = {"alpha": 0.01, "t": 1.0, "gammas": [0.5, 1.0]}

@@ -170,7 +170,8 @@ def test_integral_dimension_is_stored_as_int():
 # sech^2 written through cosh would overflow.
 PIN_DIMS = {"additive_identity": 3, "ou_additive": 2, "pythagoras_1d": 1,
             "bounded_multiplicative": 3}
-EVALUATORS = ("b", "grad_b", "jvp_b", "sigma", "grad_sigma", "sigma_inv")
+EVALUATORS = ("b", "grad_b", "jvp_b", "sigma", "grad_sigma", "dsigma", "sigma_inv")
+DIRECTIONAL = ("jvp_b", "dsigma")  # evaluators that also take a direction u
 
 
 def _pin_outputs(name):
@@ -179,9 +180,7 @@ def _pin_outputs(name):
     x = np.column_stack([first, *(np.linspace(-2.0, 2.5, first.size) * k for k in range(1, d))])
     u = np.cos(np.arange(x.size, dtype=float)).reshape(x.shape)
     F = catalog(name, d)
-    outputs = {c: getattr(F, c)(0.25, x) for c in EVALUATORS if c != "jvp_b"}
-    outputs["jvp_b"] = F.jvp_b(0.25, x, u)
-    return outputs
+    return {c: getattr(F, c)(0.25, x, *([u] if c in DIRECTIONAL else [])) for c in EVALUATORS}
 
 
 def _digest(a):
@@ -198,6 +197,7 @@ EVALUATOR_PINS = {
         "jvp_b": "c42317bf91bb03fc3611c537a81075233ff7973738673a4fbbf227df3d938d17",
         "sigma": "5c664bb5fa840a9f1472fd351b6f023062b5fd06d15d4f1ad256d86dcb54f47e",
         "grad_sigma": "85aba72aef8fdcf1f123ea5f458d852f87c75bfc1571cc9cccb3511bc5c524dc",
+        "dsigma": "3f959c3dc548ed83b8c2ebbf75dd4902978fbf8791ab299ccad719357864a64c",
         "sigma_inv": "5c664bb5fa840a9f1472fd351b6f023062b5fd06d15d4f1ad256d86dcb54f47e",
     },
     "bounded_multiplicative": {
@@ -206,6 +206,7 @@ EVALUATOR_PINS = {
         "jvp_b": "56b9308bb8773097479973147d1afe14f0f67f84759aa4c06f5516cf2706953c",
         "sigma": "3954aeaf3ca79c67b144b9492e1c70ef961479db2eab6c35124bcb833a637af3",
         "grad_sigma": "40b91f70ba77b8ff468f8ba35e9e62f9a7b5c38af7c3d0badfbfb3d9db54ddff",
+        "dsigma": "e3348fa2332b9d9413762763d478b54169bb4597682b55c87a385b0419c87c4a",
         "sigma_inv": "c4cbf2ac3c803390d951581b0ead43ca92a93d7b6832eceda68eb7f85ae8163a",
     },
     "ou_additive": {
@@ -214,6 +215,7 @@ EVALUATOR_PINS = {
         "jvp_b": "df36814c02bf3bfb76ac43fa27423d11214a550dab1ca88c36e3427b08dba703",
         "sigma": "36972d498edfa03fdb83623999b265e08179131cd8d216f88a2257f6499e3e6d",
         "grad_sigma": "a3818c1cd8192f637fe5ff40f73ef9f493e58a0f5a9cbfded9d2caac5851c406",
+        "dsigma": "9c486545ef858f731b0e8bda282e7c9b9b156fe4d23cfb6512f4802edf37e1b8",
         "sigma_inv": "36972d498edfa03fdb83623999b265e08179131cd8d216f88a2257f6499e3e6d",
     },
     "pythagoras_1d": {
@@ -222,6 +224,7 @@ EVALUATOR_PINS = {
         "jvp_b": "c8db61d66be2b15116a9164421367d41a4f92ae42aacea13cb79bea13bf378e0",
         "sigma": "945d6b9d3ebec4a7ce4d8ecf508ae0ad03bf74c5ccf414728d9e2033cf17ccd7",
         "grad_sigma": "c0dbb21c5891792b8e690427d0f6e2f23742d99a91ca37dd41fc9b256fa6e75b",
+        "dsigma": "b43893b69edbffda5f4a38512839c182dd7ff6744f9871ca6840ac883318636b",
         "sigma_inv": "810ec6c25a4b1d2952963ee5f0476b4d4b6cc76be194c34a15efd48396e13b48",
     },
 }
@@ -241,3 +244,28 @@ def test_catalog_evaluators_match_pin(name):
     assert {c: _digest(a) for c, a in _pin_outputs(name).items()} == EVALUATOR_PINS[name]
     F = catalog(name, PIN_DIMS[name])
     assert (F.drift_is_zero, F.sigma_is_constant) == HINTS[name]
+
+
+# The engine calls dsigma where it contracted grad_sigma with the direction,
+# so on every catalog field the two must agree bit for bit, signs of zeros
+# included. x and u hold +-0.0, so products of -0.0 and slopes of -0.0
+# (pythagoras_1d at x_1 = -0.0) occur.
+DSIGMA_CASES = [(name, d) for name in CATALOG_NAMES for d in (1, 2, 3, 4)
+                if name != "pythagoras_1d" or d == 1]
+
+
+@pytest.mark.parametrize("name, d", DSIGMA_CASES)
+def test_dsigma_equals_the_grad_sigma_contraction_bitwise(name, d):
+    rng = np.random.default_rng(d)
+    entries = np.array([-40.0, -1.3, -0.5, -0.0, 0.0, 0.5, 1.3, 40.0, 1e-300, -1e-300])
+    x = rng.choice(entries, size=(500, d))
+    u = rng.choice(entries, size=(500, d))
+    t = rng.uniform(size=500)
+    field = catalog(name, d)
+    got = field.dsigma(t, x, u)
+    expected = np.einsum("mijk,mk->mij", field.grad_sigma(t, x), u)
+    assert got.shape == expected.shape == (500, d, d)
+    assert got.tobytes() == expected.tobytes()
+    assert (expected == 0.0).any()
+    # a state-dependent sigma also gives negative entries (so signs are compared)
+    assert field.sigma_is_constant or np.signbit(expected).any()

@@ -1,4 +1,4 @@
-"""The event-driven flow loop, the jvp_b drift term and the sort-free jump sampler.
+"""The event-driven flow loop, the jvp_b and dsigma hooks and the sort-free jump sampler.
 
 The hex pins and row digests below were recorded from the round-by-round
 flow loop (one jump round at a time, RK4 on gathered rows, the Jacobian term
@@ -39,6 +39,8 @@ from reference import FlowState, PathRealization, accumulate_weight, apply_jump,
 
 SPEC = BernsteinSpec.alpha_stable(1.5)
 BM = catalog("bounded_multiplicative", 2)
+BM3 = catalog("bounded_multiplicative", 3)
+PYTHAGORAS = catalog("pythagoras_1d")
 TANH = make_observable("tanh1")
 X0, V0 = np.array([0.3, 0.0]), np.array([1.0, 0.5])
 N = 4096
@@ -67,16 +69,15 @@ RUNS = {
     "estimate_pt": lambda field=BM: estimate_pt(X0, TANH, field, SPEC, 0.5, N, 13, eps_cut=3e-3),
     "antithetic": lambda field=BM, **kw: estimate_gradient(
         X0, V0, TANH, field, SPEC, 0.5, "auto", N, 3e-3, 7, antithetic=True, **kw),
-    "quickstart_d3": lambda **kw: estimate_gradient(
-        X3, V3, TANH, catalog("bounded_multiplicative", 3), SPEC, 0.5, "auto", N, 3e-3, 318, **kw),
+    "quickstart_d3": lambda field=BM3, **kw: estimate_gradient(
+        X3, V3, TANH, field, SPEC, 0.5, "auto", N, 3e-3, 318, **kw),
     "quickstart_d4": lambda **kw: estimate_gradient(
         X4, V4, TANH, catalog("bounded_multiplicative", 4), SPEC, 0.5, "auto", N, 3e-3, 318, **kw),
     "fixed_clock_piecewise_d3": lambda **kw: estimate_gradient_fixed_clock(
         X3, V3, TANH, catalog("bounded_multiplicative", 3), PATH, PIECEWISE, 0.95, N, 16, **kw),
     # no drift and a state-dependent sigma: the event loop's jump rounds alone
-    "pythagoras_1d": lambda **kw: estimate_gradient(
-        np.array([0.3]), np.ones(1), TANH, catalog("pythagoras_1d"), SPEC, 0.5, "auto", N, 3e-3,
-        318, **kw),
+    "pythagoras_1d": lambda field=PYTHAGORAS, **kw: estimate_gradient(
+        np.array([0.3]), np.ones(1), TANH, field, SPEC, 0.5, "auto", N, 3e-3, 318, **kw),
 }
 
 PINS = {
@@ -141,6 +142,18 @@ def test_field_without_jvp_gives_the_same_bits(name):
     # the grad_b einsum fallback and the direct product are the same floats
     assert BM.jvp_b is not None
     result = RUNS[name](dataclasses.replace(BM, jvp_b=None), collect_samples=N)
+    assert _bits(result) == PINS[name]
+    assert _row_digest(result) == ROW_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, field", [
+    ("quickstart", BM), ("antithetic", BM), ("fixed_clock_piecewise", BM), ("quickstart_d3", BM3),
+    ("pythagoras_1d", PYTHAGORAS),
+])
+def test_field_without_dsigma_gives_the_same_bits(name, field):
+    # the grad_sigma einsum fallback and the directional hook are the same floats
+    assert field.dsigma is not None and not field.sigma_is_constant
+    result = RUNS[name](dataclasses.replace(field, dsigma=None), collect_samples=N)
     assert _bits(result) == PINS[name]
     assert _row_digest(result) == ROW_DIGESTS[name]
 
@@ -248,6 +261,19 @@ def test_event_loop_without_jumps_is_pure_drift():
     assert np.array_equal(X, np.tile(X[0], (3, 1)))
     np.testing.assert_allclose(X[0], final.X, rtol=1e-14)
     np.testing.assert_allclose(Jv[0], final.J, rtol=1e-14)
+
+
+def test_drift_of_one_row_broadcasts_over_the_paths():
+    # a constant b may return one row for the whole batch, as the RK4
+    # expressions broadcast it
+    b = np.array([1.0, -0.5])
+    field = dataclasses.replace(
+        catalog("additive_identity", 2), b=lambda t, x: b, jvp_b=None, drift_is_zero=False)
+    batch = JumpBatch(3, 1.0, np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64),
+                      np.empty(0), np.empty(0))
+    X, Jv, *_ = flow_batch(X0, V0, field, batch, np.empty((0, 2)), 100, np.empty((0, 2)), np.empty(0))
+    assert np.array_equal(X, np.tile(X[0], (3, 1))) and np.array_equal(Jv, np.tile(V0, (3, 1)))
+    np.testing.assert_allclose(X[0], X0 + b, rtol=1e-14)
 
 
 def test_full_width_and_gathered_passes_agree_bitwise(monkeypatch):

@@ -1,5 +1,6 @@
 """The batch-run skeleton shared by every estimator: counts, checks, determinism."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -338,6 +339,24 @@ def test_non_finite_observable_is_refused(name):
 
     with pytest.raises(ValueError, match="non-finite values on batch 0 .*path 3"):
         OBSERVED[name](f)
+
+
+# A hook result of another shape could broadcast against the batch and
+# corrupt every path without an error.
+BM2 = catalog("bounded_multiplicative", 2)
+WRONG_HOOKS = {
+    "jvp_b": (dataclasses.replace(BM2, jvp_b=lambda t, x, u: -u[0]), r"\(2,\)", r"\(\d+, 2\)"),
+    "dsigma": (dataclasses.replace(BM2, dsigma=lambda t, x, u: np.eye(2)), r"\(2, 2\)",
+               r"\(\d+, 2, 2\)"),
+}
+
+
+@pytest.mark.parametrize("hook", sorted(WRONG_HOOKS))
+def test_hook_of_the_wrong_shape_is_refused(hook):
+    field, got, expected = WRONG_HOOKS[hook]
+    with pytest.raises(ValueError, match=f"^{hook} returned shape {got}; it must return shape {expected}$"):
+        estimate_gradient(np.array([0.3, 0.0]), np.array([1.0, 0.5]), TANH, field, SPEC, 0.5, "auto",
+                          8, 0.05, 1)
 
 
 def _as_data(result):

@@ -251,6 +251,15 @@ def test_inverse_moment_beyond_the_float_range_names_its_arguments():
         inverse_moment(BernsteinSpec.alpha_stable(0.01), 1.0, 1.0)
 
 
+def test_inverse_moment_below_the_float_range_names_its_arguments():
+    # the log of E S_t**(-300) is about -8600 at alpha = 1.5, t = 1e10
+    with pytest.raises(ValueError, match="underflows .* alpha = 1.5, gamma = 300.0, t = 10000000000.0"):
+        inverse_moment(BernsteinSpec.alpha_stable(1.5), 1e10, 300.0)
+    # a subnormal value would carry only part of its digits
+    with pytest.raises(ValueError, match="underflows"):
+        inverse_moment(BernsteinSpec.alpha_stable(1.0), 1e4, 50.5)
+
+
 def test_stable_median_closed_form_at_alpha_1():
     # S_1 is Levy's law at alpha = 1: P(S_1 <= x) = erfc(1 / (2 sqrt(x)))
     median = stable_median_s1(BernsteinSpec.alpha_stable(1.0))
