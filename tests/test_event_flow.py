@@ -33,6 +33,7 @@ from levygrad import (
     substream,
 )
 from levygrad import engine
+from levygrad.bismut import stable_batch
 from levygrad.coefficients import CATALOG_NAMES
 from levygrad.engine import JumpBatch, flow_batch, sample_jump_batch
 from reference import FlowState, PathRealization, accumulate_weight, apply_jump, evolve_drift
@@ -129,6 +130,26 @@ def test_estimates_match_pinned_bits(name):
 @pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
 def test_per_path_samples_match_pinned_digest(name):
     assert _row_digest(RUNS[name](collect_samples=N)) == ROW_DIGESTS[name]
+
+
+# SHA-256 (first 32 hex digits) of the terminal states of a plain trajectory
+# run (v = None) from x0 + h v and then x0 - h v, h = 5e-3, on batch 0 (4096
+# paths) of the fd_crn draw: t = 0.5, eps_cut = 3e-3, seed 319. fd_gradient's
+# pin holds only a mean and an SE of such runs. pythagoras_1d has no drift,
+# so its run is the event loop's jump rounds alone.
+FLOW_DIGESTS = {
+    "bounded_multiplicative": (BM, X0, V0, "0e29cf27a2082e0cfebff5ee240bf959"),
+    "pythagoras_1d": (PYTHAGORAS, np.array([0.3]), np.ones(1), "774106a79ccb029ca53d6ec3b41be3b6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_DIGESTS))
+def test_trajectory_flow_matches_pinned_digest(name):
+    field, x0, v, want = FLOW_DIGESTS[name]
+    jb, dW = stable_batch(SPEC, 0.5, 3e-3, x0.size, 319, 0, N)
+    runs = [flow_batch(x0 + sign * 5e-3 * v, None, field, jb, dW, 100) for sign in (1.0, -1.0)]
+    assert all(run[1] is None and run[2] is None for run in runs)
+    assert hashlib.sha256(b"".join(run[0].tobytes() for run in runs)).hexdigest()[:32] == want
 
 
 def test_piecewise_pin_reads_the_conditional_mark_part():
