@@ -25,11 +25,15 @@ The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
 or one jump. The substep runs on full-width arrays while most paths are
 stepping and on the gathered stepping rows otherwise; either way each path
-sees the same float operations. For b == 0 with constant sigma the state
-is x0 plus a running sum of the jump increments, taken in closed form as a
-cumulative sum with the loop's float operations, and J v stays v. On both
-routes a non-finite state or directional derivative raises BlowUpError,
-naming the path, rather than reaching the mean.
+sees the same float operations, on column-major rows. A jump round reads
+its paths' marks with np.take and their state one coordinate at a time into
+row-major rows, as the closed form below has them, and writes the new state
+back one coordinate at a time: numpy's 2-D fancy index costs several times
+more. For b == 0 with constant sigma the state is x0 plus a running sum of
+the jump increments, taken in closed form as a cumulative sum with the
+loop's float operations, and J v stays v. On both routes a non-finite state
+or directional derivative raises BlowUpError, naming the path, rather than
+reaching the mean.
 
 The flow also sums the weight, in the same sweep: weight_terms forms a
 jump's terms from the left limit and sigma's directional derivative that
@@ -332,6 +336,19 @@ def _first_non_finite(*arrays):
     return int(np.flatnonzero(bad)[0])
 
 
+def _take_rows(A, rows, order):
+    """A[rows] in memory order "F" (a take through the transpose) or "C" (a take per coordinate)."""
+    if order == "F":
+        return np.take(A.T, rows, axis=1).T
+    return np.column_stack([column[rows] for column in A.T])
+
+
+def _put_rows(A, rows, values):
+    """A[rows] = values, one 1-D scatter per coordinate."""
+    for column, new in zip(A.T, values.T):
+        column[rows] = new
+
+
 def _rk4_pass(field, X, Jv, s0, k, h, stepping, n_stepping):
     """Advance every stepping row by its next RK4 substep, in place."""
     if n_stepping >= FULL_WIDTH_SHARE * X.shape[0]:
@@ -349,10 +366,11 @@ def _rk4_pass(field, X, Jv, s0, k, h, stepping, n_stepping):
     rows = np.flatnonzero(stepping)
     hr = h[rows]
     s = s0[rows] + k[rows] * hr
-    x, j = _rk4_step(field, s, hr, X[rows], None if Jv is None else Jv[rows])
-    X[rows] = x
+    xr, jr = _take_rows(X, rows, "F"), None if Jv is None else _take_rows(Jv, rows, "F")
+    x, j = _rk4_step(field, s, hr, xr, jr)
+    _put_rows(X, rows, x)
     if Jv is not None:
-        Jv[rows] = j
+        _put_rows(Jv, rows, j)
     bad = _first_non_finite(x, j)
     if bad is not None:
         raise BlowUpError(s[bad] + hr[bad], path=int(rows[bad]))
@@ -476,10 +494,11 @@ def flow_batch(
             break
         flat = nxt[sel]
         s_jump = batch.times[flat]
-        x = X[sel]
-        j = None if Jv is None else Jv[sel]
+        # row-major: einsum's order of summing a row of d > 2 follows the layout
+        x = _take_rows(X, sel, "C")
+        j = None if Jv is None else _take_rows(Jv, sel, "C")
         Sg = np.asarray(field.sigma(s_jump, x), dtype=float)
-        dw = dW[flat]
+        dw = np.take(dW, flat, axis=0)
         x_new = x + np.einsum("mij,mj->mi", Sg, dw)
         j_new = dir_s = None
         if j is not None:
@@ -488,14 +507,15 @@ def flow_batch(
             else:
                 dir_s = _dsigma(field, s_jump, x, j)
                 j_new = j + np.einsum("mij,mj->mi", dir_s, dw)
-            Jv[sel] = j_new
+            _put_rows(Jv, sel, j_new)
             sup_g[sel] = np.maximum(sup_g[sel], np.einsum("mi,mi->m", j_new, j_new))
-        X[sel] = x_new
+        _put_rows(X, sel, x_new)
         bad = _first_non_finite(x_new, j_new)
         if bad is not None:
             raise BlowUpError(s_jump[bad], path=int(sel[bad]))
         if j is not None:
-            c1, c2, c3 = weight_terms(field, s_jump, x, j, dir_s, dw, dWb[flat], d_beta[flat])
+            dwb = np.take(dWb, flat, axis=0)
+            c1, c2, c3 = weight_terms(field, s_jump, x, j, dir_s, dw, dwb, d_beta[flat])
             I1[sel] += c1
             if dir_s is not None:
                 I2[sel] += c2

@@ -297,15 +297,58 @@ def test_drift_of_one_row_broadcasts_over_the_paths():
     np.testing.assert_allclose(X[0], X0 + b, rtol=1e-14)
 
 
+def _float_bits(*values):
+    """float64s from their IEEE bit patterns (a NaN keeps its payload)."""
+    return np.array(values, dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_row_gather_and_scatter_equal_the_2d_index_bitwise(d, layout):
+    rng = np.random.default_rng(d)
+    # -0.0, NaNs with payloads and of either sign, +inf and -inf
+    special = _float_bits(1 << 63, 0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0 << 48, 0xFFF0 << 48)
+    A = rng.standard_normal((40, d))
+    A.flat[rng.choice(A.size, special.size, replace=False)] = special
+    A = np.asarray(A, order=layout)
+    values = rng.standard_normal((40, d))
+    values.flat[rng.choice(values.size, special.size, replace=False)] = special
+    for sel in (np.empty(0, dtype=np.int64), np.array([0, 3, 4, 17, 39]), np.flatnonzero(A[:, 0] < 0.5)):
+        want = A[sel]
+        for order in ("C", "F"):
+            got = engine._take_rows(A, sel, order)
+            assert got.shape == want.shape and got.flags[f"{order}_CONTIGUOUS"]
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        want_A, got_A = A.copy(order="K"), A.copy(order="K")
+        want_A[sel] = values[:sel.size]
+        engine._put_rows(got_A, sel, values[:sel.size])
+        assert got_A.flags[f"{layout}_CONTIGUOUS"]
+        assert got_A.tobytes(order="A") == want_A.tobytes(order="A")
+
+
+def _dense_drift_field():
+    """BM3's sigma with b(x) = x B for a dense B and no jvp_b: the engine's
+    grad_b einsum sums each row of three terms in an order that follows the
+    memory layout of J v."""
+    B = 0.3 * np.ones((3, 3)) - 1.3 * np.eye(3)
+    return dataclasses.replace(
+        BM3, b=lambda t, x: np.asarray(x) @ B, jvp_b=None,
+        grad_b=lambda t, x: np.tile(B.T, np.shape(x)[:-1] + (1, 1)),
+    )
+
+
 def test_full_width_and_gathered_passes_agree_bitwise(monkeypatch):
+    # the gathered rows are column-major like the full-width state, so even a
+    # layout-sensitive drift gives every path the same bits on both
     jb = sample_jump_batch(1.5, 0.5, 3e-3, 500, substream(2, engine.PURPOSE_JUMPS, 0))
-    dW = engine.sample_mark_batch(jb, 2, substream(2, engine.PURPOSE_MARKS, 0))
-    outs = []
-    for share in (0.0, 2.0):  # every pass full width; every pass on gathered rows
-        monkeypatch.setattr(engine, "FULL_WIDTH_SHARE", share)
-        outs.append(flow_batch(X0, V0, BM, jb, dW, 100, -dW, jb.sizes))
-    for a, b in zip(*outs):
-        assert np.array_equal(a, b)
+    for field, x0, v in ((BM, X0, V0), (_dense_drift_field(), X3, V3)):
+        dW = engine.sample_mark_batch(jb, x0.size, substream(2, engine.PURPOSE_MARKS, 0))
+        outs = []
+        for share in (0.0, 2.0):  # every pass full width; every pass on gathered rows
+            monkeypatch.setattr(engine, "FULL_WIDTH_SHARE", share)
+            outs.append(flow_batch(x0, v, field, jb, dW, 100, -dW, jb.sizes))
+        for a, b in zip(*outs):
+            assert np.array_equal(a, b)
 
 
 def test_jump_sampler_order_is_the_stable_path_time_sort():

@@ -131,17 +131,27 @@ def test_sampler_stream_matches_the_stable_sort(n):
 
 
 def _time_dependent_sigma_field(d):
-    """b == 0 and a non-diagonal sigma that depends on t only."""
-    base = np.eye(d) + 0.3 * np.triu(np.ones((d, d)), 1)
+    """b == 0 and a non-diagonal sigma that depends on t only, with its dense inverse.
+
+    The inverse has no exact zeros, so the weight's sigma^{-1} J v sums each
+    row in full: einsum takes d > 2 terms in an order that follows the
+    layout of J v, and the two routes must hand it the same layout.
+    """
+    base = np.eye(d) + 0.3 * np.triu(np.ones((d, d)), 1) - 0.2 * np.tril(np.ones((d, d)), -1)
+    base_inv = np.linalg.inv(base)
 
     def sigma(t, x):
         t = np.asarray(t, dtype=float)
         return (1.0 + t)[..., None, None] * base
 
+    def sigma_inv(t, x):
+        t = np.asarray(t, dtype=float)
+        return (1.0 / (1.0 + t))[..., None, None] * base_inv
+
     zero = catalog("additive_identity", d)
     return CoefficientField(
         dimension=d, b=zero.b, grad_b=zero.grad_b, sigma=sigma, grad_sigma=zero.grad_sigma,
-        sigma_inv=zero.sigma_inv, drift_is_zero=True, sigma_is_constant=True,
+        sigma_inv=sigma_inv, drift_is_zero=True, sigma_is_constant=True,
         jvp_b=zero.jvp_b, name="time_dependent_sigma",
     )
 

@@ -200,12 +200,18 @@ def _blow_up_through_estimate_gradient():
      (_blow_up_through_estimate_gradient, _fast_oscillating_drift_field, 0.3)],
     ids=["state_overflow", "jacobian_overflow"],
 )
-def test_batched_estimators_raise_blow_up(run, field, x0):
+def test_batched_estimators_raise_blow_up(monkeypatch, run, field, x0):
     # A non-finite X or Jv must stop the run, never turn the mean into NaN,
-    # and the error must name a path that blows up again when replayed.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
-        run()
-    err = info.value
+    # and the error must name a path that blows up again when replayed, at
+    # the same s whether the RK4 passes run full width or on gathered rows.
+    errors = []
+    for share in (0.0, 2.0, engine.FULL_WIDTH_SHARE):
+        monkeypatch.setattr(engine, "FULL_WIDTH_SHARE", share)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+            run()
+        errors.append(info.value)
+    assert len({(e.s, e.path, e.batch) for e in errors}) == 1
+    err = errors[-1]
     assert err.batch == 0 and 0 <= err.path < 200
     assert f"on path {err.path} of batch 0" in str(err)
     jb = engine.sample_jump_batch(
