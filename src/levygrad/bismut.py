@@ -164,6 +164,11 @@ class ClockSpec:
             beta_post, lam_post = self.curves(ell_post, cap)
             d_beta = np.maximum(beta_post - beta_pre, 0.0)
             d_lambda = np.maximum(lam_post - lam_pre, 0.0)
+            # inside one linear piece d_lambda = d_beta^2 / d_ell exactly; taken in
+            # mark_law's own float operations, its c is then exactly 0
+            ku = self.knots[:, 0]
+            one_piece = np.searchsorted(ku, ell_pre, "right") == np.searchsorted(ku, ell_post, "left")
+            d_lambda = np.where(one_piece, d_beta * (d_beta / batch.sizes), d_lambda)
         return ClockIncrements(d_beta, d_lambda, self.curves(ell_T, cap)[0], cap)
 
     def mark_law(self, sizes, increments: ClockIncrements):
@@ -173,7 +178,8 @@ class ClockSpec:
         c = sqrt(d_lambda - d_beta^2 / d_ell), clamped at 0, realize the joint
         per-coordinate covariance [[d_ell, d_beta], [d_beta, d_lambda]] of a
         jump's mark dW and its beta-weighted mark. For 0/1-slope clocks r is
-        exactly 1 or 0 and c vanishes identically.
+        exactly 1 or 0 and c vanishes identically; so does c of a jump whose
+        clock interval lies inside one linear piece of beta (see increments).
         """
         ratio = increments.d_beta / sizes
         return ratio, np.sqrt(np.maximum(increments.d_lambda - increments.d_beta * ratio, 0.0))

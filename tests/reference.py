@@ -237,16 +237,22 @@ def clock_increments(clock: ClockSpec, sizes: np.ndarray):
     slopes.append(slopes[-1])
 
     def covered(lo, hi):
-        # the integrals of beta' and beta'^2 over (lo, hi]
+        # the integrals of beta' and beta'^2 over (lo, hi], and how many
+        # linear pieces the interval overlaps
         b = lam = 0.0
+        pieces = 0
         for a, z, slope in zip(starts, ends, slopes):
             width = max(min(hi, z) - max(lo, a), 0.0)
             b += slope * width
             lam += slope * slope * width
-        return b, lam
+            pieces += width > 0.0
+        return b, lam, pieces
 
     for i, size in enumerate(sizes):
-        d_beta[i], d_lambda[i] = covered(post, post + size)
+        d_beta[i], d_lambda[i], pieces = covered(post, post + size)
+        if pieces == 1:
+            # inside one piece, d_lambda = d_beta^2 / d_ell exactly
+            d_lambda[i] = d_beta[i] * (d_beta[i] / size)
         post += size
     return d_beta, d_lambda, covered(0.0, post)[0]
 

@@ -19,7 +19,7 @@ from levygrad import (
     stable_median_s1,
     substream,
 )
-from levygrad.engine import fixed_jump_batch, sample_jump_batch
+from levygrad.engine import fixed_jump_batch, path_cumulatives, sample_jump_batch
 from reference import (
     BismutWeight,
     PathRealization,
@@ -314,6 +314,15 @@ def test_clock_increments_match_one_path_reference(clock):
             np.testing.assert_allclose(d_beta[lo:hi], ref_beta, rtol=1e-12, atol=4 * tol)
             np.testing.assert_allclose(d_lambda[lo:hi], ref_lambda, rtol=1e-12, atol=4 * tol)
             assert np.all(np.isinf(cap))
+    if clock.kind == "piecewise_linear":
+        # a jump with no knot strictly inside its clock interval lies in one
+        # linear piece, where the conditional mark part is exactly 0
+        ell_pre, ell_post, _ = path_cumulatives(jb)
+        ku = clock.knots[:, 0]
+        inside = ~np.any((ell_pre[:, None] < ku) & (ku < ell_post[:, None]), axis=1)
+        _, c = clock.mark_law(jb.sizes, clock.increments(jb))
+        assert inside.any() and not inside.all()
+        assert np.all(c[inside] == 0.0) and np.any(c[~inside] > 0.0)
     if clock.kind == "cap_at_first_passage":
         # uncapped paths, paths capped before their last jump, and paths
         # capped at it all occur

@@ -256,12 +256,14 @@ PINNED = {
         "f0631c92122408960ad10c238a776d83666ffb3266c6edab2160377e6447d4c9",
         "b57a38abbc87ec5150a6ab9393b477cdf128580015635a0668c72b4367b45434",
     ),
+    # recorded again when the conditional mark part of a jump inside one
+    # linear piece of beta became exactly 0
     "gradient-fixed-clock piecewise csv": (
         "gradient-fixed-clock",
         pin_config(alpha=None, eps_cut=None, path=LEMMA_PATH, clock=PIECEWISE_CLOCK, t=0.95,
                    emit_samples=True, samples_path="samples.csv"),
-        "80a8d38fccfac43bd19de4dd7f8fa770671d47f8c560c34dd745f0da7f039c30",
-        "4266d61f28b9b23a0b62a5ca1746f1e8a11a4d6086c42729d6b15a5b39b3703c",
+        "d801fd62f511d3130beab9a9563ea8d565b0e5d4375628abc6532bd23def524c",
+        "2f350b5ac335a395af637afa1cd029466f3e7eeed72b8fe1a4492aec744f8c41",
     ),
     "validate-bound": (
         "validate-bound",
