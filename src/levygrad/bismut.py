@@ -164,8 +164,7 @@ class ClockSpec:
             beta_post, lam_post = self.curves(ell_post, cap)
             d_beta = np.maximum(beta_post - beta_pre, 0.0)
             d_lambda = np.maximum(lam_post - lam_pre, 0.0)
-            # inside one linear piece d_lambda = d_beta^2 / d_ell exactly; taken in
-            # mark_law's own float operations, its c is then exactly 0
+            # d_lambda = d_beta^2 / d_ell inside one linear piece, so mark_law's c is exactly 0
             ku = self.knots[:, 0]
             one_piece = np.searchsorted(ku, ell_pre, "right") == np.searchsorted(ku, ell_post, "left")
             d_lambda = np.where(one_piece, d_beta * (d_beta / batch.sizes), d_lambda)
