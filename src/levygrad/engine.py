@@ -1,17 +1,17 @@
 """Vectorized batch evaluation of paths, flows, and weight terms.
 
 Estimators process paths in fixed-size batches. Each batch draws from its
-own counter-based stream keyed by (seed, purpose, batch index), and merged
-statistics are reduced in batch order, so results are bit-identical for any
-worker count and any path can be regenerated by replaying its batch. The
-batch size is a fixed constant: changing it changes which stream a path
-draws from, hence the sampled numbers.
+own counter-based stream keyed by (seed, purpose, batch index), so any path
+can be regenerated by replaying its batch. The batch size is a fixed
+constant: changing it changes which stream a path draws from, hence the
+sampled numbers.
 
 Every estimator runs through run_batches: its per-batch worker returns named
 per-path sample columns (plus an optional rejection mask and integer
-counters), and run_batches reduces each batch's columns as the worker hands
-them back, then merges the reductions in batch order into means, standard
-errors and counts, so a run holds one batch's samples at a time. That one
+counters), and run_batches reduces each column to a RunningStats (count,
+mean, M2, max |value|) as the worker hands it back, so a run holds one
+batch's samples at a time, then merges the records by Chan's formula in
+batch order, so results are bit-identical for any worker count. That one
 skeleton also checks the path count, and evaluate_observable checks what a
 user's f returns.
 
@@ -85,7 +85,6 @@ __all__ = [
     "weight_terms",
     "map_batches",
     "RunningStats",
-    "ColumnStats",
     "BatchRun",
     "run_batches",
     "evaluate_observable",
@@ -612,43 +611,45 @@ def map_batches(n_total: int, workers: int, worker_fn):
 
 
 class RunningStats:
-    """Streaming mean/SE and max absolute value of one sample column.
+    """Count, mean, M2 (sum of squared deviations) and max |value| of a column.
 
-    Per-batch float sums are merged in batch order.
+    A batch's mean and M2 take two passes over its values, and records merge
+    by the pairwise update of Chan, Golub and LeVeque (1979).
     """
 
     def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.max_abs = 0.0
+        self.count, self.mean, self.m2, self.max_abs = 0, math.nan, 0.0, 0.0
 
     def update(self, values: np.ndarray) -> None:
-        self.count += int(values.size)
-        self.total += float(values.sum())
-        self.total_sq += float(np.square(values).sum())
         if values.size:
-            self.max_abs = max(self.max_abs, float(np.max(np.abs(values))))
+            batch = RunningStats()
+            batch.count = int(values.size)
+            batch.mean = float(values.sum()) / batch.count
+            batch.max_abs = float(np.max(np.abs(values)))
+            # one batch-sized temporary at a time: with two alive it ran 3x slower
+            dev = values - batch.mean
+            batch.m2 = float(np.square(dev, out=dev).sum())
+            self.merge(batch)
+
+    def merge(self, other: "RunningStats") -> None:
+        """Fold in another record; into an empty one it is copied exactly."""
+        if not self.count:
+            vars(self).update(vars(other))
+        elif other.count:
+            n = self.count + other.count
+            delta = other.mean - self.mean
+            share = other.count / n
+            self.mean += delta * share
+            self.m2 += other.m2 + delta * delta * self.count * share
+            self.count = n
+            self.max_abs = max(self.max_abs, other.max_abs)
 
     def finalize(self):
         """Return (mean, std_error); NaN for both when no sample was seen."""
         if self.count == 0:
             return math.nan, math.nan
-        mean = self.total / self.count
-        if self.count > 1:
-            var = max(self.total_sq - self.count * mean * mean, 0.0) / (self.count - 1)
-        else:
-            var = 0.0
-        return mean, math.sqrt(var / self.count)
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Mean, standard error and max |sample| of one column over accepted paths."""
-
-    mean: float
-    std_error: float
-    max_abs: float
+        # one value has M2 exactly 0, so its divisor is moot
+        return self.mean, math.sqrt(self.m2 / max(self.count - 1, 1) / self.count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -657,16 +658,17 @@ class BatchRun:
 
     n_samples: int
     n_rejected: int
-    columns: dict  # column key -> ColumnStats
+    columns: dict  # column key -> RunningStats
     counters: dict[str, int]
     parts: list
 
     def result(self, diagnostics: dict | None = None, column="y") -> EstimatorResult:
         """EstimatorResult of one column, with its max |sample| among the diagnostics."""
         stats = self.columns[column]
+        mean, std_error = stats.finalize()
         return EstimatorResult(
-            mean=stats.mean,
-            std_error=stats.std_error,
+            mean=mean,
+            std_error=std_error,
             n_samples=self.n_samples,
             n_rejected=self.n_rejected,
             diagnostics={**(diagnostics or {}), "max_abs_sample": stats.max_abs},
@@ -682,8 +684,9 @@ def run_batches(n_total: int, workers: int, worker_fn) -> BatchRun:
       "counters" (optional): {name: int}, summed over batches;
     plus any keys of its own, handed back in BatchRun.parts. Each batch's
     columns are reduced to a RunningStats as soon as its worker returns, so
-    a run holds one batch's samples at a time; summing the reductions in
-    batch order gives the floats of one RunningStats fed every batch.
+    a run holds one batch's samples at a time, and the reductions are merged
+    by Chan's formula in batch order, so the result is the same for any
+    worker count.
     """
     n_total = checked_integer("n_paths", n_total, minimum=1)
     workers = checked_integer("workers", workers, minimum=1)
@@ -697,24 +700,17 @@ def run_batches(n_total: int, workers: int, worker_fn) -> BatchRun:
             column.update(values if reject is None else values[~reject])
         return stats, 0 if reject is None else int(reject.sum()), part
 
-    stats: dict = {}
+    columns: dict = {}
     counters: dict[str, int] = {}
     n_rejected = 0
     parts = []
     for batch_stats, rejected, part in map_batches(n_total, workers, reduced):
         n_rejected += rejected
         for name, batch_column in batch_stats.items():
-            column = stats.setdefault(name, RunningStats())
-            column.count += batch_column.count
-            column.total += batch_column.total
-            column.total_sq += batch_column.total_sq
-            column.max_abs = max(column.max_abs, batch_column.max_abs)
+            columns.setdefault(name, RunningStats()).merge(batch_column)
         for name, value in part.pop("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
         parts.append(part)
-    columns = {
-        name: ColumnStats(*column.finalize(), column.max_abs) for name, column in stats.items()
-    }
     return BatchRun(n_total, n_rejected, columns, counters, parts)
 
 

@@ -192,19 +192,13 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
     if np.finfo(float).tiny <= value < math.inf:
         return value
     # a factor or the product left the normal float range: the same form in logs
-    log_value = _log_inverse_moment(spec, t, gamma)
+    log_value = math.lgamma(1.0 + q) - math.lgamma(1.0 + gamma) - q * math.log(t)
     where = f"at alpha = {spec.alpha}, gamma = {gamma}, t = {t}"
     if log_value > np.log(np.finfo(float).max):
         raise ValueError(f"E S_t**(-gamma) exceeds the float range {where}")
     if log_value < np.log(np.finfo(float).tiny):
         raise ValueError(f"E S_t**(-gamma) underflows the float range {where}")
     return math.exp(log_value)
-
-
-def _log_inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
-    """log E S_t**(-gamma) in closed form, for t and gamma already checked positive."""
-    q = gamma / (spec.alpha / 2.0)
-    return math.lgamma(1.0 + q) - math.lgamma(1.0 + gamma) - q * math.log(t)
 
 
 def _kanter_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +213,30 @@ def _kanter_rule() -> tuple[np.ndarray, np.ndarray]:
     edges = np.append(np.pi - np.pi * 2.0 ** -np.arange(13.0), np.pi)
     lo, half = edges[:-1, None], np.diff(edges)[:, None] / 2.0
     return (lo + half * (x + 1.0)).ravel(), (half * w / np.pi).ravel()
+
+
+def _kanter_log_a(rho: float, theta: np.ndarray) -> np.ndarray:
+    """log A(theta) of Kanter's representation, as a sum: its factors overflow near alpha 2."""
+    return (
+        rho / (1.0 - rho) * np.log(np.sin(rho * theta))
+        + np.log(np.sin((1.0 - rho) * theta))
+        - np.log(np.sin(theta)) / (1.0 - rho)
+    )
+
+
+def _kanter_log_inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
+    """log E S_t**(-gamma) by Kanter's representation, independently of inverse_moment.
+
+    S_t has the law of t**(1/rho) (A(theta) / E)**((1-rho)/rho) (stable_median_s1), so
+    with q = gamma (1-rho)/rho the moment is t**(-gamma/rho) Gamma(1 + q) times the mean
+    of A(theta)**(-q) over (0, pi), taken as a log-sum-exp on the same quadrature rule.
+    """
+    rho = spec.alpha / 2.0
+    q = gamma * (1.0 - rho) / rho
+    theta, weight = _kanter_rule()
+    terms = np.log(weight) - q * _kanter_log_a(rho, theta)
+    log_mean = float(np.logaddexp.reduce(terms))
+    return math.lgamma(1.0 + q) + log_mean - gamma / rho * math.log(t)
 
 
 @functools.cache
@@ -238,11 +256,7 @@ def stable_median_s1(spec: BernsteinSpec) -> float:
     """
     rho = spec.alpha / 2.0
     theta, weight = _kanter_rule()
-    log_a = (
-        rho / (1.0 - rho) * np.log(np.sin(rho * theta))
-        + np.log(np.sin((1.0 - rho) * theta))
-        - np.log(np.sin(theta)) / (1.0 - rho)
-    )
+    log_a = _kanter_log_a(rho, theta)
     # Every term of the rule is at least 1/2 at c = ln 2 / max A and at most
     # 1/2 at c = ln 2 / min A, so log c is bracketed.
     lo, hi = math.log(math.log(2.0)) - log_a.max(), math.log(math.log(2.0)) - log_a.min()

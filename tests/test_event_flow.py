@@ -12,7 +12,10 @@ engine that stored every jump's left limit and formed the weight terms in a
 second pass over the jumps; the flow now sums them as it applies each jump.
 The piecewise-clock runs were recorded again once, when the conditional mark
 part of a jump inside one linear piece of beta became exactly 0 instead of
-the square root of a roundoff-sized difference.
+the square root of a roundoff-sized difference. The standard errors of
+fd_crn, pythagoras_1d, quickstart_d3, quickstart_d4 and sign_fine_cut were
+recorded again once, by 1-2 ulp, when the variance came to be merged from
+per-batch (count, mean, M2) by Chan's formula; no mean moved.
 """
 
 import dataclasses
@@ -86,16 +89,16 @@ RUNS = {
 
 PINS = {
     "quickstart": ("0x1.e6955b1b3b470p-2", "0x1.966d79a700249p-7"),
-    "sign_fine_cut": ("0x1.ca7c4d2bea30ap-1", "0x1.b4b748dabf141p-7"),
-    "fd_crn": ("0x1.e31cf45545569p-2", "0x1.4009df9b958aep-9"),
+    "sign_fine_cut": ("0x1.ca7c4d2bea30ap-1", "0x1.b4b748dabf142p-7"),
+    "fd_crn": ("0x1.e31cf45545569p-2", "0x1.4009df9b958b0p-9"),
     "fixed_clock_piecewise": ("0x1.ced05ee9de089p-3", "0x1.020be536205b4p-7"),
     "fixed_clock_cap": ("0x1.c573a2f38eeecp-3", "0x1.a5b676fc3da56p-8"),
     "estimate_pt": ("0x1.2acd635b1a629p-3", "0x1.bc278f5a01a56p-8"),
     "antithetic": ("0x1.f24a063ce23ecp-2", "0x1.7345008e2cd23p-7"),
-    "quickstart_d3": ("0x1.e21c18cb42a4ep-2", "0x1.9f53f7a3cf3ffp-7"),
-    "quickstart_d4": ("0x1.e298eca3656c4p-2", "0x1.e9e4f66347a40p-7"),
+    "quickstart_d3": ("0x1.e21c18cb42a4ep-2", "0x1.9f53f7a3cf3fep-7"),
+    "quickstart_d4": ("0x1.e298eca3656c4p-2", "0x1.e9e4f66347a41p-7"),
     "fixed_clock_piecewise_d3": ("0x1.d6dd6105da79ap-3", "0x1.1383210f1a0efp-7"),
-    "pythagoras_1d": ("0x1.56b2b8521b9bdp-1", "0x1.1c931eafcefc1p-6"),
+    "pythagoras_1d": ("0x1.56b2b8521b9bdp-1", "0x1.1c931eafcefc0p-6"),
 }
 
 

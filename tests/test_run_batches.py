@@ -67,10 +67,9 @@ def test_run_batches_merges_columns_rejections_and_counters():
     assert run.counters == {"calls": 2, "paths": n}
     assert run.n_samples == n
     assert run.n_rejected == n - kept.size
-    assert run.columns["y"].mean == pytest.approx(kept.mean(), rel=1e-14)
-    assert run.columns["y"].std_error == pytest.approx(
-        kept.std(ddof=1) / math.sqrt(kept.size), rel=1e-10
-    )
+    mean, std_error = run.columns["y"].finalize()
+    assert mean == pytest.approx(kept.mean(), rel=1e-14)
+    assert std_error == pytest.approx(kept.std(ddof=1) / math.sqrt(kept.size), rel=1e-10)
     assert run.columns["neg"].mean == pytest.approx(-2.0 * kept.mean(), rel=1e-14)
     assert run.columns["neg"].max_abs == 2.0 * kept.max()
     res = run.result({"note": 1.0}, column="neg")
@@ -84,7 +83,8 @@ def test_run_batches_all_rejected_gives_nan():
 
     run = run_batches(5, 1, worker)
     assert run.n_rejected == 5
-    assert math.isnan(run.columns["y"].mean) and math.isnan(run.columns["y"].std_error)
+    mean, std_error = run.columns["y"].finalize()
+    assert math.isnan(mean) and math.isnan(std_error)
     assert run.columns["y"].max_abs == 0.0
 
 
@@ -104,6 +104,38 @@ def test_run_batches_keeps_one_batch_of_samples_at_a_time():
     assert run.columns["y"].mean == (n_batches - 1) / 2
     assert run.columns["y"].max_abs == n_batches - 1
     assert peak < 8 * BATCH_SIZE * 8  # eight batches' columns, 2 MB
+
+
+def _column_run(values, workers, reject=None):
+    """run_batches over one precomputed column, its batches sliced by position."""
+
+    def worker(bi, start, count):
+        part = {"samples": {"y": values[start:start + count]}}
+        if reject is not None:
+            part["reject"] = reject[start:start + count]
+        return part
+
+    return run_batches(values.size, workers, worker).columns["y"].finalize()
+
+
+def test_offset_column_keeps_its_standard_error():
+    # a variance formed as sum(y**2) - n mean**2 cancels to nothing here
+    values = 1e6 + 1e-3 * np.random.default_rng(5).standard_normal(100_000)
+    one, two = _column_run(values, 1), _column_run(values, 2)
+    assert one[0].hex() == two[0].hex() and one[1].hex() == two[1].hex()
+    se = values.std(ddof=1) / math.sqrt(values.size)
+    assert one[1] == pytest.approx(se, rel=1e-9)
+
+
+def test_unequal_batches_merge_to_the_two_pass_statistics():
+    # each batch keeps a different share of its paths, and the last is short
+    rng = np.random.default_rng(11)
+    values = 3.0 + rng.lognormal(0.0, 1.5, 3 * BATCH_SIZE + 123)
+    reject = rng.random(values.size) < np.repeat([0.1, 0.7, 0.0, 0.4], BATCH_SIZE)[: values.size]
+    kept = values[~reject]
+    mean, std_error = _column_run(values, 2, reject)
+    assert mean == pytest.approx(kept.mean(), rel=1e-12)
+    assert std_error == pytest.approx(kept.std(ddof=1) / math.sqrt(kept.size), rel=1e-12)
 
 
 # Every public estimator with the path count as its only free argument.

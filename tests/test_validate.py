@@ -72,14 +72,16 @@ def test_power_means_are_monotone_in_p():
 
 
 def test_fd_additive_linear_is_deterministic():
-    # Common random numbers cancel the noise completely for an additive model
-    # with a linear observable: every sample difference is the same number.
+    # Common random numbers cancel the noise for an additive model with a
+    # linear observable: every sample difference is a @ v up to roundoff. The
+    # samples take about a hundred distinct values, 2.5e-12 apart at most, so
+    # the standard error is bounded by that spread over sqrt(3000).
     F = catalog("additive_identity", 2)
     a = np.array([0.7, -0.4])
     v = np.array([1.0, 0.5])
     res = fd_gradient(np.array([0.2, 0.1]), v, make_observable("linear", a),
                       F, SPEC15, 1.0, None, 3000, seed=6, eps_cut=3e-3)
-    assert res.std_error == 0.0
+    assert res.std_error <= 1e-13
     assert res.mean == pytest.approx(a @ v, rel=1e-12)
 
 
