@@ -40,7 +40,7 @@ as it applies the jump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -297,7 +297,7 @@ def _term_diagnostics(run: engine.BatchRun) -> dict:
 
 
 def _with_sample_rows(result: EstimatorResult, run: engine.BatchRun, limit: int):
-    """Attach the first `limit` accepted per-path rows, in the CSV column order."""
+    """result with sample_rows set to the first `limit` accepted per-path rows."""
     if not limit:
         return result
     rows: list[tuple] = []
@@ -308,8 +308,7 @@ def _with_sample_rows(result: EstimatorResult, run: engine.BatchRun, limit: int)
             (start + i).tolist(), fv[i].tolist(), weight.tolist(),
             I1[i].tolist(), I2[i].tolist(), I3[i].tolist(), norm[i].tolist(),
         ))
-    object.__setattr__(result, "_sample_rows", rows)
-    return result
+    return replace(result, sample_rows=rows)
 
 
 def estimate_gradient(
@@ -338,7 +337,9 @@ def estimate_gradient(
     never jumps before t carry no weight and are rejected and counted; the
     estimator is flagged invalid in diagnostics when the rejected fraction
     exceeds 1e-3. With antithetic=True each sample is the average over a
-    Gaussian sign flip, and n_samples counts pairs.
+    Gaussian sign flip, n_samples counts pairs, and a sample row holds the
+    unflipped half of its pair. collect_samples = k > 0 fills sample_rows
+    with the first min(k, accepted) accepted paths' rows; 0 leaves it None.
     """
     x, eps_cut = checked_start(x, field, spec, t, eps_cut)
     v = checked_vector("v", v, field.dimension)
@@ -388,6 +389,7 @@ def estimate_gradient_fixed_clock(
 
     Only the Gaussian marks are resampled. Requires beta(ell_t) > 0, which for
     a deterministic clock is a precondition, not a rejection event.
+    collect_samples fills sample_rows as in estimate_gradient.
     """
     if not 0 < t <= path.horizon:
         raise ValueError("t must lie in (0, horizon]")

@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 
 import jsonschema
@@ -230,8 +230,7 @@ def _gradient_report(cfg: dict, result):
     checks += _target_checks(result, cfg)
     diagnostics = dict(result.diagnostics)
     diagnostics["n_rejected"] = float(result.n_rejected)
-    rows = getattr(result, "_sample_rows", None)
-    return {"estimate": result.to_dict()}, checks, diagnostics, rows
+    return {"estimate": result.to_dict()}, checks, diagnostics, result.sample_rows
 
 
 def _cmd_gradient(cfg: dict):
@@ -284,8 +283,7 @@ def _cmd_counterexample(cfg: dict):
     jump = out["jump_moment"]
     moll = out["mollified_moment"]
     e_minus_1 = math.e - 1.0
-    sep_se = math.hypot(jump.std_error, moll.std_error)
-    sep_z = (moll.mean - jump.mean) / sep_se if sep_se > 0 else math.inf
+    sep_z = compare(moll, jump).z_score
     checks = [
         _from_report(compare(jump, 1.0), "jump-clock second moment equals 1"),
         {
@@ -395,15 +393,9 @@ def _plain(obj):
     return obj
 
 
-_schema_cache: dict | None = None
-
-
+@cache
 def report_schema() -> dict:
-    global _schema_cache
-    if _schema_cache is None:
-        text = resources.files("levygrad").joinpath("report_schema.json").read_text()
-        _schema_cache = json.loads(text)
-    return _schema_cache
+    return json.loads(resources.files("levygrad").joinpath("report_schema.json").read_text())
 
 
 def _check_writable(key: str, path) -> None:

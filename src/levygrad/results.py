@@ -1,4 +1,4 @@
-"""Aggregated Monte Carlo statistics and pass/fail comparison records."""
+"""Monte Carlo estimates and the one pass/fail rule that compares them."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 __all__ = ["EstimatorResult", "ComparisonReport", "compare"]
 
+THRESHOLD_SE = 3.0
+
 
 @dataclass(frozen=True)
 class EstimatorResult:
@@ -14,7 +16,9 @@ class EstimatorResult:
 
     ``n_samples`` counts all requested paths; ``n_rejected`` counts the
     subset dropped by the rejection policy (zero normalizer). ``mean`` and
-    ``std_error`` are computed over the accepted paths only.
+    ``std_error`` are computed over the accepted paths only. ``sample_rows``
+    (left out of ``to_dict``) holds the per-path rows (sample_index, f_value,
+    weight, I1, I2, I3, normalizer) when a weighted estimator collects them.
     """
 
     mean: float
@@ -22,6 +26,7 @@ class EstimatorResult:
     n_samples: int
     n_rejected: int = 0
     diagnostics: dict[str, float] = field(default_factory=dict)
+    sample_rows: list[tuple] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_rejected > self.n_samples:
@@ -45,24 +50,30 @@ class EstimatorResult:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Two-sided comparison |lhs - rhs| <= threshold_se * combined SE + tolerance_abs."""
+    """Two-sided comparison |lhs - rhs| <= THRESHOLD_SE * combined SE + tolerance_abs.
+
+    The z-score and the verdict are derived from the stored numbers, never
+    stored. With a zero combined SE, z is 0.0 when the means agree and +-inf
+    otherwise.
+    """
 
     lhs_mean: float
     rhs_mean: float
     combined_se: float
-    z_score: float
-    passed: bool
-    threshold_se: float = 3.0
     tolerance_abs: float = 0.0
     label: str = ""
 
-    def __post_init__(self) -> None:
-        # Keep the stored verdict consistent with the stored numbers.
-        expect = _verdict(
-            self.lhs_mean, self.rhs_mean, self.combined_se, self.threshold_se, self.tolerance_abs
-        )
-        if bool(self.passed) is not expect:
-            raise ValueError("pass flag inconsistent with z_score and threshold")
+    @property
+    def z_score(self) -> float:
+        diff = self.lhs_mean - self.rhs_mean
+        if self.combined_se > 0:
+            return diff / self.combined_se
+        return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+
+    @property
+    def passed(self) -> bool:
+        diff = abs(self.lhs_mean - self.rhs_mean)
+        return diff <= THRESHOLD_SE * self.combined_se + self.tolerance_abs
 
     def to_dict(self) -> dict:
         return {
@@ -71,45 +82,25 @@ class ComparisonReport:
             "rhs_mean": self.rhs_mean,
             "combined_se": self.combined_se,
             "z_score": self.z_score,
-            "threshold_se": self.threshold_se,
+            "threshold_se": THRESHOLD_SE,
             "tolerance_abs": self.tolerance_abs,
             "passed": self.passed,
         }
 
 
-def _verdict(lhs: float, rhs: float, se: float, threshold_se: float, tol_abs: float) -> bool:
-    return abs(lhs - rhs) <= threshold_se * se + tol_abs
-
-
 def compare(
     lhs: EstimatorResult | float,
     rhs: EstimatorResult | float,
-    threshold_se: float = 3.0,
+    *,
     tolerance_abs: float = 0.0,
     label: str = "",
 ) -> ComparisonReport:
     """Build a ComparisonReport from estimator results and/or exact reals.
 
-    Exact reals contribute zero variance. The z-score is reported as inf when
-    the combined standard error vanishes and the means differ.
+    Exact reals contribute zero variance.
     """
     lm = lhs.mean if isinstance(lhs, EstimatorResult) else float(lhs)
     rm = rhs.mean if isinstance(rhs, EstimatorResult) else float(rhs)
     lv = lhs.std_error**2 if isinstance(lhs, EstimatorResult) else 0.0
     rv = rhs.std_error**2 if isinstance(rhs, EstimatorResult) else 0.0
-    se = math.sqrt(lv + rv)
-    diff = lm - rm
-    if se > 0:
-        z = diff / se
-    else:
-        z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
-    return ComparisonReport(
-        lhs_mean=lm,
-        rhs_mean=rm,
-        combined_se=se,
-        z_score=z,
-        passed=_verdict(lm, rm, se, threshold_se, tolerance_abs),
-        threshold_se=threshold_se,
-        tolerance_abs=tolerance_abs,
-        label=label,
-    )
+    return ComparisonReport(lm, rm, math.sqrt(lv + rv), tolerance_abs, label)

@@ -97,11 +97,16 @@ def estimate_pt(
         }
 
     run = engine.run_batches(n_paths, workers, worker)
-    return run.result({
-        "mean_jump_count": run.counters["jumps"] / n_paths,
+    return run.result(_clock_diagnostics(run, spec, eps, t))
+
+
+def _clock_diagnostics(run: engine.BatchRun, spec: BernsteinSpec, eps: float, t: float) -> dict:
+    """The truncated clock a stable_batch run sampled: its cutoff, jumps per path, dropped mass."""
+    return {
+        "mean_jump_count": run.counters["jumps"] / run.n_samples,
         "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps) * t,
         "eps_cut": eps,
-    })
+    }
 
 
 def estimate_pt_power(
@@ -186,10 +191,10 @@ def fd_gradient(
         Xm = engine.flow_batch(xm, None, field, jb, dW, substeps_per_unit)[0]
         fp = engine.evaluate_observable(f, Xp, bi)
         fm = engine.evaluate_observable(f, Xm, bi)
-        return {"samples": {"y": (fp - fm) / (2.0 * h_val)}}
+        return {"samples": {"y": (fp - fm) / (2.0 * h_val)}, "counters": {"jumps": int(jb.total)}}
 
     run = engine.run_batches(n_paths, workers, worker)
-    return run.result({"h": h_val, "eps_cut": eps})
+    return run.result({"h": h_val, **_clock_diagnostics(run, spec, eps, t)})
 
 
 def check_gradient_bound(
@@ -233,7 +238,6 @@ def check_gradient_bound(
     ratios = []
     grads = []
     dens = []
-    incomplete = False
     for i, t in enumerate(t_grid):
         eps_t = eps1 * t ** (2.0 / alpha)
         g = estimate_gradient(
@@ -246,14 +250,10 @@ def check_gradient_bound(
         )
         grads.append(g)
         dens.append(den)
-        if g.diagnostics.get("flagged_invalid", 0.0) > 0 or not den.mean > 0:
-            incomplete = True
-            ratios.append(math.nan)
-        else:
-            ratios.append(abs(g.mean) / den.mean)
+        unusable = g.diagnostics.get("flagged_invalid", 0.0) > 0 or not den.mean > 0
+        ratios.append(math.nan if unusable else abs(g.mean) / den.mean)
 
-    if any(not r > 0 for r in ratios):
-        incomplete = True
+    incomplete = any(not r > 0 for r in ratios)
     slope_target = -1.0 / alpha
     if incomplete:
         slope = math.nan
@@ -311,8 +311,7 @@ def counterexample_moments(
     path = JumpPath(1.0, np.array([1.0]), np.array([1.0]))
 
     def jump_worker(bi: int, start: int, count: int):
-        jb = engine.fixed_jump_batch(path, 1.0, count)
-        dW = engine.sample_mark_batch(jb, 1, substream(seed, engine.PURPOSE_MARKS, bi))
+        jb, dW, _ = fixed_batch(path, 1.0, 1, seed, bi, count)
         X = engine.flow_batch(x0, None, field, jb, dW, 100)[0]
         return {"samples": {"y": np.einsum("ni,ni->n", X, X)}}
 

@@ -281,7 +281,7 @@ def test_criterion_8_exact_identities(capsys, tmp_path):
     # constant sigma: the trace and quadratic terms vanish on every path
     res = estimate_gradient(x, v, f, field, spec, 1.0, "auto", 2000, 3e-3, 801,
                             collect_samples=2000)
-    rows = res._sample_rows
+    rows = res.sample_rows
     additive_zeros = len(rows) > 0 and all(r[4] == 0.0 and r[5] == 0.0 for r in rows)
 
     # the estimate is linear in the direction v at fixed seed

@@ -64,7 +64,7 @@ def test_constant_sigma_kills_correction_terms_exactly():
     )
     assert res.diagnostics["term_I2_mean"] == 0.0
     assert res.diagnostics["term_I3_mean"] == 0.0
-    rows = res._sample_rows
+    rows = res.sample_rows
     assert len(rows) == res.n_used
     assert all(r[4] == 0.0 and r[5] == 0.0 for r in rows)
     # weight column reproduces (I1 - I2 + I3) / normalizer

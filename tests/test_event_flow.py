@@ -123,7 +123,7 @@ def _bits(result):
 
 
 def _row_digest(result):
-    rows = np.array(result._sample_rows, dtype=float)
+    rows = np.array(result.sample_rows, dtype=float)
     assert rows.shape == (N, 7)
     return hashlib.sha256(rows.tobytes()).hexdigest()[:32]
 
