@@ -44,7 +44,8 @@ forming grad_b or grad_sigma; a field without them gets the einsum of the
 full derivative, and a hook's result of the wrong shape is refused.
 
 Clock values come only from path_cumulatives (each jump's clock interval
-and each path's terminal value) and first passages only from
+and each path's terminal value, a running sum over that path's jumps alone,
+so no other path's jump costs it precision) and first passages only from
 first_passage_levels (each path's crossing jump over a level, as a flat
 index); bismut.ClockSpec turns them into clock increments and forms the
 beta-weighted marks the flow takes as given. A single path is a batch of
@@ -535,21 +536,19 @@ def flow_batch(
 def path_cumulatives(batch: JumpBatch):
     """Per-jump clock interval ends and per-path terminal clock values.
 
-    Returns (ell_pre, ell_post, ell_T). Intervals tile (0, ell_T] exactly:
-    ell_pre[i] is the identical float of the previous jump's ell_post, so
-    interval masks and telescoping sums are exact.
+    Returns (ell_pre, ell_post, ell_T). Each path's values are its own
+    running sum, the floats of np.cumsum over its sizes alone, whatever
+    the other paths hold. Intervals tile (0, ell_T] exactly: ell_pre[i] is
+    the identical float of the previous jump's ell_post, so interval masks
+    and telescoping sums are exact.
     """
-    cs = np.cumsum(batch.sizes)
-    pad = np.concatenate(([0.0], cs))
-    start = pad[batch.offsets[:-1]]
-    ell_post = cs - np.repeat(start, batch.counts)
-    ell_pre = np.empty_like(ell_post)
-    ell_pre[1:] = ell_post[:-1]
-    ell_pre[batch.offsets[:-1][batch.counts > 0]] = 0.0
-    ell_T = np.zeros(batch.n)
-    nonempty = batch.counts > 0
-    ell_T[nonempty] = ell_post[batch.offsets[1:][nonempty] - 1]
-    return ell_pre, ell_post, ell_T
+    c = batch.counts
+    real = np.arange(c.max(initial=0)) < c[:, None]
+    # column k of a path's zero-started row holds its clock after k jumps
+    cum = np.zeros((batch.n, real.shape[1] + 1))
+    cum[:, 1:][real] = batch.sizes
+    np.cumsum(cum, axis=1, out=cum)
+    return cum[:, :-1][real], cum[:, 1:][real], cum[np.arange(batch.n), c]
 
 
 def first_passage_levels(batch: JumpBatch, ell_post: np.ndarray, R: float) -> np.ndarray:

@@ -18,6 +18,7 @@ from levygrad import (
     estimate_gradient_fixed_clock,
     stable_median_s1,
     substream,
+    tail_mass,
 )
 from levygrad.engine import fixed_jump_batch, path_cumulatives, sample_jump_batch
 from reference import (
@@ -211,6 +212,23 @@ def test_sign_observable_matches_truncated_clock_target():
     )
     target = oracles.truncated_sign_gradient_target(1.5, 1.0, eps)
     assert abs(res.mean - target) <= 3.0 * res.std_error
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6])
+def test_sign_target_and_rejections_at_small_alpha(alpha):
+    # Below alpha = 1 the default cutoff lets single jumps dwarf the rest of a
+    # batch, so a path's clock is right only as a sum over its own jumps; the
+    # paths rejected for a zero clock are then exactly those without a jump.
+    spec = BernsteinSpec.alpha_stable(alpha)
+    n, eps = 200_000, default_eps_cut(spec, 1.0)
+    res = estimate_gradient(
+        np.zeros(1), np.ones(1), lambda X: np.sign(X[:, 0]), catalog("additive_identity", 1), spec,
+        t=1.0, R="auto", n_paths=n, eps_cut=None, seed=2026,
+    )
+    target = oracles.truncated_sign_gradient_target(alpha, 1.0, eps)
+    assert abs(res.mean - target) <= 3.0 * res.std_error
+    p0 = math.exp(-tail_mass(alpha, eps))
+    assert abs(res.diagnostics["rejection_fraction"] - p0) <= 3.0 * math.sqrt(p0 * (1.0 - p0) / n)
 
 
 def test_gradient_diagnostics_content():

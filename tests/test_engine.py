@@ -130,16 +130,25 @@ def test_first_passage_levels_agrees_with_single_path():
 def test_path_cumulatives_agree_with_per_path_sums():
     for name, make in ORACLE_BATCHES.items():
         jb = make()
-        ell_pre, ell_post, ell_T = path_cumulatives(jb)
-        # the batch subtracts each path's start from one running sum over the
-        # batch, so it may differ from a fresh per-path cumsum by roundoff
-        tol = 1e-14 * jb.sizes.sum()
-        for i in range(jb.n):
-            lo, hi = jb.offsets[i], jb.offsets[i + 1]
-            cum = np.cumsum(jb.sizes[lo:hi])
-            np.testing.assert_allclose(ell_post[lo:hi], cum, rtol=1e-12, atol=tol)
-            np.testing.assert_allclose(ell_pre[lo:hi], np.append(0.0, cum)[:-1], rtol=1e-12, atol=tol)
-            assert ell_T[i] == pytest.approx(cum[-1] if hi > lo else 0.0, rel=1e-12, abs=tol)
+        _assert_per_path_sums(jb)
+
+
+def _assert_per_path_sums(jb):
+    """Each path's clock values are the floats of np.cumsum over its own sizes."""
+    ell_pre, ell_post, ell_T = path_cumulatives(jb)
+    for i in range(jb.n):
+        lo, hi = jb.offsets[i], jb.offsets[i + 1]
+        cum = np.append(0.0, np.cumsum(jb.sizes[lo:hi]))
+        assert np.array_equal(ell_post[lo:hi], cum[1:])
+        assert np.array_equal(ell_pre[lo:hi], cum[:-1])
+        assert ell_T[i] == cum[-1]
+
+
+def test_path_cumulatives_are_each_paths_own_sum():
+    # a sum over the whole batch would lose every bit of path 1 to path 0's jump
+    _assert_per_path_sums(_hand_batch([[1e38], [0.5, 0.25], [], [0.1, 0.2, 0.3]]))
+    _, ell_post, ell_T = path_cumulatives(_hand_batch([[1e38], [0.5, 0.25]]))
+    assert ell_post.tolist() == [1e38, 0.5, 0.75] and ell_T.tolist() == [1e38, 0.75]
 
 
 def test_first_passage_levels_crossing_at_final_jump_before_empty_paths():
