@@ -17,9 +17,8 @@ user's f returns.
 
 Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 (times, sizes) sorted by (path, time), with counts per path and prefix
-offsets. The sampler sorts each path's times with the default (non-stable)
-sort and falls back to the stable one for a block of paths holding an
-exact tie, so the order is always that of the stable sort.
+offsets. The sampler sorts each path's times alone and leaves the i.i.d.
+sizes in draw order, so a path's k-th jump in time has its k-th size drawn.
 
 The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
@@ -145,33 +144,17 @@ class JumpBatch:
         return JumpPath(self.horizon, self.times[lo:hi], self.sizes[lo:hi])
 
 
-def _sort_rows(times, sizes, counts, offsets) -> bool:
-    """Sort each path's slice of the flat times in place, sizes alongside.
-
-    Works ROW_BLOCK paths at a time and returns whether any path holds
-    float-identical times. Rows are sorted with the default (non-stable)
-    sort; a block with an exact tie is sorted again with the stable one,
-    which keeps draw order among equal times as a stable sort by (path,
-    time) would. Without a tie the order of a row is unique, so both sorts
-    give the same result.
-    """
-    tied = False
+def _sort_rows(times, counts, offsets) -> None:
+    """Sort each path's slice of the flat times in place, ROW_BLOCK paths at a time."""
     for r0 in range(0, counts.size, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, counts.size)
-        lo, hi = offsets[r0], offsets[r1]
         c = counts[r0:r1]
         # each path's times as one row of a +inf-padded block, filled row-major
         real = np.arange(c.max()) < c[:, None]
         padded = np.full(real.shape, np.inf)
-        padded[real] = times[lo:hi]
-        rank = np.argsort(padded, axis=1)
-        ranked = np.take_along_axis(padded, rank, axis=1)
-        if np.any((ranked[:, 1:] == ranked[:, :-1]) & real[:, 1:]):
-            rank = np.argsort(padded, axis=1, kind="stable")
-            tied = True
-        times[lo:hi] = ranked[real]
-        sizes[lo:hi] = sizes[rank[real] + np.repeat(offsets[r0:r1], c)]
-    return tied
+        padded[real] = times[offsets[r0]:offsets[r1]]
+        padded.sort(axis=1)
+        times[offsets[r0]:offsets[r1]] = padded[real]
 
 
 def sample_jump_batch(
@@ -181,10 +164,13 @@ def sample_jump_batch(
 
     Per path, the jump count is Poisson(horizon * tail_mass), the times are
     uniform on (0, horizon] and the sizes are Pareto with tail index alpha/2
-    at scale eps_cut, each size drawn alongside its time before the times
-    are sorted. Draw order is fixed: Poisson counts, then all times, then
-    all sizes. Float-identical jump times within one path are merged (sizes
-    added).
+    at scale eps_cut. Draw order is fixed: Poisson counts, then all times,
+    then all sizes. Each path's times are sorted and its sizes stay in draw
+    order, so its k-th jump in time takes its k-th size drawn: the sizes are
+    i.i.d. and independent of the times, so this is the same law as sorting
+    (time, size) pairs, and sorting values alone gives the same result with
+    any sort algorithm. Float-identical jump times within one path are
+    merged, their sizes added in draw order.
     """
     if not eps_cut > 0:
         raise ValueError("eps_cut must be positive")
@@ -195,19 +181,19 @@ def sample_jump_batch(
     times = horizon - rng.uniform(0.0, horizon, size=total)
     sizes = _pareto_sizes(alpha, eps_cut, 1.0 - rng.uniform(size=total))
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    if total > 1 and _sort_rows(times, sizes, counts, offsets):
-        # merge float-identical times within a path; a path's first jump
-        # never merges into the previous path's last
+    if total > 1:
+        _sort_rows(times, counts, offsets)
+        # a path's first jump never merges into the previous path's last
         tie = times[1:] == times[:-1]
         starts = offsets[1:-1]
         tie[starts[(starts > 0) & (starts < total)] - 1] = False
-        keep = np.concatenate(([True], ~tie))
-        group = np.cumsum(keep) - 1
-        sizes = np.bincount(group, weights=sizes)
-        times = times[keep]
-        path_id = np.repeat(np.arange(n), counts)[keep]
-        counts = np.bincount(path_id, minlength=n).astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+        if tie.any():
+            keep = np.concatenate(([True], ~tie))
+            sizes = np.bincount(np.cumsum(keep) - 1, weights=sizes)
+            times = times[keep]
+            path_id = np.repeat(np.arange(n), counts)[keep]
+            counts = np.bincount(path_id, minlength=n).astype(np.int64)
+            offsets = np.concatenate(([0], np.cumsum(counts)))
     return JumpBatch(n, float(horizon), counts, offsets, times, sizes)
 
 

@@ -229,7 +229,10 @@ def test_lemma_tests_report(tmp_path):
 # was recorded again when its check came to compare with Kanter's integral.
 # The gradient, sample-subordinator and validate-bound reports (and the
 # antithetic run's CSV) were recorded again once, in their last digits, when
-# each path's clock values came to be its own running sum.
+# each path's clock values came to be its own running sum. The simulate,
+# two-worker simulate, gradient, antithetic CSV and validate-bound reports
+# were recorded again once, to a fresh draw of the same law, when the jump
+# sampler came to sort times alone and leave the sizes in draw order.
 
 
 def pin_config(**changes):
@@ -250,7 +253,7 @@ PINNED = {
     "simulate": (
         "simulate",
         pin_config(v=None, target_value=0.3, tolerance_abs=0.5),
-        "3c350b32c35f19533f88fdbdcfc4f85ecea72bb3e8422194a2595e6c7bb124fb",
+        "19ef829c140c1b02576d9748517346d18ba3de8757d4edaff005a412b0bcbf8f",
         None,
     ),
     # more paths than one batch holds, so the second worker gets a batch
@@ -258,20 +261,20 @@ PINNED = {
         "simulate",
         pin_config(field="pythagoras_1d", x=[0.2], v=None, eps_cut=0.05, t=1.0, n_paths=33000,
                    workers=2, substeps_per_unit=20),
-        "89bb9c7054293b8e42b295264a0b1e43286602085736d64e0a35b1f3f745f357",
+        "9266bf733ff832f239f80e6a635e983bdcba2ff4f881109ba1ead7a517f4e7f8",
         None,
     ),
     "gradient": (
         "gradient",
         pin_config(),
-        "d0c1cb1b75230b6443be816c96e51da27830c5a50c715cbfe127b1e06b51cc6f",
+        "5bec997788373f7b5fdb8883551cbfc7a91375955440346b5968c74d7f9353ad",
         None,
     ),
     "gradient antithetic R csv": (
         "gradient",
         pin_config(antithetic=True, R=0.8, emit_samples=True, samples_path="samples.csv"),
-        "99d1aeb2e29f5f1ef439d2e51011c38c4c4a8da4f499f2a7cc8a4f9a061aa149",
-        "0c8321e7b3f29e486c3cabc9df8fb57c0cea9ea7e1357e8925acc494c6ab3028",
+        "4724defdbddf985d849cec0a98569f772d5289accde81c49d2fa77002c951f10",
+        "3957adb15212b52b1222a0de931938c2024b35fcad7dac236dfeafd86c429415",
     ),
     # recorded again when the conditional mark part of a jump inside one
     # linear piece of beta became exactly 0
@@ -287,7 +290,7 @@ PINNED = {
         {"field": "pythagoras_1d", "alpha": 1.5, "f": "tanh1", "x": [0.2], "p": 2.0,
          "t_grid": [0.25, 1.0], "n_paths": 300, "seed": 5, "v": [1.0], "R": "auto",
          "slope_tolerance": 0.5},
-        "5cf52cb181b483caf1b921fd825139e20c43c8667c264bba5c1713888483ee27",
+        "c41d36de9385e6bea12a66fd27472b68f1d79f0a6ab544ee0a66d41383d8d9f7",
         None,
     ),
     "counterexample 2 workers": (

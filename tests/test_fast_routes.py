@@ -1,10 +1,10 @@
 """The blocked jump sort and the closed-form drift-free flow, bit for bit.
 
-sample_jump_batch sorts each path's times with the default (non-stable)
-sort, ROW_BLOCK paths at a time, and sorts a block again with the stable
-sort when it holds an exact tie. flow_batch takes a closed form when b == 0
-and sigma is constant. Both promise the floats of the routes they replace:
-a stable sort by (path, time) with tied times merged, and the event loop.
+sample_jump_batch sorts each path's times, ROW_BLOCK paths at a time, and
+leaves the sizes in draw order. flow_batch takes a closed form when b == 0
+and sigma is constant. Both promise the floats of another route: a stable
+lexsort of the times by (path, time) with the sizes in draw order and tied
+times merged, and the event loop.
 """
 
 import dataclasses
@@ -36,20 +36,24 @@ class FixedDraws:
 
 
 def _reference_batch(counts, time_draws, size_draws, horizon, alpha, eps):
-    """The stable (path, time) lexsort with float-identical times merged per path."""
-    n = len(counts)
+    """Each path's times by a stable (path, time) lexsort, its sizes in draw order,
+    and float-identical times within a path merged, their sizes added in draw order."""
     raw = horizon - horizon * np.asarray(time_draws, dtype=float)
-    sizes = eps * (1.0 - np.asarray(size_draws, dtype=float)) ** (-2.0 / alpha)
-    path_id = np.repeat(np.arange(n), counts)
-    order = np.lexsort((raw, path_id))
-    times, sizes, path_id = raw[order], sizes[order], path_id[order]
-    tie = (path_id[1:] == path_id[:-1]) & (times[1:] == times[:-1])
-    if np.any(tie):
-        keep = np.concatenate(([True], ~tie))
-        sizes = np.bincount(np.cumsum(keep) - 1, weights=sizes)
-        times, path_id = times[keep], path_id[keep]
-    counts = np.bincount(path_id, minlength=n).astype(np.int64)
-    return counts, times, sizes
+    drawn = eps * (1.0 - np.asarray(size_draws, dtype=float)) ** (-2.0 / alpha)
+    ordered = raw[np.lexsort((raw, np.repeat(np.arange(len(counts)), counts)))]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    out_counts, times, sizes = [], [], []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        k = 0
+        for s, size in zip(ordered[lo:hi], drawn[lo:hi]):
+            if k and s == times[-1]:
+                sizes[-1] += size
+            else:
+                times.append(s)
+                sizes.append(size)
+                k += 1
+        out_counts.append(k)
+    return np.array(out_counts, dtype=np.int64), np.array(times), np.array(sizes)
 
 
 def _assert_sampler_matches_reference(counts, time_draws, size_draws, horizon=1.0):
@@ -83,12 +87,10 @@ def test_sampler_ties_within_and_across_paths():
     jb = _assert_sampler_matches_reference(counts, time_draws, size_draws)
     assert list(jb.counts) == [0, 4, 0, 2, 1, 0]
     assert list(jb.times) == [1 - 0.75, 1 - 0.5, 1 - 0.25, 1 - 0.1, 1 - 0.1, 1 - 0.05, 1 - 0.05]
-    # a merged size is the sum in draw order of the tied jumps' sizes
-    raw_sizes = 0.01 * (1.0 - size_draws) ** (-2.0 / 1.5)
-    assert jb.sizes[1] == raw_sizes[0] + raw_sizes[2]
-    assert jb.sizes[2] == raw_sizes[1] + raw_sizes[4] + raw_sizes[6]
-    assert jb.sizes[4] == raw_sizes[8]
-    assert jb.sizes[6] == raw_sizes[9] + raw_sizes[10]
+    # a path's k-th jump in time takes its k-th size drawn, and a merged size
+    # is the sum in draw order of the sizes at the tied positions
+    r = 0.01 * (1.0 - size_draws) ** (-2.0 / 1.5)
+    assert list(jb.sizes) == [r[0], r[1] + r[2], r[3] + r[4] + r[5], r[6], r[7], r[8], r[9] + r[10]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
@@ -106,14 +108,14 @@ def test_sampler_block_boundaries(n, draws):
     else:
         time_draws = rng.uniform(size=total)
     if draws == "tie_in_last_block":
-        # one tie, in the last path: every other block keeps its non-stable sort
+        # one tie, in the last path, so only the last block merges
         time_draws[-1] = time_draws[-2]
     _assert_sampler_matches_reference(counts, time_draws, rng.uniform(size=total))
 
 
 @pytest.mark.parametrize("n", [1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
-def test_sampler_stream_matches_the_stable_sort(n):
-    # re-draw the raw arrays from the same stream and sort them by (path, time)
+def test_sampler_stream_sorts_times_and_keeps_sizes_in_draw_order(n):
+    # re-draw the raw arrays from the same stream and sort the times by (path, time)
     alpha, horizon, eps = 1.5, 0.6, 2e-2
     jb = sample_jump_batch(alpha, horizon, eps, n, substream(21, engine.PURPOSE_JUMPS, 0))
     rng = substream(21, engine.PURPOSE_JUMPS, 0)
@@ -123,7 +125,7 @@ def test_sampler_stream_matches_the_stable_sort(n):
     order = np.lexsort((raw, np.repeat(np.arange(n), counts)))
     assert np.array_equal(jb.counts, counts)
     assert np.array_equal(jb.times, raw[order])
-    assert np.array_equal(jb.sizes, sizes[order])
+    assert np.array_equal(jb.sizes, sizes)
 
 
 # ---------------------------------------------------------------------------
