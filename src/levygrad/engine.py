@@ -148,13 +148,14 @@ def _sort_rows(times, counts, offsets) -> None:
     """Sort each path's slice of the flat times in place, ROW_BLOCK paths at a time."""
     for r0 in range(0, counts.size, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, counts.size)
+        lo, hi = offsets[r0], offsets[r1]
         c = counts[r0:r1]
         # each path's times as one row of a +inf-padded block, filled row-major
         real = np.arange(c.max()) < c[:, None]
         padded = np.full(real.shape, np.inf)
-        padded[real] = times[offsets[r0]:offsets[r1]]
+        padded[real] = times[lo:hi]
         padded.sort(axis=1)
-        times[offsets[r0]:offsets[r1]] = padded[real]
+        times[lo:hi] = padded[real]
 
 
 def sample_jump_batch(
@@ -183,7 +184,8 @@ def sample_jump_batch(
     offsets = np.concatenate(([0], np.cumsum(counts)))
     if total > 1:
         _sort_rows(times, counts, offsets)
-        # a path's first jump never merges into the previous path's last
+        # merge float-identical times within a path; a path's first jump
+        # never merges into the previous path's last
         tie = times[1:] == times[:-1]
         starts = offsets[1:-1]
         tie[starts[(starts > 0) & (starts < total)] - 1] = False

@@ -376,6 +376,13 @@ def test_clock_validation():
         ClockSpec.piecewise_linear([[0.0, 0.0], [1.0, 0.5], [2.0, 0.2]])
     with pytest.raises(ValueError):
         ClockSpec.piecewise_linear([[0.0, 0.0]])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ClockSpec.piecewise_linear([[0.0, 0.0], [1.0, 0.5], [2.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            ClockSpec.piecewise_linear([[0.0, 0.0], [1.0, 0.5], [bad, 1.0]])
+    with pytest.raises(ValueError, match="unknown clock kind"):
+        ClockSpec(kind="exponential")
 
 
 def test_weight_validation():

@@ -8,11 +8,12 @@ back and re-validated against the packaged schema from the test side.
 import csv
 import hashlib
 import json
+import math
 
 import jsonschema
 import pytest
 
-from levygrad import cli
+from levygrad import cli, results
 from levygrad.cli import EXIT_ERROR, EXIT_PASS, EXIT_STAT_FAIL, main, report_schema
 
 
@@ -143,6 +144,19 @@ def test_counterexample_report(tmp_path):
     assert res["mollified_moment"]["mean"] > res["jump_moment"]["mean"]
     sep = [c for c in report["checks"] if c["name"] == "mollified and jump moments separated"]
     assert sep and sep[0]["z_score"] >= 5.0
+
+
+def test_counterexample_floor_check_follows_the_threshold_constant(tmp_path, monkeypatch):
+    # "mollified moment stays above e-1" passes while its z-score against e - 1
+    # is at least -THRESHOLD_SE, whatever the constant holds at call time
+    cfg = {"eps_mollify": 0.1, "n_paths": 2000, "grid_step": 1e-3, "seed": 19}
+    moll = run_to_file(tmp_path, "counterexample", cfg)[1]["results"]["mollified_moment"]
+    z = (moll["mean"] - (math.e - 1.0)) / moll["std_error"]
+    for threshold, passed in ((-z + 0.5, True), (-z - 0.5, False)):
+        monkeypatch.setattr(results, "THRESHOLD_SE", threshold)
+        checks = run_to_file(tmp_path, "counterexample", cfg)[1]["checks"]
+        floor = [c for c in checks if c["name"] == "mollified moment stays above e-1"]
+        assert floor[0]["passed"] is passed
 
 
 def test_moments_report(tmp_path):
@@ -460,6 +474,18 @@ def test_usage_errors_exit_1(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err != ""
+
+
+def test_run_refuses_an_unknown_command(tmp_path, capsys):
+    # main's argument parser refuses it first; run, the library entry, does too
+    assert cli.run("no-such-command", write_config(tmp_path, {})) == EXIT_ERROR
+    assert "unknown command 'no-such-command'" in capsys.readouterr().err
+
+
+def test_moments_without_gammas_exits_1(tmp_path, capsys):
+    cfg = {"alpha": 1.5, "t": 1.0, "gammas": []}
+    assert main(["moments", write_config(tmp_path, cfg)]) == EXIT_ERROR
+    assert "gammas must be a nonempty list" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

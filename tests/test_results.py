@@ -71,6 +71,15 @@ def test_compare_takes_no_threshold():
         compare(1.0, 0.0, 3.0)
 
 
+def test_estimator_result_refuses_inconsistent_counts():
+    with pytest.raises(ValueError, match="exceed"):
+        EstimatorResult(mean=0.0, std_error=1.0, n_samples=3, n_rejected=4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        EstimatorResult(mean=0.0, std_error=1.0, n_samples=-1, n_rejected=-2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        EstimatorResult(mean=0.0, std_error=1.0, n_samples=3, n_rejected=-1)
+
+
 def test_sample_rows_default_to_none_and_stay_out_of_to_dict():
     res = EstimatorResult(mean=0.0, std_error=1.0, n_samples=3)
     assert res.sample_rows is None

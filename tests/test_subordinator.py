@@ -184,6 +184,25 @@ def test_path_refuses_non_finite_data(horizon, times, sizes):
         JumpPath(horizon, np.asarray(times), np.asarray(sizes))
 
 
+@pytest.mark.parametrize(
+    "times, sizes, message",
+    [
+        ([0.2, 0.5], [1.0], "equal length"),
+        ([0.5, 0.5], [1.0, 1.0], "strictly increasing"),
+        ([0.6, 0.2], [1.0, 1.0], "strictly increasing"),
+        ([0.0, 0.5], [1.0, 1.0], r"\(0, horizon\]"),
+        ([0.5, 1.5], [1.0, 1.0], r"\(0, horizon\]"),
+        ([0.2, 0.5], [1.0, 0.0], "positive"),
+        ([0.2, 0.5], [-1.0, 1.0], "positive"),
+    ],
+    ids=["unequal_shapes", "tied_times", "decreasing_times", "time_at_zero", "time_past_horizon",
+         "zero_size", "negative_size"],
+)
+def test_path_refuses_malformed_jumps(times, sizes, message):
+    with pytest.raises(ValueError, match=message):
+        JumpPath(1.0, np.asarray(times), np.asarray(sizes))
+
+
 def _crossing(path, R):
     """The crossing jump's index on a one-path batch (-1 if R is not reached) and its interval."""
     jb = fixed_jump_batch(path, path.horizon, 1)
@@ -318,6 +337,8 @@ def test_substream_reproducible_and_keyed():
     c = substream(123, 2, 0).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    with pytest.raises(ValueError, match="nonnegative"):
+        substream(123, 1, -1)
 
 
 def test_spec_validation():

@@ -71,6 +71,15 @@ def test_power_means_are_monotone_in_p():
     assert means[1] <= means[2] + 1e-15
 
 
+def test_power_mean_of_a_zero_observable_is_zero_without_an_error():
+    # the delta method divides by the raw mean, so a mean of 0 has no SE
+    res = estimate_pt_power(np.array([0.3]), lambda X: np.zeros(X.shape[0]),
+                            catalog("additive_identity", 1), SPEC15, 1.0, 2.0, 100, seed=5,
+                            eps_cut=3e-3)
+    assert res.mean == 0.0 and math.isnan(res.std_error)
+    assert res.diagnostics["raw_mean"] == 0.0
+
+
 def test_fd_additive_linear_is_deterministic():
     # Common random numbers cancel the noise for an additive model with a
     # linear observable: every sample difference is a @ v up to roundoff. The
