@@ -332,14 +332,16 @@ def estimate_gradient(
 
     R is the first-passage level of the cap clock; pass "auto" (or None) for
     default_level_R. The estimate is unbiased for the sampled finite-jump
-    clock law up to the ODE substep error; the small-jump cutoff eps_cut
-    controls how closely that law tracks the ideal clock. Paths whose clock
-    never jumps before t carry no weight and are rejected and counted; the
-    estimator is flagged invalid in diagnostics when the rejected fraction
-    exceeds 1e-3. With antithetic=True each sample is the average over a
-    Gaussian sign flip, n_samples counts pairs, and a sample row holds the
-    unflipped half of its pair. collect_samples = k > 0 fills sample_rows
-    with the first min(k, accepted) accepted paths' rows; 0 leaves it None.
+    clock law, up to the ODE substep error for a field without the
+    drift_rate hint (a hinted field's flow between jumps is exact); the
+    small-jump cutoff eps_cut controls how closely that law tracks the
+    ideal clock. Paths whose clock never jumps before t carry no weight and
+    are rejected and counted; the estimator is flagged invalid in
+    diagnostics when the rejected fraction exceeds 1e-3. With
+    antithetic=True each sample is the average over a Gaussian sign flip,
+    n_samples counts pairs, and a sample row holds the unflipped half of its
+    pair. collect_samples = k > 0 fills sample_rows with the first
+    min(k, accepted) accepted paths' rows; 0 leaves it None.
     """
     x, eps_cut = checked_start(x, field, spec, t, eps_cut)
     v = checked_vector("v", v, field.dimension)

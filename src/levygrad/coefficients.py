@@ -12,14 +12,22 @@ sigma: it returns sum_k grad_sigma(t, x)[..., k] u_k row by row, shaped
 (..., d, d), and each jump of the flow calls it instead of forming the
 (n, d, d, d) grad_sigma and contracting it. The engine refuses a jvp_b or
 dsigma result of another shape. The catalog supplies both hooks, equal bit
-for bit to the contractions they replace. Analytic derivatives and inverses are
-required; finite differences appear only in self-checks, never in the
-estimator hot path. The batched engine (levygrad.engine) is the only
-consumer: it evaluates every coefficient on whole batches of paths at once.
+for bit to the contractions they replace. Two hints claim structure the
+engine may use: drift_rate = r claims b(t, x) = -r x, so the flow between
+jumps is the exact scaling of X and J v by exp(-r h) and the drift callables
+are never called (r = 0 skips the drift altogether), and sigma_is_constant
+claims grad_sigma = 0. The catalog sets both. A field that leaves drift_rate
+None gets the RK4 flow: the engine never infers a hint from the callables.
+Analytic derivatives and inverses are required; finite differences appear
+only in self-checks, never in the estimator hot path. The batched engine
+(levygrad.engine) is the only consumer: it evaluates every coefficient on
+whole batches of paths at once.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,17 +47,24 @@ class CoefficientField:
     grad_sigma: Callable  # (t, x) -> (..., d, d, d), entry (i, j, k) = d sigma_ij / d x_k
     sigma_inv: Callable
     name: str = ""
-    # Exactness hints for the vectorized engine. drift_is_zero means b == 0
-    # identically (the between-jump ODE step is skipped, which equals running
-    # RK4 on the zero field). sigma_is_constant means grad_sigma == 0
-    # identically (trace and jump-measure weight terms vanish exactly).
-    drift_is_zero: bool = False
+    # Exactness hints for the vectorized engine. drift_rate = r means
+    # b(t, x) == -r x for every t and x: the flow between jumps is then the
+    # exact X <- exp(-r h) X, J v <- exp(-r h) J v (nothing at all for r = 0)
+    # instead of RK4; None claims nothing. sigma_is_constant means
+    # grad_sigma == 0 identically (trace and jump-measure weight terms
+    # vanish exactly).
+    drift_rate: float | None = None
     sigma_is_constant: bool = False
     jvp_b: Callable | None = None  # (t, x, u) -> (..., d), equal to grad_b(t, x) @ u
     dsigma: Callable | None = None  # (t, x, u) -> (..., d, d), sum_k grad_sigma(t, x)[..., k] u_k
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimension", checked_integer("dimension", self.dimension, minimum=1))
+        rate = self.drift_rate
+        if rate is not None:
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not math.isfinite(rate):
+                raise ValueError(f"drift_rate must be a finite real number or None, got {rate!r}")
+            object.__setattr__(self, "drift_rate", float(rate))
 
 
 def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> CoefficientField:
@@ -112,7 +127,7 @@ def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> Coeffi
 
     return CoefficientField(
         d, b, grad_b, sigma, grad_sigma, sigma_inv, name,
-        drift_is_zero=not linear_drift, sigma_is_constant=s is None, jvp_b=jvp_b,
+        drift_rate=1.0 if linear_drift else 0.0, sigma_is_constant=s is None, jvp_b=jvp_b,
         dsigma=dsigma,
     )
 

@@ -24,12 +24,15 @@ The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
 or one jump. The substep runs on full-width arrays while most paths are
 stepping and on the gathered stepping rows otherwise; either way each path
-sees the same float operations, on column-major rows. A jump round reads
-its paths' marks with np.take and their state one coordinate at a time into
-row-major rows, as the closed form below has them, and writes the new state
-back one coordinate at a time: numpy's 2-D fancy index costs several times
-more. For b == 0 with constant sigma the state is x0 plus a running sum of
-the jump increments, taken in closed form as a cumulative sum with the
+sees the same float operations, on column-major rows. A field with the
+drift_rate hint r (b = -r x) takes no substep: each jump round first scales
+its paths' X and J v by exp(-r h) over the gap h since their last jump, and
+a last scaling carries every path to t. A jump round reads its paths'
+marks with np.take and their state one coordinate at a time into row-major
+rows, as the closed form below has them, and writes the new state back one
+coordinate at a time: numpy's 2-D fancy index costs several times more.
+For b == 0 (r = 0) with constant sigma the state is x0 plus a running sum
+of the jump increments, taken in closed form as a cumulative sum with the
 loop's float operations, and J v stays v. On both routes a non-finite state
 or directional derivative raises BlowUpError, naming the path, rather than
 reaching the mean.
@@ -443,13 +446,18 @@ def flow_batch(
     one RK4 substep of the segment up to its next jump (or up to t), then,
     for paths at the end of their segment, the jump itself. A segment of gap
     g takes max(ceil(g * substeps_per_unit), 1) substeps of size g / steps.
-    A field with b == 0 and constant sigma takes the closed form instead
-    (_drift_free_flow), with the loop's float operations.
+    A field with drift_rate r takes no substep and never reads
+    substeps_per_unit: a path's X and J v are scaled by exp(-r g) when it
+    reaches its next jump, and by exp(-r (t - s)) from its last jump s (or
+    0) to t after the last round; r = 0 scales nothing. A field with r = 0
+    and constant sigma takes the closed form instead (_drift_free_flow),
+    with the loop's float operations.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None, d_beta is None) != (v is None, v is None):
         raise ValueError("pass the weight inputs dWb and d_beta exactly when v is given")
-    if field.drift_is_zero and field.sigma_is_constant:
+    rate = field.drift_rate
+    if rate == 0.0 and field.sigma_is_constant:
         return _drift_free_flow(x0, v, field, batch, dW, dWb)
     n, t = batch.n, batch.horizon
     # Column-major state: the RK4 arithmetic then runs along the path axis
@@ -458,17 +466,18 @@ def flow_batch(
     Jv = None if v is None else np.asfortranarray(np.tile(np.asarray(v, dtype=float), (n, 1)))
     I1, I2, I3 = (None, None, None) if Jv is None else (np.zeros(n), np.zeros(n), np.zeros(n))
     sup_g = np.einsum("mi,mi->m", Jv, Jv) if Jv is not None else np.zeros(n)
-    drift = not field.drift_is_zero
+    rk4 = rate is None
+    scaled = bool(rate)  # a nonzero drift_rate: exact scaling between jumps
     nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
     stop = batch.offsets[1:]
-    if drift:
-        s0 = np.zeros(n)  # start of each path's current segment
+    s0 = np.zeros(n)  # start of each path's current segment: its last jump time, or 0
+    if rk4:
         k = np.zeros(n, dtype=np.int64)  # substeps taken in it
         steps, h = _segment_steps(_segment_ends(batch.times, nxt, stop, t), substeps_per_unit)
     while True:
         n_stepping = 0
         ready = nxt < stop
-        if drift:
+        if rk4:
             stepping = k < steps
             n_stepping = int(np.count_nonzero(stepping))
             if n_stepping:
@@ -485,6 +494,13 @@ def flow_batch(
         # row-major: einsum's order of summing a row of d > 2 follows the layout
         x = _take_rows(X, sel, "C")
         j = None if Jv is None else _take_rows(Jv, sel, "C")
+        if scaled:
+            # the left limit: the flow of b = -rate x over the gap since s0; a
+            # state that overflows here makes x_new non-finite below
+            decay = np.exp(-rate * (s_jump - s0[sel]))[:, None]
+            x *= decay
+            if j is not None:
+                j *= decay
         Sg = np.asarray(field.sigma(s_jump, x), dtype=float)
         dw = np.take(dW, flat, axis=0)
         x_new = x + np.einsum("mij,mj->mi", Sg, dw)
@@ -509,12 +525,20 @@ def flow_batch(
                 I2[sel] += c2
                 I3[sel] += c3
         nxt[sel] = flat + 1
-        if drift:
-            s0[sel] = s_jump
+        s0[sel] = s_jump
+        if rk4:
             k[sel] = 0
             steps[sel], h[sel] = _segment_steps(
                 _segment_ends(batch.times, flat + 1, stop[sel], t) - s_jump, substeps_per_unit
             )
+    if scaled:
+        decay = np.exp(-rate * (t - s0))[:, None]
+        X *= decay
+        if Jv is not None:
+            Jv *= decay
+        bad = _first_non_finite(X, Jv)
+        if bad is not None:
+            raise BlowUpError(t, path=bad)
     if Jv is not None:
         Jv = np.ascontiguousarray(Jv)
         sup_g = np.maximum(sup_g, np.einsum("mi,mi->m", Jv, Jv))

@@ -126,10 +126,8 @@ def test_structure_flags_are_truthful(name, d):
     F = catalog(name, d)
     x1 = _points(d, n=1, seed=1)
     x2 = _points(d, n=1, seed=2)
-    if F.drift_is_zero:
-        assert np.all(F.b(0.0, x1) == 0.0)
-    else:
-        assert np.any(F.b(0.0, x1) != 0.0)
+    assert np.array_equal(F.b(0.0, x1), -F.drift_rate * x1)
+    assert np.array_equal(F.jvp_b(0.0, x1, x2), -F.drift_rate * x2)
     if F.sigma_is_constant:
         assert np.array_equal(F.sigma(0.0, x1), F.sigma(0.0, x2))
         assert np.all(F.grad_sigma(0.0, x1) == 0.0)
@@ -156,6 +154,19 @@ def test_dimension_must_be_an_integer(dimension):
         catalog("ou_additive", dimension)
     with pytest.raises(ValueError, match="^dimension must be an integer"):
         dataclasses.replace(catalog("ou_additive", 2), dimension=dimension)
+
+
+@pytest.mark.parametrize("rate", [True, np.True_, "1.0", 1j, [1.0], math.nan, math.inf, -math.inf])
+def test_drift_rate_must_be_a_finite_real_or_none(rate):
+    # True would read as rate 1.0 and a NaN rate would scale every state to NaN
+    with pytest.raises(ValueError, match="^drift_rate must be a finite real number or None"):
+        dataclasses.replace(catalog("ou_additive", 2), drift_rate=rate)
+
+
+@pytest.mark.parametrize("rate", [1, np.int64(2), np.float32(0.5), -3.0, 0.0, None])
+def test_drift_rate_is_stored_as_float_or_none(rate):
+    got = dataclasses.replace(catalog("ou_additive", 2), drift_rate=rate).drift_rate
+    assert got is None if rate is None else (type(got) is float and got == float(rate))
 
 
 def test_integral_dimension_is_stored_as_int():
@@ -230,12 +241,12 @@ EVALUATOR_PINS = {
 }
 
 
-# (drift_is_zero, sigma_is_constant): the engine skips work on these hints
+# (drift_rate, sigma_is_constant): the engine skips work on these hints
 HINTS = {
-    "additive_identity": (True, True),
-    "ou_additive": (False, True),
-    "pythagoras_1d": (True, False),
-    "bounded_multiplicative": (False, False),
+    "additive_identity": (0.0, True),
+    "ou_additive": (1.0, True),
+    "pythagoras_1d": (0.0, False),
+    "bounded_multiplicative": (1.0, False),
 }
 
 
@@ -243,7 +254,7 @@ HINTS = {
 def test_catalog_evaluators_match_pin(name):
     assert {c: _digest(a) for c, a in _pin_outputs(name).items()} == EVALUATOR_PINS[name]
     F = catalog(name, PIN_DIMS[name])
-    assert (F.drift_is_zero, F.sigma_is_constant) == HINTS[name]
+    assert (F.drift_rate, F.sigma_is_constant) == HINTS[name]
 
 
 # The engine calls dsigma where it contracted grad_sigma with the direction,

@@ -22,7 +22,11 @@ instead of differences of one sum over the batch. Every run with a stable
 clock (and both trajectory digests) was recorded again once, to a fresh
 draw of the same law, when the jump sampler came to sort times alone and
 leave the sizes in draw order; each new mean lies within 0.92 combined
-standard errors of its old pin.
+standard errors of its old pin. Every run on bounded_multiplicative (and its
+trajectory digest) was recorded again once, when the catalog's linear drift
+came to be flowed exactly between jumps instead of by RK4: each mean moved
+by at most 1.4e-11, under 4e-9 combined standard errors. sign_fine_cut and
+pythagoras_1d have no drift and kept their bits.
 """
 
 import dataclasses
@@ -54,6 +58,8 @@ from reference import FlowState, PathRealization, accumulate_weight, apply_jump,
 SPEC = BernsteinSpec.alpha_stable(1.5)
 BM = catalog("bounded_multiplicative", 2)
 BM3 = catalog("bounded_multiplicative", 3)
+# BM without its drift_rate hint: its flow runs RK4, as tests/reference.py does
+BM_RK4 = dataclasses.replace(BM, drift_rate=None)
 PYTHAGORAS = catalog("pythagoras_1d")
 TANH = make_observable("tanh1")
 X0, V0 = np.array([0.3, 0.0]), np.array([1.0, 0.5])
@@ -95,16 +101,16 @@ RUNS = {
 }
 
 PINS = {
-    "quickstart": ("0x1.f4e02fc8c16e4p-2", "0x1.9fdd57bf09656p-7"),
+    "quickstart": ("0x1.f4e02fc88c056p-2", "0x1.9fdd57bedf1b2p-7"),
     "sign_fine_cut": ("0x1.c214c5c72def4p-1", "0x1.b1fe975cabcc7p-7"),
-    "fd_crn": ("0x1.e652de7a2ce2ap-2", "0x1.3b85a99be3d8dp-9"),
-    "fixed_clock_piecewise": ("0x1.ced05ee9de089p-3", "0x1.020be536205b4p-7"),
-    "fixed_clock_cap": ("0x1.c573a2f38eeecp-3", "0x1.a5b676fc3da56p-8"),
-    "estimate_pt": ("0x1.31d037476ee38p-3", "0x1.baef1050a26aep-8"),
-    "antithetic": ("0x1.f43c222bb1b5ap-2", "0x1.720c8e444e467p-7"),
-    "quickstart_d3": ("0x1.d4f0d82ea02e6p-2", "0x1.94adcd6f5573cp-7"),
-    "quickstart_d4": ("0x1.edc8bceccac38p-2", "0x1.ed8e78fb8e8d7p-7"),
-    "fixed_clock_piecewise_d3": ("0x1.d6dd6105da79ap-3", "0x1.1383210f1a0efp-7"),
+    "fd_crn": ("0x1.e652de79f742ap-2", "0x1.3b85a99bb23ddp-9"),
+    "fixed_clock_piecewise": ("0x1.ced05ee966a97p-3", "0x1.020be535f7987p-7"),
+    "fixed_clock_cap": ("0x1.c573a2f317939p-3", "0x1.a5b676fc04b97p-8"),
+    "estimate_pt": ("0x1.31d037474d826p-3", "0x1.baef105094c25p-8"),
+    "antithetic": ("0x1.f43c222b7b03ep-2", "0x1.720c8e442b971p-7"),
+    "quickstart_d3": ("0x1.d4f0d82e6c35bp-2", "0x1.94adcd6f2aa90p-7"),
+    "quickstart_d4": ("0x1.edc8bcec9384ap-2", "0x1.ed8e78fb59178p-7"),
+    "fixed_clock_piecewise_d3": ("0x1.d6dd61055c9d2p-3", "0x1.1383210eef724p-7"),
     "pythagoras_1d": ("0x1.535f02350bf52p-1", "0x1.1dee7b655a41fp-6"),
 }
 
@@ -113,14 +119,14 @@ PINS = {
 # I1, I2, I3, normalizer) as float64 bytes. A mean absorbs last-bit changes
 # of single paths; these digests do not.
 ROW_DIGESTS = {
-    "quickstart": "7a80df6728e7b830768f4d27b639bd25",
+    "quickstart": "ec09d929b9046a8055d20d6b1273e834",
     "sign_fine_cut": "da54a3eb962a80920973647dcad13861",
-    "fixed_clock_piecewise": "7d548a3e5203dfa37600cbb89b314f8d",
-    "fixed_clock_cap": "59753dff04fae029e63c89383d266063",
-    "antithetic": "a53191c8e04bf8f7e3f5bd09c66bd5b7",
-    "quickstart_d3": "6b11e218ba7734987cc90bb50aa3fb43",
-    "quickstart_d4": "21d29aa3017ccff02cd93c14f34a9a61",
-    "fixed_clock_piecewise_d3": "649a30591f811f2f332db0a2657710ce",
+    "fixed_clock_piecewise": "53a4f4ac6ed65312cf2ea0746041a54c",
+    "fixed_clock_cap": "87184d38f32eb7821541ef0349c9a0e1",
+    "antithetic": "c8261288c44900cdeeec2c00f0c71661",
+    "quickstart_d3": "a151571fc3e5b8b55c85902519c06319",
+    "quickstart_d4": "df0ad38b1542b93aec05f87671fa3532",
+    "fixed_clock_piecewise_d3": "fa4db28146b9705db36ff9be9466a1ed",
     "pythagoras_1d": "ff9e9f6ea02a68b03ef4f70310be3e50",
 }
 
@@ -151,7 +157,7 @@ def test_per_path_samples_match_pinned_digest(name):
 # pin holds only a mean and an SE of such runs. pythagoras_1d has no drift,
 # so its run is the event loop's jump rounds alone.
 FLOW_DIGESTS = {
-    "bounded_multiplicative": (BM, X0, V0, "45bc69d4765a932b1994facccfe0bf46"),
+    "bounded_multiplicative": (BM, X0, V0, "c410f1470389947b471a814f254f34f2"),
     "pythagoras_1d": (PYTHAGORAS, np.array([0.3]), np.ones(1), "9110b3ae9f95a8cefbbc122ea31c1b83"),
 }
 
@@ -171,13 +177,21 @@ def test_piecewise_pin_reads_the_conditional_mark_part():
     assert np.any(c > 0.0)
 
 
+def _same_bits_without(hook, name, field):
+    """Run RUNS[name] on field without its drift_rate hint, with and without
+    the hook: the RK4 flow of the unhinted field reaches both hooks."""
+    unhinted = dataclasses.replace(field, drift_rate=None)
+    assert getattr(unhinted, hook) is not None
+    with_hook = RUNS[name](unhinted, collect_samples=N)
+    without = RUNS[name](dataclasses.replace(unhinted, **{hook: None}), collect_samples=N)
+    assert _bits(without) == _bits(with_hook)
+    assert _row_digest(without) == _row_digest(with_hook)
+
+
 @pytest.mark.parametrize("name", ["quickstart", "fixed_clock_piecewise", "antithetic"])
 def test_field_without_jvp_gives_the_same_bits(name):
     # the grad_b einsum fallback and the direct product are the same floats
-    assert BM.jvp_b is not None
-    result = RUNS[name](dataclasses.replace(BM, jvp_b=None), collect_samples=N)
-    assert _bits(result) == PINS[name]
-    assert _row_digest(result) == ROW_DIGESTS[name]
+    _same_bits_without("jvp_b", name, BM)
 
 
 @pytest.mark.parametrize("name, field", [
@@ -186,10 +200,8 @@ def test_field_without_jvp_gives_the_same_bits(name):
 ])
 def test_field_without_dsigma_gives_the_same_bits(name, field):
     # the grad_sigma einsum fallback and the directional hook are the same floats
-    assert field.dsigma is not None and not field.sigma_is_constant
-    result = RUNS[name](dataclasses.replace(field, dsigma=None), collect_samples=N)
-    assert _bits(result) == PINS[name]
-    assert _row_digest(result) == ROW_DIGESTS[name]
+    assert not field.sigma_is_constant
+    _same_bits_without("dsigma", name, field)
 
 
 @pytest.mark.parametrize(
@@ -245,13 +257,17 @@ def _weight_inputs(batch, clock, d, seed):
 EDGE_CLOCKS = [(ClockSpec.cap_at_first_passage(0.5), 1e-12), (PIECEWISE, 1e-12)]
 
 
+# additive_identity takes the drift-free closed form
+EDGE_FIELDS = {"bounded_multiplicative": BM_RK4, "additive_identity": catalog("additive_identity", 2)}
+
+
 @pytest.mark.parametrize("name", ["bounded_multiplicative", "additive_identity"])
 def test_event_loop_edge_paths(name):
     # path 0: no jumps; path 1: two jumps tied in time; path 2: a jump tied
     # with path 1's; path 3: a jump exactly at t; path 4: many short gaps.
     # Each path's weight terms read its left limits at the jumps, which the
     # reference weight takes from its own one-path flow.
-    field = catalog(name, 2)
+    field = EDGE_FIELDS[name]
     t, spu = 0.8, 50
     times = [[], [0.3, 0.3], [0.3], [0.8], list(np.linspace(0.01, 0.79, 17))]
     counts = np.array([len(p) for p in times])
@@ -288,11 +304,12 @@ def test_event_loop_edge_paths(name):
 def test_event_loop_without_jumps_is_pure_drift():
     batch = JumpBatch(3, 1.0, np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64),
                       np.empty(0), np.empty(0))
+    field = BM_RK4
     X, Jv, I1, I2, I3, _ = flow_batch(
-        X0, V0, BM, batch, np.empty((0, 2)), 100, np.empty((0, 2)), np.empty(0))
+        X0, V0, field, batch, np.empty((0, 2)), 100, np.empty((0, 2)), np.empty(0))
     for I in (I1, I2, I3):
         assert np.array_equal(I, np.zeros(3)) and not np.signbit(I).any()
-    _, final, _ = _reference_path(BM, X0, V0, [], [], 1.0, 100)
+    _, final, _ = _reference_path(field, X0, V0, [], [], 1.0, 100)
     assert np.array_equal(X, np.tile(X[0], (3, 1)))
     np.testing.assert_allclose(X[0], final.X, rtol=1e-14)
     np.testing.assert_allclose(Jv[0], final.J, rtol=1e-14)
@@ -303,7 +320,7 @@ def test_drift_of_one_row_broadcasts_over_the_paths():
     # expressions broadcast it
     b = np.array([1.0, -0.5])
     field = dataclasses.replace(
-        catalog("additive_identity", 2), b=lambda t, x: b, jvp_b=None, drift_is_zero=False)
+        catalog("additive_identity", 2), b=lambda t, x: b, jvp_b=None, drift_rate=None)
     batch = JumpBatch(3, 1.0, np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64),
                       np.empty(0), np.empty(0))
     X, Jv, *_ = flow_batch(X0, V0, field, batch, np.empty((0, 2)), 100, np.empty((0, 2)), np.empty(0))
@@ -347,7 +364,7 @@ def _dense_drift_field():
     B = 0.3 * np.ones((3, 3)) - 1.3 * np.eye(3)
     return dataclasses.replace(
         BM3, b=lambda t, x: np.asarray(x) @ B, jvp_b=None,
-        grad_b=lambda t, x: np.tile(B.T, np.shape(x)[:-1] + (1, 1)),
+        grad_b=lambda t, x: np.tile(B.T, np.shape(x)[:-1] + (1, 1)), drift_rate=None,
     )
 
 
@@ -355,7 +372,7 @@ def test_full_width_and_gathered_passes_agree_bitwise(monkeypatch):
     # the gathered rows are column-major like the full-width state, so even a
     # layout-sensitive drift gives every path the same bits on both
     jb = sample_jump_batch(1.5, 0.5, 3e-3, 500, substream(2, engine.PURPOSE_JUMPS, 0))
-    for field, x0, v in ((BM, X0, V0), (_dense_drift_field(), X3, V3)):
+    for field, x0, v in ((BM_RK4, X0, V0), (_dense_drift_field(), X3, V3)):
         dW = engine.sample_mark_batch(jb, x0.size, substream(2, engine.PURPOSE_MARKS, 0))
         outs = []
         for share in (0.0, 2.0):  # every pass full width; every pass on gathered rows

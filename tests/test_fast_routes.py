@@ -8,6 +8,7 @@ times merged, and the event loop.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def _time_dependent_sigma_field(d):
     zero = catalog("additive_identity", d)
     return CoefficientField(
         dimension=d, b=zero.b, grad_b=zero.grad_b, sigma=sigma, grad_sigma=zero.grad_sigma,
-        sigma_inv=sigma_inv, drift_is_zero=True, sigma_is_constant=True,
+        sigma_inv=sigma_inv, drift_rate=0.0, sigma_is_constant=True,
         jvp_b=zero.jvp_b, name="time_dependent_sigma",
     )
 
@@ -180,7 +181,7 @@ def _both_routes(field, x0, v, batch, dW):
     weight = _weight_inputs(v, batch, dW)
     closed = flow_batch(x0, v, field, batch, dW, 50, *weight)
     loop = flow_batch(
-        x0, v, dataclasses.replace(field, drift_is_zero=False), batch, dW, 50, *weight
+        x0, v, dataclasses.replace(field, drift_rate=None), batch, dW, 50, *weight
     )
     return closed, loop
 
@@ -256,7 +257,7 @@ def test_blow_up_names_the_same_time_and_path(with_v):
     for i, marks in plan.items():
         dW[offsets[i]:offsets[i + 1], 1] = marks
     field = catalog("additive_identity", 2)
-    loop_field = dataclasses.replace(field, drift_is_zero=False)
+    loop_field = dataclasses.replace(field, drift_rate=None)
     x0 = np.array([0.0, 1.7e308])
     v = np.array([1.0, 0.0]) if with_v else None
     closed = _blow_up(field, x0, v, batch, dW)
@@ -286,3 +287,76 @@ def test_non_finite_v_stops_at_the_first_jump_round():
     dW = engine.sample_mark_batch(batch, 1, substream(8, engine.PURPOSE_MARKS, 0))
     field = catalog("additive_identity", 1)
     assert _blow_up(field, np.zeros(1), np.array([np.nan]), batch, dW) == (0.4, 1)
+
+
+# ---------------------------------------------------------------------------
+# the exact flow of a linear drift b = -r x between jumps (drift_rate = r)
+
+
+def _sampled_batch(d, seed, n=300, t=0.5):
+    batch = sample_jump_batch(1.5, t, 3e-3, n, substream(seed, engine.PURPOSE_JUMPS, 0))
+    return batch, engine.sample_mark_batch(batch, d, substream(seed, engine.PURPOSE_MARKS, 0))
+
+
+@pytest.mark.parametrize("name, d", [("bounded_multiplicative", 2), ("bounded_multiplicative", 3),
+                                     ("ou_additive", 2)])
+def test_exact_linear_flow_matches_fine_rk4(name, d):
+    # RK4 at 1000 substeps per unit is within about 1e-12 of the exact flow
+    field = catalog(name, d)
+    for seed in (4, 5):
+        batch, dW = _sampled_batch(d, seed)
+        rng = np.random.default_rng(seed)
+        x0, v = rng.standard_normal(d), rng.standard_normal(d)
+        weight = _weight_inputs(v, batch, dW)
+        exact = flow_batch(x0, v, field, batch, dW, 1000, *weight)
+        rk4 = flow_batch(x0, v, dataclasses.replace(field, drift_rate=None), batch, dW, 1000, *weight)
+        for got, want in zip(exact, rk4):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def test_exact_ou_flow_is_the_gaussian_sum():
+    # on ou_additive X_t = e^-t x + sum_i e^-(t - tau_i) dW_i and J v = e^-t v
+    d, t = 2, 0.5
+    batch, dW = _sampled_batch(d, 6, t=t)
+    x0, v = np.array([0.7, -1.2]), np.array([1.0, 0.5])
+    X, Jv, *_ = flow_batch(x0, v, catalog("ou_additive", d), batch, dW, 100, *_weight_inputs(v, batch, dW))
+    path = np.repeat(np.arange(batch.n), batch.counts)
+    terms = np.exp(-(t - batch.times))[:, None] * dW
+
+    def per_path(a):
+        return np.stack([np.bincount(path, weights=a[:, i], minlength=batch.n) for i in range(d)], axis=1)
+
+    # the bound is relative to the sum of the terms' magnitudes
+    assert np.all(np.abs(X - (math.exp(-t) * x0 + per_path(terms)))
+                  <= 1e-13 * (math.exp(-t) * np.abs(x0) + per_path(np.abs(terms))))
+    np.testing.assert_allclose(Jv, np.tile(math.exp(-t) * v, (batch.n, 1)), rtol=1e-13)
+
+
+def _growing_field(rate):
+    """ou_additive in d = 1 with b = -rate x, hinted so."""
+    return dataclasses.replace(
+        catalog("ou_additive", 1), drift_rate=rate, b=lambda t, x: -rate * np.asarray(x, dtype=float),
+        jvp_b=lambda t, x, u: -rate * np.asarray(u, dtype=float),
+        grad_b=lambda t, x: np.full(np.shape(x) + (1,), -rate),
+    )
+
+
+def _batch_of(paths, t):
+    counts = np.array([len(p) for p in paths], dtype=np.int64)
+    times = np.concatenate([np.asarray(p, dtype=float) for p in paths])
+    return JumpBatch(len(paths), t, counts, np.concatenate(([0], np.cumsum(counts))), times,
+                     np.full(times.size, 0.1))
+
+
+@pytest.mark.parametrize("with_v", [True, False])
+def test_growth_past_the_float_range_names_the_path_and_time(with_v):
+    # x grows by e^(10 s) from 1e307: past the float range after s = 0.26
+    field, x0 = _growing_field(-10.0), np.array([1e307])
+    v = np.ones(1) if with_v else None
+    # in a jump round: path 1's left limit at 0.3 overflows, path 2's at 0.25 does not
+    batch = _batch_of([[0.2], [0.3], [0.25, 0.5]], 1.0)
+    assert _blow_up(field, x0, v, batch, np.zeros((batch.total, 1))) == (0.3, 1)
+    # at t: path 0's jump at 0.1 cancels its state exactly, path 1 has no jump
+    batch = _batch_of([[0.1], []], 0.5)
+    dW = np.array([[-(1e307 * math.exp(10.0 * 0.1))]])
+    assert _blow_up(field, x0, v, batch, dW) == (0.5, 1)

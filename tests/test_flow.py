@@ -151,7 +151,7 @@ def _cubic_field():
     return CoefficientField(
         dimension=1, b=b, grad_b=grad_b, sigma=sigma,
         grad_sigma=grad_sigma, sigma_inv=sigma,
-        drift_is_zero=False, sigma_is_constant=True, name="cubic",
+        drift_rate=None, sigma_is_constant=True, name="cubic",
     )
 
 

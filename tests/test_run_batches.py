@@ -374,10 +374,12 @@ def test_non_finite_observable_is_refused(name):
 
 
 # A hook result of another shape could broadcast against the batch and
-# corrupt every path without an error.
+# corrupt every path without an error. Only the RK4 flow of a field without
+# the drift_rate hint calls jvp_b.
 BM2 = catalog("bounded_multiplicative", 2)
 WRONG_HOOKS = {
-    "jvp_b": (dataclasses.replace(BM2, jvp_b=lambda t, x, u: -u[0]), r"\(2,\)", r"\(\d+, 2\)"),
+    "jvp_b": (dataclasses.replace(BM2, jvp_b=lambda t, x, u: -u[0], drift_rate=None), r"\(2,\)",
+              r"\(\d+, 2\)"),
     "dsigma": (dataclasses.replace(BM2, dsigma=lambda t, x, u: np.eye(2)), r"\(2, 2\)",
                r"\(\d+, 2, 2\)"),
 }
