@@ -8,6 +8,7 @@ total). Seeds are fixed; every statistical check is a z-test at 3 standard
 errors unless stated otherwise.
 """
 
+import dataclasses
 import math
 import time
 
@@ -294,10 +295,11 @@ def test_criterion_8_exact_identities(capsys, tmp_path):
     g12 = estimate_gradient(args[0], v1 + 2.0 * v2, *args[1:]).mean
     linear = abs(g12 - (g1 + 2.0 * g2)) <= 1e-10
 
-    # RK4 on the linear-drift field reproduces e^{-1} to 1e-8 over one unit
+    # RK4 on the linear-drift field reproduces e^{-1} to 1e-8 over one unit;
+    # without its drift_rate hint the field's flow steps by RK4
     no_jumps = fixed_jump_batch(JumpPath(1.0, np.array([]), np.array([])), 1.0, 1)
     X1, Jv1, *_ = flow_batch(
-        np.array([1.0]), np.array([1.0]), catalog("ou_additive", 1),
+        np.array([1.0]), np.array([1.0]), dataclasses.replace(catalog("ou_additive", 1), drift_rate=None),
         no_jumps, np.empty((0, 1)), 100, np.empty((0, 1)), np.empty(0),
     )
     rk4 = abs(X1[0, 0] - math.exp(-1.0)) <= 1e-8 and abs(Jv1[0, 0] - math.exp(-1.0)) <= 1e-8
