@@ -22,9 +22,8 @@ sizes in draw order, so a path's k-th jump in time has its k-th size drawn.
 
 The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
-or one jump. The substep runs on full-width arrays while most paths are
-stepping and on the gathered stepping rows otherwise; either way each path
-sees the same float operations, on column-major rows. A field with the
+or one jump. The substep runs on the whole column-major state, the rows
+that are not stepping taking a step of size 0. A field with the
 drift_rate hint r (b = -r x) takes no substep: each jump round first scales
 its paths' X and J v by exp(-r h) over the gap h since their last jump, and
 a last scaling carries every path to t. A jump round reads its paths'
@@ -33,9 +32,17 @@ rows, as the closed form below has them, and writes the new state back one
 coordinate at a time: numpy's 2-D fancy index costs several times more.
 For b == 0 (r = 0) with constant sigma the state is x0 plus a running sum
 of the jump increments, taken in closed form as a cumulative sum with the
-loop's float operations, and J v stays v. On both routes a non-finite state
-or directional derivative raises BlowUpError, naming the path, rather than
-reaching the mean.
+loop's float operations, and J v stays v. A non-finite state, directional
+derivative or weight term raises BlowUpError, naming the path, rather than
+reaching the mean; the loop alone raises it, and the closed form hands a
+batch that goes non-finite back to the loop.
+
+A path gets the same bits in any batch, alone included, so extract_path
+replays it. einsum's order of summing a row follows the memory layout,
+which numpy may give a one-row array, or a field's result for one row,
+differently; so the engine contracts only row-major arrays (copying a
+callable's matrices and J v where needed) and sums each path's starting
+|J v|^2 in index order (_initial_sup).
 
 The flow also sums the weight, in the same sweep: weight_terms forms a
 jump's terms from the left limit and sigma's directional derivative that
@@ -106,7 +113,7 @@ PURPOSE_MOLLIFIED = 3
 
 
 class BlowUpError(RuntimeError):
-    """The flow integration produced a non-finite state or derivative.
+    """The flow produced a non-finite state, directional derivative or weight term.
 
     s is the time at which the first non-finite path went non-finite and path
     its index within the batch; map_batches fills in batch. Re-drawing that
@@ -123,7 +130,7 @@ class BlowUpError(RuntimeError):
         where = "" if self.path is None else f" on path {self.path}"
         if self.batch is not None:
             where += f" of batch {self.batch}"
-        return f"non-finite state at s = {self.s}{where}"
+        return f"non-finite state or weight term at s = {self.s}{where}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +235,6 @@ def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator) -> np.
     return z
 
 
-# An RK4 pass steps every row of the batch at once (rows that are not
-# stepping get h = 0 and keep their state) while at least this share of the
-# rows is stepping; thinner passes gather the stepping rows instead.
-FULL_WIDTH_SHARE = 0.5
-
-
 def _hook_result(name: str, value, shape: tuple) -> np.ndarray:
     """A field hook's result as a float array, refused unless it has the given shape."""
     arr = np.asarray(value, dtype=float)
@@ -249,15 +250,16 @@ def _drift_rhs(field: CoefficientField, s, x, j):
         return dX, None
     if field.jvp_b is not None:
         return dX, _hook_result("jvp_b", field.jvp_b(s, x, j), j.shape)
-    G = np.asarray(field.grad_b(s, x), dtype=float)
-    return dX, np.einsum("mij,mj->mi", G, j)
+    G = np.ascontiguousarray(field.grad_b(s, x), dtype=float)
+    return dX, np.einsum("mij,mj->mi", G, np.ascontiguousarray(j))
 
 
 def _dsigma(field: CoefficientField, s, x, u):
     """sigma's directional derivative sum_k d_k sigma(s, x) u_k row by row, shaped (m, d, d)."""
     if field.dsigma is not None:
-        return _hook_result("dsigma", field.dsigma(s, x, u), u.shape + u.shape[-1:])
-    return np.einsum("mijk,mk->mij", np.asarray(field.grad_sigma(s, x), dtype=float), u)
+        D = _hook_result("dsigma", field.dsigma(s, x, u), u.shape + u.shape[-1:])
+        return np.ascontiguousarray(D)
+    return np.einsum("mijk,mk->mij", np.ascontiguousarray(field.grad_sigma(s, x), dtype=float), u)
 
 
 def _stage(y, c, k):
@@ -297,9 +299,14 @@ def _rk4_step(field: CoefficientField, s, h, x, j):
     return combined(x, k1x, k2x, k3x, k4x), None if j is None else combined(j, k1j, k2j, k3j, k4j)
 
 
-def _segment_steps(gaps: np.ndarray, substeps_per_unit: int):
-    """Per-row RK4 (steps, h) over a gap: ceil(gap * substeps_per_unit) steps, at least
-    one, of size gap / steps; no steps where the gap is not positive."""
+def _segment_steps(times, nxt, stop, t: float, start, substeps_per_unit: int):
+    """Per-row RK4 (steps, h) from start to each path's next jump (flat index nxt, before
+    its stop), or to t after its last: ceil(gap * substeps_per_unit) steps, at least one,
+    of size gap / steps; no steps where the gap is not positive."""
+    gaps = np.full(nxt.size, float(t))
+    pending = nxt < stop
+    gaps[pending] = times[nxt[pending]]
+    gaps -= start
     act = gaps > 0
     steps = np.zeros(gaps.shape, dtype=np.int64)
     steps[act] = np.ceil(gaps[act] * substeps_per_unit).astype(np.int64)
@@ -308,29 +315,27 @@ def _segment_steps(gaps: np.ndarray, substeps_per_unit: int):
     return steps, h
 
 
-def _segment_ends(times: np.ndarray, nxt: np.ndarray, stop: np.ndarray, t: float) -> np.ndarray:
-    """Time of each path's next jump (flat index nxt, before its stop), or t after its last."""
-    ends = np.full(nxt.size, float(t))
-    pending = nxt < stop
-    ends[pending] = times[nxt[pending]]
-    return ends
+def _initial_sup(v, n: int) -> np.ndarray:
+    """Each of n paths' |v|^2 summed in index order, as einsum sums a column-major J v."""
+    sq = 0.0
+    for c in v:
+        sq += c * c
+    return np.full(n, sq)
 
 
 def _first_non_finite(*arrays):
-    """Index of the first row that is not finite in one of the (m, d) arrays, else None."""
+    """Index of the first row that is not finite in one of the arrays (one row per path), else None."""
     arrays = [a for a in arrays if a is not None]
     if all(np.isfinite(a).all() for a in arrays):
         return None
     bad = np.zeros(arrays[0].shape[0], dtype=bool)
     for a in arrays:
-        bad |= ~np.isfinite(a).all(axis=1)
+        bad |= ~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
     return int(np.flatnonzero(bad)[0])
 
 
-def _take_rows(A, rows, order):
-    """A[rows] in memory order "F" (a take through the transpose) or "C" (a take per coordinate)."""
-    if order == "F":
-        return np.take(A.T, rows, axis=1).T
+def _take_rows(A, rows):
+    """A[rows] as a row-major array, taken one coordinate at a time."""
     return np.column_stack([column[rows] for column in A.T])
 
 
@@ -340,31 +345,17 @@ def _put_rows(A, rows, values):
         column[rows] = new
 
 
-def _rk4_pass(field, X, Jv, s0, k, h, stepping, n_stepping):
-    """Advance every stepping row by its next RK4 substep, in place."""
-    if n_stepping >= FULL_WIDTH_SHARE * X.shape[0]:
-        s = s0 + k * h
-        hs = np.where(stepping, h, 0.0)
-        x, j = _rk4_step(field, s, hs, X, Jv)
-        col = stepping[:, None]
-        np.copyto(X, x, where=col)
-        if Jv is not None:
-            np.copyto(Jv, j, where=col)
-        bad = _first_non_finite(X, Jv)
-        if bad is not None:
-            raise BlowUpError(s[bad] + h[bad], path=bad)
-        return
-    rows = np.flatnonzero(stepping)
-    hr = h[rows]
-    s = s0[rows] + k[rows] * hr
-    xr, jr = _take_rows(X, rows, "F"), None if Jv is None else _take_rows(Jv, rows, "F")
-    x, j = _rk4_step(field, s, hr, xr, jr)
-    _put_rows(X, rows, x)
+def _rk4_pass(field, X, Jv, s0, k, h, stepping):
+    """Advance every stepping row by its next RK4 substep in place; the others step by 0."""
+    s = s0 + k * h
+    x, j = _rk4_step(field, s, np.where(stepping, h, 0.0), X, Jv)
+    col = stepping[:, None]
+    np.copyto(X, x, where=col)
     if Jv is not None:
-        _put_rows(Jv, rows, j)
-    bad = _first_non_finite(x, j)
+        np.copyto(Jv, j, where=col)
+    bad = _first_non_finite(X, Jv)
     if bad is not None:
-        raise BlowUpError(s[bad] + hr[bad], path=int(rows[bad]))
+        raise BlowUpError(s[bad] + h[bad], path=bad)
 
 
 def _drift_free_flow(x0, v, field, batch, dW, dWb):
@@ -375,13 +366,13 @@ def _drift_free_flow(x0, v, field, batch, dW, dWb):
     (rows, kmax + 1, d) array whose column 0 is x0 adds them in jump order,
     as the loop's jump rounds do, so column c holds the state after a
     path's c-th jump. J v stays v, so only I1 is nonzero, and it needs no
-    left limit.
+    left limit. Returns None when a state or a jump's c1 is not finite (a
+    non-finite v makes every c1 so): the event loop then flows the batch
+    again and raises its BlowUpError.
     """
     n, d = batch.n, x0.shape[0]
     X = np.empty((n, d))
     v, I1 = (None, None) if v is None else (np.asarray(v, dtype=float), np.zeros(n))
-    v_finite = v is None or bool(np.isfinite(v).all())
-    first_bad = None  # (jump round, path) of the loop's BlowUpError
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         lo, hi = batch.offsets[r0], batch.offsets[r1]
@@ -393,32 +384,22 @@ def _drift_free_flow(x0, v, field, batch, dW, dWb):
         x = np.broadcast_to(x0, (hi - lo, d))
         if hi > lo:
             Sg = field.sigma(batch.times[lo:hi], x)
-            states[:, 1:][real] = np.einsum("mij,mj->mi", np.asarray(Sg, dtype=float), dW[lo:hi])
+            states[:, 1:][real] = np.einsum("mij,mj->mi", np.ascontiguousarray(Sg, dtype=float), dW[lo:hi])
         np.cumsum(states, axis=1, out=states)
+        if not np.isfinite(states).all():
+            return None
         X[r0:r1] = states[np.arange(r1 - r0), c]
-        after = states[:, 1:]
-        if not (v_finite and np.isfinite(after).all()):
-            # the loop stops at its earliest jump round with a non-finite
-            # state (a non-finite v is one from round 0), at its lowest path
-            bad = real if not v_finite else real & ~np.isfinite(after).all(axis=2)
-            if bad.any():
-                col = int(np.flatnonzero(bad.any(axis=0))[0])
-                if first_bad is None or col < first_bad[0]:
-                    first_bad = col, r0 + int(np.flatnonzero(bad[:, col])[0])
-        if first_bad is None and v is not None:
+        if v is not None:
             j = np.tile(v, (hi - lo, 1))
             c1 = weight_terms(field, batch.times[lo:hi], x, j, None, None, dWb[lo:hi], None)[0]
+            if not np.isfinite(c1).all():
+                return None
             I1[r0:r1] = np.bincount(np.repeat(np.arange(r1 - r0), c), weights=c1, minlength=r1 - r0)
-    if first_bad is not None:
-        col, path = first_bad
-        raise BlowUpError(batch.times[batch.offsets[path] + col], path=path)
     if v is None:
         return X, None, None, None, None, np.zeros(n)
     Jv = np.tile(v, (n, 1))
-    # the loop's running sup starts from its column-major Jv and ends with the
-    # row-major one; einsum may sum the two layouts in different orders
-    Jv_f = np.asfortranarray(Jv)
-    sup_g = np.maximum(np.einsum("mi,mi->m", Jv_f, Jv_f), np.einsum("mi,mi->m", Jv, Jv))
+    # the loop's running sup, from its start to its row-major end
+    sup_g = np.maximum(_initial_sup(v, n), np.einsum("mi,mi->m", Jv, Jv))
     return X, Jv, I1, np.zeros(n), np.zeros(n), sup_g
 
 
@@ -451,21 +432,25 @@ def flow_batch(
     reaches its next jump, and by exp(-r (t - s)) from its last jump s (or
     0) to t after the last round; r = 0 scales nothing. A field with r = 0
     and constant sigma takes the closed form instead (_drift_free_flow),
-    with the loop's float operations.
+    with the loop's float operations, unless a state or weight term goes
+    non-finite: the loop then flows the batch and raises BlowUpError.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None, d_beta is None) != (v is None, v is None):
         raise ValueError("pass the weight inputs dWb and d_beta exactly when v is given")
     rate = field.drift_rate
     if rate == 0.0 and field.sigma_is_constant:
-        return _drift_free_flow(x0, v, field, batch, dW, dWb)
+        flowed = _drift_free_flow(x0, v, field, batch, dW, dWb)
+        if flowed is not None:
+            return flowed
     n, t = batch.n, batch.horizon
     # Column-major state: the RK4 arithmetic then runs along the path axis
     # instead of over d-element rows.
     X = np.asfortranarray(np.tile(x0, (n, 1)))
-    Jv = None if v is None else np.asfortranarray(np.tile(np.asarray(v, dtype=float), (n, 1)))
+    v = None if v is None else np.asarray(v, dtype=float)
+    Jv = None if v is None else np.asfortranarray(np.tile(v, (n, 1)))
     I1, I2, I3 = (None, None, None) if Jv is None else (np.zeros(n), np.zeros(n), np.zeros(n))
-    sup_g = np.einsum("mi,mi->m", Jv, Jv) if Jv is not None else np.zeros(n)
+    sup_g = np.zeros(n) if v is None else _initial_sup(v, n)
     rk4 = rate is None
     scaled = bool(rate)  # a nonzero drift_rate: exact scaling between jumps
     nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
@@ -473,27 +458,27 @@ def flow_batch(
     s0 = np.zeros(n)  # start of each path's current segment: its last jump time, or 0
     if rk4:
         k = np.zeros(n, dtype=np.int64)  # substeps taken in it
-        steps, h = _segment_steps(_segment_ends(batch.times, nxt, stop, t), substeps_per_unit)
+        steps, h = _segment_steps(batch.times, nxt, stop, t, s0, substeps_per_unit)
     while True:
-        n_stepping = 0
+        stepped = False
         ready = nxt < stop
         if rk4:
             stepping = k < steps
-            n_stepping = int(np.count_nonzero(stepping))
-            if n_stepping:
-                _rk4_pass(field, X, Jv, s0, k, h, stepping, n_stepping)
+            stepped = bool(stepping.any())
+            if stepped:
+                _rk4_pass(field, X, Jv, s0, k, h, stepping)
                 k += stepping
             ready &= k == steps
         sel = np.flatnonzero(ready)
         if sel.size == 0:
-            if n_stepping:
+            if stepped:
                 continue
             break
         flat = nxt[sel]
         s_jump = batch.times[flat]
         # row-major: einsum's order of summing a row of d > 2 follows the layout
-        x = _take_rows(X, sel, "C")
-        j = None if Jv is None else _take_rows(Jv, sel, "C")
+        x = _take_rows(X, sel)
+        j = None if Jv is None else _take_rows(Jv, sel)
         if scaled:
             # the left limit: the flow of b = -rate x over the gap since s0; a
             # state that overflows here makes x_new non-finite below
@@ -501,7 +486,7 @@ def flow_batch(
             x *= decay
             if j is not None:
                 j *= decay
-        Sg = np.asarray(field.sigma(s_jump, x), dtype=float)
+        Sg = np.ascontiguousarray(field.sigma(s_jump, x), dtype=float)
         dw = np.take(dW, flat, axis=0)
         x_new = x + np.einsum("mij,mj->mi", Sg, dw)
         j_new = dir_s = None
@@ -520,6 +505,11 @@ def flow_batch(
         if j is not None:
             dwb = np.take(dWb, flat, axis=0)
             c1, c2, c3 = weight_terms(field, s_jump, x, j, dir_s, dw, dwb, d_beta[flat])
+            # a finite state may still give an infinite sigma^{-1}, as a
+            # subnormal sigma does
+            bad = _first_non_finite(c1, c2, c3)
+            if bad is not None:
+                raise BlowUpError(s_jump[bad], path=int(sel[bad]))
             I1[sel] += c1
             if dir_s is not None:
                 I2[sel] += c2
@@ -529,8 +519,7 @@ def flow_batch(
         if rk4:
             k[sel] = 0
             steps[sel], h[sel] = _segment_steps(
-                _segment_ends(batch.times, flat + 1, stop[sel], t) - s_jump, substeps_per_unit
-            )
+                batch.times, flat + 1, stop[sel], t, s_jump, substeps_per_unit)
     if scaled:
         decay = np.exp(-rate * (t - s0))[:, None]
         X *= decay
@@ -585,7 +574,7 @@ def weight_terms(field: CoefficientField, s, x, j, dir_s, dw, dwb, d_beta):
     d_beta the clock increment. With A = sigma^{-1}(s, x) dir_s (a batched
     np.matmul), c1 = <sigma^{-1} j, dwb>, c2 = Tr(A) d_beta and c3 = <A dwb, dw>.
     """
-    s_inv = np.asarray(field.sigma_inv(s, x), dtype=float)
+    s_inv = np.ascontiguousarray(field.sigma_inv(s, x), dtype=float)
     c1 = np.einsum("mi,mi->m", np.einsum("mij,mj->mi", s_inv, j), dwb)
     if dir_s is None:
         return c1, None, None

@@ -346,10 +346,9 @@ def test_row_gather_and_scatter_equal_the_2d_index_bitwise(d, layout):
     values.flat[rng.choice(values.size, special.size, replace=False)] = special
     for sel in (np.empty(0, dtype=np.int64), np.array([0, 3, 4, 17, 39]), np.flatnonzero(A[:, 0] < 0.5)):
         want = A[sel]
-        for order in ("C", "F"):
-            got = engine._take_rows(A, sel, order)
-            assert got.shape == want.shape and got.flags[f"{order}_CONTIGUOUS"]
-            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        got = engine._take_rows(A, sel)
+        assert got.shape == want.shape and got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
         want_A, got_A = A.copy(order="K"), A.copy(order="K")
         want_A[sel] = values[:sel.size]
         engine._put_rows(got_A, sel, values[:sel.size])
@@ -360,7 +359,8 @@ def test_row_gather_and_scatter_equal_the_2d_index_bitwise(d, layout):
 def _dense_drift_field():
     """BM3's sigma with b(x) = x B for a dense B and no jvp_b: the engine's
     grad_b einsum sums each row of three terms in an order that follows the
-    memory layout of J v."""
+    memory layout of J v and of grad_b, which np.tile of the transposed B
+    lays out column-major for one path and row-major for more."""
     B = 0.3 * np.ones((3, 3)) - 1.3 * np.eye(3)
     return dataclasses.replace(
         BM3, b=lambda t, x: np.asarray(x) @ B, jvp_b=None,
@@ -368,18 +368,82 @@ def _dense_drift_field():
     )
 
 
-def test_full_width_and_gathered_passes_agree_bitwise(monkeypatch):
-    # the gathered rows are column-major like the full-width state, so even a
-    # layout-sensitive drift gives every path the same bits on both
-    jb = sample_jump_batch(1.5, 0.5, 3e-3, 500, substream(2, engine.PURPOSE_JUMPS, 0))
-    for field, x0, v in ((BM_RK4, X0, V0), (_dense_drift_field(), X3, V3)):
-        dW = engine.sample_mark_batch(jb, x0.size, substream(2, engine.PURPOSE_MARKS, 0))
-        outs = []
-        for share in (0.0, 2.0):  # every pass full width; every pass on gathered rows
-            monkeypatch.setattr(engine, "FULL_WIDTH_SHARE", share)
-            outs.append(flow_batch(x0, v, field, jb, dW, 100, -dW, jb.sizes))
-        for a, b in zip(*outs):
-            assert np.array_equal(a, b)
+def _dense_sigma_field(derivative):
+    """sigma = s(x_1) T for a dense T where, like grad_b above, sigma, its
+    inverse and its derivative come from np.tile of column-major arrays: on
+    BM3 with the derivative from grad_sigma or from the dsigma hook, or with
+    s = 1 on additive_identity, which takes the closed form."""
+    T = np.eye(3) + 0.3 * np.triu(np.ones((3, 3)), 1) - 0.2 * np.tril(np.ones((3, 3)), -1)
+    grad_T = np.zeros((3, 3, 3))
+    grad_T[..., 0] = T
+    T_f, T_inv_f, grad_T_f = (np.asfortranarray(M) for M in (T, np.linalg.inv(T), grad_T))
+
+    def times_tiled(c, M):
+        c = np.asarray(c)
+        return c.reshape(c.shape + (1,) * M.ndim) * np.tile(M, c.shape + (1,) * M.ndim)
+
+    if derivative == "constant":
+        return dataclasses.replace(
+            catalog("additive_identity", 3), sigma=lambda t, x: times_tiled(np.ones(np.shape(x)[:-1]), T_f),
+            sigma_inv=lambda t, x: times_tiled(np.ones(np.shape(x)[:-1]), T_inv_f),
+        )
+
+    def s(x):
+        return 1.0 + 0.25 * np.tanh(np.asarray(x)[..., 0])
+
+    def ds(x):
+        return 0.25 / np.cosh(np.asarray(x)[..., 0]) ** 2
+
+    def dsigma(t, x, u):
+        return times_tiled(ds(x) * np.asarray(u)[..., 0], T_f)
+
+    return dataclasses.replace(
+        BM3, sigma=lambda t, x: times_tiled(s(x), T_f),
+        sigma_inv=lambda t, x: times_tiled(1.0 / s(x), T_inv_f),
+        grad_sigma=lambda t, x: times_tiled(ds(x), grad_T_f),
+        dsigma=dsigma if derivative == "dsigma" else None,
+    )
+
+
+def _sub_batch(jb, paths):
+    """The given paths of jb as a batch of their own, with the flat indices of their jumps."""
+    flat = np.concatenate([np.arange(jb.offsets[p], jb.offsets[p + 1]) for p in paths])
+    counts = jb.counts[paths]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return JumpBatch(len(paths), jb.horizon, counts, offsets, jb.times[flat], jb.sizes[flat]), flat
+
+
+# at d = 9 einsum sums |v|^2 in a column-major batch and in a one-path batch
+# (row-major) in different orders, and the column-major sum is the larger
+V9 = np.random.default_rng(1).standard_normal(9)
+
+
+@pytest.mark.parametrize("route", [
+    "rk4", "exact_scaling", "closed_form", "dense_sigma", "dense_dsigma", "closed_form_dense_sigma",
+])
+def test_a_paths_flow_does_not_depend_on_its_batch(route):
+    # the replay contract of BlowUpError and extract_path: a path flowed
+    # alone, or among any other paths, gets the bits it gets in its batch.
+    # Each route contracts arrays whose layout numpy may pick by the row
+    # count (see the fields and V9). Each path of the 50-path stretch also
+    # runs alone: a sub-batch of many paths has the whole batch's layouts.
+    field, x0, v = {
+        "rk4": (_dense_drift_field(), X3, V3),
+        "exact_scaling": (catalog("bounded_multiplicative", 9), np.zeros(9), V9),
+        "closed_form": (catalog("additive_identity", 9), np.zeros(9), V9),
+        "dense_sigma": (_dense_sigma_field("grad_sigma"), X3, V3),
+        "dense_dsigma": (_dense_sigma_field("dsigma"), X3, V3),
+        "closed_form_dense_sigma": (_dense_sigma_field("constant"), X3, V3),
+    }[route]
+    jb = sample_jump_batch(1.5, 0.5, 3e-2, 500, substream(2, engine.PURPOSE_JUMPS, 0))
+    dW = engine.sample_mark_batch(jb, x0.size, substream(2, engine.PURPOSE_MARKS, 0))
+    whole = flow_batch(x0, v, field, jb, dW, 100, -dW, jb.sizes)
+    stretch = np.arange(100, 150)
+    for paths in [[p] for p in stretch] + [[0, 499], stretch, np.arange(0, 500, 7)]:
+        sub, flat = _sub_batch(jb, paths)
+        part = flow_batch(x0, v, field, sub, dW[flat], 100, -dW[flat], sub.sizes)
+        for got, want in zip(part, whole):
+            assert np.array_equal(got, want[paths])
 
 
 def test_jump_sampler_sorts_times_and_keeps_sizes_in_draw_order():

@@ -3,6 +3,7 @@
 Also the batched engine's blow-up guard, which the reference shares.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,15 +13,18 @@ import oracles
 from levygrad import (
     BernsteinSpec,
     BlowUpError,
+    ClockSpec,
     CoefficientField,
     JumpPath,
     catalog,
+    default_level_R,
     estimate_gradient,
     estimate_pt,
     make_observable,
     substream,
 )
 from levygrad import engine
+from levygrad.bismut import stable_batch
 from reference import (
     FlowState,
     PathRealization,
@@ -200,18 +204,13 @@ def _blow_up_through_estimate_gradient():
      (_blow_up_through_estimate_gradient, _fast_oscillating_drift_field, 0.3)],
     ids=["state_overflow", "jacobian_overflow"],
 )
-def test_batched_estimators_raise_blow_up(monkeypatch, run, field, x0):
+def test_batched_estimators_raise_blow_up(run, field, x0):
     # A non-finite X or Jv must stop the run, never turn the mean into NaN,
     # and the error must name a path that blows up again when replayed, at
-    # the same s whether the RK4 passes run full width or on gathered rows.
-    errors = []
-    for share in (0.0, 2.0, engine.FULL_WIDTH_SHARE):
-        monkeypatch.setattr(engine, "FULL_WIDTH_SHARE", share)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
-            run()
-        errors.append(info.value)
-    assert len({(e.s, e.path, e.batch) for e in errors}) == 1
-    err = errors[-1]
+    # the same s.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        run()
+    err = info.value
     assert err.batch == 0 and 0 <= err.path < 200
     assert f"on path {err.path} of batch 0" in str(err)
     jb = engine.sample_jump_batch(
@@ -225,6 +224,44 @@ def test_batched_estimators_raise_blow_up(monkeypatch, run, field, x0):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as ref:
         simulate_flow(np.array([x0]), np.ones(1), field(), replay, 1.0)
     assert ref.value.s == err.s
+
+
+def _vanishing_sigma_field():
+    # sigma = exp(-x^2) is subnormal at x = 27: sigma^{-1} is infinite while
+    # the jumps move X by subnormal amounts, so X and J v stay finite
+    def s(x):
+        return np.exp(-np.asarray(x, dtype=float)[..., 0] ** 2)
+
+    def grad_sigma(t, x):
+        return (-2.0 * np.asarray(x, dtype=float)[..., 0] * s(x))[..., None, None, None]
+
+    return dataclasses.replace(
+        catalog("pythagoras_1d"), sigma=lambda t, x: s(x)[..., None, None],
+        sigma_inv=lambda t, x: (1.0 / s(x))[..., None, None], grad_sigma=grad_sigma, dsigma=None,
+    )
+
+
+def test_non_finite_weight_term_raises_blow_up():
+    # the weight terms, not the state, go non-finite: the run must stop
+    # instead of returning a NaN mean, and name a path that replays alone
+    spec, t, eps, seed, n = BernsteinSpec.alpha_stable(1.5), 1.0, 1e-2, 1, 2000
+    field, tanh = _vanishing_sigma_field(), make_observable("tanh1")
+    x, v = np.array([27.0]), np.ones(1)
+    fine = estimate_gradient(np.ones(1), v, tanh, field, spec, t, "auto", n, eps, seed)
+    assert math.isfinite(fine.mean) and math.isfinite(fine.std_error)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        estimate_gradient(x, v, tanh, field, spec, t, "auto", n, eps, seed)
+    err = info.value
+    assert err.batch == 0 and 0 <= err.path < n
+    jb, dW = stable_batch(spec, t, eps, 1, seed, err.batch, n)
+    lo, hi = jb.offsets[err.path], jb.offsets[err.path + 1]
+    one = engine.fixed_jump_batch(jb.extract_path(err.path), t, 1)
+    clock = ClockSpec.cap_at_first_passage(default_level_R(spec, t))
+    increments = clock.increments(one)
+    dWb = clock.beta_marks(one.sizes, increments, dW[lo:hi], None)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as replay:
+        engine.flow_batch(x, v, field, one, dW[lo:hi], 100, dWb, increments.d_beta)
+    assert (replay.value.s, replay.value.path) == (err.s, 0)
 
 
 def test_map_batches_names_the_batch_of_a_blow_up():
