@@ -246,13 +246,16 @@ def fixed_batch(path: JumpPath, t: float, d: int, seed: int, bi: int, count):
     return jb, engine.sample_mark_batch(jb, d, rng), rng
 
 
-def _weighted_worker(x, v, f, field, substeps_per_unit, antithetic, collect_samples, draw):
+def _weighted_worker(x, v, f, field, clock, substeps_per_unit, antithetic, collect_samples, draw):
     """The per-batch worker of both weighted estimators.
 
-    draw(bi, count) returns one batch's (jumps, marks, beta-weighted marks,
-    ClockIncrements, counters); the worker flows the batch, which sums the
-    weight terms, and splits f(X_t) * weight into its three parts. Paths with
-    a normalizer that is not positive are rejected. With antithetic each
+    draw(bi, count) returns one batch's (jumps, marks, increments, aux):
+    increments(block) gives a row block's ClockIncrements and aux is what
+    clock.beta_marks reads for the auxiliary normals. Over row blocks of the
+    batch (engine.over_row_blocks) the worker forms the increments and the
+    beta-weighted marks and flows the block, which sums the weight terms;
+    it then splits f(X_t) * weight into its three parts. Paths with a
+    normalizer that is not positive are rejected. With antithetic each
     sample is the average over a sign flip of every Gaussian, which negates
     both marks. Batches keep their per-path rows for _with_sample_rows only
     when collect_samples, checked here before any batch runs, asks for rows.
@@ -260,27 +263,37 @@ def _weighted_worker(x, v, f, field, substeps_per_unit, antithetic, collect_samp
     keep_rows = checked_integer("collect_samples", collect_samples, minimum=0) > 0
 
     def worker(bi: int, start: int, count: int):
-        jb, dW, dWb, clock, counters = draw(bi, count)
-        reject = clock.normalizer <= 0.0
-        safe = np.where(reject, 1.0, clock.normalizer)
+        jb, dW, increments, aux = draw(bi, count)
+        # a whole-batch re-flow after a blow-up reads the auxiliary normals from their start
+        restart = None if aux is None else aux.bit_generator.state
 
-        def weighted_pass(dW, dWb):
-            X, _, *I, sup_g = engine.flow_batch(
-                x, v, field, jb, dW, substeps_per_unit, dWb, clock.d_beta)
-            return engine.evaluate_observable(f, X, bi), *I, sup_g
+        def stage(block, dW):
+            if block is jb and restart is not None:
+                aux.bit_generator.state = restart
+            inc = increments(block)
+            dWb = clock.beta_marks(block.sizes, inc, dW, aux)
+            X, _, *I = engine.flow_batch(x, v, field, block, dW, substeps_per_unit, dWb, inc.d_beta)
+            if not antithetic:
+                return X, *I, inc.normalizer, inc.cap
+            X2, _, *K = engine.flow_batch(x, v, field, block, -dW, substeps_per_unit, -dWb, inc.d_beta)
+            return X, *I, inc.normalizer, inc.cap, X2, *K
 
-        fv, I1, I2, I3, sup_g = weighted_pass(dW, dWb)
+        X, I1, I2, I3, sup_g, normalizer, cap, *flipped = engine.over_row_blocks(jb, dW, stage)
+        reject = normalizer <= 0.0
+        safe = np.where(reject, 1.0, normalizer)
+        fv = engine.evaluate_observable(f, X, bi)
         terms = [fv * I / safe for I in (I1, I2, I3)]
         if antithetic:
-            fv2, *K, sup_g2 = weighted_pass(-dW, -dWb)
+            X2, *K, sup_g2 = flipped
+            fv2 = engine.evaluate_observable(f, X2, bi)
             terms = [0.5 * (a + fv2 * k / safe) for a, k in zip(terms, K)]
             sup_g = np.maximum(sup_g, sup_g2)
         t1, t2, t3 = terms
         return {
             "samples": {"y": t1 - t2 + t3, "t1": t1, "t2": t2, "t3": t3, "sup_g": sup_g},
             "reject": reject,
-            "counters": counters,
-            "rows": (start, fv, I1, I2, I3, clock.normalizer, reject) if keep_rows else None,
+            "counters": {"jumps": int(jb.total), "capped": int(np.isfinite(cap).sum())},
+            "rows": (start, fv, I1, I2, I3, normalizer, reject) if keep_rows else None,
         }
 
     return worker
@@ -350,12 +363,10 @@ def estimate_gradient(
     clock = ClockSpec.cap_at_first_passage(R)
 
     def draw(bi: int, count: int):
-        jb, dW = stable_batch(spec, t, eps_cut, x.size, seed, bi, count)
-        increments = clock.increments(jb)
-        counters = {"jumps": int(jb.total), "capped": int(np.isfinite(increments.cap).sum())}
-        return jb, dW, clock.beta_marks(jb.sizes, increments, dW, None), increments, counters
+        return *stable_batch(spec, t, eps_cut, x.size, seed, bi, count), clock.increments, None
 
-    worker = _weighted_worker(x, v, f, field, substeps_per_unit, antithetic, collect_samples, draw)
+    worker = _weighted_worker(
+        x, v, f, field, clock, substeps_per_unit, antithetic, collect_samples, draw)
     run = engine.run_batches(n_paths, workers, worker)
     frac = run.n_rejected / n_paths
     diagnostics = {
@@ -404,12 +415,14 @@ def estimate_gradient_fixed_clock(
     if normalizer <= 0:
         raise ValueError("beta(ell_t) must be positive for the fixed-clock estimator")
 
+    def tiled(block: engine.JumpBatch) -> ClockIncrements:
+        return ClockIncrements._make(np.tile(a, block.n) for a in increments)
+
     def draw(bi: int, count: int):
         jb, dW, rng = fixed_batch(path, t, d, seed, bi, count)
-        tiled = ClockIncrements._make(np.tile(a, count) for a in increments)
-        return jb, dW, clock.beta_marks(jb.sizes, tiled, dW, rng), tiled, {}
+        return jb, dW, tiled, rng
 
-    worker = _weighted_worker(x, v, f, field, substeps_per_unit, False, collect_samples, draw)
+    worker = _weighted_worker(x, v, f, field, clock, substeps_per_unit, False, collect_samples, draw)
     run = engine.run_batches(n_paths, workers, worker)
     diagnostics = {
         "rejection_fraction": 0.0,

@@ -20,6 +20,15 @@ Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 offsets. The sampler sorts each path's times alone and leaves the i.i.d.
 sizes in draw order, so a path's k-th jump in time has its k-th size drawn.
 
+Memory: a batch's draws (counts, times, sizes, marks) stay batch-wide,
+drawn in stream order. Everything after them, the clock increments, the
+beta-weighted marks and the flow, runs one row block at a time
+(over_row_blocks): consecutive paths holding at most JUMP_BLOCK jumps, or
+one path with more. Each of those operations is per path, so the blocks
+give the whole batch's bits; only their per-path outputs are joined, before
+the observable and the reduction. A BlowUpError in a block re-flows the
+whole batch, which raises the error an unblocked run raises.
+
 The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
 or one jump. The substep runs on the whole column-major state, the rows
@@ -93,6 +102,7 @@ __all__ = [
     "path_cumulatives",
     "first_passage_levels",
     "weight_terms",
+    "over_row_blocks",
     "map_batches",
     "RunningStats",
     "BatchRun",
@@ -102,9 +112,14 @@ __all__ = [
 
 BATCH_SIZE = 1 << 15
 
-# The jump sampler's sort and the drift-free flow work through a batch this
-# many paths at a time, which bounds their scratch arrays for any batch size.
+# The jump sampler's sort works through a batch this many paths at a time,
+# which bounds its scratch arrays for any batch size.
 ROW_BLOCK = 4096
+
+# Everything after a batch's draws (clock increments, beta-weighted marks,
+# flow) runs over row blocks of at most this many jumps (over_row_blocks);
+# a path with more is a block of its own.
+JUMP_BLOCK = 1 << 18
 
 # Stream purposes (second label of a substream key).
 PURPOSE_JUMPS = 1
@@ -189,8 +204,9 @@ def sample_jump_batch(
         raise ValueError("horizon must be nonnegative")
     counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n).astype(np.int64)
     total = int(counts.sum())
-    times = horizon - rng.uniform(0.0, horizon, size=total)
-    sizes = _pareto_sizes(alpha, eps_cut, 1.0 - rng.uniform(size=total))
+    times = rng.uniform(0.0, horizon, size=total)
+    np.subtract(horizon, times, out=times)
+    sizes = _pareto_sizes(alpha, eps_cut, rng.uniform(size=total))
     offsets = np.concatenate(([0], np.cumsum(counts)))
     if total > 1:
         _sort_rows(times, counts, offsets)
@@ -231,7 +247,8 @@ def fixed_jump_batch(path: JumpPath, t: float, n: int) -> JumpBatch:
 def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian jump marks dW ~ N(0, size * I_d), one row per jump in flat batch order."""
     z = rng.standard_normal((batch.total, d))
-    z *= np.sqrt(batch.sizes)[:, None]
+    for lo in range(0, batch.total, JUMP_BLOCK):
+        z[lo:lo + JUMP_BLOCK] *= np.sqrt(batch.sizes[lo:lo + JUMP_BLOCK])[:, None]
     return z
 
 
@@ -263,8 +280,11 @@ def _dsigma(field: CoefficientField, s, x, u):
 
 
 def _stage(y, c, k):
-    """y + c * k for an RK4 stage, built in one fresh array (k is never written)."""
-    out = c * k
+    """y + c * k for an RK4 stage, built in a fresh array of y's layout (k is never written).
+
+    So every stage hands b and jvp_b the state's own layout, whatever layout b returns.
+    """
+    out = np.multiply(c, k, out=np.empty_like(y))
     out += y
     return out
 
@@ -361,42 +381,36 @@ def _rk4_pass(field, X, Jv, s0, k, h, stepping):
 def _drift_free_flow(x0, v, field, batch, dW, dWb):
     """flow_batch for b == 0 and constant sigma, where each state is x0 plus a running sum.
 
-    The increments are the event loop's products sigma(s, .) dW. Per block
-    of ROW_BLOCK paths, a cumulative sum along each row of a zero-padded
-    (rows, kmax + 1, d) array whose column 0 is x0 adds them in jump order,
-    as the loop's jump rounds do, so column c holds the state after a
-    path's c-th jump. J v stays v, so only I1 is nonzero, and it needs no
-    left limit. Returns None when a state or a jump's c1 is not finite (a
-    non-finite v makes every c1 so): the event loop then flows the batch
-    again and raises its BlowUpError.
+    The increments are the event loop's products sigma(s, .) dW. A
+    cumulative sum along each row of a zero-padded (n, kmax + 1, d) array
+    whose column 0 is x0 adds them in jump order, as the loop's jump rounds
+    do, so column c holds the state after a path's c-th jump; the estimators
+    hand it row blocks of at most JUMP_BLOCK jumps (over_row_blocks). J v
+    stays v, so only I1 is nonzero, and it needs no left limit. Returns None
+    when a state or a jump's c1 is not finite (a non-finite v makes every c1
+    so): the event loop then flows the batch again and raises its
+    BlowUpError.
     """
-    n, d = batch.n, x0.shape[0]
-    X = np.empty((n, d))
-    v, I1 = (None, None) if v is None else (np.asarray(v, dtype=float), np.zeros(n))
-    for r0 in range(0, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        lo, hi = batch.offsets[r0], batch.offsets[r1]
-        c = batch.counts[r0:r1]
-        real = np.arange(c.max()) < c[:, None]
-        states = np.zeros((r1 - r0, real.shape[1] + 1, d))
-        states[:, 0] = x0
-        # sigma does not depend on the state, so x0 stands in for it
-        x = np.broadcast_to(x0, (hi - lo, d))
-        if hi > lo:
-            Sg = field.sigma(batch.times[lo:hi], x)
-            states[:, 1:][real] = np.einsum("mij,mj->mi", np.ascontiguousarray(Sg, dtype=float), dW[lo:hi])
-        np.cumsum(states, axis=1, out=states)
-        if not np.isfinite(states).all():
-            return None
-        X[r0:r1] = states[np.arange(r1 - r0), c]
-        if v is not None:
-            j = np.tile(v, (hi - lo, 1))
-            c1 = weight_terms(field, batch.times[lo:hi], x, j, None, None, dWb[lo:hi], None)[0]
-            if not np.isfinite(c1).all():
-                return None
-            I1[r0:r1] = np.bincount(np.repeat(np.arange(r1 - r0), c), weights=c1, minlength=r1 - r0)
+    n, d, c = batch.n, x0.shape[0], batch.counts
+    real = np.arange(c.max(initial=0)) < c[:, None]
+    states = np.zeros((n, real.shape[1] + 1, d))
+    states[:, 0] = x0
+    # sigma does not depend on the state, so x0 stands in for it
+    x = np.broadcast_to(x0, (batch.total, d))
+    if batch.total:
+        Sg = field.sigma(batch.times, x)
+        states[:, 1:][real] = np.einsum("mij,mj->mi", np.ascontiguousarray(Sg, dtype=float), dW)
+    np.cumsum(states, axis=1, out=states)
+    if not np.isfinite(states).all():
+        return None
+    X = states[np.arange(n), c]
     if v is None:
         return X, None, None, None, None, np.zeros(n)
+    v = np.asarray(v, dtype=float)
+    c1 = weight_terms(field, batch.times, x, np.tile(v, (batch.total, 1)), None, None, dWb, None)[0]
+    if not np.isfinite(c1).all():
+        return None
+    I1 = np.bincount(np.repeat(np.arange(n), c), weights=c1, minlength=n)
     Jv = np.tile(v, (n, 1))
     # the loop's running sup, from its start to its row-major end
     sup_g = np.maximum(_initial_sup(v, n), np.einsum("mi,mi->m", Jv, Jv))
@@ -556,12 +570,12 @@ def first_passage_levels(batch: JumpBatch, ell_post: np.ndarray, R: float) -> np
     """Flat index of each path's first jump with ell_post >= R, -1 when R is not reached."""
     if not R > 0:
         raise ValueError("the passage level R must be positive")
-    M = batch.total
-    # M is past every path's last jump; min-reducing the candidates over each
-    # path's slice leaves an index inside the slice only if the path crosses
-    # (an empty path's slice reads its successor's first candidate, never its own)
-    cand = np.append(np.where(ell_post >= R, np.arange(M), M), M)
-    first = np.minimum.reduceat(cand, batch.offsets[:-1])
+    # ell_post is nondecreasing within a path, so its count of jumps below R
+    # is the crossing's position in the path
+    first = batch.offsets[:-1].copy()
+    jumped = batch.counts > 0
+    if jumped.any():
+        first[jumped] += np.add.reduceat(ell_post < R, first[jumped], dtype=np.int64)
     return np.where(first < batch.offsets[1:], first, -1)
 
 
@@ -582,6 +596,40 @@ def weight_terms(field: CoefficientField, s, x, j, dir_s, dw, dwb, d_beta):
     c2 = np.einsum("mii->m", A) * d_beta
     c3 = np.einsum("mi,mi->m", np.einsum("mik,mk->mi", A, dwb), dw)
     return c1, c2, c3
+
+
+def _row_blocks(batch: JumpBatch, dW: np.ndarray):
+    """Consecutive row blocks of at most JUMP_BLOCK jumps (one path at least), each
+    (JumpBatch view with offsets rebased to 0, its slice of dW)."""
+    offsets, r0 = batch.offsets, 0
+    while r0 < batch.n:
+        lo = offsets[r0]
+        r1 = max(int(np.searchsorted(offsets, lo + JUMP_BLOCK, side="right")) - 1, r0 + 1)
+        hi = offsets[r1]
+        yield JumpBatch(r1 - r0, batch.horizon, batch.counts[r0:r1], offsets[r0:r1 + 1] - lo,
+                        batch.times[lo:hi], batch.sizes[lo:hi]), dW[lo:hi]
+        r0 = r1
+
+
+def over_row_blocks(batch: JumpBatch, dW: np.ndarray, stage):
+    """stage(block, dW_block) over the batch's row blocks, its per-path outputs joined.
+
+    stage returns a tuple of per-path arrays, each of which is concatenated
+    over the blocks in row order. A block holds at most JUMP_BLOCK jumps, so
+    the stage's per-jump arrays stay that small for any batch; a batch
+    within the budget is its own only block. Every operation of a stage is
+    per path, so the outputs have the bits of stage(batch, dW). A
+    BlowUpError in a block runs stage(batch, dW) instead, which raises the
+    unblocked run's error: the path the whole batch's flow reaches first may
+    sit in a later block.
+    """
+    if batch.total <= JUMP_BLOCK:
+        return stage(batch, dW)
+    try:
+        parts = [stage(block, dW_block) for block, dW_block in _row_blocks(batch, dW)]
+    except BlowUpError:
+        return stage(batch, dW)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def map_batches(n_total: int, workers: int, worker_fn):

@@ -130,10 +130,14 @@ def dropped_mass_rate(alpha: float, eps: float) -> float:
     return rho * eps ** (1.0 - rho) / ((1.0 - rho) * math.gamma(1.0 - rho))
 
 
-def _pareto_sizes(alpha: float, eps_cut: float, unit_uniforms: np.ndarray) -> np.ndarray:
-    # P(size > y) = (y / eps_cut) ** (-alpha/2) for y >= eps_cut; the map below
-    # needs uniforms in (0, 1], never 0.
-    return eps_cut * unit_uniforms ** (-2.0 / alpha)
+def _pareto_sizes(alpha: float, eps_cut: float, uniforms: np.ndarray) -> np.ndarray:
+    """eps_cut * (1 - u) ** (-2 / alpha) for uniforms u in [0, 1), formed in their own buffer."""
+    # P(size > y) = (y / eps_cut) ** (-alpha/2) for y >= eps_cut; 1 - u lies
+    # in (0, 1], never 0
+    np.subtract(1.0, uniforms, out=uniforms)
+    uniforms **= -2.0 / alpha
+    uniforms *= eps_cut
+    return uniforms
 
 
 def sample_terminal_values(
@@ -155,7 +159,7 @@ def sample_terminal_values(
     checked_jump_intensity(alpha, eps_cut, horizon)
     counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n)
     total = int(counts.sum())
-    sizes = _pareto_sizes(alpha, eps_cut, 1.0 - rng.uniform(size=total))
+    sizes = _pareto_sizes(alpha, eps_cut, rng.uniform(size=total))
     path_id = np.repeat(np.arange(n), counts)
     values = np.bincount(path_id, weights=sizes, minlength=n)
     if compensate_small_jumps:

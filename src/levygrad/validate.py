@@ -90,7 +90,8 @@ def estimate_pt(
 
     def worker(bi: int, start: int, count: int):
         jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
-        X = engine.flow_batch(x, None, field, jb, dW, substeps_per_unit)[0]
+        (X,) = engine.over_row_blocks(jb, dW, lambda block, dW: (
+            engine.flow_batch(x, None, field, block, dW, substeps_per_unit)[0],))
         return {
             "samples": {"y": engine.evaluate_observable(f, X, bi)},
             "counters": {"jumps": int(jb.total)},
@@ -187,8 +188,8 @@ def fd_gradient(
 
     def worker(bi: int, start: int, count: int):
         jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
-        Xp = engine.flow_batch(xp, None, field, jb, dW, substeps_per_unit)[0]
-        Xm = engine.flow_batch(xm, None, field, jb, dW, substeps_per_unit)[0]
+        Xp, Xm = engine.over_row_blocks(jb, dW, lambda block, dW: tuple(
+            engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0] for x0 in (xp, xm)))
         fp = engine.evaluate_observable(f, Xp, bi)
         fm = engine.evaluate_observable(f, Xm, bi)
         return {"samples": {"y": (fp - fm) / (2.0 * h_val)}, "counters": {"jumps": int(jb.total)}}
@@ -312,7 +313,8 @@ def counterexample_moments(
 
     def jump_worker(bi: int, start: int, count: int):
         jb, dW, _ = fixed_batch(path, 1.0, 1, seed, bi, count)
-        X = engine.flow_batch(x0, None, field, jb, dW, 100)[0]
+        (X,) = engine.over_row_blocks(jb, dW, lambda block, dW: (
+            engine.flow_batch(x0, None, field, block, dW, 100)[0],))
         return {"samples": {"y": np.einsum("ni,ni->n", X, X)}}
 
     jump_moment = engine.run_batches(n_paths, workers, jump_worker).result(

@@ -328,6 +328,25 @@ def test_drift_of_one_row_broadcasts_over_the_paths():
     np.testing.assert_allclose(X[0], X0 + b, rtol=1e-14)
 
 
+def test_rk4_stages_hand_b_the_states_layout():
+    # b and jvp_b return row-major arrays; each RK4 stage must still hand
+    # them the state's own column-major layout, as stage 1 does
+    B = 0.3 * np.ones((3, 3)) - 1.3 * np.eye(3)
+    layouts = []
+
+    def spy(name, a):
+        layouts.append((name, a.flags.f_contiguous, a.flags.c_contiguous))
+        return np.ascontiguousarray(np.asarray(a) @ B)
+
+    field = dataclasses.replace(
+        BM3, b=lambda t, x: spy("b", x), jvp_b=lambda t, x, u: spy("jvp_b", u), drift_rate=None)
+    batch = sample_jump_batch(1.5, 0.5, 3e-2, 20, substream(5, engine.PURPOSE_JUMPS, 0))
+    dW = engine.sample_mark_batch(batch, 3, substream(5, engine.PURPOSE_MARKS, 0))
+    flow_batch(X3, V3, field, batch, dW, 10, dW, batch.sizes)
+    assert {name for name, *_ in layouts} == {"b", "jvp_b"} and len(layouts) >= 8
+    assert all(f and not c for _, f, c in layouts), layouts[:8]
+
+
 def _float_bits(*values):
     """float64s from their IEEE bit patterns (a NaN keeps its payload)."""
     return np.array(values, dtype=np.uint64).view(np.float64)

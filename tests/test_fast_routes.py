@@ -3,11 +3,16 @@ and the exact flow of a linear drift.
 
 sample_jump_batch sorts each path's times, ROW_BLOCK paths at a time, and
 leaves the sizes in draw order. flow_batch takes a closed form when b == 0
-and sigma is constant. Both promise the floats of another route: a stable
-lexsort of the times by (path, time) with the sizes in draw order and tied
-times merged, and the event loop. A field with a nonzero drift_rate r is
-scaled by exp(-r h) between jumps; that promises the flow of b = -r x, which
-RK4 at fine steps and, on ou_additive, the Gaussian sum approach.
+and sigma is constant, over whatever batch it is handed: the estimators
+hand it row blocks of at most engine.JUMP_BLOCK jumps (tests/test_row_blocks.py
+checks those against whole batches), and the tests below hand it whole
+batches. Both promise the floats of another route: a stable lexsort of the
+times by (path, time) with the sizes in draw order and tied times merged,
+and the event loop, which also names the path of a blow-up, since the
+closed form hands a batch that goes non-finite back to it. A field with a
+nonzero drift_rate r is scaled by exp(-r h) between jumps; that promises
+the flow of b = -r x, which RK4 at fine steps and, on ou_additive, the
+Gaussian sum approach.
 """
 
 import dataclasses
@@ -245,7 +250,7 @@ def _blow_up(field, x0, v, batch, dW):
 def test_blow_up_names_the_same_time_and_path(with_v):
     # path 0 overflows at its 3rd jump, paths 2 and 3 at their 2nd, path 4
     # never: the loop stops in round 1, at its lowest path (2). Path
-    # ROW_BLOCK + 1 sits in the second block and overflows in round 1 too.
+    # ROW_BLOCK + 1, far down the batch, overflows in round 1 too.
     huge = 1e308
     plan = {0: [0.0, 0.0, huge], 1: [0.0], 2: [0.0, huge, 0.0], 3: [1.0, huge], 4: [0.0, 0.0],
             ROW_BLOCK + 1: [0.0, huge]}
@@ -270,9 +275,10 @@ def test_blow_up_names_the_same_time_and_path(with_v):
 
 def test_blow_up_parity_on_a_sampled_batch():
     # near the float range every path's walk may overflow, in any round. The
-    # closed form names the first bad jump round's lowest path, as the loop
-    # without drift does, whose passes are jump rounds; with drift the loop's
-    # passes follow RK4 substep counts, which may reach another path first.
+    # closed form hands the batch back to the loop without drift, which names
+    # the first bad jump round's lowest path, as the same loop with a
+    # state-dependent sigma does; with drift the loop's passes follow RK4
+    # substep counts, which may reach another path first.
     field = catalog("additive_identity", 1)
     loop_field = dataclasses.replace(field, sigma_is_constant=False)
     x0, v = np.array([1.7e308]), np.ones(1)
@@ -284,8 +290,9 @@ def test_blow_up_parity_on_a_sampled_batch():
 
 
 def test_non_finite_v_stops_at_the_first_jump_round():
-    # as the drift-free loop's first jump round did: path 0 has no jump. (The
-    # loop with drift stops earlier, in its first RK4 substep of J v.)
+    # the closed form hands the batch back to the drift-free loop, whose
+    # first jump round names the first path with a jump (path 0 has none).
+    # (The loop with drift stops earlier, in its first RK4 substep of J v.)
     batch = _edge_batch(20)
     dW = engine.sample_mark_batch(batch, 1, substream(8, engine.PURPOSE_MARKS, 0))
     field = catalog("additive_identity", 1)
