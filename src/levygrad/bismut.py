@@ -34,8 +34,8 @@ jump's (d_beta, d_lambda) and each path's normalizer, mark_law each jump's
 (r, c) with dW^beta = r dW + c Z (Z an independent normal), and beta_marks
 forms dW^beta. Both estimators here and the isometry and truncation checks
 in validate read beta only through it. Each estimator forms dW^beta once
-per batch; engine.flow_batch sums I1, I2 and I3 at each jump's left limit
-as it applies the jump.
+per row block of a batch (engine.over_row_blocks); engine.flow_batch sums
+I1, I2 and I3 at each jump's left limit as it applies the jump.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ ROW_BLOCK = 4096
 # Everything after a batch's draws (clock increments, beta-weighted marks,
 # flow) runs over row blocks of at most this many jumps (over_row_blocks);
 # a path with more is a block of its own.
-JUMP_BLOCK = 1 << 18
+JUMP_BLOCK = 1 << 19
 
 # Stream purposes (second label of a substream key).
 PURPOSE_JUMPS = 1
