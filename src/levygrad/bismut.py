@@ -186,19 +186,16 @@ class ClockSpec:
     def beta_marks(self, sizes, increments: ClockIncrements, dW, aux):
         """Each jump's mark dW^beta = r dW + c aux by mark_law.
 
-        aux holds the auxiliary normals, shaped like dW, or is the generator
-        that draws them, which is then read only when some c > 0. Under the
-        cap clock mark_law gives r exactly 1 or 0 and c = 0, so keeping or
-        zeroing each mark gives the same bits at a quarter of the cost; aux is
-        then never read and may be None.
+        aux holds the auxiliary normals, shaped like dW; it is read only when
+        some c > 0. Under the cap clock mark_law gives r exactly 1 or 0 and
+        c = 0, so keeping or zeroing each mark gives the same bits at a
+        quarter of the cost; aux is then never read and may be None.
         """
         if self.kind == "cap_at_first_passage":
             return (increments.d_beta > 0.0)[:, None] * dW
         ratio, c = self.mark_law(sizes, increments)
         dWb = ratio[:, None] * dW
         if np.any(c > 0.0):
-            if isinstance(aux, np.random.Generator):
-                aux = aux.standard_normal(dW.shape)
             dWb = dWb + c[:, None] * aux
         return dWb
 
@@ -234,25 +231,34 @@ def stable_batch(spec: BernsteinSpec, t: float, eps_cut: float, d: int, seed: in
     return jb, engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
 
 
-def fixed_batch(path: JumpPath, t: float, d: int, seed: int, bi: int, count):
-    """Batch bi of one fixed jump path (jumps up to t): jumps, marks and the marks' stream.
+def _clock_diagnostics(run: engine.BatchRun, spec: BernsteinSpec, eps: float, t: float) -> dict:
+    """The truncated clock a stable_batch run sampled: its cutoff, jumps per path, dropped mass."""
+    return {
+        "mean_jump_count": run.counters["jumps"] / run.n_samples,
+        "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps) * t,
+        "eps_cut": eps,
+    }
 
-    The auxiliary normals, the Z of ClockSpec.mark_law, come from the marks'
-    stream right after the marks, as rng.standard_normal(marks.shape), drawn
-    only by a reader that needs them.
+
+def fixed_batch(path: JumpPath, t: float, d: int, seed: int, bi: int, count):
+    """Batch bi of one fixed jump path (jumps up to t): jumps, marks and auxiliary normals.
+
+    The auxiliary normals, the Z of ClockSpec.mark_law, are shaped like the
+    marks and drawn from the marks' stream right after them.
     """
     jb = engine.fixed_jump_batch(path, t, count)
     rng = substream(seed, engine.PURPOSE_MARKS, bi)
-    return jb, engine.sample_mark_batch(jb, d, rng), rng
+    dW = engine.sample_mark_batch(jb, d, rng)
+    return jb, dW, rng.standard_normal(dW.shape)
 
 
 def _weighted_worker(x, v, f, field, clock, substeps_per_unit, antithetic, collect_samples, draw):
     """The per-batch worker of both weighted estimators.
 
-    draw(bi, count) returns one batch's (jumps, marks, increments, aux):
-    increments(block) gives a row block's ClockIncrements and aux is what
-    clock.beta_marks reads for the auxiliary normals. Over row blocks of the
-    batch (engine.over_row_blocks) the worker forms the increments and the
+    draw(bi, count) returns one batch's (jumps, marks, aux), aux being the
+    auxiliary normals clock.beta_marks reads, or None for a clock that reads
+    none. Over row blocks of the batch (engine.over_row_blocks, which slices
+    the marks and aux) the worker forms the clock increments and the
     beta-weighted marks and flows the block, which sums the weight terms;
     it then splits f(X_t) * weight into its three parts. Paths with a
     normalizer that is not positive are rejected. With antithetic each
@@ -263,14 +269,10 @@ def _weighted_worker(x, v, f, field, clock, substeps_per_unit, antithetic, colle
     keep_rows = checked_integer("collect_samples", collect_samples, minimum=0) > 0
 
     def worker(bi: int, start: int, count: int):
-        jb, dW, increments, aux = draw(bi, count)
-        # a whole-batch re-flow after a blow-up reads the auxiliary normals from their start
-        restart = None if aux is None else aux.bit_generator.state
+        jb, dW, aux = draw(bi, count)
 
-        def stage(block, dW):
-            if block is jb and restart is not None:
-                aux.bit_generator.state = restart
-            inc = increments(block)
+        def stage(block, dW, aux):
+            inc = clock.increments(block)
             dWb = clock.beta_marks(block.sizes, inc, dW, aux)
             X, _, *I = engine.flow_batch(x, v, field, block, dW, substeps_per_unit, dWb, inc.d_beta)
             if not antithetic:
@@ -278,19 +280,18 @@ def _weighted_worker(x, v, f, field, clock, substeps_per_unit, antithetic, colle
             X2, _, *K = engine.flow_batch(x, v, field, block, -dW, substeps_per_unit, -dWb, inc.d_beta)
             return X, *I, inc.normalizer, inc.cap, X2, *K
 
-        X, I1, I2, I3, sup_g, normalizer, cap, *flipped = engine.over_row_blocks(jb, dW, stage)
+        X, I1, I2, I3, normalizer, cap, *flipped = engine.over_row_blocks(jb, stage, dW, aux)
         reject = normalizer <= 0.0
         safe = np.where(reject, 1.0, normalizer)
         fv = engine.evaluate_observable(f, X, bi)
         terms = [fv * I / safe for I in (I1, I2, I3)]
         if antithetic:
-            X2, *K, sup_g2 = flipped
+            X2, *K = flipped
             fv2 = engine.evaluate_observable(f, X2, bi)
             terms = [0.5 * (a + fv2 * k / safe) for a, k in zip(terms, K)]
-            sup_g = np.maximum(sup_g, sup_g2)
         t1, t2, t3 = terms
         return {
-            "samples": {"y": t1 - t2 + t3, "t1": t1, "t2": t2, "t3": t3, "sup_g": sup_g},
+            "samples": {"y": t1 - t2 + t3, "t1": t1, "t2": t2, "t3": t3},
             "reject": reject,
             "counters": {"jumps": int(jb.total), "capped": int(np.isfinite(cap).sum())},
             "rows": (start, fv, I1, I2, I3, normalizer, reject) if keep_rows else None,
@@ -305,7 +306,6 @@ def _term_diagnostics(run: engine.BatchRun) -> dict:
         "term_I1_mean": c["t1"].mean,
         "term_I2_mean": c["t2"].mean,
         "term_I3_mean": c["t3"].mean,
-        "sup_grad_sq_mean": c["sup_g"].mean,
     }
 
 
@@ -362,18 +362,15 @@ def estimate_gradient(
         R = default_level_R(spec, t)
     clock = ClockSpec.cap_at_first_passage(R)
 
-    def draw(bi: int, count: int):
-        return *stable_batch(spec, t, eps_cut, x.size, seed, bi, count), clock.increments, None
-
     worker = _weighted_worker(
-        x, v, f, field, clock, substeps_per_unit, antithetic, collect_samples, draw)
+        x, v, f, field, clock, substeps_per_unit, antithetic, collect_samples,
+        lambda bi, count: (*stable_batch(spec, t, eps_cut, x.size, seed, bi, count), None))
     run = engine.run_batches(n_paths, workers, worker)
     frac = run.n_rejected / n_paths
     diagnostics = {
         "rejection_fraction": frac,
         "flagged_invalid": 1.0 if frac > REJECTION_FLAG_THRESHOLD else 0.0,
-        "mean_jump_count": run.counters["jumps"] / n_paths,
-        "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps_cut) * t,
+        **_clock_diagnostics(run, spec, eps_cut, t),
         "cap_fraction": run.counters["capped"] / n_paths,
         **_term_diagnostics(run),
         "level_R": clock.R,
@@ -410,19 +407,11 @@ def estimate_gradient_fixed_clock(
     x = checked_vector("x", x, d)
     v = checked_vector("v", v, d)
     one_path = engine.fixed_jump_batch(path, t, 1)
-    increments = clock.increments(one_path)
-    normalizer = float(increments.normalizer[0])
+    normalizer = float(clock.increments(one_path).normalizer[0])
     if normalizer <= 0:
         raise ValueError("beta(ell_t) must be positive for the fixed-clock estimator")
-
-    def tiled(block: engine.JumpBatch) -> ClockIncrements:
-        return ClockIncrements._make(np.tile(a, block.n) for a in increments)
-
-    def draw(bi: int, count: int):
-        jb, dW, rng = fixed_batch(path, t, d, seed, bi, count)
-        return jb, dW, tiled, rng
-
-    worker = _weighted_worker(x, v, f, field, clock, substeps_per_unit, False, collect_samples, draw)
+    worker = _weighted_worker(x, v, f, field, clock, substeps_per_unit, False, collect_samples,
+                              lambda bi, count: fixed_batch(path, t, d, seed, bi, count))
     run = engine.run_batches(n_paths, workers, worker)
     diagnostics = {
         "rejection_fraction": 0.0,

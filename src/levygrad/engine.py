@@ -20,14 +20,15 @@ Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 offsets. The sampler sorts each path's times alone and leaves the i.i.d.
 sizes in draw order, so a path's k-th jump in time has its k-th size drawn.
 
-Memory: a batch's draws (counts, times, sizes, marks) stay batch-wide,
-drawn in stream order. Everything after them, the clock increments, the
-beta-weighted marks and the flow, runs one row block at a time
-(over_row_blocks): consecutive paths holding at most JUMP_BLOCK jumps, or
-one path with more. Each of those operations is per path, so the blocks
-give the whole batch's bits; only their per-path outputs are joined, before
-the observable and the reduction. A BlowUpError in a block re-flows the
-whole batch, which raises the error an unblocked run raises.
+Memory: a batch's draws (counts, times, sizes, marks and any auxiliary
+normals) stay batch-wide, drawn in stream order. Everything after them, the
+clock increments, the beta-weighted marks and the flow, runs one row block
+at a time (over_row_blocks, which hands each block its rows of the draws):
+consecutive paths holding at most JUMP_BLOCK jumps, or one path with more.
+Each of those operations is per path, so the blocks give the whole batch's
+bits; only their per-path outputs are joined, before the observable and the
+reduction. A BlowUpError in a block re-flows the whole batch, which raises
+the error an unblocked run raises.
 
 The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
@@ -50,8 +51,7 @@ A path gets the same bits in any batch, alone included, so extract_path
 replays it. einsum's order of summing a row follows the memory layout,
 which numpy may give a one-row array, or a field's result for one row,
 differently; so the engine contracts only row-major arrays (copying a
-callable's matrices and J v where needed) and sums each path's starting
-|J v|^2 in index order (_initial_sup).
+callable's matrices and J v where needed).
 
 The flow also sums the weight, in the same sweep: weight_terms forms a
 jump's terms from the left limit and sigma's directional derivative that
@@ -335,14 +335,6 @@ def _segment_steps(times, nxt, stop, t: float, start, substeps_per_unit: int):
     return steps, h
 
 
-def _initial_sup(v, n: int) -> np.ndarray:
-    """Each of n paths' |v|^2 summed in index order, as einsum sums a column-major J v."""
-    sq = 0.0
-    for c in v:
-        sq += c * c
-    return np.full(n, sq)
-
-
 def _first_non_finite(*arrays):
     """Index of the first row that is not finite in one of the arrays (one row per path), else None."""
     arrays = [a for a in arrays if a is not None]
@@ -405,16 +397,13 @@ def _drift_free_flow(x0, v, field, batch, dW, dWb):
         return None
     X = states[np.arange(n), c]
     if v is None:
-        return X, None, None, None, None, np.zeros(n)
+        return X, None, None, None, None
     v = np.asarray(v, dtype=float)
     c1 = weight_terms(field, batch.times, x, np.tile(v, (batch.total, 1)), None, None, dWb, None)[0]
     if not np.isfinite(c1).all():
         return None
     I1 = np.bincount(np.repeat(np.arange(n), c), weights=c1, minlength=n)
-    Jv = np.tile(v, (n, 1))
-    # the loop's running sup, from its start to its row-major end
-    sup_g = np.maximum(_initial_sup(v, n), np.einsum("mi,mi->m", Jv, Jv))
-    return X, Jv, I1, np.zeros(n), np.zeros(n), sup_g
+    return X, np.tile(v, (n, 1)), I1, np.zeros(n), np.zeros(n)
 
 
 def flow_batch(
@@ -429,13 +418,12 @@ def flow_batch(
 ):
     """Evolve every path of the batch to its horizon t through its jumps, summing its weight.
 
-    Returns (X_final (n,d), Jv_final, I1, I2, I3, sup_grad_sq (n,)). The
-    weight inputs come exactly with v: each jump's beta-weighted mark dWb
-    (M,d) and clock increment d_beta (M,), in flat batch order. I1, I2 and
-    I3 sum weight_terms over each path's jumps in jump order; they and
-    Jv_final are None when v is None (a plain trajectory run). The running
-    sup of |grad_v X|^2 is recorded at jump and terminal times. t is
-    batch.horizon, the end of the interval the batch's jumps were drawn on.
+    Returns (X_final (n,d), Jv_final, I1, I2, I3). The weight inputs come
+    exactly with v: each jump's beta-weighted mark dWb (M,d) and clock
+    increment d_beta (M,), in flat batch order. I1, I2 and I3 sum
+    weight_terms over each path's jumps in jump order; they and Jv_final
+    are None when v is None (a plain trajectory run). t is batch.horizon,
+    the end of the interval the batch's jumps were drawn on.
 
     Each pass of the event loop gives every unfinished path its next event:
     one RK4 substep of the segment up to its next jump (or up to t), then,
@@ -447,7 +435,9 @@ def flow_batch(
     0) to t after the last round; r = 0 scales nothing. A field with r = 0
     and constant sigma takes the closed form instead (_drift_free_flow),
     with the loop's float operations, unless a state or weight term goes
-    non-finite: the loop then flows the batch and raises BlowUpError.
+    non-finite: the loop then flows the batch and raises BlowUpError. The
+    closed form pads the whole batch it is handed to its longest path, so
+    callers bound the batch with over_row_blocks.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None, d_beta is None) != (v is None, v is None):
@@ -464,7 +454,6 @@ def flow_batch(
     v = None if v is None else np.asarray(v, dtype=float)
     Jv = None if v is None else np.asfortranarray(np.tile(v, (n, 1)))
     I1, I2, I3 = (None, None, None) if Jv is None else (np.zeros(n), np.zeros(n), np.zeros(n))
-    sup_g = np.zeros(n) if v is None else _initial_sup(v, n)
     rk4 = rate is None
     scaled = bool(rate)  # a nonzero drift_rate: exact scaling between jumps
     nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
@@ -511,7 +500,6 @@ def flow_batch(
                 dir_s = _dsigma(field, s_jump, x, j)
                 j_new = j + np.einsum("mij,mj->mi", dir_s, dw)
             _put_rows(Jv, sel, j_new)
-            sup_g[sel] = np.maximum(sup_g[sel], np.einsum("mi,mi->m", j_new, j_new))
         _put_rows(X, sel, x_new)
         bad = _first_non_finite(x_new, j_new)
         if bad is not None:
@@ -544,8 +532,7 @@ def flow_batch(
             raise BlowUpError(t, path=bad)
     if Jv is not None:
         Jv = np.ascontiguousarray(Jv)
-        sup_g = np.maximum(sup_g, np.einsum("mi,mi->m", Jv, Jv))
-    return np.ascontiguousarray(X), Jv, I1, I2, I3, sup_g
+    return np.ascontiguousarray(X), Jv, I1, I2, I3
 
 
 def path_cumulatives(batch: JumpBatch):
@@ -598,37 +585,42 @@ def weight_terms(field: CoefficientField, s, x, j, dir_s, dw, dwb, d_beta):
     return c1, c2, c3
 
 
-def _row_blocks(batch: JumpBatch, dW: np.ndarray):
+def _row_blocks(batch: JumpBatch, *per_jump):
     """Consecutive row blocks of at most JUMP_BLOCK jumps (one path at least), each
-    (JumpBatch view with offsets rebased to 0, its slice of dW)."""
+    (JumpBatch view with offsets rebased to 0, *its slice of each per-jump array),
+    a None among them passed as is."""
     offsets, r0 = batch.offsets, 0
     while r0 < batch.n:
         lo = offsets[r0]
         r1 = max(int(np.searchsorted(offsets, lo + JUMP_BLOCK, side="right")) - 1, r0 + 1)
         hi = offsets[r1]
-        yield JumpBatch(r1 - r0, batch.horizon, batch.counts[r0:r1], offsets[r0:r1 + 1] - lo,
-                        batch.times[lo:hi], batch.sizes[lo:hi]), dW[lo:hi]
+        yield (JumpBatch(r1 - r0, batch.horizon, batch.counts[r0:r1], offsets[r0:r1 + 1] - lo,
+                         batch.times[lo:hi], batch.sizes[lo:hi]),
+               *(None if a is None else a[lo:hi] for a in per_jump))
         r0 = r1
 
 
-def over_row_blocks(batch: JumpBatch, dW: np.ndarray, stage):
-    """stage(block, dW_block) over the batch's row blocks, its per-path outputs joined.
+def over_row_blocks(batch: JumpBatch, stage, *per_jump):
+    """stage(block, *per_jump slices) over the batch's row blocks, its per-path outputs joined.
 
-    stage returns a tuple of per-path arrays, each of which is concatenated
-    over the blocks in row order. A block holds at most JUMP_BLOCK jumps, so
-    the stage's per-jump arrays stay that small for any batch; a batch
-    within the budget is its own only block. Every operation of a stage is
-    per path, so the outputs have the bits of stage(batch, dW). A
-    BlowUpError in a block runs stage(batch, dW) instead, which raises the
-    unblocked run's error: the path the whole batch's flow reaches first may
-    sit in a later block.
+    per_jump are arrays with one row per jump in flat batch order (marks,
+    auxiliary normals); each block gets its rows of each, and a None is
+    handed on unsliced. stage returns a tuple of per-path arrays, each of
+    which is concatenated over the blocks in row order. A block holds at
+    most JUMP_BLOCK jumps, so the stage's per-jump arrays stay that small
+    for any batch; a batch within the budget is its own only block. Every
+    operation of a stage is per path, so the outputs have the bits of
+    stage(batch, *per_jump). A BlowUpError in a block runs
+    stage(batch, *per_jump) instead, which raises the unblocked run's
+    error: the path the whole batch's flow reaches first may sit in a later
+    block.
     """
     if batch.total <= JUMP_BLOCK:
-        return stage(batch, dW)
+        return stage(batch, *per_jump)
     try:
-        parts = [stage(block, dW_block) for block, dW_block in _row_blocks(batch, dW)]
+        parts = [stage(*block) for block in _row_blocks(batch, *per_jump)]
     except BlowUpError:
-        return stage(batch, dW)
+        return stage(batch, *per_jump)
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

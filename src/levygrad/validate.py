@@ -17,7 +17,7 @@ import numpy as np
 
 from . import engine
 from .bismut import ClockSpec, checked_start, checked_vector, estimate_gradient
-from .bismut import fixed_batch, stable_batch
+from .bismut import _clock_diagnostics, fixed_batch, stable_batch
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, EstimatorResult, compare
 from .streams import substream
@@ -25,7 +25,6 @@ from .subordinator import (
     BernsteinSpec,
     JumpPath,
     default_eps_cut,
-    dropped_mass_rate,
     truncate_jumps,
 )
 
@@ -90,8 +89,8 @@ def estimate_pt(
 
     def worker(bi: int, start: int, count: int):
         jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
-        (X,) = engine.over_row_blocks(jb, dW, lambda block, dW: (
-            engine.flow_batch(x, None, field, block, dW, substeps_per_unit)[0],))
+        (X,) = engine.over_row_blocks(jb, lambda block, dW: (
+            engine.flow_batch(x, None, field, block, dW, substeps_per_unit)[0],), dW)
         return {
             "samples": {"y": engine.evaluate_observable(f, X, bi)},
             "counters": {"jumps": int(jb.total)},
@@ -99,15 +98,6 @@ def estimate_pt(
 
     run = engine.run_batches(n_paths, workers, worker)
     return run.result(_clock_diagnostics(run, spec, eps, t))
-
-
-def _clock_diagnostics(run: engine.BatchRun, spec: BernsteinSpec, eps: float, t: float) -> dict:
-    """The truncated clock a stable_batch run sampled: its cutoff, jumps per path, dropped mass."""
-    return {
-        "mean_jump_count": run.counters["jumps"] / run.n_samples,
-        "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps) * t,
-        "eps_cut": eps,
-    }
 
 
 def estimate_pt_power(
@@ -188,8 +178,8 @@ def fd_gradient(
 
     def worker(bi: int, start: int, count: int):
         jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
-        Xp, Xm = engine.over_row_blocks(jb, dW, lambda block, dW: tuple(
-            engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0] for x0 in (xp, xm)))
+        Xp, Xm = engine.over_row_blocks(jb, lambda block, dW: tuple(
+            engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0] for x0 in (xp, xm)), dW)
         fp = engine.evaluate_observable(f, Xp, bi)
         fm = engine.evaluate_observable(f, Xm, bi)
         return {"samples": {"y": (fp - fm) / (2.0 * h_val)}, "counters": {"jumps": int(jb.total)}}
@@ -313,8 +303,8 @@ def counterexample_moments(
 
     def jump_worker(bi: int, start: int, count: int):
         jb, dW, _ = fixed_batch(path, 1.0, 1, seed, bi, count)
-        (X,) = engine.over_row_blocks(jb, dW, lambda block, dW: (
-            engine.flow_batch(x0, None, field, block, dW, 100)[0],))
+        (X,) = engine.over_row_blocks(jb, lambda block, dW: (
+            engine.flow_batch(x0, None, field, block, dW, 100)[0],), dW)
         return {"samples": {"y": np.einsum("ni,ni->n", X, X)}}
 
     jump_moment = engine.run_batches(n_paths, workers, jump_worker).result(
@@ -352,9 +342,9 @@ def _mark_sum_squares(path: JumpPath, xi: np.ndarray, laws, n_paths: int, seed: 
     d, k = xi.size, path.times.size
 
     def worker(bi: int, start: int, count: int):
-        _, dW, rng = fixed_batch(path, path.horizon, d, seed, bi, count)
+        _, dW, aux = fixed_batch(path, path.horizon, d, seed, bi, count)
         u = (dW @ xi).reshape(count, k)
-        w = (rng.standard_normal(dW.shape) @ xi).reshape(count, k)
+        w = (aux @ xi).reshape(count, k)
         sums = (u @ r + w @ c for r, c in laws)
         return {"samples": {j: M * M for j, M in enumerate(sums)}}
 

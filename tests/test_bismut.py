@@ -20,7 +20,9 @@ from levygrad import (
     substream,
     tail_mass,
 )
-from levygrad.engine import fixed_jump_batch, path_cumulatives, sample_jump_batch
+from levygrad import engine
+from levygrad.bismut import fixed_batch
+from levygrad.engine import fixed_jump_batch, path_cumulatives, sample_jump_batch, sample_mark_batch
 from reference import (
     BismutWeight,
     PathRealization,
@@ -347,22 +349,27 @@ def test_clock_increments_match_one_path_reference(clock):
         assert kinds == {(True, True), (False, False), (False, True)}
 
 
-@pytest.mark.parametrize("clock, reads", [
-    (ClockSpec.cap_at_first_passage(1.3), False),
-    (ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]]), True),
+@pytest.mark.parametrize("clock", [
+    ClockSpec.cap_at_first_passage(1.3),
+    ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]]),
 ], ids=["cap", "piecewise"])
-def test_beta_marks_draw_the_auxiliary_normals_only_when_read(clock, reads):
+def test_beta_marks_read_the_auxiliary_normals_as_an_array(clock):
+    # fixed_batch draws the auxiliary normals from the marks' stream right after the marks
     path = JumpPath(1.0, np.array([0.1, 0.35, 0.6, 0.9]), np.array([0.4, 0.8, 0.3, 0.5]))
-    jb = fixed_jump_batch(path, 0.95, 50)
+    jb, dW, aux = fixed_batch(path, 0.95, 2, 4, 1, 50)
+    rng = substream(4, engine.PURPOSE_MARKS, 1)
+    assert np.array_equal(dW, sample_mark_batch(jb, 2, rng))
+    assert np.array_equal(aux, rng.standard_normal(dW.shape))
     increments = clock.increments(jb)
-    dW = np.random.default_rng(3).standard_normal((jb.total, 2))
-    rng = np.random.default_rng(4)
-    before = rng.bit_generator.state
-    marks = clock.beta_marks(jb.sizes, increments, dW, rng)
-    assert (rng.bit_generator.state != before) == reads
-    # a generator stands for the normals it draws next
-    aux = np.random.default_rng(4).standard_normal(dW.shape)
-    assert marks.tobytes() == clock.beta_marks(jb.sizes, increments, dW, aux).tobytes()
+    marks = clock.beta_marks(jb.sizes, increments, dW, aux)
+    ratio, c = clock.mark_law(jb.sizes, increments)
+    if clock.kind == "cap_at_first_passage":
+        # c = 0: the cap clock never reads them
+        assert marks.tobytes() == clock.beta_marks(jb.sizes, increments, dW, None).tobytes()
+    else:
+        # kinks inside the clock intervals: some c > 0
+        assert np.any(c > 0.0)
+        assert marks.tobytes() == (ratio[:, None] * dW + c[:, None] * aux).tobytes()
 
 
 def test_clock_validation():

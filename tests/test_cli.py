@@ -250,7 +250,10 @@ def test_lemma_tests_report(tmp_path):
 # simulate, gradient, antithetic and piecewise-clock reports and CSVs (every
 # pin on bounded_multiplicative) were recorded again once, each mean within
 # 1.1e-11, when the catalog's linear drift came to be flowed exactly between
-# jumps instead of by RK4.
+# jumps instead of by RK4. The gradient, antithetic, piecewise-clock and
+# validate-bound reports were recorded again once, every number kept, when
+# the gradient diagnostics lost sup_grad_sq_mean and the stable-clock ones
+# gained eps_cut.
 
 
 def pin_config(**changes):
@@ -285,13 +288,13 @@ PINNED = {
     "gradient": (
         "gradient",
         pin_config(),
-        "4fd8a6937234b93dde236bb6622c573c377cac9417826f0bc7ed0af5c6bc7656",
+        "9a6e478fa6abaa9e04a559ee7f0bb01c35126094ff46a17536bdda5e921ede8e",
         None,
     ),
     "gradient antithetic R csv": (
         "gradient",
         pin_config(antithetic=True, R=0.8, emit_samples=True, samples_path="samples.csv"),
-        "6eea817e7e8c50972e5d6e8bfae8c3dca169c9e3f7821b8b6b6b1b5970364d0a",
+        "013aaf13aefb9e5d95e25d4c1b5737fb9ccde73118c3525fa3decc4dc67b668b",
         "340665b971e528d4994fcb0c6ce86793b7f4ad5dc7265d1b4af54b34f6cb27ac",
     ),
     # recorded again when the conditional mark part of a jump inside one
@@ -300,7 +303,7 @@ PINNED = {
         "gradient-fixed-clock",
         pin_config(alpha=None, eps_cut=None, path=LEMMA_PATH, clock=PIECEWISE_CLOCK, t=0.95,
                    emit_samples=True, samples_path="samples.csv"),
-        "679488eedf0f69d99e623b6b770f0b69f287fe028547d64f68ab62b3db1bcaf7",
+        "ef9fbecce8a0afebea48930cf3e98aeaf6d775d07f906b31f56a5c0588d8a5aa",
         "a09f7a89387f689dc296ada1f141e31184cff3f4401c3ef8cb664eeb9cbdd3d6",
     ),
     "validate-bound": (
@@ -308,7 +311,7 @@ PINNED = {
         {"field": "pythagoras_1d", "alpha": 1.5, "f": "tanh1", "x": [0.2], "p": 2.0,
          "t_grid": [0.25, 1.0], "n_paths": 300, "seed": 5, "v": [1.0], "R": "auto",
          "slope_tolerance": 0.5},
-        "c41d36de9385e6bea12a66fd27472b68f1d79f0a6ab544ee0a66d41383d8d9f7",
+        "a09ad25fa931cfa03cb22fc28d02f66e52c396c8ffe2a087742ce9c88641ca0d",
         None,
     ),
     "counterexample 2 workers": (

@@ -51,7 +51,7 @@ def test_batched_flow_and_weights_match_single_path_reference():
     increments = clock.increments(jb)
     normalizer = increments.normalizer
     dWb = clock.beta_marks(jb.sizes, increments, dW, aux)
-    X, Jv, I1, I2, I3, _sup = flow_batch(x0, v, field, jb, dW, 100, dWb, increments.d_beta)
+    X, Jv, I1, I2, I3 = flow_batch(x0, v, field, jb, dW, 100, dWb, increments.d_beta)
 
     worst = 0.0
     for i in range(jb.n):
@@ -224,7 +224,7 @@ def test_mark_batch_law_and_reproducibility():
 def test_weight_terms_vanish_exactly_for_constant_sigma():
     field = catalog("ou_additive", 2)
     jb, dW, aux = _sample_setup()
-    _, _, I1, I2, I3, _ = flow_batch(np.zeros(2), np.ones(2), field, jb, dW, 50, aux, jb.sizes)
+    _, _, I1, I2, I3 = flow_batch(np.zeros(2), np.ones(2), field, jb, dW, 50, aux, jb.sizes)
     assert np.all(I2 == 0.0)
     assert np.all(I3 == 0.0)
     assert np.any(I1 != 0.0)

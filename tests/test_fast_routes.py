@@ -225,9 +225,10 @@ def test_closed_form_flow_equals_the_event_loop(d, field_name, with_v, n_extra):
         assert np.any(closed[2] != 0.0)
 
 
-def test_closed_form_sup_takes_the_loop_maximum_in_high_dimension():
-    # at d = 9 einsum sums |v|^2 over the loop's column-major and row-major
-    # J v in different orders; the loop's running sup keeps the larger
+def test_closed_form_matches_the_loop_in_high_dimension():
+    # at d = 9 einsum sums a row of a column-major and of a row-major array
+    # in different orders, as it does for this v; the closed form must still
+    # give the loop's bits, which contracts only row-major arrays
     d = 9
     v = np.random.default_rng(1).standard_normal(d)
     rows = np.tile(v, (5, 1))

@@ -40,7 +40,7 @@ BM = catalog("bounded_multiplicative", 2)
 TANH = make_observable("tanh1")
 X0, V0 = np.array([0.3, 0.0]), np.array([1.0, 0.5])
 PATH = JumpPath(1.0, np.array([0.1, 0.35, 0.6, 0.9]), np.array([0.4, 0.8, 0.3, 0.5]))
-# kinks inside PATH's clock intervals: c > 0, so the auxiliary normals are drawn per block
+# kinks inside PATH's clock intervals: c > 0, so each block reads its auxiliary normals
 PIECEWISE = ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]])
 UNBOUNDED = 1 << 62
 N = 150
@@ -90,9 +90,21 @@ def test_blocks_tile_the_batch_within_the_budget(monkeypatch):
             assert np.array_equal(np.concatenate([getattr(b, name) for b, _ in blocks]),
                                   getattr(batch, name))
         assert np.array_equal(np.concatenate([w for _, w in blocks]), dW)
+        # every per-jump array is handed over in its block's rows, a None as is
+        seen = []
+
+        def stage(block, w, sizes, none):
+            seen.append((w, sizes, none))
+            assert w.shape[0] == block.total and np.array_equal(sizes, 2.0 * block.sizes)
+            return (block.counts,)
+
+        (counts,) = over_row_blocks(batch, stage, dW, 2.0 * batch.sizes, None)
+        assert len(seen) == len(blocks) > 1 and all(none is None for *_, none in seen)
+        assert np.array_equal(np.concatenate([w for w, *_ in seen]), dW)
+        assert np.array_equal(counts, batch.counts)
     # a batch within the budget is handed over whole
     monkeypatch.setattr(engine, "JUMP_BLOCK", batch.total)
-    assert over_row_blocks(batch, dW, lambda block, w: (block, w)) == (batch, dW)
+    assert over_row_blocks(batch, lambda block, w: (block, w), dW) == (batch, dW)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -139,7 +151,7 @@ def test_blow_up_in_a_block_names_the_unblocked_path(monkeypatch):
 def test_blow_up_on_the_auxiliary_normals_names_the_unblocked_path(monkeypatch):
     # sigma^{-1} = 1e308 with J v = 0.6: a jump's weight term overflows once
     # |dW^beta| > 3, which the auxiliary normals decide at the second jump, so
-    # the whole batch's re-flow must read them from their start
+    # the whole batch's re-flow must read the batch's own normals, not a block's
     base = catalog("additive_identity", 1)
     field = dataclasses.replace(
         base, sigma=lambda t, x: np.full(np.shape(x) + (1,), 1e-308),
@@ -175,7 +187,7 @@ def test_blow_up_parity_of_a_hand_batch():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "JUMP_BLOCK", budget)
             with np.errstate(over="ignore"), pytest.raises(BlowUpError) as info:
-                over_row_blocks(batch, dW, stage)
+                over_row_blocks(batch, stage, dW)
         assert (info.value.s, info.value.path) == (0.1, 2)
 
 
