@@ -31,7 +31,6 @@ from .results import EstimatorResult, ComparisonReport, compare
 from .validate import (
     make_observable,
     estimate_pt,
-    estimate_pt_power,
     fd_gradient,
     check_gradient_bound,
     counterexample_moments,
@@ -65,7 +64,6 @@ __all__ = [
     "compare",
     "make_observable",
     "estimate_pt",
-    "estimate_pt_power",
     "fd_gradient",
     "check_gradient_bound",
     "counterexample_moments",

@@ -99,6 +99,14 @@ def _same(value):
     return value
 
 
+def _scalar(kind: type, key: str, value):
+    """kind(value) if value is a JSON boolean exactly when kind is bool; else refused by key."""
+    if isinstance(value, bool) != (kind is bool):  # bool("false") is True, float(True) is 1.0
+        wanted = "true or false" if kind is bool else "a number"
+        raise ConfigError(f"{key} must be {wanted}, got {value!r}")
+    return kind(value)
+
+
 # config key -> (library parameter name, parser), for the top-level config and
 # its nested field/f/clock/path objects alike. Arrays and "auto" levels pass
 # as read: the library converts and checks them.
@@ -108,14 +116,15 @@ _KEYS = {
     "f": ("f", _observable_from),
     "path": ("path", _path_from),
     "clock": ("clock", _clock_from),
-    "gammas": ("gammas", lambda gs: [float(g) for g in gs]),
-    "antithetic": ("antithetic", bool),
+    "gammas": ("gammas", lambda gs: [_scalar(float, "gammas", g) for g in gs]),
+    "antithetic": ("antithetic", partial(_scalar, bool, "antithetic")),
+    "emit_samples": ("collect_samples", lambda on: CSV_ROW_CAP if on else 0),  # run() checks it
     **{
         key: (key, partial(checked_integer, key))
         for key in ("n_paths", "seed", "workers", "substeps_per_unit", "dimension")
     },
     **{
-        key: (key, float)
+        key: (key, partial(_scalar, float, key))
         for key in ("t", "p", "eps_cut", "eps_mollify", "grid_step", "slope_tolerance", "horizon")
     },
     **{
@@ -125,7 +134,7 @@ _KEYS = {
     },
 }
 
-# keys the report code reads itself; they are checked but not passed on
+# keys the report code reads itself; of these only emit_samples is passed on
 _TARGET = ("target_value", "tolerance_abs")
 _SAMPLES = ("emit_samples", "samples_path")
 
@@ -160,8 +169,8 @@ def _from_report(rep: ComparisonReport, name: str) -> dict:
 def _target_checks(result, cfg: dict) -> list:
     if "target_value" not in cfg:
         return []
-    tolerance = {"tolerance_abs": float(cfg["tolerance_abs"])} if "tolerance_abs" in cfg else {}
-    rep = compare(result, float(cfg["target_value"]), **tolerance)
+    kw = {key: _scalar(float, key, cfg[key]) for key in _TARGET if key in cfg}
+    rep = compare(result, kw.pop("target_value"), **kw)
     return [_from_report(rep, "agrees with target_value")]
 
 
@@ -241,9 +250,7 @@ def _cmd_gradient(cfg: dict):
         ("R", "substeps_per_unit", "workers", "antithetic", *_SAMPLES, *_TARGET),
     )
     # R is a required parameter of estimate_gradient; "auto" is its documented default level
-    rows = CSV_ROW_CAP if cfg.get("emit_samples", False) else 0
-    result = estimate_gradient(**{"R": "auto", **kw}, collect_samples=rows)
-    return _gradient_report(cfg, result)
+    return _gradient_report(cfg, estimate_gradient(**{"R": "auto", **kw}))
 
 
 def _cmd_gradient_fixed_clock(cfg: dict):
@@ -252,9 +259,7 @@ def _cmd_gradient_fixed_clock(cfg: dict):
         ("field", "x", "v", "f", "path", "clock", "t", "n_paths", "seed"),
         ("substeps_per_unit", "workers", *_SAMPLES, *_TARGET),
     )
-    rows = CSV_ROW_CAP if cfg.get("emit_samples", False) else 0
-    result = estimate_gradient_fixed_clock(**kw, collect_samples=rows)
-    return _gradient_report(cfg, result)
+    return _gradient_report(cfg, estimate_gradient_fixed_clock(**kw))
 
 
 def _cmd_validate_bound(cfg: dict):
@@ -440,7 +445,7 @@ def run(command: str, config_path: str) -> int:
         return EXIT_ERROR
 
     try:
-        if cfg.get("emit_samples", False) and "samples_path" not in cfg:
+        if _scalar(bool, "emit_samples", cfg.get("emit_samples", False)) and "samples_path" not in cfg:
             raise ConfigError("emit_samples requires samples_path")
         for key in ("output", "samples_path"):
             if key in cfg:

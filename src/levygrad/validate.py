@@ -2,16 +2,19 @@
 
 Everything here avoids the Malliavin weight: plain semigroup averages,
 central finite differences with common random numbers, scaling fits of the
-gradient bound, a second-moment counterexample separating jump clocks from
-their absolutely continuous mollifications, and two exact L2 identities for
-the reparameterized Gaussian sums (an isometry and a truncation-coupling
-formula). Agreement between these oracles and the weighted estimator is what
-the test suite certifies.
+gradient bound against (P_t|f|^p)^{1/p}, a second-moment counterexample
+separating jump clocks from their absolutely continuous mollifications, and
+two exact L2 identities for the reparameterized Gaussian sums (an isometry
+and a truncation-coupling formula). The semigroup averages, the finite
+differences and the counterexample's jump-clock moment share one unweighted
+worker, _semigroup_run. Agreement between these oracles and the weighted
+estimator is what the test suite certifies.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +35,6 @@ __all__ = [
     "OBSERVABLE_NAMES",
     "make_observable",
     "estimate_pt",
-    "estimate_pt_power",
     "fd_gradient",
     "check_gradient_bound",
     "counterexample_moments",
@@ -67,6 +69,23 @@ def make_observable(name: str, a=None):
     raise ValueError(f"unknown observable {name!r}; choose from {OBSERVABLE_NAMES}")
 
 
+def _semigroup_run(draw, starts, f, combine, field, n_paths, substeps_per_unit, workers):
+    """Run of combine(f(X_t(x0)) for x0 in starts), every start flowed with no weight.
+
+    draw(bi, count) returns one batch's (jumps, marks); every start reads the
+    same draws (common random numbers), flowed over the batch's row blocks
+    (engine.over_row_blocks). The run counts the jumps it flowed.
+    """
+    def worker(bi: int, start: int, count: int):
+        jb, dW = draw(bi, count)
+        X = engine.over_row_blocks(jb, lambda block, dW: tuple(
+            engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0] for x0 in starts), dW)
+        y = combine(*(engine.evaluate_observable(f, Xi, bi) for Xi in X))
+        return {"samples": {"y": y}, "counters": {"jumps": int(jb.total)}}
+
+    return engine.run_batches(n_paths, workers, worker)
+
+
 def estimate_pt(
     x,
     f,
@@ -86,63 +105,9 @@ def estimate_pt(
     seed, so the two runs share paths (common random numbers).
     """
     x, eps = checked_start(x, field, spec, t, eps_cut)
-
-    def worker(bi: int, start: int, count: int):
-        jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
-        (X,) = engine.over_row_blocks(jb, lambda block, dW: (
-            engine.flow_batch(x, None, field, block, dW, substeps_per_unit)[0],), dW)
-        return {
-            "samples": {"y": engine.evaluate_observable(f, X, bi)},
-            "counters": {"jumps": int(jb.total)},
-        }
-
-    run = engine.run_batches(n_paths, workers, worker)
+    run = _semigroup_run(lambda bi, count: stable_batch(spec, t, eps, x.size, seed, bi, count),
+                         (x,), f, lambda y: y, field, n_paths, substeps_per_unit, workers)
     return run.result(_clock_diagnostics(run, spec, eps, t))
-
-
-def estimate_pt_power(
-    x,
-    f,
-    field: CoefficientField,
-    spec: BernsteinSpec,
-    t: float,
-    p: float,
-    n_paths: int,
-    seed: int,
-    *,
-    eps_cut: float | None = None,
-    substeps_per_unit: int = 100,
-    workers: int = 1,
-) -> EstimatorResult:
-    """(P_t |f|^p)^{1/p}(x): power applied per sample, root applied to the mean.
-
-    The standard error is mapped through the root by the delta method. On
-    fixed samples the result is nondecreasing in p (power-mean inequality).
-    """
-    if not p > 0:
-        raise ValueError("p must be positive")
-    raw = estimate_pt(
-        x,
-        lambda X: np.abs(np.asarray(f(X), dtype=float)) ** p,
-        field,
-        spec,
-        t,
-        n_paths,
-        seed,
-        eps_cut=eps_cut,
-        substeps_per_unit=substeps_per_unit,
-        workers=workers,
-    )
-    if raw.mean > 0:
-        root = raw.mean ** (1.0 / p)
-        se = raw.std_error * root / (p * raw.mean)
-    else:
-        root, se = 0.0, math.nan
-    diagnostics = dict(raw.diagnostics)
-    diagnostics.update({"power": p, "raw_mean": raw.mean, "raw_std_error": raw.std_error})
-    return EstimatorResult(
-        mean=root, std_error=se, n_samples=raw.n_samples, diagnostics=diagnostics
-    )
 
 
 def fd_gradient(
@@ -171,20 +136,11 @@ def fd_gradient(
     x, eps = checked_start(x, field, spec, t, eps_cut)
     v = checked_vector("v", v, field.dimension)
     h_val = 1e-3 * (1.0 + float(np.linalg.norm(x))) if h is None else float(h)
-    if not h_val > 0:
-        raise ValueError("h must be positive")
-    xp = x + h_val * v
-    xm = x - h_val * v
-
-    def worker(bi: int, start: int, count: int):
-        jb, dW = stable_batch(spec, t, eps, x.size, seed, bi, count)
-        Xp, Xm = engine.over_row_blocks(jb, lambda block, dW: tuple(
-            engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0] for x0 in (xp, xm)), dW)
-        fp = engine.evaluate_observable(f, Xp, bi)
-        fm = engine.evaluate_observable(f, Xm, bi)
-        return {"samples": {"y": (fp - fm) / (2.0 * h_val)}, "counters": {"jumps": int(jb.total)}}
-
-    run = engine.run_batches(n_paths, workers, worker)
+    if not 0 < h_val < math.inf:
+        raise ValueError("h must be positive and finite")
+    run = _semigroup_run(lambda bi, count: stable_batch(spec, t, eps, x.size, seed, bi, count),
+                         (x + h_val * v, x - h_val * v), f, lambda fp, fm: (fp - fm) / (2.0 * h_val),
+                         field, n_paths, substeps_per_unit, workers)
     return run.result({"h": h_val, **_clock_diagnostics(run, spec, eps, t)})
 
 
@@ -214,6 +170,10 @@ def check_gradient_bound(
     count and the relative truncation error are t-independent. The constant
     max rho(t) * t^{1/alpha} is reported as an estimate, never asserted.
     Any flagged estimator or nonpositive ratio marks the report incomplete.
+
+    Each denominator is m^{1/p} with the delta-method SE s m^{1/p} / (p m),
+    where m and s (raw_mean, raw_std_error) are the mean and SE of
+    estimate_pt on |f|^p; m = 0 gives 0.0 with a NaN SE, and no exception.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(not 0 < t <= 1 for t in t_grid):
@@ -226,23 +186,25 @@ def check_gradient_bound(
     eps1 = default_eps_cut(spec, 1.0) if eps_cut_at_1 is None else float(eps_cut_at_1)
     alpha = spec.alpha
 
-    ratios = []
-    grads = []
-    dens = []
+    ratios, grads, dens = [], [], []
     for i, t in enumerate(t_grid):
         eps_t = eps1 * t ** (2.0 / alpha)
         g = estimate_gradient(
             x, v, f, field, spec, t, R, n_paths, eps_t, seed + 2 * i,
             substeps_per_unit=substeps_per_unit, workers=workers,
         )
-        den = estimate_pt_power(
-            x, f, field, spec, t, p, n_paths, seed + 2 * i + 1,
-            eps_cut=eps_t, substeps_per_unit=substeps_per_unit, workers=workers,
+        raw = estimate_pt(
+            x, lambda X: np.abs(np.asarray(f(X), dtype=float)) ** p, field, spec, t, n_paths,
+            seed + 2 * i + 1, eps_cut=eps_t, substeps_per_unit=substeps_per_unit, workers=workers,
         )
+        m, s = raw.mean, raw.std_error
+        root = m ** (1.0 / p) if m > 0 else 0.0
+        se = s * root / (p * m) if m > 0 else math.nan
+        diagnostics = {**raw.diagnostics, "power": p, "raw_mean": m, "raw_std_error": s}
         grads.append(g)
-        dens.append(den)
-        unusable = g.diagnostics.get("flagged_invalid", 0.0) > 0 or not den.mean > 0
-        ratios.append(math.nan if unusable else abs(g.mean) / den.mean)
+        dens.append(replace(raw, mean=root, std_error=se, diagnostics=diagnostics))
+        unusable = g.diagnostics.get("flagged_invalid", 0.0) > 0 or not root > 0
+        ratios.append(math.nan if unusable else abs(g.mean) / root)
 
     incomplete = any(not r > 0 for r in ratios)
     slope_target = -1.0 / alpha
@@ -296,20 +258,14 @@ def counterexample_moments(
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     field = catalog("pythagoras_1d")
-    x0 = np.zeros(1)
 
     # Jump route: one clock jump of size 1 at time 1, flow evaluated at t = 1.
     path = JumpPath(1.0, np.array([1.0]), np.array([1.0]))
 
-    def jump_worker(bi: int, start: int, count: int):
-        jb, dW, _ = fixed_batch(path, 1.0, 1, seed, bi, count)
-        (X,) = engine.over_row_blocks(jb, lambda block, dW: (
-            engine.flow_batch(x0, None, field, block, dW, 100)[0],), dW)
-        return {"samples": {"y": np.einsum("ni,ni->n", X, X)}}
-
-    jump_moment = engine.run_batches(n_paths, workers, jump_worker).result(
-        {"clock_mass_at_1": 1.0}
-    )
+    jump_moment = _semigroup_run(
+        lambda bi, count: fixed_batch(path, 1.0, 1, seed, bi, count)[:2], (np.zeros(1),),
+        lambda X: np.einsum("ni,ni->n", X, X), lambda y: y, field, n_paths, 100, workers,
+    ).result({"clock_mass_at_1": 1.0})
 
     # Mollified route: deterministic increments of the absolutely continuous
     # clock l(t) = eps*t + clip((t - (1 - eps)) / eps, 0, 1) on a uniform grid.

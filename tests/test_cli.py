@@ -638,6 +638,32 @@ def test_non_integer_counts_exit_1(key, tmp_path, capsys):
     assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+# bool("false") is True and float(True) is 1.0: "antithetic": "false" would
+# run the antithetic estimator, "emit_samples": "no" would write the CSV and
+# "t": true would run at t = 1. Flags take only JSON booleans, and numbers
+# refuse them.
+TYPED_KEY_ERRORS = {
+    "antithetic": ("gradient", pin_config(antithetic="false"), "true or false"),
+    "emit_samples": ("gradient", pin_config(emit_samples="no", samples_path="samples.csv"),
+                     "true or false"),
+    "t": ("simulate", pin_config(v=None, t=True), "a number"),
+    "eps_mollify": ("counterexample", {"eps_mollify": False, "n_paths": 100, "grid_step": 1e-3,
+                                       "seed": 1}, "a number"),
+    "target_value": ("simulate", pin_config(v=None, target_value=True), "a number"),
+    "gammas": ("moments", dict(MOMENTS_CONFIG, gammas=[0.5, True]), "a number"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TYPED_KEY_ERRORS))
+def test_json_type_mismatches_exit_1(key, tmp_path, capsys, monkeypatch):
+    command, cfg, wanted = TYPED_KEY_ERRORS[key]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"{key} must be {wanted}" in captured.err
+    assert captured.out == "" and not (tmp_path / "samples.csv").exists()
+
+
 def test_unknown_field_name_exits_1(tmp_path, capsys):
     cfg = dict(gradient_config(), field="no_such_field")
     assert main(["gradient", write_config(tmp_path, cfg)]) == EXIT_ERROR

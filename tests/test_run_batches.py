@@ -21,7 +21,6 @@ from levygrad import (
     estimate_gradient,
     estimate_gradient_fixed_clock,
     estimate_pt,
-    estimate_pt_power,
     fd_gradient,
     inverse_moment,
     make_observable,
@@ -145,8 +144,6 @@ ESTIMATORS = {
     "estimate_gradient_fixed_clock": lambda n: estimate_gradient_fixed_clock(
         X1, V1, TANH, catalog("pythagoras_1d"), PATH, CAP, 1.0, n, 2),
     "estimate_pt": lambda n: estimate_pt(X1, TANH, F1, SPEC, 1.0, n, 3, eps_cut=0.05),
-    "estimate_pt_power": lambda n: estimate_pt_power(
-        X1, TANH, F1, SPEC, 1.0, 2.0, n, 4, eps_cut=0.05),
     "fd_gradient": lambda n: fd_gradient(X1, V1, TANH, F1, SPEC, 1.0, 1e-3, n, 5, eps_cut=0.05),
     "check_gradient_bound": lambda n: check_gradient_bound(
         F1, SPEC, TANH, X1, 2.0, [0.5, 1.0], n, 6, eps_cut_at_1=0.05),
@@ -172,8 +169,6 @@ SUBSTEPPED = {
         X1, V1, TANH, F1, PATH, CAP, 1.0, 8, 2, substeps_per_unit=s),
     "estimate_pt": lambda s: estimate_pt(
         X1, TANH, F1, SPEC, 1.0, 8, 3, eps_cut=0.05, substeps_per_unit=s),
-    "estimate_pt_power": lambda s: estimate_pt_power(
-        X1, TANH, F1, SPEC, 1.0, 2.0, 8, 4, eps_cut=0.05, substeps_per_unit=s),
     "fd_gradient": lambda s: fd_gradient(
         X1, V1, TANH, F1, SPEC, 1.0, 1e-3, 8, 5, eps_cut=0.05, substeps_per_unit=s),
     "check_gradient_bound": lambda s: check_gradient_bound(
@@ -197,6 +192,8 @@ TILED = fixed_jump_batch(PATH, 1.0, 2)
 NAN_ARGUMENTS = {
     "fd_gradient h": (lambda: fd_gradient(
         X1, V1, TANH, F1, SPEC, 1.0, NAN, 8, 5, eps_cut=0.05), "h must be positive"),
+    "fd_gradient h inf": (lambda: fd_gradient(
+        X1, V1, TANH, F1, SPEC, 1.0, math.inf, 8, 5, eps_cut=0.05), "h must be positive and finite"),
     "fd_gradient t": (lambda: fd_gradient(
         X1, V1, TANH, F1, SPEC, NAN, 1e-3, 8, 5, eps_cut=0.05), "t must be positive"),
     "estimate_gradient t": (lambda: estimate_gradient(
@@ -251,8 +248,6 @@ NAN_ARGUMENTS = {
     "truncation_convergence_check eps_list": (lambda: truncation_convergence_check(
         PATH, CAP, [1.0], [NAN], 8, 16), "eps_list must contain positive cutoffs"),
     "inverse_moment gamma": (lambda: inverse_moment(SPEC, 1.0, NAN), "gamma must be positive"),
-    "estimate_pt_power p": (lambda: estimate_pt_power(
-        X1, TANH, F1, SPEC, 1.0, NAN, 8, 3, eps_cut=0.05), "p must be positive"),
     "check_gradient_bound p": (lambda: check_gradient_bound(
         F1, SPEC, TANH, X1, NAN, [0.5, 1.0], 8, 3, eps_cut_at_1=0.05), "p must exceed 1"),
     "check_gradient_bound t_grid": (lambda: check_gradient_bound(

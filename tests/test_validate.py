@@ -16,7 +16,6 @@ from levygrad import (
     counterexample_moments,
     estimate_gradient,
     estimate_pt,
-    estimate_pt_power,
     fd_gradient,
     make_observable,
     truncation_convergence_check,
@@ -62,22 +61,44 @@ def test_power_means_are_monotone_in_p():
     # Same seed, same paths: the empirical power mean inequality is exact.
     F = catalog("additive_identity", 1)
     f = make_observable("tanh1")
-    means = [
-        estimate_pt_power(np.array([0.3]), f, F, SPEC15, 1.0, p,
-                          4000, seed=5, eps_cut=3e-3).mean
-        for p in (1.0, 2.0, 4.0)
+    per_p = [
+        check_gradient_bound(F, SPEC15, f, np.array([0.3]), p, [0.5, 1.0], 4000, seed=5,
+                             eps_cut_at_1=3e-3)["denominators"]
+        for p in (1.5, 2.0, 4.0)
     ]
-    assert means[0] <= means[1] + 1e-15
-    assert means[1] <= means[2] + 1e-15
+    for low, mid, high in zip(*per_p):
+        assert low["mean"] <= mid["mean"] + 1e-15
+        assert mid["mean"] <= high["mean"] + 1e-15
 
 
 def test_power_mean_of_a_zero_observable_is_zero_without_an_error():
     # the delta method divides by the raw mean, so a mean of 0 has no SE
-    res = estimate_pt_power(np.array([0.3]), lambda X: np.zeros(X.shape[0]),
-                            catalog("additive_identity", 1), SPEC15, 1.0, 2.0, 100, seed=5,
-                            eps_cut=3e-3)
-    assert res.mean == 0.0 and math.isnan(res.std_error)
-    assert res.diagnostics["raw_mean"] == 0.0
+    report = check_gradient_bound(catalog("additive_identity", 1), SPEC15,
+                                  lambda X: np.zeros(X.shape[0]), np.array([0.3]), 2.0, [1.0],
+                                  100, seed=5, eps_cut_at_1=3e-3)
+    (den,) = report["denominators"]
+    assert den["mean"] == 0.0 and math.isnan(den["std_error"])
+    assert den["diagnostics"]["raw_mean"] == 0.0
+    assert report["incomplete"] is True
+
+
+def test_bound_denominators_are_the_root_of_an_independent_power_run():
+    # each denominator is (m^{1/p}, s m^{1/p} / (p m)) of estimate_pt on |f|^p
+    # at seed + 2i + 1 and cutoff eps_cut_at_1 t^{2/alpha}, bit for bit
+    F = catalog("bounded_multiplicative", 2)
+    x, f, p, eps1, seed = np.array([0.3, 0.0]), make_observable("tanh1"), 3.0, 2e-2, 17
+    t_grid = [0.5, 1.0]
+    report = check_gradient_bound(F, SPEC15, f, x, p, t_grid, 600, seed, eps_cut_at_1=eps1)
+    for i, (t, den) in enumerate(zip(t_grid, report["denominators"])):
+        raw = estimate_pt(x, lambda X: np.abs(f(X)) ** p, F, SPEC15, t, 600, seed + 2 * i + 1,
+                          eps_cut=eps1 * t ** (2.0 / SPEC15.alpha))
+        m, s = raw.mean, raw.std_error
+        assert m > 0 and s > 0
+        assert den["mean"] == m ** (1.0 / p)
+        assert den["std_error"] == s * m ** (1.0 / p) / (p * m)
+        assert den["n_samples"] == raw.n_samples
+        assert den["diagnostics"] == {**raw.diagnostics, "power": p, "raw_mean": m,
+                                      "raw_std_error": s}
 
 
 def test_fd_additive_linear_is_deterministic():
