@@ -99,6 +99,17 @@ def _same(value):
     return value
 
 
+def _numbers(key: str, value):
+    """value as read, refused by key if it holds a boolean at any depth (float(True) is 1.0)."""
+
+    def has_bool(v):
+        return isinstance(v, bool) or (isinstance(v, list) and any(map(has_bool, v)))
+
+    if has_bool(value):
+        raise ConfigError(f"{key} must be a number or an array of numbers, got {value!r}")
+    return value
+
+
 def _scalar(kind: type, key: str, value):
     """kind(value) if value is a JSON boolean exactly when kind is bool; else refused by key."""
     if isinstance(value, bool) != (kind is bool):  # bool("false") is True, float(True) is 1.0
@@ -109,7 +120,8 @@ def _scalar(kind: type, key: str, value):
 
 # config key -> (library parameter name, parser), for the top-level config and
 # its nested field/f/clock/path objects alike. Arrays and "auto" levels pass
-# as read: the library converts and checks them.
+# as read for the library to convert and check, but a boolean anywhere in
+# them is refused here.
 _KEYS = {
     "alpha": ("spec", BernsteinSpec.alpha_stable),
     "field": ("field", _field_from),
@@ -128,10 +140,12 @@ _KEYS = {
         for key in ("t", "p", "eps_cut", "eps_mollify", "grid_step", "slope_tolerance", "horizon")
     },
     **{
-        key: (key, _same)
-        for key in ("x", "v", "xi", "t_grid", "R", "eps_cut_at_1", "eps_list", "name", "a",
-                    "kind", "knots", "times", "sizes")
+        key: (key, partial(_numbers, key))
+        for key in ("x", "v", "xi", "t_grid", "R", "eps_cut_at_1", "eps_list", "a", "knots",
+                    "times", "sizes")
     },
+    "name": ("name", _same),
+    "kind": ("kind", _same),
 }
 
 # keys the report code reads itself; of these only emit_samples is passed on

@@ -12,12 +12,28 @@ sigma: it returns sum_k grad_sigma(t, x)[..., k] u_k row by row, shaped
 (..., d, d), and each jump of the flow calls it instead of forming the
 (n, d, d, d) grad_sigma and contracting it. The engine refuses a jvp_b or
 dsigma result of another shape. The catalog supplies both hooks, equal bit
-for bit to the contractions they replace. Two hints claim structure the
-engine may use: drift_rate = r claims b(t, x) = -r x, so the flow between
-jumps is the exact scaling of X and J v by exp(-r h) and the drift callables
-are never called (r = 0 skips the drift altogether), and sigma_is_constant
-claims grad_sigma = 0. The catalog sets both. A field that leaves drift_rate
-None gets the RK4 flow: the engine never infers a hint from the callables.
+for bit to the contractions they replace.
+
+Three hints claim structure the engine may use. drift_rate = r claims
+b(t, x) = -r x, so the flow between jumps is the exact scaling of X and J v
+by exp(-r h) and the drift callables are never called (r = 0 skips the
+drift altogether). sigma_is_constant claims grad_sigma = 0. sigma_scale =
+(scale, slope) claims sigma(t, x) = scale(t, x) I_d, with scale(t, x) ->
+(...,) and slope(t, x, u) -> (...,) the directional derivative
+grad_x scale(t, x) . u; each jump then works on (n,) vectors instead of
+(n, d, d) matrices, and the engine calls neither sigma, sigma_inv, dsigma
+nor grad_sigma. sigma_scale takes precedence over dsigma; sigma_is_constant
+still decides whether the derivative is formed, so with both set slope is
+never called. The engine refuses a scale or slope result not shaped (n,),
+and CoefficientField refuses a sigma_scale that is not a pair of callables.
+The catalog sets all three. Its sigma_scale keeps the matrix route's bits:
+each matrix product only adds exact zeros to the scalar one, 1/scale is
+what its sigma_inv holds, and its slope adds +0.0 as its dsigma does, so a
+-0.0 becomes the +0.0 those sums give. A field that leaves drift_rate None
+gets the RK4 flow, and one that leaves sigma_scale None the matrix route:
+the engine never infers a hint from the callables, and a hint copied by
+dataclasses.replace onto other callables must be dropped (set to None)
+along with them.
 Analytic derivatives and inverses are required; finite differences appear
 only in self-checks, never in the estimator hot path. The batched engine
 (levygrad.engine) is the only consumer: it evaluates every coefficient on
@@ -52,11 +68,13 @@ class CoefficientField:
     # exact X <- exp(-r h) X, J v <- exp(-r h) J v (nothing at all for r = 0)
     # instead of RK4; None claims nothing. sigma_is_constant means
     # grad_sigma == 0 identically (trace and jump-measure weight terms
-    # vanish exactly).
+    # vanish exactly). sigma_scale = (scale, slope) means sigma(t, x) ==
+    # scale(t, x) I_d, with slope(t, x, u) == grad_x scale(t, x) . u.
     drift_rate: float | None = None
     sigma_is_constant: bool = False
     jvp_b: Callable | None = None  # (t, x, u) -> (..., d), equal to grad_b(t, x) @ u
     dsigma: Callable | None = None  # (t, x, u) -> (..., d, d), sum_k grad_sigma(t, x)[..., k] u_k
+    sigma_scale: tuple[Callable, Callable] | None = None  # ((t, x) -> (...,), (t, x, u) -> (...,))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimension", checked_integer("dimension", self.dimension, minimum=1))
@@ -65,12 +83,18 @@ class CoefficientField:
             if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not math.isfinite(rate):
                 raise ValueError(f"drift_rate must be a finite real number or None, got {rate!r}")
             object.__setattr__(self, "drift_rate", float(rate))
+        hint = self.sigma_scale
+        if hint is not None:
+            if not isinstance(hint, tuple) or len(hint) != 2 or not all(map(callable, hint)):
+                raise ValueError(
+                    f"sigma_scale must be None or a pair (scale, slope) of callables, got {hint!r}")
 
 
 def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> CoefficientField:
     """The catalog's one family: b = -x or 0, sigma = s(x_1) * I with ds = s'.
 
-    s = None gives sigma = I. The engine's hints follow from the two choices.
+    s = None gives sigma = I. The engine's hints follow from the two choices;
+    every member carries the sigma_scale hint.
     """
 
     def tiled(m, x):
@@ -98,12 +122,27 @@ def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> Coeffi
         def dsigma(t, x, u):
             return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(u)) + (d,))
 
+        def scale(t, x):
+            return np.ones(np.shape(x)[:-1])
+
+        def slope(t, x, u):
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(u))[:-1])
+
         sigma_inv = sigma
     else:
 
+        def scale(t, x):
+            return s(np.asarray(x, dtype=float)[..., 0])
+
+        def slope(t, x, u):
+            # s'(x_1) u_1: the contraction of grad_sigma with u sums such
+            # products with exact zeros, and + 0.0 turns a -0.0 into the
+            # +0.0 such a sum gives
+            x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+            return ds(x[..., 0]) * u[..., 0] + 0.0
+
         def sigma(t, x):
-            x = np.asarray(x, dtype=float)
-            return s(x[..., 0])[..., None, None] * np.eye(d)
+            return scale(t, x)[..., None, None] * np.eye(d)
 
         def grad_sigma(t, x):
             x = np.asarray(x, dtype=float)
@@ -112,23 +151,19 @@ def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> Coeffi
             return out
 
         def dsigma(t, x, u):
-            # s'(x_1) u_1 on the diagonal and +0.0 off it: the contraction of
-            # grad_sigma with u sums these products with exact zeros, and
-            # + 0.0 turns a -0.0 into the +0.0 such a sum gives
-            x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-            diag = ds(x[..., 0]) * u[..., 0] + 0.0
+            # slope on the diagonal and +0.0 off it
+            diag = slope(t, x, u)
             out = np.zeros(diag.shape + (d, d))
             out[..., range(d), range(d)] = diag[..., None]
             return out
 
         def sigma_inv(t, x):
-            x = np.asarray(x, dtype=float)
-            return (1.0 / s(x[..., 0]))[..., None, None] * np.eye(d)
+            return (1.0 / scale(t, x))[..., None, None] * np.eye(d)
 
     return CoefficientField(
         d, b, grad_b, sigma, grad_sigma, sigma_inv, name,
         drift_rate=1.0 if linear_drift else 0.0, sigma_is_constant=s is None, jvp_b=jvp_b,
-        dsigma=dsigma,
+        dsigma=dsigma, sigma_scale=(scale, slope),
     )
 
 

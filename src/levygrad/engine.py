@@ -42,10 +42,11 @@ rows, as the closed form below has them, and writes the new state back one
 coordinate at a time: numpy's 2-D fancy index costs several times more.
 For b == 0 (r = 0) with constant sigma the state is x0 plus a running sum
 of the jump increments, taken in closed form as a cumulative sum with the
-loop's float operations, and J v stays v. A non-finite state, directional
-derivative or weight term raises BlowUpError, naming the path, rather than
-reaching the mean; the loop alone raises it, and the closed form hands a
-batch that goes non-finite back to the loop.
+loop's float operations, one row block at a time, and J v stays v. A
+non-finite state, directional derivative or weight term raises
+BlowUpError, naming the path, rather than reaching the mean; the loop
+alone raises it, and the closed form hands a batch that goes non-finite
+back to the loop.
 
 A path gets the same bits in any batch, alone included, so extract_path
 replays it. einsum's order of summing a row follows the memory layout,
@@ -60,6 +61,16 @@ limit is stored. The field's optional hooks give the two directional
 derivatives, jvp_b in the drift ODE and dsigma in the jump update, without
 forming grad_b or grad_sigma; a field without them gets the einsum of the
 full derivative, and a hook's result of the wrong shape is refused.
+
+A field with the sigma_scale hint (sigma = scale I_d, every catalog field)
+runs its jump rounds and weight terms on (m,) vectors: x+ = x + scale dw
+and (J v)+ = J v + g dw with g = slope(J v); c1 = <(1/scale) J v, dW^beta>,
+and with a = g / scale, c2 = Tr(a I) d_beta and c3 = <a dW^beta, dw>. The
+matrix products these replace only add exact zeros, so each result keeps
+the matrix route's bits: a product gets + 0.0, the +0.0 a sum of it with
+exact zeros gives in place of a -0.0, and the trace adds a to itself d
+times in einsum's order. A scale or slope result not shaped (m,) is
+refused. The closed form below forms scale dW the same way.
 
 Clock values come only from path_cumulatives (each jump's clock interval
 and each path's terminal value, a running sum over that path's jumps alone,
@@ -279,6 +290,20 @@ def _dsigma(field: CoefficientField, s, x, u):
     return np.einsum("mijk,mk->mij", np.ascontiguousarray(field.grad_sigma(s, x), dtype=float), u)
 
 
+def _sigma_scale(field: CoefficientField, which: int, *args) -> np.ndarray:
+    """sigma_scale's scale (which = 0) or slope (1) on m rows, refused unless shaped (m,)."""
+    name = ("scale", "slope")[which]
+    return _hook_result(f"sigma_scale {name}", field.sigma_scale[which](*args), args[1].shape[:1])
+
+
+def _times_rows(c, w):
+    """c[:, None] * w + 0.0: a matrix product c I w sums each c w_i with exact
+    zeros, which turns a -0.0 into +0.0."""
+    out = np.multiply(c[:, None], w)
+    out += 0.0
+    return out
+
+
 def _stage(y, c, k):
     """y + c * k for an RK4 stage, built in a fresh array of y's layout (k is never written).
 
@@ -373,15 +398,15 @@ def _rk4_pass(field, X, Jv, s0, k, h, stepping):
 def _drift_free_flow(x0, v, field, batch, dW, dWb):
     """flow_batch for b == 0 and constant sigma, where each state is x0 plus a running sum.
 
-    The increments are the event loop's products sigma(s, .) dW. A
-    cumulative sum along each row of a zero-padded (n, kmax + 1, d) array
-    whose column 0 is x0 adds them in jump order, as the loop's jump rounds
-    do, so column c holds the state after a path's c-th jump; the estimators
-    hand it row blocks of at most JUMP_BLOCK jumps (over_row_blocks). J v
-    stays v, so only I1 is nonzero, and it needs no left limit. Returns None
-    when a state or a jump's c1 is not finite (a non-finite v makes every c1
-    so): the event loop then flows the batch again and raises its
-    BlowUpError.
+    The increments are the event loop's products sigma(s, .) dW (scale dW
+    for a field with sigma_scale). A cumulative sum along each row of a
+    zero-padded (n, kmax + 1, d) array whose column 0 is x0 adds them in
+    jump order, as the loop's jump rounds do, so column c holds the state
+    after a path's c-th jump; flow_batch hands it row blocks of at most
+    JUMP_BLOCK jumps. J v stays v, so only I1 is nonzero, and it needs no
+    left limit. Returns None when a state or a jump's c1 is not finite (a
+    non-finite v makes every c1 so): the event loop then flows the batch
+    again and raises its BlowUpError.
     """
     n, d, c = batch.n, x0.shape[0], batch.counts
     real = np.arange(c.max(initial=0)) < c[:, None]
@@ -389,7 +414,11 @@ def _drift_free_flow(x0, v, field, batch, dW, dWb):
     states[:, 0] = x0
     # sigma does not depend on the state, so x0 stands in for it
     x = np.broadcast_to(x0, (batch.total, d))
-    if batch.total:
+    hinted = field.sigma_scale is not None
+    if hinted:
+        scale = _sigma_scale(field, 0, batch.times, x)
+        states[:, 1:][real] = _times_rows(scale, dW)
+    elif batch.total:
         Sg = field.sigma(batch.times, x)
         states[:, 1:][real] = np.einsum("mij,mj->mi", np.ascontiguousarray(Sg, dtype=float), dW)
     np.cumsum(states, axis=1, out=states)
@@ -399,7 +428,8 @@ def _drift_free_flow(x0, v, field, batch, dW, dWb):
     if v is None:
         return X, None, None, None, None
     v = np.asarray(v, dtype=float)
-    c1 = weight_terms(field, batch.times, x, np.tile(v, (batch.total, 1)), None, None, dWb, None)[0]
+    s_inv = np.ascontiguousarray(1.0 / scale if hinted else field.sigma_inv(batch.times, x), dtype=float)
+    c1 = weight_terms(s_inv, np.tile(v, (batch.total, 1)), None, None, dWb, None)[0]
     if not np.isfinite(c1).all():
         return None
     I1 = np.bincount(np.repeat(np.arange(n), c), weights=c1, minlength=n)
@@ -435,18 +465,18 @@ def flow_batch(
     0) to t after the last round; r = 0 scales nothing. A field with r = 0
     and constant sigma takes the closed form instead (_drift_free_flow),
     with the loop's float operations, unless a state or weight term goes
-    non-finite: the loop then flows the batch and raises BlowUpError. The
-    closed form pads the whole batch it is handed to its longest path, so
-    callers bound the batch with over_row_blocks.
+    non-finite: the loop then flows the whole batch and raises BlowUpError.
+    The closed form pads each path to its block's longest path, so it runs
+    over row blocks of at most JUMP_BLOCK jumps.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None, d_beta is None) != (v is None, v is None):
         raise ValueError("pass the weight inputs dWb and d_beta exactly when v is given")
     rate = field.drift_rate
     if rate == 0.0 and field.sigma_is_constant:
-        flowed = _drift_free_flow(x0, v, field, batch, dW, dWb)
-        if flowed is not None:
-            return flowed
+        parts = [_drift_free_flow(x0, v, field, *block) for block in _row_blocks(batch, dW, dWb)]
+        if parts and all(part is not None for part in parts):
+            return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
     n, t = batch.n, batch.horizon
     # Column-major state: the RK4 arithmetic then runs along the path axis
     # instead of over d-element rows.
@@ -455,6 +485,7 @@ def flow_batch(
     Jv = None if v is None else np.asfortranarray(np.tile(v, (n, 1)))
     I1, I2, I3 = (None, None, None) if Jv is None else (np.zeros(n), np.zeros(n), np.zeros(n))
     rk4 = rate is None
+    hinted = field.sigma_scale is not None
     scaled = bool(rate)  # a nonzero drift_rate: exact scaling between jumps
     nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
     stop = batch.offsets[1:]
@@ -489,13 +520,22 @@ def flow_batch(
             x *= decay
             if j is not None:
                 j *= decay
-        Sg = np.ascontiguousarray(field.sigma(s_jump, x), dtype=float)
         dw = np.take(dW, flat, axis=0)
-        x_new = x + np.einsum("mij,mj->mi", Sg, dw)
+        if hinted:
+            scale = _sigma_scale(field, 0, s_jump, x)
+            x_new = _times_rows(scale, dw)
+            x_new += x
+        else:
+            Sg = np.ascontiguousarray(field.sigma(s_jump, x), dtype=float)
+            x_new = x + np.einsum("mij,mj->mi", Sg, dw)
         j_new = dir_s = None
         if j is not None:
             if field.sigma_is_constant:
                 j_new = j
+            elif hinted:
+                dir_s = _sigma_scale(field, 1, s_jump, x, j)
+                j_new = _times_rows(dir_s, dw)
+                j_new += j
             else:
                 dir_s = _dsigma(field, s_jump, x, j)
                 j_new = j + np.einsum("mij,mj->mi", dir_s, dw)
@@ -506,7 +546,9 @@ def flow_batch(
             raise BlowUpError(s_jump[bad], path=int(sel[bad]))
         if j is not None:
             dwb = np.take(dWb, flat, axis=0)
-            c1, c2, c3 = weight_terms(field, s_jump, x, j, dir_s, dw, dwb, d_beta[flat])
+            s_inv = 1.0 / scale if hinted else field.sigma_inv(s_jump, x)
+            c1, c2, c3 = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw, dwb,
+                                      d_beta[flat])
             # a finite state may still give an infinite sigma^{-1}, as a
             # subnormal sigma does
             bad = _first_non_finite(c1, c2, c3)
@@ -566,16 +608,29 @@ def first_passage_levels(batch: JumpBatch, ell_post: np.ndarray, R: float) -> np
     return np.where(first < batch.offsets[1:], first, -1)
 
 
-def weight_terms(field: CoefficientField, s, x, j, dir_s, dw, dwb, d_beta):
+def weight_terms(s_inv, j, dir_s, dw, dwb, d_beta):
     """Each jump's weight terms (c1, c2, c3) at its left limit, one row per jump.
 
-    x and j are the left limits X_{s-} and grad_v X_{s-}, dir_s the matrix
-    grad_j sigma(s, x) of the jump update (None for a constant sigma, whose
-    c2 and c3 are then None), dw and dwb the mark and beta-weighted mark and
-    d_beta the clock increment. With A = sigma^{-1}(s, x) dir_s (a batched
-    np.matmul), c1 = <sigma^{-1} j, dwb>, c2 = Tr(A) d_beta and c3 = <A dwb, dw>.
+    s_inv is sigma^{-1}(s, X_{s-}) and j the left limit grad_v X_{s-}, both
+    row-major; dir_s is the matrix grad_j sigma(s, X_{s-}) of the jump update
+    (None for a constant sigma, whose c2 and c3 are then None), dw and dwb
+    the mark and beta-weighted mark and d_beta the clock increment. With
+    A = s_inv dir_s (a batched np.matmul), c1 = <s_inv j, dwb>,
+    c2 = Tr(A) d_beta and c3 = <A dwb, dw>. For a field with the sigma_scale
+    hint, s_inv and dir_s are the (m,) factors 1/scale and slope of I_d, and
+    the same sums are formed on vectors with the matrix route's bits: A is
+    a I with a = s_inv dir_s, and its trace adds a to itself d times in
+    einsum's order.
     """
-    s_inv = np.ascontiguousarray(field.sigma_inv(s, x), dtype=float)
+    if s_inv.ndim == 1:
+        c1 = np.einsum("mi,mi->m", s_inv[:, None] * j, dwb)
+        if dir_s is None:
+            return c1, None, None
+        a = s_inv * dir_s
+        trace = a + 0.0
+        for _ in range(j.shape[1] - 1):
+            trace += a
+        return c1, trace * d_beta, np.einsum("mi,mi->m", a[:, None] * dwb, dw)
     c1 = np.einsum("mi,mi->m", np.einsum("mij,mj->mi", s_inv, j), dwb)
     if dir_s is None:
         return c1, None, None

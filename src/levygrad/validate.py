@@ -170,6 +170,7 @@ def check_gradient_bound(
     count and the relative truncation error are t-independent. The constant
     max rho(t) * t^{1/alpha} is reported as an estimate, never asserted.
     Any flagged estimator or nonpositive ratio marks the report incomplete.
+    t_grid must hold at least two distinct times, or no slope can be fitted.
 
     Each denominator is m^{1/p} with the delta-method SE s m^{1/p} / (p m),
     where m and s (raw_mean, raw_std_error) are the mean and SE of
@@ -178,6 +179,8 @@ def check_gradient_bound(
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(not 0 < t <= 1 for t in t_grid):
         raise ValueError("t_grid must be a nonempty subset of (0, 1]")
+    if len(set(t_grid)) < 2:
+        raise ValueError(f"t_grid must hold at least two distinct times to fit a slope, got {t_grid}")
     if not p > 1:
         raise ValueError("p must exceed 1")
     if v is None:

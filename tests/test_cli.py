@@ -652,6 +652,35 @@ TYPED_KEY_ERRORS = {
     "target_value": ("simulate", pin_config(v=None, target_value=True), "a number"),
     "gammas": ("moments", dict(MOMENTS_CONFIG, gammas=[0.5, True]), "a number"),
 }
+# The keys passed on as read (arrays, and R's "auto") refuse a boolean at any
+# depth: float(True) would run at 1.0.
+NUMBERS = "a number or an array of numbers"
+BOUND_CONFIG = PINNED["validate-bound"][1]
+LEMMA_CONFIG = PINNED["lemma-tests"][1]
+TYPED_KEY_ERRORS.update({
+    "R": ("gradient", pin_config(R=True), NUMBERS),
+    "eps_cut_at_1": ("validate-bound", dict(BOUND_CONFIG, eps_cut_at_1=True), NUMBERS),
+    "t_grid": ("validate-bound", dict(BOUND_CONFIG, t_grid=[0.25, True]), NUMBERS),
+    "x": ("gradient", pin_config(x=[0.3, True]), NUMBERS),
+    "v": ("gradient", pin_config(v=[True, 0.5]), NUMBERS),
+    "a": ("gradient", pin_config(f={"name": "linear", "a": [True, 0.0]}), NUMBERS),
+    "xi": ("lemma-tests", dict(LEMMA_CONFIG, xi=[1.0, True]), NUMBERS),
+    "eps_list": ("lemma-tests", dict(LEMMA_CONFIG, eps_list=[True, 0.5, 0.1]), NUMBERS),
+    "knots": ("gradient-fixed-clock",
+              pin_config(alpha=None, eps_cut=None, path=LEMMA_PATH, t=0.95,
+                         clock=dict(PIECEWISE_CLOCK, knots=[[0, 0], [0.5, 0.2], [True, 1.1]])),
+              NUMBERS),
+    "times": ("lemma-tests", dict(LEMMA_CONFIG, path=dict(LEMMA_PATH, times=[0.2, 0.5, True])),
+              NUMBERS),
+    "sizes": ("lemma-tests", dict(LEMMA_CONFIG, path=dict(LEMMA_PATH, sizes=[1.3, True, 0.4])),
+              NUMBERS),
+})
+
+
+def test_auto_level_and_string_keys_still_pass():
+    # "auto" is R's one string value, and name and kind are strings
+    cfg = {"R": "auto", "kind": "piecewise_linear", "name": "tanh1"}
+    assert cli._args(cfg, tuple(cfg)) == cfg
 
 
 @pytest.mark.parametrize("key", sorted(TYPED_KEY_ERRORS))

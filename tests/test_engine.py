@@ -228,10 +228,12 @@ def test_weight_terms_vanish_exactly_for_constant_sigma():
     assert np.all(I2 == 0.0)
     assert np.all(I3 == 0.0)
     assert np.any(I1 != 0.0)
-    # without a dir_s there are no trace and jump-measure terms to form
-    x, j = np.zeros((jb.total, 2)), np.ones((jb.total, 2))
-    c1, c2, c3 = weight_terms(field, jb.times, x, j, None, dW, aux, jb.sizes)
-    assert c2 is None and c3 is None and c1.shape == (jb.total,)
+    # without a dir_s there are no trace and jump-measure terms to form, on
+    # the (m, d, d) matrices of sigma^{-1} and on the 1/scale of sigma_scale
+    j = np.ones((jb.total, 2))
+    for s_inv in (np.tile(np.eye(2), (jb.total, 1, 1)), np.ones(jb.total)):
+        c1, c2, c3 = weight_terms(s_inv, j, None, dW, aux, jb.sizes)
+        assert c2 is None and c3 is None and c1.shape == (jb.total,)
 
 
 def test_weight_inputs_travel_with_v():

@@ -178,9 +178,10 @@ def test_piecewise_pin_reads_the_conditional_mark_part():
 
 
 def _same_bits_without(hook, name, field):
-    """Run RUNS[name] on field without its drift_rate hint, with and without
-    the hook: the RK4 flow of the unhinted field reaches both hooks."""
-    unhinted = dataclasses.replace(field, drift_rate=None)
+    """Run RUNS[name] on field without its drift_rate and sigma_scale hints,
+    with and without the hook: the RK4 flow and the matrix jump rounds of
+    the unhinted field reach both hooks."""
+    unhinted = dataclasses.replace(field, drift_rate=None, sigma_scale=None)
     assert getattr(unhinted, hook) is not None
     with_hook = RUNS[name](unhinted, collect_samples=N)
     without = RUNS[name](dataclasses.replace(unhinted, **{hook: None}), collect_samples=N)
@@ -401,7 +402,7 @@ def _dense_sigma_field(derivative):
     if derivative == "constant":
         return dataclasses.replace(
             catalog("additive_identity", 3), sigma=lambda t, x: times_tiled(np.ones(np.shape(x)[:-1]), T_f),
-            sigma_inv=lambda t, x: times_tiled(np.ones(np.shape(x)[:-1]), T_inv_f),
+            sigma_inv=lambda t, x: times_tiled(np.ones(np.shape(x)[:-1]), T_inv_f), sigma_scale=None,
         )
 
     def s(x):
@@ -417,7 +418,7 @@ def _dense_sigma_field(derivative):
         BM3, sigma=lambda t, x: times_tiled(s(x), T_f),
         sigma_inv=lambda t, x: times_tiled(1.0 / s(x), T_inv_f),
         grad_sigma=lambda t, x: times_tiled(ds(x), grad_T_f),
-        dsigma=dsigma if derivative == "dsigma" else None,
+        dsigma=dsigma if derivative == "dsigma" else None, sigma_scale=None,
     )
 
 

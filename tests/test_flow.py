@@ -238,6 +238,7 @@ def _vanishing_sigma_field():
     return dataclasses.replace(
         catalog("pythagoras_1d"), sigma=lambda t, x: s(x)[..., None, None],
         sigma_inv=lambda t, x: (1.0 / s(x))[..., None, None], grad_sigma=grad_sigma, dsigma=None,
+        sigma_scale=None,
     )
 
 

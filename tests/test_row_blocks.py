@@ -8,8 +8,10 @@ bytes and the same sample rows, at one worker and at two. The budgets 1
 (every path a block of its own, empty paths folded into their neighbours)
 and 37 (blocks of several paths) are compared with a budget that no batch
 reaches. A blow-up in a block re-flows the whole batch, so the error names
-the (s, path, batch) of an unblocked run. The peak memory of one fine-cut
-batch is bounded, since bounding it is what the blocks are for.
+the (s, path, batch) of an unblocked run. flow_batch runs its drift-free
+closed form over such blocks itself, so a direct call is bounded too. The
+peak memory of one fine-cut batch is bounded, since bounding it is what the
+blocks are for.
 """
 
 import dataclasses
@@ -155,7 +157,7 @@ def test_blow_up_on_the_auxiliary_normals_names_the_unblocked_path(monkeypatch):
     base = catalog("additive_identity", 1)
     field = dataclasses.replace(
         base, sigma=lambda t, x: np.full(np.shape(x) + (1,), 1e-308),
-        sigma_inv=lambda t, x: np.full(np.shape(x) + (1,), 1e308),
+        sigma_inv=lambda t, x: np.full(np.shape(x) + (1,), 1e308), sigma_scale=None,
     )
 
     def run():
@@ -184,11 +186,38 @@ def test_blow_up_parity_of_a_hand_batch():
         return engine.flow_batch(np.array([1.7e308]), None, field, block, dW, 50)[:1]
 
     for budget in (1, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "JUMP_BLOCK", budget)
-            with np.errstate(over="ignore"), pytest.raises(BlowUpError) as info:
-                over_row_blocks(batch, stage, dW)
-        assert (info.value.s, info.value.path) == (0.1, 2)
+        # through over_row_blocks, and flow_batch's own blocks of the closed form
+        for run in (lambda: over_row_blocks(batch, stage, dW), lambda: stage(batch, dW)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "JUMP_BLOCK", budget)
+                with np.errstate(over="ignore"), pytest.raises(BlowUpError) as info:
+                    run()
+            assert (info.value.s, info.value.path) == (0.1, 2)
+
+
+@pytest.mark.parametrize("with_v", [True, False])
+def test_a_direct_closed_form_call_runs_over_row_blocks(monkeypatch, with_v):
+    # flow_batch itself bounds the closed form's padded array, so a direct
+    # caller's large drift-free batch gets the blocks' bound and the whole
+    # batch's bits
+    field = catalog("additive_identity", 2)
+    batch = sample_jump_batch(1.5, 1.0, 1e-2, 400, substream(6, engine.PURPOSE_JUMPS, 0))
+    dW = engine.sample_mark_batch(batch, 2, substream(6, engine.PURPOSE_MARKS, 0))
+    v, weight = (V0, (-dW, batch.sizes)) if with_v else (None, ())
+    whole = engine.flow_batch(X0, v, field, batch, dW, 50, *weight)
+    blocks = []
+    closed_form = engine._drift_free_flow
+
+    def spy(x0, v, field, block, *marks):
+        blocks.append(block)
+        return closed_form(x0, v, field, block, *marks)
+
+    monkeypatch.setattr(engine, "_drift_free_flow", spy)
+    monkeypatch.setattr(engine, "JUMP_BLOCK", 37)
+    blocked = engine.flow_batch(X0, v, field, batch, dW, 50, *weight)
+    assert len(blocks) > 1 and all(b.total <= 37 or b.n == 1 for b in blocks)
+    for got, want in zip(blocked, whole):
+        assert got is None if want is None else got.tobytes() == want.tobytes()
 
 
 def test_peak_memory_of_one_fine_cut_batch():

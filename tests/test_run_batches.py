@@ -375,7 +375,7 @@ BM2 = catalog("bounded_multiplicative", 2)
 WRONG_HOOKS = {
     "jvp_b": (dataclasses.replace(BM2, jvp_b=lambda t, x, u: -u[0], drift_rate=None), r"\(2,\)",
               r"\(\d+, 2\)"),
-    "dsigma": (dataclasses.replace(BM2, dsigma=lambda t, x, u: np.eye(2)), r"\(2, 2\)",
+    "dsigma": (dataclasses.replace(BM2, dsigma=lambda t, x, u: np.eye(2), sigma_scale=None), r"\(2, 2\)",
                r"\(\d+, 2, 2\)"),
 }
 

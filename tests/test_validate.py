@@ -74,11 +74,12 @@ def test_power_means_are_monotone_in_p():
 def test_power_mean_of_a_zero_observable_is_zero_without_an_error():
     # the delta method divides by the raw mean, so a mean of 0 has no SE
     report = check_gradient_bound(catalog("additive_identity", 1), SPEC15,
-                                  lambda X: np.zeros(X.shape[0]), np.array([0.3]), 2.0, [1.0],
+                                  lambda X: np.zeros(X.shape[0]), np.array([0.3]), 2.0, [0.5, 1.0],
                                   100, seed=5, eps_cut_at_1=3e-3)
-    (den,) = report["denominators"]
-    assert den["mean"] == 0.0 and math.isnan(den["std_error"])
-    assert den["diagnostics"]["raw_mean"] == 0.0
+    assert len(report["denominators"]) == 2
+    for den in report["denominators"]:
+        assert den["mean"] == 0.0 and math.isnan(den["std_error"])
+        assert den["diagnostics"]["raw_mean"] == 0.0
     assert report["incomplete"] is True
 
 
@@ -225,6 +226,16 @@ def test_gradient_bound_validation():
         check_gradient_bound(F, SPEC15, f, np.zeros(1), 2.0, [0.5, 1.5], 100, seed=0)
     with pytest.raises(ValueError):
         check_gradient_bound(F, SPEC15, f, np.zeros(1), 2.0, [], 100, seed=0)
+
+
+@pytest.mark.parametrize("t_grid", [[1.0], [0.5], [0.5, 0.5]])
+def test_gradient_bound_needs_two_distinct_times(t_grid, capfd):
+    # one distinct time fits no slope: [1.0] used to reach np.polyfit's SVD
+    # failure (with LAPACK output on stdout), [0.5] a "slope" through one point
+    with pytest.raises(ValueError, match="^t_grid must hold at least two distinct times"):
+        check_gradient_bound(catalog("additive_identity", 1), SPEC15, make_observable("sign"),
+                             np.zeros(1), 2.0, t_grid, 100, seed=0)
+    assert capfd.readouterr().out == ""
 
 
 def test_counterexample_moment_gap():
