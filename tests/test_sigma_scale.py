@@ -135,18 +135,15 @@ def test_catalog_hint_is_the_diagonal_of_its_matrices(name, d):
 BM2 = catalog("bounded_multiplicative", 2)
 AI2 = catalog("additive_identity", 2)
 _scale, _slope = BM2.sigma_scale
+MALFORMED = r"^sigma_scale must be None or a pair \(scale, slope\) of callables"
 HINT_REFUSALS = {
     # CoefficientField refuses a malformed hint when it is built
-    "half given": (lambda: dataclasses.replace(BM2, sigma_scale=(_scale, None)),
-                   r"^sigma_scale must be None or a pair \(scale, slope\) of callables"),
-    "scale alone": (lambda: dataclasses.replace(BM2, sigma_scale=_scale),
-                    r"^sigma_scale must be None or a pair \(scale, slope\) of callables"),
-    "three callables": (lambda: dataclasses.replace(BM2, sigma_scale=(_scale, _slope, _slope)),
-                        r"^sigma_scale must be None or a pair \(scale, slope\) of callables"),
-    "not callable": (lambda: dataclasses.replace(BM2, sigma_scale=(_scale, 1.0)),
-                     r"^sigma_scale must be None or a pair \(scale, slope\) of callables"),
-    "a list": (lambda: dataclasses.replace(BM2, sigma_scale=[_scale, _slope]),
-               r"^sigma_scale must be None or a pair \(scale, slope\) of callables"),
+    "half given": (lambda: dataclasses.replace(BM2, sigma_scale=(_scale, None)), MALFORMED),
+    "scale alone": (lambda: dataclasses.replace(BM2, sigma_scale=_scale), MALFORMED),
+    "three callables": (
+        lambda: dataclasses.replace(BM2, sigma_scale=(_scale, _slope, _slope)), MALFORMED),
+    "not callable": (lambda: dataclasses.replace(BM2, sigma_scale=(_scale, 1.0)), MALFORMED),
+    "a list": (lambda: dataclasses.replace(BM2, sigma_scale=[_scale, _slope]), MALFORMED),
     # the engine refuses a result not shaped (m,) before it can broadcast
     "scale of shape (m, 1)": (
         lambda: _gradient(dataclasses.replace(
