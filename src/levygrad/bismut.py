@@ -48,7 +48,7 @@ import numpy as np
 from . import engine
 from .coefficients import CoefficientField
 from .results import EstimatorResult
-from .streams import checked_integer, substream
+from .streams import checked_float, checked_integer, substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
@@ -125,7 +125,7 @@ class ClockSpec:
 
     @classmethod
     def cap_at_first_passage(cls, R: float) -> "ClockSpec":
-        return cls(kind="cap_at_first_passage", R=float(R))
+        return cls(kind="cap_at_first_passage", R=checked_float("R", R))
 
     @classmethod
     def piecewise_linear(cls, knots) -> "ClockSpec":
@@ -217,9 +217,9 @@ def checked_start(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps
     cutoff (default_eps_cut(spec, t) when eps_cut is None), after refusing a
     t that is not positive and an intractable cutoff.
     """
-    if not t > 0:
+    if not checked_float("t", t) > 0:
         raise ValueError("t must be positive")
-    eps = default_eps_cut(spec, t) if eps_cut is None else float(eps_cut)
+    eps = default_eps_cut(spec, t) if eps_cut is None else checked_float("eps_cut", eps_cut)
     checked_jump_intensity(spec.alpha, eps, t)
     return checked_vector("x", x, field.dimension), eps
 
@@ -401,7 +401,7 @@ def estimate_gradient_fixed_clock(
     a deterministic clock is a precondition, not a rejection event.
     collect_samples fills sample_rows as in estimate_gradient.
     """
-    if not 0 < t <= path.horizon:
+    if not 0 < checked_float("t", t) <= path.horizon:
         raise ValueError("t must lie in (0, horizon]")
     d = field.dimension
     x = checked_vector("x", x, d)

@@ -33,20 +33,25 @@ the error an unblocked run raises.
 The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
 or one jump. The substep runs on the whole column-major state, the rows
-that are not stepping taking a step of size 0. A field with the
-drift_rate hint r (b = -r x) takes no substep: each jump round first scales
-its paths' X and J v by exp(-r h) over the gap h since their last jump, and
-a last scaling carries every path to t. A jump round reads its paths'
-marks with np.take and their state one coordinate at a time into row-major
-rows, as the closed form below has them, and writes the new state back one
-coordinate at a time: numpy's 2-D fancy index costs several times more.
-For b == 0 (r = 0) with constant sigma the state is x0 plus a running sum
-of the jump increments, taken in closed form as a cumulative sum with the
-loop's float operations, one row block at a time, and J v stays v. A
-non-finite state, directional derivative or weight term raises
-BlowUpError, naming the path, rather than reaching the mean; the loop
-alone raises it, and the closed form hands a batch that goes non-finite
-back to the loop.
+that are not stepping taking a step of size 0, and a jump reads its
+paths' state one coordinate at a time into row-major rows and writes it
+back the same way: numpy's 2-D fancy index costs several times more. A
+field with the drift_rate hint r (b = -r x) takes no substep. It runs in
+jump rounds, round k being every path's k-th jump, with its paths ordered
+by jump count, largest first: round k then covers exactly the first
+#(counts > k) rows of a row-major state, which it scales by exp(-r h)
+over the gap h since their last jump and updates in place, taking its
+marks with np.take at each row's k-th jump; a last scaling carries every
+path to t, and the outputs go back to batch order once. For b == 0
+(r = 0) with constant sigma the state is x0 plus a running sum of the
+jump increments, taken in closed form as a cumulative sum with the
+rounds' float operations, one row block at a time, and J v stays v. Both
+kinds of jump share one update. A non-finite state, directional
+derivative or weight term raises BlowUpError rather than reaching the
+mean, naming the earliest round (or pass) with a non-finite path and the
+lowest such path in it, or t and the lowest path whose last scaling
+overflows; the loop and the rounds alone raise it, and the closed form
+hands a batch that goes non-finite back to the rounds.
 
 A path gets the same bits in any batch, alone included, so extract_path
 replays it. einsum's order of summing a row follows the memory layout,
@@ -360,15 +365,19 @@ def _segment_steps(times, nxt, stop, t: float, start, substeps_per_unit: int):
     return steps, h
 
 
-def _first_non_finite(*arrays):
-    """Index of the first row that is not finite in one of the arrays (one row per path), else None."""
+def _first_non_finite(*arrays, paths=None):
+    """Row of the lowest path that is not finite in one of the arrays (one row per path), else None.
+
+    paths[row] is the row's path; without paths each row is its own.
+    """
     arrays = [a for a in arrays if a is not None]
     if all(np.isfinite(a).all() for a in arrays):
         return None
     bad = np.zeros(arrays[0].shape[0], dtype=bool)
     for a in arrays:
         bad |= ~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
-    return int(np.flatnonzero(bad)[0])
+    rows = np.flatnonzero(bad)
+    return int(rows[0] if paths is None else rows[np.argmin(paths[rows])])
 
 
 def _take_rows(A, rows):
@@ -436,6 +445,156 @@ def _drift_free_flow(x0, v, field, batch, dW, dWb):
     return X, np.tile(v, (n, 1)), I1, np.zeros(n), np.zeros(n)
 
 
+def _jump_update(field, s, x, j, flat, paths, dW, dWb, d_beta):
+    """Each row's jump at time s[row] with mark dW[flat[row]], from its left limits x and j.
+
+    x and j are row-major (einsum's order of summing a row of d > 2 follows
+    the layout). Returns (x_new, j_new, terms): the state and J v after the
+    jump (j_new is j for a constant sigma) and the jump's weight_terms
+    (c1, c2, c3), both None when j is. A non-finite state or directional
+    derivative, then a non-finite weight term, raises BlowUpError at the
+    lowest path paths[row] among such rows.
+    """
+    dw = np.take(dW, flat, axis=0)
+    hinted = field.sigma_scale is not None
+    if hinted:
+        scale = _sigma_scale(field, 0, s, x)
+        x_new = _times_rows(scale, dw)
+        x_new += x
+    else:
+        Sg = np.ascontiguousarray(field.sigma(s, x), dtype=float)
+        x_new = x + np.einsum("mij,mj->mi", Sg, dw)
+    j_new = dir_s = None
+    if j is not None:
+        if field.sigma_is_constant:
+            j_new = j
+        elif hinted:
+            dir_s = _sigma_scale(field, 1, s, x, j)
+            j_new = _times_rows(dir_s, dw)
+            j_new += j
+        else:
+            dir_s = _dsigma(field, s, x, j)
+            j_new = j + np.einsum("mij,mj->mi", dir_s, dw)
+    bad = _first_non_finite(x_new, j_new, paths=paths)
+    if bad is not None:
+        raise BlowUpError(s[bad], path=int(paths[bad]))
+    if j is None:
+        return x_new, None, None
+    s_inv = 1.0 / scale if hinted else field.sigma_inv(s, x)
+    terms = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw,
+                         np.take(dWb, flat, axis=0), d_beta[flat])
+    # a finite state may still give an infinite sigma^{-1}, as a subnormal sigma does
+    bad = _first_non_finite(*terms, paths=paths)
+    if bad is not None:
+        raise BlowUpError(s[bad], path=int(paths[bad]))
+    return x_new, j_new, terms
+
+
+def _add_terms(sums, rows, terms):
+    """sums[i][rows] += terms[i] for each weight term that is formed."""
+    for total, term in zip(sums, terms):
+        if term is not None:
+            total[rows] += term
+
+
+def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, dWb, d_beta):
+    """flow_batch's event loop for a field without drift_rate."""
+    n, t = batch.n, batch.horizon
+    # Column-major state: the RK4 arithmetic then runs along the path axis
+    # instead of over d-element rows.
+    X = np.asfortranarray(np.tile(x0, (n, 1)))
+    Jv = None if v is None else np.asfortranarray(np.tile(v, (n, 1)))
+    sums = None if v is None else np.zeros((3, n))
+    nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
+    stop = batch.offsets[1:]
+    s0 = np.zeros(n)  # start of each path's current segment: its last jump time, or 0
+    k = np.zeros(n, dtype=np.int64)  # substeps taken in it
+    steps, h = _segment_steps(batch.times, nxt, stop, t, s0, substeps_per_unit)
+    while True:
+        stepping = k < steps
+        stepped = bool(stepping.any())
+        if stepped:
+            _rk4_pass(field, X, Jv, s0, k, h, stepping)
+            k += stepping
+        sel = np.flatnonzero((nxt < stop) & (k == steps))
+        if sel.size == 0:
+            if stepped:
+                continue
+            break
+        flat = nxt[sel]
+        s_jump = batch.times[flat]
+        j = None if Jv is None else _take_rows(Jv, sel)
+        x_new, j_new, terms = _jump_update(field, s_jump, _take_rows(X, sel), j, flat, sel, dW, dWb, d_beta)
+        _put_rows(X, sel, x_new)
+        if j is not None:
+            _put_rows(Jv, sel, j_new)
+            _add_terms(sums, sel, terms)
+        nxt[sel] = flat + 1
+        s0[sel] = s_jump
+        k[sel] = 0
+        steps[sel], h[sel] = _segment_steps(batch.times, flat + 1, stop[sel], t, s_jump, substeps_per_unit)
+    X = np.ascontiguousarray(X)
+    if Jv is None:
+        return X, None, None, None, None
+    return X, np.ascontiguousarray(Jv), *sums
+
+
+def _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta):
+    """flow_batch's jump rounds for a field with drift_rate r.
+
+    Row i of the state is path order[i], largest jump count first, so round
+    k covers exactly the first #(counts > k) rows; the outputs go back to
+    batch order at the end. No output depends on how equal counts are
+    ordered: each row's operations are its own, and a blow-up names the
+    lowest bad path.
+    """
+    n, t, rate = batch.n, batch.horizon, field.drift_rate
+    order = np.argsort(-batch.counts)
+    first = batch.offsets[order]  # flat index of each row's first jump
+    widths = n - np.cumsum(np.bincount(batch.counts))[:-1]  # #(counts > k), k = 0, 1, ...
+    X = np.tile(x0, (n, 1))
+    Jv = None if v is None else np.tile(v, (n, 1))
+    sums = None if v is None else np.zeros((3, n))
+    s0 = np.zeros(n)  # each row's last jump time, or 0
+    for k, w in enumerate(widths.tolist()):
+        flat = first[:w] + k
+        s = batch.times[flat]
+        x = X[:w]
+        j = None if Jv is None else Jv[:w]
+        if rate:
+            # the left limit: the flow of b = -rate x over the gap since s0; a
+            # state that overflows here makes x_new non-finite below
+            decay = np.exp(-rate * (s - s0[:w]))[:, None]
+            x *= decay
+            if j is not None:
+                j *= decay
+            s0[:w] = s
+        x_new, j_new, terms = _jump_update(field, s, x, j, flat, order[:w], dW, dWb, d_beta)
+        x[...] = x_new
+        if j is not None:
+            j[...] = j_new
+            _add_terms(sums, slice(w), terms)
+    if rate:
+        decay = np.exp(-rate * (t - s0))[:, None]
+        X *= decay
+        if Jv is not None:
+            Jv *= decay
+        bad = _first_non_finite(X, Jv, paths=order)
+        if bad is not None:
+            raise BlowUpError(t, path=int(order[bad]))
+    # freed first, the round bookkeeping leaves its heap space to the outputs
+    # (held, it raised a quickstart run's peak RSS by 3 MB)
+    del first
+    X_out = np.empty_like(X)
+    X_out[order] = X
+    if Jv is None:
+        return X_out, None, None, None, None
+    Jv_out, I = np.empty_like(Jv), np.empty_like(sums)
+    Jv_out[order] = Jv
+    I[:, order] = sums
+    return X_out, Jv_out, *I
+
+
 def flow_batch(
     x0: np.ndarray,
     v: np.ndarray | None,
@@ -455,126 +614,40 @@ def flow_batch(
     are None when v is None (a plain trajectory run). t is batch.horizon,
     the end of the interval the batch's jumps were drawn on.
 
-    Each pass of the event loop gives every unfinished path its next event:
-    one RK4 substep of the segment up to its next jump (or up to t), then,
-    for paths at the end of their segment, the jump itself. A segment of gap
-    g takes max(ceil(g * substeps_per_unit), 1) substeps of size g / steps.
+    A field without drift_rate runs the event loop: each pass gives every
+    unfinished path its next event, one RK4 substep of the segment up to its
+    next jump (or up to t), then, for paths at the end of their segment,
+    the jump itself. A segment of gap g takes max(ceil(g * substeps_per_unit),
+    1) substeps of size g / steps.
+
     A field with drift_rate r takes no substep and never reads
-    substeps_per_unit: a path's X and J v are scaled by exp(-r g) when it
-    reaches its next jump, and by exp(-r (t - s)) from its last jump s (or
-    0) to t after the last round; r = 0 scales nothing. A field with r = 0
-    and constant sigma takes the closed form instead (_drift_free_flow),
-    with the loop's float operations, unless a state or weight term goes
-    non-finite: the loop then flows the whole batch and raises BlowUpError.
-    The closed form pads each path to its block's longest path, so it runs
-    over row blocks of at most JUMP_BLOCK jumps.
+    substeps_per_unit. It runs jump rounds, round k being every path's k-th
+    jump, on its paths ordered by jump count, largest first, so that each
+    round reads and updates a row-major prefix of the state in place and
+    takes its marks with np.take. A path's X and J v are scaled by
+    exp(-r g) when it reaches its next jump, and by exp(-r (t - s)) from its
+    last jump s (or 0) to t after the last round; r = 0 scales nothing. A
+    field with r = 0 and constant sigma takes the closed form instead
+    (_drift_free_flow), with the rounds' float operations, unless a state or
+    weight term goes non-finite: the rounds then flow the whole batch and
+    raise BlowUpError. The closed form pads each path to its block's longest
+    path, so it runs over row blocks of at most JUMP_BLOCK jumps.
+
+    A BlowUpError names the earliest round (or RK4 pass) with a non-finite
+    path and the lowest such path in it, or t and the lowest path whose last
+    scaling overflows.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None, d_beta is None) != (v is None, v is None):
         raise ValueError("pass the weight inputs dWb and d_beta exactly when v is given")
-    rate = field.drift_rate
-    if rate == 0.0 and field.sigma_is_constant:
+    if field.drift_rate == 0.0 and field.sigma_is_constant:
         parts = [_drift_free_flow(x0, v, field, *block) for block in _row_blocks(batch, dW, dWb)]
         if parts and all(part is not None for part in parts):
             return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
-    n, t = batch.n, batch.horizon
-    # Column-major state: the RK4 arithmetic then runs along the path axis
-    # instead of over d-element rows.
-    X = np.asfortranarray(np.tile(x0, (n, 1)))
     v = None if v is None else np.asarray(v, dtype=float)
-    Jv = None if v is None else np.asfortranarray(np.tile(v, (n, 1)))
-    I1, I2, I3 = (None, None, None) if Jv is None else (np.zeros(n), np.zeros(n), np.zeros(n))
-    rk4 = rate is None
-    hinted = field.sigma_scale is not None
-    scaled = bool(rate)  # a nonzero drift_rate: exact scaling between jumps
-    nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
-    stop = batch.offsets[1:]
-    s0 = np.zeros(n)  # start of each path's current segment: its last jump time, or 0
-    if rk4:
-        k = np.zeros(n, dtype=np.int64)  # substeps taken in it
-        steps, h = _segment_steps(batch.times, nxt, stop, t, s0, substeps_per_unit)
-    while True:
-        stepped = False
-        ready = nxt < stop
-        if rk4:
-            stepping = k < steps
-            stepped = bool(stepping.any())
-            if stepped:
-                _rk4_pass(field, X, Jv, s0, k, h, stepping)
-                k += stepping
-            ready &= k == steps
-        sel = np.flatnonzero(ready)
-        if sel.size == 0:
-            if stepped:
-                continue
-            break
-        flat = nxt[sel]
-        s_jump = batch.times[flat]
-        # row-major: einsum's order of summing a row of d > 2 follows the layout
-        x = _take_rows(X, sel)
-        j = None if Jv is None else _take_rows(Jv, sel)
-        if scaled:
-            # the left limit: the flow of b = -rate x over the gap since s0; a
-            # state that overflows here makes x_new non-finite below
-            decay = np.exp(-rate * (s_jump - s0[sel]))[:, None]
-            x *= decay
-            if j is not None:
-                j *= decay
-        dw = np.take(dW, flat, axis=0)
-        if hinted:
-            scale = _sigma_scale(field, 0, s_jump, x)
-            x_new = _times_rows(scale, dw)
-            x_new += x
-        else:
-            Sg = np.ascontiguousarray(field.sigma(s_jump, x), dtype=float)
-            x_new = x + np.einsum("mij,mj->mi", Sg, dw)
-        j_new = dir_s = None
-        if j is not None:
-            if field.sigma_is_constant:
-                j_new = j
-            elif hinted:
-                dir_s = _sigma_scale(field, 1, s_jump, x, j)
-                j_new = _times_rows(dir_s, dw)
-                j_new += j
-            else:
-                dir_s = _dsigma(field, s_jump, x, j)
-                j_new = j + np.einsum("mij,mj->mi", dir_s, dw)
-            _put_rows(Jv, sel, j_new)
-        _put_rows(X, sel, x_new)
-        bad = _first_non_finite(x_new, j_new)
-        if bad is not None:
-            raise BlowUpError(s_jump[bad], path=int(sel[bad]))
-        if j is not None:
-            dwb = np.take(dWb, flat, axis=0)
-            s_inv = 1.0 / scale if hinted else field.sigma_inv(s_jump, x)
-            c1, c2, c3 = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw, dwb,
-                                      d_beta[flat])
-            # a finite state may still give an infinite sigma^{-1}, as a
-            # subnormal sigma does
-            bad = _first_non_finite(c1, c2, c3)
-            if bad is not None:
-                raise BlowUpError(s_jump[bad], path=int(sel[bad]))
-            I1[sel] += c1
-            if dir_s is not None:
-                I2[sel] += c2
-                I3[sel] += c3
-        nxt[sel] = flat + 1
-        s0[sel] = s_jump
-        if rk4:
-            k[sel] = 0
-            steps[sel], h[sel] = _segment_steps(
-                batch.times, flat + 1, stop[sel], t, s_jump, substeps_per_unit)
-    if scaled:
-        decay = np.exp(-rate * (t - s0))[:, None]
-        X *= decay
-        if Jv is not None:
-            Jv *= decay
-        bad = _first_non_finite(X, Jv)
-        if bad is not None:
-            raise BlowUpError(t, path=bad)
-    if Jv is not None:
-        Jv = np.ascontiguousarray(Jv)
-    return np.ascontiguousarray(X), Jv, I1, I2, I3
+    if field.drift_rate is None:
+        return _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, dWb, d_beta)
+    return _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta)
 
 
 def path_cumulatives(batch: JumpBatch):

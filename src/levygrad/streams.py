@@ -30,6 +30,13 @@ def checked_integer(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def checked_float(name: str, value) -> float:
+    """float(value), refused by name for a bool: float(True) would silently run at 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Return the counter-based (Philox) stream identified by ``(seed, *key)``.
 

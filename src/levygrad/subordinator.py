@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import checked_float
+
 __all__ = [
     "BernsteinSpec",
     "JumpPath",
@@ -56,7 +58,7 @@ class BernsteinSpec:
 
     @classmethod
     def alpha_stable(cls, alpha: float) -> "BernsteinSpec":
-        return cls(float(alpha))
+        return cls(checked_float("alpha", alpha))
 
 
 @dataclass(frozen=True, eq=False)

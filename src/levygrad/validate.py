@@ -23,7 +23,7 @@ from .bismut import ClockSpec, checked_start, checked_vector, estimate_gradient
 from .bismut import _clock_diagnostics, fixed_batch, stable_batch
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, EstimatorResult, compare
-from .streams import substream
+from .streams import checked_float, substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
@@ -135,7 +135,7 @@ def fd_gradient(
     """
     x, eps = checked_start(x, field, spec, t, eps_cut)
     v = checked_vector("v", v, field.dimension)
-    h_val = 1e-3 * (1.0 + float(np.linalg.norm(x))) if h is None else float(h)
+    h_val = 1e-3 * (1.0 + float(np.linalg.norm(x))) if h is None else checked_float("h", h)
     if not 0 < h_val < math.inf:
         raise ValueError("h must be positive and finite")
     run = _semigroup_run(lambda bi, count: stable_batch(spec, t, eps, x.size, seed, bi, count),
@@ -176,7 +176,7 @@ def check_gradient_bound(
     where m and s (raw_mean, raw_std_error) are the mean and SE of
     estimate_pt on |f|^p; m = 0 gives 0.0 with a NaN SE, and no exception.
     """
-    t_grid = [float(t) for t in t_grid]
+    t_grid = [checked_float("t_grid", t) for t in t_grid]
     if not t_grid or any(not 0 < t <= 1 for t in t_grid):
         raise ValueError("t_grid must be a nonempty subset of (0, 1]")
     if len(set(t_grid)) < 2:
@@ -186,7 +186,7 @@ def check_gradient_bound(
     if v is None:
         v = np.zeros(field.dimension)
         v[0] = 1.0
-    eps1 = default_eps_cut(spec, 1.0) if eps_cut_at_1 is None else float(eps_cut_at_1)
+    eps1 = default_eps_cut(spec, 1.0) if eps_cut_at_1 is None else checked_float("eps_cut_at_1", eps_cut_at_1)
     alpha = spec.alpha
 
     ratios, grads, dens = [], [], []

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levygrad
@@ -65,3 +66,35 @@ assert res.n_samples == 200 and np.isfinite(res.mean)
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+# float(True) is 1.0: each of these ran at 1.0 when handed a boolean
+SPEC = levygrad.BernsteinSpec.alpha_stable(1.5)
+START = dict(x=[0.3, 0.0], f=levygrad.make_observable("tanh1"),
+             field=levygrad.catalog("bounded_multiplicative", 2), spec=SPEC)
+BOUND = dict(field=START["field"], spec=SPEC, f=START["f"], x=START["x"], p=2.0, n_paths=10,
+             seed=1)
+PATH = levygrad.JumpPath(1.0, [0.2, 0.5], [0.4, 0.8])
+BOOLEAN_SCALARS = {
+    "R": lambda flag: levygrad.estimate_gradient(
+        v=[1.0, 0.5], t=0.5, R=flag, n_paths=10, eps_cut=3e-2, seed=1, **START),
+    "eps_cut": lambda flag: levygrad.estimate_gradient(
+        v=[1.0, 0.5], t=0.5, R="auto", n_paths=10, eps_cut=flag, seed=1, **START),
+    "h": lambda flag: levygrad.fd_gradient(
+        v=[1.0, 0.5], t=0.5, h=flag, n_paths=10, seed=1, eps_cut=3e-2, **START),
+    "t": lambda flag: levygrad.estimate_pt(t=flag, n_paths=10, seed=1, eps_cut=3e-2, **START),
+    "alpha": lambda flag: levygrad.BernsteinSpec.alpha_stable(flag),
+    "t_grid": lambda flag: levygrad.check_gradient_bound(t_grid=[0.5, flag], **BOUND),
+    "eps_cut_at_1": lambda flag: levygrad.check_gradient_bound(
+        t_grid=[0.5, 1.0], eps_cut_at_1=flag, **BOUND),
+    "t of the fixed clock": lambda flag: levygrad.estimate_gradient_fixed_clock(
+        START["x"], [1.0, 0.5], START["f"], START["field"], PATH,
+        levygrad.ClockSpec.cap_at_first_passage(1.0), flag, 10, 1),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("case", sorted(BOOLEAN_SCALARS))
+def test_float_scalars_refuse_booleans(case, flag):
+    with pytest.raises(ValueError, match=f"^{case.split()[0]} must be a number, got"):
+        BOOLEAN_SCALARS[case](flag)

@@ -1,0 +1,128 @@
+"""The jump rounds of a drift_rate field: each path's bits and the blow-up contract.
+
+flow_batch runs a field with the drift_rate hint in jump rounds, round k
+being every path's k-th jump, with no RK4 substep. Whatever order the
+rounds visit the paths in, each path gets the bits it gets when flowed as
+a batch of its own, and a BlowUpError names the earliest round with a
+non-finite path and the lowest such path in it, or t and the lowest path
+whose last scaling overflows. The batches below put paths with more jumps
+after paths with fewer, and put empty paths between them.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from levygrad import BlowUpError, catalog
+from levygrad.engine import JumpBatch, flow_batch
+
+
+def _batch_of(paths, t=1.0):
+    counts = np.array([len(p) for p in paths], dtype=np.int64)
+    times = np.concatenate([np.asarray(p, dtype=float) for p in paths] + [np.empty(0)])
+    return JumpBatch(len(paths), t, counts, np.concatenate(([0], np.cumsum(counts))), times,
+                     np.linspace(0.05, 0.3, times.size))
+
+
+def _weight_inputs(v, batch, dW):
+    """(dWb, d_beta) for a run with direction v, an empty tuple without one."""
+    if v is None:
+        return ()
+    return 0.5 * dW[:, ::-1] - 0.25, batch.sizes
+
+
+def _field(name, d):
+    """A catalog field, or "drift_free_loop": additive_identity claiming a state-dependent sigma,
+    which runs the rounds with r = 0 instead of the closed form."""
+    if name == "drift_free_loop":
+        return dataclasses.replace(catalog("additive_identity", d), sigma_is_constant=False)
+    return catalog(name, d)
+
+
+def _linspaced(*counts):
+    return [list(np.linspace(0.1, 0.9, c)) for c in counts]
+
+
+EDGE_BATCHES = {
+    "all_empty": [[], [], [], []],
+    "all_equal": _linspaced(3, 3, 3, 3, 3),
+    "one_long_path": _linspaced(1, 2, 1, 40, 0, 2, 1),
+    "empty_paths_between": [[0.1, 0.2], [], [0.3], [], [], [0.15, 0.5, 0.9], [], [0.05]],
+    "growing_counts": _linspaced(0, 1, 2, 3, 4, 5, 6),
+}
+
+
+@pytest.mark.parametrize("batch_name", sorted(EDGE_BATCHES))
+@pytest.mark.parametrize("name, d", [("bounded_multiplicative", 2), ("bounded_multiplicative", 3),
+                                     ("ou_additive", 2), ("drift_free_loop", 2),
+                                     ("additive_identity", 2)])
+@pytest.mark.parametrize("with_v", [True, False])
+def test_each_path_gets_the_bits_it_gets_alone(batch_name, name, d, with_v):
+    field = _field(name, d)
+    paths = EDGE_BATCHES[batch_name]
+    batch = _batch_of(paths)
+    rng = np.random.default_rng(len(paths) * d)
+    dW = rng.standard_normal((batch.total, d)) * 0.7
+    x0 = np.resize([-0.0, 0.4, -1.1], d)
+    v = np.resize([1.0, -0.5, 0.25], d) if with_v else None
+    whole = flow_batch(x0, v, field, batch, dW, 100, *_weight_inputs(v, batch, dW))
+    assert whole[0].shape == (batch.n, d) and whole[0].flags["C_CONTIGUOUS"]
+    for p in range(batch.n):
+        lo, hi = batch.offsets[p], batch.offsets[p + 1]
+        alone = JumpBatch(1, batch.horizon, batch.counts[p:p + 1], np.array([0, hi - lo]),
+                          batch.times[lo:hi], batch.sizes[lo:hi])
+        part = flow_batch(x0, v, field, alone, dW[lo:hi], 100, *_weight_inputs(v, alone, dW[lo:hi]))
+        for got, want in zip(part, whole):
+            if want is None:
+                assert got is None
+                continue
+            assert got.tobytes() == want[p:p + 1].tobytes(), (batch_name, p)
+
+
+def _blow_up(field, x0, v, batch, dW):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        flow_batch(x0, v, field, batch, dW, 100, *_weight_inputs(v, batch, dW))
+    return info.value.s, info.value.path
+
+
+@pytest.mark.parametrize("name", ["bounded_multiplicative", "drift_free_loop", "additive_identity"])
+@pytest.mark.parametrize("with_v", [True, False])
+def test_a_round_names_its_lowest_bad_path_not_the_longest(name, with_v):
+    # paths 1 and 2 overflow at their 2nd jump (round 1), path 3 at its 3rd
+    # (round 2), paths 0 and 4 never. Path 2, with more jumps, is visited
+    # before path 1 if the rounds take the longest paths first, and path 3
+    # before both; the error names round 1's lowest path, 1, at its jump time
+    huge = 1.7e308
+    plan = [([0.5], [0.0]), ([0.2, 0.6], [0.0, huge]), ([0.1, 0.3, 0.7], [0.0, huge, 0.0]),
+            ([0.15, 0.25, 0.35, 0.45], [0.0, 0.0, huge, 0.0]), ([], [])]
+    batch = _batch_of([times for times, _ in plan])
+    dW = np.zeros((batch.total, 2))
+    dW[:, 1] = np.concatenate([marks for _, marks in plan])
+    x0 = np.array([0.0, 1.7e308])
+    v = np.array([1.0, 0.0]) if with_v else None
+    assert _blow_up(_field(name, 2), x0, v, batch, dW) == (0.6, 1)
+
+
+def _growing_field(rate):
+    """ou_additive in d = 1 with b = -rate x, hinted so."""
+    return dataclasses.replace(
+        catalog("ou_additive", 1), drift_rate=rate, b=lambda t, x: -rate * np.asarray(x, dtype=float),
+        jvp_b=lambda t, x, u: -rate * np.asarray(u, dtype=float),
+        grad_b=lambda t, x: np.full(np.shape(x) + (1,), -rate),
+    )
+
+
+@pytest.mark.parametrize("with_v", [True, False])
+def test_the_last_scaling_names_its_lowest_bad_path(with_v):
+    # x grows by e^(10 s) from 1e307, past the float range after s = 0.289:
+    # every left limit before 0.2 is finite, and at t = 0.5 paths 1, 2 and 3
+    # overflow. Path 3, with the most jumps, comes before paths 1 and 2 if
+    # the longest paths go first; path 0's jump cancels its state exactly
+    field, x0 = _growing_field(-10.0), np.array([1e307])
+    v = np.ones(1) if with_v else None
+    batch = _batch_of([[0.1], [0.15], [], [0.05, 0.1, 0.15, 0.2]], 0.5)
+    dW = np.zeros((batch.total, 1))
+    dW[0, 0] = -(1e307 * math.exp(10.0 * 0.1))
+    assert _blow_up(field, x0, v, batch, dW) == (0.5, 1)
