@@ -36,6 +36,12 @@ forms dW^beta. Both estimators here and the isometry and truncation checks
 in validate read beta only through it. Each estimator forms dW^beta once
 per row block of a batch (engine.over_row_blocks); engine.flow_batch sums
 I1, I2 and I3 at each jump's left limit as it applies the jump.
+
+ClockDraw is the one place a run draws its clock: the stable clock truncated
+at a cutoff, or one fixed jump path. Its constructors check t and the cutoff,
+batch draws a batch's jumps and marks (and mark_law's auxiliary normals for a
+fixed path), and diagnostics reports the clock a run sampled. Both estimators
+here and the unweighted runs in validate draw only through it.
 """
 
 from __future__ import annotations
@@ -210,66 +216,80 @@ def checked_vector(name: str, value, d: int | None = None) -> np.ndarray:
     return arr
 
 
-def checked_start(x, field: CoefficientField, spec: BernsteinSpec, t: float, eps_cut):
-    """Opening checks of the estimators that sample the stable clock.
+@dataclass(frozen=True, eq=False)
+class ClockDraw:
+    """What a run draws its clock from, batch by batch, with the checks run once.
 
-    Returns x as a finite float vector of the field's dimension and the jump
-    cutoff (default_eps_cut(spec, t) when eps_cut is None), after refusing a
-    t that is not positive and an intractable cutoff.
+    kind "stable" is the stable clock truncated at eps_cut on (0, t]: each
+    batch samples fresh jumps, so runs at one seed, cutoff and t share them.
+    kind "fixed" tiles one deterministic jump path (its jumps up to t) across
+    every batch and draws the auxiliary normals of ClockSpec.mark_law from
+    the marks' stream right after the marks. d is the dimension of the marks.
     """
-    if not checked_float("t", t) > 0:
-        raise ValueError("t must be positive")
-    eps = default_eps_cut(spec, t) if eps_cut is None else checked_float("eps_cut", eps_cut)
-    checked_jump_intensity(spec.alpha, eps, t)
-    return checked_vector("x", x, field.dimension), eps
+
+    kind: str
+    t: float
+    d: int
+    seed: int
+    spec: BernsteinSpec | None = None
+    eps_cut: float | None = None
+    path: JumpPath | None = None
+
+    @classmethod
+    def stable(cls, spec: BernsteinSpec, t, eps_cut, d: int, seed: int) -> "ClockDraw":
+        """Refuses a t that is not positive and an intractable cutoff (default_eps_cut when None)."""
+        if not (t := checked_float("t", t)) > 0:
+            raise ValueError("t must be positive")
+        eps = default_eps_cut(spec, t) if eps_cut is None else checked_float("eps_cut", eps_cut)
+        checked_jump_intensity(spec.alpha, eps, t)
+        return cls("stable", t, d, seed, spec=spec, eps_cut=eps)
+
+    @classmethod
+    def fixed(cls, path: JumpPath, t, d: int, seed: int) -> "ClockDraw":
+        """Refuses a t outside (0, path.horizon]."""
+        if not 0 < (t := checked_float("t", t)) <= path.horizon:
+            raise ValueError("t must lie in (0, horizon]")
+        return cls("fixed", t, d, seed, path=path)
+
+    def batch(self, bi: int, count: int):
+        """Batch bi's (jumps, marks, aux); aux, the auxiliary normals, is None for the stable kind."""
+        if self.kind == "stable":
+            jumps = substream(self.seed, engine.PURPOSE_JUMPS, bi)
+            jb = engine.sample_jump_batch(self.spec.alpha, self.t, self.eps_cut, count, jumps)
+        else:
+            jb = engine.fixed_jump_batch(self.path, self.t, count)
+        rng = substream(self.seed, engine.PURPOSE_MARKS, bi)
+        dW = engine.sample_mark_batch(jb, self.d, rng)
+        return jb, dW, None if self.kind == "stable" else rng.standard_normal(dW.shape)
+
+    def diagnostics(self, run: engine.BatchRun) -> dict:
+        """Jumps per path of a run that counted them; a stable clock adds its cutoff and dropped mass."""
+        report = {"mean_jump_count": run.counters["jumps"] / run.n_samples}
+        if self.kind == "fixed":
+            return report
+        dropped = dropped_mass_rate(self.spec.alpha, self.eps_cut) * self.t
+        return {**report, "expected_dropped_clock_mass": dropped, "eps_cut": self.eps_cut}
 
 
-def stable_batch(spec: BernsteinSpec, t: float, eps_cut: float, d: int, seed: int, bi: int, count):
-    """Batch bi's stable clock jumps on (0, t] and marks; runs at one seed share them."""
-    jumps = substream(seed, engine.PURPOSE_JUMPS, bi)
-    jb = engine.sample_jump_batch(spec.alpha, t, eps_cut, count, jumps)
-    return jb, engine.sample_mark_batch(jb, d, substream(seed, engine.PURPOSE_MARKS, bi))
+def _weighted_run(x, v, f, field, draw: ClockDraw, clock: ClockSpec, n_paths, substeps_per_unit,
+                  workers, antithetic, collect_samples, diagnostics: dict) -> EstimatorResult:
+    """The run of both weighted estimators, with diagnostics appended to the shared ones.
 
-
-def _clock_diagnostics(run: engine.BatchRun, spec: BernsteinSpec, eps: float, t: float) -> dict:
-    """The truncated clock a stable_batch run sampled: its cutoff, jumps per path, dropped mass."""
-    return {
-        "mean_jump_count": run.counters["jumps"] / run.n_samples,
-        "expected_dropped_clock_mass": dropped_mass_rate(spec.alpha, eps) * t,
-        "eps_cut": eps,
-    }
-
-
-def fixed_batch(path: JumpPath, t: float, d: int, seed: int, bi: int, count):
-    """Batch bi of one fixed jump path (jumps up to t): jumps, marks and auxiliary normals.
-
-    The auxiliary normals, the Z of ClockSpec.mark_law, are shaped like the
-    marks and drawn from the marks' stream right after them.
+    Each batch draws (jumps, marks, aux) from draw. Over row blocks of the
+    batch (engine.over_row_blocks, which slices the marks and aux) the worker
+    forms the clock increments and the beta-weighted marks and flows the
+    block, which sums the weight terms; it then splits f(X_t) * weight into
+    its three parts. Paths with a normalizer that is not positive are
+    rejected. With antithetic each sample is the average over a sign flip of
+    every Gaussian, which negates both marks. A stable draw also reports the
+    fraction of capped paths; a fixed path caps all of its samples or none.
+    collect_samples = k > 0, checked before any batch runs, fills sample_rows
+    with the first min(k, accepted) accepted paths' rows.
     """
-    jb = engine.fixed_jump_batch(path, t, count)
-    rng = substream(seed, engine.PURPOSE_MARKS, bi)
-    dW = engine.sample_mark_batch(jb, d, rng)
-    return jb, dW, rng.standard_normal(dW.shape)
-
-
-def _weighted_worker(x, v, f, field, clock, substeps_per_unit, antithetic, collect_samples, draw):
-    """The per-batch worker of both weighted estimators.
-
-    draw(bi, count) returns one batch's (jumps, marks, aux), aux being the
-    auxiliary normals clock.beta_marks reads, or None for a clock that reads
-    none. Over row blocks of the batch (engine.over_row_blocks, which slices
-    the marks and aux) the worker forms the clock increments and the
-    beta-weighted marks and flows the block, which sums the weight terms;
-    it then splits f(X_t) * weight into its three parts. Paths with a
-    normalizer that is not positive are rejected. With antithetic each
-    sample is the average over a sign flip of every Gaussian, which negates
-    both marks. Batches keep their per-path rows for _with_sample_rows only
-    when collect_samples, checked here before any batch runs, asks for rows.
-    """
-    keep_rows = checked_integer("collect_samples", collect_samples, minimum=0) > 0
+    limit = checked_integer("collect_samples", collect_samples, minimum=0)
 
     def worker(bi: int, start: int, count: int):
-        jb, dW, aux = draw(bi, count)
+        jb, dW, aux = draw.batch(bi, count)
 
         def stage(block, dW, aux):
             inc = clock.increments(block)
@@ -294,23 +314,19 @@ def _weighted_worker(x, v, f, field, clock, substeps_per_unit, antithetic, colle
             "samples": {"y": t1 - t2 + t3, "t1": t1, "t2": t2, "t3": t3},
             "reject": reject,
             "counters": {"jumps": int(jb.total), "capped": int(np.isfinite(cap).sum())},
-            "rows": (start, fv, I1, I2, I3, normalizer, reject) if keep_rows else None,
+            "rows": (start, fv, I1, I2, I3, normalizer, reject) if limit else None,
         }
 
-    return worker
-
-
-def _term_diagnostics(run: engine.BatchRun) -> dict:
-    c = run.columns
-    return {
-        "term_I1_mean": c["t1"].mean,
-        "term_I2_mean": c["t2"].mean,
-        "term_I3_mean": c["t3"].mean,
-    }
-
-
-def _with_sample_rows(result: EstimatorResult, run: engine.BatchRun, limit: int):
-    """result with sample_rows set to the first `limit` accepted per-path rows."""
+    run = engine.run_batches(n_paths, workers, worker)
+    frac = run.n_rejected / n_paths
+    result = run.result({
+        "rejection_fraction": frac,
+        "flagged_invalid": 1.0 if frac > REJECTION_FLAG_THRESHOLD else 0.0,
+        **draw.diagnostics(run),
+        **({"cap_fraction": run.counters["capped"] / n_paths} if draw.kind == "stable" else {}),
+        **{f"term_I{j}_mean": run.columns[f"t{j}"].mean for j in (1, 2, 3)},
+        **diagnostics,
+    })
     if not limit:
         return result
     rows: list[tuple] = []
@@ -356,28 +372,15 @@ def estimate_gradient(
     pair. collect_samples = k > 0 fills sample_rows with the first
     min(k, accepted) accepted paths' rows; 0 leaves it None.
     """
-    x, eps_cut = checked_start(x, field, spec, t, eps_cut)
+    draw = ClockDraw.stable(spec, t, eps_cut, field.dimension, seed)
+    x = checked_vector("x", x, field.dimension)
     v = checked_vector("v", v, field.dimension)
     if R is None or (isinstance(R, str) and R == "auto"):
-        R = default_level_R(spec, t)
+        R = default_level_R(spec, draw.t)
     clock = ClockSpec.cap_at_first_passage(R)
-
-    worker = _weighted_worker(
-        x, v, f, field, clock, substeps_per_unit, antithetic, collect_samples,
-        lambda bi, count: (*stable_batch(spec, t, eps_cut, x.size, seed, bi, count), None))
-    run = engine.run_batches(n_paths, workers, worker)
-    frac = run.n_rejected / n_paths
-    diagnostics = {
-        "rejection_fraction": frac,
-        "flagged_invalid": 1.0 if frac > REJECTION_FLAG_THRESHOLD else 0.0,
-        **_clock_diagnostics(run, spec, eps_cut, t),
-        "cap_fraction": run.counters["capped"] / n_paths,
-        **_term_diagnostics(run),
-        "level_R": clock.R,
-    }
-    if antithetic:
-        diagnostics["antithetic"] = 1.0
-    return _with_sample_rows(run.result(diagnostics), run, collect_samples)
+    own = {"level_R": clock.R, **({"antithetic": 1.0} if antithetic else {})}
+    return _weighted_run(x, v, f, field, draw, clock, n_paths, substeps_per_unit, workers,
+                         antithetic, collect_samples, own)
 
 
 def estimate_gradient_fixed_clock(
@@ -401,23 +404,12 @@ def estimate_gradient_fixed_clock(
     a deterministic clock is a precondition, not a rejection event.
     collect_samples fills sample_rows as in estimate_gradient.
     """
-    if not 0 < checked_float("t", t) <= path.horizon:
-        raise ValueError("t must lie in (0, horizon]")
     d = field.dimension
+    draw = ClockDraw.fixed(path, t, d, seed)
     x = checked_vector("x", x, d)
     v = checked_vector("v", v, d)
-    one_path = engine.fixed_jump_batch(path, t, 1)
-    normalizer = float(clock.increments(one_path).normalizer[0])
+    normalizer = float(clock.increments(engine.fixed_jump_batch(path, draw.t, 1)).normalizer[0])
     if normalizer <= 0:
         raise ValueError("beta(ell_t) must be positive for the fixed-clock estimator")
-    worker = _weighted_worker(x, v, f, field, clock, substeps_per_unit, False, collect_samples,
-                              lambda bi, count: fixed_batch(path, t, d, seed, bi, count))
-    run = engine.run_batches(n_paths, workers, worker)
-    diagnostics = {
-        "rejection_fraction": 0.0,
-        "flagged_invalid": 0.0,
-        "mean_jump_count": float(one_path.total),
-        "normalizer": normalizer,
-        **_term_diagnostics(run),
-    }
-    return _with_sample_rows(run.result(diagnostics), run, collect_samples)
+    return _weighted_run(x, v, f, field, draw, clock, n_paths, substeps_per_unit, workers,
+                         False, collect_samples, {"normalizer": normalizer})

@@ -32,16 +32,16 @@ import numpy as np
 
 from . import engine
 from . import results as rules  # rules.THRESHOLD_SE is read at call time
-from .bismut import ClockSpec, estimate_gradient, estimate_gradient_fixed_clock
+from .bismut import ClockDraw, ClockSpec, estimate_gradient, estimate_gradient_fixed_clock
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, compare
 from .streams import checked_integer, substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
-    checked_jump_intensity,
     dropped_mass_rate,
     inverse_moment,
+    tail_mass,
     _kanter_log_inverse_moment,
 )
 from .validate import (
@@ -197,7 +197,8 @@ def _cmd_sample_subordinator(cfg: dict):
     spec, eps, t, n, seed = (kw[k] for k in ("spec", "eps_cut", "t", "n_paths", "seed"))
     if n < 2:
         raise ConfigError("n_paths must be at least 2")
-    lam = checked_jump_intensity(spec.alpha, eps, t)
+    ClockDraw.stable(spec, t, eps, 1, seed)  # the estimators' checks of t and the cutoff
+    lam = t * tail_mass(spec.alpha, eps)
 
     def worker(bi: int, start: int, count: int):
         jb = engine.sample_jump_batch(

@@ -31,8 +31,8 @@ def checked_integer(name: str, value, minimum: int | None = None) -> int:
 
 
 def checked_float(name: str, value) -> float:
-    """float(value), refused by name for a bool: float(True) would silently run at 1.0."""
-    if isinstance(value, (bool, np.bool_)):
+    """float(value), refused by name for a bool or a string: float(True) would run at 1.0."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -7,8 +7,8 @@ separating jump clocks from their absolutely continuous mollifications, and
 two exact L2 identities for the reparameterized Gaussian sums (an isometry
 and a truncation-coupling formula). The semigroup averages, the finite
 differences and the counterexample's jump-clock moment share one unweighted
-worker, _semigroup_run. Agreement between these oracles and the weighted
-estimator is what the test suite certifies.
+worker, _semigroup_run, which reads a bismut.ClockDraw. Agreement between
+these oracles and the weighted estimator is what the test suite certifies.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import engine
-from .bismut import ClockSpec, checked_start, checked_vector, estimate_gradient
-from .bismut import _clock_diagnostics, fixed_batch, stable_batch
+from .bismut import ClockDraw, ClockSpec, checked_vector, estimate_gradient
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, EstimatorResult, compare
 from .streams import checked_float, substream
@@ -72,12 +71,12 @@ def make_observable(name: str, a=None):
 def _semigroup_run(draw, starts, f, combine, field, n_paths, substeps_per_unit, workers):
     """Run of combine(f(X_t(x0)) for x0 in starts), every start flowed with no weight.
 
-    draw(bi, count) returns one batch's (jumps, marks); every start reads the
-    same draws (common random numbers), flowed over the batch's row blocks
-    (engine.over_row_blocks). The run counts the jumps it flowed.
+    Each batch reads its jumps and marks from the ClockDraw draw; every start
+    reads the same draws (common random numbers), flowed over the batch's row
+    blocks (engine.over_row_blocks). The run counts the jumps it flowed.
     """
     def worker(bi: int, start: int, count: int):
-        jb, dW = draw(bi, count)
+        jb, dW, _ = draw.batch(bi, count)
         X = engine.over_row_blocks(jb, lambda block, dW: tuple(
             engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0] for x0 in starts), dW)
         y = combine(*(engine.evaluate_observable(f, Xi, bi) for Xi in X))
@@ -104,10 +103,10 @@ def estimate_pt(
     Uses the same jump and mark streams as the gradient estimator at the same
     seed, so the two runs share paths (common random numbers).
     """
-    x, eps = checked_start(x, field, spec, t, eps_cut)
-    run = _semigroup_run(lambda bi, count: stable_batch(spec, t, eps, x.size, seed, bi, count),
-                         (x,), f, lambda y: y, field, n_paths, substeps_per_unit, workers)
-    return run.result(_clock_diagnostics(run, spec, eps, t))
+    draw = ClockDraw.stable(spec, t, eps_cut, field.dimension, seed)
+    x = checked_vector("x", x, field.dimension)
+    run = _semigroup_run(draw, (x,), f, lambda y: y, field, n_paths, substeps_per_unit, workers)
+    return run.result(draw.diagnostics(run))
 
 
 def fd_gradient(
@@ -133,15 +132,15 @@ def fd_gradient(
     discontinuous f (the difference is a rare-event indicator at scale h);
     use the weighted estimator there. h defaults to 1e-3 * (1 + |x|).
     """
-    x, eps = checked_start(x, field, spec, t, eps_cut)
+    draw = ClockDraw.stable(spec, t, eps_cut, field.dimension, seed)
+    x = checked_vector("x", x, field.dimension)
     v = checked_vector("v", v, field.dimension)
     h_val = 1e-3 * (1.0 + float(np.linalg.norm(x))) if h is None else checked_float("h", h)
     if not 0 < h_val < math.inf:
         raise ValueError("h must be positive and finite")
-    run = _semigroup_run(lambda bi, count: stable_batch(spec, t, eps, x.size, seed, bi, count),
-                         (x + h_val * v, x - h_val * v), f, lambda fp, fm: (fp - fm) / (2.0 * h_val),
+    run = _semigroup_run(draw, (x + h_val * v, x - h_val * v), f, lambda fp, fm: (fp - fm) / (2.0 * h_val),
                          field, n_paths, substeps_per_unit, workers)
-    return run.result({"h": h_val, **_clock_diagnostics(run, spec, eps, t)})
+    return run.result({"h": h_val, **draw.diagnostics(run)})
 
 
 def check_gradient_bound(
@@ -181,8 +180,10 @@ def check_gradient_bound(
         raise ValueError("t_grid must be a nonempty subset of (0, 1]")
     if len(set(t_grid)) < 2:
         raise ValueError(f"t_grid must hold at least two distinct times to fit a slope, got {t_grid}")
+    p = checked_float("p", p)
     if not p > 1:
         raise ValueError("p must exceed 1")
+    slope_tolerance = checked_float("slope_tolerance", slope_tolerance)
     if v is None:
         v = np.zeros(field.dimension)
         v[0] = 1.0
@@ -254,8 +255,10 @@ def counterexample_moments(
     The mollified moment uses Euler steps X += sigma(X) sqrt(dl) Z on a
     uniform grid, so it carries an O(grid_step) bias on top of its SE.
     """
+    eps_mollify = checked_float("eps_mollify", eps_mollify)
     if not 0.0 < eps_mollify < 0.5:
         raise ValueError("eps_mollify must lie in (0, 0.5)")
+    grid_step = checked_float("grid_step", grid_step)
     if not 0 < grid_step <= 1e-3:
         raise ValueError("grid_step must lie in (0, 1e-3]")
     if n_paths < 2:
@@ -266,7 +269,7 @@ def counterexample_moments(
     path = JumpPath(1.0, np.array([1.0]), np.array([1.0]))
 
     jump_moment = _semigroup_run(
-        lambda bi, count: fixed_batch(path, 1.0, 1, seed, bi, count)[:2], (np.zeros(1),),
+        ClockDraw.fixed(path, 1.0, 1, seed), (np.zeros(1),),
         lambda X: np.einsum("ni,ni->n", X, X), lambda y: y, field, n_paths, 100, workers,
     ).result({"clock_mass_at_1": 1.0})
 
@@ -296,12 +299,14 @@ def counterexample_moments(
 def _mark_sum_squares(path: JumpPath, xi: np.ndarray, laws, n_paths: int, seed: int, workers):
     """Run whose column j holds (sum_k <xi, r_k dW_k + c_k Z_k>)^2 for the j-th (r, c) of laws.
 
-    The sum runs over the jumps of path; every law reads the same draws of fixed_batch.
+    The sum runs over the jumps of path; every law reads the same draws of one
+    fixed ClockDraw, built as is: a path of horizon 0 has no jumps to check.
     """
-    d, k = xi.size, path.times.size
+    k = path.times.size
+    draw = ClockDraw("fixed", path.horizon, xi.size, seed, path=path)
 
     def worker(bi: int, start: int, count: int):
-        _, dW, aux = fixed_batch(path, path.horizon, d, seed, bi, count)
+        _, dW, aux = draw.batch(bi, count)
         u = (dW @ xi).reshape(count, k)
         w = (aux @ xi).reshape(count, k)
         sums = (u @ r + w @ c for r, c in laws)

@@ -68,14 +68,15 @@ assert res.n_samples == 200 and np.isfinite(res.mean)
     assert out.returncode == 0, out.stderr
 
 
-# float(True) is 1.0: each of these ran at 1.0 when handed a boolean
+# float(True) is 1.0 and float("0.5") is 0.5: each of these ran when handed a
+# boolean, or ran on (or failed deep inside the sampler with) a string
 SPEC = levygrad.BernsteinSpec.alpha_stable(1.5)
 START = dict(x=[0.3, 0.0], f=levygrad.make_observable("tanh1"),
              field=levygrad.catalog("bounded_multiplicative", 2), spec=SPEC)
 BOUND = dict(field=START["field"], spec=SPEC, f=START["f"], x=START["x"], p=2.0, n_paths=10,
              seed=1)
 PATH = levygrad.JumpPath(1.0, [0.2, 0.5], [0.4, 0.8])
-BOOLEAN_SCALARS = {
+FLOAT_SCALARS = {
     "R": lambda flag: levygrad.estimate_gradient(
         v=[1.0, 0.5], t=0.5, R=flag, n_paths=10, eps_cut=3e-2, seed=1, **START),
     "eps_cut": lambda flag: levygrad.estimate_gradient(
@@ -90,11 +91,16 @@ BOOLEAN_SCALARS = {
     "t of the fixed clock": lambda flag: levygrad.estimate_gradient_fixed_clock(
         START["x"], [1.0, 0.5], START["f"], START["field"], PATH,
         levygrad.ClockSpec.cap_at_first_passage(1.0), flag, 10, 1),
+    "p": lambda flag: levygrad.check_gradient_bound(t_grid=[0.5, 1.0], **dict(BOUND, p=flag)),
+    "slope_tolerance": lambda flag: levygrad.check_gradient_bound(
+        t_grid=[0.5, 1.0], slope_tolerance=flag, **BOUND),
+    "eps_mollify": lambda flag: levygrad.counterexample_moments(flag, 10, 1e-3, 1),
+    "grid_step": lambda flag: levygrad.counterexample_moments(0.1, 10, flag, 1),
 }
 
 
-@pytest.mark.parametrize("flag", [True, np.True_])
-@pytest.mark.parametrize("case", sorted(BOOLEAN_SCALARS))
-def test_float_scalars_refuse_booleans(case, flag):
+@pytest.mark.parametrize("flag", [True, np.True_, "0.5", b"0.5"])
+@pytest.mark.parametrize("case", sorted(FLOAT_SCALARS))
+def test_float_scalars_refuse_booleans_and_strings(case, flag):
     with pytest.raises(ValueError, match=f"^{case.split()[0]} must be a number, got"):
-        BOOLEAN_SCALARS[case](flag)
+        FLOAT_SCALARS[case](flag)

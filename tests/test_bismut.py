@@ -21,7 +21,7 @@ from levygrad import (
     tail_mass,
 )
 from levygrad import engine
-from levygrad.bismut import fixed_batch
+from levygrad.bismut import ClockDraw
 from levygrad.engine import fixed_jump_batch, path_cumulatives, sample_jump_batch, sample_mark_batch
 from reference import (
     BismutWeight,
@@ -354,9 +354,9 @@ def test_clock_increments_match_one_path_reference(clock):
     ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]]),
 ], ids=["cap", "piecewise"])
 def test_beta_marks_read_the_auxiliary_normals_as_an_array(clock):
-    # fixed_batch draws the auxiliary normals from the marks' stream right after the marks
+    # a fixed ClockDraw draws the auxiliary normals from the marks' stream right after the marks
     path = JumpPath(1.0, np.array([0.1, 0.35, 0.6, 0.9]), np.array([0.4, 0.8, 0.3, 0.5]))
-    jb, dW, aux = fixed_batch(path, 0.95, 2, 4, 1, 50)
+    jb, dW, aux = ClockDraw.fixed(path, 0.95, 2, 4).batch(1, 50)
     rng = substream(4, engine.PURPOSE_MARKS, 1)
     assert np.array_equal(dW, sample_mark_batch(jb, 2, rng))
     assert np.array_equal(aux, rng.standard_normal(dW.shape))

@@ -77,6 +77,14 @@ def test_sample_subordinator_report(tmp_path):
     assert res["median_terminal_value"] > 0
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_sample_subordinator_refuses_t_not_positive(t, tmp_path, capsys):
+    # t = 0 passed both checks on an all-empty clock
+    cfg = dict(PINNED["sample-subordinator"][1], t=t)
+    assert main(["sample-subordinator", write_config(tmp_path, cfg)]) == EXIT_ERROR
+    assert "t must be positive" in capsys.readouterr().err
+
+
 def test_simulate_with_target(tmp_path):
     # additive field, constant observable: estimate is exactly 1
     cfg = {
@@ -234,7 +242,7 @@ def test_lemma_tests_report(tmp_path):
 
 # ---------------------------------------------------------------------------
 # pinned reports: one small config per subcommand, plus the antithetic, CSV,
-# piecewise-clock and two-worker variants. Each entry holds the SHA-256 of the
+# piecewise-clock, cap-clock fixed-path and two-worker variants. Each entry holds the SHA-256 of the
 # stdout report with its timestamp line dropped and, where a CSV is written,
 # the SHA-256 of that file. The counterexample, gradient, sample-subordinator,
 # two-worker simulate and validate-bound reports were recorded again once, when
@@ -305,6 +313,15 @@ PINNED = {
                    emit_samples=True, samples_path="samples.csv"),
         "ef9fbecce8a0afebea48930cf3e98aeaf6d775d07f906b31f56a5c0588d8a5aa",
         "a09f7a89387f689dc296ada1f141e31184cff3f4401c3ef8cb664eeb9cbdd3d6",
+    ),
+    # a fixed path under the cap clock: its diagnostics hold normalizer, and
+    # neither cap_fraction nor level_R
+    "gradient-fixed-clock cap": (
+        "gradient-fixed-clock",
+        pin_config(alpha=None, eps_cut=None, path=LEMMA_PATH,
+                   clock={"kind": "cap_at_first_passage", "R": 1.3}, t=0.95),
+        "473b0d1daf67648bfdf8a774e46ff6e23553fa8bb96adb63fd519f6f52a142a1",
+        None,
     ),
     "validate-bound": (
         "validate-bound",

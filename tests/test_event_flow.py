@@ -50,7 +50,7 @@ from levygrad import (
     substream,
 )
 from levygrad import engine
-from levygrad.bismut import stable_batch
+from levygrad.bismut import ClockDraw
 from levygrad.coefficients import CATALOG_NAMES
 from levygrad.engine import JumpBatch, flow_batch, sample_jump_batch
 from reference import FlowState, PathRealization, accumulate_weight, apply_jump, evolve_drift
@@ -165,7 +165,7 @@ FLOW_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(FLOW_DIGESTS))
 def test_trajectory_flow_matches_pinned_digest(name):
     field, x0, v, want = FLOW_DIGESTS[name]
-    jb, dW = stable_batch(SPEC, 0.5, 3e-3, x0.size, 319, 0, N)
+    jb, dW, _ = ClockDraw.stable(SPEC, 0.5, 3e-3, x0.size, 319).batch(0, N)
     runs = [flow_batch(x0 + sign * 5e-3 * v, None, field, jb, dW, 100) for sign in (1.0, -1.0)]
     assert all(run[1] is None and run[2] is None for run in runs)
     assert hashlib.sha256(b"".join(run[0].tobytes() for run in runs)).hexdigest()[:32] == want

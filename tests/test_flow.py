@@ -24,7 +24,7 @@ from levygrad import (
     substream,
 )
 from levygrad import engine
-from levygrad.bismut import stable_batch
+from levygrad.bismut import ClockDraw
 from reference import (
     FlowState,
     PathRealization,
@@ -254,7 +254,7 @@ def test_non_finite_weight_term_raises_blow_up():
         estimate_gradient(x, v, tanh, field, spec, t, "auto", n, eps, seed)
     err = info.value
     assert err.batch == 0 and 0 <= err.path < n
-    jb, dW = stable_batch(spec, t, eps, 1, seed, err.batch, n)
+    jb, dW, _ = ClockDraw.stable(spec, t, eps, 1, seed).batch(err.batch, n)
     lo, hi = jb.offsets[err.path], jb.offsets[err.path + 1]
     one = engine.fixed_jump_batch(jb.extract_path(err.path), t, 1)
     clock = ClockSpec.cap_at_first_passage(default_level_R(spec, t))

@@ -129,14 +129,16 @@ def test_fd_ou_linear_matches_closed_form():
 
 
 def test_fd_reports_the_clock_it_sampled():
-    # fd_gradient and estimate_pt draw the same stable_batch jumps at one
-    # seed, cutoff and t, so they report the same truncated clock
+    # fd_gradient, estimate_pt and estimate_gradient draw the same stable
+    # ClockDraw jumps at one seed, cutoff and t, so they report the same
+    # truncated clock
     F = catalog("bounded_multiplicative", 2)
     x, v, f = np.array([0.3, 0.0]), np.array([1.0, 0.5]), make_observable("tanh1")
     fd = fd_gradient(x, v, f, F, SPEC15, 0.7, None, 500, seed=11, eps_cut=2e-3)
     pt = estimate_pt(x, f, F, SPEC15, 0.7, 500, seed=11, eps_cut=2e-3)
+    grad = estimate_gradient(x, v, f, F, SPEC15, 0.7, "auto", 500, 2e-3, 11)
     for key in ("eps_cut", "mean_jump_count", "expected_dropped_clock_mass"):
-        assert fd.diagnostics[key] == pt.diagnostics[key]
+        assert fd.diagnostics[key] == pt.diagnostics[key] == grad.diagnostics[key]
     assert fd.diagnostics["mean_jump_count"] > 0
 
 
