@@ -39,14 +39,17 @@ I1, I2 and I3 at each jump's left limit as it applies the jump.
 
 ClockDraw is the one place a run draws its clock: the stable clock truncated
 at a cutoff, or one fixed jump path. Its constructors check t and the cutoff,
-batch draws a batch's jumps and marks (and mark_law's auxiliary normals for a
-fixed path), and diagnostics reports the clock a run sampled. Both estimators
+blocks draws a batch's jumps and marks row block by row block (and
+mark_law's auxiliary normals for a fixed path, which is drawn whole), batch
+draws them whole, and diagnostics reports the clock a run sampled. Both estimators
 here and the unweighted runs in validate draw only through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +57,7 @@ import numpy as np
 from . import engine
 from .coefficients import CoefficientField
 from .results import EstimatorResult
-from .streams import checked_float, checked_integer, substream
+from .streams import checked_bool, checked_float, checked_integer, substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
@@ -251,16 +254,28 @@ class ClockDraw:
             raise ValueError("t must lie in (0, horizon]")
         return cls("fixed", t, d, seed, path=path)
 
-    def batch(self, bi: int, count: int):
-        """Batch bi's (jumps, marks, aux); aux, the auxiliary normals, is None for the stable kind."""
+    def blocks(self, bi: int, count: int, budget):
+        """Batch bi's (jumps, marks, aux) in row blocks of at most budget jumps (engine.over_row_blocks).
+
+        aux, the auxiliary normals, is None for the stable kind, whose blocks
+        are drawn one at a time (engine.sample_row_blocks). A fixed path is
+        drawn whole, its aux right after its marks, whatever the budget.
+        """
+        rng = substream(self.seed, engine.PURPOSE_MARKS, bi)
         if self.kind == "stable":
             jumps = substream(self.seed, engine.PURPOSE_JUMPS, bi)
-            jb = engine.sample_jump_batch(self.spec.alpha, self.t, self.eps_cut, count, jumps)
-        else:
-            jb = engine.fixed_jump_batch(self.path, self.t, count)
-        rng = substream(self.seed, engine.PURPOSE_MARKS, bi)
+            for jb, dW in engine.sample_row_blocks(self.spec.alpha, self.t, self.eps_cut, count, jumps,
+                                                   rng, self.d, budget):
+                yield jb, dW, None
+            return
+        jb = engine.fixed_jump_batch(self.path, self.t, count)
         dW = engine.sample_mark_batch(jb, self.d, rng)
-        return jb, dW, None if self.kind == "stable" else rng.standard_normal(dW.shape)
+        yield jb, dW, rng.standard_normal(dW.shape)
+
+    def batch(self, bi: int, count: int):
+        """Batch bi's (jumps, marks, aux) drawn whole: the one block of an unbounded budget."""
+        (whole,) = self.blocks(bi, count, math.inf)
+        return whole
 
     def diagnostics(self, run: engine.BatchRun) -> dict:
         """Jumps per path of a run that counted them; a stable clock adds its cutoff and dropped mass."""
@@ -275,8 +290,8 @@ def _weighted_run(x, v, f, field, draw: ClockDraw, clock: ClockSpec, n_paths, su
                   workers, antithetic, collect_samples, diagnostics: dict) -> EstimatorResult:
     """The run of both weighted estimators, with diagnostics appended to the shared ones.
 
-    Each batch draws (jumps, marks, aux) from draw. Over row blocks of the
-    batch (engine.over_row_blocks, which slices the marks and aux) the worker
+    Each batch is drawn from draw and run one row block at a time
+    (engine.over_row_blocks): on each block's (jumps, marks, aux) the worker
     forms the clock increments and the beta-weighted marks and flows the
     block, which sums the weight terms; it then splits f(X_t) * weight into
     its three parts. Paths with a normalizer that is not positive are
@@ -288,19 +303,18 @@ def _weighted_run(x, v, f, field, draw: ClockDraw, clock: ClockSpec, n_paths, su
     """
     limit = checked_integer("collect_samples", collect_samples, minimum=0)
 
+    def stage(block, dW, aux):
+        inc = clock.increments(block)
+        dWb = clock.beta_marks(block.sizes, inc, dW, aux)
+        X, _, *I = engine.flow_batch(x, v, field, block, dW, substeps_per_unit, dWb, inc.d_beta)
+        if not antithetic:
+            return block.counts, X, *I, inc.normalizer, inc.cap
+        X2, _, *K = engine.flow_batch(x, v, field, block, -dW, substeps_per_unit, -dWb, inc.d_beta)
+        return block.counts, X, *I, inc.normalizer, inc.cap, X2, *K
+
     def worker(bi: int, start: int, count: int):
-        jb, dW, aux = draw.batch(bi, count)
-
-        def stage(block, dW, aux):
-            inc = clock.increments(block)
-            dWb = clock.beta_marks(block.sizes, inc, dW, aux)
-            X, _, *I = engine.flow_batch(x, v, field, block, dW, substeps_per_unit, dWb, inc.d_beta)
-            if not antithetic:
-                return X, *I, inc.normalizer, inc.cap
-            X2, _, *K = engine.flow_batch(x, v, field, block, -dW, substeps_per_unit, -dWb, inc.d_beta)
-            return X, *I, inc.normalizer, inc.cap, X2, *K
-
-        X, I1, I2, I3, normalizer, cap, *flipped = engine.over_row_blocks(jb, stage, dW, aux)
+        counts, X, I1, I2, I3, normalizer, cap, *flipped = engine.over_row_blocks(
+            partial(draw.blocks, bi, count), stage)
         reject = normalizer <= 0.0
         safe = np.where(reject, 1.0, normalizer)
         fv = engine.evaluate_observable(f, X, bi)
@@ -313,7 +327,7 @@ def _weighted_run(x, v, f, field, draw: ClockDraw, clock: ClockSpec, n_paths, su
         return {
             "samples": {"y": t1 - t2 + t3, "t1": t1, "t2": t2, "t3": t3},
             "reject": reject,
-            "counters": {"jumps": int(jb.total), "capped": int(np.isfinite(cap).sum())},
+            "counters": {"jumps": int(counts.sum()), "capped": int(np.isfinite(cap).sum())},
             "rows": (start, fv, I1, I2, I3, normalizer, reject) if limit else None,
         }
 
@@ -375,6 +389,7 @@ def estimate_gradient(
     draw = ClockDraw.stable(spec, t, eps_cut, field.dimension, seed)
     x = checked_vector("x", x, field.dimension)
     v = checked_vector("v", v, field.dimension)
+    antithetic = checked_bool("antithetic", antithetic)
     if R is None or (isinstance(R, str) and R == "auto"):
         R = default_level_R(spec, draw.t)
     clock = ClockSpec.cap_at_first_passage(R)

@@ -20,15 +20,21 @@ Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 offsets. The sampler sorts each path's times alone and leaves the i.i.d.
 sizes in draw order, so a path's k-th jump in time has its k-th size drawn.
 
-Memory: a batch's draws (counts, times, sizes, marks and any auxiliary
-normals) stay batch-wide, drawn in stream order. Everything after them, the
-clock increments, the beta-weighted marks and the flow, runs one row block
-at a time (over_row_blocks, which hands each block its rows of the draws):
-consecutive paths holding at most JUMP_BLOCK jumps, or one path with more.
-Each of those operations is per path, so the blocks give the whole batch's
-bits; only their per-path outputs are joined, before the observable and the
-reduction. A BlowUpError in a block re-flows the whole batch, which raises
-the error an unblocked run raises.
+Memory: a batch runs one row block at a time (over_row_blocks): consecutive
+paths holding at most JUMP_BLOCK jumps, or one path with more. A stable
+batch draws its Poisson counts whole, since they fix the blocks, then each
+block's times, sizes and marks where they sit in the whole batch's draw
+(sample_row_blocks), so the blocks concatenate to that draw bit for bit; a
+fixed path is drawn whole and cut into blocks. A block's clock increments,
+beta-weighted marks and flow run before the next block is drawn. Each of
+those operations is per path, so the blocks give the whole batch's bits;
+only their per-path outputs are joined, before the observable and the
+reduction. Several blocks are drawn into one batch-scope buffer, which also
+holds the drift-free closed form's padded state: as the batch's one large
+allocation it lifts glibc's dynamic mmap and trim thresholds above the
+blocks' temporaries, which are then reused from the heap rather than
+unmapped and faulted in again. A BlowUpError in a block draws and flows the
+whole batch, which raises the error an unblocked run raises.
 
 The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
@@ -92,9 +98,10 @@ suite checks it against a one-path-at-a-time reference (tests/reference.py).
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,6 +118,7 @@ __all__ = [
     "PURPOSE_MARKS",
     "JumpBatch",
     "sample_jump_batch",
+    "sample_row_blocks",
     "sample_jump_path",
     "fixed_jump_batch",
     "sample_mark_batch",
@@ -132,9 +140,9 @@ BATCH_SIZE = 1 << 15
 # which bounds its scratch arrays for any batch size.
 ROW_BLOCK = 4096
 
-# Everything after a batch's draws (clock increments, beta-weighted marks,
-# flow) runs over row blocks of at most this many jumps (over_row_blocks);
-# a path with more is a block of its own.
+# A batch is drawn and run (clock increments, beta-weighted marks, flow) over
+# row blocks of at most this many jumps (over_row_blocks); a path with more is
+# a block of its own.
 JUMP_BLOCK = 1 << 19
 
 # Stream purposes (second label of a substream key).
@@ -174,6 +182,9 @@ class JumpBatch:
     offsets: np.ndarray  # (n+1,) int prefix sums
     times: np.ndarray  # (M,) float
     sizes: np.ndarray  # (M,) float
+    # free float memory of the batch-scope buffer a row block was drawn into
+    # (sample_row_blocks), where the drift-free closed form pads its state
+    spare: np.ndarray | None = None
 
     @property
     def total(self) -> int:
@@ -199,8 +210,23 @@ def _sort_rows(times, counts, offsets) -> None:
         times[lo:hi] = padded[real]
 
 
+def _jump_counts(alpha, horizon, eps_cut, n, rng) -> np.ndarray:
+    """n paths' Poisson(horizon * tail_mass) jump counts, the first draw of a stable batch."""
+    if not eps_cut > 0:
+        raise ValueError("eps_cut must be positive")
+    if not horizon >= 0:
+        raise ValueError("horizon must be nonnegative")
+    return rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n).astype(np.int64)
+
+
+def _uniforms(rng, m: int, out, at: int) -> np.ndarray:
+    """m uniforms on [0, 1) from rng, written to out[at:at + m] when out is given."""
+    return rng.random(m) if out is None else rng.random(out=out[at:at + m])
+
+
 def sample_jump_batch(
-    alpha: float, horizon: float, eps_cut: float, n: int, rng: np.random.Generator
+    alpha: float, horizon: float, eps_cut: float, n: int, rng: np.random.Generator,
+    *, counts=None, size_stream=None, out=None,
 ) -> JumpBatch:
     """Sample the jumps of size >= eps_cut of n stable subordinator paths on (0, horizon].
 
@@ -213,16 +239,20 @@ def sample_jump_batch(
     (time, size) pairs, and sorting values alone gives the same result with
     any sort algorithm. Float-identical jump times within one path are
     merged, their sizes added in draw order.
+
+    The keywords draw one row block of a larger batch (sample_row_blocks):
+    counts are its paths' counts, drawn already, and size_stream a generator
+    that stands at its first size while rng stands at its first time; out, a
+    float array of at least 2 M entries, then holds its times and sizes.
     """
-    if not eps_cut > 0:
-        raise ValueError("eps_cut must be positive")
-    if not horizon >= 0:
-        raise ValueError("horizon must be nonnegative")
-    counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n).astype(np.int64)
+    if counts is None:
+        counts = _jump_counts(alpha, horizon, eps_cut, n, rng)
     total = int(counts.sum())
-    times = rng.uniform(0.0, horizon, size=total)
+    times = _uniforms(rng, total, out, 0)
+    times *= horizon
     np.subtract(horizon, times, out=times)
-    sizes = _pareto_sizes(alpha, eps_cut, rng.uniform(size=total))
+    uniforms = _uniforms(rng if size_stream is None else size_stream, total, out, total)
+    sizes = _pareto_sizes(alpha, eps_cut, uniforms)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     if total > 1:
         _sort_rows(times, counts, offsets)
@@ -239,6 +269,58 @@ def sample_jump_batch(
             counts = np.bincount(path_id, minlength=n).astype(np.int64)
             offsets = np.concatenate(([0], np.cumsum(counts)))
     return JumpBatch(n, float(horizon), counts, offsets, times, sizes)
+
+
+def _skipped(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A copy of the Philox stream rng that stands k outputs further on.
+
+    Philox hands out a block of 4 outputs per counter step: the copy drains
+    what is left of its current block, advances the counter over whole
+    blocks and draws the rest. (An advance empties the current block, so
+    none is made over no block.)
+    """
+    ahead = copy.deepcopy(rng)
+    drained = min(4 - ahead.bit_generator.state["buffer_pos"], k)
+    ahead.random(drained)
+    steps, rest = divmod(k - drained, 4)
+    if steps:
+        ahead.bit_generator.advance(steps)
+    ahead.random(rest)
+    return ahead
+
+
+def sample_row_blocks(alpha: float, horizon: float, eps_cut: float, n: int,
+                      jumps: np.random.Generator, marks: np.random.Generator, d: int, budget: float):
+    """A stable batch's (JumpBatch, marks), one row block of at most budget jumps at a time.
+
+    The Poisson counts are drawn whole from jumps, since they fix the blocks.
+    Each block's times, sizes and marks are then drawn where they sit in the
+    whole draw of sample_jump_batch and sample_mark_batch: the times next in
+    jumps, the sizes next in a copy of jumps that skips all the times, the
+    marks next in marks (Philox streams). So the blocks concatenate to the
+    whole draw bit for bit, which is the one block of budget math.inf and
+    gets arrays of its own. Several blocks share one buffer sized for the
+    largest, a block's spare being the buffer's rest after its draws: each
+    block is valid until the next one is drawn.
+    """
+    counts = _jump_counts(alpha, horizon, eps_cut, n, jumps)
+    total = int(counts.sum())
+    if total <= budget:
+        block = sample_jump_batch(alpha, horizon, eps_cut, n, jumps, counts=counts)
+        yield block, sample_mark_batch(block, d, marks)
+        return
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    bounds = list(_row_bounds(offsets, budget))
+    size_stream = _skipped(jumps, total)
+    # times, sizes and marks, then the closed form's (rows, count + 1, d) state
+    out = np.empty(max((2 + d) * int(offsets[r1] - offsets[r0])
+                       + (r1 - r0) * (int(counts[r0:r1].max()) + 1) * d for r0, r1 in bounds))
+    for r0, r1 in bounds:
+        block = sample_jump_batch(alpha, horizon, eps_cut, r1 - r0, jumps, counts=counts[r0:r1],
+                                  size_stream=size_stream, out=out)
+        m = int(offsets[r1] - offsets[r0])
+        dW = sample_mark_batch(block, d, marks, out=out[2 * m:])
+        yield replace(block, spare=out[(2 + d) * m:]), dW
 
 
 def sample_jump_path(
@@ -260,11 +342,17 @@ def fixed_jump_batch(path: JumpPath, t: float, n: int) -> JumpBatch:
     return JumpBatch(n, float(t), counts, offsets, times, sizes)
 
 
-def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian jump marks dW ~ N(0, size * I_d), one row per jump in flat batch order."""
-    z = rng.standard_normal((batch.total, d))
-    for lo in range(0, batch.total, JUMP_BLOCK):
-        z[lo:lo + JUMP_BLOCK] *= np.sqrt(batch.sizes[lo:lo + JUMP_BLOCK])[:, None]
+def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """Gaussian jump marks dW ~ N(0, size * I_d), one row per jump in flat batch order.
+
+    out, a float array of at least M d entries, holds them when given.
+    """
+    shape = (batch.total, d)
+    if out is None:
+        z = rng.standard_normal(shape)
+    else:
+        z = rng.standard_normal(out=out[:batch.total * d].reshape(shape))
+    z *= np.sqrt(batch.sizes)[:, None]
     return z
 
 
@@ -412,14 +500,22 @@ def _drift_free_flow(x0, v, field, batch, dW, dWb):
     zero-padded (n, kmax + 1, d) array whose column 0 is x0 adds them in
     jump order, as the loop's jump rounds do, so column c holds the state
     after a path's c-th jump; flow_batch hands it row blocks of at most
-    JUMP_BLOCK jumps. J v stays v, so only I1 is nonzero, and it needs no
-    left limit. Returns None when a state or a jump's c1 is not finite (a
-    non-finite v makes every c1 so): the event loop then flows the batch
-    again and raises its BlowUpError.
+    JUMP_BLOCK jumps, and a block drawn into a batch-scope buffer lends it
+    that buffer's spare memory for the array. J v stays v, so only I1 is
+    nonzero, and it needs no left limit. Returns None when a state or a
+    jump's c1 is not finite (a non-finite v makes every c1 so): the event
+    loop then flows the batch again and raises its BlowUpError.
     """
     n, d, c = batch.n, x0.shape[0], batch.counts
     real = np.arange(c.max(initial=0)) < c[:, None]
-    states = np.zeros((n, real.shape[1] + 1, d))
+    shape = (n, real.shape[1] + 1, d)
+    size = math.prod(shape)
+    if batch.spare is not None and batch.spare.size >= size:
+        states = batch.spare[:size].reshape(shape)
+        # the finiteness check below reads the padding too
+        states.fill(0.0)
+    else:
+        states = np.zeros(shape)
     states[:, 0] = x0
     # sigma does not depend on the state, so x0 stands in for it
     x = np.broadcast_to(x0, (batch.total, d))
@@ -713,42 +809,55 @@ def weight_terms(s_inv, j, dir_s, dw, dwb, d_beta):
     return c1, c2, c3
 
 
-def _row_blocks(batch: JumpBatch, *per_jump):
-    """Consecutive row blocks of at most JUMP_BLOCK jumps (one path at least), each
-    (JumpBatch view with offsets rebased to 0, *its slice of each per-jump array),
-    a None among them passed as is."""
-    offsets, r0 = batch.offsets, 0
-    while r0 < batch.n:
-        lo = offsets[r0]
-        r1 = max(int(np.searchsorted(offsets, lo + JUMP_BLOCK, side="right")) - 1, r0 + 1)
-        hi = offsets[r1]
-        yield (JumpBatch(r1 - r0, batch.horizon, batch.counts[r0:r1], offsets[r0:r1 + 1] - lo,
-                         batch.times[lo:hi], batch.sizes[lo:hi]),
-               *(None if a is None else a[lo:hi] for a in per_jump))
+def _row_bounds(offsets, budget: float):
+    """(r0, r1) of consecutive row blocks of at most budget jumps (one path at least)."""
+    n, r0 = offsets.size - 1, 0
+    while r0 < n:
+        r1 = max(int(np.searchsorted(offsets, offsets[r0] + budget, side="right")) - 1, r0 + 1)
+        yield r0, r1
         r0 = r1
 
 
-def over_row_blocks(batch: JumpBatch, stage, *per_jump):
-    """stage(block, *per_jump slices) over the batch's row blocks, its per-path outputs joined.
-
-    per_jump are arrays with one row per jump in flat batch order (marks,
-    auxiliary normals); each block gets its rows of each, and a None is
-    handed on unsliced. stage returns a tuple of per-path arrays, each of
-    which is concatenated over the blocks in row order. A block holds at
-    most JUMP_BLOCK jumps, so the stage's per-jump arrays stay that small
-    for any batch; a batch within the budget is its own only block. Every
-    operation of a stage is per path, so the outputs have the bits of
-    stage(batch, *per_jump). A BlowUpError in a block runs
-    stage(batch, *per_jump) instead, which raises the unblocked run's
-    error: the path the whole batch's flow reaches first may sit in a later
-    block.
-    """
+def _row_blocks(batch: JumpBatch, *per_jump):
+    """Consecutive row blocks of at most JUMP_BLOCK jumps (one path at least), each
+    (JumpBatch view with offsets rebased to 0 and the batch's spare, *its slice of
+    each per-jump array), a None among them passed as is."""
     if batch.total <= JUMP_BLOCK:
-        return stage(batch, *per_jump)
+        yield batch, *per_jump
+        return
+    offsets = batch.offsets
+    for r0, r1 in _row_bounds(offsets, JUMP_BLOCK):
+        lo, hi = offsets[r0], offsets[r1]
+        yield (JumpBatch(r1 - r0, batch.horizon, batch.counts[r0:r1], offsets[r0:r1 + 1] - lo,
+                         batch.times[lo:hi], batch.sizes[lo:hi], batch.spare),
+               *(None if a is None else a[lo:hi] for a in per_jump))
+
+
+def over_row_blocks(draw, stage):
+    """stage(block, *per_jump) over a batch's row blocks, its per-path outputs joined.
+
+    draw(budget) yields the batch as consecutive (block, *per_jump) of at
+    most budget jumps each, per_jump being arrays with one row per jump in
+    flat block order (marks, auxiliary normals) or None; draw(math.inf)
+    yields it whole. Each block of draw(JUMP_BLOCK) is run before the next
+    is drawn, cut to JUMP_BLOCK jumps where it holds more (a draw may yield
+    the batch whole), so the stage's per-jump arrays stay that small for any
+    batch. stage returns a tuple of per-path arrays, each concatenated over
+    the blocks in row order. Every operation of a stage is per path, so the
+    outputs have the bits of stage on the whole batch. A BlowUpError in a
+    block runs stage on draw(math.inf) instead, which raises the unblocked
+    run's error: the path the whole batch's flow reaches first may sit in a
+    later block.
+    """
+    parts = []
     try:
-        parts = [stage(*block) for block in _row_blocks(batch, *per_jump)]
+        for drawn in draw(JUMP_BLOCK):
+            parts.extend(stage(*block) for block in _row_blocks(*drawn))
     except BlowUpError:
-        return stage(batch, *per_jump)
+        (whole,) = draw(math.inf)
+        return stage(*whole)
+    if len(parts) == 1:
+        return parts[0]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -37,6 +37,13 @@ def checked_float(name: str, value) -> float:
     return float(value)
 
 
+def checked_bool(name: str, value) -> bool:
+    """value as a bool, refused by name unless it is one: "no" and 1 would read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+    return bool(value)
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Return the counter-based (Philox) stream identified by ``(seed, *key)``.
 

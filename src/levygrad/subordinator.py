@@ -76,6 +76,7 @@ class JumpPath:
     def __post_init__(self) -> None:
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
         s = np.atleast_1d(np.asarray(self.sizes, dtype=float))
+        object.__setattr__(self, "horizon", checked_float("horizon", self.horizon))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "sizes", s)
         if not (math.isfinite(self.horizon) and self.horizon >= 0):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -71,16 +72,18 @@ def make_observable(name: str, a=None):
 def _semigroup_run(draw, starts, f, combine, field, n_paths, substeps_per_unit, workers):
     """Run of combine(f(X_t(x0)) for x0 in starts), every start flowed with no weight.
 
-    Each batch reads its jumps and marks from the ClockDraw draw; every start
-    reads the same draws (common random numbers), flowed over the batch's row
-    blocks (engine.over_row_blocks). The run counts the jumps it flowed.
+    Each batch is drawn from the ClockDraw draw and flowed one row block at a
+    time (engine.over_row_blocks); every start reads the same draws (common
+    random numbers). The run counts the jumps it flowed.
     """
+    def stage(block, dW, aux):
+        return block.counts, *(engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0]
+                               for x0 in starts)
+
     def worker(bi: int, start: int, count: int):
-        jb, dW, _ = draw.batch(bi, count)
-        X = engine.over_row_blocks(jb, lambda block, dW: tuple(
-            engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0] for x0 in starts), dW)
+        counts, *X = engine.over_row_blocks(partial(draw.blocks, bi, count), stage)
         y = combine(*(engine.evaluate_observable(f, Xi, bi) for Xi in X))
-        return {"samples": {"y": y}, "counters": {"jumps": int(jb.total)}}
+        return {"samples": {"y": y}, "counters": {"jumps": int(counts.sum())}}
 
     return engine.run_batches(n_paths, workers, worker)
 

@@ -94,6 +94,9 @@ FLOAT_SCALARS = {
     "p": lambda flag: levygrad.check_gradient_bound(t_grid=[0.5, 1.0], **dict(BOUND, p=flag)),
     "slope_tolerance": lambda flag: levygrad.check_gradient_bound(
         t_grid=[0.5, 1.0], slope_tolerance=flag, **BOUND),
+    "horizon of a fixed clock's path": lambda flag: levygrad.estimate_gradient_fixed_clock(
+        START["x"], [1.0, 0.5], START["f"], START["field"], levygrad.JumpPath(flag, [0.5], [1.0]),
+        levygrad.ClockSpec.cap_at_first_passage(1.0), 0.5, 10, 1),
     "eps_mollify": lambda flag: levygrad.counterexample_moments(flag, 10, 1e-3, 1),
     "grid_step": lambda flag: levygrad.counterexample_moments(0.1, 10, flag, 1),
 }
@@ -104,3 +107,18 @@ FLOAT_SCALARS = {
 def test_float_scalars_refuse_booleans_and_strings(case, flag):
     with pytest.raises(ValueError, match=f"^{case.split()[0]} must be a number, got"):
         FLOAT_SCALARS[case](flag)
+
+
+# the flag was read by truthiness: antithetic="no" ran the antithetic estimator
+@pytest.mark.parametrize("flag", ["no", b"", 1, 0, None, 1.0])
+def test_antithetic_refuses_anything_but_a_bool(flag):
+    with pytest.raises(ValueError, match="^antithetic must be a boolean, got"):
+        levygrad.estimate_gradient(v=[1.0, 0.5], t=0.5, R="auto", n_paths=10, eps_cut=3e-2, seed=1,
+                                   antithetic=flag, **START)
+
+
+def test_antithetic_takes_numpy_booleans():
+    for flag, key in ((np.True_, {"antithetic": 1.0}), (np.False_, {})):
+        res = levygrad.estimate_gradient(v=[1.0, 0.5], t=0.5, R="auto", n_paths=10, eps_cut=3e-2,
+                                         seed=1, antithetic=flag, **START)
+        assert {k: v for k, v in res.diagnostics.items() if k == "antithetic"} == key

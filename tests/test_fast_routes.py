@@ -38,10 +38,13 @@ class FixedDraws:
         assert size == self.counts.size
         return self.counts.copy()
 
-    def uniform(self, low=0.0, high=1.0, size=None):
+    def random(self, size=None, out=None):
         u = self.uniforms.pop(0)
-        assert u.size == size
-        return low + (high - low) * u
+        if out is None:
+            assert u.size == size
+            return u.copy()
+        out[...] = u
+        return out
 
 
 def _reference_batch(counts, time_draws, size_draws, horizon, alpha, eps):

@@ -1,21 +1,26 @@
 """Row blocks of at most JUMP_BLOCK jumps, bit for bit against whole batches.
 
-Each estimator's worker draws a batch whole, then runs the clock
-increments, the beta-weighted marks and the flow one row block at a time
-(engine.over_row_blocks). Each of those operations is per path, so every
-jump budget must give the bits of an unbounded one: the same to_dict()
-bytes and the same sample rows, at one worker and at two. The budgets 1
-(every path a block of its own, empty paths folded into their neighbours)
-and 37 (blocks of several paths) are compared with a budget that no batch
-reaches. A blow-up in a block re-flows the whole batch, so the error names
-the (s, path, batch) of an unblocked run. flow_batch runs its drift-free
-closed form over such blocks itself, so a direct call is bounded too. The
-peak memory of one fine-cut batch is bounded, since bounding it is what the
-blocks are for.
+Each estimator's worker runs a batch one row block at a time
+(engine.over_row_blocks): a stable clock draws each block's times, sizes
+and marks where they sit in the whole batch's draw (engine.sample_row_blocks,
+after the batch's Poisson counts), and the clock increments, the
+beta-weighted marks and the flow run on the block before the next one is
+drawn; a fixed path is drawn whole and cut into blocks. The block draws must
+concatenate to the whole draw byte for byte, and each operation on a block
+is per path, so every jump budget must give the bits of an unbounded one:
+the same to_dict() bytes and the same sample rows, at one worker and at two.
+The budgets 1 (every path a block of its own, empty paths folded into their
+neighbours) and 37 (blocks of several paths) are compared with a budget that
+no batch reaches. A blow-up in a block draws and re-flows the whole batch,
+so the error names the (s, path, batch) of an unblocked run. flow_batch runs
+its drift-free closed form over such blocks itself, so a direct call is
+bounded too. The peak memory of one fine-cut batch is bounded, since
+bounding it is what the blocks are for.
 """
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,7 +40,8 @@ from levygrad import (
     substream,
 )
 from levygrad import engine
-from levygrad.engine import JumpBatch, over_row_blocks, sample_jump_batch
+from levygrad.engine import (JumpBatch, over_row_blocks, sample_jump_batch, sample_mark_batch,
+                             sample_row_blocks)
 
 SPEC = BernsteinSpec.alpha_stable(1.5)
 BM = catalog("bounded_multiplicative", 2)
@@ -100,13 +106,59 @@ def test_blocks_tile_the_batch_within_the_budget(monkeypatch):
             assert w.shape[0] == block.total and np.array_equal(sizes, 2.0 * block.sizes)
             return (block.counts,)
 
-        (counts,) = over_row_blocks(batch, stage, dW, 2.0 * batch.sizes, None)
+        # a draw that yields the batch whole is cut to the budget
+        (counts,) = over_row_blocks(lambda budget: iter([(batch, dW, 2.0 * batch.sizes, None)]), stage)
         assert len(seen) == len(blocks) > 1 and all(none is None for *_, none in seen)
         assert np.array_equal(np.concatenate([w for w, *_ in seen]), dW)
         assert np.array_equal(counts, batch.counts)
     # a batch within the budget is handed over whole
     monkeypatch.setattr(engine, "JUMP_BLOCK", batch.total)
-    assert over_row_blocks(batch, lambda block, w: (block, w), dW) == (batch, dW)
+    whole = over_row_blocks(lambda budget: iter([(batch, dW)]), lambda block, w: (block, w))
+    assert whole == (batch, dW)
+
+
+def _streams(seed):
+    return substream(seed, engine.PURPOSE_JUMPS, 0), substream(seed, engine.PURPOSE_MARKS, 0)
+
+
+@pytest.mark.parametrize("budget", [1, 37, engine.JUMP_BLOCK])
+@pytest.mark.parametrize("d", [1, 3])
+def test_block_draws_concatenate_to_the_whole_draw(budget, d):
+    # eps = 2e-4 puts about 164 jumps on a path, more than budgets 1 and 37
+    # hold; 4,000 paths hold more than JUMP_BLOCK jumps
+    n = 4000 if budget == engine.JUMP_BLOCK else 60
+    ((whole, marks),) = sample_row_blocks(1.5, 1.0, 2e-4, n, *_streams(12), d, math.inf)
+    # sample_jump_batch and sample_mark_batch draw the batch whole as its one block
+    jumps, rng = _streams(12)
+    alone = sample_jump_batch(1.5, 1.0, 2e-4, n, jumps)
+    for name in ("counts", "offsets", "times", "sizes"):
+        assert getattr(alone, name).tobytes() == getattr(whole, name).tobytes()
+    assert sample_mark_batch(alone, d, rng).tobytes() == marks.tobytes()
+    # each block is a view of one buffer until the next is drawn, so copy it
+    counts, offsets, times, sizes, block_marks = zip(*(
+        (b.counts.copy(), b.offsets.copy(), b.times.copy(), b.sizes.copy(), w.copy())
+        for b, w in sample_row_blocks(1.5, 1.0, 2e-4, n, *_streams(12), d, budget)))
+    totals = [int(o[-1]) for o in offsets]
+    assert len(totals) > 1
+    assert all(m <= budget or c.size == 1 for m, c in zip(totals, counts))
+    assert any(m > budget for m in totals) == (budget < engine.JUMP_BLOCK)
+    starts = np.cumsum([0] + totals[:-1])
+    joined = np.concatenate([[0]] + [o[1:] + s for o, s in zip(offsets, starts)])
+    assert joined.tobytes() == whole.offsets.tobytes()
+    for name, parts in (("counts", counts), ("times", times), ("sizes", sizes)):
+        assert np.concatenate(parts).tobytes() == getattr(whole, name).tobytes(), name
+    assert np.concatenate(block_marks).tobytes() == marks.tobytes()
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_a_skipped_stream_stands_k_outputs_on(k):
+    # every position in Philox's 4-output block: 0-3 doubles drawn before
+    for drawn in range(4):
+        rng = substream(5, engine.PURPOSE_JUMPS, 0)
+        rng.random(drawn)
+        ahead = engine._skipped(rng, k)
+        rng.random(k)
+        assert ahead.random(9).tobytes() == rng.random(9).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -187,7 +239,8 @@ def test_blow_up_parity_of_a_hand_batch():
 
     for budget in (1, 3):
         # through over_row_blocks, and flow_batch's own blocks of the closed form
-        for run in (lambda: over_row_blocks(batch, stage, dW), lambda: stage(batch, dW)):
+        for run in (lambda: over_row_blocks(lambda budget: iter([(batch, dW)]), stage),
+                    lambda: stage(batch, dW)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "JUMP_BLOCK", budget)
                 with np.errstate(over="ignore"), pytest.raises(BlowUpError) as info:
@@ -222,9 +275,10 @@ def test_a_direct_closed_form_call_runs_over_row_blocks(monkeypatch, with_v):
 
 def test_peak_memory_of_one_fine_cut_batch():
     # one 16,384-path batch at eps = 2e-4 (sign_fine_cut) draws about 2.7M
-    # jumps, and its batch-wide draws (times, sizes, marks) alone are 65 MB.
-    # Over row blocks of 2^19 jumps it peaks at 102 MB of traced allocations,
-    # under an unbounded budget at 248 MB
+    # jumps, whose times, sizes and marks alone are 65 MB. Drawn and run over
+    # row blocks of 2^19 jumps it peaks at 50 MB of traced allocations; drawn
+    # whole and run over the blocks it peaked at 102 MB, and under an
+    # unbounded budget at 248 MB
     field = catalog("additive_identity", 1)
     tracemalloc.start()
     try:
@@ -233,4 +287,4 @@ def test_peak_memory_of_one_fine_cut_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 115e6
+    assert peak < 53e6
