@@ -201,11 +201,11 @@ class ClockSpec:
         quarter of the cost; aux is then never read and may be None.
         """
         if self.kind == "cap_at_first_passage":
-            return (increments.d_beta > 0.0)[:, None] * dW
+            return engine.scale_rows(increments.d_beta > 0.0, dW)
         ratio, c = self.mark_law(sizes, increments)
-        dWb = ratio[:, None] * dW
+        dWb = engine.scale_rows(ratio, dW)
         if np.any(c > 0.0):
-            dWb = dWb + c[:, None] * aux
+            dWb += engine.scale_rows(c, aux)
         return dWb
 
 

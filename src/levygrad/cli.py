@@ -201,11 +201,12 @@ def _cmd_sample_subordinator(cfg: dict):
     lam = t * tail_mass(spec.alpha, eps)
 
     def worker(bi: int, start: int, count: int):
-        jb = engine.sample_jump_batch(
-            spec.alpha, t, eps, count, substream(seed, engine.PURPOSE_JUMPS, bi)
-        )
-        _, _, ell_T = engine.path_cumulatives(jb)
-        counts = jb.counts.astype(float)
+        # drawn by row blocks with no marks; each path's count and clock are its own
+        jumps = substream(seed, engine.PURPOSE_JUMPS, bi)
+        blocks = engine.sample_row_blocks(spec.alpha, t, eps, count, jumps, None, 0, engine.JUMP_BLOCK)
+        parts = [(jb.counts, engine.path_cumulatives(jb)[2]) for jb, _ in blocks]
+        counts, ell_T = (np.concatenate(column) for column in zip(*parts))
+        counts = counts.astype(float)
         return {"samples": {"count": counts, "empty": (counts == 0).astype(float)}, "ell_T": ell_T}
 
     run = engine.run_batches(n, 1, worker)

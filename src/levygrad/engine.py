@@ -83,6 +83,16 @@ exact zeros gives in place of a -0.0, and the trace adds a to itself d
 times in einsum's order. A scale or slope result not shaped (m,) is
 refused. The closed form below forms scale dW the same way.
 
+Each per-row scaling of an (m, d) array (scale dw and slope dw, the rounds'
+exp(-r h), (1/scale) J v and a dW^beta, the beta-weighted marks and the
+marks' sqrt(size)) goes through scale_rows. For 2 to SCALE_BY_COORDINATE
+coordinates it takes the products one coordinate at a time: the broadcast
+runs an inner loop of length d once per row, which at d = 2 took twice as
+long. Each element is one product either way, so the bits are the same.
+From d = 4 on the strided columns cost more and the broadcast is kept. The
+arrays stay row-major: a coordinate-major state would change einsum's bits
+at d >= 3.
+
 Clock values come only from path_cumulatives (each jump's clock interval
 and each path's terminal value, a running sum over that path's jumps alone,
 so no other path's jump costs it precision) and first passages only from
@@ -126,6 +136,7 @@ __all__ = [
     "path_cumulatives",
     "first_passage_levels",
     "weight_terms",
+    "scale_rows",
     "over_row_blocks",
     "map_batches",
     "RunningStats",
@@ -144,6 +155,11 @@ ROW_BLOCK = 4096
 # row blocks of at most this many jumps (over_row_blocks); a path with more is
 # a block of its own.
 JUMP_BLOCK = 1 << 19
+
+# scale_rows takes rows of 2 to this many coordinates one coordinate at a
+# time: one column timed alike either way, and from 4 on the broadcast was
+# faster (measured at d = 4 and 9).
+SCALE_BY_COORDINATE = 3
 
 # Stream purposes (second label of a substream key).
 PURPOSE_JUMPS = 1
@@ -301,13 +317,14 @@ def sample_row_blocks(alpha: float, horizon: float, eps_cut: float, n: int,
     whole draw bit for bit, which is the one block of budget math.inf and
     gets arrays of its own. Several blocks share one buffer sized for the
     largest, a block's spare being the buffer's rest after its draws: each
-    block is valid until the next one is drawn.
+    block is valid until the next one is drawn. d = 0 draws no marks and
+    never reads marks; each block's marks are then None.
     """
     counts = _jump_counts(alpha, horizon, eps_cut, n, jumps)
     total = int(counts.sum())
     if total <= budget:
         block = sample_jump_batch(alpha, horizon, eps_cut, n, jumps, counts=counts)
-        yield block, sample_mark_batch(block, d, marks)
+        yield block, sample_mark_batch(block, d, marks) if d else None
         return
     offsets = np.concatenate(([0], np.cumsum(counts)))
     bounds = list(_row_bounds(offsets, budget))
@@ -319,7 +336,7 @@ def sample_row_blocks(alpha: float, horizon: float, eps_cut: float, n: int,
         block = sample_jump_batch(alpha, horizon, eps_cut, r1 - r0, jumps, counts=counts[r0:r1],
                                   size_stream=size_stream, out=out)
         m = int(offsets[r1] - offsets[r0])
-        dW = sample_mark_batch(block, d, marks, out=out[2 * m:])
+        dW = sample_mark_batch(block, d, marks, out=out[2 * m:]) if d else None
         yield replace(block, spare=out[(2 + d) * m:]), dW
 
 
@@ -352,8 +369,7 @@ def sample_mark_batch(batch: JumpBatch, d: int, rng: np.random.Generator, out=No
         z = rng.standard_normal(shape)
     else:
         z = rng.standard_normal(out=out[:batch.total * d].reshape(shape))
-    z *= np.sqrt(batch.sizes)[:, None]
-    return z
+    return scale_rows(np.sqrt(batch.sizes), z, out=z)
 
 
 def _hook_result(name: str, value, shape: tuple) -> np.ndarray:
@@ -389,10 +405,28 @@ def _sigma_scale(field: CoefficientField, which: int, *args) -> np.ndarray:
     return _hook_result(f"sigma_scale {name}", field.sigma_scale[which](*args), args[1].shape[:1])
 
 
+def scale_rows(c, w, out=None):
+    """c[:, None] * w for (m,) factors c and a row-major (m, d) array w, into out when given.
+
+    Each element is the one product c[r] * w[r, i] either way, so the bits
+    are the broadcast's; out=w scales w in place. From 2 to SCALE_BY_COORDINATE
+    columns the products are taken one coordinate at a time, since the
+    broadcast runs an inner loop of length d once per row; a single column
+    and wider rows keep the broadcast. A new array is row-major.
+    """
+    if not 1 < w.shape[1] <= SCALE_BY_COORDINATE:
+        return np.multiply(c[:, None], w, out=out)
+    if out is None:
+        out = np.empty(w.shape, np.result_type(c, w))
+    for i in range(w.shape[1]):
+        np.multiply(c, w[:, i], out=out[:, i])
+    return out
+
+
 def _times_rows(c, w):
     """c[:, None] * w + 0.0: a matrix product c I w sums each c w_i with exact
     zeros, which turns a -0.0 into +0.0."""
-    out = np.multiply(c[:, None], w)
+    out = scale_rows(c, w)
     out += 0.0
     return out
 
@@ -660,10 +694,10 @@ def _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta):
         if rate:
             # the left limit: the flow of b = -rate x over the gap since s0; a
             # state that overflows here makes x_new non-finite below
-            decay = np.exp(-rate * (s - s0[:w]))[:, None]
-            x *= decay
+            decay = np.exp(-rate * (s - s0[:w]))
+            scale_rows(decay, x, out=x)
             if j is not None:
-                j *= decay
+                scale_rows(decay, j, out=j)
             s0[:w] = s
         x_new, j_new, terms = _jump_update(field, s, x, j, flat, order[:w], dW, dWb, d_beta)
         x[...] = x_new
@@ -671,10 +705,10 @@ def _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta):
             j[...] = j_new
             _add_terms(sums, slice(w), terms)
     if rate:
-        decay = np.exp(-rate * (t - s0))[:, None]
-        X *= decay
+        decay = np.exp(-rate * (t - s0))
+        scale_rows(decay, X, out=X)
         if Jv is not None:
-            Jv *= decay
+            scale_rows(decay, Jv, out=Jv)
         bad = _first_non_finite(X, Jv, paths=order)
         if bad is not None:
             raise BlowUpError(t, path=int(order[bad]))
@@ -792,14 +826,14 @@ def weight_terms(s_inv, j, dir_s, dw, dwb, d_beta):
     einsum's order.
     """
     if s_inv.ndim == 1:
-        c1 = np.einsum("mi,mi->m", s_inv[:, None] * j, dwb)
+        c1 = np.einsum("mi,mi->m", scale_rows(s_inv, j), dwb)
         if dir_s is None:
             return c1, None, None
         a = s_inv * dir_s
         trace = a + 0.0
         for _ in range(j.shape[1] - 1):
             trace += a
-        return c1, trace * d_beta, np.einsum("mi,mi->m", a[:, None] * dwb, dw)
+        return c1, trace * d_beta, np.einsum("mi,mi->m", scale_rows(a, dwb), dw)
     c1 = np.einsum("mi,mi->m", np.einsum("mij,mj->mi", s_inv, j), dwb)
     if dir_s is None:
         return c1, None, None

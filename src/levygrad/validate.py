@@ -367,7 +367,7 @@ def truncation_convergence_check(
     smallest jump.
     """
     xi = checked_vector("xi", xi)
-    eps_list = [float(e) for e in eps_list]
+    eps_list = [checked_float("eps_list", e) for e in eps_list]
     if not eps_list or any(not e > 0 for e in eps_list):
         raise ValueError("eps_list must contain positive cutoffs")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):

@@ -99,6 +99,8 @@ FLOAT_SCALARS = {
         levygrad.ClockSpec.cap_at_first_passage(1.0), 0.5, 10, 1),
     "eps_mollify": lambda flag: levygrad.counterexample_moments(flag, 10, 1e-3, 1),
     "grid_step": lambda flag: levygrad.counterexample_moments(0.1, 10, flag, 1),
+    "eps_list": lambda flag: levygrad.truncation_convergence_check(
+        PATH, levygrad.ClockSpec.cap_at_first_passage(1.0), [1.0, -0.5], [flag, 0.1], 10, 1),
 }
 
 

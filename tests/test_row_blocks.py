@@ -121,23 +121,30 @@ def _streams(seed):
     return substream(seed, engine.PURPOSE_JUMPS, 0), substream(seed, engine.PURPOSE_MARKS, 0)
 
 
+def _blocks(n, d, budget):
+    """sample_row_blocks at seed 12; at d = 0 it is handed no marks stream, which it must not read."""
+    jumps, marks = _streams(12)
+    return sample_row_blocks(1.5, 1.0, 2e-4, n, jumps, marks if d else None, d, budget)
+
+
 @pytest.mark.parametrize("budget", [1, 37, engine.JUMP_BLOCK])
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [0, 1, 3])
 def test_block_draws_concatenate_to_the_whole_draw(budget, d):
     # eps = 2e-4 puts about 164 jumps on a path, more than budgets 1 and 37
-    # hold; 4,000 paths hold more than JUMP_BLOCK jumps
+    # hold; 4,000 paths hold more than JUMP_BLOCK jumps. d = 0 (levygrad
+    # sample-subordinator) draws no marks
     n = 4000 if budget == engine.JUMP_BLOCK else 60
-    ((whole, marks),) = sample_row_blocks(1.5, 1.0, 2e-4, n, *_streams(12), d, math.inf)
+    ((whole, marks),) = _blocks(n, d, math.inf)
     # sample_jump_batch and sample_mark_batch draw the batch whole as its one block
     jumps, rng = _streams(12)
     alone = sample_jump_batch(1.5, 1.0, 2e-4, n, jumps)
     for name in ("counts", "offsets", "times", "sizes"):
         assert getattr(alone, name).tobytes() == getattr(whole, name).tobytes()
-    assert sample_mark_batch(alone, d, rng).tobytes() == marks.tobytes()
+    assert marks is None if d == 0 else sample_mark_batch(alone, d, rng).tobytes() == marks.tobytes()
     # each block is a view of one buffer until the next is drawn, so copy it
     counts, offsets, times, sizes, block_marks = zip(*(
-        (b.counts.copy(), b.offsets.copy(), b.times.copy(), b.sizes.copy(), w.copy())
-        for b, w in sample_row_blocks(1.5, 1.0, 2e-4, n, *_streams(12), d, budget)))
+        (b.counts.copy(), b.offsets.copy(), b.times.copy(), b.sizes.copy(), w if w is None else w.copy())
+        for b, w in _blocks(n, d, budget)))
     totals = [int(o[-1]) for o in offsets]
     assert len(totals) > 1
     assert all(m <= budget or c.size == 1 for m, c in zip(totals, counts))
@@ -147,7 +154,10 @@ def test_block_draws_concatenate_to_the_whole_draw(budget, d):
     assert joined.tobytes() == whole.offsets.tobytes()
     for name, parts in (("counts", counts), ("times", times), ("sizes", sizes)):
         assert np.concatenate(parts).tobytes() == getattr(whole, name).tobytes(), name
-    assert np.concatenate(block_marks).tobytes() == marks.tobytes()
+    if d == 0:
+        assert all(w is None for w in block_marks)
+    else:
+        assert np.concatenate(block_marks).tobytes() == marks.tobytes()
 
 
 @pytest.mark.parametrize("k", range(13))
