@@ -57,7 +57,7 @@ import numpy as np
 from . import engine
 from .coefficients import CoefficientField
 from .results import EstimatorResult
-from .streams import checked_bool, checked_float, checked_integer, substream
+from .streams import checked_bool, checked_float, checked_integer, checked_reals, substream
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
@@ -110,7 +110,7 @@ class ClockSpec:
             if self.R is None or not self.R > 0:
                 raise ValueError("cap_at_first_passage needs a level R > 0")
         elif self.kind == "piecewise_linear":
-            k = np.asarray(self.knots, dtype=float)
+            k = checked_reals("knots", self.knots)
             if k.ndim != 2 or k.shape[1] != 2 or k.shape[0] < 2:
                 raise ValueError("knots must be an (m, 2) array with m >= 2")
             if not (k[0, 0] == 0.0 and k[0, 1] == 0.0):
@@ -138,7 +138,7 @@ class ClockSpec:
 
     @classmethod
     def piecewise_linear(cls, knots) -> "ClockSpec":
-        return cls(kind="piecewise_linear", knots=np.asarray(knots, dtype=float))
+        return cls(kind="piecewise_linear", knots=knots)
 
     def curves(self, u, cap):
         """(beta(u), lambda(u)) at clock values u of a path whose cap is cap."""
@@ -210,8 +210,8 @@ class ClockSpec:
 
 
 def checked_vector(name: str, value, d: int | None = None) -> np.ndarray:
-    """value as a float vector (of length d when given), refused unless every entry is finite."""
-    arr = np.asarray(value, dtype=float)
+    """value as a float vector (of length d when given), refused unless every entry is a finite number."""
+    arr = checked_reals(name, value)
     if arr.ndim != 1 or d is not None and arr.size != d:
         raise ValueError(f"{name} must be a vector" + ("" if d is None else f" of length {d}"))
     if not np.all(np.isfinite(arr)):

@@ -29,12 +29,12 @@ fixed path is drawn whole and cut into blocks. A block's clock increments,
 beta-weighted marks and flow run before the next block is drawn. Each of
 those operations is per path, so the blocks give the whole batch's bits;
 only their per-path outputs are joined, before the observable and the
-reduction. Several blocks are drawn into one batch-scope buffer, which also
-holds the drift-free closed form's padded state: as the batch's one large
-allocation it lifts glibc's dynamic mmap and trim thresholds above the
-blocks' temporaries, which are then reused from the heap rather than
-unmapped and faulted in again. A BlowUpError in a block draws and flows the
-whole batch, which raises the error an unblocked run raises.
+reduction. Several blocks are drawn into one batch-scope buffer: as the
+batch's one large allocation it lifts glibc's dynamic mmap and trim
+thresholds above the blocks' temporaries, which are then reused from the
+heap rather than unmapped and faulted in again. A BlowUpError in a block
+draws and flows the whole batch, which raises the error an unblocked run
+raises.
 
 The flow has two routes. In general it is an event loop: each pass gives
 every unfinished path its own next event, one RK4 substep of its drift ODE
@@ -48,16 +48,12 @@ by jump count, largest first: round k then covers exactly the first
 #(counts > k) rows of a row-major state, which it scales by exp(-r h)
 over the gap h since their last jump and updates in place, taking its
 marks with np.take at each row's k-th jump; a last scaling carries every
-path to t, and the outputs go back to batch order once. For b == 0
-(r = 0) with constant sigma the state is x0 plus a running sum of the
-jump increments, taken in closed form as a cumulative sum with the
-rounds' float operations, one row block at a time, and J v stays v. Both
-kinds of jump share one update. A non-finite state, directional
-derivative or weight term raises BlowUpError rather than reaching the
-mean, naming the earliest round (or pass) with a non-finite path and the
-lowest such path in it, or t and the lowest path whose last scaling
-overflows; the loop and the rounds alone raise it, and the closed form
-hands a batch that goes non-finite back to the rounds.
+path to t, and the outputs go back to batch order once; r = 0 scales
+nothing. Both routes share one jump update. A non-finite state,
+directional derivative or weight term raises BlowUpError rather than
+reaching the mean, naming the earliest round (or pass) with a non-finite
+path and the lowest such path in it, or t and the lowest path whose last
+scaling overflows.
 
 A path gets the same bits in any batch, alone included, so extract_path
 replays it. einsum's order of summing a row follows the memory layout,
@@ -81,7 +77,7 @@ matrix products these replace only add exact zeros, so each result keeps
 the matrix route's bits: a product gets + 0.0, the +0.0 a sum of it with
 exact zeros gives in place of a -0.0, and the trace adds a to itself d
 times in einsum's order. A scale or slope result not shaped (m,) is
-refused. The closed form below forms scale dW the same way.
+refused.
 
 Each per-row scaling of an (m, d) array (scale dw and slope dw, the rounds'
 exp(-r h), (1/scale) J v and a dW^beta, the beta-weighted marks and the
@@ -111,7 +107,7 @@ from __future__ import annotations
 import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,9 +194,6 @@ class JumpBatch:
     offsets: np.ndarray  # (n+1,) int prefix sums
     times: np.ndarray  # (M,) float
     sizes: np.ndarray  # (M,) float
-    # free float memory of the batch-scope buffer a row block was drawn into
-    # (sample_row_blocks), where the drift-free closed form pads its state
-    spare: np.ndarray | None = None
 
     @property
     def total(self) -> int:
@@ -316,9 +309,8 @@ def sample_row_blocks(alpha: float, horizon: float, eps_cut: float, n: int,
     marks next in marks (Philox streams). So the blocks concatenate to the
     whole draw bit for bit, which is the one block of budget math.inf and
     gets arrays of its own. Several blocks share one buffer sized for the
-    largest, a block's spare being the buffer's rest after its draws: each
-    block is valid until the next one is drawn. d = 0 draws no marks and
-    never reads marks; each block's marks are then None.
+    largest: each block is valid until the next one is drawn. d = 0 draws no
+    marks and never reads marks; each block's marks are then None.
     """
     counts = _jump_counts(alpha, horizon, eps_cut, n, jumps)
     total = int(counts.sum())
@@ -329,15 +321,13 @@ def sample_row_blocks(alpha: float, horizon: float, eps_cut: float, n: int,
     offsets = np.concatenate(([0], np.cumsum(counts)))
     bounds = list(_row_bounds(offsets, budget))
     size_stream = _skipped(jumps, total)
-    # times, sizes and marks, then the closed form's (rows, count + 1, d) state
-    out = np.empty(max((2 + d) * int(offsets[r1] - offsets[r0])
-                       + (r1 - r0) * (int(counts[r0:r1].max()) + 1) * d for r0, r1 in bounds))
+    # times, sizes and marks of the largest block
+    out = np.empty((2 + d) * max(int(offsets[r1] - offsets[r0]) for r0, r1 in bounds))
     for r0, r1 in bounds:
         block = sample_jump_batch(alpha, horizon, eps_cut, r1 - r0, jumps, counts=counts[r0:r1],
                                   size_stream=size_stream, out=out)
         m = int(offsets[r1] - offsets[r0])
-        dW = sample_mark_batch(block, d, marks, out=out[2 * m:]) if d else None
-        yield replace(block, spare=out[(2 + d) * m:]), dW
+        yield block, sample_mark_batch(block, d, marks, out=out[2 * m:]) if d else None
 
 
 def sample_jump_path(
@@ -526,55 +516,6 @@ def _rk4_pass(field, X, Jv, s0, k, h, stepping):
         raise BlowUpError(s[bad] + h[bad], path=bad)
 
 
-def _drift_free_flow(x0, v, field, batch, dW, dWb):
-    """flow_batch for b == 0 and constant sigma, where each state is x0 plus a running sum.
-
-    The increments are the event loop's products sigma(s, .) dW (scale dW
-    for a field with sigma_scale). A cumulative sum along each row of a
-    zero-padded (n, kmax + 1, d) array whose column 0 is x0 adds them in
-    jump order, as the loop's jump rounds do, so column c holds the state
-    after a path's c-th jump; flow_batch hands it row blocks of at most
-    JUMP_BLOCK jumps, and a block drawn into a batch-scope buffer lends it
-    that buffer's spare memory for the array. J v stays v, so only I1 is
-    nonzero, and it needs no left limit. Returns None when a state or a
-    jump's c1 is not finite (a non-finite v makes every c1 so): the event
-    loop then flows the batch again and raises its BlowUpError.
-    """
-    n, d, c = batch.n, x0.shape[0], batch.counts
-    real = np.arange(c.max(initial=0)) < c[:, None]
-    shape = (n, real.shape[1] + 1, d)
-    size = math.prod(shape)
-    if batch.spare is not None and batch.spare.size >= size:
-        states = batch.spare[:size].reshape(shape)
-        # the finiteness check below reads the padding too
-        states.fill(0.0)
-    else:
-        states = np.zeros(shape)
-    states[:, 0] = x0
-    # sigma does not depend on the state, so x0 stands in for it
-    x = np.broadcast_to(x0, (batch.total, d))
-    hinted = field.sigma_scale is not None
-    if hinted:
-        scale = _sigma_scale(field, 0, batch.times, x)
-        states[:, 1:][real] = _times_rows(scale, dW)
-    elif batch.total:
-        Sg = field.sigma(batch.times, x)
-        states[:, 1:][real] = np.einsum("mij,mj->mi", np.ascontiguousarray(Sg, dtype=float), dW)
-    np.cumsum(states, axis=1, out=states)
-    if not np.isfinite(states).all():
-        return None
-    X = states[np.arange(n), c]
-    if v is None:
-        return X, None, None, None, None
-    v = np.asarray(v, dtype=float)
-    s_inv = np.ascontiguousarray(1.0 / scale if hinted else field.sigma_inv(batch.times, x), dtype=float)
-    c1 = weight_terms(s_inv, np.tile(v, (batch.total, 1)), None, None, dWb, None)[0]
-    if not np.isfinite(c1).all():
-        return None
-    I1 = np.bincount(np.repeat(np.arange(n), c), weights=c1, minlength=n)
-    return X, np.tile(v, (n, 1)), I1, np.zeros(n), np.zeros(n)
-
-
 def _jump_update(field, s, x, j, flat, paths, dW, dWb, d_beta):
     """Each row's jump at time s[row] with mark dW[flat[row]], from its left limits x and j.
 
@@ -756,12 +697,7 @@ def flow_batch(
     round reads and updates a row-major prefix of the state in place and
     takes its marks with np.take. A path's X and J v are scaled by
     exp(-r g) when it reaches its next jump, and by exp(-r (t - s)) from its
-    last jump s (or 0) to t after the last round; r = 0 scales nothing. A
-    field with r = 0 and constant sigma takes the closed form instead
-    (_drift_free_flow), with the rounds' float operations, unless a state or
-    weight term goes non-finite: the rounds then flow the whole batch and
-    raise BlowUpError. The closed form pads each path to its block's longest
-    path, so it runs over row blocks of at most JUMP_BLOCK jumps.
+    last jump s (or 0) to t after the last round; r = 0 scales nothing.
 
     A BlowUpError names the earliest round (or RK4 pass) with a non-finite
     path and the lowest such path in it, or t and the lowest path whose last
@@ -770,10 +706,6 @@ def flow_batch(
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None, d_beta is None) != (v is None, v is None):
         raise ValueError("pass the weight inputs dWb and d_beta exactly when v is given")
-    if field.drift_rate == 0.0 and field.sigma_is_constant:
-        parts = [_drift_free_flow(x0, v, field, *block) for block in _row_blocks(batch, dW, dWb)]
-        if parts and all(part is not None for part in parts):
-            return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
     v = None if v is None else np.asarray(v, dtype=float)
     if field.drift_rate is None:
         return _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, dWb, d_beta)
@@ -854,8 +786,8 @@ def _row_bounds(offsets, budget: float):
 
 def _row_blocks(batch: JumpBatch, *per_jump):
     """Consecutive row blocks of at most JUMP_BLOCK jumps (one path at least), each
-    (JumpBatch view with offsets rebased to 0 and the batch's spare, *its slice of
-    each per-jump array), a None among them passed as is."""
+    (JumpBatch view with offsets rebased to 0, *its slice of each per-jump array),
+    a None among them passed as is."""
     if batch.total <= JUMP_BLOCK:
         yield batch, *per_jump
         return
@@ -863,7 +795,7 @@ def _row_blocks(batch: JumpBatch, *per_jump):
     for r0, r1 in _row_bounds(offsets, JUMP_BLOCK):
         lo, hi = offsets[r0], offsets[r1]
         yield (JumpBatch(r1 - r0, batch.horizon, batch.counts[r0:r1], offsets[r0:r1 + 1] - lo,
-                         batch.times[lo:hi], batch.sizes[lo:hi], batch.spare),
+                         batch.times[lo:hi], batch.sizes[lo:hi]),
                *(None if a is None else a[lo:hi] for a in per_jump))
 
 

@@ -9,6 +9,8 @@ results never depend on scheduling or worker count.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = ["substream"]
@@ -35,6 +37,15 @@ def checked_float(name: str, value) -> float:
     if isinstance(value, (bool, np.bool_, str, bytes)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def checked_reals(name: str, value) -> np.ndarray:
+    """value as a float array, refused by name unless every entry is a real number:
+    np.asarray(value, dtype=float) would read True and "1" as 1.0."""
+    entries = np.asarray(value, dtype=object)
+    if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) for e in entries.flat):
+        raise ValueError(f"{name} must hold numbers only, got {value!r}")
+    return entries.astype(float)
 
 
 def checked_bool(name: str, value) -> bool:

@@ -53,12 +53,13 @@ class BernsteinSpec:
     alpha: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", checked_float("alpha", self.alpha))
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie strictly in (0, 2)")
 
     @classmethod
     def alpha_stable(cls, alpha: float) -> "BernsteinSpec":
-        return cls(checked_float("alpha", alpha))
+        return cls(alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +99,7 @@ class JumpPath:
 
 def tail_mass(alpha: float, eps: float) -> float:
     """nu([eps, inf)) = eps**(-alpha/2) / Gamma(1 - alpha/2)."""
+    alpha, eps = checked_float("alpha", alpha), checked_float("eps", eps)
     if not eps > 0:
         raise ValueError("eps must be positive")
     rho = alpha / 2.0
@@ -127,6 +129,7 @@ def dropped_mass_rate(alpha: float, eps: float) -> float:
     c = rho / Gamma(1-rho), rho = alpha/2, which evaluates to
     rho * eps**(1-rho) / ((1-rho) * Gamma(1-rho)).
     """
+    alpha, eps = checked_float("alpha", alpha), checked_float("eps", eps)
     if not eps > 0:
         raise ValueError("eps must be positive")
     rho = alpha / 2.0
@@ -172,6 +175,7 @@ def sample_terminal_values(
 
 def truncate_jumps(path: JumpPath, eps: float) -> JumpPath:
     """Keep exactly the jumps of size >= eps; times are preserved."""
+    eps = checked_float("eps", eps)
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     keep = path.sizes >= eps
@@ -187,6 +191,7 @@ def inverse_moment(spec: BernsteinSpec, t: float, gamma: float) -> float:
     it is evaluated with lgamma; a value beyond the float range, or below
     its smallest normal float, raises ValueError.
     """
+    t, gamma = checked_float("t", t), checked_float("gamma", gamma)
     if not t > 0:
         raise ValueError("t must be positive")
     if not gamma > 0:
@@ -285,6 +290,7 @@ def default_level_R(spec: BernsteinSpec, t: float) -> float:
     deterministic quadrature of stable_median_s1, so R = "auto" depends on
     alpha and t alone.
     """
+    t = checked_float("t", t)
     if not t > 0:
         raise ValueError("t must be positive")
     return stable_median_s1(spec) * t ** (2.0 / spec.alpha)
@@ -305,7 +311,7 @@ def default_eps_cut(spec: BernsteinSpec, t: float) -> float:
     precision runs, and check the implied jump intensity
     t * tail_mass(alpha, eps) before launching large ones (the CLI does).
     """
-    rho = spec.alpha / 2.0
+    t, rho = checked_float("t", t), spec.alpha / 2.0
     # the dropped rate is coef * eps**(1-rho)
     coef = dropped_mass_rate(spec.alpha, 1.0)
     return (0.1 * default_level_R(spec, t) / (t * coef)) ** (1.0 / (1.0 - rho))

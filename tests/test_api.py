@@ -85,6 +85,8 @@ FLOAT_SCALARS = {
         v=[1.0, 0.5], t=0.5, h=flag, n_paths=10, seed=1, eps_cut=3e-2, **START),
     "t": lambda flag: levygrad.estimate_pt(t=flag, n_paths=10, seed=1, eps_cut=3e-2, **START),
     "alpha": lambda flag: levygrad.BernsteinSpec.alpha_stable(flag),
+    # BernsteinSpec(True) ran at alpha = True, and "1.5" raised a bare TypeError
+    "alpha of the constructor": lambda flag: levygrad.BernsteinSpec(flag),
     "t_grid": lambda flag: levygrad.check_gradient_bound(t_grid=[0.5, flag], **BOUND),
     "eps_cut_at_1": lambda flag: levygrad.check_gradient_bound(
         t_grid=[0.5, 1.0], eps_cut_at_1=flag, **BOUND),
@@ -101,6 +103,16 @@ FLOAT_SCALARS = {
     "grid_step": lambda flag: levygrad.counterexample_moments(0.1, 10, flag, 1),
     "eps_list": lambda flag: levygrad.truncation_convergence_check(
         PATH, levygrad.ClockSpec.cap_at_first_passage(1.0), [1.0, -0.5], [flag, 0.1], 10, 1),
+    # the public constants returned a number: tail_mass(1.5, True) was 0.2758
+    "alpha of tail_mass": lambda flag: levygrad.tail_mass(flag, 0.1),
+    "eps of tail_mass": lambda flag: levygrad.tail_mass(1.5, flag),
+    "alpha of dropped_mass_rate": lambda flag: levygrad.dropped_mass_rate(flag, 0.1),
+    "eps of dropped_mass_rate": lambda flag: levygrad.dropped_mass_rate(1.5, flag),
+    "t of inverse_moment": lambda flag: levygrad.inverse_moment(SPEC, flag, 0.5),
+    "gamma of inverse_moment": lambda flag: levygrad.inverse_moment(SPEC, 1.0, flag),
+    "t of default_eps_cut": lambda flag: levygrad.default_eps_cut(SPEC, flag),
+    "t of default_level_R": lambda flag: levygrad.default_level_R(SPEC, flag),
+    "eps of truncate_jumps": lambda flag: levygrad.truncate_jumps(PATH, flag),
 }
 
 
@@ -109,6 +121,38 @@ FLOAT_SCALARS = {
 def test_float_scalars_refuse_booleans_and_strings(case, flag):
     with pytest.raises(ValueError, match=f"^{case.split()[0]} must be a number, got"):
         FLOAT_SCALARS[case](flag)
+
+
+# np.asarray(..., dtype=float) read True as 1.0 and "1" as 1.0: x = [True, False]
+# ran at (1, 0), and so did a knot (True, False)
+ARRAYS = {
+    "x": lambda vec: levygrad.estimate_gradient(
+        x=vec, v=[1.0, 0.5], t=0.5, R="auto", n_paths=10, eps_cut=3e-2, seed=1,
+        **{k: START[k] for k in ("f", "field", "spec")}),
+    "v": lambda vec: levygrad.estimate_gradient(
+        v=vec, t=0.5, R="auto", n_paths=10, eps_cut=3e-2, seed=1, **START),
+    "a": lambda vec: levygrad.make_observable("linear", a=vec),
+    "knots": lambda vec: levygrad.ClockSpec.piecewise_linear([[0.0, 0.0], vec]),
+    "knots of the constructor": lambda vec: levygrad.ClockSpec(
+        kind="piecewise_linear", knots=[[0.0, 0.0], vec]),
+}
+
+
+@pytest.mark.parametrize("vec", [[True, False], [1.0, np.True_], np.array([True, False]), ["1", "0"],
+                                 np.array(["1", "0"]), [b"1", 0.0], [1.0, 1j], [0.5, None]])
+@pytest.mark.parametrize("case", sorted(ARRAYS))
+def test_arrays_refuse_booleans_and_non_numbers(case, vec):
+    with pytest.raises(ValueError, match=f"^{case.split()[0]} must hold numbers only, got"):
+        ARRAYS[case](vec)
+
+
+def test_number_arrays_of_any_kind_are_taken():
+    # integer, float32 and numpy-scalar entries are real numbers, taken exactly
+    for vec in ([1, 0], np.array([1.0, 0.0], dtype=np.float32), [np.float64(1.0), np.int64(0)]):
+        f = levygrad.make_observable("linear", a=vec)
+        assert np.array_equal(f(np.array([[2.0, 3.0]])), [2.0])
+    clock = levygrad.ClockSpec.piecewise_linear(np.array([[0, 0], [1, 2]]))
+    assert clock.knots.dtype == float and clock.knots.tolist() == [[0.0, 0.0], [1.0, 2.0]]
 
 
 # the flag was read by truthiness: antithetic="no" ran the antithetic estimator

@@ -256,7 +256,7 @@ def _weight_inputs(batch, clock, d, seed):
 EDGE_CLOCKS = [(ClockSpec.cap_at_first_passage(0.5), 1e-12), (PIECEWISE, 1e-12)]
 
 
-# additive_identity takes the drift-free closed form
+# additive_identity runs the jump rounds at r = 0
 EDGE_FIELDS = {"bounded_multiplicative": BM_RK4, "additive_identity": catalog("additive_identity", 2)}
 
 
@@ -389,7 +389,7 @@ def _dense_sigma_field(derivative):
     """sigma = s(x_1) T for a dense T where, like grad_b above, sigma, its
     inverse and its derivative come from np.tile of column-major arrays: on
     BM3 with the derivative from grad_sigma or from the dsigma hook, or with
-    s = 1 on additive_identity, which takes the closed form."""
+    s = 1 on additive_identity, which runs the jump rounds at r = 0."""
     T = np.eye(3) + 0.3 * np.triu(np.ones((3, 3)), 1) - 0.2 * np.tril(np.ones((3, 3)), -1)
     grad_T = np.zeros((3, 3, 3))
     grad_T[..., 0] = T

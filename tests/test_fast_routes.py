@@ -1,18 +1,15 @@
-"""The blocked jump sort and the closed-form drift-free flow, bit for bit,
+"""The blocked jump sort and the jump rounds at drift_rate 0, bit for bit,
 and the exact flow of a linear drift.
 
 sample_jump_batch sorts each path's times, ROW_BLOCK paths at a time, and
-leaves the sizes in draw order. flow_batch takes a closed form when b == 0
-and sigma is constant, over whatever batch it is handed: the estimators
-hand it row blocks of at most engine.JUMP_BLOCK jumps (tests/test_row_blocks.py
-checks those against whole batches), and the tests below hand it whole
-batches. Both promise the floats of another route: a stable lexsort of the
-times by (path, time) with the sizes in draw order and tied times merged,
-and the event loop, which also names the path of a blow-up, since the
-closed form hands a batch that goes non-finite back to it. A field with a
-nonzero drift_rate r is scaled by exp(-r h) between jumps; that promises
-the flow of b = -r x, which RK4 at fine steps and, on ou_additive, the
-Gaussian sum approach.
+leaves the sizes in draw order. flow_batch runs a field with drift_rate 0
+(b == 0) in jump rounds that scale nothing between jumps. Both promise the
+floats of another route: a stable lexsort of the times by (path, time)
+with the sizes in draw order and tied times merged, and the event loop of
+the same field without the hint, which RK4 steps on b = 0 and which names
+the same path of a blow-up. A field with a nonzero drift_rate r is scaled
+by exp(-r h) between jumps; that promises the flow of b = -r x, which RK4
+at fine steps and, on ou_additive, the Gaussian sum approach.
 """
 
 import dataclasses
@@ -141,7 +138,7 @@ def test_sampler_stream_sorts_times_and_keeps_sizes_in_draw_order(n):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form flow against the event loop
+# the jump rounds at r = 0 against the event loop
 
 
 def _time_dependent_sigma_field(d):
@@ -190,18 +187,18 @@ def _weight_inputs(v, batch, dW):
 
 def _both_routes(field, x0, v, batch, dW):
     weight = _weight_inputs(v, batch, dW)
-    closed = flow_batch(x0, v, field, batch, dW, 50, *weight)
+    rounds = flow_batch(x0, v, field, batch, dW, 50, *weight)
     loop = flow_batch(
         x0, v, dataclasses.replace(field, drift_rate=None), batch, dW, 50, *weight
     )
-    return closed, loop
+    return rounds, loop
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("field_name", ["additive_identity", "time_dependent_sigma"])
 @pytest.mark.parametrize("with_v", [True, False])
 @pytest.mark.parametrize("n_extra", [0, 300, ROW_BLOCK + 2])
-def test_closed_form_flow_equals_the_event_loop(d, field_name, with_v, n_extra):
+def test_rounds_at_zero_rate_equal_the_event_loop(d, field_name, with_v, n_extra):
     # the event loop runs RK4 on b = 0, which adds exact zeros
     if field_name == "additive_identity":
         field = catalog(field_name, d)
@@ -213,25 +210,25 @@ def test_closed_form_flow_equals_the_event_loop(d, field_name, with_v, n_extra):
     x0 = rng.standard_normal(d)
     x0[0] = -0.0  # an empty path must keep its signed zero
     v = rng.standard_normal(d) if with_v else None
-    closed, loop = _both_routes(field, x0, v, batch, dW)
-    assert closed[0].shape == (batch.n, d)
-    for got, want in zip(closed, loop):
+    rounds, loop = _both_routes(field, x0, v, batch, dW)
+    assert rounds[0].shape == (batch.n, d)
+    for got, want in zip(rounds, loop):
         if want is None:
             assert got is None
             continue
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    assert np.signbit(closed[0][0, 0])
+    assert np.signbit(rounds[0][0, 0])
     if not with_v:
-        assert closed[2] is None and loop[2] is None
+        assert rounds[2] is None and loop[2] is None
     else:
-        assert np.any(closed[2] != 0.0)
+        assert np.any(rounds[2] != 0.0)
 
 
-def test_closed_form_matches_the_loop_in_high_dimension():
+def test_rounds_at_zero_rate_match_the_loop_in_high_dimension():
     # at d = 9 einsum sums a row of a column-major and of a row-major array
-    # in different orders, as it does for this v; the closed form must still
-    # give the loop's bits, which contracts only row-major arrays
+    # in different orders, as it does for this v; the rounds must still give
+    # the loop's bits, which contracts only row-major arrays
     d = 9
     v = np.random.default_rng(1).standard_normal(d)
     rows = np.tile(v, (5, 1))
@@ -239,8 +236,8 @@ def test_closed_form_matches_the_loop_in_high_dimension():
     assert np.einsum("mi,mi->m", rows, rows)[0] != np.einsum("mi,mi->m", cols, cols)[0]
     batch = _edge_batch(50)
     dW = engine.sample_mark_batch(batch, d, substream(8, engine.PURPOSE_MARKS, 0))
-    closed, loop = _both_routes(catalog("additive_identity", d), np.zeros(d), v, batch, dW)
-    for got, want in zip(closed, loop):
+    rounds, loop = _both_routes(catalog("additive_identity", d), np.zeros(d), v, batch, dW)
+    for got, want in zip(rounds, loop):
         assert np.array_equal(got, want)
 
 
@@ -272,17 +269,16 @@ def test_blow_up_names_the_same_time_and_path(with_v):
     loop_field = dataclasses.replace(field, drift_rate=None)
     x0 = np.array([0.0, 1.7e308])
     v = np.array([1.0, 0.0]) if with_v else None
-    closed = _blow_up(field, x0, v, batch, dW)
-    assert closed == _blow_up(loop_field, x0, v, batch, dW)
-    assert closed == (times[offsets[2] + 1], 2)
+    rounds = _blow_up(field, x0, v, batch, dW)
+    assert rounds == _blow_up(loop_field, x0, v, batch, dW)
+    assert rounds == (times[offsets[2] + 1], 2)
 
 
 def test_blow_up_parity_on_a_sampled_batch():
     # near the float range every path's walk may overflow, in any round. The
-    # closed form hands the batch back to the loop without drift, which names
-    # the first bad jump round's lowest path, as the same loop with a
-    # state-dependent sigma does; with drift the loop's passes follow RK4
-    # substep counts, which may reach another path first.
+    # rounds at r = 0 name the first bad jump round's lowest path, as the
+    # same rounds with a state-dependent sigma do; with drift the loop's
+    # passes follow RK4 substep counts, which may reach another path first.
     field = catalog("additive_identity", 1)
     loop_field = dataclasses.replace(field, sigma_is_constant=False)
     x0, v = np.array([1.7e308]), np.ones(1)
@@ -294,8 +290,8 @@ def test_blow_up_parity_on_a_sampled_batch():
 
 
 def test_non_finite_v_stops_at_the_first_jump_round():
-    # the closed form hands the batch back to the drift-free loop, whose
-    # first jump round names the first path with a jump (path 0 has none).
+    # the rounds at r = 0 stop in their first jump round, at the first path
+    # with a jump (path 0 has none).
     # (The loop with drift stops earlier, in its first RK4 substep of J v.)
     batch = _edge_batch(20)
     dW = engine.sample_mark_batch(batch, 1, substream(8, engine.PURPOSE_MARKS, 0))

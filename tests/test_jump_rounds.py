@@ -35,7 +35,7 @@ def _weight_inputs(v, batch, dW):
 
 def _field(name, d):
     """A catalog field, or "drift_free_loop": additive_identity claiming a state-dependent sigma,
-    which runs the rounds with r = 0 instead of the closed form."""
+    which runs the rounds at r = 0 with J v updated by sigma_scale's slope."""
     if name == "drift_free_loop":
         return dataclasses.replace(catalog("additive_identity", d), sigma_is_constant=False)
     return catalog(name, d)

@@ -12,10 +12,9 @@ the same to_dict() bytes and the same sample rows, at one worker and at two.
 The budgets 1 (every path a block of its own, empty paths folded into their
 neighbours) and 37 (blocks of several paths) are compared with a budget that
 no batch reaches. A blow-up in a block draws and re-flows the whole batch,
-so the error names the (s, path, batch) of an unblocked run. flow_batch runs
-its drift-free closed form over such blocks itself, so a direct call is
-bounded too. The peak memory of one fine-cut batch is bounded, since
-bounding it is what the blocks are for.
+so the error names the (s, path, batch) of an unblocked run. The peak
+memory of one fine-cut batch is bounded, since bounding it is what the
+blocks are for.
 """
 
 import dataclasses
@@ -64,7 +63,7 @@ RUNS = {
     "cap_rk4": lambda **kw: estimate_gradient(
         X0, V0, TANH, dataclasses.replace(BM, drift_rate=None), SPEC, 0.5, "auto", N, 3e-2, 5,
         collect_samples=N, **kw),
-    # the drift-free closed form
+    # jump rounds at r = 0 with constant sigma
     "cap_sign": lambda **kw: estimate_gradient(
         np.zeros(1), np.ones(1), make_observable("sign"), catalog("additive_identity", 1), SPEC,
         1.0, "auto", N, 1e-2, 303, collect_samples=N, **kw),
@@ -248,7 +247,8 @@ def test_blow_up_parity_of_a_hand_batch():
         return engine.flow_batch(np.array([1.7e308]), None, field, block, dW, 50)[:1]
 
     for budget in (1, 3):
-        # through over_row_blocks, and flow_batch's own blocks of the closed form
+        # through over_row_blocks, and by a direct flow_batch call, which
+        # ignores JUMP_BLOCK
         for run in (lambda: over_row_blocks(lambda budget: iter([(batch, dW)]), stage),
                     lambda: stage(batch, dW)):
             with pytest.MonkeyPatch.context() as mp:
@@ -258,35 +258,10 @@ def test_blow_up_parity_of_a_hand_batch():
             assert (info.value.s, info.value.path) == (0.1, 2)
 
 
-@pytest.mark.parametrize("with_v", [True, False])
-def test_a_direct_closed_form_call_runs_over_row_blocks(monkeypatch, with_v):
-    # flow_batch itself bounds the closed form's padded array, so a direct
-    # caller's large drift-free batch gets the blocks' bound and the whole
-    # batch's bits
-    field = catalog("additive_identity", 2)
-    batch = sample_jump_batch(1.5, 1.0, 1e-2, 400, substream(6, engine.PURPOSE_JUMPS, 0))
-    dW = engine.sample_mark_batch(batch, 2, substream(6, engine.PURPOSE_MARKS, 0))
-    v, weight = (V0, (-dW, batch.sizes)) if with_v else (None, ())
-    whole = engine.flow_batch(X0, v, field, batch, dW, 50, *weight)
-    blocks = []
-    closed_form = engine._drift_free_flow
-
-    def spy(x0, v, field, block, *marks):
-        blocks.append(block)
-        return closed_form(x0, v, field, block, *marks)
-
-    monkeypatch.setattr(engine, "_drift_free_flow", spy)
-    monkeypatch.setattr(engine, "JUMP_BLOCK", 37)
-    blocked = engine.flow_batch(X0, v, field, batch, dW, 50, *weight)
-    assert len(blocks) > 1 and all(b.total <= 37 or b.n == 1 for b in blocks)
-    for got, want in zip(blocked, whole):
-        assert got is None if want is None else got.tobytes() == want.tobytes()
-
-
 def test_peak_memory_of_one_fine_cut_batch():
     # one 16,384-path batch at eps = 2e-4 (sign_fine_cut) draws about 2.7M
     # jumps, whose times, sizes and marks alone are 65 MB. Drawn and run over
-    # row blocks of 2^19 jumps it peaks at 50 MB of traced allocations; drawn
+    # row blocks of 2^19 jumps it peaks at 29 MB of traced allocations; drawn
     # whole and run over the blocks it peaked at 102 MB, and under an
     # unbounded budget at 248 MB
     field = catalog("additive_identity", 1)
@@ -297,4 +272,4 @@ def test_peak_memory_of_one_fine_cut_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 53e6
+    assert peak < 33e6

@@ -302,7 +302,7 @@ INTEGER_ARGUMENTS = {
         X1, V1, TANH, F1, PATH, CAP, 1.0, 8, 2, collect_samples=-1),
         "collect_samples must be at least 0"),
     # ceil(gap * 50.5) steps would run with other bits than 50; F1 has no
-    # drift, so these also reach the closed-form flow, which takes no steps
+    # drift, so these also reach the jump rounds at r = 0, which take no steps
     "estimate_gradient substeps_per_unit 50.5": (lambda: estimate_gradient(
         X1, V1, TANH, catalog("bounded_multiplicative", 1), SPEC, 1.0, "auto", 8, 0.05, 1,
         substeps_per_unit=50.5), "substeps_per_unit must be an integer"),

@@ -41,8 +41,8 @@ def _field(name, d):
     return catalog(name, d)
 
 
-# each flow route at d = 1..4: the exact scaling loop, RK4, the loop without
-# drift and the drift-free closed form (ou_additive: the loop with constant sigma)
+# each flow route at d = 1..4: the jump rounds with r > 0, RK4, and the rounds
+# with constant sigma at r = 0 (additive_identity) and at r > 0 (ou_additive)
 FIELDS = [(name, d) for name in ("bounded_multiplicative", "bm_rk4", "additive_identity", "ou_additive")
           for d in (1, 2, 3, 4)] + [("pythagoras_1d", 1)]
 
@@ -153,7 +153,7 @@ HINT_REFUSALS = {
         lambda: _gradient(dataclasses.replace(
             BM2, sigma_scale=(_scale, lambda t, x, u: np.asarray(u) * 0.25))),
         r"^sigma_scale slope returned shape \(\d+, 2\); it must return shape \(\d+,\)$"),
-    "closed-form scale of shape ()": (
+    "drift-free scale of shape ()": (
         lambda: _gradient(dataclasses.replace(AI2, sigma_scale=(lambda t, x: 1.0, _slope))),
         r"^sigma_scale scale returned shape \(\); it must return shape \(\d+,\)$"),
 }
