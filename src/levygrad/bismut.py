@@ -107,8 +107,10 @@ class ClockSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "cap_at_first_passage":
-            if self.R is None or not self.R > 0:
+            R = None if self.R is None else checked_float("R", self.R)
+            if R is None or not R > 0:
                 raise ValueError("cap_at_first_passage needs a level R > 0")
+            object.__setattr__(self, "R", R)
         elif self.kind == "piecewise_linear":
             k = checked_reals("knots", self.knots)
             if k.ndim != 2 or k.shape[1] != 2 or k.shape[0] < 2:
@@ -134,7 +136,7 @@ class ClockSpec:
 
     @classmethod
     def cap_at_first_passage(cls, R: float) -> "ClockSpec":
-        return cls(kind="cap_at_first_passage", R=checked_float("R", R))
+        return cls(kind="cap_at_first_passage", R=R)
 
     @classmethod
     def piecewise_linear(cls, knots) -> "ClockSpec":

@@ -36,24 +36,17 @@ heap rather than unmapped and faulted in again. A BlowUpError in a block
 draws and flows the whole batch, which raises the error an unblocked run
 raises.
 
-The flow has two routes. In general it is an event loop: each pass gives
-every unfinished path its own next event, one RK4 substep of its drift ODE
-or one jump. The substep runs on the whole column-major state, the rows
-that are not stepping taking a step of size 0, and a jump reads its
-paths' state one coordinate at a time into row-major rows and writes it
-back the same way: numpy's 2-D fancy index costs several times more. A
-field with the drift_rate hint r (b = -r x) takes no substep. It runs in
-jump rounds, round k being every path's k-th jump, with its paths ordered
-by jump count, largest first: round k then covers exactly the first
-#(counts > k) rows of a row-major state, which it scales by exp(-r h)
-over the gap h since their last jump and updates in place, taking its
-marks with np.take at each row's k-th jump; a last scaling carries every
-path to t, and the outputs go back to batch order once; r = 0 scales
-nothing. Both routes share one jump update. A non-finite state,
-directional derivative or weight term raises BlowUpError rather than
-reaching the mean, naming the earliest round (or pass) with a non-finite
-path and the lowest such path in it, or t and the lowest path whose last
-scaling overflows.
+The flow has two routes (see flow_batch): an event loop of RK4 substeps
+and jumps, and jump rounds in jump-count order for a field with the
+drift_rate hint. A substep runs on the whole column-major state, the rows
+that are not stepping taking a step of size 0, and the loop's jump reads
+its paths' state one coordinate at a time into row-major rows and writes
+it back the same way: numpy's 2-D fancy index costs several times more. A
+round updates a row-major prefix of the state in place. Both routes share
+one jump update, which does only the work the field needs (a constant
+sigma's J v is neither checked nor written back, and the clock increments
+are gathered only for c2). A non-finite state, directional derivative or
+weight term raises BlowUpError rather than reaching the mean.
 
 A path gets the same bits in any batch, alone included, so extract_path
 replays it. einsum's order of summing a row follows the memory layout,
@@ -521,10 +514,18 @@ def _jump_update(field, s, x, j, flat, paths, dW, dWb, d_beta):
 
     x and j are row-major (einsum's order of summing a row of d > 2 follows
     the layout). Returns (x_new, j_new, terms): the state and J v after the
-    jump (j_new is j for a constant sigma) and the jump's weight_terms
-    (c1, c2, c3), both None when j is. A non-finite state or directional
-    derivative, then a non-finite weight term, raises BlowUpError at the
-    lowest path paths[row] among such rows.
+    jump (j_new is None for a constant sigma, whose jump leaves J v as it
+    is) and the jump's weight_terms (c1, c2, c3), both None when j is; d_beta
+    is gathered only for c2. A non-finite state or directional derivative,
+    then a non-finite weight term, raises BlowUpError at the lowest path
+    paths[row] among such rows.
+
+    A constant sigma's J v is not checked. A non-finite one makes each entry
+    of sigma^{-1} J v non-finite (inf * 0 is NaN), so c1 = <sigma^{-1} J v,
+    dW^beta> too, and the terms check raises in the same round; at the same
+    path when that round's states stay finite and no term overflows from
+    finite inputs. Between jumps J v changes only by the rounds' exp(-r h),
+    at most 1 for r >= 0, or by the event loop's RK4 passes, which check it.
     """
     dw = np.take(dW, flat, axis=0)
     hinted = field.sigma_scale is not None
@@ -536,10 +537,8 @@ def _jump_update(field, s, x, j, flat, paths, dW, dWb, d_beta):
         Sg = np.ascontiguousarray(field.sigma(s, x), dtype=float)
         x_new = x + np.einsum("mij,mj->mi", Sg, dw)
     j_new = dir_s = None
-    if j is not None:
-        if field.sigma_is_constant:
-            j_new = j
-        elif hinted:
+    if j is not None and not field.sigma_is_constant:
+        if hinted:
             dir_s = _sigma_scale(field, 1, s, x, j)
             j_new = _times_rows(dir_s, dw)
             j_new += j
@@ -553,7 +552,7 @@ def _jump_update(field, s, x, j, flat, paths, dW, dWb, d_beta):
         return x_new, None, None
     s_inv = 1.0 / scale if hinted else field.sigma_inv(s, x)
     terms = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw,
-                         np.take(dWb, flat, axis=0), d_beta[flat])
+                         np.take(dWb, flat, axis=0), None if dir_s is None else d_beta[flat])
     # a finite state may still give an infinite sigma^{-1}, as a subnormal sigma does
     bad = _first_non_finite(*terms, paths=paths)
     if bad is not None:
@@ -597,8 +596,9 @@ def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, dWb, d_beta):
         j = None if Jv is None else _take_rows(Jv, sel)
         x_new, j_new, terms = _jump_update(field, s_jump, _take_rows(X, sel), j, flat, sel, dW, dWb, d_beta)
         _put_rows(X, sel, x_new)
-        if j is not None:
+        if j_new is not None:
             _put_rows(Jv, sel, j_new)
+        if j is not None:
             _add_terms(sums, sel, terms)
         nxt[sel] = flat + 1
         s0[sel] = s_jump
@@ -642,8 +642,9 @@ def _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta):
             s0[:w] = s
         x_new, j_new, terms = _jump_update(field, s, x, j, flat, order[:w], dW, dWb, d_beta)
         x[...] = x_new
-        if j is not None:
+        if j_new is not None:
             j[...] = j_new
+        if j is not None:
             _add_terms(sums, slice(w), terms)
     if rate:
         decay = np.exp(-rate * (t - s0))
@@ -693,9 +694,8 @@ def flow_batch(
 
     A field with drift_rate r takes no substep and never reads
     substeps_per_unit. It runs jump rounds, round k being every path's k-th
-    jump, on its paths ordered by jump count, largest first, so that each
-    round reads and updates a row-major prefix of the state in place and
-    takes its marks with np.take. A path's X and J v are scaled by
+    jump, on its paths ordered by jump count, largest first, each round a
+    row-major prefix of the state. A path's X and J v are scaled by
     exp(-r g) when it reaches its next jump, and by exp(-r (t - s)) from its
     last jump s (or 0) to t after the last round; r = 0 scales nothing.
 

@@ -41,7 +41,10 @@ def checked_float(name: str, value) -> float:
 
 def checked_reals(name: str, value) -> np.ndarray:
     """value as a float array, refused by name unless every entry is a real number:
-    np.asarray(value, dtype=float) would read True and "1" as 1.0."""
+    np.asarray(value, dtype=float) would read True and "1" as 1.0. An integer or
+    float array is taken whole, without a look at each entry."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float)
     entries = np.asarray(value, dtype=object)
     if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) for e in entries.flat):
         raise ValueError(f"{name} must hold numbers only, got {value!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import checked_float
+from .streams import checked_float, checked_reals
 
 __all__ = [
     "BernsteinSpec",
@@ -75,8 +75,8 @@ class JumpPath:
     sizes: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        s = np.atleast_1d(np.asarray(self.sizes, dtype=float))
+        t = np.atleast_1d(checked_reals("times", self.times))
+        s = np.atleast_1d(checked_reals("sizes", self.sizes))
         object.__setattr__(self, "horizon", checked_float("horizon", self.horizon))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "sizes", s)

@@ -151,6 +151,30 @@ def truncated_sign_gradient_target(alpha: float, t: float, eps: float) -> float:
     return math.sqrt(2.0 / math.pi) * cond
 
 
+def compensated_sign_gradient_target(alpha: float, t: float, eps: float) -> float:
+    """sqrt(2/pi) E[(ell_t + mu t)^{-1/2}] for the eps-truncated clock ell.
+
+    mu t, with mu = dropped_mass_quadrature(alpha, eps) (the library's
+    dropped_mass_rate), is the mean clock mass of the jumps below eps; adding
+    it to every path is the small-jump compensation of Asmussen and Rosinski,
+    J. Appl. Probab. 38 (2001). This is the sign gradient at the origin of
+    the one-dimensional additive model on that compensated clock. The Mellin
+    identity E Y^{-1/2} = pi^{-1/2} integral_0^inf u^{-1/2} E e^{-u Y} du with
+    E e^{-u (ell_t + mu t)} = exp(-u mu t - t psi_eps(u)) gives it by
+    quadrature; mu t > 0 leaves no atom at zero. The replaced small jumps are
+    random, so by Jensen's inequality it lies below the untruncated
+    sqrt(2/pi) E S_t^{-1/2}.
+    """
+    mu_t = dropped_mass_quadrature(alpha, eps) * t
+
+    def integrand(u: float) -> float:
+        return u ** (-0.5) * math.exp(-u * mu_t - t * truncated_laplace_exponent(u, alpha, eps))
+
+    val, err = integrate.quad(integrand, 0.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-10)
+    assert err < 1e-8
+    return math.sqrt(2.0 / math.pi) * val / math.sqrt(math.pi)
+
+
 def discrete_mollified_second_moment(eps: float, grid_step: float) -> float:
     """Exact mean of the Euler scheme for the mollified counterexample.
 

@@ -113,6 +113,8 @@ FLOAT_SCALARS = {
     "t of default_eps_cut": lambda flag: levygrad.default_eps_cut(SPEC, flag),
     "t of default_level_R": lambda flag: levygrad.default_level_R(SPEC, flag),
     "eps of truncate_jumps": lambda flag: levygrad.truncate_jumps(PATH, flag),
+    # only the cap_at_first_passage classmethod checked R: the constructor ran at R = True
+    "R of the clock constructor": lambda flag: levygrad.ClockSpec(kind="cap_at_first_passage", R=flag),
 }
 
 
@@ -135,6 +137,9 @@ ARRAYS = {
     "knots": lambda vec: levygrad.ClockSpec.piecewise_linear([[0.0, 0.0], vec]),
     "knots of the constructor": lambda vec: levygrad.ClockSpec(
         kind="piecewise_linear", knots=[[0.0, 0.0], vec]),
+    # JumpPath(2.0, [0.5, True], ["0.25", 0.5]) held times (0.5, 1.0) and sizes (0.25, 0.5)
+    "times of a path": lambda vec: levygrad.JumpPath(2.0, vec, [0.25, 0.5]),
+    "sizes of a path": lambda vec: levygrad.JumpPath(2.0, [0.5, 1.0], vec),
 }
 
 

@@ -10,6 +10,7 @@ after paths with fewer, and put empty paths between them.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -126,3 +127,68 @@ def test_the_last_scaling_names_its_lowest_bad_path(with_v):
     dW = np.zeros((batch.total, 1))
     dW[0, 0] = -(1e307 * math.exp(10.0 * 0.1))
     assert _blow_up(field, x0, v, batch, dW) == (0.5, 1)
+
+
+# A constant sigma's jump leaves J v as it is, so no route checks it or
+# writes it back in the jump update; a non-finite J v makes the weight term
+# c1 = <sigma^{-1} J v, dW^beta> non-finite in the same round instead.
+CONSTANT_SIGMA_ROUTES = {
+    "jump_rounds": lambda field: field,
+    "event_loop": lambda field: dataclasses.replace(field, drift_rate=None),
+    "matrix_route": lambda field: dataclasses.replace(field, sigma_scale=None),
+}
+# paths 0 and 4 have no jump; path 3, with the most, is the rounds' first row
+CONSTANT_SIGMA_BATCH = [[], [0.3, 0.7], [0.2], [0.1, 0.4, 0.5, 0.8], [], [0.6]]
+
+
+def _constant_sigma_run(name, d, route):
+    field = CONSTANT_SIGMA_ROUTES[route](catalog(name, d))
+    batch = _batch_of(CONSTANT_SIGMA_BATCH)
+    dW = np.random.default_rng(d).standard_normal((batch.total, d)) * 0.7
+    return field, np.resize([-0.0, 0.4, -1.1], d), np.resize([1.0, -0.5, 0.25], d), batch, dW
+
+
+@pytest.mark.parametrize("route", sorted(CONSTANT_SIGMA_ROUTES))
+@pytest.mark.parametrize("name", ["additive_identity", "ou_additive"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_v_stops_a_constant_sigma_flow_where_it_did(route, name, d, bad):
+    # the rounds stop at round 0's lowest path, 1, at its first jump, as a J v
+    # check named it; the event loop's first RK4 pass checks J v, at the end of
+    # path 0's first substep (t / 100)
+    field, x0, v, batch, dW = _constant_sigma_run(name, d, route)
+    v[d // 2] = bad
+    assert _blow_up(field, x0, v, batch, dW) == ((0.01, 0) if route == "event_loop" else (0.3, 1))
+
+
+# SHA-256 (first 32 hex digits) of the flow outputs (X, J v, I1, I2, I3) with
+# v = (1, -0.5, 0.25)[:d], recorded from the engine that checked J v in every
+# jump update and wrote it back
+CONSTANT_SIGMA_DIGESTS = {
+    ("event_loop", "additive_identity", 1): "03147731b97b055081d612379edbc953",
+    ("event_loop", "additive_identity", 3): "2fabe61b8e0525e43a13249ecb15a3f6",
+    ("event_loop", "ou_additive", 1): "e53bed3d4e98f7f39c808a6a0595e57e",
+    ("event_loop", "ou_additive", 3): "976711ae41ea8d98920f4c86b0dac961",
+    ("jump_rounds", "additive_identity", 1): "07b9f3de19ade6947e0e2e68855093ea",
+    ("jump_rounds", "additive_identity", 3): "5f1ca5495ba0717329f91d618244d88b",
+    ("jump_rounds", "ou_additive", 1): "c3038cff32334ff647c495154a4f55c3",
+    ("jump_rounds", "ou_additive", 3): "af08e675084ba080ad2388fc8bff759d",
+    ("matrix_route", "additive_identity", 1): "07b9f3de19ade6947e0e2e68855093ea",
+    ("matrix_route", "additive_identity", 3): "5f1ca5495ba0717329f91d618244d88b",
+    ("matrix_route", "ou_additive", 1): "c3038cff32334ff647c495154a4f55c3",
+    ("matrix_route", "ou_additive", 3): "af08e675084ba080ad2388fc8bff759d",
+}
+
+
+@pytest.mark.parametrize("route", sorted(CONSTANT_SIGMA_ROUTES))
+@pytest.mark.parametrize("name", ["additive_identity", "ou_additive"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_constant_sigma_flow_keeps_its_bits(route, name, d):
+    # and a twin that claims a state-dependent sigma, so its jumps add the zero
+    # slope's J v update and check it, gets the same bits
+    field, x0, v, batch, dW = _constant_sigma_run(name, d, route)
+    twin = dataclasses.replace(field, sigma_is_constant=False)
+    got, want = (flow_batch(x0, v, f, batch, dW, 100, *_weight_inputs(v, batch, dW)) for f in (field, twin))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in got)).hexdigest()[:32]
+    assert digest == CONSTANT_SIGMA_DIGESTS[route, name, d]

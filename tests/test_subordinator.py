@@ -203,6 +203,16 @@ def test_path_refuses_malformed_jumps(times, sizes, message):
         JumpPath(1.0, np.asarray(times), np.asarray(sizes))
 
 
+def test_path_keeps_its_own_read_only_copy():
+    # JumpPath used to take a float array as is and freeze it: the caller's
+    # times and sizes turned read-only
+    times, sizes = np.array([0.2, 0.5]), np.array([0.4, 0.8])
+    p = JumpPath(1.0, times, sizes)
+    times[0], sizes[0] = 0.1, 0.3
+    assert p.times.tolist() == [0.2, 0.5] and p.sizes.tolist() == [0.4, 0.8]
+    assert not (p.times.flags.writeable or p.sizes.flags.writeable)
+
+
 def _crossing(path, R):
     """The crossing jump's index on a one-path batch (-1 if R is not reached) and its interval."""
     jb = fixed_jump_batch(path, path.horizon, 1)
@@ -255,6 +265,30 @@ def test_inverse_moment_monte_carlo_cross_check():
 def test_inverse_moment_matches_quadrature(alpha, gamma):
     got = inverse_moment(BernsteinSpec.alpha_stable(alpha), 1.0, gamma)
     assert got == pytest.approx(oracles.inverse_moment_quadrature(alpha, 1.0, gamma), rel=1e-9)
+
+
+# The oracle of the small-jump compensation: each path's eps-truncated clock
+# plus the dropped mean mass mu t.
+def test_compensated_sign_target_lies_just_below_the_untruncated_one():
+    # Jensen: the random small jumps replaced by their mean give a smaller
+    # E (.)^{-1/2}; at eps = 2e-4 they carry little enough mass to stay within 1e-5
+    full = math.sqrt(2.0 / math.pi) * inverse_moment(BernsteinSpec.alpha_stable(1.5), 1.0, 0.5)
+    got = oracles.compensated_sign_gradient_target(1.5, 1.0, 2e-4)
+    assert full - 1e-5 < got < full
+
+
+def test_compensated_sign_target_falls_as_the_cut_grows():
+    values = [oracles.compensated_sign_gradient_target(1.5, 1.0, eps) for eps in (2e-4, 1e-2, 3e-2, 1e-1)]
+    assert all(a > b for a, b in zip(values, values[1:])), values
+
+
+def test_compensated_sign_target_matches_the_sampled_clock():
+    eps, t = 1e-2, 1.0
+    batch = sample_jump_batch(1.5, t, eps, 1 << 16, substream(32, 4))
+    ell_t = path_cumulatives(batch)[2]
+    samples = math.sqrt(2.0 / math.pi) / np.sqrt(ell_t + dropped_mass_rate(1.5, eps) * t)
+    se = samples.std(ddof=1) / math.sqrt(samples.size)
+    assert abs(samples.mean() - oracles.compensated_sign_gradient_target(1.5, t, eps)) <= 3.0 * se
 
 
 def test_inverse_moment_past_the_gamma_overflow():
