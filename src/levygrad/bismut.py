@@ -28,14 +28,14 @@ normalizer S_{t ^ tau}; since the cap sits exactly on a jump boundary, no
 jump interval ever straddles it, and jumps after the passage contribute
 nothing to any term.
 
-ClockSpec is the one place beta meets a clock path, for the cap clock and
+ClockSpec defines beta on a batch of clock paths, for the cap clock and
 for deterministic piecewise-linear clocks alike: increments gives each
 jump's (d_beta, d_lambda) and each path's normalizer, mark_law each jump's
 (r, c) with dW^beta = r dW + c Z (Z an independent normal), and beta_marks
-forms dW^beta. Both estimators here and the isometry and truncation checks
-in validate read beta only through it. Each estimator forms dW^beta once
-per row block of a batch (engine.over_row_blocks); engine.flow_batch sums
-I1, I2 and I3 at each jump's left limit as it applies the jump.
+forms dW^beta. engine.flow_batch, run on each row block of a batch, sums
+I1, I2 and I3 at each jump's left limit as it applies the jump; it takes a
+piecewise clock's dW^beta and d_beta as arrays, and evaluates the cap clock
+itself from R, with the bits of increments and beta_marks.
 
 ClockDraw is the one place a run draws its clock: the stable clock truncated
 at a cutoff, or one fixed jump path. Its constructors check t and the cutoff,
@@ -98,7 +98,7 @@ class ClockSpec:
     beyond the last knot the final segment's slope continues.
 
     increments(batch) evaluates either kind on clock paths, and mark_law and
-    beta_marks carry a jump's mark over to beta; nothing else reads beta.
+    beta_marks carry a jump's mark over to beta (the flow runs the cap clock).
     """
 
     kind: str
@@ -198,12 +198,9 @@ class ClockSpec:
         """Each jump's mark dW^beta = r dW + c aux by mark_law.
 
         aux holds the auxiliary normals, shaped like dW; it is read only when
-        some c > 0. Under the cap clock mark_law gives r exactly 1 or 0 and
-        c = 0, so keeping or zeroing each mark gives the same bits at a
-        quarter of the cost; aux is then never read and may be None.
+        some c > 0, so it may be None under the cap clock, whose r is
+        exactly 1 or 0 and c = 0.
         """
-        if self.kind == "cap_at_first_passage":
-            return engine.scale_rows(increments.d_beta > 0.0, dW)
         ratio, c = self.mark_law(sizes, increments)
         dWb = engine.scale_rows(ratio, dW)
         if np.any(c > 0.0):
@@ -293,26 +290,37 @@ def _weighted_run(x, v, f, field, draw: ClockDraw, clock: ClockSpec, n_paths, su
     """The run of both weighted estimators, with diagnostics appended to the shared ones.
 
     Each batch is drawn from draw and run one row block at a time
-    (engine.over_row_blocks): on each block's (jumps, marks, aux) the worker
-    forms the clock increments and the beta-weighted marks and flows the
-    block, which sums the weight terms; it then splits f(X_t) * weight into
-    its three parts. Paths with a normalizer that is not positive are
-    rejected. With antithetic each sample is the average over a sign flip of
-    every Gaussian, which negates both marks. A stable draw also reports the
-    fraction of capped paths; a fixed path caps all of its samples or none.
-    collect_samples = k > 0, checked before any batch runs, fills sample_rows
-    with the first min(k, accepted) accepted paths' rows.
+    (engine.over_row_blocks): each block's (jumps, marks, aux) is flowed,
+    which sums the weight terms, with the cap clock's level, which the flow
+    evaluates, or a piecewise clock's increments and beta-weighted marks;
+    the worker then splits f(X_t) * weight into its three parts. Paths with
+    a normalizer that is not positive are rejected. With antithetic each
+    sample is the average over a sign flip of every Gaussian, which negates
+    both marks. A stable draw also reports the fraction of capped paths; a
+    fixed path caps all of its samples or none. collect_samples = k > 0,
+    checked before any batch runs, fills sample_rows with the first
+    min(k, accepted) accepted paths' rows.
     """
     limit = checked_integer("collect_samples", collect_samples, minimum=0)
+    capped = clock.kind == "cap_at_first_passage"
 
     def stage(block, dW, aux):
-        inc = clock.increments(block)
-        dWb = clock.beta_marks(block.sizes, inc, dW, aux)
-        X, _, *I = engine.flow_batch(x, v, field, block, dW, substeps_per_unit, dWb, inc.d_beta)
+        if not capped:
+            inc = clock.increments(block)
+            dWb = clock.beta_marks(block.sizes, inc, dW, aux)
+
+        def flow(flip):
+            marks = -dW if flip else dW
+            if capped:
+                return engine.flow_batch(x, v, field, block, marks, substeps_per_unit, level=clock.R)
+            return engine.flow_batch(x, v, field, block, marks, substeps_per_unit, -dWb if flip else dWb,
+                                     inc.d_beta) + (inc.normalizer, inc.cap)
+
+        X, _, *I = flow(False)
         if not antithetic:
-            return block.counts, X, *I, inc.normalizer, inc.cap
-        X2, _, *K = engine.flow_batch(x, v, field, block, -dW, substeps_per_unit, -dWb, inc.d_beta)
-        return block.counts, X, *I, inc.normalizer, inc.cap, X2, *K
+            return block.counts, X, *I
+        X2, _, *K = flow(True)
+        return block.counts, X, *I, X2, *K[:3]
 
     def worker(bi: int, start: int, count: int):
         counts, X, I1, I2, I3, normalizer, cap, *flipped = engine.over_row_blocks(

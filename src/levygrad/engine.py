@@ -25,16 +25,16 @@ paths holding at most JUMP_BLOCK jumps, or one path with more. A stable
 batch draws its Poisson counts whole, since they fix the blocks, then each
 block's times, sizes and marks where they sit in the whole batch's draw
 (sample_row_blocks), so the blocks concatenate to that draw bit for bit; a
-fixed path is drawn whole and cut into blocks. A block's clock increments,
-beta-weighted marks and flow run before the next block is drawn. Each of
-those operations is per path, so the blocks give the whole batch's bits;
-only their per-path outputs are joined, before the observable and the
-reduction. Several blocks are drawn into one batch-scope buffer: as the
-batch's one large allocation it lifts glibc's dynamic mmap and trim
-thresholds above the blocks' temporaries, which are then reused from the
-heap rather than unmapped and faulted in again. A BlowUpError in a block
-draws and flows the whole batch, which raises the error an unblocked run
-raises.
+fixed path is drawn whole and cut into blocks. A block's flow (with the
+clock it evaluates, or a piecewise clock's arrays formed ahead of it) runs
+before the next block is drawn. Each of those operations is per path, so
+the blocks give the whole batch's bits; only their per-path outputs are
+joined, before the observable and the reduction. Several blocks are drawn
+into one batch-scope buffer: as the batch's one large allocation it lifts
+glibc's dynamic mmap and trim thresholds above the blocks' temporaries,
+which are then reused from the heap rather than unmapped and faulted in
+again. A BlowUpError in a block draws and flows the whole batch, which
+raises the error an unblocked run raises.
 
 The flow has two routes (see flow_batch): an event loop of RK4 substeps
 and jumps, and jump rounds in jump-count order for a field with the
@@ -45,7 +45,7 @@ it back the same way: numpy's 2-D fancy index costs several times more. A
 round updates a row-major prefix of the state in place. Both routes share
 one jump update, which does only the work the field needs (a constant
 sigma's J v is neither checked nor written back, and the clock increments
-are gathered only for c2). A non-finite state, directional derivative or
+are formed only for c2). A non-finite state, directional derivative or
 weight term raises BlowUpError rather than reaching the mean.
 
 A path gets the same bits in any batch, alone included, so extract_path
@@ -57,10 +57,11 @@ callable's matrices and J v where needed).
 The flow also sums the weight, in the same sweep: weight_terms forms a
 jump's terms from the left limit and sigma's directional derivative that
 the jump update holds, and each path adds them up in jump order, so no left
-limit is stored. The field's optional hooks give the two directional
-derivatives, jvp_b in the drift ODE and dsigma in the jump update, without
-forming grad_b or grad_sigma; a field without them gets the einsum of the
-full derivative, and a hook's result of the wrong shape is refused.
+limit is stored. The cap clock is evaluated in that sweep too (_BetaRows),
+so no per-jump clock array is formed. The field's optional hooks give the two directional derivatives, jvp_b in
+the drift ODE and dsigma in the jump update, without forming grad_b or
+grad_sigma; a field without them gets the einsum of the full derivative,
+and a hook's result of the wrong shape is refused.
 
 A field with the sigma_scale hint (sigma = scale I_d, every catalog field)
 runs its jump rounds and weight terms on (m,) vectors: x+ = x + scale dw
@@ -82,14 +83,14 @@ From d = 4 on the strided columns cost more and the broadcast is kept. The
 arrays stay row-major: a coordinate-major state would change einsum's bits
 at d >= 3.
 
-Clock values come only from path_cumulatives (each jump's clock interval
-and each path's terminal value, a running sum over that path's jumps alone,
-so no other path's jump costs it precision) and first passages only from
-first_passage_levels (each path's crossing jump over a level, as a flat
-index); bismut.ClockSpec turns them into clock increments and forms the
-beta-weighted marks the flow takes as given. A single path is a batch of
-one (fixed_jump_batch), and sample_jump_path is the one-path view of
-sample_jump_batch.
+On a whole batch, clock values come from path_cumulatives (each jump's
+clock interval and each path's terminal value, a running sum over that
+path's jumps alone, so no other path's jump costs it precision) and first
+passages from first_passage_levels (each path's crossing jump over a level,
+as a flat index); bismut.ClockSpec turns them into the clock increments and
+beta-weighted marks a piecewise clock hands the flow, and the flow's cap
+clock has their bits. A single path is a batch of one (fixed_jump_batch),
+and sample_jump_path is the one-path view of sample_jump_batch.
 
 This is the only flow and weight implementation in the package. The test
 suite checks it against a one-path-at-a-time reference (tests/reference.py).
@@ -140,9 +141,8 @@ BATCH_SIZE = 1 << 15
 # which bounds its scratch arrays for any batch size.
 ROW_BLOCK = 4096
 
-# A batch is drawn and run (clock increments, beta-weighted marks, flow) over
-# row blocks of at most this many jumps (over_row_blocks); a path with more is
-# a block of its own.
+# A batch is drawn and flowed over row blocks of at most this many jumps
+# (over_row_blocks); a path with more is a block of its own.
 JUMP_BLOCK = 1 << 19
 
 # scale_rows takes rows of 2 to this many coordinates one coordinate at a
@@ -509,16 +509,42 @@ def _rk4_pass(field, X, Jv, s0, k, h, stepping):
         raise BlowUpError(s[bad] + h[bad], path=bad)
 
 
-def _jump_update(field, s, x, j, flat, paths, dW, dWb, d_beta):
+class _BetaRows:
+    """Each round's dW^beta and d_beta rows: gathered from given arrays, or from the cap
+    clock at a level R, run here in jump order. Each row adds its jump's size to its
+    clock value ell (from 0.0, in sequence as np.cumsum adds), takes the first
+    ell_post >= R as its cap (inf until then) and covers the jump when ell_post <= cap:
+    dW^beta = covered dw and d_beta = size or 0.0, the bits of ClockSpec.increments and
+    beta_marks. d_beta is formed only for c2 (a non-constant sigma)."""
+
+    def __init__(self, batch, c2, dWb, d_beta, level):
+        self.sizes, self.c2, self.dWb, self.d_beta, self.level = batch.sizes, c2, dWb, d_beta, level
+        self.ell, self.cap = np.zeros(batch.n), np.full(batch.n, np.inf)
+
+    def take(self, flat, rows, dw):
+        """(dW^beta, d_beta or None) of the jumps at flat, which rows of the state take."""
+        if self.level is None:
+            return np.take(self.dWb, flat, axis=0), self.d_beta[flat] if self.c2 else None
+        size = self.sizes[flat]
+        self.ell[rows] = post = self.ell[rows] + size
+        # ell_post never falls along a path, so the least passing ell_post is the first
+        cap = self.cap[rows]
+        np.minimum(cap, post, out=cap, where=post >= self.level)
+        self.cap[rows] = cap
+        covered = post <= cap
+        return scale_rows(covered, dw), np.where(covered, size, 0.0) if self.c2 else None
+
+
+def _jump_update(field, s, x, j, flat, rows, paths, dW, beta):
     """Each row's jump at time s[row] with mark dW[flat[row]], from its left limits x and j.
 
     x and j are row-major (einsum's order of summing a row of d > 2 follows
     the layout). Returns (x_new, j_new, terms): the state and J v after the
     jump (j_new is None for a constant sigma, whose jump leaves J v as it
-    is) and the jump's weight_terms (c1, c2, c3), both None when j is; d_beta
-    is gathered only for c2. A non-finite state or directional derivative,
-    then a non-finite weight term, raises BlowUpError at the lowest path
-    paths[row] among such rows.
+    is) and the jump's weight_terms (c1, c2, c3), both None when j is; beta
+    (a _BetaRows) gives the state rows' dW^beta and d_beta. A non-finite
+    state or directional derivative, then a non-finite weight term, raises
+    BlowUpError at the lowest path paths[row] among such rows.
 
     A constant sigma's J v is not checked. A non-finite one makes each entry
     of sigma^{-1} J v non-finite (inf * 0 is NaN), so c1 = <sigma^{-1} J v,
@@ -551,8 +577,7 @@ def _jump_update(field, s, x, j, flat, paths, dW, dWb, d_beta):
     if j is None:
         return x_new, None, None
     s_inv = 1.0 / scale if hinted else field.sigma_inv(s, x)
-    terms = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw,
-                         np.take(dWb, flat, axis=0), None if dir_s is None else d_beta[flat])
+    terms = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw, *beta.take(flat, rows, dw))
     # a finite state may still give an infinite sigma^{-1}, as a subnormal sigma does
     bad = _first_non_finite(*terms, paths=paths)
     if bad is not None:
@@ -567,7 +592,7 @@ def _add_terms(sums, rows, terms):
             total[rows] += term
 
 
-def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, dWb, d_beta):
+def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, beta):
     """flow_batch's event loop for a field without drift_rate."""
     n, t = batch.n, batch.horizon
     # Column-major state: the RK4 arithmetic then runs along the path axis
@@ -594,7 +619,7 @@ def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, dWb, d_beta):
         flat = nxt[sel]
         s_jump = batch.times[flat]
         j = None if Jv is None else _take_rows(Jv, sel)
-        x_new, j_new, terms = _jump_update(field, s_jump, _take_rows(X, sel), j, flat, sel, dW, dWb, d_beta)
+        x_new, j_new, terms = _jump_update(field, s_jump, _take_rows(X, sel), j, flat, sel, sel, dW, beta)
         _put_rows(X, sel, x_new)
         if j_new is not None:
             _put_rows(Jv, sel, j_new)
@@ -607,10 +632,10 @@ def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, dWb, d_beta):
     X = np.ascontiguousarray(X)
     if Jv is None:
         return X, None, None, None, None
-    return X, np.ascontiguousarray(Jv), *sums
+    return X, np.ascontiguousarray(Jv), *sums, np.minimum(beta.ell, beta.cap), beta.cap
 
 
-def _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta):
+def _count_ordered_flow(x0, v, field, batch, dW, beta):
     """flow_batch's jump rounds for a field with drift_rate r.
 
     Row i of the state is path order[i], largest jump count first, so round
@@ -640,7 +665,7 @@ def _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta):
             if j is not None:
                 scale_rows(decay, j, out=j)
             s0[:w] = s
-        x_new, j_new, terms = _jump_update(field, s, x, j, flat, order[:w], dW, dWb, d_beta)
+        x_new, j_new, terms = _jump_update(field, s, x, j, flat, slice(w), order[:w], dW, beta)
         x[...] = x_new
         if j_new is not None:
             j[...] = j_new
@@ -661,9 +686,9 @@ def _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta):
     X_out[order] = X
     if Jv is None:
         return X_out, None, None, None, None
-    Jv_out, I = np.empty_like(Jv), np.empty_like(sums)
+    Jv_out, I = np.empty_like(Jv), np.empty((5, n))
     Jv_out[order] = Jv
-    I[:, order] = sums
+    I[:, order] = *sums, np.minimum(beta.ell, beta.cap), beta.cap
     return X_out, Jv_out, *I
 
 
@@ -676,15 +701,20 @@ def flow_batch(
     substeps_per_unit: int,
     dWb: np.ndarray | None = None,
     d_beta: np.ndarray | None = None,
+    *,
+    level: float | None = None,
 ):
     """Evolve every path of the batch to its horizon t through its jumps, summing its weight.
 
     Returns (X_final (n,d), Jv_final, I1, I2, I3). The weight inputs come
     exactly with v: each jump's beta-weighted mark dWb (M,d) and clock
-    increment d_beta (M,), in flat batch order. I1, I2 and I3 sum
-    weight_terms over each path's jumps in jump order; they and Jv_final
-    are None when v is None (a plain trajectory run). t is batch.horizon,
-    the end of the interval the batch's jumps were drawn on.
+    increment d_beta (M,), in flat batch order, or the level R of the cap
+    clock, which the flow evaluates as it applies each jump (_BetaRows); the
+    return then gains each path's normalizer and cap (inf if R is not
+    reached). I1, I2 and I3 sum weight_terms over each path's jumps in jump
+    order; they and Jv_final are None when v is None (a plain trajectory
+    run). t is batch.horizon, the end of the interval the batch's jumps
+    were drawn on.
 
     A field without drift_rate runs the event loop: each pass gives every
     unfinished path its next event, one RK4 substep of the segment up to its
@@ -704,12 +734,13 @@ def flow_batch(
     scaling overflows.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
-    if (dWb is None, d_beta is None) != (v is None, v is None):
-        raise ValueError("pass the weight inputs dWb and d_beta exactly when v is given")
+    if (dWb is None) != (d_beta is None) or (dWb is not None) + (level is not None) != (v is not None):
+        raise ValueError("pass the weight inputs, dWb and d_beta or level, exactly when v is given")
     v = None if v is None else np.asarray(v, dtype=float)
-    if field.drift_rate is None:
-        return _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, dWb, d_beta)
-    return _count_ordered_flow(x0, v, field, batch, dW, dWb, d_beta)
+    beta = None if v is None else _BetaRows(batch, not field.sigma_is_constant, dWb, d_beta, level)
+    out = (_rk4_flow(x0, v, field, batch, dW, substeps_per_unit, beta) if field.drift_rate is None
+           else _count_ordered_flow(x0, v, field, batch, dW, beta))
+    return out[:5 if level is None else 7]
 
 
 def path_cumulatives(batch: JumpBatch):

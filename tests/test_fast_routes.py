@@ -7,9 +7,11 @@ leaves the sizes in draw order. flow_batch runs a field with drift_rate 0
 floats of another route: a stable lexsort of the times by (path, time)
 with the sizes in draw order and tied times merged, and the event loop of
 the same field without the hint, which RK4 steps on b = 0 and which names
-the same path of a blow-up. A field with a nonzero drift_rate r is scaled
-by exp(-r h) between jumps; that promises the flow of b = -r x, which RK4
-at fine steps and, on ou_additive, the Gaussian sum approach.
+the same path of a blow-up. The rounds give the loop's bits but one: a path
+that never jumps keeps a -0.0 start coordinate in the rounds, where the
+loop's RK4 step turns it into +0.0. A field with a nonzero drift_rate r is
+scaled by exp(-r h) between jumps; that promises the flow of b = -r x,
+which RK4 at fine steps and, on ou_additive, the Gaussian sum approach.
 """
 
 import dataclasses
@@ -223,6 +225,26 @@ def test_rounds_at_zero_rate_equal_the_event_loop(d, field_name, with_v, n_extra
         assert rounds[2] is None and loop[2] is None
     else:
         assert np.any(rounds[2] != 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("with_v", [True, False])
+def test_event_loop_turns_a_never_jumping_paths_negative_zero_positive(d, with_v):
+    # the one bit the rounds at r = 0 do not share with the event loop: on a
+    # path that never jumps, RK4 adds h/6 times b = 0 to a -0.0 start
+    # coordinate, which gives +0.0, while the rounds leave it as it is; a
+    # jump's x + scale dw overwrites the start on both routes
+    field = catalog("additive_identity", d)
+    batch = _edge_batch(0)
+    dW = engine.sample_mark_batch(batch, d, substream(8, engine.PURPOSE_MARKS, 0))
+    rounds, loop = _both_routes(field, np.full(d, -0.0), np.ones(d) if with_v else None, batch, dW)
+    still = batch.counts == 0
+    assert still.any() and not still.all()
+    assert np.array_equal(rounds[0], loop[0])
+    assert np.all(np.signbit(rounds[0][still])) and not np.any(np.signbit(loop[0][still]))
+    assert np.array_equal(np.signbit(rounds[0][~still]), np.signbit(loop[0][~still]))
+    for got, want in zip(rounds[1:], loop[1:]):
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 def test_rounds_at_zero_rate_match_the_loop_in_high_dimension():

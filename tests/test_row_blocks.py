@@ -3,9 +3,10 @@
 Each estimator's worker runs a batch one row block at a time
 (engine.over_row_blocks): a stable clock draws each block's times, sizes
 and marks where they sit in the whole batch's draw (engine.sample_row_blocks,
-after the batch's Poisson counts), and the clock increments, the
-beta-weighted marks and the flow run on the block before the next one is
-drawn; a fixed path is drawn whole and cut into blocks. The block draws must
+after the batch's Poisson counts), and the flow, which evaluates the cap
+clock as it applies each jump (a piecewise clock's increments and
+beta-weighted marks are formed ahead of it), runs on the block before the
+next one is drawn; a fixed path is drawn whole and cut into blocks. The block draws must
 concatenate to the whole draw byte for byte, and each operation on a block
 is per path, so every jump budget must give the bits of an unbounded one:
 the same to_dict() bytes and the same sample rows, at one worker and at two.
@@ -13,8 +14,8 @@ The budgets 1 (every path a block of its own, empty paths folded into their
 neighbours) and 37 (blocks of several paths) are compared with a budget that
 no batch reaches. A blow-up in a block draws and re-flows the whole batch,
 so the error names the (s, path, batch) of an unblocked run. The peak
-memory of one fine-cut batch is bounded, since bounding it is what the
-blocks are for.
+memory of one fine-cut batch and of one quickstart batch is bounded, since
+bounding it is what the blocks are for.
 """
 
 import dataclasses
@@ -31,6 +32,7 @@ from levygrad import (
     ClockSpec,
     JumpPath,
     catalog,
+    default_level_R,
     estimate_gradient,
     estimate_gradient_fixed_clock,
     estimate_pt,
@@ -258,18 +260,32 @@ def test_blow_up_parity_of_a_hand_batch():
             assert (info.value.s, info.value.path) == (0.1, 2)
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_peak_memory_of_one_fine_cut_batch():
     # one 16,384-path batch at eps = 2e-4 (sign_fine_cut) draws about 2.7M
     # jumps, whose times, sizes and marks alone are 65 MB. Drawn and run over
-    # row blocks of 2^19 jumps it peaks at 29 MB of traced allocations; drawn
-    # whole and run over the blocks it peaked at 102 MB, and under an
+    # row blocks of 2^19 jumps it peaks at 24.6 MB of traced allocations;
+    # drawn whole and run over the blocks it peaked at 102 MB, and under an
     # unbounded budget at 248 MB
     field = catalog("additive_identity", 1)
-    tracemalloc.start()
-    try:
-        estimate_gradient(np.zeros(1), np.ones(1), make_observable("sign"), field, SPEC, 1.0, 5.0,
-                          16_384, 2e-4, 303)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 33e6
+    peak = _traced_peak(lambda: estimate_gradient(
+        np.zeros(1), np.ones(1), make_observable("sign"), field, SPEC, 1.0, 5.0, 16_384, 2e-4, 303))
+    assert peak < 28e6
+
+
+def test_peak_memory_of_one_quickstart_batch():
+    # one 32,768-path batch of the README quickstart (about 350k jumps, one
+    # row block) peaks at 22.6 MB of traced allocations, the cap clock being
+    # evaluated in the flow with no per-jump clock array
+    R = default_level_R(SPEC, 0.5)
+    peak = _traced_peak(lambda: estimate_gradient(
+        X0, V0, TANH, BM, SPEC, 0.5, R, engine.BATCH_SIZE, 3e-3, 318))
+    assert peak < 26e6
