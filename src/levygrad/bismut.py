@@ -324,7 +324,7 @@ def _weighted_run(x, v, f, field, draw: ClockDraw, clock: ClockSpec, n_paths, su
 
     def worker(bi: int, start: int, count: int):
         counts, X, I1, I2, I3, normalizer, cap, *flipped = engine.over_row_blocks(
-            partial(draw.blocks, bi, count), stage)
+            partial(draw.blocks, bi, count), stage, engine.FLOW_ROWS)
         reject = normalizer <= 0.0
         safe = np.where(reject, 1.0, normalizer)
         fv = engine.evaluate_observable(f, X, bi)

@@ -170,15 +170,30 @@ def _isotropic(name: str, d: int, linear_drift: bool, s=None, ds=None) -> Coeffi
 _KAPPA = 0.25
 
 
+# _bounded and _bounded_slope take each operation of their expression in
+# place, with its bits (IEEE + and * commute); a 0-d x_1 works too (the
+# one-path reference evaluates a single state)
+
+
 def _bounded(x1):
-    # in [1 - kappa, 1 + kappa], so |sigma^{-1}| <= 1/(1 - kappa)
-    return 1.0 + _KAPPA * np.tanh(x1)
+    # 1 + kappa tanh(x_1), in [1 - kappa, 1 + kappa], so |sigma^{-1}| <= 1/(1 - kappa)
+    out = np.tanh(x1)
+    out *= _KAPPA
+    out += 1.0
+    return out
 
 
 def _bounded_slope(x1):
-    # kappa sech^2, written to stay finite for huge |x_1| (cosh overflows there)
-    e = np.exp(-2.0 * np.abs(x1))
-    return _KAPPA * 4.0 * e / (1.0 + e) ** 2
+    # kappa sech^2 = kappa 4 e / (1 + e)^2 with e = exp(-2 |x_1|), which stays
+    # finite for huge |x_1| (cosh overflows there)
+    e = np.abs(x1, out=np.empty(np.shape(x1)))
+    e *= -2.0
+    np.exp(e, out=e)
+    den = e + 1.0
+    den *= den
+    e *= _KAPPA * 4.0
+    e /= den
+    return e
 
 
 # name -> (linear drift b = -x, s, s') of the family built by _isotropic

@@ -33,8 +33,10 @@ joined, before the observable and the reduction. Several blocks are drawn
 into one batch-scope buffer: as the batch's one large allocation it lifts
 glibc's dynamic mmap and trim thresholds above the blocks' temporaries,
 which are then reused from the heap rather than unmapped and faulted in
-again. A BlowUpError in a block draws and flows the whole batch, which
-raises the error an unblocked run raises.
+again. The weighted estimators flow each block in pieces of at most
+FLOW_ROWS paths, so a jump round's per-row state stays in L2; a plain flow
+runs its blocks uncut. A BlowUpError in a block or piece draws and flows the
+whole batch, which raises the error an unblocked run raises.
 
 The flow has two routes (see flow_batch): an event loop of RK4 substeps
 and jumps, and jump rounds in jump-count order for a field with the
@@ -81,7 +83,10 @@ runs an inner loop of length d once per row, which at d = 2 took twice as
 long. Each element is one product either way, so the bits are the same.
 From d = 4 on the strided columns cost more and the broadcast is kept. The
 arrays stay row-major: a coordinate-major state would change einsum's bits
-at d >= 3.
+at d >= 3. Likewise each row dot of the weight terms (_row_dot) sums its
+two products one coordinate at a time at d = 2, plus the 0.0 einsum starts
+from, and keeps einsum at every other d, since at d = 3 einsum sums
+(p0 q0 + p2 q2) + p1 q1.
 
 On a whole batch, clock values come from path_cumulatives (each jump's
 clock interval and each path's terminal value, a running sum over that
@@ -144,6 +149,13 @@ ROW_BLOCK = 4096
 # A batch is drawn and flowed over row blocks of at most this many jumps
 # (over_row_blocks); a path with more is a block of its own.
 JUMP_BLOCK = 1 << 19
+
+# The weighted estimators flow each row block in pieces of at most this many
+# paths, so a jump round's per-row state (X, J v, the weight sums, the clock
+# value and cap, each row's last jump time, the gathered marks) stays in L2:
+# 16,384 timed best on quickstart and 8,192 close to it. A plain flow is run
+# uncut: its pieces cost more than they saved at two workers.
+FLOW_ROWS = 1 << 14
 
 # scale_rows takes rows of 2 to this many coordinates one coordinate at a
 # time: one column timed alike either way, and from 4 on the broadcast was
@@ -406,6 +418,22 @@ def scale_rows(c, w, out=None):
     return out
 
 
+def _row_dot(p, q):
+    """einsum("mi,mi->m", p, q) for row-major (m, d) arrays, with its bits.
+
+    At d = 2 the two products are summed one coordinate at a time, plus the
+    0.0 einsum starts from (which turns a -0.0 sum into +0.0): the einsum
+    ran three times as long. At d = 3 einsum sums (p0 q0 + p2 q2) + p1 q1,
+    so every other d keeps it.
+    """
+    if p.shape[1] != 2:
+        return np.einsum("mi,mi->m", p, q)
+    out = p[:, 0] * q[:, 0]
+    out += p[:, 1] * q[:, 1]
+    out += 0.0
+    return out
+
+
 def _times_rows(c, w):
     """c[:, None] * w + 0.0: a matrix product c I w sums each c w_i with exact
     zeros, which turns a -0.0 into +0.0."""
@@ -522,17 +550,25 @@ class _BetaRows:
         self.ell, self.cap = np.zeros(batch.n), np.full(batch.n, np.inf)
 
     def take(self, flat, rows, dw):
-        """(dW^beta, d_beta or None) of the jumps at flat, which rows of the state take."""
+        """(dW^beta, d_beta or None) of the jumps at flat, which rows of the state take.
+
+        A round's rows are a slice, whose clock values and caps are updated in
+        place; the event loop's are an index array, written back.
+        """
         if self.level is None:
             return np.take(self.dWb, flat, axis=0), self.d_beta[flat] if self.c2 else None
         size = self.sizes[flat]
-        self.ell[rows] = post = self.ell[rows] + size
+        post, cap = self.ell[rows], self.cap[rows]
+        post += size
         # ell_post never falls along a path, so the least passing ell_post is the first
-        cap = self.cap[rows]
-        np.minimum(cap, post, out=cap, where=post >= self.level)
-        self.cap[rows] = cap
-        covered = post <= cap
-        return scale_rows(covered, dw), np.where(covered, size, 0.0) if self.c2 else None
+        np.putmask(cap, (post >= self.level) & (post < cap), post)
+        if not isinstance(rows, slice):
+            self.ell[rows], self.cap[rows] = post, cap
+        # 1.0 or 0.0: covered * x is x or the 0.0 * x of a boolean mask's product
+        covered = np.less_equal(post, cap, out=np.empty(post.shape))
+        if self.c2:
+            size *= covered
+        return scale_rows(covered, dw), size if self.c2 else None
 
 
 def _jump_update(field, s, x, j, flat, rows, paths, dW, beta):
@@ -660,7 +696,9 @@ def _count_ordered_flow(x0, v, field, batch, dW, beta):
         if rate:
             # the left limit: the flow of b = -rate x over the gap since s0; a
             # state that overflows here makes x_new non-finite below
-            decay = np.exp(-rate * (s - s0[:w]))
+            decay = s - s0[:w]
+            decay *= -rate
+            np.exp(decay, out=decay)
             scale_rows(decay, x, out=x)
             if j is not None:
                 scale_rows(decay, j, out=j)
@@ -789,67 +827,70 @@ def weight_terms(s_inv, j, dir_s, dw, dwb, d_beta):
     einsum's order.
     """
     if s_inv.ndim == 1:
-        c1 = np.einsum("mi,mi->m", scale_rows(s_inv, j), dwb)
+        c1 = _row_dot(scale_rows(s_inv, j), dwb)
         if dir_s is None:
             return c1, None, None
         a = s_inv * dir_s
         trace = a + 0.0
         for _ in range(j.shape[1] - 1):
             trace += a
-        return c1, trace * d_beta, np.einsum("mi,mi->m", scale_rows(a, dwb), dw)
-    c1 = np.einsum("mi,mi->m", np.einsum("mij,mj->mi", s_inv, j), dwb)
+        trace *= d_beta
+        return c1, trace, _row_dot(scale_rows(a, dwb), dw)
+    c1 = _row_dot(np.einsum("mij,mj->mi", s_inv, j), dwb)
     if dir_s is None:
         return c1, None, None
     A = np.matmul(s_inv, dir_s)
     c2 = np.einsum("mii->m", A) * d_beta
-    c3 = np.einsum("mi,mi->m", np.einsum("mik,mk->mi", A, dwb), dw)
+    c3 = _row_dot(np.einsum("mik,mk->mi", A, dwb), dw)
     return c1, c2, c3
 
 
-def _row_bounds(offsets, budget: float):
-    """(r0, r1) of consecutive row blocks of at most budget jumps (one path at least)."""
+def _row_bounds(offsets, budget: float, rows: float = math.inf):
+    """(r0, r1) of consecutive row blocks of at most budget jumps and rows paths (one path at least)."""
     n, r0 = offsets.size - 1, 0
     while r0 < n:
         r1 = max(int(np.searchsorted(offsets, offsets[r0] + budget, side="right")) - 1, r0 + 1)
+        r1 = min(r1, r0 + rows)
         yield r0, r1
         r0 = r1
 
 
-def _row_blocks(batch: JumpBatch, *per_jump):
-    """Consecutive row blocks of at most JUMP_BLOCK jumps (one path at least), each
-    (JumpBatch view with offsets rebased to 0, *its slice of each per-jump array),
-    a None among them passed as is."""
-    if batch.total <= JUMP_BLOCK:
+def _row_blocks(batch: JumpBatch, *per_jump, rows: float = math.inf):
+    """Consecutive row blocks of at most JUMP_BLOCK jumps and rows paths (one path at
+    least), each (JumpBatch view with offsets rebased to 0, *its slice of each per-jump
+    array), a None among them passed as is."""
+    if batch.total <= JUMP_BLOCK and batch.n <= rows:
         yield batch, *per_jump
         return
     offsets = batch.offsets
-    for r0, r1 in _row_bounds(offsets, JUMP_BLOCK):
+    for r0, r1 in _row_bounds(offsets, JUMP_BLOCK, rows):
         lo, hi = offsets[r0], offsets[r1]
         yield (JumpBatch(r1 - r0, batch.horizon, batch.counts[r0:r1], offsets[r0:r1 + 1] - lo,
                          batch.times[lo:hi], batch.sizes[lo:hi]),
                *(None if a is None else a[lo:hi] for a in per_jump))
 
 
-def over_row_blocks(draw, stage):
+def over_row_blocks(draw, stage, rows: float = math.inf):
     """stage(block, *per_jump) over a batch's row blocks, its per-path outputs joined.
 
     draw(budget) yields the batch as consecutive (block, *per_jump) of at
     most budget jumps each, per_jump being arrays with one row per jump in
     flat block order (marks, auxiliary normals) or None; draw(math.inf)
     yields it whole. Each block of draw(JUMP_BLOCK) is run before the next
-    is drawn, cut to JUMP_BLOCK jumps where it holds more (a draw may yield
-    the batch whole), so the stage's per-jump arrays stay that small for any
-    batch. stage returns a tuple of per-path arrays, each concatenated over
-    the blocks in row order. Every operation of a stage is per path, so the
-    outputs have the bits of stage on the whole batch. A BlowUpError in a
-    block runs stage on draw(math.inf) instead, which raises the unblocked
-    run's error: the path the whole batch's flow reaches first may sit in a
-    later block.
+    is drawn, cut to JUMP_BLOCK jumps and rows paths where it holds more (a
+    draw may yield the batch whole), so the stage's per-jump arrays stay
+    that small for any batch, and its per-path arrays at most rows long
+    (the weighted estimators pass FLOW_ROWS). stage returns a tuple of
+    per-path arrays, each concatenated over the blocks in row order. Every
+    operation of a stage is per path, so the outputs have the bits of stage
+    on the whole batch. A BlowUpError in a block runs stage on
+    draw(math.inf) instead, uncut, which raises the unblocked run's error:
+    the path the whole batch's flow reaches first may sit in a later block.
     """
     parts = []
     try:
         for drawn in draw(JUMP_BLOCK):
-            parts.extend(stage(*block) for block in _row_blocks(*drawn))
+            parts.extend(stage(*block) for block in _row_blocks(*drawn, rows=rows))
     except BlowUpError:
         (whole,) = draw(math.inf)
         return stage(*whole)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import checked_float, checked_reals
+from .streams import checked_bool, checked_float, checked_integer, checked_reals
 
 __all__ = [
     "BernsteinSpec",
@@ -109,11 +109,13 @@ def tail_mass(alpha: float, eps: float) -> float:
 MAX_JUMPS_PER_PATH = 1e7
 
 
-def checked_jump_intensity(alpha: float, eps_cut: float, t: float) -> float:
-    """Expected jumps per path, t * tail_mass; refuses more than MAX_JUMPS_PER_PATH."""
+def checked_jump_intensity(alpha: float, eps_cut: float, horizon: float) -> float:
+    """Expected jumps per path, horizon * tail_mass; refuses a horizon that is a bool or a
+    string (True ran at 1.0) and more than MAX_JUMPS_PER_PATH."""
+    horizon = checked_float("horizon", horizon)
     if not eps_cut > 0:
         raise ValueError("eps_cut must be positive")
-    lam = t * tail_mass(alpha, eps_cut)
+    lam = horizon * tail_mass(alpha, eps_cut)
     if lam > MAX_JUMPS_PER_PATH:
         raise ValueError(
             f"eps_cut={eps_cut:g} implies {lam:.3g} expected jumps per path; "
@@ -159,10 +161,13 @@ def sample_terminal_values(
 
     Distributionally identical to summing the jumps of each path of
     engine.sample_jump_batch; jump times are irrelevant for the terminal
-    value and are not drawn.
+    value and are not drawn. n must be an integer and compensate_small_jumps
+    a bool: "no" would read as true.
     """
     alpha = spec.alpha
     checked_jump_intensity(alpha, eps_cut, horizon)
+    n = checked_integer("n", n, minimum=0)
+    compensate_small_jumps = checked_bool("compensate_small_jumps", compensate_small_jumps)
     counts = rng.poisson(horizon * tail_mass(alpha, eps_cut), size=n)
     total = int(counts.sum())
     sizes = _pareto_sizes(alpha, eps_cut, rng.uniform(size=total))

@@ -115,6 +115,11 @@ FLOAT_SCALARS = {
     "eps of truncate_jumps": lambda flag: levygrad.truncate_jumps(PATH, flag),
     # only the cap_at_first_passage classmethod checked R: the constructor ran at R = True
     "R of the clock constructor": lambda flag: levygrad.ClockSpec(kind="cap_at_first_passage", R=flag),
+    # the two samplers ran at horizon 1.0 when handed True
+    "horizon of sample_terminal_values": lambda flag: levygrad.sample_terminal_values(
+        SPEC, flag, 0.1, 4, np.random.default_rng(0)),
+    "horizon of sample_jump_path": lambda flag: levygrad.sample_jump_path(
+        SPEC, flag, 0.1, np.random.default_rng(0)),
 }
 
 
@@ -173,3 +178,27 @@ def test_antithetic_takes_numpy_booleans():
         res = levygrad.estimate_gradient(v=[1.0, 0.5], t=0.5, R="auto", n_paths=10, eps_cut=3e-2,
                                          seed=1, antithetic=flag, **START)
         assert {k: v for k, v in res.diagnostics.items() if k == "antithetic"} == key
+
+
+# the flag was read by truthiness: compensate_small_jumps="no" added the dropped mass
+@pytest.mark.parametrize("flag", ["no", b"", 1, 0, None, 1.0])
+def test_compensate_small_jumps_refuses_anything_but_a_bool(flag):
+    with pytest.raises(ValueError, match="^compensate_small_jumps must be a boolean, got"):
+        levygrad.sample_terminal_values(SPEC, 1.0, 0.1, 4, np.random.default_rng(0),
+                                        compensate_small_jumps=flag)
+
+
+def test_compensate_small_jumps_takes_numpy_booleans():
+    for flag in (np.True_, np.False_):
+        got = levygrad.sample_terminal_values(SPEC, 1.0, 0.1, 4, np.random.default_rng(0),
+                                              compensate_small_jumps=flag)
+        want = levygrad.sample_terminal_values(SPEC, 1.0, 0.1, 4, np.random.default_rng(0),
+                                               compensate_small_jumps=bool(flag))
+        assert got.tobytes() == want.tobytes()
+
+
+# n = 2.5 failed with numpy's bare TypeError, and n = True drew one path
+@pytest.mark.parametrize("n", [2.5, "4", True, np.float64(2.5), None])
+def test_sample_terminal_values_refuses_a_path_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="^n must be an integer, got"):
+        levygrad.sample_terminal_values(SPEC, 1.0, 0.1, n, np.random.default_rng(0))
