@@ -44,8 +44,10 @@ drift_rate hint. A substep runs on the whole column-major state, the rows
 that are not stepping taking a step of size 0, and the loop's jump reads
 its paths' state one coordinate at a time into row-major rows and writes
 it back the same way: numpy's 2-D fancy index costs several times more. A
-round updates a row-major prefix of the state in place. Both routes share
-one jump update, which does only the work the field needs (a constant
+round updates a row-major prefix of the state in place, and shares its
+count order, gathers and decay among a stack of starts (fd_gradient's
+x + hv and x - hv), which the loop flows one after another. Both routes
+share one jump update, which does only the work the field needs (a constant
 sigma's J v is neither checked nor written back, and the clock increments
 are formed only for c2). A non-finite state, directional derivative or
 weight term raises BlowUpError rather than reaching the mean.
@@ -112,7 +114,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .results import EstimatorResult
-from .streams import checked_integer
+from .streams import checked_float, checked_integer
 from .subordinator import BernsteinSpec, JumpPath, _pareto_sizes, tail_mass
 from .subordinator import checked_jump_intensity
 
@@ -259,6 +261,7 @@ def sample_jump_batch(
     that stands at its first size while rng stands at its first time; out, a
     float array of at least 2 M entries, then holds its times and sizes.
     """
+    horizon, n = checked_float("horizon", horizon), checked_integer("n", n, minimum=0)
     if counts is None:
         counts = _jump_counts(alpha, horizon, eps_cut, n, rng)
     total = int(counts.sum())
@@ -571,8 +574,8 @@ class _BetaRows:
         return scale_rows(covered, dw), size if self.c2 else None
 
 
-def _jump_update(field, s, x, j, flat, rows, paths, dW, beta):
-    """Each row's jump at time s[row] with mark dW[flat[row]], from its left limits x and j.
+def _jump_update(field, s, x, j, flat, rows, paths, dw, beta):
+    """Each row's jump at time s[row] with mark dw[row], from its left limits x and j.
 
     x and j are row-major (einsum's order of summing a row of d > 2 follows
     the layout). Returns (x_new, j_new, terms): the state and J v after the
@@ -589,7 +592,6 @@ def _jump_update(field, s, x, j, flat, rows, paths, dW, beta):
     finite inputs. Between jumps J v changes only by the rounds' exp(-r h),
     at most 1 for r >= 0, or by the event loop's RK4 passes, which check it.
     """
-    dw = np.take(dW, flat, axis=0)
     hinted = field.sigma_scale is not None
     if hinted:
         scale = _sigma_scale(field, 0, s, x)
@@ -655,7 +657,8 @@ def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, beta):
         flat = nxt[sel]
         s_jump = batch.times[flat]
         j = None if Jv is None else _take_rows(Jv, sel)
-        x_new, j_new, terms = _jump_update(field, s_jump, _take_rows(X, sel), j, flat, sel, sel, dW, beta)
+        x_new, j_new, terms = _jump_update(field, s_jump, _take_rows(X, sel), j, flat, sel, sel,
+                                           np.take(dW, flat, axis=0), beta)
         _put_rows(X, sel, x_new)
         if j_new is not None:
             _put_rows(Jv, sel, j_new)
@@ -671,27 +674,27 @@ def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, beta):
     return X, np.ascontiguousarray(Jv), *sums, np.minimum(beta.ell, beta.cap), beta.cap
 
 
-def _count_ordered_flow(x0, v, field, batch, dW, beta):
-    """flow_batch's jump rounds for a field with drift_rate r.
+def _count_ordered_flow(starts, v, field, batch, dW, beta):
+    """flow_batch's jump rounds for a field with drift_rate r, from each start of the (k, d) stack.
 
-    Row i of the state is path order[i], largest jump count first, so round
-    k covers exactly the first #(counts > k) rows; the outputs go back to
-    batch order at the end. No output depends on how equal counts are
-    ordered: each row's operations are its own, and a blow-up names the
-    lowest bad path.
+    Row i of each start's state is path order[i], largest jump count first,
+    so round k covers exactly the first #(counts > k) rows, whose times,
+    marks and decay it forms once for all the starts; the outputs (X shaped
+    (k, n, d)) go back to batch order at the end. No output depends on how
+    equal counts are ordered: each row's operations are its own, and a
+    blow-up names the lowest bad path.
     """
     n, t, rate = batch.n, batch.horizon, field.drift_rate
     order = np.argsort(-batch.counts)
     first = batch.offsets[order]  # flat index of each row's first jump
     widths = n - np.cumsum(np.bincount(batch.counts))[:-1]  # #(counts > k), k = 0, 1, ...
-    X = np.tile(x0, (n, 1))
+    X = np.tile(starts[:, None], (1, n, 1))
     Jv = None if v is None else np.tile(v, (n, 1))
     sums = None if v is None else np.zeros((3, n))
     s0 = np.zeros(n)  # each row's last jump time, or 0
     for k, w in enumerate(widths.tolist()):
         flat = first[:w] + k
         s = batch.times[flat]
-        x = X[:w]
         j = None if Jv is None else Jv[:w]
         if rate:
             # the left limit: the flow of b = -rate x over the gap since s0; a
@@ -699,29 +702,35 @@ def _count_ordered_flow(x0, v, field, batch, dW, beta):
             decay = s - s0[:w]
             decay *= -rate
             np.exp(decay, out=decay)
-            scale_rows(decay, x, out=x)
             if j is not None:
                 scale_rows(decay, j, out=j)
             s0[:w] = s
-        x_new, j_new, terms = _jump_update(field, s, x, j, flat, slice(w), order[:w], dW, beta)
-        x[...] = x_new
-        if j_new is not None:
-            j[...] = j_new
-        if j is not None:
-            _add_terms(sums, slice(w), terms)
+        dw = np.take(dW, flat, axis=0)
+        for x in X[:, :w]:
+            if rate:
+                scale_rows(decay, x, out=x)
+            x_new, j_new, terms = _jump_update(field, s, x, j, flat, slice(w), order[:w], dw, beta)
+            x[...] = x_new
+            if j_new is not None:
+                j[...] = j_new
+            if j is not None:
+                _add_terms(sums, slice(w), terms)
+        del dw  # held into the next round's gather, it raised quickstart's peak RSS by 1.6 MB
     if rate:
         decay = np.exp(-rate * (t - s0))
-        scale_rows(decay, X, out=X)
         if Jv is not None:
             scale_rows(decay, Jv, out=Jv)
-        bad = _first_non_finite(X, Jv, paths=order)
-        if bad is not None:
-            raise BlowUpError(t, path=int(order[bad]))
+        for x in X:
+            scale_rows(decay, x, out=x)
+            bad = _first_non_finite(x, Jv, paths=order)
+            if bad is not None:
+                raise BlowUpError(t, path=int(order[bad]))
     # freed first, the round bookkeeping leaves its heap space to the outputs
     # (held, it raised a quickstart run's peak RSS by 3 MB)
     del first
     X_out = np.empty_like(X)
-    X_out[order] = X
+    for out, x in zip(X_out, X):
+        out[order] = x
     if Jv is None:
         return X_out, None, None, None, None
     Jv_out, I = np.empty_like(Jv), np.empty((5, n))
@@ -767,18 +776,36 @@ def flow_batch(
     exp(-r g) when it reaches its next jump, and by exp(-r (t - s)) from its
     last jump s (or 0) to t after the last round; r = 0 scales nothing.
 
+    Without v, x0 may be a stack of starts (k, d): X_final is then (k, n, d),
+    each start's slice the bytes of flow_batch on that start alone. The
+    rounds form their count order, gathers and decays once for all the
+    starts; the event loop flows the starts in turn.
+
     A BlowUpError names the earliest round (or RK4 pass) with a non-finite
     path and the lowest such path in it, or t and the lowest path whose last
-    scaling overflows.
+    scaling overflows. A stacked sweep that raises one re-flows its starts
+    one at a time, so the first start that blows up alone names the error.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None) != (d_beta is None) or (dWb is not None) + (level is not None) != (v is not None):
         raise ValueError("pass the weight inputs, dWb and d_beta or level, exactly when v is given")
+    x0 = np.asarray(x0)
+    if x0.ndim > 2 or x0.ndim == 2 and v is not None:
+        raise ValueError("x0 must be one start (d,), or a stack of starts (k, d) when v is None")
+    starts = np.atleast_2d(x0)
     v = None if v is None else np.asarray(v, dtype=float)
     beta = None if v is None else _BetaRows(batch, not field.sigma_is_constant, dWb, d_beta, level)
-    out = (_rk4_flow(x0, v, field, batch, dW, substeps_per_unit, beta) if field.drift_rate is None
-           else _count_ordered_flow(x0, v, field, batch, dW, beta))
-    return out[:5 if level is None else 7]
+    if field.drift_rate is None:
+        flows = [_rk4_flow(x, v, field, batch, dW, substeps_per_unit, beta) for x in starts]
+        out = np.stack([X for X, *_ in flows]), *flows[0][1:]
+    else:
+        try:
+            out = _count_ordered_flow(starts, v, field, batch, dW, beta)
+        except BlowUpError:
+            for x in starts[:-1]:
+                flow_batch(x, None, field, batch, dW, substeps_per_unit)
+            raise
+    return (out[0] if x0.ndim == 2 else out[0][0], *out[1:5 if level is None else 7])
 
 
 def path_cumulatives(batch: JumpBatch):

@@ -7,7 +7,8 @@ separating jump clocks from their absolutely continuous mollifications, and
 two exact L2 identities for the reparameterized Gaussian sums (an isometry
 and a truncation-coupling formula). The semigroup averages, the finite
 differences and the counterexample's jump-clock moment share one unweighted
-worker, _semigroup_run, which reads a bismut.ClockDraw. Agreement between
+worker, _semigroup_run, which reads a bismut.ClockDraw and flows each row
+block from all its starts in one engine.flow_batch call. Agreement between
 these oracles and the weighted estimator is what the test suite certifies.
 """
 
@@ -74,11 +75,14 @@ def _semigroup_run(draw, starts, f, combine, field, n_paths, substeps_per_unit, 
 
     Each batch is drawn from the ClockDraw draw and flowed one row block at a
     time (engine.over_row_blocks); every start reads the same draws (common
-    random numbers). The run counts the jumps it flowed.
+    random numbers): one flow_batch call flows a block from the stacked
+    starts, whose jump rounds then gather each round's draws once. The run
+    counts the jumps it flowed.
     """
+    starts = np.stack(starts)
+
     def stage(block, dW, aux):
-        return block.counts, *(engine.flow_batch(x0, None, field, block, dW, substeps_per_unit)[0]
-                               for x0 in starts)
+        return block.counts, *engine.flow_batch(starts, None, field, block, dW, substeps_per_unit)[0]
 
     def worker(bi: int, start: int, count: int):
         counts, *X = engine.over_row_blocks(partial(draw.blocks, bi, count), stage)

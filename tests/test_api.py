@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import levygrad
+from levygrad import engine
 
 
 def test_every_exported_name_resolves():
@@ -120,6 +121,9 @@ FLOAT_SCALARS = {
         SPEC, flag, 0.1, 4, np.random.default_rng(0)),
     "horizon of sample_jump_path": lambda flag: levygrad.sample_jump_path(
         SPEC, flag, 0.1, np.random.default_rng(0)),
+    # the batch sampler ran at horizon 1.0 on True and failed with a bare TypeError on "1.0"
+    "horizon of sample_jump_batch": lambda flag: engine.sample_jump_batch(
+        1.5, flag, 0.1, 3, np.random.default_rng(0)),
 }
 
 
@@ -202,3 +206,18 @@ def test_compensate_small_jumps_takes_numpy_booleans():
 def test_sample_terminal_values_refuses_a_path_count_that_is_not_an_integer(n):
     with pytest.raises(ValueError, match="^n must be an integer, got"):
         levygrad.sample_terminal_values(SPEC, 1.0, 0.1, n, np.random.default_rng(0))
+
+
+# the same counts failed with numpy's bare TypeError (True with a bare ValueError)
+@pytest.mark.parametrize("n", [2.5, "4", True, np.float64(2.5), None, -1])
+def test_sample_jump_batch_refuses_a_path_count_that_is_not_a_count(n):
+    with pytest.raises(ValueError, match="^n must be"):
+        engine.sample_jump_batch(1.5, 1.0, 0.1, n, np.random.default_rng(0))
+
+
+def test_sample_jump_batch_takes_integral_counts_and_real_horizons():
+    want = engine.sample_jump_batch(1.5, 1.0, 0.1, 3, np.random.default_rng(0))
+    for horizon, n in ((np.float64(1.0), np.int64(3)), (1, 3.0)):
+        got = engine.sample_jump_batch(1.5, horizon, 0.1, n, np.random.default_rng(0))
+        assert (got.n, got.horizon) == (3, 1.0)
+        assert got.times.tobytes() == want.times.tobytes() and got.sizes.tobytes() == want.sizes.tobytes()

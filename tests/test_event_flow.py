@@ -166,9 +166,13 @@ FLOW_DIGESTS = {
 def test_trajectory_flow_matches_pinned_digest(name):
     field, x0, v, want = FLOW_DIGESTS[name]
     jb, dW, _ = ClockDraw.stable(SPEC, 0.5, 3e-3, x0.size, 319).batch(0, N)
-    runs = [flow_batch(x0 + sign * 5e-3 * v, None, field, jb, dW, 100) for sign in (1.0, -1.0)]
+    starts = [x0 + sign * 5e-3 * v for sign in (1.0, -1.0)]
+    runs = [flow_batch(start, None, field, jb, dW, 100) for start in starts]
     assert all(run[1] is None and run[2] is None for run in runs)
     assert hashlib.sha256(b"".join(run[0].tobytes() for run in runs)).hexdigest()[:32] == want
+    # one call flowing both starts gives the same bytes
+    stacked = flow_batch(np.stack(starts), None, field, jb, dW, 100)[0]
+    assert hashlib.sha256(stacked.tobytes()).hexdigest()[:32] == want
 
 
 def test_piecewise_pin_reads_the_conditional_mark_part():

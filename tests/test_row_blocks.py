@@ -290,3 +290,12 @@ def test_peak_memory_of_one_quickstart_batch():
     peak = _traced_peak(lambda: estimate_gradient(
         X0, V0, TANH, BM, SPEC, 0.5, R, engine.BATCH_SIZE, 3e-3, 318))
     assert peak < 21e6
+
+
+def test_peak_memory_of_one_fd_crn_call():
+    # one 65,536-path fd_gradient call (the fd_crn benchmark's configuration
+    # at one worker: two batches, each one row block flowed from both starts
+    # in one call) peaks at 16.3-17.1 MB of traced allocations, with one
+    # stacked flow per block as with a flow per start
+    peak = _traced_peak(lambda: fd_gradient(X0, V0, TANH, BM, SPEC, 0.5, 5e-3, 1 << 16, 319, eps_cut=3e-3))
+    assert peak < 19.7e6
