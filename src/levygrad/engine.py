@@ -38,19 +38,17 @@ FLOW_ROWS paths, so a jump round's per-row state stays in L2; a plain flow
 runs its blocks uncut. A BlowUpError in a block or piece draws and flows the
 whole batch, which raises the error an unblocked run raises.
 
-The flow has two routes (see flow_batch): an event loop of RK4 substeps
-and jumps, and jump rounds in jump-count order for a field with the
-drift_rate hint. A substep runs on the whole column-major state, the rows
-that are not stepping taking a step of size 0, and the loop's jump reads
-its paths' state one coordinate at a time into row-major rows and writes
-it back the same way: numpy's 2-D fancy index costs several times more. A
-round updates a row-major prefix of the state in place, and shares its
-count order, gathers and decay among a stack of starts (fd_gradient's
-x + hv and x - hv), which the loop flows one after another. Both routes
-share one jump update, which does only the work the field needs (a constant
-sigma's J v is neither checked nor written back, and the clock increments
-are formed only for c2). A non-finite state, directional derivative or
-weight term raises BlowUpError rather than reaching the mean.
+The flow runs in jump rounds (see flow_batch): round k applies every path's
+k-th jump to a row-major prefix of the state, its rows in jump-count order,
+in place, and shares its count order, gathers and decay among a stack of
+starts (fd_gradient's x + hv and x - hv). Between jumps a field with the
+drift_rate hint is scaled exactly; any other takes RK4 substeps at the start
+of each round, its rows in step-count order, so that each substep runs on a
+prefix of them, handed to b as a column-major copy. The jump update does
+only the work the field needs (a constant sigma's J v is neither checked
+nor written back, and the clock increments are formed only for c2). A
+non-finite state, directional derivative or weight term raises BlowUpError
+rather than reaching the mean.
 
 A path gets the same bits in any batch, alone included, so extract_path
 replays it. einsum's order of summing a row follows the memory layout,
@@ -114,7 +112,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .results import EstimatorResult
-from .streams import checked_float, checked_integer
+from .streams import checked_float, checked_integer, checked_reals
 from .subordinator import BernsteinSpec, JumpPath, _pareto_sizes, tail_mass
 from .subordinator import checked_jump_intensity
 
@@ -485,27 +483,8 @@ def _rk4_step(field: CoefficientField, s, h, x, j):
     return combined(x, k1x, k2x, k3x, k4x), None if j is None else combined(j, k1j, k2j, k3j, k4j)
 
 
-def _segment_steps(times, nxt, stop, t: float, start, substeps_per_unit: int):
-    """Per-row RK4 (steps, h) from start to each path's next jump (flat index nxt, before
-    its stop), or to t after its last: ceil(gap * substeps_per_unit) steps, at least one,
-    of size gap / steps; no steps where the gap is not positive."""
-    gaps = np.full(nxt.size, float(t))
-    pending = nxt < stop
-    gaps[pending] = times[nxt[pending]]
-    gaps -= start
-    act = gaps > 0
-    steps = np.zeros(gaps.shape, dtype=np.int64)
-    steps[act] = np.ceil(gaps[act] * substeps_per_unit).astype(np.int64)
-    np.maximum(steps, act.astype(np.int64), out=steps)
-    h = np.where(steps > 0, gaps / np.maximum(steps, 1), 0.0)
-    return steps, h
-
-
-def _first_non_finite(*arrays, paths=None):
-    """Row of the lowest path that is not finite in one of the arrays (one row per path), else None.
-
-    paths[row] is the row's path; without paths each row is its own.
-    """
+def _first_non_finite(paths, *arrays):
+    """Row of the lowest path paths[row] not finite in one of the arrays (one row each), else None."""
     arrays = [a for a in arrays if a is not None]
     if all(np.isfinite(a).all() for a in arrays):
         return None
@@ -513,31 +492,50 @@ def _first_non_finite(*arrays, paths=None):
     for a in arrays:
         bad |= ~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
     rows = np.flatnonzero(bad)
-    return int(rows[0] if paths is None else rows[np.argmin(paths[rows])])
+    return int(rows[np.argmin(paths[rows])])
 
 
-def _take_rows(A, rows):
-    """A[rows] as a row-major array, taken one coordinate at a time."""
-    return np.column_stack([column[rows] for column in A.T])
+def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths):
+    """Run RK4 on the first m = ends.size rows of the starts X (k, n, d) and of J v (n, d)
+    from s0[row] to ends[row], in place.
 
-
-def _put_rows(A, rows, values):
-    """A[rows] = values, one 1-D scatter per coordinate."""
-    for column, new in zip(A.T, values.T):
-        column[rows] = new
-
-
-def _rk4_pass(field, X, Jv, s0, k, h, stepping):
-    """Advance every stepping row by its next RK4 substep in place; the others step by 0."""
-    s = s0 + k * h
-    x, j = _rk4_step(field, s, np.where(stepping, h, 0.0), X, Jv)
-    col = stepping[:, None]
-    np.copyto(X, x, where=col)
+    A row with gap g = ends - s0 > 0 takes ceil(g * substeps_per_unit)
+    substeps (at least one) of size g / steps, and one with g = 0 none.
+    The rows, each with its k starts, go in step-count order, largest first,
+    so substep i runs on the prefix of rows with more than i steps, handed to
+    b and jvp_b as a column-major copy. A prefix of one row among more takes
+    a spare row, which steps by 0 and is not written back: one row is also a
+    row-major array. A non-finite state or J v raises BlowUpError at the end
+    of the substep, at the lowest path paths[row] among such rows.
+    """
+    m = ends.size
+    gaps = ends - s0[:m]
+    steps = np.where(gaps > 0, np.maximum(np.ceil(gaps * substeps_per_unit), 1), 0).astype(np.int64)
+    h = np.where(steps > 0, gaps / np.maximum(steps, 1), 0.0)
+    widths = steps.size - np.cumsum(np.bincount(steps))[:-1]  # #(steps > i), i = 0, 1, ...
+    if not widths.size:
+        return
+    k, d = X.shape[0], X.shape[2]
+    by = np.argsort(-steps)
+    # row r of start c at r k + c, so each prefix holds its rows' every start
+    Y = np.asfortranarray(X[:, by].transpose(1, 0, 2).reshape(-1, d))
+    J = None if Jv is None else np.asfortranarray(Jv[by])
+    s0, h, paths = (np.repeat(a[by], k) for a in (s0[:m], h, paths[:m]))
+    for i, w in enumerate((k * widths).tolist()):
+        q = max(w, min(2, Y.shape[0]))
+        step = h[:q] if q == w else np.concatenate((h[:w], [0.0]))
+        s = s0[:q] + i * step
+        y, j = np.asfortranarray(Y[:q]), None if J is None else np.asfortranarray(J[:q])
+        y, j = _rk4_step(field, s, step, y, j)
+        Y[:w] = y[:w]
+        if J is not None:
+            J[:w] = j[:w]
+        bad = _first_non_finite(paths, y[:w], None if J is None else j[:w])
+        if bad is not None:
+            raise BlowUpError(s[bad] + h[bad], path=int(paths[bad]))
+    X[:, by] = Y.reshape(-1, k, d).transpose(1, 0, 2)
     if Jv is not None:
-        np.copyto(Jv, j, where=col)
-    bad = _first_non_finite(X, Jv)
-    if bad is not None:
-        raise BlowUpError(s[bad] + h[bad], path=bad)
+        Jv[by] = J
 
 
 class _BetaRows:
@@ -552,21 +550,16 @@ class _BetaRows:
         self.sizes, self.c2, self.dWb, self.d_beta, self.level = batch.sizes, c2, dWb, d_beta, level
         self.ell, self.cap = np.zeros(batch.n), np.full(batch.n, np.inf)
 
-    def take(self, flat, rows, dw):
-        """(dW^beta, d_beta or None) of the jumps at flat, which rows of the state take.
-
-        A round's rows are a slice, whose clock values and caps are updated in
-        place; the event loop's are an index array, written back.
-        """
+    def take(self, flat, w, dw):
+        """(dW^beta, d_beta or None) of the jumps at flat, which the first w rows of the
+        state take; their clock values and caps are updated in place."""
         if self.level is None:
             return np.take(self.dWb, flat, axis=0), self.d_beta[flat] if self.c2 else None
         size = self.sizes[flat]
-        post, cap = self.ell[rows], self.cap[rows]
+        post, cap = self.ell[:w], self.cap[:w]
         post += size
         # ell_post never falls along a path, so the least passing ell_post is the first
         np.putmask(cap, (post >= self.level) & (post < cap), post)
-        if not isinstance(rows, slice):
-            self.ell[rows], self.cap[rows] = post, cap
         # 1.0 or 0.0: covered * x is x or the 0.0 * x of a boolean mask's product
         covered = np.less_equal(post, cap, out=np.empty(post.shape))
         if self.c2:
@@ -574,7 +567,7 @@ class _BetaRows:
         return scale_rows(covered, dw), size if self.c2 else None
 
 
-def _jump_update(field, s, x, j, flat, rows, paths, dw, beta):
+def _jump_update(field, s, x, j, flat, paths, dw, beta):
     """Each row's jump at time s[row] with mark dw[row], from its left limits x and j.
 
     x and j are row-major (einsum's order of summing a row of d > 2 follows
@@ -590,7 +583,7 @@ def _jump_update(field, s, x, j, flat, rows, paths, dw, beta):
     dW^beta> too, and the terms check raises in the same round; at the same
     path when that round's states stay finite and no term overflows from
     finite inputs. Between jumps J v changes only by the rounds' exp(-r h),
-    at most 1 for r >= 0, or by the event loop's RK4 passes, which check it.
+    at most 1 for r >= 0, or by RK4 substeps, which check it.
     """
     hinted = field.sigma_scale is not None
     if hinted:
@@ -609,80 +602,39 @@ def _jump_update(field, s, x, j, flat, rows, paths, dw, beta):
         else:
             dir_s = _dsigma(field, s, x, j)
             j_new = j + np.einsum("mij,mj->mi", dir_s, dw)
-    bad = _first_non_finite(x_new, j_new, paths=paths)
+    bad = _first_non_finite(paths, x_new, j_new)
     if bad is not None:
         raise BlowUpError(s[bad], path=int(paths[bad]))
     if j is None:
         return x_new, None, None
     s_inv = 1.0 / scale if hinted else field.sigma_inv(s, x)
-    terms = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw, *beta.take(flat, rows, dw))
+    beta_rows = beta.take(flat, paths.size, dw)
+    terms = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw, *beta_rows)
     # a finite state may still give an infinite sigma^{-1}, as a subnormal sigma does
-    bad = _first_non_finite(*terms, paths=paths)
+    bad = _first_non_finite(paths, *terms)
     if bad is not None:
         raise BlowUpError(s[bad], path=int(paths[bad]))
     return x_new, j_new, terms
 
 
-def _add_terms(sums, rows, terms):
-    """sums[i][rows] += terms[i] for each weight term that is formed."""
+def _add_terms(sums, w, terms):
+    """sums[i][:w] += terms[i] for each weight term that is formed."""
     for total, term in zip(sums, terms):
         if term is not None:
-            total[rows] += term
+            total[:w] += term
 
 
-def _rk4_flow(x0, v, field, batch, dW, substeps_per_unit, beta):
-    """flow_batch's event loop for a field without drift_rate."""
-    n, t = batch.n, batch.horizon
-    # Column-major state: the RK4 arithmetic then runs along the path axis
-    # instead of over d-element rows.
-    X = np.asfortranarray(np.tile(x0, (n, 1)))
-    Jv = None if v is None else np.asfortranarray(np.tile(v, (n, 1)))
-    sums = None if v is None else np.zeros((3, n))
-    nxt = batch.offsets[:-1].copy()  # flat index of each path's next jump
-    stop = batch.offsets[1:]
-    s0 = np.zeros(n)  # start of each path's current segment: its last jump time, or 0
-    k = np.zeros(n, dtype=np.int64)  # substeps taken in it
-    steps, h = _segment_steps(batch.times, nxt, stop, t, s0, substeps_per_unit)
-    while True:
-        stepping = k < steps
-        stepped = bool(stepping.any())
-        if stepped:
-            _rk4_pass(field, X, Jv, s0, k, h, stepping)
-            k += stepping
-        sel = np.flatnonzero((nxt < stop) & (k == steps))
-        if sel.size == 0:
-            if stepped:
-                continue
-            break
-        flat = nxt[sel]
-        s_jump = batch.times[flat]
-        j = None if Jv is None else _take_rows(Jv, sel)
-        x_new, j_new, terms = _jump_update(field, s_jump, _take_rows(X, sel), j, flat, sel, sel,
-                                           np.take(dW, flat, axis=0), beta)
-        _put_rows(X, sel, x_new)
-        if j_new is not None:
-            _put_rows(Jv, sel, j_new)
-        if j is not None:
-            _add_terms(sums, sel, terms)
-        nxt[sel] = flat + 1
-        s0[sel] = s_jump
-        k[sel] = 0
-        steps[sel], h[sel] = _segment_steps(batch.times, flat + 1, stop[sel], t, s_jump, substeps_per_unit)
-    X = np.ascontiguousarray(X)
-    if Jv is None:
-        return X, None, None, None, None
-    return X, np.ascontiguousarray(Jv), *sums, np.minimum(beta.ell, beta.cap), beta.cap
-
-
-def _count_ordered_flow(starts, v, field, batch, dW, beta):
-    """flow_batch's jump rounds for a field with drift_rate r, from each start of the (k, d) stack.
+def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, beta):
+    """flow_batch's jump rounds from each start of the (k, d) stack.
 
     Row i of each start's state is path order[i], largest jump count first,
     so round k covers exactly the first #(counts > k) rows, whose times,
     marks and decay it forms once for all the starts; the outputs (X shaped
-    (k, n, d)) go back to batch order at the end. No output depends on how
-    equal counts are ordered: each row's operations are its own, and a
-    blow-up names the lowest bad path.
+    (k, n, d)) go back to batch order at the end. Without drift_rate, round
+    k first runs RK4 on the #(counts >= k) rows that reach it, up to their
+    k-th jump or to t, and a last round runs the longest paths to t. No
+    output depends on how equal counts are ordered: each row's operations
+    are its own, and a blow-up names the lowest bad path.
     """
     n, t, rate = batch.n, batch.horizon, field.drift_rate
     order = np.argsort(-batch.counts)
@@ -692,11 +644,15 @@ def _count_ordered_flow(starts, v, field, batch, dW, beta):
     Jv = None if v is None else np.tile(v, (n, 1))
     sums = None if v is None else np.zeros((3, n))
     s0 = np.zeros(n)  # each row's last jump time, or 0
+    wide = n  # #(counts >= k), the rows that reach round k
     for k, w in enumerate(widths.tolist()):
         flat = first[:w] + k
         s = batch.times[flat]
         j = None if Jv is None else Jv[:w]
-        if rate:
+        if rate is None:
+            _rk4_rows(field, X, Jv, s0, np.concatenate((s, np.full(wide - w, t))), substeps_per_unit, order)
+            s0[:w] = s
+        elif rate:
             # the left limit: the flow of b = -rate x over the gap since s0; a
             # state that overflows here makes x_new non-finite below
             decay = s - s0[:w]
@@ -709,20 +665,23 @@ def _count_ordered_flow(starts, v, field, batch, dW, beta):
         for x in X[:, :w]:
             if rate:
                 scale_rows(decay, x, out=x)
-            x_new, j_new, terms = _jump_update(field, s, x, j, flat, slice(w), order[:w], dw, beta)
+            x_new, j_new, terms = _jump_update(field, s, x, j, flat, order[:w], dw, beta)
             x[...] = x_new
             if j_new is not None:
                 j[...] = j_new
             if j is not None:
-                _add_terms(sums, slice(w), terms)
+                _add_terms(sums, w, terms)
         del dw  # held into the next round's gather, it raised quickstart's peak RSS by 1.6 MB
-    if rate:
+        wide = w
+    if rate is None:
+        _rk4_rows(field, X, Jv, s0, np.full(wide, t), substeps_per_unit, order)
+    elif rate:
         decay = np.exp(-rate * (t - s0))
         if Jv is not None:
             scale_rows(decay, Jv, out=Jv)
         for x in X:
             scale_rows(decay, x, out=x)
-            bad = _first_non_finite(x, Jv, paths=order)
+            bad = _first_non_finite(order, x, Jv)
             if bad is not None:
                 raise BlowUpError(t, path=int(order[bad]))
     # freed first, the round bookkeeping leaves its heap space to the outputs
@@ -763,48 +722,53 @@ def flow_batch(
     run). t is batch.horizon, the end of the interval the batch's jumps
     were drawn on.
 
-    A field without drift_rate runs the event loop: each pass gives every
-    unfinished path its next event, one RK4 substep of the segment up to its
-    next jump (or up to t), then, for paths at the end of their segment,
-    the jump itself. A segment of gap g takes max(ceil(g * substeps_per_unit),
-    1) substeps of size g / steps.
-
-    A field with drift_rate r takes no substep and never reads
-    substeps_per_unit. It runs jump rounds, round k being every path's k-th
-    jump, on its paths ordered by jump count, largest first, each round a
-    row-major prefix of the state. A path's X and J v are scaled by
+    Every field runs jump rounds, round k being every path's k-th jump, on
+    its paths ordered by jump count, largest first, each round a row-major
+    prefix of the state. A field with drift_rate r takes no substep and
+    never reads substeps_per_unit: a path's X and J v are scaled by
     exp(-r g) when it reaches its next jump, and by exp(-r (t - s)) from its
-    last jump s (or 0) to t after the last round; r = 0 scales nothing.
+    last jump s (or 0) to t after the last round; r = 0 scales nothing. Any
+    other field's round k first runs RK4 on each path from its last jump (or
+    0) to its k-th jump, or to t once its jumps are done, and a last round
+    with no jump runs the longest paths to t. A gap g takes
+    max(ceil(g * substeps_per_unit), 1) substeps of size g / steps.
 
     Without v, x0 may be a stack of starts (k, d): X_final is then (k, n, d),
     each start's slice the bytes of flow_batch on that start alone. The
-    rounds form their count order, gathers and decays once for all the
-    starts; the event loop flows the starts in turn.
+    rounds form their count order, gathers, decays and RK4 substeps once for
+    all the starts.
 
-    A BlowUpError names the earliest round (or RK4 pass) with a non-finite
-    path and the lowest such path in it, or t and the lowest path whose last
+    A BlowUpError names the earliest round with a non-finite path, its RK4
+    substeps in turn before its jumps, and the lowest such path in the first
+    substep or jump update that has one; or t and the lowest path whose last
     scaling overflows. A stacked sweep that raises one re-flows its starts
     one at a time, so the first start that blows up alone names the error.
+    Arrays shaped for another dimension or jump count, entries that are not
+    numbers and a level that is not positive are refused by name.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None) != (d_beta is None) or (dWb is not None) + (level is not None) != (v is not None):
         raise ValueError("pass the weight inputs, dWb and d_beta or level, exactly when v is given")
-    x0 = np.asarray(x0)
+    d, x0 = field.dimension, checked_reals("x0", x0)
     if x0.ndim > 2 or x0.ndim == 2 and v is not None:
         raise ValueError("x0 must be one start (d,), or a stack of starts (k, d) when v is None")
     starts = np.atleast_2d(x0)
-    v = None if v is None else np.asarray(v, dtype=float)
+    if starts.shape[1] != d:
+        raise ValueError(f"x0 must hold the field's {d} coordinates per start, got shape {x0.shape}")
+    v = None if v is None else checked_reals("v", v)
+    for name, a, shape in (("v", v, (d,)), ("dW", dW, (batch.total, d)), ("dWb", dWb, (batch.total, d)),
+                           ("d_beta", d_beta, (batch.total,))):
+        if a is not None and np.shape(a) != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(a)}")
+    if level is not None and not checked_float("level", level) > 0:
+        raise ValueError(f"level must be positive, got {level!r}")
     beta = None if v is None else _BetaRows(batch, not field.sigma_is_constant, dWb, d_beta, level)
-    if field.drift_rate is None:
-        flows = [_rk4_flow(x, v, field, batch, dW, substeps_per_unit, beta) for x in starts]
-        out = np.stack([X for X, *_ in flows]), *flows[0][1:]
-    else:
-        try:
-            out = _count_ordered_flow(starts, v, field, batch, dW, beta)
-        except BlowUpError:
-            for x in starts[:-1]:
-                flow_batch(x, None, field, batch, dW, substeps_per_unit)
-            raise
+    try:
+        out = _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, beta)
+    except BlowUpError:
+        for x in starts[:-1]:
+            flow_batch(x, None, field, batch, dW, substeps_per_unit)
+        raise
     return (out[0] if x0.ndim == 2 else out[0][0], *out[1:5 if level is None else 7])
 
 

@@ -221,3 +221,34 @@ def test_sample_jump_batch_takes_integral_counts_and_real_horizons():
         got = engine.sample_jump_batch(1.5, horizon, 0.1, n, np.random.default_rng(0))
         assert (got.n, got.horizon) == (3, 1.0)
         assert got.times.tobytes() == want.times.tobytes() and got.sizes.tobytes() == want.sizes.tobytes()
+
+
+# engine.flow_batch is public: a start, a direction or marks shaped for another
+# dimension or jump count failed with bare broadcast or IndexErrors, a string
+# or boolean start with a bare UFuncTypeError, and a NaN or negative cap level ran
+FLOW_BATCH = engine.sample_jump_batch(1.5, 0.5, 3e-2, 5, np.random.default_rng(0))
+FLOW_MARKS = np.zeros((FLOW_BATCH.total, 2))
+FLOW_INPUTS = {
+    "x0 of the wrong length": (dict(x0=[0.3, 0.0, 0.1]), "^x0 must hold the field's 2 coordinates"),
+    "a stack of starts of the wrong length": (dict(x0=[[0.3], [0.1]], v=None, level=None),
+                                              "^x0 must hold the field's 2 coordinates"),
+    "v of the wrong length": (dict(v=[1.0]), r"^v must have shape \(2,\)"),
+    "dW with a row too few": (dict(dW=FLOW_MARKS[1:]), r"^dW must have shape \(\d+, 2\)"),
+    "dW of the wrong dimension": (dict(dW=np.zeros((FLOW_BATCH.total, 3))), r"^dW must have shape"),
+    "a string x0": (dict(x0=["0.3", "0"]), "^x0 must hold numbers only"),
+    "a boolean x0": (dict(x0=[True, False]), "^x0 must hold numbers only"),
+    "a boolean v": (dict(v=np.array([True, False])), "^v must hold numbers only"),
+    "a NaN level": (dict(level=float("nan")), "^level must be positive, got nan"),
+    "a negative level": (dict(level=-1.0), "^level must be positive, got -1.0"),
+    "a boolean level": (dict(level=True), "^level must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_INPUTS))
+def test_flow_batch_refuses_inputs_by_name(case):
+    assert FLOW_BATCH.total > 1
+    given, message = FLOW_INPUTS[case]
+    args = {"x0": [0.3, 0.0], "v": [1.0, 0.5], "dW": FLOW_MARKS, "level": 1.0, **given}
+    with pytest.raises(ValueError, match=message):
+        engine.flow_batch(args["x0"], args["v"], START["field"], FLOW_BATCH, args["dW"], 10,
+                          level=args["level"])

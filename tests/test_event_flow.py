@@ -349,32 +349,28 @@ def test_rk4_stages_hand_b_the_states_layout():
     assert all(f and not c for _, f, c in layouts), layouts[:8]
 
 
-def _float_bits(*values):
-    """float64s from their IEEE bit patterns (a NaN keeps its payload)."""
-    return np.array(values, dtype=np.uint64).view(np.float64)
+def test_rk4_substeps_run_only_on_the_rows_that_step():
+    # substep i of a gap runs on the rows with more than i steps, and at most
+    # one spare row, rather than on the whole batch: b receives at most four
+    # rows (one per stage) per substep of a path, plus one spare row per stage
+    rows = []
 
+    def b(t, x):
+        rows.append(len(x))
+        return BM_RK4.b(t, x)
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_row_gather_and_scatter_equal_the_2d_index_bitwise(d, layout):
-    rng = np.random.default_rng(d)
-    # -0.0, NaNs with payloads and of either sign, +inf and -inf
-    special = _float_bits(1 << 63, 0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0 << 48, 0xFFF0 << 48)
-    A = rng.standard_normal((40, d))
-    A.flat[rng.choice(A.size, special.size, replace=False)] = special
-    A = np.asarray(A, order=layout)
-    values = rng.standard_normal((40, d))
-    values.flat[rng.choice(values.size, special.size, replace=False)] = special
-    for sel in (np.empty(0, dtype=np.int64), np.array([0, 3, 4, 17, 39]), np.flatnonzero(A[:, 0] < 0.5)):
-        want = A[sel]
-        got = engine._take_rows(A, sel)
-        assert got.shape == want.shape and got.flags["C_CONTIGUOUS"]
-        assert got.tobytes() == want.tobytes()
-        want_A, got_A = A.copy(order="K"), A.copy(order="K")
-        want_A[sel] = values[:sel.size]
-        engine._put_rows(got_A, sel, values[:sel.size])
-        assert got_A.flags[f"{layout}_CONTIGUOUS"]
-        assert got_A.tobytes(order="A") == want_A.tobytes(order="A")
+    spu = 4
+    batch = sample_jump_batch(1.5, 0.5, 3e-2, 200, substream(6, engine.PURPOSE_JUMPS, 0))
+    dW = engine.sample_mark_batch(batch, 2, substream(6, engine.PURPOSE_MARKS, 0))
+    flow_batch(X0, V0, dataclasses.replace(BM_RK4, b=b), batch, dW, spu, dW, batch.sizes)
+    substeps = 0
+    for p in range(batch.n):
+        ends = np.concatenate(([0.0], batch.times[batch.offsets[p]:batch.offsets[p + 1]], [batch.horizon]))
+        gaps = np.diff(ends)
+        substeps += int(np.maximum(np.ceil(gaps[gaps > 0] * spu), 1).sum())
+    passes, stages = divmod(len(rows), 4)
+    assert stages == 0 and substeps > batch.n
+    assert sum(rows) <= 4 * (substeps + passes)
 
 
 def _dense_drift_field():

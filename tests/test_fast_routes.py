@@ -296,6 +296,22 @@ def test_blow_up_names_the_same_time_and_path(with_v):
     assert rounds == (times[offsets[2] + 1], 2)
 
 
+@pytest.mark.parametrize("with_v", [True, False])
+def test_rk4_segments_blow_up_in_the_earliest_round(with_v):
+    # one rule for every field: the earliest round wins, and within a round
+    # its RK4 substeps come before its jumps. Path 0 overflows at its only
+    # jump (0.9, round 0), path 1 at its 2nd (0.02, round 1), so a field
+    # without the hint names path 0 at 0.9, as the hinted rounds do, although
+    # path 1 reaches its bad jump after fewer RK4 substeps
+    batch = JumpBatch(2, 1.0, np.array([1, 2]), np.array([0, 1, 3]), np.array([0.9, 0.01, 0.02]),
+                      np.full(3, 0.1))
+    dW = np.array([[1e308], [0.0], [1e308]])
+    field = catalog("additive_identity", 1)
+    x0, v = np.array([1.7e308]), np.ones(1) if with_v else None
+    hinted = _blow_up(field, x0, v, batch, dW)
+    assert _blow_up(dataclasses.replace(field, drift_rate=None), x0, v, batch, dW) == hinted == (0.9, 0)
+
+
 def test_blow_up_parity_on_a_sampled_batch():
     # near the float range every path's walk may overflow, in any round. The
     # rounds at r = 0 name the first bad jump round's lowest path, as the
