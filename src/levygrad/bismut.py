@@ -395,6 +395,14 @@ def estimate_gradient(
     n_samples counts pairs, and a sample row holds the unflipped half of its
     pair. collect_samples = k > 0 fills sample_rows with the first
     min(k, accepted) accepted paths' rows; 0 leaves it None.
+
+    The estimate is unbiased at any R, math.inf included; the level moves
+    only its variance, at the same cost per path. The default, the median of
+    S_t, costs x1.02-1.10 in variance against R = math.inf over the cases
+    measured: 0.630 against 0.583 on the README quickstart (65,536 paths),
+    1.338 against 1.291 on the sign problem at eps_cut = 1e-2 (131,072
+    paths). 4x the median took nearly all of it back (0.587, 1.293); half
+    the median raised it x1.14-1.50.
     """
     draw = ClockDraw.stable(spec, t, eps_cut, field.dimension, seed)
     x = checked_vector("x", x, field.dimension)

@@ -29,14 +29,14 @@ fixed path is drawn whole and cut into blocks. A block's flow (with the
 clock it evaluates, or a piecewise clock's arrays formed ahead of it) runs
 before the next block is drawn. Each of those operations is per path, so
 the blocks give the whole batch's bits; only their per-path outputs are
-joined, before the observable and the reduction. Several blocks are drawn
-into one batch-scope buffer: as the batch's one large allocation it lifts
-glibc's dynamic mmap and trim thresholds above the blocks' temporaries,
-which are then reused from the heap rather than unmapped and faulted in
-again. The weighted estimators flow each block in pieces of at most
-FLOW_ROWS paths, so a jump round's per-row state stays in L2; a plain flow
-runs its blocks uncut. A BlowUpError in a block or piece draws and flows the
-whole batch, which raises the error an unblocked run raises.
+joined, before the observable and the reduction. Every budgeted draw goes
+into one batch-scope buffer, the batch's one large allocation: it lifts
+glibc's mmap and trim thresholds above the temporaries, which the heap
+then reuses (one-worker fd_crn: 6,857 minor faults a call with three draw
+arrays a batch, 0-2 with the buffer). The weighted estimators flow each
+block in pieces of at most FLOW_ROWS paths, so a jump round's per-row state
+stays in L2; a plain flow runs its blocks uncut. A BlowUpError in a block or
+piece draws and flows the whole batch, raising an unblocked run's error.
 
 The flow runs in jump rounds (see flow_batch): round k applies every path's
 k-th jump to a row-major prefix of the state, its rows in jump-count order,
@@ -314,19 +314,18 @@ def sample_row_blocks(alpha: float, horizon: float, eps_cut: float, n: int,
     jumps, the sizes next in a copy of jumps that skips all the times, the
     marks next in marks (Philox streams). So the blocks concatenate to the
     whole draw bit for bit, which is the one block of budget math.inf and
-    gets arrays of its own. Several blocks share one buffer sized for the
-    largest: each block is valid until the next one is drawn. d = 0 draws no
-    marks and never reads marks; each block's marks are then None.
+    gets arrays of its own. Any finite budget draws into one buffer sized for
+    the largest block: each block is valid until the next one is drawn. d = 0
+    draws no marks and never reads marks; each block's marks are then None.
     """
     counts = _jump_counts(alpha, horizon, eps_cut, n, jumps)
-    total = int(counts.sum())
-    if total <= budget:
+    if budget == math.inf:
         block = sample_jump_batch(alpha, horizon, eps_cut, n, jumps, counts=counts)
         yield block, sample_mark_batch(block, d, marks) if d else None
         return
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    bounds = list(_row_bounds(offsets, budget))
-    size_stream = _skipped(jumps, total)
+    bounds = list(_row_bounds(offsets, budget)) or [(0, 0)]
+    size_stream = _skipped(jumps, int(offsets[-1]))
     # times, sizes and marks of the largest block
     out = np.empty((2 + d) * max(int(offsets[r1] - offsets[r0]) for r0, r1 in bounds))
     for r0, r1 in bounds:
@@ -503,10 +502,12 @@ def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths):
     substeps (at least one) of size g / steps, and one with g = 0 none.
     The rows, each with its k starts, go in step-count order, largest first,
     so substep i runs on the prefix of rows with more than i steps, handed to
-    b and jvp_b as a column-major copy. A prefix of one row among more takes
-    a spare row, which steps by 0 and is not written back: one row is also a
-    row-major array. A non-finite state or J v raises BlowUpError at the end
-    of the substep, at the lowest path paths[row] among such rows.
+    b and jvp_b as a column-major array (substep i - 1's own when no row
+    finished there); only the rows it finishes are written back. A prefix of
+    one row among more takes a spare row, which steps by 0 and is not written
+    back (one row is also a row-major array; a step of 0 turns -0.0 into
+    +0.0). A non-finite state or J v raises BlowUpError at the end of the
+    substep, at the lowest path paths[row] among such rows.
     """
     m = ends.size
     gaps = ends - s0[:m]
@@ -518,18 +519,20 @@ def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths):
     k, d = X.shape[0], X.shape[2]
     by = np.argsort(-steps)
     # row r of start c at r k + c, so each prefix holds its rows' every start
-    Y = np.asfortranarray(X[:, by].transpose(1, 0, 2).reshape(-1, d))
-    J = None if Jv is None else np.asfortranarray(Jv[by])
+    y = Y = np.asfortranarray(X[:, by].transpose(1, 0, 2).reshape(-1, d))
+    j = J = None if Jv is None else np.asfortranarray(Jv[by])
     s0, h, paths = (np.repeat(a[by], k) for a in (s0[:m], h, paths[:m]))
-    for i, w in enumerate((k * widths).tolist()):
+    rows = (k * widths).tolist() + [0]
+    for i, w in enumerate(rows[:-1]):
         q = max(w, min(2, Y.shape[0]))
         step = h[:q] if q == w else np.concatenate((h[:w], [0.0]))
         s = s0[:q] + i * step
-        y, j = np.asfortranarray(Y[:q]), None if J is None else np.asfortranarray(J[:q])
+        y, j = np.asfortranarray(y[:q]), None if J is None else np.asfortranarray(j[:q])
         y, j = _rk4_step(field, s, step, y, j)
-        Y[:w] = y[:w]
+        done = slice(rows[i + 1], w)
+        Y[done] = y[done]
         if J is not None:
-            J[:w] = j[:w]
+            J[done] = j[done]
         bad = _first_non_finite(paths, y[:w], None if J is None else j[:w])
         if bad is not None:
             raise BlowUpError(s[bad] + h[bad], path=int(paths[bad]))

@@ -1,5 +1,6 @@
 """Weight accumulation and the gradient estimators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from levygrad import (
     dropped_mass_rate,
     estimate_gradient,
     estimate_gradient_fixed_clock,
+    make_observable,
     stable_median_s1,
     substream,
     tail_mass,
@@ -231,6 +233,39 @@ def test_sign_target_and_rejections_at_small_alpha(alpha):
     assert abs(res.mean - target) <= 3.0 * res.std_error
     p0 = math.exp(-tail_mass(alpha, eps))
     assert abs(res.diagnostics["rejection_fraction"] - p0) <= 3.0 * math.sqrt(p0 * (1.0 - p0) / n)
+
+
+# The cap level R moves the weight's variance, not the estimate's mean: the
+# level's default (the median of S_t, R = "auto"), 4x that and no cap at all.
+# Path counts and seeds were fixed before the first run.
+LEVEL_SCALES = [1.0, 4.0, math.inf]
+
+
+@pytest.mark.parametrize("scale", LEVEL_SCALES)
+def test_sign_target_holds_at_every_cap_level(scale):
+    spec = BernsteinSpec.alpha_stable(1.5)
+    res = estimate_gradient(
+        np.zeros(1), np.ones(1), lambda X: np.sign(X[:, 0]), catalog("additive_identity", 1), spec,
+        t=1.0, R=scale * default_level_R(spec, 1.0), n_paths=131_072, eps_cut=1e-2, seed=1837,
+    )
+    target = oracles.truncated_sign_gradient_target(1.5, 1.0, 1e-2)
+    assert abs(res.mean - target) <= 3.0 * res.std_error
+
+
+def test_quickstart_agrees_across_cap_levels():
+    # the same seed draws the same paths at every level, so each pair of
+    # levels is compared through the standard error of its per-path
+    # differences, which is smaller than either level's own
+    spec, n = BernsteinSpec.alpha_stable(1.5), 32_768
+    runs = [estimate_gradient(
+        np.array([0.3, 0.0]), np.array([1.0, 0.5]), make_observable("tanh1"),
+        catalog("bounded_multiplicative", 2), spec, 0.5, scale * default_level_R(spec, 0.5), n, 3e-3,
+        1838, collect_samples=n) for scale in LEVEL_SCALES]
+    rows = [np.array([row[:3] for row in res.sample_rows]) for res in runs]
+    for (a, ra), (b, rb) in itertools.combinations(zip(runs, rows), 2):
+        assert np.array_equal(ra[:, 0], rb[:, 0])
+        diff = ra[:, 1] * ra[:, 2] - rb[:, 1] * rb[:, 2]
+        assert abs(a.mean - b.mean) <= 3.0 * diff.std(ddof=1) / math.sqrt(diff.size), (a.mean, b.mean)
 
 
 def test_gradient_diagnostics_content():

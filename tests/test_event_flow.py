@@ -1,4 +1,4 @@
-"""The event-driven flow loop, the jvp_b and dsigma hooks and the jump sampler.
+"""The flow's jump rounds, the jvp_b and dsigma hooks and the jump sampler.
 
 The hex pins and row digests below were recorded from the round-by-round
 flow loop (one jump round at a time, RK4 on gathered rows, the Jacobian term
@@ -95,7 +95,7 @@ RUNS = {
         X4, V4, TANH, catalog("bounded_multiplicative", 4), SPEC, 0.5, "auto", N, 3e-3, 318, **kw),
     "fixed_clock_piecewise_d3": lambda **kw: estimate_gradient_fixed_clock(
         X3, V3, TANH, catalog("bounded_multiplicative", 3), PATH, PIECEWISE, 0.95, N, 16, **kw),
-    # no drift and a state-dependent sigma: the event loop's jump rounds alone
+    # no drift and a state-dependent sigma: the jump rounds with no RK4 segment
     "pythagoras_1d": lambda field=PYTHAGORAS, **kw: estimate_gradient(
         np.array([0.3]), np.ones(1), TANH, field, SPEC, 0.5, "auto", N, 3e-3, 318, **kw),
 }
@@ -155,7 +155,7 @@ def test_per_path_samples_match_pinned_digest(name):
 # run (v = None) from x0 + h v and then x0 - h v, h = 5e-3, on batch 0 (4096
 # paths) of the fd_crn draw: t = 0.5, eps_cut = 3e-3, seed 319. fd_gradient's
 # pin holds only a mean and an SE of such runs. pythagoras_1d has no drift,
-# so its run is the event loop's jump rounds alone.
+# so its run is the jump rounds with no RK4 segment.
 FLOW_DIGESTS = {
     "bounded_multiplicative": (BM, X0, V0, "c410f1470389947b471a814f254f34f2"),
     "pythagoras_1d": (PYTHAGORAS, np.array([0.3]), np.ones(1), "9110b3ae9f95a8cefbbc122ea31c1b83"),
@@ -226,7 +226,8 @@ def test_catalog_jvp_equals_grad_b_product(name, d):
 
 
 # ---------------------------------------------------------------------------
-# edge cases of the event loop, against the one-path reference steps
+# edge cases of the jump rounds, with and without RK4 segments, against the
+# one-path reference steps
 
 
 def _reference_path(field, x0, v, times, dW, t, spu):
@@ -265,7 +266,7 @@ EDGE_FIELDS = {"bounded_multiplicative": BM_RK4, "additive_identity": catalog("a
 
 
 @pytest.mark.parametrize("name", ["bounded_multiplicative", "additive_identity"])
-def test_event_loop_edge_paths(name):
+def test_jump_round_edge_paths(name):
     # path 0: no jumps; path 1: two jumps tied in time; path 2: a jump tied
     # with path 1's; path 3: a jump exactly at t; path 4: many short gaps.
     # Each path's weight terms read its left limits at the jumps, which the
@@ -303,7 +304,7 @@ def test_event_loop_edge_paths(name):
         assert np.array_equal(X[3], X[0] + field.sigma(t, X[0]) @ dW[offsets[3]])
 
 
-def test_event_loop_without_jumps_is_pure_drift():
+def test_rk4_rounds_without_jumps_are_pure_drift():
     batch = JumpBatch(3, 1.0, np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64),
                       np.empty(0), np.empty(0))
     field = BM_RK4

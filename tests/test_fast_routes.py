@@ -5,11 +5,11 @@ sample_jump_batch sorts each path's times, ROW_BLOCK paths at a time, and
 leaves the sizes in draw order. flow_batch runs a field with drift_rate 0
 (b == 0) in jump rounds that scale nothing between jumps. Both promise the
 floats of another route: a stable lexsort of the times by (path, time)
-with the sizes in draw order and tied times merged, and the event loop of
-the same field without the hint, which RK4 steps on b = 0 and which names
-the same path of a blow-up. The rounds give the loop's bits but one: a path
-that never jumps keeps a -0.0 start coordinate in the rounds, where the
-loop's RK4 step turns it into +0.0. A field with a nonzero drift_rate r is
+with the sizes in draw order and tied times merged, and the RK4 rounds of
+the same field without the hint (the jump rounds with RK4 segments between
+jumps), which step b = 0 and name the same path of a blow-up. The rounds at
+r = 0 give the RK4 rounds' bits but one: a path that never jumps keeps a
+-0.0 start coordinate in them, where an RK4 step turns it into +0.0. A field with a nonzero drift_rate r is
 scaled by exp(-r h) between jumps; that promises the flow of b = -r x,
 which RK4 at fine steps and, on ou_additive, the Gaussian sum approach.
 """
@@ -140,7 +140,7 @@ def test_sampler_stream_sorts_times_and_keeps_sizes_in_draw_order(n):
 
 
 # ---------------------------------------------------------------------------
-# the jump rounds at r = 0 against the event loop
+# the jump rounds at r = 0 against the RK4 rounds of the field without the hint
 
 
 def _time_dependent_sigma_field(d):
@@ -190,18 +190,18 @@ def _weight_inputs(v, batch, dW):
 def _both_routes(field, x0, v, batch, dW):
     weight = _weight_inputs(v, batch, dW)
     rounds = flow_batch(x0, v, field, batch, dW, 50, *weight)
-    loop = flow_batch(
+    rk4 = flow_batch(
         x0, v, dataclasses.replace(field, drift_rate=None), batch, dW, 50, *weight
     )
-    return rounds, loop
+    return rounds, rk4
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("field_name", ["additive_identity", "time_dependent_sigma"])
 @pytest.mark.parametrize("with_v", [True, False])
 @pytest.mark.parametrize("n_extra", [0, 300, ROW_BLOCK + 2])
-def test_rounds_at_zero_rate_equal_the_event_loop(d, field_name, with_v, n_extra):
-    # the event loop runs RK4 on b = 0, which adds exact zeros
+def test_rounds_at_zero_rate_equal_the_rk4_rounds(d, field_name, with_v, n_extra):
+    # the RK4 rounds step b = 0, which adds exact zeros
     if field_name == "additive_identity":
         field = catalog(field_name, d)
     else:
@@ -212,9 +212,9 @@ def test_rounds_at_zero_rate_equal_the_event_loop(d, field_name, with_v, n_extra
     x0 = rng.standard_normal(d)
     x0[0] = -0.0  # an empty path must keep its signed zero
     v = rng.standard_normal(d) if with_v else None
-    rounds, loop = _both_routes(field, x0, v, batch, dW)
+    rounds, rk4 = _both_routes(field, x0, v, batch, dW)
     assert rounds[0].shape == (batch.n, d)
-    for got, want in zip(rounds, loop):
+    for got, want in zip(rounds, rk4):
         if want is None:
             assert got is None
             continue
@@ -222,35 +222,35 @@ def test_rounds_at_zero_rate_equal_the_event_loop(d, field_name, with_v, n_extra
         assert np.array_equal(got, want)
     assert np.signbit(rounds[0][0, 0])
     if not with_v:
-        assert rounds[2] is None and loop[2] is None
+        assert rounds[2] is None and rk4[2] is None
     else:
         assert np.any(rounds[2] != 0.0)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("with_v", [True, False])
-def test_event_loop_turns_a_never_jumping_paths_negative_zero_positive(d, with_v):
-    # the one bit the rounds at r = 0 do not share with the event loop: on a
+def test_rk4_rounds_turn_a_never_jumping_paths_negative_zero_positive(d, with_v):
+    # the one bit the rounds at r = 0 do not share with the RK4 rounds: on a
     # path that never jumps, RK4 adds h/6 times b = 0 to a -0.0 start
     # coordinate, which gives +0.0, while the rounds leave it as it is; a
     # jump's x + scale dw overwrites the start on both routes
     field = catalog("additive_identity", d)
     batch = _edge_batch(0)
     dW = engine.sample_mark_batch(batch, d, substream(8, engine.PURPOSE_MARKS, 0))
-    rounds, loop = _both_routes(field, np.full(d, -0.0), np.ones(d) if with_v else None, batch, dW)
+    rounds, rk4 = _both_routes(field, np.full(d, -0.0), np.ones(d) if with_v else None, batch, dW)
     still = batch.counts == 0
     assert still.any() and not still.all()
-    assert np.array_equal(rounds[0], loop[0])
-    assert np.all(np.signbit(rounds[0][still])) and not np.any(np.signbit(loop[0][still]))
-    assert np.array_equal(np.signbit(rounds[0][~still]), np.signbit(loop[0][~still]))
-    for got, want in zip(rounds[1:], loop[1:]):
+    assert np.array_equal(rounds[0], rk4[0])
+    assert np.all(np.signbit(rounds[0][still])) and not np.any(np.signbit(rk4[0][still]))
+    assert np.array_equal(np.signbit(rounds[0][~still]), np.signbit(rk4[0][~still]))
+    for got, want in zip(rounds[1:], rk4[1:]):
         assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
-def test_rounds_at_zero_rate_match_the_loop_in_high_dimension():
+def test_rounds_at_zero_rate_match_the_rk4_rounds_in_high_dimension():
     # at d = 9 einsum sums a row of a column-major and of a row-major array
-    # in different orders, as it does for this v; the rounds must still give
-    # the loop's bits, which contracts only row-major arrays
+    # in different orders, as it does for this v; the rounds at r = 0 must
+    # still give the RK4 rounds' bits
     d = 9
     v = np.random.default_rng(1).standard_normal(d)
     rows = np.tile(v, (5, 1))
@@ -258,8 +258,8 @@ def test_rounds_at_zero_rate_match_the_loop_in_high_dimension():
     assert np.einsum("mi,mi->m", rows, rows)[0] != np.einsum("mi,mi->m", cols, cols)[0]
     batch = _edge_batch(50)
     dW = engine.sample_mark_batch(batch, d, substream(8, engine.PURPOSE_MARKS, 0))
-    rounds, loop = _both_routes(catalog("additive_identity", d), np.zeros(d), v, batch, dW)
-    for got, want in zip(rounds, loop):
+    rounds, rk4 = _both_routes(catalog("additive_identity", d), np.zeros(d), v, batch, dW)
+    for got, want in zip(rounds, rk4):
         assert np.array_equal(got, want)
 
 
@@ -272,7 +272,7 @@ def _blow_up(field, x0, v, batch, dW):
 @pytest.mark.parametrize("with_v", [True, False])
 def test_blow_up_names_the_same_time_and_path(with_v):
     # path 0 overflows at its 3rd jump, paths 2 and 3 at their 2nd, path 4
-    # never: the loop stops in round 1, at its lowest path (2). Path
+    # never: both routes stop in round 1, at its lowest path (2). Path
     # ROW_BLOCK + 1, far down the batch, overflows in round 1 too.
     huge = 1e308
     plan = {0: [0.0, 0.0, huge], 1: [0.0], 2: [0.0, huge, 0.0], 3: [1.0, huge], 4: [0.0, 0.0],
@@ -288,11 +288,11 @@ def test_blow_up_names_the_same_time_and_path(with_v):
     for i, marks in plan.items():
         dW[offsets[i]:offsets[i + 1], 1] = marks
     field = catalog("additive_identity", 2)
-    loop_field = dataclasses.replace(field, drift_rate=None)
+    rk4_field = dataclasses.replace(field, drift_rate=None)
     x0 = np.array([0.0, 1.7e308])
     v = np.array([1.0, 0.0]) if with_v else None
     rounds = _blow_up(field, x0, v, batch, dW)
-    assert rounds == _blow_up(loop_field, x0, v, batch, dW)
+    assert rounds == _blow_up(rk4_field, x0, v, batch, dW)
     assert rounds == (times[offsets[2] + 1], 2)
 
 
@@ -315,22 +315,23 @@ def test_rk4_segments_blow_up_in_the_earliest_round(with_v):
 def test_blow_up_parity_on_a_sampled_batch():
     # near the float range every path's walk may overflow, in any round. The
     # rounds at r = 0 name the first bad jump round's lowest path, as the
-    # same rounds with a state-dependent sigma do; with drift the loop's
-    # passes follow RK4 substep counts, which may reach another path first.
+    # same rounds with a state-dependent sigma do; with drift a round's RK4
+    # substeps run before its jumps and may overflow another path first.
     field = catalog("additive_identity", 1)
-    loop_field = dataclasses.replace(field, sigma_is_constant=False)
+    twin = dataclasses.replace(field, sigma_is_constant=False)
     x0, v = np.array([1.7e308]), np.ones(1)
     for seed in range(3, 13):
         batch = sample_jump_batch(1.5, 1.0, 1e-2, 500, substream(seed, engine.PURPOSE_JUMPS, 0))
         with np.errstate(over="ignore"):
             dW = 3e306 * engine.sample_mark_batch(batch, 1, substream(seed, engine.PURPOSE_MARKS, 0))
-        assert _blow_up(field, x0, v, batch, dW) == _blow_up(loop_field, x0, v, batch, dW), seed
+        assert _blow_up(field, x0, v, batch, dW) == _blow_up(twin, x0, v, batch, dW), seed
 
 
 def test_non_finite_v_stops_at_the_first_jump_round():
     # the rounds at r = 0 stop in their first jump round, at the first path
     # with a jump (path 0 has none).
-    # (The loop with drift stops earlier, in its first RK4 substep of J v.)
+    # (The RK4 rounds of a field with drift stop earlier, at the end of
+    # round 0's first RK4 substep of J v.)
     batch = _edge_batch(20)
     dW = engine.sample_mark_batch(batch, 1, substream(8, engine.PURPOSE_MARKS, 0))
     field = catalog("additive_identity", 1)

@@ -7,7 +7,7 @@ clock increment by ell_post <= cap. ClockSpec.increments and beta_marks
 define the same clock on a whole batch (a padded cumsum, first passages
 and a per-jump (M, d) array of beta-weighted marks), and flow_batch given
 those arrays is the oracle: X, J v, I1-I3, the normalizer and the cap must
-carry its bytes on the jump rounds and on the event loop, at d = 1 and 2,
+carry its bytes on the jump rounds with and without RK4 segments, at d = 1 and 2,
 for a constant and a state-dependent sigma, with the marks flipped as an
 antithetic run flips them, and through whole estimator runs over row
 blocks of 1, 37 and JUMP_BLOCK jumps at one and two workers.
@@ -62,13 +62,13 @@ def _same_bytes(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("route", ["rounds", "event_loop"])
+@pytest.mark.parametrize("route", ["rounds", "rk4_rounds"])
 @pytest.mark.parametrize("name", ["ou_additive", "bounded_multiplicative"])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("flip", [False, True])
 def test_in_flow_clock_matches_the_batch_clock(route, name, d, flip):
     field = catalog(name, d)
-    if route == "event_loop":
+    if route == "rk4_rounds":
         field = dataclasses.replace(field, drift_rate=None)
     batch = _edge_batch(200)
     dW = sample_mark_batch(batch, d, substream(9, engine.PURPOSE_MARKS, 0))
@@ -122,8 +122,8 @@ RUNS = {
     "rounds_d2": lambda **kw: estimate_gradient(
         [0.3, 0.0], [1.0, 0.5], make_observable("tanh1"), catalog("bounded_multiplicative", 2), SPEC,
         0.05, "auto", 150, 3e-2, 318, collect_samples=150, **kw),
-    # the event loop, constant sigma, d = 1
-    "event_loop_d1": lambda **kw: estimate_gradient(
+    # jump rounds with RK4 segments, constant sigma, d = 1
+    "rk4_rounds_d1": lambda **kw: estimate_gradient(
         [0.2], [1.0], make_observable("tanh1"),
         dataclasses.replace(catalog("ou_additive", 1), drift_rate=None), SPEC, 0.5, "auto", 150, 3e-2,
         5, collect_samples=150, **kw),

@@ -54,7 +54,7 @@ RUNS = {
     # a coarse cut, so that some paths never jump and are rejected
     "cap_rejecting": lambda n, **kw: estimate_gradient(
         X0, V0, TANH, BM, SPEC, 0.05, "auto", n, 0.2, 11, collect_samples=n, **kw),
-    # the RK4 event loop, with the drift's Jacobian term
+    # the jump rounds with RK4 segments, with the drift's Jacobian term
     "cap_rk4": lambda n, **kw: estimate_gradient(
         X0, V0, TANH, dataclasses.replace(BM, drift_rate=None), SPEC, 0.5, "auto", n, 3e-2, 5,
         collect_samples=n, **kw),

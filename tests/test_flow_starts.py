@@ -3,8 +3,9 @@
 flow_batch takes x0 shaped (k, d) when v is None and returns X_final shaped
 (k, n, d). The jump rounds of a drift_rate field do each round's shared work
 once for all the starts (the count order, the gathers of times and marks,
-the decay), then each start's own per-row operations; the event loop flows
-the starts one after another. Each start's slice must carry the bytes of
+the decay), then each start's own per-row operations; without the hint,
+each RK4 substep runs on the stepping rows of every start at once. Each
+start's slice must carry the bytes of
 flow_batch on that start alone, signed zeros included. A stacked sweep that
 blows up re-flows its starts one at a time, so it raises the error the
 separate flows raise, the first start's, even when a later start blows up
@@ -37,7 +38,7 @@ ROUTES = {
     "rounds_r0": lambda d: catalog("additive_identity", d),
     # r = 0 with a state-dependent sigma
     "rounds_r0_pythagoras": lambda d: catalog("pythagoras_1d", 1),
-    "event_loop": lambda d: dataclasses.replace(catalog("bounded_multiplicative", d), drift_rate=None),
+    "rk4_rounds": lambda d: dataclasses.replace(catalog("bounded_multiplicative", d), drift_rate=None),
 }
 
 
@@ -72,7 +73,7 @@ def test_each_start_gets_the_bytes_it_gets_alone(batch_name, route, d, k):
     for x0, got in zip(starts, stacked[0]):
         alone = flow_batch(x0, None, field, batch, dW, 100)
         assert got.tobytes() == alone[0].tobytes(), (route, batch_name)
-    if batch_name == "all_empty" and route != "event_loop":
+    if batch_name == "all_empty" and route != "rk4_rounds":
         # the rounds only scale a never-jumping path, so its -0.0 stays
         assert np.signbit(stacked[0][stacked[0] == 0.0]).any()
 
@@ -144,11 +145,11 @@ def test_a_stack_raises_the_error_of_the_separate_flows(case):
             assert _error(lambda: flow_batch(x0, None, field, batch, dW, 100)) == want
     want = _first_error_of_separate_flows(field, starts, batch, dW)
     assert _error(lambda: flow_batch(starts, None, field, batch, dW, 100)) == want
-    # the event loop flows the starts one after another
+    # and so do the RK4 rounds of the field without the hint
     if field.drift_rate == 0.0:
-        loop = dataclasses.replace(field, drift_rate=None)
-        want = _first_error_of_separate_flows(loop, starts, batch, dW)
-        assert _error(lambda: flow_batch(starts, None, loop, batch, dW, 100)) == want
+        rk4 = dataclasses.replace(field, drift_rate=None)
+        want = _first_error_of_separate_flows(rk4, starts, batch, dW)
+        assert _error(lambda: flow_batch(starts, None, rk4, batch, dW, 100)) == want
 
 
 # small batches, so that two workers share a run's batches
@@ -174,7 +175,7 @@ def _one_call_per_start(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("budget", [1, 37, engine.JUMP_BLOCK])
-@pytest.mark.parametrize("route", ["rounds_r1", "event_loop"])
+@pytest.mark.parametrize("route", ["rounds_r1", "rk4_rounds"])
 @pytest.mark.parametrize("name", sorted(SEMIGROUP_RUNS))
 def test_semigroup_runs_keep_their_bytes(monkeypatch, name, route, budget, workers):
     monkeypatch.setattr(engine, "BATCH_SIZE", BATCH)

@@ -35,9 +35,9 @@ def _weight_inputs(v, batch, dW):
 
 
 def _field(name, d):
-    """A catalog field, or "drift_free_loop": additive_identity claiming a state-dependent sigma,
+    """A catalog field, or "drift_free_state_sigma": additive_identity claiming a state-dependent sigma,
     which runs the rounds at r = 0 with J v updated by sigma_scale's slope."""
-    if name == "drift_free_loop":
+    if name == "drift_free_state_sigma":
         return dataclasses.replace(catalog("additive_identity", d), sigma_is_constant=False)
     return catalog(name, d)
 
@@ -57,7 +57,7 @@ EDGE_BATCHES = {
 
 @pytest.mark.parametrize("batch_name", sorted(EDGE_BATCHES))
 @pytest.mark.parametrize("name, d", [("bounded_multiplicative", 2), ("bounded_multiplicative", 3),
-                                     ("ou_additive", 2), ("drift_free_loop", 2),
+                                     ("ou_additive", 2), ("drift_free_state_sigma", 2),
                                      ("additive_identity", 2)])
 @pytest.mark.parametrize("with_v", [True, False])
 def test_each_path_gets_the_bits_it_gets_alone(batch_name, name, d, with_v):
@@ -88,7 +88,7 @@ def _blow_up(field, x0, v, batch, dW):
     return info.value.s, info.value.path
 
 
-@pytest.mark.parametrize("name", ["bounded_multiplicative", "drift_free_loop", "additive_identity"])
+@pytest.mark.parametrize("name", ["bounded_multiplicative", "drift_free_state_sigma", "additive_identity"])
 @pytest.mark.parametrize("with_v", [True, False])
 def test_a_round_names_its_lowest_bad_path_not_the_longest(name, with_v):
     # paths 1 and 2 overflow at their 2nd jump (round 1), path 3 at its 3rd
@@ -134,7 +134,7 @@ def test_the_last_scaling_names_its_lowest_bad_path(with_v):
 # c1 = <sigma^{-1} J v, dW^beta> non-finite in the same round instead.
 CONSTANT_SIGMA_ROUTES = {
     "jump_rounds": lambda field: field,
-    "event_loop": lambda field: dataclasses.replace(field, drift_rate=None),
+    "rk4_rounds": lambda field: dataclasses.replace(field, drift_rate=None),
     "matrix_route": lambda field: dataclasses.replace(field, sigma_scale=None),
 }
 # paths 0 and 4 have no jump; path 3, with the most, is the rounds' first row
@@ -154,21 +154,21 @@ def _constant_sigma_run(name, d, route):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_v_stops_a_constant_sigma_flow_where_it_did(route, name, d, bad):
     # the rounds stop at round 0's lowest path, 1, at its first jump, as a J v
-    # check named it; the event loop's first RK4 pass checks J v, at the end of
-    # path 0's first substep (t / 100)
+    # check named it; the RK4 rounds of the field without the hint check J v
+    # at the end of round 0's first RK4 substep, at path 0 (t / 100)
     field, x0, v, batch, dW = _constant_sigma_run(name, d, route)
     v[d // 2] = bad
-    assert _blow_up(field, x0, v, batch, dW) == ((0.01, 0) if route == "event_loop" else (0.3, 1))
+    assert _blow_up(field, x0, v, batch, dW) == ((0.01, 0) if route == "rk4_rounds" else (0.3, 1))
 
 
 # SHA-256 (first 32 hex digits) of the flow outputs (X, J v, I1, I2, I3) with
 # v = (1, -0.5, 0.25)[:d], recorded from the engine that checked J v in every
 # jump update and wrote it back
 CONSTANT_SIGMA_DIGESTS = {
-    ("event_loop", "additive_identity", 1): "03147731b97b055081d612379edbc953",
-    ("event_loop", "additive_identity", 3): "2fabe61b8e0525e43a13249ecb15a3f6",
-    ("event_loop", "ou_additive", 1): "e53bed3d4e98f7f39c808a6a0595e57e",
-    ("event_loop", "ou_additive", 3): "976711ae41ea8d98920f4c86b0dac961",
+    ("rk4_rounds", "additive_identity", 1): "03147731b97b055081d612379edbc953",
+    ("rk4_rounds", "additive_identity", 3): "2fabe61b8e0525e43a13249ecb15a3f6",
+    ("rk4_rounds", "ou_additive", 1): "e53bed3d4e98f7f39c808a6a0595e57e",
+    ("rk4_rounds", "ou_additive", 3): "976711ae41ea8d98920f4c86b0dac961",
     ("jump_rounds", "additive_identity", 1): "07b9f3de19ade6947e0e2e68855093ea",
     ("jump_rounds", "additive_identity", 3): "5f1ca5495ba0717329f91d618244d88b",
     ("jump_rounds", "ou_additive", 1): "c3038cff32334ff647c495154a4f55c3",

@@ -12,7 +12,9 @@ is per path, so every jump budget must give the bits of an unbounded one:
 the same to_dict() bytes and the same sample rows, at one worker and at two.
 The budgets 1 (every path a block of its own, empty paths folded into their
 neighbours) and 37 (blocks of several paths) are compared with a budget that
-no batch reaches. A blow-up in a block draws and re-flows the whole batch,
+no batch reaches. Any finite budget draws into one buffer, also when the
+batch is one block; only budget math.inf gives the draws arrays of their
+own. A blow-up in a block draws and re-flows the whole batch,
 so the error names the (s, path, batch) of an unblocked run. The peak
 memory of one fine-cut batch and of one quickstart batch is bounded, since
 bounding it is what the blocks are for.
@@ -159,6 +161,40 @@ def test_block_draws_concatenate_to_the_whole_draw(budget, d):
         assert all(w is None for w in block_marks)
     else:
         assert np.concatenate(block_marks).tobytes() == marks.tobytes()
+
+
+def _buffer(a):
+    """The array that owns a's memory: disjoint slices of one buffer share no
+    memory (np.shares_memory), but they share this."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_a_one_block_draw_shares_one_buffer(d):
+    # a batch within a finite budget is one block drawn into the buffer that
+    # several blocks share, so its times, sizes and marks are one allocation:
+    # glibc's mmap and trim thresholds then rise above the batch's frees,
+    # which stay in the heap instead of being faulted in again by the next
+    # batch. Drawing such a batch with arrays of its own, as only budget
+    # math.inf does, fails here
+    n = 60
+    ((whole, marks),) = _blocks(n, d, math.inf)
+    own = [whole.times, whole.sizes] + ([marks] if d else [])
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(own) for b in own[i + 1:])
+    for budget in (whole.total, engine.JUMP_BLOCK):
+        ((block, block_marks),) = _blocks(n, d, budget)
+        buffer = _buffer(block.times)
+        assert _buffer(block.sizes) is buffer, budget
+        assert block_marks is None if d == 0 else _buffer(block_marks) is buffer
+        for name in ("counts", "offsets", "times", "sizes"):
+            assert getattr(block, name).tobytes() == getattr(whole, name).tobytes(), (budget, name)
+        assert block_marks is None if d == 0 else block_marks.tobytes() == marks.tobytes()
+    # a batch of no paths is one empty block, as under budget math.inf
+    ((empty, empty_marks),) = _blocks(0, d, engine.JUMP_BLOCK)
+    assert empty.n == empty.total == 0
+    assert empty_marks is None if d == 0 else empty_marks.shape == (0, d)
 
 
 @pytest.mark.parametrize("k", range(13))
