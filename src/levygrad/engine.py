@@ -33,10 +33,12 @@ joined, before the observable and the reduction. Every budgeted draw goes
 into one batch-scope buffer, the batch's one large allocation: it lifts
 glibc's mmap and trim thresholds above the temporaries, which the heap
 then reuses (one-worker fd_crn: 6,857 minor faults a call with three draw
-arrays a batch, 0-2 with the buffer). The weighted estimators flow each
-block in pieces of at most FLOW_ROWS paths, so a jump round's per-row state
-stays in L2; a plain flow runs its blocks uncut. A BlowUpError in a block or
-piece draws and flows the whole batch, raising an unblocked run's error.
+arrays a batch, 0-2 with the buffer). The sampler sorts the paths of one
+jump count at a time, as the rows of one block, and forms a flat tie mask
+only when a block holds a tie. The weighted estimators flow each block in
+pieces of at most FLOW_ROWS paths, so a jump round's per-row state stays in
+L2; a plain flow runs its blocks uncut. A BlowUpError in a block or piece
+draws and flows the whole batch, raising an unblocked run's error.
 
 The flow runs in jump rounds (see flow_batch): round k applies every path's
 k-th jump to a row-major prefix of the state, its rows in jump-count order,
@@ -47,8 +49,10 @@ of each round, its rows in step-count order, so that each substep runs on a
 prefix of them, handed to b as a column-major copy. The jump update does
 only the work the field needs (a constant sigma's J v is neither checked
 nor written back, and the clock increments are formed only for c2). A
-non-finite state, directional derivative or weight term raises BlowUpError
-rather than reaching the mean.
+non-finite state, directional derivative or weight term raises BlowUpError:
+the rounds run unchecked and check X, J v and I1-I3 once (a non-finite
+value there stays so in every later round), and a flow that fails or
+raises runs again checking each substep and jump update, naming the error.
 
 A path gets the same bits in any batch, alone included, so extract_path
 replays it. einsum's order of summing a row follows the memory layout,
@@ -142,10 +146,6 @@ __all__ = [
 
 BATCH_SIZE = 1 << 15
 
-# The jump sampler's sort works through a batch this many paths at a time,
-# which bounds its scratch arrays for any batch size.
-ROW_BLOCK = 4096
-
 # A batch is drawn and flowed over row blocks of at most this many jumps
 # (over_row_blocks); a path with more is a block of its own.
 JUMP_BLOCK = 1 << 19
@@ -210,18 +210,19 @@ class JumpBatch:
         return JumpPath(self.horizon, self.times[lo:hi], self.sizes[lo:hi])
 
 
-def _sort_rows(times, counts, offsets) -> None:
-    """Sort each path's slice of the flat times in place, ROW_BLOCK paths at a time."""
-    for r0 in range(0, counts.size, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, counts.size)
-        lo, hi = offsets[r0], offsets[r1]
-        c = counts[r0:r1]
-        # each path's times as one row of a +inf-padded block, filled row-major
-        real = np.arange(c.max()) < c[:, None]
-        padded = np.full(real.shape, np.inf)
-        padded[real] = times[lo:hi]
-        padded.sort(axis=1)
-        times[lo:hi] = padded[real]
+def _sort_rows(times, counts, offsets) -> bool:
+    """Sort each path's slice of the flat times in place, the paths of each count c >= 2 as
+    the rows of one gathered (paths, c) block; whether a path holds equal times."""
+    order, sizes = np.argsort(counts), np.bincount(counts)
+    ends = np.cumsum(sizes)  # the paths of count c are order[ends[c - 1]:ends[c]]
+    tie = False
+    for c in np.flatnonzero(sizes[2:]) + 2:
+        at = offsets[order[ends[c - 1]:ends[c]], None] + np.arange(c)
+        block = times[at]
+        block.sort(axis=1)
+        times[at] = block
+        tie = tie or bool((block[:, 1:] == block[:, :-1]).any())
+    return tie
 
 
 def _jump_counts(alpha, horizon, eps_cut, n, rng) -> np.ndarray:
@@ -269,20 +270,18 @@ def sample_jump_batch(
     uniforms = _uniforms(rng if size_stream is None else size_stream, total, out, total)
     sizes = _pareto_sizes(alpha, eps_cut, uniforms)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    if total > 1:
-        _sort_rows(times, counts, offsets)
+    if total > 1 and _sort_rows(times, counts, offsets):
         # merge float-identical times within a path; a path's first jump
         # never merges into the previous path's last
         tie = times[1:] == times[:-1]
         starts = offsets[1:-1]
         tie[starts[(starts > 0) & (starts < total)] - 1] = False
-        if tie.any():
-            keep = np.concatenate(([True], ~tie))
-            sizes = np.bincount(np.cumsum(keep) - 1, weights=sizes)
-            times = times[keep]
-            path_id = np.repeat(np.arange(n), counts)[keep]
-            counts = np.bincount(path_id, minlength=n).astype(np.int64)
-            offsets = np.concatenate(([0], np.cumsum(counts)))
+        keep = np.concatenate(([True], ~tie))
+        sizes = np.bincount(np.cumsum(keep) - 1, weights=sizes)
+        times = times[keep]
+        path_id = np.repeat(np.arange(n), counts)[keep]
+        counts = np.bincount(path_id, minlength=n).astype(np.int64)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
     return JumpBatch(n, float(horizon), counts, offsets, times, sizes)
 
 
@@ -494,7 +493,7 @@ def _first_non_finite(paths, *arrays):
     return int(rows[np.argmin(paths[rows])])
 
 
-def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths):
+def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths, checked):
     """Run RK4 on the first m = ends.size rows of the starts X (k, n, d) and of J v (n, d)
     from s0[row] to ends[row], in place.
 
@@ -506,8 +505,8 @@ def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths):
     finished there); only the rows it finishes are written back. A prefix of
     one row among more takes a spare row, which steps by 0 and is not written
     back (one row is also a row-major array; a step of 0 turns -0.0 into
-    +0.0). A non-finite state or J v raises BlowUpError at the end of the
-    substep, at the lowest path paths[row] among such rows.
+    +0.0). When checked, a non-finite state or J v raises BlowUpError at the
+    end of the substep, at the lowest path paths[row] among such rows.
     """
     m = ends.size
     gaps = ends - s0[:m]
@@ -533,7 +532,7 @@ def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths):
         Y[done] = y[done]
         if J is not None:
             J[done] = j[done]
-        bad = _first_non_finite(paths, y[:w], None if J is None else j[:w])
+        bad = _first_non_finite(paths, y[:w], None if J is None else j[:w]) if checked else None
         if bad is not None:
             raise BlowUpError(s[bad] + h[bad], path=int(paths[bad]))
     X[:, by] = Y.reshape(-1, k, d).transpose(1, 0, 2)
@@ -570,65 +569,61 @@ class _BetaRows:
         return scale_rows(covered, dw), size if self.c2 else None
 
 
-def _jump_update(field, s, x, j, flat, paths, dw, beta):
-    """Each row's jump at time s[row] with mark dw[row], from its left limits x and j.
+def _jump_update(field, s, x, j, flat, paths, dw, beta, sums, checked):
+    """Each row's jump at time s[row] with mark dw[row], applied in place to its left limits
+    x and j (row-major: einsum sums a row of d > 2 in the layout's order) and, with j, its
+    weight_terms (c1, c2, c3) added to sums[:, :rows]; beta (a _BetaRows) gives dW^beta and
+    d_beta. Every hook and term reads the left limits. When checked, a non-finite state or
+    directional derivative after the jump, then a non-finite term, raises BlowUpError at
+    the lowest path paths[row] among such rows, before anything is written.
 
-    x and j are row-major (einsum's order of summing a row of d > 2 follows
-    the layout). Returns (x_new, j_new, terms): the state and J v after the
-    jump (j_new is None for a constant sigma, whose jump leaves J v as it
-    is) and the jump's weight_terms (c1, c2, c3), both None when j is; beta
-    (a _BetaRows) gives the state rows' dW^beta and d_beta. A non-finite
-    state or directional derivative, then a non-finite weight term, raises
-    BlowUpError at the lowest path paths[row] among such rows.
-
-    A constant sigma's J v is not checked. A non-finite one makes each entry
-    of sigma^{-1} J v non-finite (inf * 0 is NaN), so c1 = <sigma^{-1} J v,
-    dW^beta> too, and the terms check raises in the same round; at the same
-    path when that round's states stay finite and no term overflows from
-    finite inputs. Between jumps J v changes only by the rounds' exp(-r h),
-    at most 1 for r >= 0, or by RK4 substeps, which check it.
+    A constant sigma's jump leaves J v as it is, unchecked: a non-finite one makes c1 =
+    <sigma^{-1} J v, dW^beta> non-finite (inf * 0 is NaN), so the terms check raises in the
+    same round, at the same path when that round's states stay finite and no term overflows
+    from finite inputs. Between jumps J v changes only by exp(-r h) <= 1 or RK4 substeps.
     """
     hinted = field.sigma_scale is not None
     if hinted:
         scale = _sigma_scale(field, 0, s, x)
-        x_new = _times_rows(scale, dw)
-        x_new += x
+        dx = _times_rows(scale, dw)
     else:
-        Sg = np.ascontiguousarray(field.sigma(s, x), dtype=float)
-        x_new = x + np.einsum("mij,mj->mi", Sg, dw)
-    j_new = dir_s = None
+        dx = np.einsum("mij,mj->mi", np.ascontiguousarray(field.sigma(s, x), dtype=float), dw)
+    if checked:  # the state after the jump, for the check
+        dx += x
+    dj = dir_s = None
     if j is not None and not field.sigma_is_constant:
         if hinted:
             dir_s = _sigma_scale(field, 1, s, x, j)
-            j_new = _times_rows(dir_s, dw)
-            j_new += j
+            dj = _times_rows(dir_s, dw)
         else:
             dir_s = _dsigma(field, s, x, j)
-            j_new = j + np.einsum("mij,mj->mi", dir_s, dw)
-    bad = _first_non_finite(paths, x_new, j_new)
+            dj = np.einsum("mij,mj->mi", dir_s, dw)
+        if checked:
+            dj += j
+    bad = _first_non_finite(paths, dx, dj) if checked else None
     if bad is not None:
         raise BlowUpError(s[bad], path=int(paths[bad]))
-    if j is None:
-        return x_new, None, None
-    s_inv = 1.0 / scale if hinted else field.sigma_inv(s, x)
-    beta_rows = beta.take(flat, paths.size, dw)
-    terms = weight_terms(np.ascontiguousarray(s_inv, dtype=float), j, dir_s, dw, *beta_rows)
-    # a finite state may still give an infinite sigma^{-1}, as a subnormal sigma does
-    bad = _first_non_finite(paths, *terms)
-    if bad is not None:
-        raise BlowUpError(s[bad], path=int(paths[bad]))
-    return x_new, j_new, terms
+    if j is not None:
+        s_inv = np.ascontiguousarray(1.0 / scale if hinted else field.sigma_inv(s, x), dtype=float)
+        terms = weight_terms(s_inv, j, dir_s, dw, *beta.take(flat, paths.size, dw))
+        # a finite state may still give an infinite sigma^{-1}, as a subnormal sigma does
+        bad = _first_non_finite(paths, *terms) if checked else None
+        if bad is not None:
+            raise BlowUpError(s[bad], path=int(paths[bad]))
+        for total, term in zip(sums, terms):
+            if term is not None:
+                total[:paths.size] += term
+    # checked, dx and dj hold the state after the jump, else its increments
+    for y, dy in ((x, dx), (j, dj)):
+        if dy is not None and checked:
+            y[...] = dy
+        elif dy is not None:
+            y += dy
 
 
-def _add_terms(sums, w, terms):
-    """sums[i][:w] += terms[i] for each weight term that is formed."""
-    for total, term in zip(sums, terms):
-        if term is not None:
-            total[:w] += term
-
-
-def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, beta):
-    """flow_batch's jump rounds from each start of the (k, d) stack.
+def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, weight, checked):
+    """flow_batch's jump rounds from each start of the (k, d) stack, with v its weight inputs
+    (dWb, d_beta, level), checking for a blow-up when checked.
 
     Row i of each start's state is path order[i], largest jump count first,
     so round k covers exactly the first #(counts > k) rows, whose times,
@@ -647,17 +642,19 @@ def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, beta):
     Jv = None if v is None else np.tile(v, (n, 1))
     sums = None if v is None else np.zeros((3, n))
     s0 = np.zeros(n)  # each row's last jump time, or 0
+    beta = None if v is None else _BetaRows(batch, not field.sigma_is_constant, *weight)
     wide = n  # #(counts >= k), the rows that reach round k
     for k, w in enumerate(widths.tolist()):
         flat = first[:w] + k
         s = batch.times[flat]
         j = None if Jv is None else Jv[:w]
         if rate is None:
-            _rk4_rows(field, X, Jv, s0, np.concatenate((s, np.full(wide - w, t))), substeps_per_unit, order)
+            _rk4_rows(field, X, Jv, s0, np.concatenate((s, np.full(wide - w, t))), substeps_per_unit, order,
+                      checked)
             s0[:w] = s
         elif rate:
             # the left limit: the flow of b = -rate x over the gap since s0; a
-            # state that overflows here makes x_new non-finite below
+            # state that overflows here stays non-finite
             decay = s - s0[:w]
             decay *= -rate
             np.exp(decay, out=decay)
@@ -668,23 +665,18 @@ def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, beta):
         for x in X[:, :w]:
             if rate:
                 scale_rows(decay, x, out=x)
-            x_new, j_new, terms = _jump_update(field, s, x, j, flat, order[:w], dw, beta)
-            x[...] = x_new
-            if j_new is not None:
-                j[...] = j_new
-            if j is not None:
-                _add_terms(sums, w, terms)
+            _jump_update(field, s, x, j, flat, order[:w], dw, beta, sums, checked)
         del dw  # held into the next round's gather, it raised quickstart's peak RSS by 1.6 MB
         wide = w
     if rate is None:
-        _rk4_rows(field, X, Jv, s0, np.full(wide, t), substeps_per_unit, order)
+        _rk4_rows(field, X, Jv, s0, np.full(wide, t), substeps_per_unit, order, checked)
     elif rate:
         decay = np.exp(-rate * (t - s0))
         if Jv is not None:
             scale_rows(decay, Jv, out=Jv)
         for x in X:
             scale_rows(decay, x, out=x)
-            bad = _first_non_finite(order, x, Jv)
+            bad = _first_non_finite(order, x, Jv) if checked else None
             if bad is not None:
                 raise BlowUpError(t, path=int(order[bad]))
     # freed first, the round bookkeeping leaves its heap space to the outputs
@@ -744,10 +736,12 @@ def flow_batch(
     A BlowUpError names the earliest round with a non-finite path, its RK4
     substeps in turn before its jumps, and the lowest such path in the first
     substep or jump update that has one; or t and the lowest path whose last
-    scaling overflows. A stacked sweep that raises one re-flows its starts
-    one at a time, so the first start that blows up alone names the error.
-    Arrays shaped for another dimension or jump count, entries that are not
-    numbers and a level that is not positive are refused by name.
+    scaling overflows. Only a sweep that ends non-finite or raises runs again
+    with these checks (numpy's warnings before the error may repeat), and a
+    stacked one then re-flows its starts one at a time: the first start that
+    blows up alone names the error. Arrays shaped for another dimension or
+    jump count, entries that are not numbers and a level that is not
+    positive are refused by name.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None) != (d_beta is None) or (dWb is not None) + (level is not None) != (v is not None):
@@ -765,13 +759,19 @@ def flow_batch(
             raise ValueError(f"{name} must have shape {shape}, got {np.shape(a)}")
     if level is not None and not checked_float("level", level) > 0:
         raise ValueError(f"level must be positive, got {level!r}")
-    beta = None if v is None else _BetaRows(batch, not field.sigma_is_constant, dWb, d_beta, level)
+    rounds = starts, v, field, batch, dW, substeps_per_unit, (dWb, d_beta, level)
     try:
-        out = _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, beta)
-    except BlowUpError:
-        for x in starts[:-1]:
-            flow_batch(x, None, field, batch, dW, substeps_per_unit)
-        raise
+        out = _jump_rounds(*rounds, checked=False)
+        finite = all(a is None or np.isfinite(a).all() for a in out[:5])
+    except Exception:  # re-raised by the checked rounds, or the error they meet first
+        finite = False
+    if not finite:
+        try:
+            out = _jump_rounds(*rounds, checked=True)
+        except BlowUpError:
+            for x in starts[:-1]:
+                flow_batch(x, None, field, batch, dW, substeps_per_unit)
+            raise
     return (out[0] if x0.ndim == 2 else out[0][0], *out[1:5 if level is None else 7])
 
 

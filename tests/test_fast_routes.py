@@ -1,8 +1,8 @@
-"""The blocked jump sort and the jump rounds at drift_rate 0, bit for bit,
+"""The grouped jump sort and the jump rounds at drift_rate 0, bit for bit,
 and the exact flow of a linear drift.
 
-sample_jump_batch sorts each path's times, ROW_BLOCK paths at a time, and
-leaves the sizes in draw order. flow_batch runs a field with drift_rate 0
+sample_jump_batch sorts each path's times, the paths of one jump count
+together, and leaves the sizes in draw order. flow_batch runs a field with drift_rate 0
 (b == 0) in jump rounds that scale nothing between jumps. Both promise the
 floats of another route: a stable lexsort of the times by (path, time)
 with the sizes in draw order and tied times merged, and the RK4 rounds of
@@ -22,7 +22,7 @@ import pytest
 
 from levygrad import BlowUpError, CoefficientField, catalog, substream
 from levygrad import engine
-from levygrad.engine import ROW_BLOCK, JumpBatch, flow_batch, sample_jump_batch
+from levygrad.engine import JumpBatch, flow_batch, sample_jump_batch
 
 
 class FixedDraws:
@@ -104,7 +104,7 @@ def test_sampler_ties_within_and_across_paths():
     assert list(jb.sizes) == [r[0], r[1] + r[2], r[3] + r[4] + r[5], r[6], r[7], r[8], r[9] + r[10]]
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 4095, 4096, 4097, 8195])
 @pytest.mark.parametrize("draws", ["continuous", "grid", "tie_in_last_block"])
 def test_sampler_block_boundaries(n, draws):
     rng = np.random.default_rng(n)
@@ -114,17 +114,44 @@ def test_sampler_block_boundaries(n, draws):
         counts[-1] = max(counts[-1], 2)
     total = int(counts.sum())
     if draws == "grid":
-        # 1/64 steps: nearly every block holds exact ties
+        # 1/64 steps: nearly every count's group holds exact ties
         time_draws = rng.integers(0, 64, size=total) / 64.0
     else:
         time_draws = rng.uniform(size=total)
     if draws == "tie_in_last_block":
-        # one tie, in the last path, so only the last block merges
+        # one tie, in the last path, so only that path merges
         time_draws[-1] = time_draws[-2]
     _assert_sampler_matches_reference(counts, time_draws, rng.uniform(size=total))
 
 
-@pytest.mark.parametrize("n", [1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+def _random_draws(counts):
+    rng = np.random.default_rng(len(counts))
+    return [rng.uniform(size=c) for c in counts]
+
+
+# Each path's time uniforms (a time is 1 - u at horizon 1), and the counts
+# after merging. The sort takes the paths of one count together.
+SORT_EDGE_CASES = {
+    "every_count_equal": (_random_draws([6] * 50), [6] * 50),
+    "every_count_zero_or_one": (_random_draws([0, 1, 1, 0, 1, 0, 0, 1]), [0, 1, 1, 0, 1, 0, 0, 1]),
+    "one_long_path_among_empty_ones": (_random_draws([0, 0, 0, 500, 0, 0]), [0, 0, 0, 500, 0, 0]),
+    # path 1 draws 0.3 twice: the tie merges
+    "in_path_tie": ([[0.2, 0.9, 0.5], [0.3, 0.7, 0.3], [0.6, 0.1, 0.4]], [3, 2, 3]),
+    # path 0 ends at 1 - 0.3, where path 1, of the same count, starts: no merge
+    "equal_time_across_adjacent_paths": ([[0.3, 0.8, 0.5], [0.1, 0.3, 0.2], [0.6, 0.4, 0.7]], [3, 3, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SORT_EDGE_CASES))
+def test_sampler_sort_edge_cases(case):
+    draws, merged_counts = SORT_EDGE_CASES[case]
+    time_draws = np.concatenate([np.asarray(p, dtype=float) for p in draws])
+    jb = _assert_sampler_matches_reference([len(p) for p in draws], time_draws,
+                                           np.linspace(0.05, 0.9, time_draws.size))
+    assert list(jb.counts) == merged_counts
+
+
+@pytest.mark.parametrize("n", [1, 4097, 8195])
 def test_sampler_stream_sorts_times_and_keeps_sizes_in_draw_order(n):
     # re-draw the raw arrays from the same stream and sort the times by (path, time)
     alpha, horizon, eps = 1.5, 0.6, 2e-2
@@ -199,7 +226,7 @@ def _both_routes(field, x0, v, batch, dW):
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("field_name", ["additive_identity", "time_dependent_sigma"])
 @pytest.mark.parametrize("with_v", [True, False])
-@pytest.mark.parametrize("n_extra", [0, 300, ROW_BLOCK + 2])
+@pytest.mark.parametrize("n_extra", [0, 300, 4098])
 def test_rounds_at_zero_rate_equal_the_rk4_rounds(d, field_name, with_v, n_extra):
     # the RK4 rounds step b = 0, which adds exact zeros
     if field_name == "additive_identity":
@@ -273,11 +300,11 @@ def _blow_up(field, x0, v, batch, dW):
 def test_blow_up_names_the_same_time_and_path(with_v):
     # path 0 overflows at its 3rd jump, paths 2 and 3 at their 2nd, path 4
     # never: both routes stop in round 1, at its lowest path (2). Path
-    # ROW_BLOCK + 1, far down the batch, overflows in round 1 too.
+    # 4097, far down the batch, overflows in round 1 too.
     huge = 1e308
     plan = {0: [0.0, 0.0, huge], 1: [0.0], 2: [0.0, huge, 0.0], 3: [1.0, huge], 4: [0.0, 0.0],
-            ROW_BLOCK + 1: [0.0, huge]}
-    n = ROW_BLOCK + 3
+            4097: [0.0, huge]}
+    n = 4099
     counts = np.zeros(n, dtype=np.int64)
     for i, marks in plan.items():
         counts[i] = len(marks)

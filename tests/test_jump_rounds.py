@@ -7,6 +7,11 @@ a batch of its own, and a BlowUpError names the earliest round with a
 non-finite path and the lowest such path in it, or t and the lowest path
 whose last scaling overflows. The batches below put paths with more jumps
 after paths with fewer, and put empty paths between them.
+
+The rounds first run with no check and flow the batch again with checks
+only when their outputs are not finite or they raise; so a finite flow
+calls its hooks as often as the checked rounds do, and a blow-up names,
+and a caller's np.errstate raises, what the checked rounds meet first.
 """
 
 import dataclasses
@@ -88,22 +93,103 @@ def _blow_up(field, x0, v, batch, dW):
     return info.value.s, info.value.path
 
 
-@pytest.mark.parametrize("name", ["bounded_multiplicative", "drift_free_state_sigma", "additive_identity"])
-@pytest.mark.parametrize("with_v", [True, False])
-def test_a_round_names_its_lowest_bad_path_not_the_longest(name, with_v):
-    # paths 1 and 2 overflow at their 2nd jump (round 1), path 3 at its 3rd
-    # (round 2), paths 0 and 4 never. Path 2, with more jumps, is visited
-    # before path 1 if the rounds take the longest paths first, and path 3
-    # before both; the error names round 1's lowest path, 1, at its jump time
-    huge = 1.7e308
+def _round_one_overflow(huge=1.7e308):
+    """(batch, dW, x0) whose paths 1 and 2 overflow at their 2nd jump (round 1), path 3 at
+    its 3rd (round 2), and paths 0 and 4 never, by marks of size huge in coordinate 1."""
     plan = [([0.5], [0.0]), ([0.2, 0.6], [0.0, huge]), ([0.1, 0.3, 0.7], [0.0, huge, 0.0]),
             ([0.15, 0.25, 0.35, 0.45], [0.0, 0.0, huge, 0.0]), ([], [])]
     batch = _batch_of([times for times, _ in plan])
     dW = np.zeros((batch.total, 2))
     dW[:, 1] = np.concatenate([marks for _, marks in plan])
-    x0 = np.array([0.0, 1.7e308])
+    return batch, dW, np.array([0.0, 1.7e308])
+
+
+@pytest.mark.parametrize("name", ["bounded_multiplicative", "drift_free_state_sigma", "additive_identity"])
+@pytest.mark.parametrize("with_v", [True, False])
+def test_a_round_names_its_lowest_bad_path_not_the_longest(name, with_v):
+    # Path 2, with more jumps than path 1, is visited before it if the rounds
+    # take the longest paths first, and path 3 before both; the error names
+    # round 1's lowest path, 1, at its jump time
+    batch, dW, x0 = _round_one_overflow()
     v = np.array([1.0, 0.0]) if with_v else None
     assert _blow_up(_field(name, 2), x0, v, batch, dW) == (0.6, 1)
+
+
+def _counting(field):
+    """field with b and sigma_scale's scale and slope counting their calls in a dict."""
+    calls = dict.fromkeys(("scale", "slope", "b"), 0)
+
+    def counted(name, hook):
+        def call(*args):
+            calls[name] += 1
+            return hook(*args)
+        return call
+
+    scale, slope = field.sigma_scale
+    hooks = {"b": counted("b", field.b), "sigma_scale": (counted("scale", scale), counted("slope", slope))}
+    return dataclasses.replace(field, **hooks), calls
+
+
+# b's calls in one flow of each edge batch at 100 substeps per unit without
+# the drift_rate hint, four per RK4 substep, as the flow that checked every
+# round and substep made them
+RK4_B_CALLS = {"all_empty": 400, "all_equal": 400, "empty_paths_between": 1140, "growing_counts": 1216,
+               "one_long_path": 1284}
+
+
+@pytest.mark.parametrize("batch_name", sorted(EDGE_BATCHES))
+@pytest.mark.parametrize("rk4", [False, True])
+@pytest.mark.parametrize("with_v", [True, False])
+def test_a_finite_flow_runs_its_rounds_once(batch_name, rk4, with_v):
+    # one scale and, with v, one slope per round, and b only in RK4 substeps:
+    # a finite flow is never re-flowed with its checks
+    field = catalog("bounded_multiplicative", 2)
+    field, calls = _counting(dataclasses.replace(field, drift_rate=None) if rk4 else field)
+    batch = _batch_of(EDGE_BATCHES[batch_name])
+    dW = np.random.default_rng(3).standard_normal((batch.total, 2)) * 0.7
+    v = np.array([1.0, -0.5]) if with_v else None
+    flow_batch(np.array([0.4, -1.1]), v, field, batch, dW, 100, *_weight_inputs(v, batch, dW))
+    rounds = int(batch.counts.max())
+    assert calls == {"scale": rounds, "slope": rounds if with_v else 0,
+                     "b": RK4_B_CALLS[batch_name] if rk4 else 0}
+
+
+@pytest.mark.parametrize("with_v", [True, False])
+def test_a_hook_refusing_a_non_finite_state_leaves_the_blow_up_named(with_v):
+    # the unchecked sweep runs on past round 1 and hands scale path 2's
+    # infinite state in round 2; its ValueError re-flows the batch with the
+    # checks, which stop at round 1's lowest path, 1, and chain no exception
+    scale, slope = catalog("bounded_multiplicative", 2).sigma_scale
+    refused = []
+
+    def finite_scale(t, x):
+        if not np.isfinite(x).all():
+            refused.append(t)
+            raise ValueError("scale needs a finite state")
+        return scale(t, x)
+
+    field = dataclasses.replace(catalog("bounded_multiplicative", 2), sigma_scale=(finite_scale, slope))
+    batch, dW, x0 = _round_one_overflow()
+    v = np.array([1.0, 0.0]) if with_v else None
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        flow_batch(x0, v, field, batch, dW, 100, *_weight_inputs(v, batch, dW))
+    assert (info.value.s, info.value.path) == (0.6, 1)
+    assert info.value.__context__ is None
+    assert refused
+
+
+@pytest.mark.parametrize("name", ["additive_identity", "bounded_multiplicative"])
+def test_a_callers_errstate_raises_where_the_checked_flow_does(name):
+    # round 1 overflows both a state, 1.7e308 + 1e308 (an add), and a weight
+    # term, 1e10 * 0.5e308 (a multiply). The unchecked sweep forms the terms
+    # first and meets the multiply; the re-flow with checks meets the add,
+    # as the flow that checked every round did
+    batch, dW, x0 = _round_one_overflow(1e308)
+    v = np.array([1e10, 0.0])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+        flow_batch(x0, v, catalog(name, 2), batch, dW, 100, *_weight_inputs(v, batch, dW))
+    assert str(info.value) == "overflow encountered in add"
+    assert info.value.__context__ is None
 
 
 def _growing_field(rate):
