@@ -226,7 +226,8 @@ class ClockDraw:
     batch samples fresh jumps, so runs at one seed, cutoff and t share them.
     kind "fixed" tiles one deterministic jump path (its jumps up to t) across
     every batch and draws the auxiliary normals of ClockSpec.mark_law from
-    the marks' stream right after the marks. d is the dimension of the marks.
+    the marks' stream right after the marks. d is the dimension of the
+    marks, 0 for none (levygrad sample-subordinator).
     """
 
     kind: str

@@ -35,7 +35,7 @@ from . import results as rules  # rules.THRESHOLD_SE is read at call time
 from .bismut import ClockDraw, ClockSpec, estimate_gradient, estimate_gradient_fixed_clock
 from .coefficients import CoefficientField, catalog
 from .results import ComparisonReport, compare
-from .streams import checked_integer, substream
+from .streams import checked_integer
 from .subordinator import (
     BernsteinSpec,
     JumpPath,
@@ -197,14 +197,13 @@ def _cmd_sample_subordinator(cfg: dict):
     spec, eps, t, n, seed = (kw[k] for k in ("spec", "eps_cut", "t", "n_paths", "seed"))
     if n < 2:
         raise ConfigError("n_paths must be at least 2")
-    ClockDraw.stable(spec, t, eps, 1, seed)  # the estimators' checks of t and the cutoff
+    draw = ClockDraw.stable(spec, t, eps, 0, seed)  # the estimators' checks of t and the cutoff
     lam = t * tail_mass(spec.alpha, eps)
 
     def worker(bi: int, start: int, count: int):
-        # drawn by row blocks with no marks; each path's count and clock are its own
-        jumps = substream(seed, engine.PURPOSE_JUMPS, bi)
-        blocks = engine.sample_row_blocks(spec.alpha, t, eps, count, jumps, None, 0, engine.JUMP_BLOCK)
-        parts = [(jb.counts, engine.path_cumulatives(jb)[2]) for jb, _ in blocks]
+        # the estimators' row blocks, with no marks; each path's count and clock are its own
+        blocks = draw.blocks(bi, count, engine.JUMP_BLOCK)
+        parts = [(jb.counts, engine.path_cumulatives(jb)[2]) for jb, _, _ in blocks]
         counts, ell_T = (np.concatenate(column) for column in zip(*parts))
         counts = counts.astype(float)
         return {"samples": {"count": counts, "empty": (counts == 0).astype(float)}, "ell_T": ell_T}

@@ -31,14 +31,13 @@ before the next block is drawn. Each of those operations is per path, so
 the blocks give the whole batch's bits; only their per-path outputs are
 joined, before the observable and the reduction. Every budgeted draw goes
 into one batch-scope buffer, the batch's one large allocation: it lifts
-glibc's mmap and trim thresholds above the temporaries, which the heap
-then reuses (one-worker fd_crn: 6,857 minor faults a call with three draw
-arrays a batch, 0-2 with the buffer). The sampler sorts the paths of one
-jump count at a time, as the rows of one block, and forms a flat tie mask
-only when a block holds a tie. The weighted estimators flow each block in
-pieces of at most FLOW_ROWS paths, so a jump round's per-row state stays in
-L2; a plain flow runs its blocks uncut. A BlowUpError in a block or piece
-draws and flows the whole batch, raising an unblocked run's error.
+glibc's mmap and trim thresholds above the temporaries, which the heap then
+reuses. The sampler sorts the paths of one jump count at a time, as the
+rows of one block, and forms a flat tie mask only when a block holds a tie.
+The weighted estimators flow each block in pieces of at most FLOW_ROWS
+paths, so a jump round's per-row state stays in L2; a plain flow runs its
+blocks uncut. A BlowUpError in a block or piece draws and flows the whole
+batch, raising an unblocked run's error.
 
 The flow runs in jump rounds (see flow_batch): round k applies every path's
 k-th jump to a row-major prefix of the state, its rows in jump-count order,
@@ -47,12 +46,15 @@ starts (fd_gradient's x + hv and x - hv). Between jumps a field with the
 drift_rate hint is scaled exactly; any other takes RK4 substeps at the start
 of each round, its rows in step-count order, so that each substep runs on a
 prefix of them, handed to b as a column-major copy. The jump update does
-only the work the field needs (a constant sigma's J v is neither checked
-nor written back, and the clock increments are formed only for c2). A
-non-finite state, directional derivative or weight term raises BlowUpError:
+only the work the field needs (a constant sigma's J v is not written back,
+and the clock increments are formed only for c2), in one order and with no
+check: every hook on the left limit, then the state's jump, the weight
+terms, J v's jump and the sums. A non-finite state, directional derivative
+or weight sum (which can overflow from finite terms) raises BlowUpError:
 the rounds run unchecked and check X, J v and I1-I3 once (a non-finite
-value there stays so in every later round), and a flow that fails or
-raises runs again checking each substep and jump update, naming the error.
+value there stays so in every later round), and a sweep that fails or
+raises runs again one start at a time, checking after each RK4 substep
+and each round's jumps; the first start that raises names the error.
 
 A path gets the same bits in any batch, alone included, so extract_path
 replays it. einsum's order of summing a row follows the memory layout,
@@ -481,16 +483,18 @@ def _rk4_step(field: CoefficientField, s, h, x, j):
     return combined(x, k1x, k2x, k3x, k4x), None if j is None else combined(j, k1j, k2j, k3j, k4j)
 
 
-def _first_non_finite(paths, *arrays):
-    """Row of the lowest path paths[row] not finite in one of the arrays (one row each), else None."""
+def _raise_non_finite(s, paths, *arrays):
+    """Raise BlowUpError at the lowest path paths[row] among the rows not finite in one of the
+    arrays (one row each, None skipped), at time s[row], or at s when it is a scalar."""
     arrays = [a for a in arrays if a is not None]
     if all(np.isfinite(a).all() for a in arrays):
-        return None
+        return
     bad = np.zeros(arrays[0].shape[0], dtype=bool)
     for a in arrays:
         bad |= ~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
     rows = np.flatnonzero(bad)
-    return int(rows[np.argmin(paths[rows])])
+    row = rows[np.argmin(paths[rows])]
+    raise BlowUpError(s if np.ndim(s) == 0 else s[row], path=int(paths[row]))
 
 
 def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths, checked):
@@ -532,9 +536,8 @@ def _rk4_rows(field, X, Jv, s0, ends, substeps_per_unit, paths, checked):
         Y[done] = y[done]
         if J is not None:
             J[done] = j[done]
-        bad = _first_non_finite(paths, y[:w], None if J is None else j[:w]) if checked else None
-        if bad is not None:
-            raise BlowUpError(s[bad] + h[bad], path=int(paths[bad]))
+        if checked:
+            _raise_non_finite(s[:w] + h[:w], paths, y[:w], None if J is None else j[:w])
     X[:, by] = Y.reshape(-1, k, d).transpose(1, 0, 2)
     if Jv is not None:
         Jv[by] = J
@@ -569,18 +572,15 @@ class _BetaRows:
         return scale_rows(covered, dw), size if self.c2 else None
 
 
-def _jump_update(field, s, x, j, flat, paths, dw, beta, sums, checked):
+def _jump_update(field, s, x, j, flat, dw, beta, sums):
     """Each row's jump at time s[row] with mark dw[row], applied in place to its left limits
     x and j (row-major: einsum sums a row of d > 2 in the layout's order) and, with j, its
     weight_terms (c1, c2, c3) added to sums[:, :rows]; beta (a _BetaRows) gives dW^beta and
-    d_beta. Every hook and term reads the left limits. When checked, a non-finite state or
-    directional derivative after the jump, then a non-finite term, raises BlowUpError at
-    the lowest path paths[row] among such rows, before anything is written.
-
-    A constant sigma's jump leaves J v as it is, unchecked: a non-finite one makes c1 =
-    <sigma^{-1} J v, dW^beta> non-finite (inf * 0 is NaN), so the terms check raises in the
-    same round, at the same path when that round's states stay finite and no term overflows
-    from finite inputs. Between jumps J v changes only by exp(-r h) <= 1 or RK4 substeps.
+    d_beta. Every hook reads the left limits, and is called first: sigma (or scale), its
+    directional derivative (or slope), then sigma^{-1} (or 1/scale). Then x jumps, the
+    terms are formed from the left limit j, j jumps and the terms join the sums; so a
+    caller's np.errstate meets the state's add before the terms' multiplies. Nothing is
+    checked here (see _jump_rounds). A constant sigma's jump leaves J v as it is.
     """
     hinted = field.sigma_scale is not None
     if hinted:
@@ -588,37 +588,20 @@ def _jump_update(field, s, x, j, flat, paths, dw, beta, sums, checked):
         dx = _times_rows(scale, dw)
     else:
         dx = np.einsum("mij,mj->mi", np.ascontiguousarray(field.sigma(s, x), dtype=float), dw)
-    if checked:  # the state after the jump, for the check
-        dx += x
-    dj = dir_s = None
-    if j is not None and not field.sigma_is_constant:
-        if hinted:
-            dir_s = _sigma_scale(field, 1, s, x, j)
-            dj = _times_rows(dir_s, dw)
-        else:
-            dir_s = _dsigma(field, s, x, j)
-            dj = np.einsum("mij,mj->mi", dir_s, dw)
-        if checked:
-            dj += j
-    bad = _first_non_finite(paths, dx, dj) if checked else None
-    if bad is not None:
-        raise BlowUpError(s[bad], path=int(paths[bad]))
+    dir_s = None
     if j is not None:
+        if not field.sigma_is_constant:
+            dir_s = _sigma_scale(field, 1, s, x, j) if hinted else _dsigma(field, s, x, j)
         s_inv = np.ascontiguousarray(1.0 / scale if hinted else field.sigma_inv(s, x), dtype=float)
-        terms = weight_terms(s_inv, j, dir_s, dw, *beta.take(flat, paths.size, dw))
-        # a finite state may still give an infinite sigma^{-1}, as a subnormal sigma does
-        bad = _first_non_finite(paths, *terms) if checked else None
-        if bad is not None:
-            raise BlowUpError(s[bad], path=int(paths[bad]))
-        for total, term in zip(sums, terms):
-            if term is not None:
-                total[:paths.size] += term
-    # checked, dx and dj hold the state after the jump, else its increments
-    for y, dy in ((x, dx), (j, dj)):
-        if dy is not None and checked:
-            y[...] = dy
-        elif dy is not None:
-            y += dy
+    x += dx
+    if j is None:
+        return
+    terms = weight_terms(s_inv, j, dir_s, dw, *beta.take(flat, flat.size, dw))
+    if dir_s is not None:
+        j += _times_rows(dir_s, dw) if hinted else np.einsum("mij,mj->mi", dir_s, dw)
+    for total, term in zip(sums, terms):
+        if term is not None:
+            total[:flat.size] += term
 
 
 def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, weight, checked):
@@ -633,6 +616,13 @@ def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, weight, checked
     k-th jump or to t, and a last round runs the longest paths to t. No
     output depends on how equal counts are ordered: each row's operations
     are its own, and a blow-up names the lowest bad path.
+
+    When checked, each RK4 substep checks its rows' X and J v, each round
+    checks its rows' X and J v after their jump updates, then their I1-I3,
+    raising at the round's jump times, and the last scaling checks X and
+    J v at t. A constant sigma's jump leaves J v as it is, so the round
+    does not check it: a non-finite J v makes c1 = <sigma^{-1} J v, dW^beta>
+    non-finite (inf * 0 is NaN), and with it I1 in the same round.
     """
     n, t, rate = batch.n, batch.horizon, field.drift_rate
     order = np.argsort(-batch.counts)
@@ -665,7 +655,11 @@ def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, weight, checked
         for x in X[:, :w]:
             if rate:
                 scale_rows(decay, x, out=x)
-            _jump_update(field, s, x, j, flat, order[:w], dw, beta, sums, checked)
+            _jump_update(field, s, x, j, flat, dw, beta, sums)
+        if checked:
+            _raise_non_finite(s, order[:w], *X[:, :w], None if field.sigma_is_constant else j)
+            if sums is not None:
+                _raise_non_finite(s, order[:w], *sums[:, :w])
         del dw  # held into the next round's gather, it raised quickstart's peak RSS by 1.6 MB
         wide = w
     if rate is None:
@@ -676,9 +670,8 @@ def _jump_rounds(starts, v, field, batch, dW, substeps_per_unit, weight, checked
             scale_rows(decay, Jv, out=Jv)
         for x in X:
             scale_rows(decay, x, out=x)
-            bad = _first_non_finite(order, x, Jv) if checked else None
-            if bad is not None:
-                raise BlowUpError(t, path=int(order[bad]))
+        if checked:
+            _raise_non_finite(t, order, *X, Jv)
     # freed first, the round bookkeeping leaves its heap space to the outputs
     # (held, it raised a quickstart run's peak RSS by 3 MB)
     del first
@@ -735,13 +728,15 @@ def flow_batch(
 
     A BlowUpError names the earliest round with a non-finite path, its RK4
     substeps in turn before its jumps, and the lowest such path in the first
-    substep or jump update that has one; or t and the lowest path whose last
-    scaling overflows. Only a sweep that ends non-finite or raises runs again
-    with these checks (numpy's warnings before the error may repeat), and a
-    stacked one then re-flows its starts one at a time: the first start that
-    blows up alone names the error. Arrays shaped for another dimension or
-    jump count, entries that are not numbers and a level that is not
-    positive are refused by name.
+    substep that has one, or else among the round's non-finite states and
+    J v, or else its non-finite weight sums (a sum of finite terms can
+    overflow); or t and the lowest path whose last scaling overflows. The
+    rounds run once unchecked; only a sweep that ends non-finite or raises
+    is replayed with these checks, one start at a time in order (numpy's
+    warnings before the error may repeat): the first start that raises
+    names the error, else the replays' outputs are stacked. Arrays shaped
+    for another dimension or jump count, entries that are not numbers and a
+    level that is not positive are refused by name.
     """
     substeps_per_unit = checked_integer("substeps_per_unit", substeps_per_unit, minimum=1)
     if (dWb is None) != (d_beta is None) or (dWb is not None) + (level is not None) != (v is not None):
@@ -759,19 +754,15 @@ def flow_batch(
             raise ValueError(f"{name} must have shape {shape}, got {np.shape(a)}")
     if level is not None and not checked_float("level", level) > 0:
         raise ValueError(f"level must be positive, got {level!r}")
-    rounds = starts, v, field, batch, dW, substeps_per_unit, (dWb, d_beta, level)
+    rounds = v, field, batch, dW, substeps_per_unit, (dWb, d_beta, level)
     try:
-        out = _jump_rounds(*rounds, checked=False)
+        out = _jump_rounds(starts, *rounds, checked=False)
         finite = all(a is None or np.isfinite(a).all() for a in out[:5])
     except Exception:  # re-raised by the checked rounds, or the error they meet first
         finite = False
     if not finite:
-        try:
-            out = _jump_rounds(*rounds, checked=True)
-        except BlowUpError:
-            for x in starts[:-1]:
-                flow_batch(x, None, field, batch, dW, substeps_per_unit)
-            raise
+        outs = [_jump_rounds(x[None], *rounds, checked=True) for x in starts]
+        out = np.concatenate([o[0] for o in outs]), *outs[0][1:]
     return (out[0] if x0.ndim == 2 else out[0][0], *out[1:5 if level is None else 7])
 
 

@@ -331,6 +331,7 @@ def test_piecewise_clock_hand_values():
     assert beta(3.0) == pytest.approx(0.5)
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("clock", [
     ClockSpec.cap_at_first_passage(1.3),
     ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]]),
@@ -384,6 +385,7 @@ def test_clock_increments_match_one_path_reference(clock):
         assert kinds == {(True, True), (False, False), (False, True)}
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("clock", [
     ClockSpec.cap_at_first_passage(1.3),
     ClockSpec.piecewise_linear([[0.0, 0.0], [0.5, 0.2], [1.0, 1.1], [3.0, 1.5]]),

@@ -357,6 +357,7 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_report_matches_pin(case, tmp_path, monkeypatch, capsys):
     command, cfg, report_pin, csv_pin = PINNED[case]

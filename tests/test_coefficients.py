@@ -250,6 +250,7 @@ HINTS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name", sorted(PIN_DIMS))
 def test_catalog_evaluators_match_pin(name):
     assert {c: _digest(a) for c, a in _pin_outputs(name).items()} == EVALUATOR_PINS[name]
@@ -265,6 +266,7 @@ DSIGMA_CASES = [(name, d) for name in CATALOG_NAMES for d in (1, 2, 3, 4)
                 if name != "pythagoras_1d" or d == 1]
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name, d", DSIGMA_CASES)
 def test_dsigma_equals_the_grad_sigma_contraction_bitwise(name, d):
     rng = np.random.default_rng(d)

@@ -146,6 +146,7 @@ def _assert_per_path_sums(jb):
         assert ell_T[i] == cum[-1]
 
 
+@pytest.mark.pin
 def test_path_cumulatives_are_each_paths_own_sum():
     # a sum over the whole batch would lose every bit of path 1 to path 0's jump
     _assert_per_path_sums(_hand_batch([[1e38], [0.5, 0.25], [], [0.1, 0.2, 0.3]]))

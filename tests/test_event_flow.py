@@ -55,6 +55,8 @@ from levygrad.coefficients import CATALOG_NAMES
 from levygrad.engine import JumpBatch, flow_batch, sample_jump_batch
 from reference import FlowState, PathRealization, accumulate_weight, apply_jump, evolve_drift
 
+pytestmark = pytest.mark.pin
+
 SPEC = BernsteinSpec.alpha_stable(1.5)
 BM = catalog("bounded_multiplicative", 2)
 BM3 = catalog("bounded_multiplicative", 3)

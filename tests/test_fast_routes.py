@@ -24,6 +24,8 @@ from levygrad import BlowUpError, CoefficientField, catalog, substream
 from levygrad import engine
 from levygrad.engine import JumpBatch, flow_batch, sample_jump_batch
 
+pytestmark = pytest.mark.pin
+
 
 class FixedDraws:
     """A generator stand-in that hands the sampler fixed draws, in its draw order:

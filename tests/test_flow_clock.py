@@ -23,6 +23,8 @@ from levygrad import BernsteinSpec, ClockSpec, catalog, estimate_gradient, make_
 from levygrad import engine
 from levygrad.engine import JumpBatch, flow_batch, sample_jump_batch, sample_mark_batch
 
+pytestmark = pytest.mark.pin
+
 FLOW = engine.flow_batch
 R = 1.0
 # absorbed (1e20 + 1.0 == 1e20, so the second jump is covered with d_beta

@@ -33,6 +33,8 @@ from levygrad import engine
 from levygrad.engine import JumpBatch, over_row_blocks
 from test_row_blocks import _growing_field
 
+pytestmark = pytest.mark.pin
+
 SPEC = BernsteinSpec.alpha_stable(1.5)
 BM = catalog("bounded_multiplicative", 2)
 TANH = make_observable("tanh1")

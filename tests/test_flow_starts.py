@@ -7,9 +7,9 @@ the decay), then each start's own per-row operations; without the hint,
 each RK4 substep runs on the stepping rows of every start at once. Each
 start's slice must carry the bytes of
 flow_batch on that start alone, signed zeros included. A stacked sweep that
-blows up re-flows its starts one at a time, so it raises the error the
-separate flows raise, the first start's, even when a later start blows up
-in an earlier round. fd_gradient and estimate_pt flow each block once for
+blows up is replayed with checks one start at a time, in order, up to the
+first start that raises, so it raises the error the separate flows raise,
+the first start's, even when a later start blows up in an earlier round. fd_gradient and estimate_pt flow each block once for
 all their starts and must keep every byte of their reports.
 """
 
@@ -25,6 +25,8 @@ from levygrad import engine
 from levygrad.bismut import ClockDraw
 from levygrad.engine import flow_batch
 from test_jump_rounds import EDGE_BATCHES, _batch_of, _growing_field
+
+pytestmark = pytest.mark.pin
 
 SPEC = BernsteinSpec.alpha_stable(1.5)
 BM = catalog("bounded_multiplicative", 2)
@@ -150,6 +152,26 @@ def test_a_stack_raises_the_error_of_the_separate_flows(case):
         rk4 = dataclasses.replace(field, drift_rate=None)
         want = _first_error_of_separate_flows(rk4, starts, batch, dW)
         assert _error(lambda: flow_batch(starts, None, rk4, batch, dW, 100)) == want
+
+
+@pytest.mark.parametrize("case", sorted(BLOW_UPS))
+def test_a_failed_stack_replays_each_start_once_until_one_blows_up(monkeypatch, case):
+    # the unchecked stacked sweep, then one checked sweep per start in order,
+    # up to the first start that blows up: 2 sweeps when start 0 does, else 3
+    field, starts, paths, marks, alone = BLOW_UPS[case]
+    batch = _batch_of(paths, 0.5 if field.dimension == 1 else 1.0)
+    dW = np.zeros((batch.total, len(starts[0])))
+    dW[:, -1] = marks
+    rounds, sweeps = engine._jump_rounds, []
+
+    def spy(starts, *args, checked):
+        sweeps.append((starts.shape[0], checked))
+        return rounds(starts, *args, checked=checked)
+
+    monkeypatch.setattr(engine, "_jump_rounds", spy)
+    _error(lambda: flow_batch(np.array(starts), None, field, batch, dW, 100))
+    replays = [(1, True)] * (1 if alone[0] is not None else 2)
+    assert sweeps == [(2, False), *replays]
 
 
 # small batches, so that two workers share a run's batches

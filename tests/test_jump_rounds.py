@@ -8,10 +8,14 @@ non-finite path and the lowest such path in it, or t and the lowest path
 whose last scaling overflows. The batches below put paths with more jumps
 after paths with fewer, and put empty paths between them.
 
-The rounds first run with no check and flow the batch again with checks
-only when their outputs are not finite or they raise; so a finite flow
-calls its hooks as often as the checked rounds do, and a blow-up names,
-and a caller's np.errstate raises, what the checked rounds meet first.
+Both sweeps run one jump update: every hook on the left limit, then the
+state's jump, the weight terms, J v's jump and the sums. The rounds first
+run with no check and replay the batch with checks only when their
+outputs are not finite or they raise; so a finite flow calls its hooks as
+often as the checked rounds do, and a blow-up names, and a caller's
+np.errstate raises, what the checked rounds meet first. The checked rounds
+look at each round's states and J v after its jump updates, then at its
+weight sums, so a sum that overflows from finite terms blows up too.
 """
 
 import dataclasses
@@ -21,8 +25,10 @@ import math
 import numpy as np
 import pytest
 
-from levygrad import BlowUpError, catalog
+from levygrad import BlowUpError, ClockSpec, JumpPath, catalog, estimate_gradient_fixed_clock, make_observable
 from levygrad.engine import JumpBatch, flow_batch
+
+pytestmark = pytest.mark.pin
 
 
 def _batch_of(paths, t=1.0):
@@ -181,15 +187,39 @@ def test_a_hook_refusing_a_non_finite_state_leaves_the_blow_up_named(with_v):
 @pytest.mark.parametrize("name", ["additive_identity", "bounded_multiplicative"])
 def test_a_callers_errstate_raises_where_the_checked_flow_does(name):
     # round 1 overflows both a state, 1.7e308 + 1e308 (an add), and a weight
-    # term, 1e10 * 0.5e308 (a multiply). The unchecked sweep forms the terms
-    # first and meets the multiply; the re-flow with checks meets the add,
-    # as the flow that checked every round did
+    # term, 1e10 * 0.5e308 (a multiply). Both sweeps apply the state's jump
+    # before they form the terms, so both meet the add, as the flow that
+    # checked every round did
     batch, dW, x0 = _round_one_overflow(1e308)
     v = np.array([1e10, 0.0])
     with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
         flow_batch(x0, v, catalog(name, 2), batch, dW, 100, *_weight_inputs(v, batch, dW))
     assert str(info.value) == "overflow encountered in add"
     assert info.value.__context__ is None
+
+
+def test_a_weight_sum_that_overflows_from_finite_terms_blows_up():
+    # each term c1 = 1e300 * 1.5e8 = 1.5e308 is finite; path 0's second jump,
+    # at 0.6, takes its sum I1 past the float range, and path 1 (one jump) stays finite
+    batch = JumpBatch(2, 1.0, np.array([2, 1]), np.array([0, 2, 3]), np.array([0.3, 0.6, 0.5]),
+                      np.array([0.1, 0.2, 0.1]))
+    dWb = np.full((batch.total, 1), 1.5e8)
+    with np.errstate(over="ignore"), pytest.raises(BlowUpError) as info:
+        flow_batch(np.zeros(1), np.array([1e300]), catalog("additive_identity", 1), batch,
+                   np.zeros((batch.total, 1)), 100, dWb, batch.sizes)
+    assert (info.value.s, info.value.path) == (0.6, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 5])
+def test_an_estimate_whose_weight_sum_overflows_blows_up(seed):
+    # 20 paths of a fixed clock with ten unit jumps and v = 6e307: the sums of
+    # finite c1 terms overflow, which once reached the mean as NaN
+    path = JumpPath(1.0, np.linspace(0.1, 1, 10), np.ones(10))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        estimate_gradient_fixed_clock([0.0], [6e307], make_observable("const1"), catalog("additive_identity", 1),
+                                      path, ClockSpec.cap_at_first_passage(1e9), 1.0, 20, seed)
+    if seed == 1:
+        assert (info.value.s, info.value.path, info.value.batch) == (0.2, 1, 0)
 
 
 def _growing_field(rate):

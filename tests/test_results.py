@@ -14,6 +14,8 @@ from levygrad import (
     estimate_gradient,
 )
 
+pytestmark = pytest.mark.pin
+
 
 def test_z_score_is_the_difference_over_the_combined_se():
     lhs = EstimatorResult(mean=1.3, std_error=0.5, n_samples=100)

@@ -46,6 +46,8 @@ from levygrad import engine
 from levygrad.engine import (JumpBatch, over_row_blocks, sample_jump_batch, sample_mark_batch,
                              sample_row_blocks)
 
+pytestmark = pytest.mark.pin
+
 SPEC = BernsteinSpec.alpha_stable(1.5)
 BM = catalog("bounded_multiplicative", 2)
 TANH = make_observable("tanh1")

@@ -117,6 +117,7 @@ def _column_run(values, workers, reject=None):
     return run_batches(values.size, workers, worker).columns["y"].finalize()
 
 
+@pytest.mark.pin
 def test_offset_column_keeps_its_standard_error():
     # a variance formed as sum(y**2) - n mean**2 cancels to nothing here
     values = 1e6 + 1e-3 * np.random.default_rng(5).standard_normal(100_000)

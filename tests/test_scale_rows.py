@@ -14,6 +14,8 @@ import pytest
 
 from levygrad.engine import SCALE_BY_COORDINATE, scale_rows
 
+pytestmark = pytest.mark.pin
+
 WIDTHS = (1, 2, 3, 4, 9)
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -2.5, 1e308])
 

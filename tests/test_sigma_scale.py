@@ -75,6 +75,7 @@ def _flow_inputs(d):
 
 
 # at d = 9, d * a is not einsum's sum of the trace's d equal terms
+@pytest.mark.pin
 @pytest.mark.parametrize("name, d", FIELDS + [("bounded_multiplicative", 9)])
 @pytest.mark.parametrize("with_v", [True, False])
 def test_hinted_flow_matches_the_matrix_route_bitwise(name, d, with_v):
@@ -104,6 +105,7 @@ def _run(estimator, field, d):
     return json.dumps(result.to_dict(), sort_keys=True), np.array(result.sample_rows).tobytes()
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name, d", FIELDS)
 @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
 def test_hinted_estimators_match_the_matrix_route_bitwise(name, d, estimator):
@@ -114,6 +116,7 @@ def test_hinted_estimators_match_the_matrix_route_bitwise(name, d, estimator):
 CATALOG = [(name, d) for name in CATALOG_NAMES for d in (1, 2, 3, 4) if name != "pythagoras_1d" or d == 1]
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name, d", CATALOG)
 def test_catalog_hint_is_the_diagonal_of_its_matrices(name, d):
     # scale, 1/scale and slope are the diagonals of sigma, sigma_inv and

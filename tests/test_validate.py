@@ -83,6 +83,7 @@ def test_power_mean_of_a_zero_observable_is_zero_without_an_error():
     assert report["incomplete"] is True
 
 
+@pytest.mark.pin
 def test_bound_denominators_are_the_root_of_an_independent_power_run():
     # each denominator is (m^{1/p}, s m^{1/p} / (p m)) of estimate_pt on |f|^p
     # at seed + 2i + 1 and cutoff eps_cut_at_1 t^{2/alpha}, bit for bit
@@ -128,6 +129,7 @@ def test_fd_ou_linear_matches_closed_form():
     assert abs(res.mean - math.exp(-t) * (a @ v)) <= 1e-6
 
 
+@pytest.mark.pin
 def test_fd_reports_the_clock_it_sampled():
     # fd_gradient, estimate_pt and estimate_gradient draw the same stable
     # ClockDraw jumps at one seed, cutoff and t, so they report the same
