@@ -32,15 +32,15 @@ ClockSpec defines beta on a batch of clock paths, for the cap clock and
 for deterministic piecewise-linear clocks alike: increments gives each
 jump's (d_beta, d_lambda) and each path's normalizer, mark_law each jump's
 (r, c) with dW^beta = r dW + c Z (Z an independent normal), and beta_marks
-forms dW^beta. engine.flow_batch, run on each row block of a batch, sums
+forms dW^beta. engine.flow_batch, run on each piece of a batch, sums
 I1, I2 and I3 at each jump's left limit as it applies the jump; it takes a
 piecewise clock's dW^beta and d_beta as arrays, and evaluates the cap clock
 itself from R, with the bits of increments and beta_marks.
 
 ClockDraw is the one place a run draws its clock: the stable clock truncated
 at a cutoff, or one fixed jump path. Its constructors check t and the cutoff,
-blocks draws a batch's jumps and marks row block by row block (and
-mark_law's auxiliary normals for a fixed path, which is drawn whole), batch
+blocks draws a batch's jumps and marks piece by piece (and mark_law's
+auxiliary normals for a fixed path, which is drawn whole and cut), batch
 draws them whole, and diagnostics reports the clock a run sampled. Both estimators
 here and the unweighted runs in validate draw only through it.
 """
@@ -254,27 +254,27 @@ class ClockDraw:
             raise ValueError("t must lie in (0, horizon]")
         return cls("fixed", t, d, seed, path=path)
 
-    def blocks(self, bi: int, count: int, budget):
-        """Batch bi's (jumps, marks, aux) in row blocks of at most budget jumps (engine.over_row_blocks).
+    def blocks(self, bi: int, count: int, budget, rows=math.inf):
+        """Batch bi's (jumps, marks, aux) in pieces of at most budget jumps and rows paths (engine.over_row_blocks).
 
-        aux, the auxiliary normals, is None for the stable kind, whose blocks
+        aux, the auxiliary normals, is None for the stable kind, whose pieces
         are drawn one at a time (engine.sample_row_blocks). A fixed path is
-        drawn whole, its aux right after its marks, whatever the budget.
+        drawn whole, its aux right after its marks in one stream, then cut.
         """
         rng = substream(self.seed, engine.PURPOSE_MARKS, bi)
         if self.kind == "stable":
             jumps = substream(self.seed, engine.PURPOSE_JUMPS, bi)
             for jb, dW in engine.sample_row_blocks(self.spec.alpha, self.t, self.eps_cut, count, jumps,
-                                                   rng, self.d, budget):
+                                                   rng, self.d, budget, rows):
                 yield jb, dW, None
             return
         jb = engine.fixed_jump_batch(self.path, self.t, count)
         dW = engine.sample_mark_batch(jb, self.d, rng)
-        yield jb, dW, rng.standard_normal(dW.shape)
+        yield from engine._row_blocks(jb, dW, rng.standard_normal(dW.shape), budget=budget, rows=rows)
 
     def batch(self, bi: int, count: int):
-        """Batch bi's (jumps, marks, aux) drawn whole: the one block of an unbounded budget."""
-        (whole,) = self.blocks(bi, count, math.inf)
+        """Batch bi's (jumps, marks, aux) drawn whole: the one piece of an unbounded budget."""
+        (whole,) = self.blocks(bi, count, math.inf, math.inf)
         return whole
 
     def diagnostics(self, run: engine.BatchRun) -> dict:
@@ -290,17 +290,17 @@ def _weighted_run(x, v, f, field, draw: ClockDraw, clock: ClockSpec, n_paths, su
                   workers, antithetic, collect_samples, diagnostics: dict) -> EstimatorResult:
     """The run of both weighted estimators, with diagnostics appended to the shared ones.
 
-    Each batch is drawn from draw and run one row block at a time
-    (engine.over_row_blocks): each block's (jumps, marks, aux) is flowed,
-    which sums the weight terms, with the cap clock's level, which the flow
-    evaluates, or a piecewise clock's increments and beta-weighted marks;
-    the worker then splits f(X_t) * weight into its three parts. Paths with
-    a normalizer that is not positive are rejected. With antithetic each
-    sample is the average over a sign flip of every Gaussian, which negates
-    both marks. A stable draw also reports the fraction of capped paths; a
-    fixed path caps all of its samples or none. collect_samples = k > 0,
-    checked before any batch runs, fills sample_rows with the first
-    min(k, accepted) accepted paths' rows.
+    Each batch is drawn from draw and run one piece of at most FLOW_ROWS
+    paths at a time (engine.over_row_blocks): each piece's (jumps, marks,
+    aux) is flowed, which sums the weight terms, with the cap clock's level,
+    which the flow evaluates, or a piecewise clock's increments and
+    beta-weighted marks; the worker then splits f(X_t) * weight into its
+    three parts. Paths with a normalizer that is not positive are rejected.
+    With antithetic each sample is the average over a sign flip of every
+    Gaussian, which negates both marks. A stable draw also reports the
+    fraction of capped paths; a fixed path caps all of its samples or none.
+    collect_samples = k > 0, checked before any batch runs, fills
+    sample_rows with the first min(k, accepted) accepted paths' rows.
     """
     limit = checked_integer("collect_samples", collect_samples, minimum=0)
     capped = clock.kind == "cap_at_first_passage"

@@ -201,7 +201,7 @@ def _cmd_sample_subordinator(cfg: dict):
     lam = t * tail_mass(spec.alpha, eps)
 
     def worker(bi: int, start: int, count: int):
-        # the estimators' row blocks, with no marks; each path's count and clock are its own
+        # the estimators' pieces, with no marks; each path's count and clock are its own
         blocks = draw.blocks(bi, count, engine.JUMP_BLOCK)
         parts = [(jb.counts, engine.path_cumulatives(jb)[2]) for jb, _, _ in blocks]
         counts, ell_T = (np.concatenate(column) for column in zip(*parts))

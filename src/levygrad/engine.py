@@ -20,24 +20,24 @@ Per-path flat layout: a batch of n paths stores all jumps in flat arrays
 offsets. The sampler sorts each path's times alone and leaves the i.i.d.
 sizes in draw order, so a path's k-th jump in time has its k-th size drawn.
 
-Memory: a batch runs one row block at a time (over_row_blocks): consecutive
-paths holding at most JUMP_BLOCK jumps, or one path with more. A stable
-batch draws its Poisson counts whole, since they fix the blocks, then each
-block's times, sizes and marks where they sit in the whole batch's draw
-(sample_row_blocks), so the blocks concatenate to that draw bit for bit; a
-fixed path is drawn whole and cut into blocks. A block's flow (with the
-clock it evaluates, or a piecewise clock's arrays formed ahead of it) runs
-before the next block is drawn. Each of those operations is per path, so
-the blocks give the whole batch's bits; only their per-path outputs are
-joined, before the observable and the reduction. Every budgeted draw goes
-into one batch-scope buffer, the batch's one large allocation: it lifts
-glibc's mmap and trim thresholds above the temporaries, which the heap then
-reuses. The sampler sorts the paths of one jump count at a time, as the
-rows of one block, and forms a flat tie mask only when a block holds a tie.
-The weighted estimators flow each block in pieces of at most FLOW_ROWS
-paths, so a jump round's per-row state stays in L2; a plain flow runs its
-blocks uncut. A BlowUpError in a block or piece draws and flows the whole
-batch, raising an unblocked run's error.
+Memory: a batch runs one piece at a time (over_row_blocks): consecutive
+paths holding at most JUMP_BLOCK jumps and, for the weighted estimators,
+FLOW_ROWS paths (so a jump round's per-row state stays in L2), or one path
+with more. The draw makes that one cut. A stable batch draws its Poisson
+counts whole, since they fix the pieces, then each piece's times, sizes and
+marks where they sit in the whole batch's draw (sample_row_blocks), so the
+pieces concatenate to that draw bit for bit; a fixed path is drawn whole
+and cut. A piece's flow (with the clock it evaluates, or a piecewise
+clock's arrays formed ahead of it) runs before the next piece is drawn.
+Each of those operations is per path, so the pieces give the whole batch's
+bits; only their per-path outputs are joined, before the observable and
+the reduction. Every stable draw, whole or in pieces, goes into one
+batch-scope buffer sized for its largest piece, the batch's one large
+allocation: it lifts glibc's mmap and trim thresholds above the
+temporaries, which the heap then reuses. The sampler sorts the paths of
+one jump count at a time, as the rows of one block, and forms a flat tie
+mask only when a piece holds a tie. A BlowUpError in a piece draws and
+flows the whole batch, raising an unblocked run's error.
 
 The flow runs in jump rounds (see flow_batch): round k applies every path's
 k-th jump to a row-major prefix of the state, its rows in jump-count order,
@@ -148,15 +148,15 @@ __all__ = [
 
 BATCH_SIZE = 1 << 15
 
-# A batch is drawn and flowed over row blocks of at most this many jumps
-# (over_row_blocks); a path with more is a block of its own.
+# A batch is drawn and flowed in pieces of at most this many jumps
+# (over_row_blocks); a path with more is a piece of its own.
 JUMP_BLOCK = 1 << 19
 
-# The weighted estimators flow each row block in pieces of at most this many
-# paths, so a jump round's per-row state (X, J v, the weight sums, the clock
-# value and cap, each row's last jump time, the gathered marks) stays in L2:
-# 16,384 timed best on quickstart and 8,192 close to it. A plain flow is run
-# uncut: its pieces cost more than they saved at two workers.
+# The weighted estimators draw and flow each batch in pieces of at most this
+# many paths, so a jump round's per-row state (X, J v, the weight sums, the
+# clock value and cap, each row's last jump time, the gathered marks) stays
+# in L2: 16,384 timed best on quickstart and 8,192 close to it. A plain flow
+# is not cut by paths: its pieces cost more than they saved at two workers.
 FLOW_ROWS = 1 << 14
 
 # scale_rows takes rows of 2 to this many coordinates one coordinate at a
@@ -257,7 +257,7 @@ def sample_jump_batch(
     any sort algorithm. Float-identical jump times within one path are
     merged, their sizes added in draw order.
 
-    The keywords draw one row block of a larger batch (sample_row_blocks):
+    The keywords draw one piece of a larger batch (sample_row_blocks):
     counts are its paths' counts, drawn already, and size_stream a generator
     that stands at its first size while rng stands at its first time; out, a
     float array of at least 2 M entries, then holds its times and sizes.
@@ -305,29 +305,25 @@ def _skipped(rng: np.random.Generator, k: int) -> np.random.Generator:
     return ahead
 
 
-def sample_row_blocks(alpha: float, horizon: float, eps_cut: float, n: int,
-                      jumps: np.random.Generator, marks: np.random.Generator, d: int, budget: float):
-    """A stable batch's (JumpBatch, marks), one row block of at most budget jumps at a time.
+def sample_row_blocks(alpha: float, horizon: float, eps_cut: float, n: int, jumps: np.random.Generator,
+                      marks: np.random.Generator, d: int, budget: float, rows: float = math.inf):
+    """A stable batch's (JumpBatch, marks), one piece of at most budget jumps and rows paths at a time.
 
-    The Poisson counts are drawn whole from jumps, since they fix the blocks.
-    Each block's times, sizes and marks are then drawn where they sit in the
-    whole draw of sample_jump_batch and sample_mark_batch: the times next in
-    jumps, the sizes next in a copy of jumps that skips all the times, the
-    marks next in marks (Philox streams). So the blocks concatenate to the
-    whole draw bit for bit, which is the one block of budget math.inf and
-    gets arrays of its own. Any finite budget draws into one buffer sized for
-    the largest block: each block is valid until the next one is drawn. d = 0
-    draws no marks and never reads marks; each block's marks are then None.
+    The Poisson counts are drawn whole from jumps, since they fix the
+    pieces. Each piece's times, sizes and marks are then drawn where they
+    sit in the whole draw of sample_jump_batch and sample_mark_batch: the
+    times next in jumps, the sizes next in a copy of jumps that skips all
+    the times, the marks next in marks (Philox streams). So the pieces
+    concatenate to the whole draw, the one piece of budget and rows
+    math.inf, bit for bit. Every draw goes into one buffer sized for the
+    largest piece: each piece is valid until the next one is drawn. d = 0
+    draws no marks and never reads marks; each piece's marks are then None.
     """
     counts = _jump_counts(alpha, horizon, eps_cut, n, jumps)
-    if budget == math.inf:
-        block = sample_jump_batch(alpha, horizon, eps_cut, n, jumps, counts=counts)
-        yield block, sample_mark_batch(block, d, marks) if d else None
-        return
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    bounds = list(_row_bounds(offsets, budget)) or [(0, 0)]
+    bounds = list(_row_bounds(offsets, budget, rows)) or [(0, 0)]
     size_stream = _skipped(jumps, int(offsets[-1]))
-    # times, sizes and marks of the largest block
+    # times, sizes and marks of the largest piece
     out = np.empty((2 + d) * max(int(offsets[r1] - offsets[r0]) for r0, r1 in bounds))
     for r0, r1 in bounds:
         block = sample_jump_batch(alpha, horizon, eps_cut, r1 - r0, jumps, counts=counts[r0:r1],
@@ -831,7 +827,7 @@ def weight_terms(s_inv, j, dir_s, dw, dwb, d_beta):
 
 
 def _row_bounds(offsets, budget: float, rows: float = math.inf):
-    """(r0, r1) of consecutive row blocks of at most budget jumps and rows paths (one path at least)."""
+    """(r0, r1) of consecutive pieces of at most budget jumps and rows paths (one path at least)."""
     n, r0 = offsets.size - 1, 0
     while r0 < n:
         r1 = max(int(np.searchsorted(offsets, offsets[r0] + budget, side="right")) - 1, r0 + 1)
@@ -840,15 +836,15 @@ def _row_bounds(offsets, budget: float, rows: float = math.inf):
         r0 = r1
 
 
-def _row_blocks(batch: JumpBatch, *per_jump, rows: float = math.inf):
-    """Consecutive row blocks of at most JUMP_BLOCK jumps and rows paths (one path at
-    least), each (JumpBatch view with offsets rebased to 0, *its slice of each per-jump
-    array), a None among them passed as is."""
-    if batch.total <= JUMP_BLOCK and batch.n <= rows:
+def _row_blocks(batch: JumpBatch, *per_jump, budget: float, rows: float = math.inf):
+    """A drawn batch in consecutive pieces of at most budget jumps and rows paths (one
+    path at least), each (JumpBatch view with offsets rebased to 0, *its slice of each
+    per-jump array), a None among them passed as is: a fixed path's pieces."""
+    if batch.total <= budget and batch.n <= rows:
         yield batch, *per_jump
         return
     offsets = batch.offsets
-    for r0, r1 in _row_bounds(offsets, JUMP_BLOCK, rows):
+    for r0, r1 in _row_bounds(offsets, budget, rows):
         lo, hi = offsets[r0], offsets[r1]
         yield (JumpBatch(r1 - r0, batch.horizon, batch.counts[r0:r1], offsets[r0:r1 + 1] - lo,
                          batch.times[lo:hi], batch.sizes[lo:hi]),
@@ -856,28 +852,24 @@ def _row_blocks(batch: JumpBatch, *per_jump, rows: float = math.inf):
 
 
 def over_row_blocks(draw, stage, rows: float = math.inf):
-    """stage(block, *per_jump) over a batch's row blocks, its per-path outputs joined.
+    """stage(piece, *per_jump) over a batch's pieces, its per-path outputs joined.
 
-    draw(budget) yields the batch as consecutive (block, *per_jump) of at
-    most budget jumps each, per_jump being arrays with one row per jump in
-    flat block order (marks, auxiliary normals) or None; draw(math.inf)
-    yields it whole. Each block of draw(JUMP_BLOCK) is run before the next
-    is drawn, cut to JUMP_BLOCK jumps and rows paths where it holds more (a
-    draw may yield the batch whole), so the stage's per-jump arrays stay
-    that small for any batch, and its per-path arrays at most rows long
-    (the weighted estimators pass FLOW_ROWS). stage returns a tuple of
-    per-path arrays, each concatenated over the blocks in row order. Every
-    operation of a stage is per path, so the outputs have the bits of stage
-    on the whole batch. A BlowUpError in a block runs stage on
-    draw(math.inf) instead, uncut, which raises the unblocked run's error:
-    the path the whole batch's flow reaches first may sit in a later block.
+    draw(budget, rows) yields the batch as consecutive (piece, *per_jump) of
+    at most budget jumps and rows paths (one path at least), per_jump being
+    arrays with one row per jump in flat piece order (marks, auxiliary
+    normals) or None. The draw makes the only cut: each piece of
+    draw(JUMP_BLOCK, rows) is run before the next is drawn (the weighted
+    estimators pass rows = FLOW_ROWS). stage returns a tuple of per-path
+    arrays, each concatenated over the pieces in row order; every operation
+    of a stage is per path, so they have the bits of stage on the whole
+    batch. A BlowUpError in a piece runs stage on draw(math.inf, math.inf),
+    the whole batch, which raises the unblocked run's error: the path the
+    whole batch's flow reaches first may sit in a later piece.
     """
-    parts = []
     try:
-        for drawn in draw(JUMP_BLOCK):
-            parts.extend(stage(*block) for block in _row_blocks(*drawn, rows=rows))
+        parts = [stage(*piece) for piece in draw(JUMP_BLOCK, rows)]
     except BlowUpError:
-        (whole,) = draw(math.inf)
+        (whole,) = draw(math.inf, math.inf)
         return stage(*whole)
     if len(parts) == 1:
         return parts[0]

@@ -7,8 +7,8 @@ separating jump clocks from their absolutely continuous mollifications, and
 two exact L2 identities for the reparameterized Gaussian sums (an isometry
 and a truncation-coupling formula). The semigroup averages, the finite
 differences and the counterexample's jump-clock moment share one unweighted
-worker, _semigroup_run, which reads a bismut.ClockDraw and flows each row
-block from all its starts in one engine.flow_batch call. Agreement between
+worker, _semigroup_run, which reads a bismut.ClockDraw and flows each
+piece from all its starts in one engine.flow_batch call. Agreement between
 these oracles and the weighted estimator is what the test suite certifies.
 """
 
@@ -58,7 +58,12 @@ def make_observable(name: str, a=None):
         if a is None:
             raise ValueError("linear observable needs a coefficient vector a")
         a = checked_vector("a", a)
-        return lambda X: np.asarray(X, dtype=float) @ a
+
+        def linear(X):
+            if (X := np.asarray(X, dtype=float)).shape[-1:] != a.shape:
+                raise ValueError(f"linear observable's a has {a.size} entries; X has shape {X.shape}")
+            return X @ a
+        return linear
     if name == "sign":
         return lambda X: np.sign(np.asarray(X, dtype=float)[..., 0])
     if name == "tanh1":
@@ -73,9 +78,9 @@ def make_observable(name: str, a=None):
 def _semigroup_run(draw, starts, f, combine, field, n_paths, substeps_per_unit, workers):
     """Run of combine(f(X_t(x0)) for x0 in starts), every start flowed with no weight.
 
-    Each batch is drawn from the ClockDraw draw and flowed one row block at a
+    Each batch is drawn from the ClockDraw draw and flowed one piece at a
     time (engine.over_row_blocks); every start reads the same draws (common
-    random numbers): one flow_batch call flows a block from the stacked
+    random numbers): one flow_batch call flows a piece from the stacked
     starts, whose jump rounds then gather each round's draws once. The run
     counts the jumps it flowed.
     """
@@ -190,7 +195,8 @@ def check_gradient_bound(
     p = checked_float("p", p)
     if not p > 1:
         raise ValueError("p must exceed 1")
-    slope_tolerance = checked_float("slope_tolerance", slope_tolerance)
+    if not 0 <= (slope_tolerance := checked_float("slope_tolerance", slope_tolerance)) < math.inf:
+        raise ValueError(f"slope_tolerance must be nonnegative and finite, got {slope_tolerance}")
     if v is None:
         v = np.zeros(field.dimension)
         v[0] = 1.0

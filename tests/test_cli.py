@@ -727,3 +727,21 @@ def test_linear_observable_needs_a(tmp_path, capsys):
     cfg = dict(gradient_config(), f="linear")
     assert main(["gradient", write_config(tmp_path, cfg)]) == EXIT_ERROR
     assert "coefficient vector" in capsys.readouterr().err
+
+
+def test_linear_observable_refuses_a_of_another_dimension(tmp_path, capsys):
+    cfg = dict(gradient_config(n_paths=200), f={"name": "linear", "a": [1, 2, 3]})
+    assert main(["gradient", write_config(tmp_path, cfg)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "linear observable's a has 3 entries" in err and "matmul" not in err
+
+
+@pytest.mark.parametrize("tolerance", [-0.5, math.nan, math.inf])
+def test_validate_bound_refuses_a_tolerance_no_slope_meets(tmp_path, capsys, tolerance):
+    # no slope meets a negative or NaN tolerance, so a run would exit 2 as if
+    # the slope were wrong, and every slope meets an infinite one; json
+    # writes NaN and Infinity as bare tokens, which it reads back
+    cfg = {"field": "pythagoras_1d", "alpha": 1.5, "f": "tanh1", "x": [0.2], "p": 2.0,
+           "t_grid": [0.25, 1.0], "n_paths": 300, "seed": 5, "slope_tolerance": tolerance}
+    assert main(["validate-bound", write_config(tmp_path, cfg)]) == EXIT_ERROR
+    assert "slope_tolerance must be nonnegative" in capsys.readouterr().err

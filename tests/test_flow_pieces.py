@@ -1,13 +1,15 @@
 """The weighted estimators' pieces of at most FLOW_ROWS paths, and the jump rounds' row dot.
 
 Both weighted estimators (estimate_gradient and estimate_gradient_fixed_clock)
-flow each drawn block in pieces of at most engine.FLOW_ROWS paths, so the
-per-row state of a jump round stays in cache. Every operation of the flow is
-per path, so every row bound must give the bits of an unbounded one: the
-same to_dict() bytes (mean, standard error, n_rejected and diagnostics) and
-the same sample rows, antithetic included, at one worker and at two. A
-blow-up in a later piece re-flows the batch whole, so its error names the
-(s, path, batch) of an unblocked run.
+draw and flow each batch in pieces of at most engine.FLOW_ROWS paths (and
+JUMP_BLOCK jumps), so the per-row state of a jump round stays in cache; the
+draw makes that one cut, which over_row_blocks hands it, for a stable and a
+fixed clock alike. Every operation of the flow is per path, so every row
+bound must give the bits of an unbounded one: the same to_dict() bytes
+(mean, standard error, n_rejected and diagnostics) and the same sample rows,
+antithetic included, at one worker and at two. A blow-up in a later piece
+re-flows the batch whole, so its error names the (s, path, batch) of an
+unblocked run.
 
 engine._row_dot stands for einsum("mi,mi->m") in the weight terms and must
 carry its bytes at every width, signed zeros, infinities and NaNs included.
@@ -124,7 +126,8 @@ def test_pieces_cut_a_block_by_paths_and_by_jumps(monkeypatch):
                               (UNBOUNDED, UNBOUNDED, [(8, 15)])):
         seen.clear()
         monkeypatch.setattr(engine, "JUMP_BLOCK", jumps)
-        (joined,) = over_row_blocks(lambda budget: iter([(batch, None)]), stage, rows)
+        (joined,) = over_row_blocks(lambda budget, rows: engine._row_blocks(
+            batch, None, budget=budget, rows=rows), stage, rows)
         assert seen == want
         assert np.array_equal(joined, counts)
 

@@ -1,23 +1,25 @@
-"""Row blocks of at most JUMP_BLOCK jumps, bit for bit against whole batches.
+"""Pieces of at most JUMP_BLOCK jumps, bit for bit against whole batches.
 
-Each estimator's worker runs a batch one row block at a time
-(engine.over_row_blocks): a stable clock draws each block's times, sizes
-and marks where they sit in the whole batch's draw (engine.sample_row_blocks,
-after the batch's Poisson counts), and the flow, which evaluates the cap
-clock as it applies each jump (a piecewise clock's increments and
-beta-weighted marks are formed ahead of it), runs on the block before the
-next one is drawn; a fixed path is drawn whole and cut into blocks. The block draws must
-concatenate to the whole draw byte for byte, and each operation on a block
-is per path, so every jump budget must give the bits of an unbounded one:
-the same to_dict() bytes and the same sample rows, at one worker and at two.
-The budgets 1 (every path a block of its own, empty paths folded into their
-neighbours) and 37 (blocks of several paths) are compared with a budget that
-no batch reaches. Any finite budget draws into one buffer, also when the
-batch is one block; only budget math.inf gives the draws arrays of their
-own. A blow-up in a block draws and re-flows the whole batch,
-so the error names the (s, path, batch) of an unblocked run. The peak
-memory of one fine-cut batch and of one quickstart batch is bounded, since
-bounding it is what the blocks are for.
+Each estimator's worker runs a batch one piece at a time
+(engine.over_row_blocks), and the draw makes the one cut: a stable clock
+draws each piece's times, sizes and marks where they sit in the whole
+batch's draw (engine.sample_row_blocks, after the batch's Poisson counts),
+and the flow, which evaluates the cap clock as it applies each jump (a
+piecewise clock's increments and beta-weighted marks are formed ahead of
+it), runs on the piece before the next one is drawn; a fixed path is drawn
+whole and cut into pieces. ClockDraw.blocks' pieces must concatenate to
+ClockDraw.batch byte for byte, and each operation on a piece is per path,
+so every jump budget must give the bits of an unbounded one: the same
+to_dict() bytes and the same sample rows, at one worker and at two. The
+budgets 1 (every path a piece of its own, empty paths folded into their
+neighbours) and 37 (pieces of several paths) are compared with a budget
+that no batch reaches. Every stable draw goes into one buffer, a whole
+batch included: it is the one piece of an unbounded budget on the same
+route. The weighted estimators hand the draw FLOW_ROWS as well, so a
+quickstart batch is drawn as two pieces. A blow-up in a piece draws and
+re-flows the whole batch, so the error names the (s, path, batch) of an
+unblocked run. The peak memory of one fine-cut batch and of one quickstart
+batch is bounded, since bounding it is what the pieces are for.
 """
 
 import dataclasses
@@ -43,6 +45,7 @@ from levygrad import (
     substream,
 )
 from levygrad import engine
+from levygrad.bismut import ClockDraw
 from levygrad.engine import (JumpBatch, over_row_blocks, sample_jump_batch, sample_mark_batch,
                              sample_row_blocks)
 
@@ -94,7 +97,7 @@ def test_blocks_tile_the_batch_within_the_budget(monkeypatch):
     dW = np.arange(2.0 * batch.total).reshape(batch.total, 2)
     for budget in (1, 37):
         monkeypatch.setattr(engine, "JUMP_BLOCK", budget)
-        blocks = list(engine._row_blocks(batch, dW))
+        blocks = list(engine._row_blocks(batch, dW, budget=budget))
         for block, dW_block in blocks:
             assert block.offsets[0] == 0 and block.total == dW_block.shape[0]
             assert np.array_equal(block.offsets, np.concatenate(([0], np.cumsum(block.counts))))
@@ -111,14 +114,16 @@ def test_blocks_tile_the_batch_within_the_budget(monkeypatch):
             assert w.shape[0] == block.total and np.array_equal(sizes, 2.0 * block.sizes)
             return (block.counts,)
 
-        # a draw that yields the batch whole is cut to the budget
-        (counts,) = over_row_blocks(lambda budget: iter([(batch, dW, 2.0 * batch.sizes, None)]), stage)
+        # the draw cuts the batch to the budget that over_row_blocks hands it
+        (counts,) = over_row_blocks(lambda budget, rows: engine._row_blocks(
+            batch, dW, 2.0 * batch.sizes, None, budget=budget, rows=rows), stage)
         assert len(seen) == len(blocks) > 1 and all(none is None for *_, none in seen)
         assert np.array_equal(np.concatenate([w for w, *_ in seen]), dW)
         assert np.array_equal(counts, batch.counts)
     # a batch within the budget is handed over whole
     monkeypatch.setattr(engine, "JUMP_BLOCK", batch.total)
-    whole = over_row_blocks(lambda budget: iter([(batch, dW)]), lambda block, w: (block, w))
+    whole = over_row_blocks(lambda budget, rows: engine._row_blocks(batch, dW, budget=budget, rows=rows),
+                            lambda block, w: (block, w))
     assert whole == (batch, dW)
 
 
@@ -175,12 +180,13 @@ def _buffer(a):
 
 @pytest.mark.parametrize("d", [0, 1, 3])
 def test_a_one_block_draw_shares_one_buffer(d):
-    # a batch within a finite budget is one block drawn into the buffer that
-    # several blocks share, so its times, sizes and marks are one allocation:
+    # a batch within the budget is one piece drawn into the buffer that
+    # several pieces share, so its times, sizes and marks are one allocation:
     # glibc's mmap and trim thresholds then rise above the batch's frees,
     # which stay in the heap instead of being faulted in again by the next
-    # batch. Drawing such a batch with arrays of its own, as only budget
-    # math.inf does, fails here
+    # batch. Drawing such a batch with arrays of its own fails here; the
+    # whole draw of budget math.inf, on the same route, holds disjoint parts
+    # of one buffer
     n = 60
     ((whole, marks),) = _blocks(n, d, math.inf)
     own = [whole.times, whole.sizes] + ([marks] if d else [])
@@ -208,6 +214,56 @@ def test_a_skipped_stream_stands_k_outputs_on(k):
         ahead = engine._skipped(rng, k)
         rng.random(k)
         assert ahead.random(9).tobytes() == rng.random(9).tobytes()
+
+
+DRAWS = {
+    # about 2.6 jumps a path, some paths none
+    "stable": ClockDraw.stable(SPEC, 0.5, 2e-2, 2, 21),
+    # 4 jumps a path, the auxiliary normals right after the marks
+    "fixed": ClockDraw.fixed(PATH, 0.95, 2, 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWS))
+@pytest.mark.parametrize("budget, rows", [(1, math.inf), (37, 7), (math.inf, 5)])
+def test_clock_draw_pieces_concatenate_to_the_batch(kind, budget, rows):
+    draw, n = DRAWS[kind], 60
+    jb, dW, aux = draw.batch(1, n)
+    # a stable piece is a view of one buffer until the next is drawn, so copy it
+    pieces = [(b.counts.copy(), b.offsets.copy(), b.times.copy(), b.sizes.copy(), w.copy(),
+               a if a is None else a.copy()) for b, w, a in draw.blocks(1, n, budget, rows)]
+    assert len(pieces) > 1
+    for counts, offsets, *_ in pieces:
+        assert (offsets[-1] <= budget and counts.size <= rows) or counts.size == 1
+    counts, offsets, times, sizes, marks, normals = zip(*pieces)
+    starts = np.cumsum([0] + [int(o[-1]) for o in offsets[:-1]])
+    joined = np.concatenate([[0]] + [o[1:] + s for o, s in zip(offsets, starts)])
+    assert joined.tobytes() == jb.offsets.tobytes()
+    for name, parts in (("counts", counts), ("times", times), ("sizes", sizes)):
+        assert np.concatenate(parts).tobytes() == getattr(jb, name).tobytes(), name
+    assert np.concatenate(marks).tobytes() == dW.tobytes()
+    if kind == "stable":
+        assert aux is None and all(a is None for a in normals)
+    else:
+        assert np.concatenate(normals).tobytes() == aux.tobytes()
+
+
+def test_a_weighted_batch_is_drawn_in_flow_pieces(monkeypatch):
+    # the weighted estimators hand the draw FLOW_ROWS, so one 32,768-path
+    # quickstart batch is drawn as two pieces of 16,384 paths, the draw buffer
+    # holding one of them; a plain flow (estimate_pt) draws it as one piece
+    sample, drawn = engine.sample_jump_batch, []
+
+    def spy(alpha, horizon, eps_cut, n, *args, **kw):
+        drawn.append(n)
+        return sample(alpha, horizon, eps_cut, n, *args, **kw)
+
+    monkeypatch.setattr(engine, "sample_jump_batch", spy)
+    estimate_gradient(X0, V0, TANH, BM, SPEC, 0.5, default_level_R(SPEC, 0.5), engine.BATCH_SIZE, 3e-3, 318)
+    assert drawn == [engine.FLOW_ROWS] * 2 == [16_384] * 2
+    drawn.clear()
+    estimate_pt(X0, TANH, BM, SPEC, 0.5, engine.BATCH_SIZE, 318, eps_cut=3e-3)
+    assert drawn == [engine.BATCH_SIZE]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -289,7 +345,8 @@ def test_blow_up_parity_of_a_hand_batch():
     for budget in (1, 3):
         # through over_row_blocks, and by a direct flow_batch call, which
         # ignores JUMP_BLOCK
-        for run in (lambda: over_row_blocks(lambda budget: iter([(batch, dW)]), stage),
+        for run in (lambda: over_row_blocks(lambda budget, rows: engine._row_blocks(
+                        batch, dW, budget=budget, rows=rows), stage),
                     lambda: stage(batch, dW)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "JUMP_BLOCK", budget)
@@ -320,10 +377,11 @@ def test_peak_memory_of_one_fine_cut_batch():
 
 
 def test_peak_memory_of_one_quickstart_batch():
-    # one 32,768-path batch of the README quickstart (about 350k jumps, one
-    # row block, flowed in two pieces of FLOW_ROWS paths) peaks at 18.2 MB of
+    # one 32,768-path batch of the README quickstart (about 350k jumps,
+    # drawn and flowed in two pieces of FLOW_ROWS paths) peaks at 12.1 MB of
     # traced allocations, the cap clock being evaluated in the flow with no
-    # per-jump clock array; flowed whole it peaked at 22.6 MB
+    # per-jump clock array; drawn as one block and flowed in the two pieces
+    # it peaked at 18.0-18.2 MB, and flowed whole at 22.6 MB
     R = default_level_R(SPEC, 0.5)
     peak = _traced_peak(lambda: estimate_gradient(
         X0, V0, TANH, BM, SPEC, 0.5, R, engine.BATCH_SIZE, 3e-3, 318))

@@ -232,6 +232,16 @@ def test_gradient_bound_validation():
         check_gradient_bound(F, SPEC15, f, np.zeros(1), 2.0, [], 100, seed=0)
 
 
+@pytest.mark.parametrize("tolerance", [-0.5, -1e-300, math.nan, math.inf])
+def test_gradient_bound_refuses_a_tolerance_no_slope_meets(tolerance):
+    # |slope - target| <= tolerance never holds for a negative or NaN
+    # tolerance, so the check would fail as if the slope were wrong; an
+    # infinite one holds for every slope, so the check could never fail
+    with pytest.raises(ValueError, match="^slope_tolerance must be nonnegative"):
+        check_gradient_bound(catalog("additive_identity", 1), SPEC15, make_observable("sign"),
+                             np.zeros(1), 2.0, [0.5, 1.0], 100, seed=0, slope_tolerance=tolerance)
+
+
 @pytest.mark.parametrize("t_grid", [[1.0], [0.5], [0.5, 0.5]])
 def test_gradient_bound_needs_two_distinct_times(t_grid, capfd):
     # one distinct time fits no slope: [1.0] used to reach np.polyfit's SVD
@@ -370,6 +380,15 @@ def test_make_observable_catalog():
         make_observable("cubic")
     with pytest.raises(ValueError):
         make_observable("linear")  # needs coefficients
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_linear_observable_refuses_an_x_of_another_dimension(d):
+    # a of length 2 on states of d coordinates: refused by name, not by
+    # numpy's matmul message about its core dimension
+    f = make_observable("linear", [2.0, 1.0])
+    with pytest.raises(ValueError, match=r"^linear observable's a has 2 entries; X has shape \(4, %d\)" % d):
+        f(np.zeros((4, d)))
 
 
 def test_estimate_pt_validation():
